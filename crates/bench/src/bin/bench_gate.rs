@@ -11,11 +11,12 @@
 //! that is a workflow bug, not a pass).
 
 use llamatune_bench::gate;
+use llamatune_obs::json::{self, JsonValue};
 use std::process::ExitCode;
 
-fn load(path: &str) -> Result<gate::Json, String> {
+fn load(path: &str) -> Result<JsonValue, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    gate::parse(&text).map_err(|e| format!("{path}: {e}"))
+    json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {

@@ -18,13 +18,11 @@
 //!   from crying wolf;
 //! * derived ratios and unknown numeric fields are ignored.
 //!
-//! Parsing rides on the core crate's [`JsonScanner`] (the store's own
-//! tokenizer), with a small recursive value layer on top — one JSON
-//! implementation per workspace. Used by `src/bin/bench_gate.rs`,
-//! which CI runs after regenerating the artifacts (see
-//! `.github/workflows/ci.yml`, job `bench-gate`).
+//! Artifacts are parsed by `llamatune_obs::json::parse`. Used by
+//! `src/bin/bench_gate.rs`, which CI runs after regenerating the
+//! artifacts (see `.github/workflows/ci.yml`, job `bench-gate`).
 
-use llamatune::history_io::JsonScanner;
+use llamatune_obs::json::JsonValue;
 use std::fmt::Write as _;
 
 /// Absolute slack on top of the multiplicative threshold: differences
@@ -35,97 +33,6 @@ pub const ABS_SLACK_US: f64 = 25.0;
 /// different things, not that one is slower.
 const IDENTITY_NUM_KEYS: &[&str] =
     &["n", "q", "dims", "reps", "rounds", "writers", "records", "segment_records", "sessions"];
-
-/// A minimal JSON value tree (the artifacts' dialect).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-fn value(sc: &mut JsonScanner) -> Result<Json, String> {
-    match sc.peek().ok_or("unexpected end of input")? {
-        b'{' => object(sc),
-        b'[' => array(sc),
-        b'"' => Ok(Json::Str(sc.string()?)),
-        b't' | b'f' | b'n' => {
-            if sc.literal("true") {
-                Ok(Json::Bool(true))
-            } else if sc.literal("false") {
-                Ok(Json::Bool(false))
-            } else if sc.literal("null") {
-                Ok(Json::Null)
-            } else {
-                Err("bad literal (expected true/false/null)".to_string())
-            }
-        }
-        _ => sc.number().map(Json::Num),
-    }
-}
-
-fn array(sc: &mut JsonScanner) -> Result<Json, String> {
-    sc.expect(b'[')?;
-    let mut items = Vec::new();
-    if sc.peek() == Some(b']') {
-        sc.expect(b']')?;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(value(sc)?);
-        match sc.peek() {
-            Some(b',') => sc.expect(b',')?,
-            _ => {
-                sc.expect(b']')?;
-                return Ok(Json::Arr(items));
-            }
-        }
-    }
-}
-
-fn object(sc: &mut JsonScanner) -> Result<Json, String> {
-    sc.expect(b'{')?;
-    let mut members = Vec::new();
-    if sc.peek() == Some(b'}') {
-        sc.expect(b'}')?;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        let key = sc.string()?;
-        sc.expect(b':')?;
-        members.push((key, value(sc)?));
-        match sc.peek() {
-            Some(b',') => sc.expect(b',')?,
-            _ => {
-                sc.expect(b'}')?;
-                return Ok(Json::Obj(members));
-            }
-        }
-    }
-}
-
-/// Parses a JSON document (the bench artifacts' dialect).
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut sc = JsonScanner::new(text);
-    let v = value(&mut sc)?;
-    if !sc.done() {
-        return Err("trailing content after document".to_string());
-    }
-    Ok(v)
-}
 
 /// One latency pair the gate compared.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,13 +93,13 @@ impl Comparison {
 
 fn walk(
     path: &str,
-    baseline: &Json,
-    current: &Json,
+    baseline: &JsonValue,
+    current: &JsonValue,
     factor: f64,
     out: &mut Comparison,
 ) -> Result<(), String> {
     match (baseline, current) {
-        (Json::Obj(base_members), Json::Obj(_)) => {
+        (JsonValue::Obj(base_members), JsonValue::Obj(_)) => {
             for (key, base_val) in base_members {
                 let sub = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
                 let cur_val = current
@@ -202,7 +109,7 @@ fn walk(
             }
             Ok(())
         }
-        (Json::Arr(a), Json::Arr(b)) => {
+        (JsonValue::Arr(a), JsonValue::Arr(b)) => {
             if a.len() != b.len() {
                 return Err(format!(
                     "{path}: {} baseline rows vs {} current rows",
@@ -215,7 +122,7 @@ fn walk(
             }
             Ok(())
         }
-        (Json::Num(a), Json::Num(b)) => {
+        (JsonValue::Num(a), JsonValue::Num(b)) => {
             let key = path.rsplit('.').next().unwrap_or(path);
             if key.ends_with("_us") {
                 let regressed = *b > *a * factor && *b > *a + ABS_SLACK_US;
@@ -233,7 +140,7 @@ fn walk(
             // Other numerics (speedup ratios etc.) are derived: ignored.
             Ok(())
         }
-        (Json::Str(a), Json::Str(b)) => {
+        (JsonValue::Str(a), JsonValue::Str(b)) => {
             if a != b {
                 return Err(format!(
                     "{path}: baseline row is {a:?}, current is {b:?} — rows reordered or renamed"
@@ -241,7 +148,7 @@ fn walk(
             }
             Ok(())
         }
-        (Json::Bool(a), Json::Bool(b)) => {
+        (JsonValue::Bool(a), JsonValue::Bool(b)) => {
             if a != b {
                 return Err(format!(
                     "{path}: baseline {a} vs current {b} (quick-mode artifact compared against full-mode baseline?)"
@@ -249,14 +156,18 @@ fn walk(
             }
             Ok(())
         }
-        (Json::Null, Json::Null) => Ok(()),
+        (JsonValue::Null, JsonValue::Null) => Ok(()),
         _ => Err(format!("{path}: type mismatch between baseline and current")),
     }
 }
 
 /// Compares two artifacts. `Err` means the documents are not comparable
 /// (shape/identity drift); `Ok` carries every latency check performed.
-pub fn compare(baseline: &Json, current: &Json, factor: f64) -> Result<Comparison, String> {
+pub fn compare(
+    baseline: &JsonValue,
+    current: &JsonValue,
+    factor: f64,
+) -> Result<Comparison, String> {
     let mut out = Comparison::default();
     walk("", baseline, current, factor, &mut out)?;
     if out.checks.is_empty() {
@@ -268,6 +179,7 @@ pub fn compare(baseline: &Json, current: &Json, factor: f64) -> Result<Compariso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llamatune_obs::json::parse;
 
     const BASE: &str = r#"{
       "config": {"dims": 16, "quick": false, "reps": 9},
@@ -277,32 +189,14 @@ mod tests {
       ]
     }"#;
 
-    fn base() -> Json {
+    fn base() -> JsonValue {
         parse(BASE).unwrap()
     }
 
-    fn with(f: impl Fn(&mut String)) -> Json {
+    fn with(f: impl Fn(&mut String)) -> JsonValue {
         let mut s = BASE.to_string();
         f(&mut s);
         parse(&s).unwrap()
-    }
-
-    #[test]
-    fn parser_roundtrips_the_artifact_dialect() {
-        let doc = base();
-        assert_eq!(doc.get("config").unwrap().get("dims"), Some(&Json::Num(16.0)));
-        assert_eq!(doc.get("config").unwrap().get("quick"), Some(&Json::Bool(false)));
-        match doc.get("rows").unwrap() {
-            Json::Arr(rows) => assert_eq!(rows.len(), 2),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse("{").is_err());
-        assert!(parse("{} trailing").is_err());
-        assert!(parse(r#"{"a": [1, 2,]}"#).is_err());
-        // Nulls, escapes, and non-ASCII survive (JsonScanner underneath).
-        let doc = parse(r#"{"name": "µbench \"q\"", "x": null}"#).unwrap();
-        assert_eq!(doc.get("name"), Some(&Json::Str("µbench \"q\"".to_string())));
-        assert_eq!(doc.get("x"), Some(&Json::Null));
     }
 
     #[test]

@@ -167,10 +167,7 @@ impl Client {
     /// canonical export — the byte-identity surface).
     pub fn export_history(&mut self, session: &str) -> Result<String, ClientError> {
         let body = self.call("export_history", &session_params(session))?;
-        body.get("jsonl")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Wire(WireError::new(wire::code::BAD_JSON, "missing jsonl")))
+        Ok(body.str("jsonl").map_err(WireError::bad_json)?.to_string())
     }
 
     /// Asks the daemon to shut down (acked before the daemon stops).

@@ -12,11 +12,16 @@
 //!   evaluated trial, tagged with a session label so events from many
 //!   concurrent sessions can interleave in a single append-only log (the
 //!   parallel runtime's campaign transcript). [`session_curves`] regroups
-//!   a mixed log back into per-session score curves.
+//!   a mixed log back into per-session score curves. The lines are a
+//!   closed schema read and written through `llamatune_obs::json` (the
+//!   workspace's one lexer and writer set); this module owns only the
+//!   schema, not a tokenizer.
 
 use crate::session::{SessionHistory, TrialStatus};
+use llamatune_obs::json::{self, Scanner};
 use llamatune_space::{Config, ConfigSpace};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Serializes a history (scores + optimizer points + knob configs) as TSV.
 pub fn to_tsv(space: &ConfigSpace, history: &SessionHistory) -> String {
@@ -120,259 +125,77 @@ pub fn history_to_events(session: &str, history: &SessionHistory) -> Vec<TrialEv
         .collect()
 }
 
-/// Escapes a string for embedding in a JSON string literal (the inverse
-/// of [`JsonScanner::string`]'s unescaping).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Appends the event's members — `"session":…,"iteration":…` through
+/// the optional `status`/`attempts`, without the surrounding braces —
+/// so the store's trial record, a superset of this schema, extends the
+/// same bytes instead of re-spelling them.
+pub fn write_event_members(out: &mut String, e: &TrialEvent) {
+    out.push_str("\"session\":");
+    json::write_str(out, &e.session);
+    let _ = write!(out, ",\"iteration\":{},\"raw_score\":", e.iteration);
+    json::write_opt(out, e.raw_score, json::write_f64);
+    out.push_str(",\"score\":");
+    json::write_f64(out, e.score);
+    out.push_str(",\"point\":");
+    json::write_f64_array(out, &e.point);
+    // Fault-tolerance keys are omitted when they carry no information
+    // beyond the raw score (the derived status, first-try attempts), so
+    // pre-status transcripts and fault-free sessions are byte-identical
+    // to the original schema.
+    if e.status != TrialStatus::derived(e.raw_score) {
+        let _ = write!(out, ",\"status\":\"{}\"", e.status.as_str());
     }
-    out
+    if e.attempts > 1 {
+        let _ = write!(out, ",\"attempts\":{}", e.attempts);
+    }
 }
 
 /// Serializes one event as a single JSON line (no trailing newline).
 /// `f64` values print via Rust's shortest-roundtrip formatting, so a
 /// parse-back is bit-exact for finite values.
 pub fn event_to_json(e: &TrialEvent) -> String {
-    let raw = match e.raw_score {
-        Some(v) => format!("{v}"),
-        None => "null".to_string(),
-    };
-    let point = e.point.iter().map(|v| format!("{v}")).collect::<Vec<_>>().join(",");
-    // Fault-tolerance keys are omitted when they carry no information
-    // beyond the raw score (the derived status, first-try attempts), so
-    // pre-status transcripts and fault-free sessions are byte-identical
-    // to the original schema.
-    let status = if e.status == TrialStatus::derived(e.raw_score) {
-        String::new()
-    } else {
-        format!(",\"status\":\"{}\"", e.status.as_str())
-    };
-    let attempts =
-        if e.attempts <= 1 { String::new() } else { format!(",\"attempts\":{}", e.attempts) };
-    format!(
-        "{{\"session\":\"{}\",\"iteration\":{},\"raw_score\":{},\"score\":{},\"point\":[{}]{status}{attempts}}}",
-        json_escape(&e.session),
-        e.iteration,
-        raw,
-        e.score,
-        point
-    )
+    let mut out = String::with_capacity(96 + 20 * e.point.len());
+    write_event(&mut out, e);
+    out
+}
+
+fn write_event(out: &mut String, e: &TrialEvent) {
+    out.push('{');
+    write_event_members(out, e);
+    out.push('}');
 }
 
 /// Serializes events as JSONL (one event per line).
 pub fn events_to_jsonl(events: &[TrialEvent]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&event_to_json(e));
+        write_event(&mut out, e);
         out.push('\n');
     }
     out
 }
 
-/// Minimal JSON scanner for fixed, line-oriented schemas — shared by the
-/// [`TrialEvent`] parser here and the persistent knowledge store's
-/// record parser (`llamatune-store`), which extends the trial schema
-/// with configurations and metrics. It intentionally supports only what
-/// those closed schemas need: objects of known keys, strings, numbers,
-/// flat arrays, and the `null` literal.
-pub struct JsonScanner<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonScanner<'a> {
-    /// Starts scanning `s` from its first byte.
-    pub fn new(s: &'a str) -> Self {
-        JsonScanner { s: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.s.len() && self.s[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    /// Consumes the single byte `b` (after whitespace) or fails.
-    pub fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos < self.s.len() && self.s[self.pos] == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    /// Next non-whitespace byte without consuming it.
-    pub fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.pos).copied()
-    }
-
-    /// Parses a JSON string literal.
-    pub fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.s.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.s.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex =
-                                self.s.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                b => {
-                    // Re-join multi-byte UTF-8 sequences.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        b if b < 0x80 => 1,
-                        b if b >> 5 == 0b110 => 2,
-                        b if b >> 4 == 0b1110 => 3,
-                        _ => 4,
-                    };
-                    let chunk = self.s.get(start..start + len).ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    /// Parses a JSON number as `f64` (Rust's shortest-roundtrip parser,
-    /// so values printed with `{v}` survive bit-exactly).
-    pub fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.s.len()
-            && matches!(self.s[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    /// Consumes the exact literal (e.g. `null`) if it is next, returning
-    /// whether it was.
-    pub fn literal(&mut self, lit: &str) -> bool {
-        self.skip_ws();
-        if self.s[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Parses a flat JSON array of numbers.
-    pub fn number_array(&mut self) -> Result<Vec<f64>, String> {
-        self.expect(b'[')?;
-        let mut xs = Vec::new();
-        if self.peek() == Some(b']') {
-            self.expect(b']')?;
-            return Ok(xs);
-        }
-        loop {
-            xs.push(self.number()?);
-            match self.peek() {
-                Some(b',') => self.expect(b',')?,
-                _ => {
-                    self.expect(b']')?;
-                    return Ok(xs);
-                }
-            }
-        }
-    }
-
-    /// Parses a flat JSON array of strings.
-    pub fn string_array(&mut self) -> Result<Vec<String>, String> {
-        self.expect(b'[')?;
-        let mut xs = Vec::new();
-        if self.peek() == Some(b']') {
-            self.expect(b']')?;
-            return Ok(xs);
-        }
-        loop {
-            xs.push(self.string()?);
-            match self.peek() {
-                Some(b',') => self.expect(b',')?,
-                _ => {
-                    self.expect(b']')?;
-                    return Ok(xs);
-                }
-            }
-        }
-    }
-
-    /// Whether only whitespace remains.
-    pub fn done(&mut self) -> bool {
-        self.skip_ws();
-        self.pos >= self.s.len()
-    }
-}
-
 /// Parses one [`event_to_json`] line. Keys may appear in any order;
 /// unknown keys are rejected (the schema is closed).
 pub fn event_from_json(line: &str) -> Result<TrialEvent, String> {
-    let mut sc = JsonScanner::new(line);
-    sc.expect(b'{')?;
+    let mut sc = Scanner::new(line);
     let (mut session, mut iteration, mut raw_score, mut score, mut point) =
         (None, None, None, None, None);
     let (mut status, mut attempts) = (None, None);
-    loop {
-        let key = sc.string()?;
-        sc.expect(b':')?;
-        match key.as_str() {
+    sc.object(|key, sc| {
+        match key {
             "session" => session = Some(sc.string()?),
-            "iteration" => iteration = Some(sc.number()? as usize),
-            "raw_score" => {
-                raw_score = Some(if sc.literal("null") { None } else { Some(sc.number()?) })
-            }
+            "iteration" => iteration = Some(sc.u64()? as usize),
+            "raw_score" => raw_score = Some(if sc.null() { None } else { Some(sc.number()?) }),
             "score" => score = Some(sc.number()?),
-            "point" => point = Some(sc.number_array()?),
+            "point" => point = Some(sc.f64_array()?),
             "status" => status = Some(TrialStatus::parse(&sc.string()?)?),
-            "attempts" => attempts = Some(sc.number()? as u32),
+            "attempts" => attempts = Some(sc.u64()? as u32),
             other => return Err(format!("unknown key {other:?}")),
         }
-        match sc.peek() {
-            Some(b',') => sc.expect(b',')?,
-            _ => {
-                sc.expect(b'}')?;
-                break;
-            }
-        }
-    }
+        Ok(())
+    })?;
+    sc.end()?;
     let raw_score = raw_score.ok_or("missing raw_score")?;
     Ok(TrialEvent {
         session: session.ok_or("missing session")?,

@@ -1,7 +1,8 @@
 //! The end-to-end tuning session (Figure 1): knowledge base, LHS
 //! initialization, optimizer loop, crash handling, best-so-far tracking.
 //!
-//! Three entry points share the same semantics:
+//! Three entry points share one loop and one per-trial fold step
+//! (`Fold::trial`), so they cannot drift apart:
 //!
 //! * [`run_session`] — the paper's strictly sequential loop;
 //! * [`run_session_parallel`] — the batched loop used by the parallel
@@ -104,7 +105,8 @@ impl TrialStatus {
 
 /// Result of one configuration evaluation. `score` is `None` when the
 /// configuration crashed the DBMS (or timed out, or was quarantined —
-/// `status` tells them apart).
+/// `status` tells them apart). A non-finite score (`NaN`, `±inf`) is
+/// not a measurement: the session folds it as `None`.
 #[derive(Debug, Clone)]
 pub struct EvalResult {
     pub score: Option<f64>,
@@ -204,7 +206,7 @@ impl Default for SessionOptions {
 }
 
 /// The knowledge base plus derived curves of one finished session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionHistory {
     /// Evaluated configurations, iteration 0 being the default config.
     pub configs: Vec<Config>,
@@ -299,34 +301,122 @@ fn normalize_status(status: TrialStatus, raw: Option<f64>) -> TrialStatus {
     }
 }
 
-/// Builds the `trial` span shared by the replay and live fold paths.
-/// Every field is deterministic (iteration, penalized score, status,
-/// attempts, virtual time); `raw_score` is present only for successful
-/// runs and `replayed` only on resume.
-#[allow(clippy::too_many_arguments)]
-fn trial_span(
-    label: &str,
-    iteration: usize,
-    score: f64,
-    raw_score: Option<f64>,
-    status: TrialStatus,
-    attempts: u32,
+/// The session fold: the history plus the state its derived columns
+/// need (penalty floor, best-so-far, cumulative progress totals),
+/// advanced one trial at a time by [`Fold::trial`]. Everything that
+/// happens to a trial result — penalty, status, persist, trace,
+/// history, best curve, early stop — happens there and only there, so
+/// replayed and live trials cannot fold differently.
+struct Fold<'a> {
+    opts: &'a SessionOptions,
+    traced: bool,
+    history: SessionHistory,
+    worst_seen: Option<f64>,
+    best: f64,
+    failures: u64,
+    attempts: u64,
     virtual_ms: f64,
-    replayed: bool,
-) -> TraceEvent {
-    let mut e = TraceEvent::new(label, "trial")
-        .field("iteration", iteration as u64)
-        .field("score", score)
-        .field("status", status.as_str())
-        .field("attempts", u64::from(attempts))
-        .field("virtual_ms", virtual_ms);
-    if let Some(r) = raw_score {
-        e = e.field("raw_score", r);
+}
+
+impl Fold<'_> {
+    /// Collects the optimizer's pending degradation events, stamped
+    /// with the round they affected.
+    fn drain_degradations(&mut self, optimizer: &mut dyn Optimizer, iteration: usize) {
+        for mut e in optimizer.drain_degradations() {
+            e.iteration = iteration;
+            if self.traced {
+                self.opts.tracer.record(
+                    TraceEvent::new(self.opts.trace_label.as_str(), "optimizer.degraded")
+                        .field("iteration", e.iteration as u64)
+                        .field("optimizer", e.optimizer.as_str())
+                        .field("reason", e.reason.as_str()),
+                );
+            }
+            self.history.degradations.push(e);
+        }
     }
-    if replayed {
-        e = e.field("replayed", 1u64);
+
+    /// Folds one evaluated trial — a replayed record, the iteration-0
+    /// default run, or a live result with its `virtual_ms` — in
+    /// iteration order and returns whether early stopping fired on it.
+    /// `sink` receives the record before the `trial` span is emitted (a
+    /// store sink traces its own append first); `observations` collects
+    /// what the optimizer is to be told.
+    ///
+    /// A non-finite raw score is a failed evaluation, not a number: it
+    /// folds as `None`/crashed with the §6 penalty, so it can neither
+    /// poison the surrogate nor reach a sink as a value JSON cannot
+    /// carry.
+    fn trial(
+        &mut self,
+        t: PriorTrial,
+        virtual_ms: f64,
+        replayed: bool,
+        sink: &mut Option<&mut dyn FnMut(TrialRecord<'_>)>,
+        observations: &mut Vec<Observation>,
+    ) -> bool {
+        let opts = self.opts;
+        let raw_score = t.raw_score.filter(|s| s.is_finite());
+        let score = crash_penalty(raw_score, &mut self.worst_seen);
+        let status = normalize_status(t.status, raw_score);
+        let attempts = t.attempts.max(1);
+        self.failures += u64::from(status.is_failure());
+        self.attempts += u64::from(attempts);
+        self.virtual_ms += virtual_ms;
+        if let Some(f) = sink.as_mut() {
+            let persist_start = Instant::now();
+            f(TrialRecord {
+                iteration: t.iteration,
+                config: &t.config,
+                point: &t.point,
+                raw_score,
+                score,
+                metrics: &t.metrics,
+                status,
+                attempts,
+            });
+            opts.metrics.observe("session.persist_ms", persist_start.elapsed().as_secs_f64() * 1e3);
+        }
+        if self.traced {
+            // Every field is deterministic; `raw_score` is present only
+            // for successful runs and `replayed` only on resume.
+            let mut e = TraceEvent::new(opts.trace_label.as_str(), "trial")
+                .field("iteration", t.iteration as u64)
+                .field("score", score)
+                .field("status", status.as_str())
+                .field("attempts", u64::from(attempts))
+                .field("virtual_ms", virtual_ms);
+            if let Some(r) = raw_score {
+                e = e.field("raw_score", r);
+            }
+            if replayed {
+                e = e.field("replayed", 1u64);
+            }
+            opts.tracer.record(e);
+        }
+        let h = &mut self.history;
+        h.configs.push(t.config);
+        h.scores.push(score);
+        h.raw_scores.push(raw_score);
+        h.statuses.push(status);
+        h.attempts.push(attempts);
+        if t.iteration == 0 {
+            // The default run is tracked but, like the paper's plots,
+            // is neither "found by the tuner" nor an observation.
+            h.points.push(t.point);
+            h.best_curve.push(score);
+            return false;
+        }
+        observations.push(Observation { x: t.point.clone(), y: score, metrics: t.metrics });
+        h.points.push(t.point);
+        self.best = self.best.max(score);
+        h.best_curve.push(self.best);
+        let stop = opts.early_stop.as_ref().is_some_and(|p| p.should_stop(&h.best_curve[1..]));
+        if stop {
+            h.stopped_at = Some(t.iteration);
+        }
+        stop
     }
-    e
 }
 
 fn session_end_span(label: &str, history: &SessionHistory) -> TraceEvent {
@@ -340,27 +430,6 @@ fn session_end_span(label: &str, history: &SessionHistory) -> TraceEvent {
         e = e.field("stopped_at", at as u64);
     }
     e
-}
-
-fn degraded_span(label: &str, e: &DegradationEvent) -> TraceEvent {
-    TraceEvent::new(label, "optimizer.degraded")
-        .field("iteration", e.iteration as u64)
-        .field("optimizer", e.optimizer.as_str())
-        .field("reason", e.reason.as_str())
-}
-
-fn empty_history(iterations: usize) -> SessionHistory {
-    SessionHistory {
-        configs: Vec::with_capacity(iterations + 1),
-        points: Vec::with_capacity(iterations + 1),
-        scores: Vec::with_capacity(iterations + 1),
-        raw_scores: Vec::with_capacity(iterations + 1),
-        best_curve: Vec::with_capacity(iterations + 1),
-        stopped_at: None,
-        statuses: Vec::with_capacity(iterations + 1),
-        attempts: Vec::with_capacity(iterations + 1),
-        degradations: Vec::new(),
-    }
 }
 
 /// Runs a tuning session: evaluates the default configuration, then
@@ -591,167 +660,29 @@ pub fn run_session_resumable(
         );
     }
 
-    let mut history = empty_history(opts.iterations);
-    let mut worst_seen: Option<f64> = None;
-    let mut best = f64::NEG_INFINITY;
-
-    // Cumulative fold totals feeding the live progress sink. Like
-    // traces, updates are emitted from this single-threaded fold path
-    // only, so monitoring can never perturb the run.
-    let mut cum_failures = 0u64;
-    let mut cum_attempts = 0u64;
-    let mut cum_virtual_ms = 0.0f64;
-    let progress = opts.progress.clone();
-    let emit_progress = |iteration: u64,
-                         size: u64,
-                         source: &str,
-                         best_so_far: f64,
-                         round_best: f64,
-                         failures: u64,
-                         attempts: u64,
-                         virtual_ms: f64| {
-        if let Some(p) = &progress {
-            p.emit(ProgressUpdate {
-                session: label.to_string(),
-                iteration,
-                round_size: size,
-                phase: source.to_string(),
-                best_so_far,
-                round_best,
-                regret: (best_so_far - round_best).max(0.0),
-                failures,
-                attempts,
-                virtual_ms,
-            });
-        }
+    let mut fold = Fold {
+        opts,
+        traced,
+        history: SessionHistory::default(),
+        worst_seen: None,
+        best: f64::NEG_INFINITY,
+        failures: 0,
+        attempts: 0,
+        virtual_ms: 0.0,
     };
-
     // Replay: rebuild the fold state (history, penalties, best curve)
-    // and collect the observations the optimizer already saw.
+    // and collect the observations the optimizer already saw. Replayed
+    // trials carry no recorded virtual time (it is not persisted); the
+    // report still sees a contiguous session.
     let mut replayed = Vec::with_capacity(prior.len().saturating_sub(1));
-    let mut stopped = false;
-    for t in prior {
-        let score = crash_penalty(t.raw_score, &mut worst_seen);
-        let status = normalize_status(t.status, t.raw_score);
-        let attempts = t.attempts.max(1);
-        history.configs.push(t.config.clone());
-        history.points.push(t.point.clone());
-        history.scores.push(score);
-        history.raw_scores.push(t.raw_score);
-        history.statuses.push(status);
-        history.attempts.push(attempts);
-        cum_failures += u64::from(status.is_failure());
-        cum_attempts += u64::from(attempts);
-        if traced {
-            // Replayed trials carry no recorded virtual time (it is not
-            // persisted); the report still sees a contiguous session.
-            tracer.record(trial_span(
-                label,
-                t.iteration,
-                score,
-                t.raw_score,
-                status,
-                attempts,
-                0.0,
-                true,
-            ));
-        }
-        if t.iteration == 0 {
-            history.best_curve.push(score);
-            continue;
-        }
-        best = best.max(score);
-        history.best_curve.push(best);
-        replayed.push(Observation { x: t.point.clone(), y: score, metrics: t.metrics.clone() });
-        if let Some(policy) = &opts.early_stop {
-            if policy.should_stop(&history.best_curve[1..]) {
-                history.stopped_at = Some(t.iteration);
-                stopped = true;
-                break;
-            }
-        }
-    }
+    let stopped = prior.iter().any(|t| fold.trial(t.clone(), 0.0, true, &mut None, &mut replayed));
     optimizer.observe_batch(replayed);
-    for mut e in optimizer.drain_degradations() {
-        e.iteration = history.scores.len();
-        if traced {
-            tracer.record(degraded_span(label, &e));
-        }
-        history.degradations.push(e);
-    }
+    fold.drain_degradations(optimizer.as_mut(), fold.history.scores.len());
     if stopped {
         if traced {
-            tracer.record(session_end_span(label, &history));
+            tracer.record(session_end_span(label, &fold.history));
         }
-        return Ok(history);
-    }
-
-    // Iteration 0: the server default configuration (unless replayed).
-    if history.scores.is_empty() {
-        if traced {
-            tracer.record(
-                TraceEvent::new(label, "round")
-                    .field("iteration", 0u64)
-                    .field("size", 1u64)
-                    .field("source", "default"),
-            );
-        }
-        let default_cfg = adapter.space().default_config();
-        let eval_start = Instant::now();
-        let mut results =
-            executor.run_batch(&[Trial { iteration: 0, config: default_cfg.clone() }]);
-        opts.metrics.observe("session.evaluate_ms", eval_start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(results.len(), 1, "executor must return one result per trial");
-        let default_eval = results.remove(0);
-        let default_score = crash_penalty(default_eval.score, &mut worst_seen);
-        let default_status = normalize_status(default_eval.status, default_eval.score);
-        let default_attempts = default_eval.attempts.max(1);
-        if let Some(f) = sink.as_mut() {
-            let persist_start = Instant::now();
-            f(TrialRecord {
-                iteration: 0,
-                config: &default_cfg,
-                point: &[],
-                raw_score: default_eval.score,
-                score: default_score,
-                metrics: &default_eval.metrics,
-                status: default_status,
-                attempts: default_attempts,
-            });
-            opts.metrics.observe("session.persist_ms", persist_start.elapsed().as_secs_f64() * 1e3);
-        }
-        if traced {
-            tracer.record(trial_span(
-                label,
-                0,
-                default_score,
-                default_eval.score,
-                default_status,
-                default_attempts,
-                default_eval.virtual_ms,
-                false,
-            ));
-        }
-        history.configs.push(default_cfg);
-        history.points.push(Vec::new());
-        history.scores.push(default_score);
-        history.raw_scores.push(default_eval.score);
-        history.best_curve.push(default_score);
-        history.statuses.push(default_status);
-        history.attempts.push(default_attempts);
-        cum_failures += u64::from(default_status.is_failure());
-        cum_attempts += u64::from(default_attempts);
-        cum_virtual_ms += default_eval.virtual_ms;
-        emit_progress(
-            0,
-            1,
-            "default",
-            default_score,
-            default_score,
-            cum_failures,
-            cum_attempts,
-            cum_virtual_ms,
-        );
+        return Ok(fold.history);
     }
 
     // Initialization design in the optimizer's space: the seeded LHS
@@ -764,22 +695,31 @@ pub fn run_session_resumable(
         slot.clone_from(warm);
     }
 
-    let mut iter = history.scores.len();
+    let mut iter = fold.history.scores.len();
     while iter <= opts.iterations {
-        let round_q = q.min(opts.iterations - iter + 1);
-        // A round never mixes LHS and optimizer points: the LHS phase is
-        // truncated at its boundary so the optimizer's first batch starts
-        // with the full initialization observed.
-        let lhs_round = iter <= init_points.len();
+        // Iteration 0 — the server default configuration — is a round
+        // of its own. After it, a round never mixes LHS and optimizer
+        // points: the LHS phase is truncated at its boundary so the
+        // optimizer's first batch starts with the full initialization
+        // observed.
+        let lhs_round = (1..=init_points.len()).contains(&iter);
+        let source = match iter {
+            0 => "default",
+            _ if lhs_round => "lhs",
+            _ => "optimizer",
+        };
+        let round_q = if iter == 0 { 1 } else { q.min(opts.iterations - iter + 1) };
         if traced {
             tracer.record(
                 TraceEvent::new(label, "round")
                     .field("iteration", iter as u64)
                     .field("size", round_q as u64)
-                    .field("source", if lhs_round { "lhs" } else { "optimizer" }),
+                    .field("source", source),
             );
         }
-        let points: Vec<Vec<f64>> = if lhs_round {
+        let points: Vec<Vec<f64>> = if iter == 0 {
+            vec![Vec::new()]
+        } else if lhs_round {
             let end = (iter + round_q - 1).min(init_points.len());
             (iter..=end).map(|i| spec.snap(&init_points[i - 1])).collect()
         } else {
@@ -795,17 +735,18 @@ pub fn run_session_resumable(
             }
             points
         };
-        for mut e in optimizer.drain_degradations() {
-            e.iteration = iter;
-            if traced {
-                tracer.record(degraded_span(label, &e));
-            }
-            history.degradations.push(e);
-        }
+        fold.drain_degradations(optimizer.as_mut(), iter);
         let trials: Vec<Trial> = points
             .iter()
             .enumerate()
-            .map(|(k, p)| Trial { iteration: iter + k, config: adapter.decode(p) })
+            .map(|(k, p)| Trial {
+                iteration: iter + k,
+                config: if iter == 0 {
+                    adapter.space().default_config()
+                } else {
+                    adapter.decode(p)
+                },
+            })
             .collect();
         let eval_start = Instant::now();
         let results = executor.run_batch(&trials);
@@ -813,97 +754,61 @@ pub fn run_session_resumable(
         assert_eq!(results.len(), trials.len(), "executor must return one result per trial");
 
         // Fold results back in iteration order — penalties, best curve,
-        // and early stopping are scheduling-independent.
+        // and early stopping are scheduling-independent. If early
+        // stopping fires mid-round the rest of the round is discarded.
         let mut observations = Vec::with_capacity(results.len());
-        let mut stopped = false;
-        let mut round_best = f64::NEG_INFINITY;
-        for ((point, trial), eval) in points.into_iter().zip(trials).zip(results) {
-            let score = crash_penalty(eval.score, &mut worst_seen);
-            let status = normalize_status(eval.status, eval.score);
-            let attempts = eval.attempts.max(1);
-            round_best = round_best.max(score);
-            cum_failures += u64::from(status.is_failure());
-            cum_attempts += u64::from(attempts);
-            cum_virtual_ms += eval.virtual_ms;
-            if let Some(f) = sink.as_mut() {
-                let persist_start = Instant::now();
-                f(TrialRecord {
-                    iteration: trial.iteration,
-                    config: &trial.config,
-                    point: &point,
-                    raw_score: eval.score,
-                    score,
-                    metrics: &eval.metrics,
-                    status,
-                    attempts,
-                });
-                opts.metrics
-                    .observe("session.persist_ms", persist_start.elapsed().as_secs_f64() * 1e3);
-            }
-            if traced {
-                tracer.record(trial_span(
-                    label,
-                    trial.iteration,
-                    score,
-                    eval.score,
-                    status,
-                    attempts,
-                    eval.virtual_ms,
-                    false,
-                ));
-            }
-            observations.push(Observation { x: point.clone(), y: score, metrics: eval.metrics });
-            history.configs.push(trial.config);
-            history.points.push(point);
-            history.scores.push(score);
-            history.raw_scores.push(eval.score);
-            history.statuses.push(status);
-            history.attempts.push(attempts);
-            best = best.max(score);
-            history.best_curve.push(best);
-            if let Some(policy) = &opts.early_stop {
-                if policy.should_stop(&history.best_curve[1..]) {
-                    history.stopped_at = Some(trial.iteration);
-                    stopped = true;
-                    break;
-                }
-            }
+        let stopped = points.into_iter().zip(trials).zip(results).any(|((point, trial), eval)| {
+            let t = PriorTrial {
+                iteration: trial.iteration,
+                point,
+                config: trial.config,
+                raw_score: eval.score,
+                metrics: eval.metrics,
+                status: eval.status,
+                attempts: eval.attempts,
+            };
+            fold.trial(t, eval.virtual_ms, false, &mut sink, &mut observations)
+        });
+        if let Some(progress) = &opts.progress {
+            let round_scores = &fold.history.scores[iter..];
+            let best_so_far = *fold.history.best_curve.last().expect("a round folds a trial");
+            let round_best = round_scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            progress.emit(ProgressUpdate {
+                session: label.to_string(),
+                iteration: iter as u64,
+                round_size: round_scores.len() as u64,
+                phase: source.to_string(),
+                best_so_far,
+                round_best,
+                regret: (best_so_far - round_best).max(0.0),
+                failures: fold.failures,
+                attempts: fold.attempts,
+                virtual_ms: fold.virtual_ms,
+            });
         }
-        emit_progress(
-            iter as u64,
-            (history.scores.len() - iter) as u64,
-            if lhs_round { "lhs" } else { "optimizer" },
-            best,
-            round_best,
-            cum_failures,
-            cum_attempts,
-            cum_virtual_ms,
-        );
-        let observed = observations.len();
-        optimizer.observe_batch(observations);
-        if traced {
-            tracer.record(
-                TraceEvent::new(label, "optimizer.observe")
-                    .field("iteration", iter as u64)
-                    .field("count", observed as u64),
-            );
-        }
-        for mut e in optimizer.drain_degradations() {
-            e.iteration = iter;
+        // The default run is not an observation: the optimizer first
+        // hears of the session after round one.
+        if iter > 0 {
+            let observed = observations.len();
+            optimizer.observe_batch(observations);
             if traced {
-                tracer.record(degraded_span(label, &e));
+                tracer.record(
+                    TraceEvent::new(label, "optimizer.observe")
+                        .field("iteration", iter as u64)
+                        .field("count", observed as u64),
+                );
             }
-            history.degradations.push(e);
+            fold.drain_degradations(optimizer.as_mut(), iter);
         }
         if stopped {
             break;
         }
-        iter = history.scores.len();
+        iter = fold.history.scores.len();
     }
     if traced {
-        tracer.record(session_end_span(label, &history));
+        tracer.record(session_end_span(label, &fold.history));
     }
-    Ok(history)
+    Ok(fold.history)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Fleet telemetry aggregation: merging per-writer traces and metrics
 //! into one campaign-wide view.
 //!
-//! A fleet campaign (`Campaign::run_shared`) persists one telemetry
-//! pair per store writer — `telemetry-<tag>.trace.jsonl` and
+//! A fleet campaign (`CampaignAttachments::with_fleet`) persists one
+//! telemetry pair per store writer — `telemetry-<tag>.trace.jsonl` and
 //! `telemetry-<tag>.metrics.json` — holding exactly the spans and
 //! counters of the sessions that worker ran. This module rebuilds the
 //! fleet view from those pairs:

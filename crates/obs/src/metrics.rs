@@ -39,7 +39,7 @@
 //! per-session registry the campaign driver wires through
 //! `SessionOptions` and the executor.
 
-use crate::json::{self, JsonValue};
+use crate::json;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -242,34 +242,21 @@ impl MetricsSnapshot {
 
     /// Serializes the snapshot as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", json::escape(k)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json::escape(k), json::format_f64(*v)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"bounds\":{},\"counts\":{},\"sum\":{}}}",
-                json::escape(k),
-                json::format_f64_array(&h.bounds),
-                json::format_u64_array(&h.counts),
-                json::format_f64(h.sum)
-            ));
-        }
-        out.push_str("}}");
+        let mut out = String::from("{\"counters\":");
+        json::write_object(&mut out, &self.counters, |out, v| json::write_u64(out, *v));
+        out.push_str(",\"gauges\":");
+        json::write_object(&mut out, &self.gauges, |out, v| json::write_f64(out, *v));
+        out.push_str(",\"histograms\":");
+        json::write_object(&mut out, &self.hists, |out, h| {
+            out.push_str("{\"bounds\":");
+            json::write_f64_array(out, &h.bounds);
+            out.push_str(",\"counts\":");
+            json::write_array(out, &h.counts, |out, c| json::write_u64(out, *c));
+            out.push_str(",\"sum\":");
+            json::write_f64(out, h.sum);
+            out.push('}');
+        });
+        out.push('}');
         out
     }
 
@@ -279,52 +266,31 @@ impl MetricsSnapshot {
     pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
         let doc = json::parse(text)?;
         let mut snap = MetricsSnapshot::default();
-        let counters = doc.get("counters").ok_or_else(|| "missing \"counters\"".to_string())?;
-        let JsonValue::Obj(members) = counters else {
-            return Err("\"counters\" must be an object".to_string());
-        };
-        for (k, v) in members {
+        for (k, v) in doc.object("counters")? {
             let v = v.as_u64().ok_or_else(|| format!("counter {k:?} is not a u64"))?;
             snap.counters.insert(k.clone(), v);
         }
-        let gauges = doc.get("gauges").ok_or_else(|| "missing \"gauges\"".to_string())?;
-        let JsonValue::Obj(members) = gauges else {
-            return Err("\"gauges\" must be an object".to_string());
-        };
-        for (k, v) in members {
+        for (k, v) in doc.object("gauges")? {
             let v = v.as_f64().ok_or_else(|| format!("gauge {k:?} is not a number"))?;
             snap.gauges.insert(k.clone(), v);
         }
-        let hists = doc.get("histograms").ok_or_else(|| "missing \"histograms\"".to_string())?;
-        let JsonValue::Obj(members) = hists else {
-            return Err("\"histograms\" must be an object".to_string());
-        };
-        for (k, h) in members {
-            let bounds = match h.get("bounds") {
-                Some(JsonValue::Arr(items)) => items
-                    .iter()
-                    .map(|v| v.as_f64().ok_or_else(|| format!("histogram {k:?}: bad bound")))
-                    .collect::<Result<Vec<f64>, String>>()?,
-                _ => return Err(format!("histogram {k:?} missing bounds")),
-            };
-            let counts = match h.get("counts") {
-                Some(JsonValue::Arr(items)) => items
-                    .iter()
-                    .map(|v| v.as_u64().ok_or_else(|| format!("histogram {k:?}: bad count")))
-                    .collect::<Result<Vec<u64>, String>>()?,
-                _ => return Err(format!("histogram {k:?} missing counts")),
-            };
+        for (k, h) in doc.object("histograms")? {
+            let at = |e: String| format!("histogram {k:?}: {e}");
+            let bounds = h.f64_array("bounds").map_err(at)?;
+            let counts = h
+                .array("counts")
+                .map_err(at)?
+                .iter()
+                .map(|v| v.as_u64().ok_or_else(|| at("bad count".to_string())))
+                .collect::<Result<Vec<u64>, String>>()?;
             if counts.len() != bounds.len() + 1 {
-                return Err(format!(
-                    "histogram {k:?}: {} counts for {} bounds (want bounds+1)",
+                return Err(at(format!(
+                    "{} counts for {} bounds (want bounds+1)",
                     counts.len(),
                     bounds.len()
-                ));
+                )));
             }
-            let sum = h
-                .get("sum")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("histogram {k:?} missing sum"))?;
+            let sum = h.f64("sum").map_err(at)?;
             snap.hists.insert(k.clone(), HistSnapshot { bounds, counts, sum });
         }
         Ok(snap)

@@ -155,24 +155,19 @@ impl TraceEvent {
 
     /// Serializes the event as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"session\":\"{}\",\"seq\":{},\"span\":\"{}\",\"fields\":{{",
-            json::escape(&self.session),
-            self.seq,
-            json::escape(&self.span)
-        );
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":", json::escape(k)));
-            match v {
-                FieldValue::U64(n) => out.push_str(&n.to_string()),
-                FieldValue::F64(x) => out.push_str(&json::format_f64(*x)),
-                FieldValue::Str(s) => out.push_str(&format!("\"{}\"", json::escape(s))),
-            }
-        }
-        out.push_str("}}");
+        let mut out = String::from("{\"session\":");
+        json::write_str(&mut out, &self.session);
+        out.push_str(",\"seq\":");
+        json::write_u64(&mut out, self.seq);
+        out.push_str(",\"span\":");
+        json::write_str(&mut out, &self.span);
+        out.push_str(",\"fields\":");
+        json::write_object(&mut out, self.fields.iter().map(|(k, v)| (k, v)), |out, v| match v {
+            FieldValue::U64(n) => json::write_u64(out, *n),
+            FieldValue::F64(x) => json::write_f64(out, *x),
+            FieldValue::Str(s) => json::write_str(out, s),
+        });
+        out.push('}');
         out
     }
 }
@@ -326,34 +321,16 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
 }
 
 fn event_from_json(doc: &JsonValue) -> Result<TraceEvent, String> {
-    let session = doc
-        .get("session")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "missing string \"session\"".to_string())?;
-    let seq = doc
-        .get("seq")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| "missing u64 \"seq\"".to_string())?;
-    let span = doc
-        .get("span")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "missing string \"span\"".to_string())?;
+    let span = doc.str("span")?;
     if !SPAN_TAXONOMY.contains(&span) {
         return Err(format!("span {span:?} is not in the taxonomy"));
     }
-    let fields = doc.get("fields").ok_or_else(|| "missing \"fields\"".to_string())?;
-    let JsonValue::Obj(members) = fields else {
-        return Err("\"fields\" must be an object".to_string());
-    };
-    let mut out = TraceEvent::new(session, span);
-    out.seq = seq;
-    for (k, v) in members {
+    let mut out = TraceEvent::new(doc.str("session")?, span);
+    out.seq = doc.u64("seq")?;
+    for (k, v) in doc.object("fields")? {
         let fv = match v {
             JsonValue::Str(s) => FieldValue::Str(s.clone()),
-            JsonValue::Num(_) => match v.as_u64() {
-                Some(n) => FieldValue::U64(n),
-                None => FieldValue::F64(v.as_f64().unwrap()),
-            },
+            JsonValue::Num(x) => v.as_u64().map_or(FieldValue::F64(*x), FieldValue::U64),
             other => return Err(format!("field {k:?} has non-scalar value {other:?}")),
         };
         out.fields.push((k.clone(), fv));

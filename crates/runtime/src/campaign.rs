@@ -361,8 +361,8 @@ impl Campaign {
     }
 
     /// Runs every session of the grid with the given attachment set —
-    /// the single entry point behind [`Campaign::run`], the
-    /// deprecated `run_with_*` shims, and [`Campaign::resume`].
+    /// the single entry point behind [`Campaign::run`] and
+    /// [`Campaign::resume`].
     pub fn run_attached(
         &self,
         attachments: CampaignAttachments<'_>,
@@ -435,21 +435,6 @@ impl Campaign {
         results.into_iter().map(|r| r.expect("session ran")).collect()
     }
 
-    /// Runs every session, appending per-trial JSONL events to `sink`.
-    #[doc(hidden)]
-    pub fn run_with_log(
-        &self,
-        sink: &mut (dyn std::io::Write + Send),
-    ) -> std::io::Result<Vec<CampaignResult>> {
-        self.run_attached(CampaignAttachments::new().with_log(sink))
-    }
-
-    /// Runs the campaign against a persistent [`TrialStore`].
-    #[doc(hidden)]
-    pub fn run_with_store(&self, store: &TrialStore) -> std::io::Result<Vec<CampaignResult>> {
-        self.run_attached(CampaignAttachments::new().with_store(store))
-    }
-
     /// Resumes (or starts) the campaign from a persistent store: every
     /// completed trial is flushed to the store before the next round is
     /// suggested, sessions already recorded as finished are
@@ -475,17 +460,6 @@ impl Campaign {
     /// if the store has since learned better candidates.
     pub fn resume(&self, store: &TrialStore) -> std::io::Result<Vec<CampaignResult>> {
         self.run_attached(CampaignAttachments::new().with_store(store))
-    }
-
-    /// Runs the campaign as a fleet of shared-store writers.
-    #[doc(hidden)]
-    pub fn run_shared(
-        &self,
-        backend: Arc<dyn StoreBackend>,
-        workers: usize,
-        store_opts: StoreOptions,
-    ) -> std::io::Result<Vec<CampaignResult>> {
-        self.run_attached(CampaignAttachments::new().with_fleet(backend, workers, store_opts))
     }
 
     /// The fleet path: `workers` threads each register as a shared
@@ -696,7 +670,7 @@ mod tests {
     fn campaign_covers_the_grid_and_logs_every_trial() {
         let campaign = Campaign::new(postgres_v9_6(), small_spec(), quick_opts());
         let mut log = Vec::new();
-        let results = campaign.run_with_log(&mut log).unwrap();
+        let results = campaign.run_attached(CampaignAttachments::new().with_log(&mut log)).unwrap();
         assert_eq!(results.len(), 4, "2 workloads x 1 adapter x 1 optimizer x 2 seeds");
         for r in &results {
             assert_eq!(r.history.scores.len(), 9, "{}: default + 8 iterations", r.label);
@@ -727,7 +701,7 @@ mod tests {
         let campaign = Campaign::new(postgres_v9_6(), small_spec(), quick_opts());
         let plain = campaign.run();
         let store = tmp_store("match_plain");
-        let stored = campaign.run_with_store(&store).unwrap();
+        let stored = campaign.resume(&store).unwrap();
         assert_eq!(plain.len(), stored.len());
         for (a, b) in plain.iter().zip(&stored) {
             assert_eq!(a.label, b.label);
@@ -760,7 +734,7 @@ mod tests {
         let opts = CampaignOptions { session_parallelism: 4, ..quick_opts() };
         let campaign = Campaign::new(postgres_v9_6(), small_spec(), opts);
         let store = tmp_store("parallel_lanes");
-        let results = campaign.run_with_store(&store).unwrap();
+        let results = campaign.resume(&store).unwrap();
         assert_eq!(results.len(), 4);
         // Concurrent lanes interleave appends; the export still regroups
         // into exactly the recorded histories.
@@ -787,7 +761,7 @@ mod tests {
         let mut opts = quick_opts();
         opts.session_parallelism = 1;
         let store = tmp_store("warm");
-        Campaign::new(catalog.clone(), source_spec, opts.clone()).run_with_store(&store).unwrap();
+        Campaign::new(catalog.clone(), source_spec, opts.clone()).resume(&store).unwrap();
         // Target campaign: ycsb_f (fingerprint-adjacent), warm start on.
         let target_spec = CampaignSpec {
             workloads: vec!["ycsb_f".into()],
@@ -797,7 +771,7 @@ mod tests {
         };
         opts.warm_start = Some(WarmStartOptions { k: 2, max_distance: 1.9 });
         let campaign = Campaign::new(catalog, target_spec, opts);
-        let results = campaign.run_with_store(&store).unwrap();
+        let results = campaign.resume(&store).unwrap();
         let target = &results[0];
         let meta = store.session_meta(&target.label).unwrap();
         assert_eq!(meta.warm_points.len(), 2, "two points transferred from the source");
@@ -859,7 +833,7 @@ mod tests {
         let mut opts = quick_opts();
         opts.session_parallelism = 1;
         let store = tmp_store("adapter_mismatch");
-        Campaign::new(catalog.clone(), source_spec, opts.clone()).run_with_store(&store).unwrap();
+        Campaign::new(catalog.clone(), source_spec, opts.clone()).resume(&store).unwrap();
         let target_spec = CampaignSpec {
             workloads: vec!["ycsb_f".into()],
             adapters: vec![AdapterKind::LlamaTune(LlamaTuneConfig::default())],
@@ -867,7 +841,7 @@ mod tests {
             seeds: vec![1],
         };
         opts.warm_start = Some(WarmStartOptions { k: 3, max_distance: 1.9 });
-        let results = Campaign::new(catalog, target_spec, opts).run_with_store(&store).unwrap();
+        let results = Campaign::new(catalog, target_spec, opts).resume(&store).unwrap();
         let meta = store.session_meta(&results[0].label).unwrap();
         assert!(
             meta.warm_points.is_empty(),

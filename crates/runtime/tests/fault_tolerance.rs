@@ -23,12 +23,14 @@
 //! from its printed seed.
 
 use llamatune::pipeline::{IdentityAdapter, LlamaTuneConfig, SearchSpaceAdapter};
-use llamatune::session::{run_session_parallel, SessionHistory, SessionOptions, TrialStatus};
+use llamatune::session::{
+    run_session_parallel, EvalResult, FnExecutor, SessionHistory, SessionOptions, TrialStatus,
+};
 use llamatune_engine::RunOptions;
 use llamatune_optim::{GuardedOptimizer, Observation, Optimizer, RandomSearch};
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignOptions, CampaignSpec, ExecutionPolicy, OptimizerKind,
-    WorkloadExecutor,
+    AdapterKind, Campaign, CampaignOptions, CampaignSpec, CellSpec, ExecutionPolicy, OptimizerKind,
+    SessionDriver, WorkloadExecutor,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_space::{Config, ConfigSpace};
@@ -243,6 +245,55 @@ fn optimizer_panics_degrade_to_random_search_and_are_recorded() {
     }
 }
 
+/// An executor that reports `NaN` or `±inf` has not measured anything.
+/// The session folds such a score as a crashed trial (no raw score, §6
+/// penalty), so the store never holds a number its reader cannot lex:
+/// the store reopens — mid-segment and at the very tail — and exports
+/// what the run whose executor returned `None` there exports.
+#[test]
+fn non_finite_scores_fold_as_crashes_and_survive_a_store_reopen() {
+    const ITERS: usize = 8;
+    let catalog = postgres_v9_6();
+    let opts = CampaignOptions {
+        session: SessionOptions { iterations: ITERS, n_init: 3, ..Default::default() },
+        batch_size: 2,
+        ..Default::default()
+    };
+    let cell = CellSpec::new("ycsb_a", AdapterKind::Identity, OptimizerKind::Random, 1);
+    let run = |bad: [Option<f64>; 3]| {
+        let backend: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
+        let store_opts = StoreOptions { segment_records: 4 };
+        let store = TrialStore::open_backend(backend.clone(), store_opts.clone()).unwrap();
+        // `FnExecutor` evaluates in iteration order, so the call count
+        // is the iteration: score by it, except at the scripted three.
+        let mut iteration = 0;
+        let mut executor = FnExecutor(|_: &Config| {
+            let scripted = [2, 5, ITERS].iter().position(|&i| i == iteration).map(|k| bad[k]);
+            let score = scripted.unwrap_or(Some(100.0 + iteration as f64));
+            iteration += 1;
+            EvalResult { score, metrics: vec![iteration as f64], ..Default::default() }
+        });
+        let result = SessionDriver::new(&catalog, &opts, cell.clone())
+            .with_store(&store)
+            .run_with_executor(&mut executor)
+            .unwrap();
+        drop(store);
+        let reopened = TrialStore::open_backend(backend, store_opts).unwrap();
+        assert_eq!(reopened.trials_for(&cell.label).len(), ITERS + 1, "no record lost");
+        (result.history, reopened.export_jsonl())
+    };
+    let (history, export) = run([Some(f64::NAN), Some(f64::INFINITY), Some(f64::NEG_INFINITY)]);
+    let (crashed, crashed_export) = run([None, None, None]);
+    assert_eq!(export, crashed_export);
+    for i in [2, 5, ITERS] {
+        assert_eq!(history.raw_scores[i], None);
+        assert_eq!(history.statuses[i], TrialStatus::Crashed);
+        assert_eq!(history.scores[i], 25.0, "a quarter of the default run's 100");
+    }
+    assert!(history.scores.iter().all(|s| s.is_finite()));
+    assert_eq!(history.scores, crashed.scores);
+}
+
 fn chaos_campaign(seed: u64, workers: usize) -> Campaign {
     let run_opts =
         RunOptions { duration_s: 0.2, warmup_s: 0.05, max_txns: 20_000, ..Default::default() };
@@ -298,7 +349,7 @@ fn kill_mid_chaos_campaign_resumes_byte_identically() {
         // Ground truth: the chaos campaign, uninterrupted.
         let truth_dir = tmp_dir(&format!("truth_{seed}"));
         let truth_store = TrialStore::open(&truth_dir).unwrap();
-        let truth = campaign.run_with_store(&truth_store).unwrap();
+        let truth = campaign.resume(&truth_store).unwrap();
         let truth_export = truth_store.export_jsonl();
         let failures = truth[0].history.statuses.iter().filter(|s| s.is_failure()).count();
         assert!(failures > 0, "seed {seed}: chaos plan must actually fault some trials");
@@ -348,7 +399,7 @@ fn chaos_matrix_case_from_env() {
     // Truth on a clean backend.
     let clean: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
     let truth_store = TrialStore::open_backend(clean.clone(), StoreOptions::default()).unwrap();
-    let truth = campaign.run_with_store(&truth_store).unwrap();
+    let truth = campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
     assert_eq!(truth[0].history.scores.len(), 9);
     assert!(truth[0].history.scores.iter().all(|s| s.is_finite()));
@@ -363,7 +414,7 @@ fn chaos_matrix_case_from_env() {
         let failing: Arc<dyn StoreBackend> =
             Arc::new(FailingBackend::new(inner.clone(), StoreFaultPlan::KillAtByte(budget)));
         if let Ok(store) = TrialStore::open_backend(failing, StoreOptions { segment_records: 4 }) {
-            let _ = campaign.run_with_store(&store); // dies at the byte budget
+            let _ = campaign.resume(&store); // dies at the byte budget
         }
         let survivor = TrialStore::open_backend(inner, StoreOptions::default()).unwrap();
         if std::env::var("CHAOS_DEBUG").is_ok() {
@@ -379,7 +430,7 @@ fn chaos_matrix_case_from_env() {
         // Runner-faults-only leg: a second identical run is bit-equal.
         let again: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
         let store = TrialStore::open_backend(again, StoreOptions::default()).unwrap();
-        campaign.run_with_store(&store).unwrap();
+        campaign.resume(&store).unwrap();
         assert_eq!(store.export_jsonl(), truth_export, "seed {seed}: chaos run not deterministic");
     }
 }

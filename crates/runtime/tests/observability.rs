@@ -13,7 +13,8 @@ use llamatune_obs::{
     TelemetrySet,
 };
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignOptions, CampaignResult, CampaignSpec, OptimizerKind,
+    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignResult, CampaignSpec,
+    OptimizerKind,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::{LocalDirBackend, StoreBackend, StoreOptions, TrialStore};
@@ -109,12 +110,12 @@ fn tracing_never_changes_checkpoint_bytes() {
 
     let plain_dir = tmp_dir("untraced");
     let store = TrialStore::open(&plain_dir).unwrap();
-    Campaign::new(catalog.clone(), spec(), opts(2, None)).run_with_store(&store).unwrap();
+    Campaign::new(catalog.clone(), spec(), opts(2, None)).resume(&store).unwrap();
 
     let traced_dir = tmp_dir("traced");
     let store = TrialStore::open(&traced_dir).unwrap();
     let tracer = Arc::new(RecordingTracer::new());
-    Campaign::new(catalog, spec(), opts(2, Some(tracer))).run_with_store(&store).unwrap();
+    Campaign::new(catalog, spec(), opts(2, Some(tracer))).resume(&store).unwrap();
 
     assert_eq!(
         checkpoint_bytes(&plain_dir),
@@ -169,8 +170,7 @@ fn report_is_reproducible_from_stored_telemetry_alone() {
     let dir = tmp_dir("report");
     let store = TrialStore::open(&dir).unwrap();
     let tracer = Arc::new(RecordingTracer::new());
-    let results =
-        Campaign::new(catalog, spec(), opts(2, Some(tracer))).run_with_store(&store).unwrap();
+    let results = Campaign::new(catalog, spec(), opts(2, Some(tracer))).resume(&store).unwrap();
 
     let trace = store.read_telemetry("local.trace.jsonl").unwrap().unwrap();
     let events = parse_trace_jsonl(std::str::from_utf8(&trace).unwrap()).unwrap();
@@ -202,7 +202,11 @@ fn fleet_persists_per_writer_telemetry_and_merge_is_worker_count_invariant() {
         let backend: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
         let tracer = Arc::new(RecordingTracer::new());
         Campaign::new(catalog.clone(), spec(), opts(2, Some(tracer)))
-            .run_shared(backend, workers, StoreOptions::default())
+            .run_attached(CampaignAttachments::new().with_fleet(
+                backend,
+                workers,
+                StoreOptions::default(),
+            ))
             .unwrap();
         dir
     };
@@ -239,7 +243,7 @@ fn fleet_persists_per_writer_telemetry_and_merge_is_worker_count_invariant() {
     let single = tmp_dir("fleet_single");
     let store = TrialStore::open(&single).unwrap();
     let tracer = Arc::new(RecordingTracer::new());
-    Campaign::new(catalog, spec(), opts(2, Some(tracer))).run_with_store(&store).unwrap();
+    Campaign::new(catalog, spec(), opts(2, Some(tracer))).resume(&store).unwrap();
     let (trace_single, _) = merged(&single);
     assert_eq!(trace1, trace_single, "fleet merge diverged from the single-writer store");
 }

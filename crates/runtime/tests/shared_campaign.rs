@@ -1,11 +1,11 @@
 //! Fleet campaigns: N workers sharing one knowledge base through
-//! `Campaign::run_shared`.
+//! `CampaignAttachments::with_fleet`.
 //!
 //! The acceptance bar (mirroring the single-store checkpoint suite):
 //! a 4-worker fleet writing into one object-store backend produces the
 //! *same exported event history* as the single-store run, and killing
 //! any worker mid-round — injected at the storage seam, where a real
-//! `kill -9` bites — followed by a fresh `run_shared` (any worker
+//! `kill -9` bites — followed by a fresh fleet run (any worker
 //! count) converges to that history byte for byte.
 
 use llamatune::history_io::{dedup_events, events_from_jsonl, session_curves};
@@ -13,7 +13,8 @@ use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind, WarmStartOptions,
+    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignSpec, OptimizerKind,
+    WarmStartOptions,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::{
@@ -29,6 +30,10 @@ fn object_backend() -> Arc<dyn StoreBackend> {
 fn fleet_store_opts() -> StoreOptions {
     // Tiny segments so every session crosses several CAS rotations.
     StoreOptions { segment_records: 5 }
+}
+
+fn fleet(backend: Arc<dyn StoreBackend>, workers: usize) -> CampaignAttachments<'static> {
+    CampaignAttachments::new().with_fleet(backend, workers, fleet_store_opts())
 }
 
 fn campaign() -> Campaign {
@@ -57,12 +62,12 @@ fn four_worker_fleet_matches_the_single_store_run_and_resumes_for_free() {
     // Single-store ground truth.
     let truth_be = object_backend();
     let truth_store = TrialStore::open_backend(truth_be, StoreOptions::default()).unwrap();
-    let truth = campaign.run_with_store(&truth_store).unwrap();
+    let truth = campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
 
     // 4 workers, one backend, 4 sessions pulled from a shared queue.
     let be = object_backend();
-    let results = campaign.run_shared(be.clone(), 4, fleet_store_opts()).unwrap();
+    let results = campaign.run_attached(fleet(be.clone(), 4)).unwrap();
     assert_eq!(results.len(), 4);
     for (a, b) in truth.iter().zip(&results) {
         assert_eq!(a.label, b.label);
@@ -84,7 +89,7 @@ fn four_worker_fleet_matches_the_single_store_run_and_resumes_for_free() {
 
     // Re-running the finished fleet re-evaluates nothing.
     let records_before = reader.trial_records();
-    let resumed = campaign.run_shared(be.clone(), 2, fleet_store_opts()).unwrap();
+    let resumed = campaign.run_attached(fleet(be.clone(), 2)).unwrap();
     let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
     assert_eq!(reader.trial_records(), records_before, "no re-evaluation on fleet resume");
     for (a, b) in truth.iter().zip(&resumed) {
@@ -100,7 +105,7 @@ fn killing_any_worker_mid_round_resumes_byte_identically() {
     // Fleet ground truth (fleet runs are deterministic per cell, so a
     // clean fleet's export is the reference for every kill scenario).
     let clean_be = object_backend();
-    campaign.run_shared(clean_be.clone(), 4, fleet_store_opts()).unwrap();
+    campaign.run_attached(fleet(clean_be.clone(), 4)).unwrap();
     let truth_export =
         TrialStore::open_reader(clean_be, StoreOptions::default()).unwrap().export_jsonl();
 
@@ -120,7 +125,7 @@ fn killing_any_worker_mid_round_resumes_byte_identically() {
             inner.clone(),
             FaultPlan::FailAppendsMatching { needle: victim.to_string(), allow: 5 },
         ));
-        let err = campaign.run_shared(failing, 4, fleet_store_opts()).unwrap_err();
+        let err = campaign.run_attached(fleet(failing, 4)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe, "kill {victim}: {err}");
 
         // The victim's session is stranded mid-round, still leased...
@@ -135,7 +140,7 @@ fn killing_any_worker_mid_round_resumes_byte_identically() {
 
         // ...and a fresh fleet (different worker count) takes it over
         // and converges to the identical exported history.
-        campaign.run_shared(inner.clone(), 2, fleet_store_opts()).unwrap();
+        campaign.run_attached(fleet(inner.clone(), 2)).unwrap();
         let reader = TrialStore::open_reader(inner, StoreOptions::default()).unwrap();
         assert_eq!(reader.export_jsonl(), truth_export, "kill {victim}: resume diverged");
         let meta = reader.session_meta(victim).unwrap();
@@ -165,7 +170,7 @@ fn fleet_warm_start_reads_the_merged_view_of_past_fleets() {
     };
     let be = object_backend();
     Campaign::new(catalog.clone(), source, base_opts.clone())
-        .run_shared(be.clone(), 2, fleet_store_opts())
+        .run_attached(fleet(be.clone(), 2))
         .unwrap();
 
     // Phase 2: a later fleet tunes a fingerprint-adjacent workload with
@@ -181,8 +186,7 @@ fn fleet_warm_start_reads_the_merged_view_of_past_fleets() {
         warm_start: Some(WarmStartOptions { k: 2, max_distance: 1.9 }),
         ..base_opts
     };
-    let results =
-        Campaign::new(catalog, target, opts).run_shared(be.clone(), 2, fleet_store_opts()).unwrap();
+    let results = Campaign::new(catalog, target, opts).run_attached(fleet(be.clone(), 2)).unwrap();
     let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
     let meta = reader.session_meta(&results[0].label).unwrap();
     assert!(!meta.warm_points.is_empty(), "transfer found the first fleet's session");

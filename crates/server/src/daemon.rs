@@ -209,10 +209,7 @@ fn serve_connection(
 }
 
 fn param_str<'p>(params: &'p JsonValue, key: &str) -> Result<&'p str, WireError> {
-    params
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| WireError::new(wire::code::BAD_PARAMS, format!("missing \"{key}\"")))
+    params.str(key).map_err(WireError::bad_params)
 }
 
 /// Routes one request into the registry and renders the `ok` body.

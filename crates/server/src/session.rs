@@ -150,15 +150,17 @@ impl TrialExecutor for RemoteExecutor {
         st.results = None;
         self.handle.cv.notify_all();
         loop {
-            if st.shutdown {
-                drop(st);
-                std::panic::panic_any(ShutdownToken);
-            }
+            // Results first: `report` acknowledged them, so a shutdown
+            // that lands before this thread wakes must not drop them.
             if let Some(results) = st.results.take() {
                 st.pending = None;
                 st.last_done = Some(round);
                 self.handle.cv.notify_all();
                 return results;
+            }
+            if st.shutdown {
+                drop(st);
+                std::panic::panic_any(ShutdownToken);
             }
             st = self.handle.cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
         }

@@ -21,6 +21,14 @@
 //! shortest-roundtrip `f64` formatter (`llamatune_obs::json`), so every
 //! value survives the wire bit-exactly; configurations ride as the
 //! store's compact knob tokens (`i<int>`, `f<float>`, `c<choice>`).
+//!
+//! ## Codec
+//!
+//! Payloads encode by appending through `llamatune_obs::json`'s writers
+//! and decode from a parsed [`JsonValue`] through its typed by-key
+//! accessors, whose `Err(String)` already names the key and the fault;
+//! a decoder only chooses the code — [`WireError::bad_params`] for what
+//! a client sent, [`WireError::bad_json`] for what a daemon replied.
 
 use llamatune::pipeline::{LlamaTuneConfig, ProjectionKind};
 use llamatune::session::{EvalResult, TrialStatus};
@@ -28,6 +36,7 @@ use llamatune_obs::json::{self, JsonValue};
 use llamatune_runtime::AdapterKind;
 use llamatune_space::{Config, KnobValue};
 use llamatune_store::{knob_value_from_token, knob_value_to_token};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 /// Default cap on one frame's body, in bytes. A full session export of
@@ -164,6 +173,18 @@ impl WireError {
     pub fn new(code: &str, message: impl Into<String>) -> Self {
         WireError { code: code.to_string(), message: message.into() }
     }
+
+    /// A request's params were missing a field or carried a bad value —
+    /// what a `llamatune_obs::json` accessor error means server-side.
+    pub fn bad_params(message: String) -> Self {
+        WireError::new(code::BAD_PARAMS, message)
+    }
+
+    /// A reply body did not have the documented shape — what the same
+    /// accessor error means client-side.
+    pub fn bad_json(message: String) -> Self {
+        WireError::new(code::BAD_JSON, message)
+    }
 }
 
 impl std::fmt::Display for WireError {
@@ -189,16 +210,10 @@ impl Request {
 
     /// Parses an envelope out of a frame body.
     pub fn decode(body: &str) -> Result<Request, WireError> {
-        let doc = json::parse(body).map_err(|e| WireError::new(code::BAD_JSON, e))?;
-        let id = doc
-            .get("id")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| WireError::new(code::BAD_REQUEST, "missing numeric \"id\""))?;
-        let method = doc
-            .get("method")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| WireError::new(code::BAD_REQUEST, "missing \"method\""))?
-            .to_string();
+        let bad_request = |m: String| WireError::new(code::BAD_REQUEST, m);
+        let doc = json::parse(body).map_err(WireError::bad_json)?;
+        let id = doc.u64("id").map_err(bad_request)?;
+        let method = doc.str("method").map_err(bad_request)?.to_string();
         let params = doc.get("params").cloned().unwrap_or(JsonValue::Obj(Vec::new()));
         Ok(Request { id, method, params })
     }
@@ -212,10 +227,7 @@ pub fn encode_ok(id: u64, body: &str) -> String {
 /// Serializes an error response; `id` is `None` when the request was
 /// too mangled to carry one.
 pub fn encode_err(id: Option<u64>, err: &WireError) -> String {
-    let id = match id {
-        Some(id) => id.to_string(),
-        None => "null".to_string(),
-    };
+    let id = id.map_or("null".to_string(), |id| id.to_string());
     format!(
         "{{\"id\":{id},\"err\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
         json::escape(&err.code),
@@ -232,7 +244,7 @@ pub struct Response {
 
 impl Response {
     pub fn decode(body: &str) -> Result<Response, WireError> {
-        let doc = json::parse(body).map_err(|e| WireError::new(code::BAD_JSON, e))?;
+        let doc = json::parse(body).map_err(WireError::bad_json)?;
         let id = doc.get("id").and_then(JsonValue::as_u64);
         if let Some(ok) = doc.get("ok") {
             return Ok(Response { id, result: Ok(ok.clone()) });
@@ -240,8 +252,8 @@ impl Response {
         let err = doc
             .get("err")
             .ok_or_else(|| WireError::new(code::BAD_JSON, "response carries neither ok nor err"))?;
-        let code = err.get("code").and_then(JsonValue::as_str).unwrap_or("unknown").to_string();
-        let message = err.get("message").and_then(JsonValue::as_str).unwrap_or("").to_string();
+        let code = err.str("code").unwrap_or("unknown").to_string();
+        let message = err.str("message").unwrap_or("").to_string();
         Ok(Response { id, result: Err(WireError { code, message }) })
     }
 }
@@ -249,6 +261,13 @@ impl Response {
 // ---------------------------------------------------------------------------
 // Typed payloads
 // ---------------------------------------------------------------------------
+
+/// Decodes a list of knob tokens into a configuration.
+fn config_from_tokens(tokens: &[String]) -> Result<Config, WireError> {
+    let values: Result<Vec<KnobValue>, String> =
+        tokens.iter().map(|t| knob_value_from_token(t)).collect();
+    values.map(Config::new).map_err(WireError::bad_json)
+}
 
 /// `create_session` request payload: the full identity of a session
 /// plus its loop bounds. `create_session` is an idempotent *attach* —
@@ -265,108 +284,78 @@ pub struct CreateSession {
     pub batch_size: usize,
 }
 
-fn encode_adapter(adapter: &AdapterKind) -> String {
+fn write_adapter(out: &mut String, adapter: &AdapterKind) {
     match adapter {
-        AdapterKind::Identity => "{\"kind\":\"identity\"}".to_string(),
+        AdapterKind::Identity => out.push_str("{\"kind\":\"identity\"}"),
         AdapterKind::LlamaTune(cfg) => {
             let projection = match cfg.projection {
                 ProjectionKind::Hesbo => "hesbo",
                 ProjectionKind::Rembo => "rembo",
             };
-            let bias = match cfg.special_value_bias {
-                Some(p) => json::format_f64(p),
-                None => "null".to_string(),
-            };
-            let buckets = match cfg.bucket_count {
-                Some(k) => k.to_string(),
-                None => "null".to_string(),
-            };
-            format!(
+            let _ = write!(
+                out,
                 "{{\"kind\":\"llamatune\",\"target_dim\":{},\"projection\":\"{projection}\",\
-                 \"special_value_bias\":{bias},\"bucket_count\":{buckets}}}",
+                 \"special_value_bias\":",
                 cfg.target_dim
-            )
+            );
+            json::write_opt(out, cfg.special_value_bias, json::write_f64);
+            out.push_str(",\"bucket_count\":");
+            json::write_opt(out, cfg.bucket_count, json::write_u64);
+            out.push('}');
         }
     }
 }
 
-fn decode_adapter(v: &JsonValue) -> Result<AdapterKind, WireError> {
-    let bad = |m: &str| WireError::new(code::BAD_PARAMS, format!("adapter: {m}"));
-    match v.get("kind").and_then(JsonValue::as_str) {
-        Some("identity") => Ok(AdapterKind::Identity),
-        Some("llamatune") => {
-            let target_dim = v
-                .get("target_dim")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| bad("missing target_dim"))? as usize;
-            let projection = match v.get("projection").and_then(JsonValue::as_str) {
-                Some("hesbo") => ProjectionKind::Hesbo,
-                Some("rembo") => ProjectionKind::Rembo,
-                other => return Err(bad(&format!("unknown projection {other:?}"))),
-            };
-            let special_value_bias = match v.get("special_value_bias") {
-                None | Some(JsonValue::Null) => None,
-                Some(b) => Some(b.as_f64().ok_or_else(|| bad("bad special_value_bias"))?),
-            };
-            let bucket_count = match v.get("bucket_count") {
-                None | Some(JsonValue::Null) => None,
-                Some(b) => Some(b.as_u64().ok_or_else(|| bad("bad bucket_count"))?),
-            };
-            Ok(AdapterKind::LlamaTune(LlamaTuneConfig {
-                target_dim,
-                projection,
-                special_value_bias,
-                bucket_count,
-            }))
-        }
-        other => Err(bad(&format!("unknown kind {other:?}"))),
+fn decode_adapter(v: &JsonValue) -> Result<AdapterKind, String> {
+    match v.str("kind")? {
+        "identity" => Ok(AdapterKind::Identity),
+        "llamatune" => Ok(AdapterKind::LlamaTune(LlamaTuneConfig {
+            target_dim: v.u64("target_dim")? as usize,
+            projection: match v.str("projection")? {
+                "hesbo" => ProjectionKind::Hesbo,
+                "rembo" => ProjectionKind::Rembo,
+                other => return Err(format!("unknown projection {other:?}")),
+            },
+            special_value_bias: v.opt_f64("special_value_bias")?,
+            bucket_count: v.opt_u64("bucket_count")?,
+        })),
+        other => Err(format!("unknown kind {other:?}")),
     }
 }
 
 impl CreateSession {
     pub fn encode(&self) -> String {
-        format!(
-            "{{\"workload\":\"{}\",\"adapter\":{},\"optimizer\":\"{}\",\"seed\":{},\
-             \"iterations\":{},\"n_init\":{},\"batch_size\":{}}}",
-            json::escape(&self.workload),
-            encode_adapter(&self.adapter),
-            json::escape(&self.optimizer),
-            self.seed,
-            self.iterations,
-            self.n_init,
-            self.batch_size,
-        )
+        let mut out = String::from("{\"workload\":");
+        json::write_str(&mut out, &self.workload);
+        out.push_str(",\"adapter\":");
+        write_adapter(&mut out, &self.adapter);
+        out.push_str(",\"optimizer\":");
+        json::write_str(&mut out, &self.optimizer);
+        let _ = write!(
+            out,
+            ",\"seed\":{},\"iterations\":{},\"n_init\":{},\"batch_size\":{}}}",
+            self.seed, self.iterations, self.n_init, self.batch_size
+        );
+        out
     }
 
     pub fn decode(params: &JsonValue) -> Result<CreateSession, WireError> {
-        let missing = |f: &str| WireError::new(code::BAD_PARAMS, format!("missing \"{f}\""));
-        let workload = params
-            .get("workload")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| missing("workload"))?
-            .to_string();
-        let adapter = decode_adapter(params.get("adapter").ok_or_else(|| missing("adapter"))?)?;
-        let optimizer = params
-            .get("optimizer")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| missing("optimizer"))?
-            .to_string();
-        let seed = params.get("seed").and_then(JsonValue::as_u64).ok_or_else(|| missing("seed"))?;
-        let iterations = params
-            .get("iterations")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| missing("iterations"))? as usize;
-        let n_init =
-            params.get("n_init").and_then(JsonValue::as_u64).ok_or_else(|| missing("n_init"))?
-                as usize;
-        let batch_size = params
-            .get("batch_size")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| missing("batch_size"))? as usize;
-        if batch_size == 0 {
-            return Err(WireError::new(code::BAD_PARAMS, "batch_size must be >= 1"));
-        }
-        Ok(CreateSession { workload, adapter, optimizer, seed, iterations, n_init, batch_size })
+        let decode = || -> Result<CreateSession, String> {
+            let adapter = params.get("adapter").ok_or("missing \"adapter\"")?;
+            Ok(CreateSession {
+                workload: params.str("workload")?.to_string(),
+                adapter: decode_adapter(adapter).map_err(|e| format!("adapter: {e}"))?,
+                optimizer: params.str("optimizer")?.to_string(),
+                seed: params.u64("seed")?,
+                iterations: params.u64("iterations")? as usize,
+                n_init: params.u64("n_init")? as usize,
+                batch_size: match params.u64("batch_size")? {
+                    0 => return Err("batch_size must be >= 1".to_string()),
+                    q => q as usize,
+                },
+            })
+        };
+        decode().map_err(WireError::bad_params)
     }
 }
 
@@ -384,61 +373,32 @@ pub struct SessionAttached {
 
 impl SessionAttached {
     pub fn encode(&self) -> String {
-        let quarantine: Vec<String> = self
-            .quarantine
-            .iter()
-            .map(|cfg| {
-                let toks: Vec<String> =
-                    cfg.iter().map(|t| format!("\"{}\"", json::escape(t))).collect();
-                format!("[{}]", toks.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"session\":\"{}\",\"done\":{},\"quarantine\":[{}]}}",
-            json::escape(&self.session),
-            self.done,
-            quarantine.join(",")
-        )
+        let mut out = String::from("{\"session\":");
+        json::write_str(&mut out, &self.session);
+        let _ = write!(out, ",\"done\":{},\"quarantine\":", self.done);
+        json::write_array(&mut out, &self.quarantine, json::write_str_array);
+        out.push('}');
+        out
     }
 
     pub fn decode(body: &JsonValue) -> Result<SessionAttached, WireError> {
-        let bad = |m: &str| WireError::new(code::BAD_JSON, m.to_string());
-        let session = body
-            .get("session")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| bad("missing session"))?
-            .to_string();
-        let done = match body.get("done") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err(bad("missing done")),
+        let decode = || -> Result<SessionAttached, String> {
+            Ok(SessionAttached {
+                session: body.str("session")?.to_string(),
+                done: body.bool("done")?,
+                quarantine: body
+                    .opt_array("quarantine")?
+                    .iter()
+                    .map(|cfg| cfg.as_str_array().ok_or("bad quarantine entry"))
+                    .collect::<Result<_, _>>()?,
+            })
         };
-        let mut quarantine = Vec::new();
-        if let Some(JsonValue::Arr(items)) = body.get("quarantine") {
-            for item in items {
-                let JsonValue::Arr(toks) = item else { return Err(bad("bad quarantine entry")) };
-                let mut cfg = Vec::new();
-                for t in toks {
-                    cfg.push(t.as_str().ok_or_else(|| bad("bad quarantine token"))?.to_string());
-                }
-                quarantine.push(cfg);
-            }
-        }
-        Ok(SessionAttached { session, done, quarantine })
+        decode().map_err(WireError::bad_json)
     }
 
     /// Decodes the quarantine token lists into configurations.
     pub fn quarantine_configs(&self) -> Result<Vec<Config>, WireError> {
-        self.quarantine
-            .iter()
-            .map(|toks| {
-                toks.iter()
-                    .map(|t| {
-                        knob_value_from_token(t).map_err(|e| WireError::new(code::BAD_JSON, e))
-                    })
-                    .collect::<Result<Vec<KnobValue>, WireError>>()
-                    .map(Config::new)
-            })
-            .collect()
+        self.quarantine.iter().map(|tokens| config_from_tokens(tokens)).collect()
     }
 }
 
@@ -479,59 +439,42 @@ impl SuggestReply {
         match self {
             SuggestReply::Done => "{\"done\":true}".to_string(),
             SuggestReply::Round { round, trials } => {
-                let trials: Vec<String> = trials
-                    .iter()
-                    .map(|t| {
-                        let toks: Vec<String> =
-                            t.config.iter().map(|k| format!("\"{}\"", json::escape(k))).collect();
-                        format!("{{\"iteration\":{},\"config\":[{}]}}", t.iteration, toks.join(","))
-                    })
-                    .collect();
-                format!("{{\"round\":{round},\"trials\":[{}]}}", trials.join(","))
+                let mut out = format!("{{\"round\":{round},\"trials\":");
+                json::write_array(&mut out, trials, |out, t| {
+                    let _ = write!(out, "{{\"iteration\":{},\"config\":", t.iteration);
+                    json::write_str_array(out, &t.config);
+                    out.push('}');
+                });
+                out.push('}');
+                out
             }
         }
     }
 
     pub fn decode(body: &JsonValue) -> Result<SuggestReply, WireError> {
-        let bad = |m: &str| WireError::new(code::BAD_JSON, m.to_string());
-        if let Some(JsonValue::Bool(true)) = body.get("done") {
+        if body.get("done") == Some(&JsonValue::Bool(true)) {
             return Ok(SuggestReply::Done);
         }
-        let round =
-            body.get("round").and_then(JsonValue::as_u64).ok_or_else(|| bad("missing round"))?
-                as usize;
-        let JsonValue::Arr(items) = body.get("trials").ok_or_else(|| bad("missing trials"))? else {
-            return Err(bad("trials is not an array"));
-        };
-        let mut trials = Vec::with_capacity(items.len());
-        for item in items {
-            let iteration = item
-                .get("iteration")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| bad("missing iteration"))? as usize;
-            let JsonValue::Arr(toks) = item.get("config").ok_or_else(|| bad("missing config"))?
-            else {
-                return Err(bad("config is not an array"));
+        let decode = || -> Result<SuggestReply, String> {
+            let trial = |t: &JsonValue| -> Result<WireTrial, String> {
+                Ok(WireTrial {
+                    iteration: t.u64("iteration")? as usize,
+                    config: t.str_array("config")?,
+                })
             };
-            let mut config = Vec::with_capacity(toks.len());
-            for t in toks {
-                config.push(t.as_str().ok_or_else(|| bad("bad config token"))?.to_string());
-            }
-            trials.push(WireTrial { iteration, config });
-        }
-        Ok(SuggestReply::Round { round, trials })
+            Ok(SuggestReply::Round {
+                round: body.u64("round")? as usize,
+                trials: body.array("trials")?.iter().map(trial).collect::<Result<_, _>>()?,
+            })
+        };
+        decode().map_err(WireError::bad_json)
     }
 }
 
 impl WireTrial {
     /// Decodes the knob tokens into a configuration.
     pub fn to_config(&self) -> Result<Config, WireError> {
-        let values: Result<Vec<KnobValue>, WireError> = self
-            .config
-            .iter()
-            .map(|t| knob_value_from_token(t).map_err(|e| WireError::new(code::BAD_JSON, e)))
-            .collect();
-        Ok(Config::new(values?))
+        config_from_tokens(&self.config)
     }
 }
 
@@ -568,42 +511,37 @@ impl WireResult {
         }
     }
 
-    fn encode(&self) -> String {
-        let score = match self.score {
-            Some(s) => json::format_f64(s),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"score\":{score},\"metrics\":{},\"status\":\"{}\",\"attempts\":{},\
-             \"virtual_ms\":{}}}",
-            json::format_f64_array(&self.metrics),
+    fn write(&self, out: &mut String) {
+        out.push_str("{\"score\":");
+        json::write_opt(out, self.score, json::write_f64);
+        out.push_str(",\"metrics\":");
+        json::write_f64_array(out, &self.metrics);
+        let _ = write!(
+            out,
+            ",\"status\":\"{}\",\"attempts\":{},\"virtual_ms\":",
             self.status.as_str(),
-            self.attempts,
-            json::format_f64(self.virtual_ms),
-        )
+            self.attempts
+        );
+        json::write_f64(out, self.virtual_ms);
+        out.push('}');
     }
 
-    fn decode(v: &JsonValue) -> Result<WireResult, WireError> {
-        let bad = |m: String| WireError::new(code::BAD_PARAMS, m);
-        let score = match v.get("score") {
-            None | Some(JsonValue::Null) => None,
-            Some(s) => Some(s.as_f64().ok_or_else(|| bad("bad score".into()))?),
-        };
-        let metrics = match v.get("metrics") {
-            Some(JsonValue::Arr(items)) => items
+    fn decode(v: &JsonValue) -> Result<WireResult, String> {
+        let score = v.opt_f64("score")?;
+        Ok(WireResult {
+            score,
+            metrics: v
+                .opt_array("metrics")?
                 .iter()
-                .map(|m| m.as_f64().ok_or_else(|| bad("bad metric".into())))
-                .collect::<Result<Vec<f64>, WireError>>()?,
-            _ => Vec::new(),
-        };
-        let status = match v.get("status").and_then(JsonValue::as_str) {
-            Some(s) => TrialStatus::parse(s).map_err(bad)?,
-            None => TrialStatus::derived(score),
-        };
-        let attempts =
-            v.get("attempts").and_then(JsonValue::as_u64).unwrap_or(1).min(u32::MAX as u64) as u32;
-        let virtual_ms = v.get("virtual_ms").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        Ok(WireResult { score, metrics, status, attempts, virtual_ms })
+                .map(|m| m.as_f64().ok_or("bad metric"))
+                .collect::<Result<_, _>>()?,
+            status: match v.opt_str("status")? {
+                Some(s) => TrialStatus::parse(s)?,
+                None => TrialStatus::derived(score),
+            },
+            attempts: v.opt_u64("attempts")?.unwrap_or(1).min(u64::from(u32::MAX)) as u32,
+            virtual_ms: v.opt_f64("virtual_ms")?.unwrap_or(0.0),
+        })
     }
 }
 
@@ -618,31 +556,27 @@ pub struct Report {
 
 impl Report {
     pub fn encode(&self) -> String {
-        let results: Vec<String> = self.results.iter().map(WireResult::encode).collect();
-        format!(
-            "{{\"session\":\"{}\",\"round\":{},\"results\":[{}]}}",
-            json::escape(&self.session),
-            self.round,
-            results.join(",")
-        )
+        let mut out = String::from("{\"session\":");
+        json::write_str(&mut out, &self.session);
+        let _ = write!(out, ",\"round\":{},\"results\":", self.round);
+        json::write_array(&mut out, &self.results, |out, r| r.write(out));
+        out.push('}');
+        out
     }
 
     pub fn decode(params: &JsonValue) -> Result<Report, WireError> {
-        let missing = |f: &str| WireError::new(code::BAD_PARAMS, format!("missing \"{f}\""));
-        let session = params
-            .get("session")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| missing("session"))?
-            .to_string();
-        let round =
-            params.get("round").and_then(JsonValue::as_u64).ok_or_else(|| missing("round"))?
-                as usize;
-        let JsonValue::Arr(items) = params.get("results").ok_or_else(|| missing("results"))? else {
-            return Err(WireError::new(code::BAD_PARAMS, "results is not an array"));
+        let decode = || -> Result<Report, String> {
+            Ok(Report {
+                session: params.str("session")?.to_string(),
+                round: params.u64("round")? as usize,
+                results: params
+                    .array("results")?
+                    .iter()
+                    .map(WireResult::decode)
+                    .collect::<Result<_, _>>()?,
+            })
         };
-        let results: Result<Vec<WireResult>, WireError> =
-            items.iter().map(WireResult::decode).collect();
-        Ok(Report { session, round, results: results? })
+        decode().map_err(WireError::bad_params)
     }
 }
 
@@ -661,35 +595,26 @@ pub struct SessionStatusReply {
 
 impl SessionStatusReply {
     pub fn encode(&self) -> String {
-        let best = match self.best_score {
-            Some(s) => json::format_f64(s),
-            None => "null".to_string(),
-        };
-        let error = match &self.error {
-            Some(e) => format!("\"{}\"", json::escape(e)),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"status\":\"{}\",\"trials\":{},\"best_score\":{best},\"error\":{error}}}",
-            json::escape(&self.status),
-            self.trials
-        )
+        let mut out = String::from("{\"status\":");
+        json::write_str(&mut out, &self.status);
+        let _ = write!(out, ",\"trials\":{},\"best_score\":", self.trials);
+        json::write_opt(&mut out, self.best_score, json::write_f64);
+        out.push_str(",\"error\":");
+        json::write_opt(&mut out, self.error.as_deref(), json::write_str);
+        out.push('}');
+        out
     }
 
     pub fn decode(body: &JsonValue) -> Result<SessionStatusReply, WireError> {
-        let status = body
-            .get("status")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| WireError::new(code::BAD_JSON, "missing status"))?
-            .to_string();
-        let trials = body.get("trials").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
-        let best_score = body.get("best_score").and_then(JsonValue::as_f64);
-        let error = body
-            .get("error")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .filter(|e| !e.is_empty());
-        Ok(SessionStatusReply { status, trials, best_score, error })
+        let decode = || -> Result<SessionStatusReply, String> {
+            Ok(SessionStatusReply {
+                status: body.str("status")?.to_string(),
+                trials: body.opt_u64("trials")?.unwrap_or(0) as usize,
+                best_score: body.opt_f64("best_score")?,
+                error: body.opt_str("error")?.filter(|e| !e.is_empty()).map(str::to_string),
+            })
+        };
+        decode().map_err(WireError::bad_json)
     }
 }
 
@@ -703,22 +628,23 @@ pub struct WarmStartReply {
 
 impl WarmStartReply {
     pub fn encode(&self) -> String {
-        let points: Vec<String> = self.points.iter().map(|p| json::format_f64_array(p)).collect();
-        format!("{{\"points\":[{}]}}", points.join(","))
+        let mut out = String::from("{\"points\":");
+        json::write_array(&mut out, &self.points, |out, p| json::write_f64_array(out, p));
+        out.push('}');
+        out
     }
 
     pub fn decode(body: &JsonValue) -> Result<WarmStartReply, WireError> {
-        let bad = || WireError::new(code::BAD_JSON, "bad warm-start points");
-        let mut points = Vec::new();
-        if let Some(JsonValue::Arr(items)) = body.get("points") {
-            for item in items {
-                let JsonValue::Arr(coords) = item else { return Err(bad()) };
-                let p: Result<Vec<f64>, WireError> =
-                    coords.iter().map(|c| c.as_f64().ok_or_else(bad)).collect();
-                points.push(p?);
-            }
-        }
-        Ok(WarmStartReply { points })
+        let decode = || -> Result<WarmStartReply, String> {
+            Ok(WarmStartReply {
+                points: body
+                    .opt_array("points")?
+                    .iter()
+                    .map(|p| p.as_f64_array().ok_or("bad warm-start point"))
+                    .collect::<Result<_, _>>()?,
+            })
+        };
+        decode().map_err(WireError::bad_json)
     }
 }
 

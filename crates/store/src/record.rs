@@ -15,13 +15,17 @@
 //!   with (persisted so an interrupted session resumes with the *same*
 //!   initialization design even after more campaigns were stored).
 //!
-//! Floats print with Rust's shortest-roundtrip formatting and parse with
-//! the matching parser, so every score, point, metric, and fingerprint
-//! survives a store round trip bit-exactly — the property the
-//! byte-identical resume guarantee rests on.
+//! Both kinds are closed schemas read straight off
+//! `llamatune_obs::json::Scanner` (no value tree per record — reopening
+//! a store parses every line) and written through the same module's
+//! appenders. Floats print with Rust's shortest-roundtrip formatting
+//! and parse with the matching parser, so every score, point, metric,
+//! and fingerprint survives a store round trip bit-exactly — the
+//! property the byte-identical resume guarantee rests on.
 
-use llamatune::history_io::{event_to_json, JsonScanner, TrialEvent};
+use llamatune::history_io::{write_event_members, TrialEvent};
 use llamatune::session::{PriorTrial, TrialStatus};
+use llamatune_obs::json::{self, Scanner};
 use llamatune_space::{Config, KnobValue};
 
 /// One evaluated trial, as persisted.
@@ -152,65 +156,51 @@ pub fn knob_value_from_token(s: &str) -> Result<KnobValue, String> {
     }
 }
 
-fn f64_array_json(xs: &[f64]) -> String {
-    let body = xs.iter().map(|v| format!("{v}")).collect::<Vec<_>>().join(",");
-    format!("[{body}]")
-}
-
 /// Serializes one record as a single JSON line (no trailing newline).
 pub fn record_to_json(r: &StoreRecord) -> String {
+    let mut out = String::with_capacity(256);
     match r {
         StoreRecord::Trial(t) => {
-            // Reuse the core event serializer for the shared prefix, so
-            // the two schemas cannot drift apart silently.
-            let event = event_to_json(&t.to_event());
-            let prefix = event.strip_suffix('}').expect("event JSON is an object");
-            let config = t
-                .config
-                .iter()
-                .map(|v| format!("\"{}\"", knob_value_to_token(v)))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "{{\"kind\":\"trial\",{},\"config\":[{config}],\"metrics\":{}}}",
-                prefix.strip_prefix('{').expect("event JSON is an object"),
-                f64_array_json(&t.metrics),
-            )
+            // The shared prefix is the core event serializer's, so the
+            // two schemas cannot drift apart silently.
+            out.push_str("{\"kind\":\"trial\",");
+            write_event_members(&mut out, &t.to_event());
+            out.push_str(",\"config\":");
+            json::write_str_array(&mut out, t.config.iter().map(knob_value_to_token));
+            out.push_str(",\"metrics\":");
+            json::write_f64_array(&mut out, &t.metrics);
         }
         StoreRecord::Session(m) => {
-            let status = match m.status {
-                SessionStatus::Running => "running",
-                SessionStatus::Done => "done",
-            };
-            let stopped = match m.stopped_at {
-                Some(i) => format!("{i}"),
-                None => "null".to_string(),
-            };
-            let warm =
-                m.warm_points.iter().map(|p| f64_array_json(p)).collect::<Vec<_>>().join(",");
-            let lease = match &m.lease {
-                Some(w) => {
-                    format!(",\"lease\":\"{}\"", llamatune::history_io::json_escape(w))
-                }
-                None => String::new(),
-            };
-            format!(
-                "{{\"kind\":\"session\",\"session\":\"{}\",\"workload\":\"{}\",\"adapter\":\"{}\",\"status\":\"{status}\",\"stopped_at\":{stopped},\"fingerprint\":{},\"warm_points\":[{warm}]{lease}}}",
-                llamatune::history_io::json_escape(&m.session),
-                llamatune::history_io::json_escape(&m.workload),
-                llamatune::history_io::json_escape(&m.adapter),
-                f64_array_json(&m.fingerprint),
-            )
+            out.push_str("{\"kind\":\"session\",\"session\":");
+            json::write_str(&mut out, &m.session);
+            out.push_str(",\"workload\":");
+            json::write_str(&mut out, &m.workload);
+            out.push_str(",\"adapter\":");
+            json::write_str(&mut out, &m.adapter);
+            out.push_str(match m.status {
+                SessionStatus::Running => ",\"status\":\"running\",\"stopped_at\":",
+                SessionStatus::Done => ",\"status\":\"done\",\"stopped_at\":",
+            });
+            json::write_opt(&mut out, m.stopped_at, |out, i| json::write_u64(out, i as u64));
+            out.push_str(",\"fingerprint\":");
+            json::write_f64_array(&mut out, &m.fingerprint);
+            out.push_str(",\"warm_points\":");
+            json::write_array(&mut out, &m.warm_points, |out, p| json::write_f64_array(out, p));
+            if let Some(w) = &m.lease {
+                out.push_str(",\"lease\":");
+                json::write_str(&mut out, w);
+            }
         }
     }
+    out.push('}');
+    out
 }
 
 /// Parses one [`record_to_json`] line. Keys may appear in any order;
 /// unknown keys are rejected (the schema is closed, like the core
 /// crate's event schema).
 pub fn record_from_json(line: &str) -> Result<StoreRecord, String> {
-    let mut sc = JsonScanner::new(line);
-    sc.expect(b'{')?;
+    let mut sc = Scanner::new(line);
     let mut kind = None;
     let mut session = None;
     let mut iteration = None;
@@ -227,71 +217,44 @@ pub fn record_from_json(line: &str) -> Result<StoreRecord, String> {
     let mut fingerprint = None;
     let mut warm_points = None;
     let mut lease = None;
-    loop {
-        let key = sc.string()?;
-        sc.expect(b':')?;
-        match key.as_str() {
+    sc.object(|key, sc| {
+        match key {
             "kind" => kind = Some(sc.string()?),
             "session" => session = Some(sc.string()?),
-            "iteration" => iteration = Some(sc.number()? as usize),
-            "raw_score" => {
-                raw_score = Some(if sc.literal("null") { None } else { Some(sc.number()?) })
-            }
+            "iteration" => iteration = Some(sc.u64()? as usize),
+            "raw_score" => raw_score = Some(if sc.null() { None } else { Some(sc.number()?) }),
             "score" => score = Some(sc.number()?),
-            "point" => point = Some(sc.number_array()?),
+            "point" => point = Some(sc.f64_array()?),
             "config" => {
-                config = Some(
-                    sc.string_array()?
-                        .iter()
-                        .map(|t| knob_value_from_token(t))
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
+                let mut values = Vec::new();
+                sc.array(|sc| knob_value_from_token(&sc.string()?).map(|v| values.push(v)))?;
+                // Records live in the store's index for as long as it
+                // is open: drop the growth slack (90 knobs grow to 128).
+                values.shrink_to_fit();
+                config = Some(values);
             }
-            "metrics" => metrics = Some(sc.number_array()?),
+            "metrics" => metrics = Some(sc.f64_array()?),
             "workload" => workload = Some(sc.string()?),
             "adapter" => adapter = Some(sc.string()?),
             // Shared by both kinds with disjoint value sets; resolved
             // against `kind` once the whole line is scanned.
             "status" => status = Some(sc.string()?),
-            "attempts" => attempts = Some(sc.number()? as u32),
+            "attempts" => attempts = Some(sc.u64()? as u32),
             "stopped_at" => {
-                stopped_at =
-                    Some(if sc.literal("null") { None } else { Some(sc.number()? as usize) })
+                stopped_at = Some(if sc.null() { None } else { Some(sc.u64()? as usize) })
             }
-            "fingerprint" => fingerprint = Some(sc.number_array()?),
+            "fingerprint" => fingerprint = Some(sc.f64_array()?),
             "warm_points" => {
-                sc.expect(b'[')?;
-                let mut pts = Vec::new();
-                if sc.peek() == Some(b']') {
-                    sc.expect(b']')?;
-                } else {
-                    loop {
-                        pts.push(sc.number_array()?);
-                        match sc.peek() {
-                            Some(b',') => sc.expect(b',')?,
-                            _ => {
-                                sc.expect(b']')?;
-                                break;
-                            }
-                        }
-                    }
-                }
-                warm_points = Some(pts);
+                let mut points = Vec::new();
+                sc.array(|sc| sc.f64_array().map(|p| points.push(p)))?;
+                warm_points = Some(points);
             }
             "lease" => lease = Some(sc.string()?),
             other => return Err(format!("unknown key {other:?}")),
         }
-        match sc.peek() {
-            Some(b',') => sc.expect(b',')?,
-            _ => {
-                sc.expect(b'}')?;
-                break;
-            }
-        }
-    }
-    if !sc.done() {
-        return Err("trailing bytes after record".to_string());
-    }
+        Ok(())
+    })?;
+    sc.end()?;
     match kind.as_deref() {
         Some("trial") => {
             let raw_score = raw_score.ok_or("missing raw_score")?;

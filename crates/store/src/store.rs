@@ -1241,17 +1241,7 @@ pub fn rebuild_history(
     trials: &[StoredTrial],
     stopped_at: Option<usize>,
 ) -> llamatune::session::SessionHistory {
-    let mut history = llamatune::session::SessionHistory {
-        configs: Vec::with_capacity(trials.len()),
-        points: Vec::with_capacity(trials.len()),
-        scores: Vec::with_capacity(trials.len()),
-        raw_scores: Vec::with_capacity(trials.len()),
-        best_curve: Vec::with_capacity(trials.len()),
-        statuses: Vec::with_capacity(trials.len()),
-        attempts: Vec::with_capacity(trials.len()),
-        degradations: Vec::new(),
-        stopped_at,
-    };
+    let mut history = llamatune::session::SessionHistory { stopped_at, ..Default::default() };
     let mut best = f64::NEG_INFINITY;
     for t in trials {
         history.configs.push(llamatune_space::Config::new(t.config.clone()));

@@ -84,7 +84,7 @@ fn resume_from_any_cut_reproduces_the_uninterrupted_history() {
     let truth_dir = tmp_dir("truth");
     let truth_store =
         TrialStore::open_with(&truth_dir, StoreOptions { segment_records: 7 }).unwrap();
-    let truth = campaign.run_with_store(&truth_store).unwrap();
+    let truth = campaign.resume(&truth_store).unwrap();
     assert!(truth_store.sealed_segments().len() >= 2, "rotation exercised");
     let truth_export = truth_store.export_jsonl();
     let stream = record_stream(&truth_dir);
@@ -121,7 +121,7 @@ fn resume_after_a_torn_write_reproduces_the_uninterrupted_history() {
     let campaign = campaign();
     let truth_dir = tmp_dir("torn_truth");
     let truth_store = TrialStore::open(&truth_dir).unwrap();
-    campaign.run_with_store(&truth_store).unwrap();
+    campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
     let stream = record_stream(&truth_dir);
 
@@ -152,7 +152,7 @@ fn resumed_thrice_campaign_compacts_to_the_same_export() {
     // Ground truth: the uninterrupted campaign.
     let truth_dir = tmp_dir("compact_truth");
     let truth_store = TrialStore::open(&truth_dir).unwrap();
-    campaign.run_with_store(&truth_store).unwrap();
+    campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
 
     // Kill-and-resume the campaign three times: each cycle truncates
@@ -253,11 +253,11 @@ fn object_store_campaign_matches_the_local_store_byte_for_byte() {
     let campaign = campaign();
     let local_dir = tmp_dir("object_vs_local");
     let local = TrialStore::open(&local_dir).unwrap();
-    campaign.run_with_store(&local).unwrap();
+    campaign.resume(&local).unwrap();
 
     let store =
         TrialStore::open_backend(object_backend(), StoreOptions { segment_records: 7 }).unwrap();
-    campaign.run_with_store(&store).unwrap();
+    campaign.resume(&store).unwrap();
     assert!(store.sealed_segments().len() >= 2, "CAS rotation exercised");
     assert_eq!(store.export_jsonl(), local.export_jsonl());
     std::fs::remove_dir_all(&local_dir).unwrap();
@@ -269,7 +269,7 @@ fn object_store_resume_from_any_cut_reproduces_the_uninterrupted_history() {
     let truth_be = object_backend();
     let truth_store =
         TrialStore::open_backend(truth_be.clone(), StoreOptions { segment_records: 7 }).unwrap();
-    let truth = campaign.run_with_store(&truth_store).unwrap();
+    let truth = campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
     let stream = object_record_stream(&*truth_be);
     let lines: Vec<&str> = stream.lines().collect();
@@ -299,7 +299,7 @@ fn object_store_resume_after_a_torn_write_reproduces_the_history() {
     let campaign = campaign();
     let truth_be = object_backend();
     let truth_store = TrialStore::open_backend(truth_be.clone(), StoreOptions::default()).unwrap();
-    campaign.run_with_store(&truth_store).unwrap();
+    campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
     let stream = object_record_stream(&*truth_be);
 
@@ -343,15 +343,13 @@ fn sparse_gp_campaign_is_worker_invariant_and_resumes_byte_identically() {
     let truth_dir = tmp_dir("sparse_truth");
     let truth_store = TrialStore::open(&truth_dir).unwrap();
     let campaign = Campaign::new(postgres_v9_6(), spec.clone(), opts_for(1));
-    campaign.run_with_store(&truth_store).unwrap();
+    campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
 
     for workers in [2usize, 4] {
         let dir = tmp_dir(&format!("sparse_w{workers}"));
         let store = TrialStore::open(&dir).unwrap();
-        Campaign::new(postgres_v9_6(), spec.clone(), opts_for(workers))
-            .run_with_store(&store)
-            .unwrap();
+        Campaign::new(postgres_v9_6(), spec.clone(), opts_for(workers)).resume(&store).unwrap();
         assert_eq!(
             store.export_jsonl(),
             truth_export,
@@ -404,7 +402,7 @@ fn warm_started_campaign_resumes_with_its_recorded_warm_points() {
     };
     let dir = tmp_dir("warm_resume");
     let store = TrialStore::open(&dir).unwrap();
-    Campaign::new(catalog.clone(), source, base_opts.clone()).run_with_store(&store).unwrap();
+    Campaign::new(catalog.clone(), source, base_opts.clone()).resume(&store).unwrap();
 
     let target = CampaignSpec {
         workloads: vec!["ycsb_f".into()],
@@ -417,7 +415,7 @@ fn warm_started_campaign_resumes_with_its_recorded_warm_points() {
         ..base_opts
     };
     let campaign = Campaign::new(catalog, target, opts);
-    let truth = campaign.run_with_store(&store).unwrap();
+    let truth = campaign.resume(&store).unwrap();
     let label = &truth[0].label;
     let meta = store.session_meta(label).unwrap();
     assert!(

@@ -219,7 +219,7 @@ fn takeover_duplicates_across_writers_merge_content_identically() {
     // The heir sees the dead writer's records at open...
     assert_eq!(heir.trials_for("shared_sess").len(), 5);
     // ...and re-appends the trailing round (identical content) before
-    // continuing — exactly what Campaign::run_shared's takeover does.
+    // continuing — exactly what a fleet campaign's takeover does.
     for i in 3..8 {
         heir.append_trial(&trial("shared_sess", i, i as f64)).unwrap();
     }

@@ -46,7 +46,7 @@ fn kill_mid_campaign_then_resume_yields_the_identical_final_history() {
     // Uninterrupted ground truth.
     let truth_dir = tmp_dir("truth");
     let truth_store = TrialStore::open(&truth_dir).unwrap();
-    campaign.run_with_store(&truth_store).unwrap();
+    campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
 
     // The "crashed" store: the truth store's segment cut mid-record —
