@@ -2,7 +2,7 @@
 //! costs as the observation history grows — and what the incremental
 //! state updates buy over the rebuild-from-scratch baselines.
 //!
-//! Three measurements, each at history sizes n = 50 / 100 / 200 (the
+//! The measurements, each at history sizes n = 50 / 100 / 200 (the
 //! paper's sessions run 100 iterations; fleet-scale campaigns go
 //! beyond):
 //!
@@ -13,6 +13,10 @@
 //!   profit.
 //! * **SMAC suggest** — forest cold (history changed, must fit) vs warm
 //!   (cached fit reused across a batch round).
+//! * **Forest fit** — `RandomForest::fit` alone (the cold suggest's
+//!   dominant term) and 1500 `predict` calls (one suggestion's random
+//!   candidates), at the LlamaTune width d = 16 and the vanilla 90-knob
+//!   width.
 //! * **Constant-liar retract, q = 8** — `BatchSuggest::observe_batch`
 //!   after a fantasized round under the default auto mode (the
 //!   per-optimizer cost hint), snapshot-restore, and rebuild-and-replay
@@ -34,7 +38,11 @@
 //! smoke-test scale.
 
 use llamatune_bench::print_header;
-use llamatune_optim::{GpBo, GpConfig, Observation, Optimizer, SearchSpec, Smac, SmacConfig};
+use llamatune_obs::json::{write_f64, write_object};
+use llamatune_optim::{
+    GpBo, GpConfig, Observation, Optimizer, RandomForest, RandomForestConfig, SearchSpec, Smac,
+    SmacConfig,
+};
 use llamatune_runtime::{BatchSuggest, RetractionMode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -121,6 +129,38 @@ fn smac_suggest_row(n: usize, reps: usize) -> SmacSuggestRow {
         warm.push(t.elapsed().as_secs_f64() * 1e6);
     }
     SmacSuggestRow { n, cold_us: median_us(cold), warm_us: median_us(warm) }
+}
+
+struct ForestFitRow {
+    d: usize,
+    n: usize,
+    fit_us: f64,
+    predict_1500_us: f64,
+}
+
+/// Times the SMAC surrogate by itself on a `d`-dim history of `n`
+/// points: one default-config fit, and the 1500 `predict` calls a
+/// suggestion spends on its random candidates.
+fn forest_fit_row(d: usize, n: usize, reps: usize) -> ForestFitRow {
+    let spec = SearchSpec::continuous(d);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xf0e5);
+    let xs: Vec<Vec<f64>> = (0..n).map(|_| spec.sample(&mut rng)).collect();
+    let ys: Vec<f64> =
+        xs.iter().map(|x| -x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>()).collect();
+    let candidates: Vec<Vec<f64>> = (0..1500).map(|_| spec.sample(&mut rng)).collect();
+    let config = RandomForestConfig::default();
+    let (mut fit, mut predict) = (Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let t = Instant::now();
+        let forest = std::hint::black_box(RandomForest::fit(&spec, &xs, &ys, &config, rep as u64));
+        fit.push(t.elapsed().as_secs_f64() * 1e6);
+        let t = Instant::now();
+        for x in &candidates {
+            std::hint::black_box(forest.predict(std::hint::black_box(x)));
+        }
+        predict.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    ForestFitRow { d, n, fit_us: median_us(fit), predict_1500_us: median_us(predict) }
 }
 
 struct RetractRow {
@@ -253,6 +293,11 @@ fn ratio(slow: f64, fast: f64) -> f64 {
     }
 }
 
+/// Two decimals, the artifact's resolution.
+fn round2(v: f64) -> f64 {
+    (v * 100.0).round() / 100.0
+}
+
 fn main() {
     let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
     // Match the runtime default (`CampaignOptions::trial_workers = 4`)
@@ -299,6 +344,16 @@ fn main() {
             r.warm_us,
             ratio(r.cold_us, r.warm_us)
         );
+    }
+
+    let forest_rows: Vec<ForestFitRow> = [DIMS, 90]
+        .iter()
+        .flat_map(|&d| ns.iter().map(move |&n| forest_fit_row(d, n, reps)))
+        .collect();
+    println!("\nForest fit (SMAC's surrogate alone, default config):");
+    println!("{:>6} {:>6} {:>16} {:>18}", "d", "n", "fit", "1500 predicts");
+    for r in &forest_rows {
+        println!("{:>6} {:>6} {:>14.1}us {:>16.1}us", r.d, r.n, r.fit_us, r.predict_1500_us);
     }
 
     let retract_ns: &[usize] = if quick { &[26] } else { &[100, 200] };
@@ -380,7 +435,18 @@ fn main() {
             if i + 1 < smac_rows.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ],\n  \"retract\": [\n");
+    json.push_str("  ],\n  \"forest_fit\": [");
+    for (i, r) in forest_rows.iter().enumerate() {
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("d", r.d as f64),
+            ("n", r.n as f64),
+            ("fit_us", round2(r.fit_us)),
+            ("predict_1500_us", round2(r.predict_1500_us)),
+        ];
+        write_object(&mut json, members, write_f64);
+    }
+    json.push_str("\n  ],\n  \"retract\": [\n");
     for (i, r) in retract_rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"optimizer\": \"{}\", \"n\": {}, \"q\": {}, \"auto_us\": {:.2}, \

@@ -3,7 +3,7 @@
 //!
 //! The benches record latencies in fields ending in `_us`; everything
 //! else in the artifacts is either *identity* (which measurement a row
-//! is — `n`, `backend`, `optimizer`, …) or *derived* (`speedup`
+//! is — `n`, `d`, `backend`, `optimizer`, …) or *derived* (`speedup`
 //! ratios). The gate walks both documents in parallel:
 //!
 //! * identity mismatches (different `n`, reordered rows, a `quick`-mode
@@ -32,7 +32,7 @@ pub const ABS_SLACK_US: f64 = 25.0;
 /// Numeric identity fields: a mismatch means the two artifacts measure
 /// different things, not that one is slower.
 const IDENTITY_NUM_KEYS: &[&str] =
-    &["n", "q", "dims", "reps", "rounds", "writers", "records", "segment_records", "sessions"];
+    &["n", "d", "q", "dims", "reps", "rounds", "writers", "records", "segment_records", "sessions"];
 
 /// One latency pair the gate compared.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,6 +235,13 @@ mod tests {
         // Different n: these are different measurements.
         let cur = with(|s| *s = s.replace("\"n\": 100", "\"n\": 200"));
         assert!(compare(&base(), &cur, 2.0).unwrap_err().contains("different scales"));
+        // Same n at another width (`forest_fit` rows are keyed d × n).
+        let wide = |d: u32| {
+            parse(&format!(r#"{{"forest_fit": [{{"d": {d}, "n": 50, "fit_us": 2000.0}}]}}"#))
+                .unwrap()
+        };
+        assert!(compare(&wide(16), &wide(90), 2.0).unwrap_err().contains("forest_fit[0].d"));
+        assert!(compare(&wide(16), &wide(16), 2.0).is_ok());
         // Quick-mode artifact vs full-mode baseline.
         let cur = with(|s| *s = s.replace("\"quick\": false", "\"quick\": true"));
         assert!(compare(&base(), &cur, 2.0).is_err());

@@ -88,8 +88,9 @@ impl Smac {
         sigma * (z * std_norm.cdf(z) + std_norm.pdf(z))
     }
 
-    /// One-exchange neighbour: perturb a single dimension.
-    fn neighbour(&mut self, x: &[f64]) -> Vec<f64> {
+    /// One-exchange neighbour: perturb a single dimension. `step` is the
+    /// continuous neighbourhood's Gaussian, hoisted like `std_norm`.
+    fn neighbour(&mut self, x: &[f64], step: &Normal) -> Vec<f64> {
         let mut n = x.to_vec();
         let d = self.rng.random_range(0..n.len());
         match self.spec.params[d] {
@@ -99,7 +100,7 @@ impl Smac {
             }
             ParamKind::Continuous { .. } => {
                 // Gaussian perturbation, SMAC's continuous neighbourhood.
-                let delta = Normal::new(0.0, 0.2).sample(&mut self.rng);
+                let delta = step.sample(&mut self.rng);
                 n[d] = self.spec.params[d].snap((x[d] + delta).clamp(0.0, 1.0));
             }
         }
@@ -143,6 +144,7 @@ impl Optimizer for Smac {
         let best = self.best_y();
         let xi = self.config.xi;
         let std_norm = Normal::new(0.0, 1.0);
+        let step = Normal::new(0.0, 0.2);
         let score = |x: &[f64]| {
             let (mean, var) = forest.predict(x);
             Self::ei(mean, var, best, xi, &std_norm)
@@ -168,7 +170,7 @@ impl Optimizer for Smac {
             let mut current = self.xs[start].clone();
             let mut current_ei = score(&current);
             for _ in 0..self.config.local_steps {
-                let candidate = self.neighbour(&current);
+                let candidate = self.neighbour(&current, &step);
                 let ei = score(&candidate);
                 if ei > current_ei {
                     current = candidate;
@@ -196,9 +198,11 @@ impl Optimizer for Smac {
 
     /// SMAC's snapshot clones the cached random forest (tens of trees),
     /// while rebuild-and-replay only pushes observations and lets the
-    /// forest re-fit lazily on the next suggest — measurably cheaper
-    /// (BENCH_optimizer.json: snapshot retraction was 0.92x of rebuild
-    /// at n=100). The forest cannot be dropped from the snapshot
+    /// forest re-fit lazily on the next suggest — never dearer, and no
+    /// forest clone (BENCH_optimizer.json `retract` rows: at n = 100 and
+    /// 200 both take 20–50 µs and rebuild/snapshot reads 0.8–1.3 from
+    /// run to run, against the milliseconds of the fit that follows
+    /// either way). The forest cannot be dropped from the snapshot
     /// instead: its fit seed depends on the suggestion counter at fit
     /// time, so a post-restore re-fit would not be bit-identical.
     fn snapshot_beats_replay(&self) -> bool {

@@ -17,13 +17,16 @@ pub enum ParamKind {
     Categorical { n: usize },
 }
 
+/// The choice (of `n`) a categorical dimension's unit value decodes to.
+pub(crate) fn category(u: f64, n: usize) -> usize {
+    ((u.clamp(0.0, 1.0) * n as f64).floor() as usize).min(n - 1)
+}
+
 impl ParamKind {
     /// Decodes a categorical dimension's unit value into its choice index.
     pub fn to_category(&self, u: f64) -> Option<usize> {
         match self {
-            ParamKind::Categorical { n } => {
-                Some(((u.clamp(0.0, 1.0) * *n as f64).floor() as usize).min(n - 1))
-            }
+            ParamKind::Categorical { n } => Some(category(u, *n)),
             ParamKind::Continuous { .. } => None,
         }
     }

@@ -233,7 +233,20 @@ pub fn record_from_json(line: &str) -> Result<StoreRecord, String> {
                 values.shrink_to_fit();
                 config = Some(values);
             }
-            "metrics" => metrics = Some(sc.f64_array()?),
+            "metrics" => {
+                // A non-finite engine metric (a 0/0 hit ratio) was written
+                // as `null`, JSON having no other spelling for it; it reads
+                // back as NaN, which re-serializes to the same bytes.
+                // Points and fingerprints stay strict: the optimizer and
+                // the warm-start lookup cannot use a non-number.
+                let mut values = Vec::new();
+                sc.array(|sc| {
+                    values.push(if sc.null() { f64::NAN } else { sc.number()? });
+                    Ok(())
+                })?;
+                values.shrink_to_fit();
+                metrics = Some(values);
+            }
             "workload" => workload = Some(sc.string()?),
             "adapter" => adapter = Some(sc.string()?),
             // Shared by both kinds with disjoint value sets; resolved

@@ -1441,6 +1441,38 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_metrics_survive_seal_and_reopen() {
+        let dir = tmp_dir("nonfinite_metrics");
+        let opts = StoreOptions { segment_records: 2 };
+        let (export, sealed_bytes) = {
+            let store = TrialStore::open_with(&dir, opts.clone()).unwrap();
+            // An engine that reported a 0/0 hit ratio and an unbounded rate.
+            let mut odd = trial("s1", 0, 1.0);
+            odd.metrics = vec![1.0, f64::NAN, f64::INFINITY];
+            store.append_trial(&odd).unwrap();
+            store.append_trial(&trial("s1", 1, 2.0)).unwrap(); // seals the segment
+            assert_eq!(store.sealed_segments().len(), 1);
+            (store.export_jsonl(), std::fs::read(dir.join("seg-000001.jsonl")).unwrap())
+        };
+        // The sealed segment is parsed strictly on open: the `null`s the
+        // writer put there must be readable, as NaN.
+        let store = TrialStore::open_with(&dir, opts).unwrap();
+        let metrics = &store.trials_for("s1")[0].metrics;
+        assert_eq!(metrics[0], 1.0);
+        assert!(metrics[1].is_nan() && metrics[2].is_nan(), "{metrics:?}");
+        assert_eq!(store.export_jsonl(), export);
+        // Rewriting the records reproduces the segment byte for byte.
+        store.compact().unwrap();
+        let rewritten: Vec<u8> = store
+            .sealed_segments()
+            .iter()
+            .flat_map(|name| std::fs::read(dir.join(name)).unwrap())
+            .collect();
+        assert_eq!(rewritten, sealed_bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn duplicate_iterations_resolve_last_wins_in_queries_and_export() {
         let dir = tmp_dir("dup");
         let store = TrialStore::open(&dir).unwrap();
