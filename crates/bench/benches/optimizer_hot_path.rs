@@ -17,6 +17,14 @@
 //!   dominant term) and 1500 `predict` calls (one suggestion's random
 //!   candidates), at the LlamaTune width d = 16 and the vanilla 90-knob
 //!   width.
+//! * **DDPG observe** — one `Ddpg::observe` (reward, replay push, five
+//!   minibatch training steps) at the LlamaTune width d = 16 and the
+//!   vanilla 90-knob width, 27 metrics, with the replay buffer pinned at
+//!   32 (the first trial that trains) and 100 (a paper session's end)
+//!   transitions.
+//! * **GP-BO suggest** — one exact-path `GpBo::suggest` (1500 candidates
+//!   drawn and EI-scored against the cached factor) and, inside it, the
+//!   scoring pass alone (`optim.gp.ei_score_ms`).
 //! * **Constant-liar retract, q = 8** — `BatchSuggest::observe_batch`
 //!   after a fantasized round under the default auto mode (the
 //!   per-optimizer cost hint), snapshot-restore, and rebuild-and-replay
@@ -40,8 +48,8 @@
 use llamatune_bench::print_header;
 use llamatune_obs::json::{write_f64, write_object};
 use llamatune_optim::{
-    GpBo, GpConfig, Observation, Optimizer, RandomForest, RandomForestConfig, SearchSpec, Smac,
-    SmacConfig,
+    Ddpg, DdpgConfig, GpBo, GpConfig, Observation, Optimizer, RandomForest, RandomForestConfig,
+    SearchSpec, Smac, SmacConfig, DEFAULT_METRIC_DIM,
 };
 use llamatune_runtime::{BatchSuggest, RetractionMode};
 use rand::rngs::StdRng;
@@ -161,6 +169,61 @@ fn forest_fit_row(d: usize, n: usize, reps: usize) -> ForestFitRow {
         predict.push(t.elapsed().as_secs_f64() * 1e6);
     }
     ForestFitRow { d, n, fit_us: median_us(fit), predict_1500_us: median_us(predict) }
+}
+
+struct DdpgObserveRow {
+    d: usize,
+    replay: usize,
+    observe_us: f64,
+}
+
+/// Times `Ddpg::observe` with the replay buffer holding exactly `replay`
+/// transitions (the capacity is pinned there and filled before the clock
+/// starts), on a `d`-dim space with the DBMS's 27 metrics as a smooth
+/// function of the action.
+fn ddpg_observe_row(d: usize, replay: usize, reps: usize) -> DdpgObserveRow {
+    let config = DdpgConfig { replay_capacity: replay, ..DdpgConfig::default() };
+    let mut ddpg = Ddpg::new(SearchSpec::continuous(d), DEFAULT_METRIC_DIM, config, SEED);
+    let mut times = Vec::new();
+    // `replay + 1` observations fill the buffer; the rest are timed.
+    for trial in 0..=replay + reps {
+        let x = ddpg.suggest();
+        let y = 100.0 * (-x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>() / d as f64).exp();
+        let metrics =
+            (0..DEFAULT_METRIC_DIM).map(|m| (x[m % d] * (1 + m % 5) as f64 + m as f64).sin());
+        let obs = Observation { y, metrics: metrics.collect(), x };
+        let t = Instant::now();
+        ddpg.observe(obs);
+        if trial > replay {
+            times.push(t.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    DdpgObserveRow { d, replay, observe_us: median_us(times) }
+}
+
+struct GpSuggestRow {
+    n: usize,
+    suggest_us: f64,
+    ei_score_us: f64,
+}
+
+/// Times one exact-path GP suggestion at history size `n`, and the share
+/// of it the optimizer itself books to `optim.gp.ei_score_ms`.
+fn gp_suggest_row(n: usize, reps: usize) -> GpSuggestRow {
+    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), GpConfig::default(), SEED);
+    gp.observe_batch(synthetic_history(n));
+    let ei_score_ms = || {
+        llamatune_obs::global().snapshot().hists.get("optim.gp.ei_score_ms").map_or(0.0, |h| h.sum)
+    };
+    let (mut suggest, mut ei_score) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let before = ei_score_ms();
+        let t = Instant::now();
+        let _ = std::hint::black_box(gp.suggest());
+        suggest.push(t.elapsed().as_secs_f64() * 1e6);
+        ei_score.push((ei_score_ms() - before) * 1e3);
+    }
+    GpSuggestRow { n, suggest_us: median_us(suggest), ei_score_us: median_us(ei_score) }
 }
 
 struct RetractRow {
@@ -356,6 +419,23 @@ fn main() {
         println!("{:>6} {:>6} {:>14.1}us {:>16.1}us", r.d, r.n, r.fit_us, r.predict_1500_us);
     }
 
+    let ddpg_rows: Vec<DdpgObserveRow> = [DIMS, 90]
+        .iter()
+        .flat_map(|&d| [32, 100].map(|replay| ddpg_observe_row(d, replay, reps)))
+        .collect();
+    println!("\nDDPG observe (replay push + 5 minibatch steps, 27 metrics):");
+    println!("{:>6} {:>8} {:>16}", "d", "replay", "observe");
+    for r in &ddpg_rows {
+        println!("{:>6} {:>8} {:>14.1}us", r.d, r.replay, r.observe_us);
+    }
+
+    let gp_suggest_rows: Vec<GpSuggestRow> = ns.iter().map(|&n| gp_suggest_row(n, reps)).collect();
+    println!("\nGP-BO suggest (1500 candidates against the cached factor):");
+    println!("{:>6} {:>16} {:>16}", "n", "suggest", "EI scoring");
+    for r in &gp_suggest_rows {
+        println!("{:>6} {:>14.1}us {:>14.1}us", r.n, r.suggest_us, r.ei_score_us);
+    }
+
     let retract_ns: &[usize] = if quick { &[26] } else { &[100, 200] };
     let mut retract_rows = Vec::new();
     for &n in retract_ns {
@@ -443,6 +523,23 @@ fn main() {
             ("n", r.n as f64),
             ("fit_us", round2(r.fit_us)),
             ("predict_1500_us", round2(r.predict_1500_us)),
+        ];
+        write_object(&mut json, members, write_f64);
+    }
+    json.push_str("\n  ],\n  \"ddpg_observe\": [");
+    for (i, r) in ddpg_rows.iter().enumerate() {
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members =
+            [("d", r.d as f64), ("replay", r.replay as f64), ("observe_us", round2(r.observe_us))];
+        write_object(&mut json, members, write_f64);
+    }
+    json.push_str("\n  ],\n  \"gp_suggest\": [");
+    for (i, r) in gp_suggest_rows.iter().enumerate() {
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("n", r.n as f64),
+            ("suggest_us", round2(r.suggest_us)),
+            ("ei_score_us", round2(r.ei_score_us)),
         ];
         write_object(&mut json, members, write_f64);
     }

@@ -3,8 +3,8 @@
 //!
 //! The benches record latencies in fields ending in `_us`; everything
 //! else in the artifacts is either *identity* (which measurement a row
-//! is — `n`, `d`, `backend`, `optimizer`, …) or *derived* (`speedup`
-//! ratios). The gate walks both documents in parallel:
+//! is — `n`, `d`, `replay`, `backend`, `optimizer`, …) or *derived*
+//! (`speedup` ratios). The gate walks both documents in parallel:
 //!
 //! * identity mismatches (different `n`, reordered rows, a `quick`-mode
 //!   artifact compared against a full-mode baseline, missing keys,
@@ -31,8 +31,19 @@ pub const ABS_SLACK_US: f64 = 25.0;
 
 /// Numeric identity fields: a mismatch means the two artifacts measure
 /// different things, not that one is slower.
-const IDENTITY_NUM_KEYS: &[&str] =
-    &["n", "d", "q", "dims", "reps", "rounds", "writers", "records", "segment_records", "sessions"];
+const IDENTITY_NUM_KEYS: &[&str] = &[
+    "n",
+    "d",
+    "q",
+    "dims",
+    "reps",
+    "rounds",
+    "replay",
+    "writers",
+    "records",
+    "segment_records",
+    "sessions",
+];
 
 /// One latency pair the gate compared.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,6 +253,15 @@ mod tests {
         };
         assert!(compare(&wide(16), &wide(90), 2.0).unwrap_err().contains("forest_fit[0].d"));
         assert!(compare(&wide(16), &wide(16), 2.0).is_ok());
+        // Same width at another replay-buffer size (`ddpg_observe` rows
+        // are keyed d × replay).
+        let buffered = |replay: u32| {
+            let row = format!(r#"{{"d": 16, "replay": {replay}, "observe_us": 1800.0}}"#);
+            parse(&format!(r#"{{"ddpg_observe": [{row}]}}"#)).unwrap()
+        };
+        let err = compare(&buffered(32), &buffered(100), 2.0).unwrap_err();
+        assert!(err.contains("ddpg_observe[0].replay"), "{err}");
+        assert!(compare(&buffered(32), &buffered(32), 2.0).is_ok());
         // Quick-mode artifact vs full-mode baseline.
         let cur = with(|s| *s = s.replace("\"quick\": false", "\"quick\": true"));
         assert!(compare(&base(), &cur, 2.0).is_err());

@@ -16,7 +16,7 @@ use llamatune_server::wire::{CreateSession, Report, SuggestReply, WireResult};
 use llamatune_server::{Server, ServerConfig, ServerHandle, SessionRegistry};
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_space::ConfigSpace;
-use llamatune_store::{ObjectStoreBackend, StoreBackend, StoreOptions};
+use llamatune_store::{ObjectStoreBackend, StoreBackend, StoreOptions, TrialStore};
 use llamatune_workloads::{workload_by_name, TrialRunner, WorkloadRunner};
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,6 +121,19 @@ fn evaluate_rounds(
     seed: u64,
     rounds: usize,
 ) -> usize {
+    evaluate_rounds_with(client, catalog, session, seed, rounds, |_| {})
+}
+
+/// [`evaluate_rounds`] with a hook that may rewrite a round's results
+/// before they are reported.
+fn evaluate_rounds_with(
+    client: &mut Client,
+    catalog: &ConfigSpace,
+    session: &str,
+    seed: u64,
+    rounds: usize,
+    tamper: impl Fn(&mut Vec<WireResult>),
+) -> usize {
     let runner: Arc<dyn TrialRunner> = Arc::new(
         WorkloadRunner::new(workload_by_name("ycsb_b").unwrap(), catalog.clone())
             .with_options(run_opts()),
@@ -136,15 +149,11 @@ fn evaluate_rounds(
                     .iter()
                     .map(|t| Trial { iteration: t.iteration, config: t.to_config().unwrap() })
                     .collect();
-                let results = executor.run_batch(&batch);
+                let mut results: Vec<WireResult> =
+                    executor.run_batch(&batch).iter().map(WireResult::from_eval).collect();
                 evaluated += results.len();
-                client
-                    .report(&Report {
-                        session: session.to_string(),
-                        round,
-                        results: results.iter().map(WireResult::from_eval).collect(),
-                    })
-                    .unwrap();
+                tamper(&mut results);
+                client.report(&Report { session: session.to_string(), round, results }).unwrap();
             }
         }
     }
@@ -209,6 +218,37 @@ fn daemon_restart_resumes_from_the_store() {
     assert_eq!(outcome.trials_evaluated, TOTAL_TRIALS - evaluated_first);
     assert_eq!(outcome.jsonl, expected, "daemon restart must stay byte-identical");
 
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// An evaluator that returns one metric the DBMS could not produce (NaN)
+/// must still be able to complete its round: the store has accepted such
+/// records since PR 16, and `report` used to refuse them (`bad metric`),
+/// leaving the remote client stuck on that round for good.
+#[test]
+fn a_non_finite_metric_is_reported_and_recorded() {
+    let catalog = postgres_v9_6();
+    let backend: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
+    let (handle, join, addr) = start_daemon(backend.clone());
+    let mut client = Client::connect(&addr).unwrap();
+    let session = client.create_session(&spec(31)).unwrap().session;
+
+    // Round 0 is the default configuration alone; poison one metric of it.
+    let evaluated = evaluate_rounds_with(&mut client, &catalog, &session, 31, 1, |results| {
+        results[0].metrics[2] = f64::NAN;
+    });
+    assert_eq!(evaluated, 1);
+    // The next round is only handed out once the reported one is recorded.
+    assert!(matches!(client.suggest_batch(&session).unwrap(), SuggestReply::Round { .. }));
+
+    let store = TrialStore::open_reader(backend, StoreOptions::default()).unwrap();
+    let recorded = store.trials_for(&session);
+    assert_eq!(recorded.len(), 1, "the reported trial is in the store");
+    assert!(recorded[0].metrics[2].is_nan(), "{:?}", recorded[0].metrics);
+    assert!(recorded[0].metrics[3].is_finite());
+
+    drop(client);
     handle.shutdown();
     join.join().unwrap();
 }

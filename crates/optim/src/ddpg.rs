@@ -7,13 +7,28 @@
 //! * **reward** — CDBTune's compound delta against both the initial and
 //!   the previous performance.
 //!
-//! DDPG deliberately keeps the [`Optimizer::snapshot`] default (`None`):
-//! its mutable state — replay buffer, actor/critic and their target
-//! networks, OU noise — is as large as anything a checkpoint would save,
-//! so batch wrappers retract fantasized observations against it via the
-//! documented rebuild-and-replay fallback instead.
+//! A training step (`Ddpg::train`) runs its whole minibatch through each
+//! network at once, on scratch the optimizer owns; [`crate::nn`] states
+//! the layout and the bit-identity contract, and `reference::train` (test
+//! builds only) is the one-sample-at-a-time loop it replaced, which the
+//! equivalence proptest below drives side by side with it.
+//!
+//! DDPG deliberately keeps the [`Optimizer::snapshot`] default (`None`),
+//! so batch wrappers retract fantasized observations against it, and
+//! resume restores it, via the documented rebuild-and-replay fallback. A
+//! checkpoint would copy about 1 MB (four networks, each with gradients
+//! and two Adam moments per parameter — 4 × 28 k doubles at d = 16 —
+//! plus the replay buffer); the replay is cheap for a reason worth
+//! knowing. An `observe` that no `suggest` preceded has no action to pair
+//! with its state, so it pushes no transition and trains nothing:
+//! replaying a 100-observation history rebuilds the metric statistics and
+//! the episode state in 0.4 ms (d = 16; 0.8 ms at d = 90), and the result
+//! is a function of the history, not a trained copy of the optimizer that
+//! produced it. Training (about 2 ms per trial at d = 16, the
+//! `ddpg_observe` rows of `BENCH_optimizer.json`) is paid only by trials
+//! that are suggested and observed live.
 
-use crate::nn::{Activation, Mlp};
+use crate::nn::{scatter, Activation, Mlp, Tape};
 use crate::spec::{Observation, Optimizer, SearchSpec};
 use llamatune_math::{Normal, RunningStats};
 use rand::rngs::StdRng;
@@ -86,6 +101,30 @@ pub struct Ddpg {
     last_action: Option<Vec<f64>>,
     initial_perf: Option<f64>,
     previous_perf: Option<f64>,
+
+    scratch: Scratch,
+}
+
+/// What a training step works in, sized once for the configured minibatch
+/// and reused, so a step allocates nothing.
+struct Scratch {
+    /// The step's replay indices, in minibatch order.
+    picks: Vec<usize>,
+    /// The actor's shape: the target policy's pass, then the policy's own.
+    actor: Tape,
+    /// The critic's shape: the target critic's pass, then the critic's two.
+    critic: Tape,
+    /// TD targets, one per pick.
+    td_targets: Vec<f64>,
+}
+
+/// The `i`-th DBMS metric as the statistics and the state read it: a
+/// missing one (a crashed run reports none) and a non-finite one (a
+/// counter the DBMS could not produce) both read `0.0`, so one bad
+/// reading cannot turn a running mean — and through it every later
+/// state and the first-layer weights — into NaN.
+fn metric(metrics: &[f64], i: usize) -> f64 {
+    metrics.get(i).copied().filter(|m| m.is_finite()).unwrap_or(0.0)
 }
 
 impl Ddpg {
@@ -106,6 +145,12 @@ impl Ddpg {
         );
         let actor_target = actor.clone();
         let critic_target = critic.clone();
+        let scratch = Scratch {
+            picks: Vec::with_capacity(config.batch_size),
+            actor: Tape::new(&actor, config.batch_size),
+            critic: Tape::new(&critic, config.batch_size),
+            td_targets: vec![0.0; config.batch_size],
+        };
         Ddpg {
             spec,
             rng,
@@ -124,13 +169,14 @@ impl Ddpg {
             last_action: None,
             initial_perf: None,
             previous_perf: None,
+            scratch,
         }
     }
 
     fn normalize(&self, metrics: &[f64]) -> Vec<f64> {
         (0..self.state_dim)
             .map(|i| {
-                let raw = metrics.get(i).copied().unwrap_or(0.0);
+                let raw = metric(metrics, i);
                 let s = &self.norms[i];
                 if s.count() < 2 || s.std_dev() < 1e-9 {
                     0.0
@@ -156,15 +202,6 @@ impl Ddpg {
         }
     }
 
-    fn ou_noise(&mut self) -> Vec<f64> {
-        let normal = Normal::new(0.0, 1.0);
-        let theta = 0.15;
-        for v in self.noise.iter_mut() {
-            *v += theta * (0.0 - *v) + self.sigma * normal.sample(&mut self.rng);
-        }
-        self.noise.clone()
-    }
-
     fn push_transition(&mut self, t: Transition) {
         if self.replay.len() < self.config.replay_capacity {
             self.replay.push(t);
@@ -175,51 +212,64 @@ impl Ddpg {
     }
 
     fn train(&mut self) {
-        if self.replay.len() < self.config.batch_size {
+        let Ddpg {
+            config, rng, replay, actor, critic, actor_target, critic_target, scratch, ..
+        } = self;
+        let batch = config.batch_size;
+        if replay.len() < batch {
             return;
         }
-        for _ in 0..self.config.train_steps_per_observe {
-            // Critic update on a minibatch.
-            let mut actor_grads: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-            for _ in 0..self.config.batch_size {
-                let idx = self.rng.random_range(0..self.replay.len());
-                let (state, action, reward, next_state) = {
-                    let t = &self.replay[idx];
-                    (t.state.clone(), t.action.clone(), t.reward, t.next_state.clone())
-                };
-                // TD target through the target networks.
-                let next_action = self.actor_target.forward(&next_state);
-                let mut ns_input = next_state.clone();
-                ns_input.extend_from_slice(&next_action);
-                let target_q =
-                    reward + self.config.gamma * self.critic_target.forward(&ns_input)[0];
+        let s_rows = self.state_dim * batch;
+        let action_rows = self.state_dim..self.state_dim + actor.output_dim();
+        let Scratch { picks, actor: actor_tape, critic: critic_tape, td_targets } = scratch;
+        for _ in 0..config.train_steps_per_observe {
+            // The step's minibatch: the loop's only draws.
+            picks.clear();
+            picks.extend((0..batch).map(|_| rng.random_range(0..replay.len())));
 
-                let mut sa = state.clone();
-                sa.extend_from_slice(&action);
-                let q = self.critic.forward(&sa)[0];
-                // 0.5 * (q - target)^2 -> grad = q - target.
-                self.critic.backward(&sa, &[q - target_q]);
-                actor_grads.push((state, action));
+            // TD targets through the target networks: r + γ·Q'(s', μ'(s')).
+            scatter(actor_tape.input_mut(), batch, picks.iter().map(|&p| &replay[p].next_state));
+            actor_target.forward_batch(actor_tape);
+            let (next_states, next_actions) = critic_tape.input_mut().split_at_mut(s_rows);
+            next_states.copy_from_slice(&actor_tape.input()[..s_rows]);
+            next_actions.copy_from_slice(actor_tape.output());
+            critic_target.forward_batch(critic_tape);
+            for ((target, &p), next_q) in
+                td_targets.iter_mut().zip(&*picks).zip(critic_tape.output())
+            {
+                *target = replay[p].reward + config.gamma * next_q;
             }
-            self.critic.adam_step(self.config.critic_lr, self.config.batch_size);
+
+            // Critic update on the minibatch.
+            let (states, actions) = critic_tape.input_mut().split_at_mut(s_rows);
+            scatter(states, batch, picks.iter().map(|&p| &replay[p].state));
+            scatter(actions, batch, picks.iter().map(|&p| &replay[p].action));
+            critic.forward_batch(critic_tape);
+            let (q, grad) = critic_tape.output_and_grad_mut();
+            for ((grad, q), target) in grad.iter_mut().zip(q).zip(&*td_targets) {
+                // 0.5 * (q - target)^2 -> grad = q - target.
+                *grad = q - target;
+            }
+            critic.backward(critic_tape);
+            critic.adam_step(config.critic_lr, batch);
 
             // Actor update: ascend dQ/da through the (fresh) critic.
-            for (state, _) in &actor_grads {
-                let action = self.actor.forward(state);
-                let mut sa = state.clone();
-                sa.extend_from_slice(&action);
-                // dQ/d(input) of the critic; take the action slice.
-                let dq = self.critic.input_gradient(&sa, &[1.0]);
-                let dq_da = &dq[self.state_dim..];
-                // Gradient *descent* on -Q.
-                let neg: Vec<f64> = dq_da.iter().map(|g| -g).collect();
-                self.actor.backward(state, &neg);
+            actor_tape.input_mut().copy_from_slice(&critic_tape.input()[..s_rows]);
+            actor.forward_batch(actor_tape);
+            critic_tape.input_mut()[s_rows..].copy_from_slice(actor_tape.output());
+            critic.forward_batch(critic_tape);
+            critic_tape.output_grad_mut().fill(1.0);
+            let dq_da = critic.input_gradient(critic_tape, action_rows.clone());
+            // Gradient *descent* on -Q.
+            for (neg, g) in actor_tape.output_grad_mut().iter_mut().zip(dq_da) {
+                *neg = -g;
             }
-            self.actor.adam_step(self.config.actor_lr, self.config.batch_size);
+            actor.backward(actor_tape);
+            actor.adam_step(config.actor_lr, batch);
 
             // Soft-update targets.
-            self.actor_target.soft_update_from(&self.actor, self.config.tau);
-            self.critic_target.soft_update_from(&self.critic, self.config.tau);
+            actor_target.soft_update_from(actor, config.tau);
+            critic_target.soft_update_from(critic, config.tau);
         }
     }
 }
@@ -230,9 +280,12 @@ impl Optimizer for Ddpg {
             None => self.spec.sample(&mut self.rng),
             Some(state) => {
                 let mut a = self.actor.forward(state);
-                let noise = self.ou_noise();
-                for (v, n) in a.iter_mut().zip(noise) {
-                    *v = (*v + n).clamp(0.0, 1.0);
+                // Ornstein–Uhlenbeck exploration noise, one draw per
+                // action dimension.
+                let (theta, normal) = (0.15, Normal::new(0.0, 1.0));
+                for (v, n) in a.iter_mut().zip(&mut self.noise) {
+                    *n += theta * (0.0 - *n) + self.sigma * normal.sample(&mut self.rng);
+                    *v = (*v + *n).clamp(0.0, 1.0);
                 }
                 self.sigma *= self.config.noise_decay;
                 self.spec.snap(&a)
@@ -245,7 +298,7 @@ impl Optimizer for Ddpg {
     fn observe(&mut self, obs: Observation) {
         // Update normalization statistics first.
         for (i, stat) in self.norms.iter_mut().enumerate() {
-            stat.push(obs.metrics.get(i).copied().unwrap_or(0.0));
+            stat.push(metric(&obs.metrics, i));
         }
         let state = self.normalize(&obs.metrics);
         let reward = self.reward(obs.y);
@@ -271,9 +324,69 @@ impl Optimizer for Ddpg {
     }
 }
 
+/// The training loop the minibatch kernel replaced, as the parent commit
+/// had it: one replayed sample at a time through [`crate::nn::reference`].
+/// The oracle of the equivalence proptest below.
+#[cfg(test)]
+mod reference {
+    use super::Ddpg;
+    use crate::nn::reference as nn;
+    use rand::RngExt;
+
+    pub(super) fn train(ddpg: &mut Ddpg) {
+        if ddpg.replay.len() < ddpg.config.batch_size {
+            return;
+        }
+        for _ in 0..ddpg.config.train_steps_per_observe {
+            // Critic update on a minibatch.
+            let mut actor_grads: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
+            for _ in 0..ddpg.config.batch_size {
+                let idx = ddpg.rng.random_range(0..ddpg.replay.len());
+                let (state, action, reward, next_state) = {
+                    let t = &ddpg.replay[idx];
+                    (t.state.clone(), t.action.clone(), t.reward, t.next_state.clone())
+                };
+                // TD target through the target networks.
+                let next_action = nn::forward(&ddpg.actor_target, &next_state);
+                let mut ns_input = next_state.clone();
+                ns_input.extend_from_slice(&next_action);
+                let target_q =
+                    reward + ddpg.config.gamma * nn::forward(&ddpg.critic_target, &ns_input)[0];
+
+                let mut sa = state.clone();
+                sa.extend_from_slice(&action);
+                let q = nn::forward(&ddpg.critic, &sa)[0];
+                // 0.5 * (q - target)^2 -> grad = q - target.
+                nn::backward(&mut ddpg.critic, &sa, &[q - target_q]);
+                actor_grads.push((state, action));
+            }
+            nn::adam_step(&mut ddpg.critic, ddpg.config.critic_lr, ddpg.config.batch_size);
+
+            // Actor update: ascend dQ/da through the (fresh) critic.
+            for (state, _) in &actor_grads {
+                let action = nn::forward(&ddpg.actor, state);
+                let mut sa = state.clone();
+                sa.extend_from_slice(&action);
+                // dQ/d(input) of the critic; take the action slice.
+                let dq = nn::input_gradient(&ddpg.critic, &sa, &[1.0]);
+                let dq_da = &dq[ddpg.state_dim..];
+                // Gradient *descent* on -Q.
+                let neg: Vec<f64> = dq_da.iter().map(|g| -g).collect();
+                nn::backward(&mut ddpg.actor, state, &neg);
+            }
+            nn::adam_step(&mut ddpg.actor, ddpg.config.actor_lr, ddpg.config.batch_size);
+
+            // Soft-update targets.
+            nn::soft_update_from(&mut ddpg.actor_target, &ddpg.actor, ddpg.config.tau);
+            nn::soft_update_from(&mut ddpg.critic_target, &ddpg.critic, ddpg.config.tau);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nn::reference as nn_reference;
 
     fn spec() -> SearchSpec {
         SearchSpec::continuous(4)
@@ -380,5 +493,123 @@ mod tests {
         opt.observe(Observation { x: a, y: 1.0, metrics: vec![1.0, 2.0] });
         let a2 = opt.suggest();
         assert_eq!(a2.len(), 4);
+    }
+
+    /// PR 16 made a NaN/±inf metric storable and replayable; fed to the
+    /// running statistics it made that metric's mean NaN for good, every
+    /// later state carried a NaN, and within one training step the policy
+    /// collapsed to a constant ≈ 0.5 in every dimension.
+    #[test]
+    fn a_non_finite_metric_does_not_kill_the_policy() {
+        let cfg = DdpgConfig { noise_sigma: 0.0, ..Default::default() };
+        let mut opt = Ddpg::new(spec(), 6, cfg, 3);
+        let mut late = Vec::new();
+        for i in 0..80 {
+            let a = opt.suggest();
+            assert!(a.iter().all(|v| v.is_finite()), "trial {i}: {a:?}");
+            let (perf, mut metrics) = env(&a);
+            match i {
+                40 => metrics[1] = f64::NAN,
+                41 => metrics[4] = f64::INFINITY,
+                42 => metrics[0] = f64::NEG_INFINITY,
+                _ => {}
+            }
+            if i > 42 {
+                late.push(a.clone());
+            }
+            opt.observe(Observation { x: a, y: perf, metrics });
+        }
+        assert!(opt.norms.iter().all(|s| s.mean().is_finite() && s.std_dev().is_finite()));
+        for net in [&opt.actor, &opt.critic, &opt.actor_target, &opt.critic_target] {
+            let out = net.forward(&vec![0.25; net.input_dim()]);
+            assert!(out.iter().all(|v| v.is_finite()), "{out:?}");
+        }
+        // Still a policy: the action depends on the state, and the late
+        // suggestions are not one repeated point.
+        let at = |m: f64| opt.actor.forward(&[m; 6]);
+        assert_ne!(at(-1.0), at(1.0), "the actor ignores its input");
+        let spread = (0..4)
+            .map(|d| {
+                let column: Vec<f64> = late.iter().map(|a| a[d]).collect();
+                llamatune_math::std_dev(&column)
+            })
+            .fold(0.0, f64::max);
+        assert!(spread > 1e-3, "suggestions collapsed to one point: {:?}", late.last());
+    }
+
+    /// A DDPG instance of a random shape — widths below, at and past every
+    /// block width of the kernel, any pair of heads, a few units silenced
+    /// into exact ReLU ties — over a replay buffer barely larger than the
+    /// minibatch (so indices repeat) whose states mix ordinary values with
+    /// `0.0`, `-0.0` and all-zero vectors. Built twice from one seed, it
+    /// gives the kernel and the reference identical starting points.
+    fn random_instance(seed: u64) -> Ddpg {
+        use crate::nn::Activation::{Linear, Sigmoid, Tanh};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (state_dim, a_dim) = (rng.random_range(1..30), rng.random_range(1..96));
+        let config = DdpgConfig {
+            hidden: rng.random_range(1..70),
+            batch_size: rng.random_range(1..40),
+            train_steps_per_observe: rng.random_range(1..4),
+            ..Default::default()
+        };
+        let mut opt =
+            Ddpg::new(SearchSpec::continuous(a_dim), state_dim, config.clone(), seed ^ 0x5eed);
+        let heads = [Sigmoid, Tanh, Linear];
+        let (actor_head, critic_head) =
+            (heads[rng.random_range(0..3usize)], heads[rng.random_range(0..3usize)]);
+        for _ in 0..rng.random_range(0..4) {
+            let (layer, unit) = (rng.random_range(0..2), rng.random_range(0..config.hidden));
+            nn_reference::silence_unit(&mut opt.actor, layer, unit);
+            nn_reference::silence_unit(&mut opt.critic, layer, unit);
+        }
+        nn_reference::set_head(&mut opt.actor, actor_head);
+        nn_reference::set_head(&mut opt.critic, critic_head);
+        opt.actor_target = opt.actor.clone();
+        opt.critic_target = opt.critic.clone();
+
+        let state = |rng: &mut StdRng| -> Vec<f64> {
+            let all_zero = rng.random_range(0..6) == 0;
+            (0..state_dim)
+                .map(|_| match rng.random_range(0..8) {
+                    _ if all_zero => 0.0,
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.random_range(-5.0..5.0),
+                })
+                .collect()
+        };
+        for _ in 0..config.batch_size + rng.random_range(0..5usize) {
+            let transition = Transition {
+                state: state(&mut rng),
+                action: (0..a_dim)
+                    .map(|_| [0.0, 1.0, rng.random()][rng.random_range(0..3usize)])
+                    .collect(),
+                reward: rng.random_range(-2.0..2.0),
+                next_state: state(&mut rng),
+            };
+            opt.push_transition(transition);
+        }
+        opt
+    }
+
+    proptest::proptest! {
+        /// The kernel's contract: after the same training steps on the
+        /// same replay buffer and RNG, every weight, bias, Adam moment and
+        /// target parameter of the one-sample-at-a-time loop, bit for bit,
+        /// and the RNG left where that loop leaves it.
+        #[test]
+        fn train_matches_the_reference_bit_for_bit(seed in proptest::any::<u64>()) {
+            let (mut kernel, mut oracle) = (random_instance(seed), random_instance(seed));
+            for round in 0..2 {
+                kernel.train();
+                reference::train(&mut oracle);
+                let nets = |d: &Ddpg| {
+                    [&d.actor, &d.critic, &d.actor_target, &d.critic_target].map(nn_reference::bits)
+                };
+                assert_eq!(nets(&kernel), nets(&oracle), "seed {seed}, round {round}");
+                assert_eq!(kernel.rng.random::<u64>(), oracle.rng.random::<u64>());
+            }
+        }
     }
 }

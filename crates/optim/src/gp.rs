@@ -2,9 +2,35 @@
 //! over continuous dimensions and a Hamming kernel over categorical ones
 //! (the CoCaBO-style mixed-space GP of Ru et al. 2020, which the paper
 //! evaluates as its second BO baseline).
+//!
+//! # The EI scoring pass and its contract
+//!
+//! A suggestion scores 1 500 random candidates against the whole history:
+//! `n × 1500` kernel entries, a triangular solve, a mean and a variance
+//! per candidate. `GpBo::ei_batch` does it row-wise. The candidates are
+//! copied once into columns (one contiguous run per continuous dimension,
+//! decoded categories per categorical one), and `kstar` is filled one
+//! history point — one contiguous row — at a time by
+//! `GpBo::kernel_row`; posterior mean and variance accumulate into one
+//! accumulator per candidate as the rows go by.
+//!
+//! **The contract is bit identity with the pointwise posterior**,
+//! `GpBo::predict` over the scalar `GpBo::kernel` (which the refit,
+//! the factor append and the sparse path still use): checked by the
+//! `ei_batch_matches_pointwise_predict_bit_for_bit` proptest and pinned
+//! by the two streams in `tests/sparse_path.rs`. As in [`crate::rf`] and
+//! [`crate::nn`], a lane is another *result* — another candidate — never
+//! a partial sum of one: candidate `j`'s squared distance starts at `0.0`
+//! and takes `(c[k][j] - x[k])²` in `dims.cont` order, its mean and
+//! explained variance start at `-0.0` (what `Iterator::sum` folds from)
+//! and take their terms with the history index ascending — the additions
+//! the pointwise code performs, in its order. Both spellings share
+//! `GpBo::kernel_value` for the Matérn tail and its `exp`; the Hamming
+//! factor costs a second `exp` only when the space has a categorical
+//! dimension (`exp(-γ·0)` is exactly `1.0`, and `x * 1.0` is `x`).
 
 use crate::sparse::{select_inducing, subsample_indices, SparseGpConfig, SparseModel};
-use crate::spec::{Observation, Optimizer, ParamKind, SearchSpec};
+use crate::spec::{expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
 use llamatune_math::{BlockSchedule, Matrix, Normal};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -131,6 +157,17 @@ struct GpCache {
     alpha: Vec<f64>,
 }
 
+/// See [`GpBo::candidate_columns`].
+struct CandidateColumns {
+    /// One column (a value per candidate) per continuous dimension.
+    cont: Vec<f64>,
+    /// One column of decoded categories per categorical dimension.
+    cat: Vec<usize>,
+    /// Per-candidate accumulators of the row being filled.
+    sq: Vec<f64>,
+    mismatches: Vec<f64>,
+}
+
 /// A [`GpBo`] state checkpoint (see [`Optimizer::snapshot`]): the full
 /// mutable state, cloneable in O(n²) — dominated by the factor.
 #[derive(Clone)]
@@ -203,12 +240,78 @@ impl GpBo {
                 mismatches += 1.0;
             }
         }
+        self.kernel_value(h, sq, mismatches)
+    }
+
+    /// One kernel entry from its two sufficient statistics: the squared
+    /// distance over the continuous dimensions and the number of
+    /// categorical dimensions that disagree. Shared by the pointwise
+    /// [`GpBo::kernel`] and the row-wise [`GpBo::kernel_row`].
+    #[inline]
+    fn kernel_value(&self, h: &Hyper, sq: f64, mismatches: f64) -> f64 {
         let n_cont = self.dims.cont.len();
         let r = if n_cont == 0 { 0.0 } else { (sq / n_cont as f64).sqrt() / h.lengthscale };
         let sqrt5r = 5.0f64.sqrt() * r;
         let matern = (1.0 + sqrt5r + 5.0 * r * r / 3.0) * (-sqrt5r).exp();
+        if self.dims.cat.is_empty() {
+            // The Hamming factor of no categorical dimension is
+            // exp(-γ·0) = 1.0 exactly, and `x * 1.0` is `x` bit for bit:
+            // LlamaTune's projected space never pays the second `exp`.
+            return h.signal_var * matern;
+        }
         let hamming = (-h.cat_gamma * mismatches).exp();
         h.signal_var * matern * hamming
+    }
+
+    /// `out[j] = kernel(candidate j, x)` for every candidate of `cands`,
+    /// bit for bit: per continuous dimension, in `dims.cont` order,
+    /// `sq[j] += (c[j] - x)²` for all `j` — the lanes are candidates, each
+    /// with the pointwise kernel's own chain of additions from `0.0` —
+    /// then the mismatch counts the same way (skipped without categorical
+    /// dimensions), then [`GpBo::kernel_value`] per entry.
+    fn kernel_row(&self, h: &Hyper, cands: &mut CandidateColumns, x: &[f64], out: &mut [f64]) {
+        let CandidateColumns { cont, cat, sq, mismatches } = cands;
+        let m = sq.len();
+        sq.fill(0.0);
+        for (col, &k) in cont.chunks_exact(m).zip(&self.dims.cont) {
+            let xk = x[k];
+            for (sq, c) in sq.iter_mut().zip(col) {
+                let d = c - xk;
+                *sq += d * d;
+            }
+        }
+        mismatches.fill(0.0);
+        for (col, &(k, n)) in cat.chunks_exact(m).zip(&self.dims.cat) {
+            let xk = unit_category(x[k], n);
+            for (mismatches, &c) in mismatches.iter_mut().zip(col) {
+                if c != xk {
+                    *mismatches += 1.0;
+                }
+            }
+        }
+        for ((out, &sq), &mismatches) in out.iter_mut().zip(&*sq).zip(&*mismatches) {
+            *out = self.kernel_value(h, sq, mismatches);
+        }
+    }
+
+    /// The column-major copy of an EI candidate set that
+    /// [`GpBo::kernel_row`] sweeps: one contiguous run of `m` values per
+    /// continuous dimension, one of decoded categories per categorical
+    /// dimension, plus the row routine's two accumulators.
+    fn candidate_columns(&self, candidates: &[Vec<f64>]) -> CandidateColumns {
+        let m = candidates.len();
+        let cont = self.dims.cont.iter().flat_map(|&k| candidates.iter().map(move |c| c[k]));
+        let cat = self
+            .dims
+            .cat
+            .iter()
+            .flat_map(|&(k, n)| candidates.iter().map(move |c| unit_category(c[k], n)));
+        CandidateColumns {
+            cont: cont.collect(),
+            cat: cat.collect(),
+            sq: vec![0.0; m],
+            mismatches: vec![0.0; m],
+        }
     }
 
     fn standardized_ys(&self) -> Vec<f64> {
@@ -296,9 +399,7 @@ impl GpBo {
     fn ei_batch_inner(&self, candidates: &[Vec<f64>], best_standardized: f64) -> Vec<f64> {
         let std_norm = Normal::new(0.0, 1.0);
         let ei_of = |mean: f64, var: f64| {
-            let sigma = var.sqrt().max(1e-9);
-            let z = (mean - best_standardized - self.config.xi) / sigma;
-            sigma * (z * std_norm.cdf(z) + std_norm.pdf(z))
+            expected_improvement(mean, var, best_standardized, self.config.xi, &std_norm)
         };
         let Some(cache) = &self.cache else {
             // No usable factor (prior-only model): fall back to the
@@ -312,20 +413,36 @@ impl GpBo {
                 .collect();
         };
         let (n, m) = (self.xs.len(), candidates.len());
+        if m == 0 {
+            return Vec::new();
+        }
+        // `kstar` is filled one history point — one contiguous row — at a
+        // time, and the posterior mean and variance accumulate row-wise
+        // too: candidate `j`'s accumulator starts at `-0.0` (what
+        // `Iterator::sum` folds from in `predict`) and takes its terms
+        // with `i` ascending, so every candidate sees `predict`'s sums.
+        let mut cols = self.candidate_columns(candidates);
         let mut kstar = Matrix::zeros(n, m);
-        for (j, x) in candidates.iter().enumerate() {
-            for (i, xi) in self.xs.iter().enumerate() {
-                kstar[(i, j)] = self.kernel(&self.hyper, x, xi);
+        let mut means = vec![-0.0; m];
+        for (i, (xi, &alpha)) in self.xs.iter().zip(&cache.alpha).enumerate() {
+            let row = kstar.row_mut(i);
+            self.kernel_row(&self.hyper, &mut cols, xi, row);
+            for (mean, k) in means.iter_mut().zip(&*row) {
+                *mean += k * alpha;
             }
         }
         let v = cache.chol.solve_lower_batch(&kstar);
+        let mut explained = vec![-0.0; m];
+        for i in 0..n {
+            for (acc, v) in explained.iter_mut().zip(v.row(i)) {
+                *acc += v * v;
+            }
+        }
         let kss = self.hyper.signal_var + self.hyper.noise_var;
-        (0..m)
-            .map(|j| {
-                let mean: f64 = (0..n).map(|i| kstar[(i, j)] * cache.alpha[i]).sum();
-                let var = (kss - (0..n).map(|i| v[(i, j)] * v[(i, j)]).sum::<f64>()).max(1e-12);
-                ei_of(mean, var)
-            })
+        means
+            .iter()
+            .zip(&explained)
+            .map(|(&mean, &explained)| ei_of(mean, (kss - explained).max(1e-12)))
             .collect()
     }
 
@@ -547,9 +664,7 @@ impl GpBo {
         let hot_path_start = std::time::Instant::now();
         let std_norm = Normal::new(0.0, 1.0);
         let ei_of = |mean: f64, var: f64| {
-            let sigma = var.sqrt().max(1e-9);
-            let z = (mean - best_standardized - self.config.xi) / sigma;
-            sigma * (z * std_norm.cdf(z) + std_norm.pdf(z))
+            expected_improvement(mean, var, best_standardized, self.config.xi, &std_norm)
         };
         let eis = match &self.sparse {
             Some(model) if model.ready() => {
@@ -805,6 +920,64 @@ mod tests {
             assert_eq!(xa, xb);
             a.observe(Observation { x: xa.clone(), y: f(&xa), metrics: vec![] });
             b.observe(Observation { x: xb.clone(), y: f(&xb), metrics: vec![] });
+        }
+    }
+
+    /// A random scoring problem: a continuous-only, mixed or
+    /// categorical-only spec of 1..20 dimensions (bucketized ones put
+    /// candidates exactly on history coordinates), 2..60 observations,
+    /// and — three times in four; otherwise the prior-only model — a
+    /// refit's hyperparameters and cached factor.
+    fn random_model(seed: u64) -> GpBo {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = rng.random_range(1..20);
+        // 0: continuous only, 1: mixed, 2: categorical only.
+        let shape = rng.random_range(0..3);
+        let params = (0..d)
+            .map(|_| match (shape, rng.random_range(0..3)) {
+                (0, 0) | (1, 0) => ParamKind::Continuous { buckets: Some(rng.random_range(2..9)) },
+                (0, _) | (1, 1) => ParamKind::Continuous { buckets: None },
+                _ => ParamKind::Categorical { n: rng.random_range(2..6) },
+            })
+            .collect();
+        let spec = SearchSpec { params };
+        let mut gp = GpBo::new(spec.clone(), GpConfig::default(), seed);
+        for _ in 0..rng.random_range(2..60) {
+            let x = spec.sample(&mut rng);
+            let y = x.iter().map(|v| (v - 0.3) * (v - 0.3)).sum::<f64>() + rng.random::<f64>();
+            gp.xs.push(x);
+            gp.ys.push(y);
+        }
+        if rng.random_range(0..4) > 0 {
+            gp.refit();
+        }
+        gp
+    }
+
+    proptest::proptest! {
+        /// `ei_batch`'s promise since it was written: every candidate's
+        /// score is the pointwise posterior's (`predict`, which still goes
+        /// through the scalar `kernel`) under the same EI formula, bit for
+        /// bit — at candidate counts below, at and past any lane width.
+        #[test]
+        fn ei_batch_matches_pointwise_predict_bit_for_bit(seed in proptest::any::<u64>()) {
+            let gp = random_model(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xe1);
+            let best = rng.random_range(-1.0..2.0);
+            let std_norm = Normal::new(0.0, 1.0);
+            for m in [1, 7, 64, 129] {
+                let candidates: Vec<Vec<f64>> = (0..m).map(|_| gp.spec.sample(&mut rng)).collect();
+                let got: Vec<u64> =
+                    gp.ei_batch(&candidates, best).iter().map(|ei| ei.to_bits()).collect();
+                let want: Vec<u64> = candidates
+                    .iter()
+                    .map(|x| {
+                        let (mean, var) = gp.predict(x);
+                        expected_improvement(mean, var, best, gp.config.xi, &std_norm).to_bits()
+                    })
+                    .collect();
+                assert_eq!(got, want, "seed {seed}, {m} candidates, {:?}", gp.spec);
+            }
         }
     }
 }

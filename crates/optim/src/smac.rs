@@ -3,7 +3,7 @@
 //! local search around incumbents, and interleaved random suggestions.
 
 use crate::rf::{RandomForest, RandomForestConfig};
-use crate::spec::{Observation, Optimizer, ParamKind, SearchSpec};
+use crate::spec::{expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
 use llamatune_math::Normal;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -79,15 +79,6 @@ impl Smac {
         }
     }
 
-    /// Expected improvement of predicted `(mean, var)` over `best`.
-    /// `std_norm` is the standard normal, hoisted out of the candidate
-    /// loops (1500 candidates per suggestion share one instance).
-    fn ei(mean: f64, var: f64, best: f64, xi: f64, std_norm: &Normal) -> f64 {
-        let sigma = var.sqrt().max(1e-9);
-        let z = (mean - best - xi) / sigma;
-        sigma * (z * std_norm.cdf(z) + std_norm.pdf(z))
-    }
-
     /// One-exchange neighbour: perturb a single dimension. `step` is the
     /// continuous neighbourhood's Gaussian, hoisted like `std_norm`.
     fn neighbour(&mut self, x: &[f64], step: &Normal) -> Vec<f64> {
@@ -147,7 +138,7 @@ impl Optimizer for Smac {
         let step = Normal::new(0.0, 0.2);
         let score = |x: &[f64]| {
             let (mean, var) = forest.predict(x);
-            Self::ei(mean, var, best, xi, &std_norm)
+            expected_improvement(mean, var, best, xi, &std_norm)
         };
 
         let mut champion: Option<(f64, Vec<f64>)> = None;
@@ -275,13 +266,13 @@ mod tests {
     #[test]
     fn ei_prefers_high_mean_and_high_variance() {
         let std_norm = Normal::new(0.0, 1.0);
-        let better_mean = Smac::ei(1.0, 0.1, 0.5, 0.0, &std_norm);
-        let worse_mean = Smac::ei(0.4, 0.1, 0.5, 0.0, &std_norm);
+        let better_mean = expected_improvement(1.0, 0.1, 0.5, 0.0, &std_norm);
+        let worse_mean = expected_improvement(0.4, 0.1, 0.5, 0.0, &std_norm);
         assert!(better_mean > worse_mean);
-        let high_var = Smac::ei(0.4, 1.0, 0.5, 0.0, &std_norm);
+        let high_var = expected_improvement(0.4, 1.0, 0.5, 0.0, &std_norm);
         assert!(high_var > worse_mean, "uncertainty adds exploration value");
         // EI is non-negative.
-        assert!(Smac::ei(-5.0, 0.01, 0.5, 0.0, &std_norm) >= 0.0);
+        assert!(expected_improvement(-5.0, 0.01, 0.5, 0.0, &std_norm) >= 0.0);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! deterministic across worker counts, regret-competitive with the
 //! exact GP on paper-scale histories, and observable when it degrades.
 
+mod common;
+
 use llamatune_optim::{
     GpBo, GpConfig, Observation, Optimizer, ParamKind, SearchSpec, SparseGpConfig,
 };
@@ -68,6 +70,62 @@ fn exact_path_reproduces_the_pre_sparse_golden_stream() {
         let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, expected.to_vec(), "step {i}: exact path diverged from the pre-PR stream");
     }
+}
+
+/// The golden above runs a 3-dim *mixed* spec, so every kernel entry
+/// carries a Hamming factor; the space every LlamaTune session (and the
+/// benchmark's `opt-bound`) hands GP-BO is 16 bucketized continuous
+/// dimensions and no categorical one, where the EI scoring pass skips
+/// that factor. This pins that stream too: 40 suggestions, one FNV-1a
+/// digest each, captured from the commit before the scoring pass became
+/// a row-wise kernel.
+#[test]
+fn exact_path_is_pinned_on_the_all_continuous_llamatune_shape() {
+    const GOLDEN: [u64; 40] = [
+        0xdfebc87c9a784d0e,
+        0xfe37155c0ec2b411,
+        0x8b35b24932e485dd,
+        0x77d8e789099ae892,
+        0xdb02fe4890e49d33,
+        0xec14d5e30552c543,
+        0xb1f26cd7d716bcc4,
+        0xfb40c297aba9ca9d,
+        0x798f00606a01ec06,
+        0x3103bc59ce951c28,
+        0x12a5bf690e75f3de,
+        0x9edc3466177549a0,
+        0xcc38a5a8d555a8f1,
+        0xaa905cefc5d0d642,
+        0x229984329cf4c5d6,
+        0xd9b8e576a61aec6d,
+        0x62db16986e593eb9,
+        0x12008bb96e8a3235,
+        0xa03d4ce73c212f43,
+        0x3364e7d1c27b23c9,
+        0x148cf84316dca92f,
+        0xb22055dd62e2647f,
+        0xe41cb2ae973ba8d6,
+        0x6267be9e2f6937b7,
+        0x0cb7f97874ad1f97,
+        0x3c8a550f48b5c7f9,
+        0xafbab46b382a8c22,
+        0xd5a2d778a4e31705,
+        0xd5138205699f9964,
+        0xc76c027fbf2fdbf7,
+        0x00d9a87dc54efa9f,
+        0x70c98f94f9f96dfa,
+        0x91621b64e5dc309f,
+        0xab24bd024c8793de,
+        0x61567a372056bf6a,
+        0xd2ee4d67b237ac19,
+        0x88ea964b4311d017,
+        0x4d36f52bdf56dad7,
+        0xc07ebf9a0e0438e6,
+        0x4a9ffd2fdb96f9b0,
+    ];
+    let mut gp = GpBo::new(common::bucketized_16(), GpConfig::default(), 42);
+    let got: Vec<u64> = (0..40).map(|_| common::digest(&step(&mut gp))).collect();
+    common::assert_stream("gp-bo bucketized-16", &got, &GOLDEN);
 }
 
 /// The sparse path's parallel kernels (chunked data-term build, blocked

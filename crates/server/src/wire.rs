@@ -530,10 +530,16 @@ impl WireResult {
         let score = v.opt_f64("score")?;
         Ok(WireResult {
             score,
+            // `write` can only spell a non-finite metric as `null` (JSON
+            // has nothing else for it); it reads back as NaN, as in the
+            // store's trial record.
             metrics: v
                 .opt_array("metrics")?
                 .iter()
-                .map(|m| m.as_f64().ok_or("bad metric"))
+                .map(|m| match m {
+                    JsonValue::Null => Ok(f64::NAN),
+                    m => m.as_f64().ok_or("bad metric"),
+                })
                 .collect::<Result<_, _>>()?,
             status: match v.opt_str("status")? {
                 Some(s) => TrialStatus::parse(s)?,
@@ -747,6 +753,32 @@ mod tests {
         assert_eq!(decoded.results[0].metrics, report.results[0].metrics);
         assert_eq!(decoded.results[1].status, TrialStatus::Crashed);
         assert_eq!(decoded.results[1].attempts, 3);
+    }
+
+    /// An evaluator may hand back a metric the DBMS could not produce.
+    /// The store keeps such a trial; the wire must carry it there.
+    #[test]
+    fn non_finite_metrics_round_trip_as_nan() {
+        let report = Report {
+            session: "w/a/o/s1".into(),
+            round: 0,
+            results: vec![WireResult {
+                score: Some(10.0),
+                metrics: vec![1.0, f64::NAN, f64::INFINITY],
+                status: TrialStatus::Ok,
+                attempts: 1,
+                virtual_ms: 0.0,
+            }],
+        };
+        let encoded = report.encode();
+        assert!(encoded.contains("\"metrics\":[1,null,null]"), "{encoded}");
+        let decoded = Report::decode(&json::parse(&encoded).unwrap()).unwrap();
+        let metrics = &decoded.results[0].metrics;
+        assert_eq!(metrics[0], 1.0);
+        assert!(metrics[1].is_nan() && metrics[2].is_nan(), "{metrics:?}");
+        // Anything else in the array is still refused.
+        let bad = json::parse(&encoded.replace("null,null", "\"x\",null")).unwrap();
+        assert_eq!(Report::decode(&bad).unwrap_err().code, code::BAD_PARAMS);
     }
 
     #[test]
