@@ -21,6 +21,7 @@
 //! `LLAMATUNE_QUICK=1` shrinks record counts to smoke-test scale.
 
 use llamatune_bench::print_header;
+use llamatune_obs::json::{write_f64, write_object, write_str};
 use llamatune_space::KnobValue;
 use llamatune_store::{
     LocalDirBackend, ObjectStoreBackend, StoreBackend, StoreOptions, StoredTrial, TrialStore,
@@ -57,6 +58,27 @@ fn trial(session: &str, iteration: usize) -> StoredTrial {
         status: llamatune::session::TrialStatus::Ok,
         attempts: 1,
     }
+}
+
+/// One artifact value: rows mix a backend label with numbers.
+enum Field {
+    Flag(bool),
+    Num(f64),
+    Text(&'static str),
+}
+
+fn write_field(out: &mut String, field: Field) {
+    match field {
+        Field::Flag(b) => out.push_str(if b { "true" } else { "false" }),
+        Field::Num(v) => write_f64(out, v),
+        Field::Text(s) => write_str(out, s),
+    }
+}
+
+/// `v` to `places` decimals, as the artifact records it.
+fn round(v: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (v * scale).round() / scale
 }
 
 struct Backends {
@@ -211,39 +233,40 @@ fn main() {
     }
 
     // The regression artifact.
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"quick\": {quick}, \"records\": {records}, \"segment_records\": 256, \
-         \"writers\": {writers}}},\n"
-    ));
-    json.push_str("  \"single_writer\": [\n");
+    let mut json = String::from("{\n  \"config\": ");
+    let config = [
+        ("quick", Field::Flag(quick)),
+        ("records", Field::Num(records as f64)),
+        ("segment_records", Field::Num(256.0)),
+        ("writers", Field::Num(writers as f64)),
+    ];
+    write_object(&mut json, config, write_field);
+    json.push_str(",\n  \"single_writer\": [");
     for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"records\": {}, \"append_total_us\": {:.2}, \
-             \"append_per_record_us\": {:.3}, \"open_us\": {:.2}, \"compact_us\": {:.2}}}{}\n",
-            r.backend,
-            r.records,
-            r.append_total_us,
-            r.append_per_record_us,
-            r.open_us,
-            r.compact_us,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("backend", Field::Text(r.backend)),
+            ("records", Field::Num(r.records as f64)),
+            ("append_total_us", Field::Num(round(r.append_total_us, 2))),
+            ("append_per_record_us", Field::Num(round(r.append_per_record_us, 3))),
+            ("open_us", Field::Num(round(r.open_us, 2))),
+            ("compact_us", Field::Num(round(r.compact_us, 2))),
+        ];
+        write_object(&mut json, members, write_field);
     }
-    json.push_str("  ],\n  \"fleet_append\": [\n");
+    json.push_str("\n  ],\n  \"fleet_append\": [");
     for (i, r) in fleet_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"writers\": {}, \"records\": {}, \
-             \"total_us\": {:.2}, \"per_record_us\": {:.3}}}{}\n",
-            r.backend,
-            r.writers,
-            r.records,
-            r.total_us,
-            r.per_record_us,
-            if i + 1 < fleet_rows.len() { "," } else { "" }
-        ));
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("backend", Field::Text(r.backend)),
+            ("writers", Field::Num(r.writers as f64)),
+            ("records", Field::Num(r.records as f64)),
+            ("total_us", Field::Num(round(r.total_us, 2))),
+            ("per_record_us", Field::Num(round(r.per_record_us, 3))),
+        ];
+        write_object(&mut json, members, write_field);
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("\n  ]\n}\n");
     // Anchor the artifact at the workspace root regardless of the
     // working directory cargo launches the bench from.
     let path =

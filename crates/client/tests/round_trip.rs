@@ -213,10 +213,51 @@ fn daemon_restart_resumes_from_the_store() {
 
     // Daemon 2, same backend: the session resumes from its recorded
     // round boundary and completes byte-identically.
-    let (handle, join, addr) = start_daemon(backend);
+    let (handle, join, addr) = start_daemon(backend.clone());
     let outcome = run_remote_session(&addr, &catalog, &spec(23), &client_opts()).unwrap();
     assert_eq!(outcome.trials_evaluated, TOTAL_TRIALS - evaluated_first);
     assert_eq!(outcome.jsonl, expected, "daemon restart must stay byte-identical");
+    assert_eq!(
+        active_lines(&*backend),
+        ["active seg-svc-000001.jsonl"],
+        "the reborn daemon adopted the segment its predecessor registered"
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// The manifest's `active` lines: one per registered writer.
+fn active_lines(backend: &dyn StoreBackend) -> Vec<String> {
+    let manifest = String::from_utf8(backend.read_manifest().unwrap().0.unwrap()).unwrap();
+    manifest.lines().filter(|l| l.starts_with("active ")).map(str::to_string).collect()
+}
+
+/// Daemons before the single store handle registered one fleet writer
+/// per session thread (`svc0`, `svc1`, …) and never unregistered them.
+/// A store they left behind is served as it is: their segments are
+/// other writers' segments, replayed when the daemon's handle opens.
+#[test]
+fn a_store_left_by_per_session_writers_is_served() {
+    let catalog = postgres_v9_6();
+    let backend: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
+    let opts = quick_opts();
+    for (writer, seed) in [("svc0", 41), ("svc1", 43)] {
+        let store =
+            TrialStore::open_shared(backend.clone(), writer, StoreOptions::default()).unwrap();
+        let cell = CellSpec::new("ycsb_b", spec(seed).adapter, OptimizerKind::Smac, seed);
+        SessionDriver::new(&catalog, &opts, cell).with_store(&store).run().unwrap();
+    }
+
+    let (handle, join, addr) = start_daemon(backend.clone());
+    for seed in [41, 43] {
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(client.create_session(&spec(seed)).unwrap().done, "finished before this daemon");
+        let outcome = run_remote_session(&addr, &catalog, &spec(seed), &client_opts()).unwrap();
+        assert_eq!(outcome.trials_evaluated, 0);
+        assert_eq!(outcome.jsonl, in_process_jsonl(&catalog, seed), "their bytes, unchanged");
+    }
+    assert_eq!(active_lines(&*backend).len(), 3, "svc0 and svc1 stay listed beside svc");
 
     handle.shutdown();
     join.join().unwrap();

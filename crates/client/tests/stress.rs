@@ -70,8 +70,8 @@ fn hundred_concurrent_sessions_with_kills_stay_byte_identical() {
         quick_opts(),
         StoreOptions::default(),
     ));
-    // Generous suggest window: 100 session threads contend for the
-    // shared manifest on every recorded trial.
+    // Generous suggest window: 100 session threads append through the
+    // daemon's one store handle.
     let cfg = ServerConfig { suggest_timeout: Duration::from_secs(120), ..Default::default() };
     let server = Server::bind("127.0.0.1:0", registry.clone(), cfg).unwrap();
     let handle = server.handle().unwrap();

@@ -3,7 +3,10 @@
 //! A long-lived daemon that owns the shared
 //! [`TrialStore`](llamatune_store::TrialStore) and drives tuning
 //! sessions for remote clients over a small length-prefixed JSON wire
-//! protocol. The division of labor:
+//! protocol. It owns it literally: one handle per daemon, opened by the
+//! first request that needs it, shared by every session thread and read
+//! by every query — see [`session`] for what that handle does and does
+//! not see. The division of labor:
 //!
 //! * **Server side** — everything stateful and everything that must be
 //!   deterministic: optimizer state (constant-liar wrapped, so it is a

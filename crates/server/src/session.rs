@@ -2,15 +2,32 @@
 //! remote-trial executor that bridges each session's driver thread to
 //! whichever client connection currently evaluates its trials.
 //!
-//! One daemon owns one shared [`StoreBackend`]. Each session runs as a
-//! dedicated thread driving [`SessionDriver::run_with_executor`] with a
-//! `RemoteExecutor`: the driver's suggest→evaluate→observe fold runs
-//! server-side (optimizer state, store checkpoints, lease metadata),
-//! while evaluation blocks on a round slot until a client reports
-//! results over the wire. The slot is connection-agnostic — a client
-//! may die mid-round, reconnect, re-attach, and fetch the *same*
-//! pending round again; nothing is recorded until results arrive, so
-//! the recorded history stays byte-identical to an uninterrupted run.
+//! One daemon owns one shared [`StoreBackend`] and holds **one**
+//! [`TrialStore`] handle on it: fleet writer `svc`, opened by the first
+//! request that needs the store (an open failure is that request's
+//! `store_error`) and kept until the registry is dropped. Every session
+//! thread appends through that handle, and `create_session`,
+//! `session_status`, `warm_start_query` and `export_history` answer
+//! from its in-memory index, so what one session costs does not grow
+//! with what the store already holds. The index is complete by
+//! construction: opening replays everything earlier incarnations of the
+//! daemon wrote (the tag `svc` reclaims its own active segment; the
+//! `svc0…svcN` segments an older daemon registered per session are read
+//! like any other writer's), and everything since went through the
+//! handle itself. What it does *not* see is a record some other process
+//! appends to the same backend while the daemon is up — one daemon per
+//! backend is the premise; [`TrialStore::refresh`] exists for a process
+//! that wants the merged view.
+//!
+//! Each session runs as a dedicated thread driving
+//! [`SessionDriver::run_with_executor`] with a `RemoteExecutor`: the
+//! driver's suggest→evaluate→observe fold runs server-side (optimizer
+//! state, store checkpoints, lease metadata), while evaluation blocks
+//! on a round slot until a client reports results over the wire. The
+//! slot is connection-agnostic — a client may die mid-round, reconnect,
+//! re-attach, and fetch the *same* pending round again; nothing is
+//! recorded until results arrive, so the recorded history stays
+//! byte-identical to an uninterrupted run.
 
 use crate::wire::{self, CreateSession, Report, SessionStatusReply, SuggestReply, WireError};
 use llamatune::history_io::events_to_jsonl;
@@ -19,11 +36,13 @@ use llamatune_obs::trace::Tracer;
 use llamatune_optim::OptimizerKind;
 use llamatune_runtime::{CampaignOptions, CellSpec, SessionDriver};
 use llamatune_space::{ConfigSpace, KnobValue};
-use llamatune_store::{lock_recover, SessionStatus, StoreBackend, StoreOptions, TrialStore};
+use llamatune_store::{
+    lock_recover, SessionStatus, StoreBackend, StoreOptions, StoredTrial, TrialStore,
+};
 use llamatune_workloads::workload_by_name;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -181,16 +200,17 @@ pub enum Attach {
     Live { label: String, quarantine: Vec<Vec<String>> },
 }
 
-/// The daemon's session table: owns the shared backend and one driver
-/// thread per live session.
+/// The daemon's session table: owns the shared backend, the one store
+/// handle on it, and one driver thread per live session.
 pub struct SessionRegistry {
     backend: Arc<dyn StoreBackend>,
     catalog: ConfigSpace,
     base: CampaignOptions,
     store_opts: StoreOptions,
     tracer: Option<Arc<dyn Tracer>>,
+    /// Opened on first use ([`SessionRegistry::store`]), never replaced.
+    store: Mutex<Option<Arc<TrialStore>>>,
     sessions: Mutex<HashMap<String, Arc<SessionHandle>>>,
-    writer_seq: AtomicUsize,
     shutdown: AtomicBool,
 }
 
@@ -211,14 +231,14 @@ impl SessionRegistry {
             base,
             store_opts,
             tracer: None,
+            store: Mutex::new(None),
             sessions: Mutex::new(HashMap::new()),
-            writer_seq: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         }
     }
 
     /// Tees every session's trace stream into `tracer` (and installs it
-    /// on each session's store handle).
+    /// on the daemon's store handle).
     pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -229,11 +249,20 @@ impl SessionRegistry {
         lock_recover(&self.sessions).len()
     }
 
-    fn reader(&self) -> Result<TrialStore, WireError> {
-        let store = TrialStore::open_reader(self.backend.clone(), self.store_opts.clone())
+    /// The daemon's store handle, opened (and replayed) by the first
+    /// caller. [`SessionRegistry::new`] cannot fail, so a backend that
+    /// does not open is the `store_error` of each request that needs it.
+    fn store(&self) -> Result<Arc<TrialStore>, WireError> {
+        let mut slot = lock_recover(&self.store);
+        if let Some(store) = &*slot {
+            return Ok(store.clone());
+        }
+        let store = TrialStore::open_shared(self.backend.clone(), "svc", self.store_opts.clone())
             .map_err(store_err)?;
-        store.refresh().map_err(store_err)?;
-        Ok(store)
+        if let Some(t) = &self.tracer {
+            store.set_tracer(t.clone());
+        }
+        Ok(slot.insert(Arc::new(store)).clone())
     }
 
     /// Per-session options: the daemon's base template with the
@@ -274,20 +303,19 @@ impl SessionRegistry {
         // The store is the authority on completion — consult it before
         // touching the live table, so a session finished by a previous
         // daemon incarnation answers `done` instead of spawning.
-        let reader = self.reader()?;
-        if let Some(m) = reader.session_meta(&cell.label) {
+        let store = self.store()?;
+        if let Some(m) = store.session_meta(&cell.label) {
             if m.status == SessionStatus::Done {
                 self.reap(&cell.label);
                 return Ok(Attach::Done { label: cell.label });
             }
         }
         let quarantine: Vec<Vec<String>> = SessionDriver::new(&self.catalog, &opts, cell.clone())
-            .with_store(&reader)
+            .with_store(&store)
             .quarantine_preload()
             .iter()
             .map(|cfg| cfg.values().iter().map(llamatune_store::knob_value_to_token).collect())
             .collect();
-        drop(reader);
 
         let mut sessions = lock_recover(&self.sessions);
         if let Some(handle) = sessions.get(&cell.label) {
@@ -315,7 +343,7 @@ impl SessionRegistry {
         }
 
         let handle = Arc::new(SessionHandle::new(cell.label.clone(), req.batch_size));
-        let thread = self.spawn_session(handle.clone(), cell.clone(), opts);
+        let thread = self.spawn_session(handle.clone(), store, cell.clone(), opts);
         *lock_recover(&handle.thread) = Some(thread);
         sessions.insert(cell.label.clone(), handle);
         Ok(Attach::Live { label: cell.label, quarantine })
@@ -324,21 +352,16 @@ impl SessionRegistry {
     fn spawn_session(
         &self,
         handle: Arc<SessionHandle>,
+        store: Arc<TrialStore>,
         cell: CellSpec,
         opts: CampaignOptions,
     ) -> JoinHandle<()> {
-        let backend = self.backend.clone();
-        let store_opts = self.store_opts.clone();
         let catalog = self.catalog.clone();
         let tracer = self.tracer.clone();
-        // Writer tags are embedded in segment names: [A-Za-z0-9_] only.
-        let writer = format!("svc{}", self.writer_seq.fetch_add(1, Ordering::SeqCst));
         std::thread::spawn(move || {
             let run = || -> std::io::Result<()> {
-                let store = TrialStore::open_shared(backend, &writer, store_opts)?;
                 let mut driver = SessionDriver::new(&catalog, &opts, cell).with_store(&store);
                 if let Some(t) = &tracer {
-                    store.set_tracer(t.clone());
                     driver = driver.with_tracer(t.clone());
                 }
                 let mut executor = RemoteExecutor { handle: handle.clone() };
@@ -456,12 +479,12 @@ impl SessionRegistry {
     }
 
     /// `session_status`: phase from the live table when present,
-    /// otherwise the store; trial count and best score always from a
-    /// fresh store read.
+    /// otherwise the store; trial count and best score always from the
+    /// store's index.
     pub fn status(&self, label: &str) -> Result<SessionStatusReply, WireError> {
-        let reader = self.reader()?;
+        let store = self.store()?;
         let live = lock_recover(&self.sessions).get(label).cloned();
-        let meta = reader.session_meta(label);
+        let meta = store.session_meta(label);
         if live.is_none() && meta.is_none() {
             return Err(WireError::new(
                 wire::code::UNKNOWN_SESSION,
@@ -477,7 +500,7 @@ impl SessionRegistry {
                 _ => ("running".to_string(), None),
             },
         };
-        let trials = reader.trials_for(label);
+        let trials = store.trials_for(label);
         let best_score = trials
             .iter()
             .filter(|t| t.iteration >= 1)
@@ -489,18 +512,17 @@ impl SessionRegistry {
     /// `warm_start_query`: the optimizer-space warm points recorded in
     /// the session's store metadata.
     pub fn warm_points(&self, label: &str) -> Result<Vec<Vec<f64>>, WireError> {
-        let reader = self.reader()?;
-        Ok(reader.session_meta(label).map(|m| m.warm_points).unwrap_or_default())
+        Ok(self.store()?.session_meta(label).map(|m| m.warm_points).unwrap_or_default())
     }
 
-    /// `export_history`: the session's trials through the store's
-    /// canonical export path (dedup, iteration order) as JSONL — the
-    /// byte-identity surface of the acceptance contract.
+    /// `export_history`: the session's trials (dedup, iteration order)
+    /// projected onto the event schema the store's canonical export
+    /// uses, as JSONL — the byte-identity surface of the acceptance
+    /// contract.
     pub fn export(&self, label: &str) -> Result<String, WireError> {
-        let reader = self.reader()?;
-        let events: Vec<_> =
-            reader.export_events().into_iter().filter(|e| e.session == label).collect();
-        if events.is_empty() && reader.session_meta(label).is_none() {
+        let store = self.store()?;
+        let events: Vec<_> = store.trials_for(label).iter().map(StoredTrial::to_event).collect();
+        if events.is_empty() && store.session_meta(label).is_none() {
             return Err(WireError::new(
                 wire::code::UNKNOWN_SESSION,
                 format!("session {label:?} has no stored history"),

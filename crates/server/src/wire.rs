@@ -44,6 +44,20 @@ use std::io::{Read, Write};
 /// protocol violation, not a workload.
 pub const MAX_FRAME: usize = 4 * 1024 * 1024;
 
+/// The largest sizes a `create_session` may ask for. Each one sizes an
+/// allocation on the session thread (the initial design alone is
+/// `n_init × dimensions` floats), and an allocation that fails aborts
+/// the daemon with every other session in it — no `catch_unwind` sees a
+/// SIGABRT. Set far above use, not at it: the paper runs 100
+/// iterations, the repo benchmark 300 at batch 4, in 16 dimensions.
+pub const MAX_ITERATIONS: u64 = 100_000;
+/// See [`MAX_ITERATIONS`].
+pub const MAX_N_INIT: u64 = 100_000;
+/// See [`MAX_ITERATIONS`].
+pub const MAX_BATCH_SIZE: u64 = 1_024;
+/// See [`MAX_ITERATIONS`].
+pub const MAX_TARGET_DIM: u64 = 1_024;
+
 /// How reading a frame can fail.
 #[derive(Debug)]
 pub enum FrameError {
@@ -306,18 +320,29 @@ fn write_adapter(out: &mut String, adapter: &AdapterKind) {
     }
 }
 
+/// A size a client sent, refused when outside `min..=max`.
+fn bounded(v: &JsonValue, key: &str, min: u64, max: u64) -> Result<usize, String> {
+    match v.u64(key)? {
+        n if (min..=max).contains(&n) => Ok(n as usize),
+        n => Err(format!("{key:?} must be in {min}..={max}, got {n}")),
+    }
+}
+
 fn decode_adapter(v: &JsonValue) -> Result<AdapterKind, String> {
     match v.str("kind")? {
         "identity" => Ok(AdapterKind::Identity),
         "llamatune" => Ok(AdapterKind::LlamaTune(LlamaTuneConfig {
-            target_dim: v.u64("target_dim")? as usize,
+            target_dim: bounded(v, "target_dim", 1, MAX_TARGET_DIM)?,
             projection: match v.str("projection")? {
                 "hesbo" => ProjectionKind::Hesbo,
                 "rembo" => ProjectionKind::Rembo,
                 other => return Err(format!("unknown projection {other:?}")),
             },
             special_value_bias: v.opt_f64("special_value_bias")?,
-            bucket_count: v.opt_u64("bucket_count")?,
+            bucket_count: match v.opt_u64("bucket_count")? {
+                Some(k) if k < 2 => return Err(format!("\"bucket_count\" must be >= 2, got {k}")),
+                k => k,
+            },
         })),
         other => Err(format!("unknown kind {other:?}")),
     }
@@ -347,12 +372,9 @@ impl CreateSession {
                 adapter: decode_adapter(adapter).map_err(|e| format!("adapter: {e}"))?,
                 optimizer: params.str("optimizer")?.to_string(),
                 seed: params.u64("seed")?,
-                iterations: params.u64("iterations")? as usize,
-                n_init: params.u64("n_init")? as usize,
-                batch_size: match params.u64("batch_size")? {
-                    0 => return Err("batch_size must be >= 1".to_string()),
-                    q => q as usize,
-                },
+                iterations: bounded(params, "iterations", 0, MAX_ITERATIONS)?,
+                n_init: bounded(params, "n_init", 0, MAX_N_INIT)?,
+                batch_size: bounded(params, "batch_size", 1, MAX_BATCH_SIZE)?,
             })
         };
         decode().map_err(WireError::bad_params)
@@ -722,6 +744,38 @@ mod tests {
                 adapter.identity_tag(req.seed),
                 "adapter identity must survive the wire"
             );
+        }
+    }
+
+    #[test]
+    fn create_session_sizes_are_accepted_up_to_their_bounds_and_no_further() {
+        let at_the_bounds = CreateSession {
+            workload: "ycsb_a".into(),
+            adapter: AdapterKind::LlamaTune(LlamaTuneConfig {
+                target_dim: MAX_TARGET_DIM as usize,
+                bucket_count: Some(2),
+                ..LlamaTuneConfig::default()
+            }),
+            optimizer: "smac".into(),
+            seed: 1,
+            iterations: MAX_ITERATIONS as usize,
+            n_init: MAX_N_INIT as usize,
+            batch_size: MAX_BATCH_SIZE as usize,
+        };
+        let decode =
+            |req: &CreateSession| CreateSession::decode(&json::parse(&req.encode()).unwrap());
+        assert!(decode(&at_the_bounds).is_ok());
+        assert!(
+            decode(&CreateSession { iterations: 0, n_init: 0, ..at_the_bounds.clone() }).is_ok()
+        );
+        for (field, past) in [
+            ("iterations", CreateSession { iterations: 100_001, ..at_the_bounds.clone() }),
+            ("n_init", CreateSession { n_init: 100_001, ..at_the_bounds.clone() }),
+            ("batch_size", CreateSession { batch_size: 1_025, ..at_the_bounds.clone() }),
+        ] {
+            let err = decode(&past).unwrap_err();
+            assert_eq!(err.code, code::BAD_PARAMS);
+            assert!(err.message.contains(field), "{err}");
         }
     }
 

@@ -158,6 +158,59 @@ fn unknown_method_and_bad_params_are_structured() {
     join.join().unwrap();
 }
 
+/// Every size a `create_session` carries is bounded where it is decoded:
+/// an absurd one is a `bad_params` naming the field, on a connection —
+/// and a daemon — that lives on. Unbounded, the first case below reached
+/// the initial design's `vec![vec![0.0; dims]; n_init]` on the session
+/// thread and the allocation failure aborted the whole process.
+#[test]
+fn oversized_create_session_fields_are_refused_and_the_connection_survives() {
+    let (handle, join, addr) = start_daemon();
+    let mut stream = connect(&addr);
+
+    let create = |sizes: &str, adapter: &str| {
+        format!(
+            "{{\"id\":1,\"method\":\"create_session\",\"params\":{{\"workload\":\"ycsb_b\",\
+             \"adapter\":{adapter},\"optimizer\":\"random\",\"seed\":1,{sizes}}}}}"
+        )
+    };
+    let identity = "{\"kind\":\"identity\"}";
+    let llamatune = |target_dim: u64, bucket_count: &str| {
+        format!(
+            "{{\"kind\":\"llamatune\",\"target_dim\":{target_dim},\"projection\":\"hesbo\",\
+             \"special_value_bias\":0.2,\"bucket_count\":{bucket_count}}}"
+        )
+    };
+    let sane = "\"iterations\":4,\"n_init\":2,\"batch_size\":1";
+    let cases = [
+        (
+            "iterations",
+            create(
+                "\"iterations\":1000000000000,\"n_init\":1000000000000,\"batch_size\":1",
+                identity,
+            ),
+        ),
+        ("n_init", create("\"iterations\":4,\"n_init\":100001,\"batch_size\":1", identity)),
+        ("batch_size", create("\"iterations\":4,\"n_init\":2,\"batch_size\":1025", identity)),
+        ("batch_size", create("\"iterations\":4,\"n_init\":2,\"batch_size\":0", identity)),
+        ("target_dim", create(sane, &llamatune(wire::MAX_TARGET_DIM + 1, "null"))),
+        ("target_dim", create(sane, &llamatune(0, "null"))),
+        ("bucket_count", create(sane, &llamatune(16, "1"))),
+    ];
+    for (field, body) in cases {
+        let resp = roundtrip(&mut stream, &body);
+        expect_err(&resp, wire::code::BAD_PARAMS);
+        let message = &resp.result.as_ref().unwrap_err().message;
+        assert!(message.contains(field), "the error names {field}: {message}");
+
+        let resp = roundtrip(&mut stream, "{\"id\":2,\"method\":\"ping\",\"params\":{}}");
+        assert!(resp.result.is_ok(), "the same connection answers after a refused {field}");
+    }
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn unknown_session_queries_fail_structured() {
     let (handle, join, addr) = start_daemon();

@@ -81,8 +81,8 @@ pub fn revision_of(bytes: &[u8]) -> Revision {
 }
 
 /// A conditional manifest put lost the race: another writer committed
-/// first. Carries the winning manifest so the loser can merge and retry
-/// without an extra read.
+/// first. Carries the winning manifest, which is what the store's commit
+/// loop rebases on — a retry costs no extra read.
 #[derive(Debug, Clone)]
 pub struct CasConflict {
     /// The manifest bytes currently installed (`None`: deleted/absent).
@@ -134,9 +134,6 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 ///   consistency by name — true of S3 since 2020 and of filesystems
 ///   always).
 pub trait StoreBackend: Send + Sync + std::fmt::Debug {
-    /// Short backend label, for diagnostics and bench output.
-    fn kind(&self) -> &'static str;
-
     /// Reads a whole object; `None` if it does not exist.
     fn get(&self, name: &str) -> io::Result<Option<Vec<u8>>>;
 
@@ -160,12 +157,6 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
 
     /// Deletes an object; deleting a missing object is not an error.
     fn delete(&self, name: &str) -> io::Result<()>;
-
-    /// Atomically renames an object. Local directories support this
-    /// (and build their manifest commit on it); object stores return
-    /// [`io::ErrorKind::Unsupported`] — they commit through
-    /// [`commit_manifest`](StoreBackend::commit_manifest) instead.
-    fn rename(&self, from: &str, to: &str) -> io::Result<()>;
 
     /// Current manifest bytes and revision (`(None, 0)` when absent).
     fn read_manifest(&self) -> io::Result<(Option<Vec<u8>>, Revision)>;
@@ -195,7 +186,7 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
 /// syscall per record, exactly as the pre-trait store did.
 pub struct LocalDirBackend {
     dir: PathBuf,
-    /// Cached append handles, invalidated by put/truncate/delete/rename.
+    /// Cached append handles, invalidated by put/truncate/delete.
     handles: Mutex<HashMap<String, File>>,
     /// Serializes read-check-rename manifest commits (in-process CAS).
     commit_lock: Mutex<()>,
@@ -230,10 +221,6 @@ impl LocalDirBackend {
 }
 
 impl StoreBackend for LocalDirBackend {
-    fn kind(&self) -> &'static str {
-        "local"
-    }
-
     fn get(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
         match std::fs::read(self.dir.join(name)) {
             Ok(bytes) => Ok(Some(bytes)),
@@ -301,12 +288,6 @@ impl StoreBackend for LocalDirBackend {
         }
     }
 
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.drop_handle(from);
-        self.drop_handle(to);
-        std::fs::rename(self.dir.join(from), self.dir.join(to))
-    }
-
     fn read_manifest(&self) -> io::Result<(Option<Vec<u8>>, Revision)> {
         match self.get(MANIFEST_NAME)? {
             Some(bytes) => {
@@ -331,13 +312,13 @@ impl StoreBackend for LocalDirBackend {
         if revision != expected {
             return Ok(Err(CasConflict { current, revision }));
         }
-        let tmp = format!("{MANIFEST_NAME}.tmp");
+        let tmp = self.dir.join(format!("{MANIFEST_NAME}.tmp"));
         {
-            let mut f = File::create(self.dir.join(&tmp))?;
+            let mut f = File::create(&tmp)?;
             f.write_all(data)?;
             f.sync_data()?;
         }
-        self.rename(&tmp, MANIFEST_NAME)?;
+        std::fs::rename(tmp, self.dir.join(MANIFEST_NAME))?;
         Ok(Ok(revision_of(data)))
     }
 }
@@ -405,10 +386,6 @@ impl ObjectStoreBackend {
 }
 
 impl StoreBackend for ObjectStoreBackend {
-    fn kind(&self) -> &'static str {
-        "object"
-    }
-
     fn get(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
         Ok(lock_recover(&self.state).objects.get(name).cloned())
     }
@@ -463,13 +440,6 @@ impl StoreBackend for ObjectStoreBackend {
         Ok(())
     }
 
-    fn rename(&self, _from: &str, _to: &str) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "object stores have no rename; commit through commit_manifest",
-        ))
-    }
-
     fn read_manifest(&self) -> io::Result<(Option<Vec<u8>>, Revision)> {
         let state = lock_recover(&self.state);
         match state.objects.get(MANIFEST_NAME) {
@@ -521,7 +491,7 @@ mod tests {
     #[test]
     fn put_get_append_truncate_roundtrip_on_both_backends() {
         for be in backends("roundtrip") {
-            assert_eq!(be.get("a").unwrap(), None, "{}", be.kind());
+            assert_eq!(be.get("a").unwrap(), None, "{be:?}");
             be.put("a", b"hello").unwrap();
             assert_eq!(be.get("a").unwrap().unwrap(), b"hello");
             be.append("a", b" world").unwrap();
@@ -548,7 +518,7 @@ mod tests {
     fn manifest_cas_detects_racing_commits() {
         for be in backends("cas") {
             let (bytes, rev) = be.read_manifest().unwrap();
-            assert_eq!((bytes, rev), (None, 0), "{}", be.kind());
+            assert_eq!((bytes, rev), (None, 0), "{be:?}");
             let r1 = be.commit_manifest(b"v1\n", 0).unwrap().expect("first commit wins");
             assert_ne!(r1, 0);
             // A commit against a stale revision loses and sees the winner.
@@ -561,20 +531,6 @@ mod tests {
             assert_eq!(bytes.unwrap(), b"v2\n");
             assert_eq!(rev, r2);
         }
-    }
-
-    #[test]
-    fn local_rename_is_supported_and_object_rename_is_not() {
-        let local = LocalDirBackend::create(tmp_dir("rename")).unwrap();
-        local.put("x", b"1").unwrap();
-        local.rename("x", "y").unwrap();
-        assert_eq!(local.get("x").unwrap(), None);
-        assert_eq!(local.get("y").unwrap().unwrap(), b"1");
-
-        let object = ObjectStoreBackend::default();
-        object.put("x", b"1").unwrap();
-        let err = object.rename("x", "y").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
     }
 
     #[test]

@@ -114,10 +114,6 @@ impl FailingBackend {
 }
 
 impl StoreBackend for FailingBackend {
-    fn kind(&self) -> &'static str {
-        self.inner.kind()
-    }
-
     fn get(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
         self.inner.get(name)
     }
@@ -184,13 +180,6 @@ impl StoreBackend for FailingBackend {
             return Err(killed());
         }
         self.inner.delete(name)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        if lock_recover(&self.state).dead {
-            return Err(killed());
-        }
-        self.inner.rename(from, to)
     }
 
     fn read_manifest(&self) -> io::Result<(Option<Vec<u8>>, Revision)> {

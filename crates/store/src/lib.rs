@@ -9,7 +9,8 @@
 //!   session records: JSONL segments sealed through an atomically
 //!   committed manifest, torn-write recovery on the active segment, and
 //!   an in-memory index keyed by session label and iteration (see
-//!   [`store`] for the format). Records are a superset of the
+//!   [`segment`] for the format and recovery, [`manifest`] for the
+//!   commit protocol). Records are a superset of the
 //!   core crate's `TrialEvent` schema, so a store exports the exact
 //!   campaign transcript the sequential tooling already reads.
 //! * **Pluggable backends** ([`backend`]) — the store reads and writes
@@ -19,7 +20,7 @@
 //!   emulates S3-style object storage (no rename; manifest committed
 //!   by conditional put). Fleet mode ([`TrialStore::open_shared`])
 //!   lets N tuning workers append into one store through per-writer
-//!   active segments and a manifest CAS retry loop, with
+//!   active segments and the manifest's one CAS retry loop, with
 //!   [`TrialStore::open_reader`] serving the merged view. [`faults`]
 //!   injects deterministic kill-at-byte failures at this seam for the
 //!   CI crash suites.
@@ -40,7 +41,11 @@
 
 pub mod backend;
 pub mod faults;
+// `manifest` and `segment` export nothing; they are public for their
+// module docs, which hold the commit protocol and the on-disk format.
+pub mod manifest;
 pub mod record;
+pub mod segment;
 pub mod store;
 pub mod transfer;
 

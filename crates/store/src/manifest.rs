@@ -1,0 +1,483 @@
+//! The `MANIFEST`, segment names, and the store's one commit protocol.
+//!
+//! ## The commit point
+//!
+//! ```text
+//! MANIFEST            # header + sealed segment names (+ "active" lines
+//!                     # for fleet writers — see below)
+//! ```
+//!
+//! The manifest is the only authority on which segments make up the
+//! store (see [`crate::segment`] for what is inside them). Installing a
+//! new manifest revision is the commit point of every structural change
+//! — sealing a segment, compacting, registering a writer — by atomic
+//! rename on local directories, by conditional put (CAS) on object
+//! stores (see [`crate::backend`] for the two protocols). A crash
+//! leaves either the old manifest or the new one; no state in between.
+//! Whatever a change needs on the backend (a synced segment, compacted
+//! objects, a fresh empty active segment) is written *before* the
+//! commit, under names no committed manifest refers to yet, so a crash
+//! or a lost race leaves only inert objects behind.
+//!
+//! ## One loop
+//!
+//! Every such change runs through `with_manifest`: read the current
+//! manifest, let the caller's `step` decide, commit. The three outcomes
+//! of one round are spelled out on that function; the short of it is
+//! that a writer that loses a race re-decides on top of the winner's
+//! manifest, so concurrent rotations and compactions never drop a
+//! committed segment, and that a livelocked race ends in a clean
+//! `TimedOut` after [`BackoffPolicy::STORE_CAS`]'s budget.
+//!
+//! ## Fleet mode (multi-writer)
+//!
+//! [`TrialStore::open_shared`] registers a named writer on the store: a
+//! writer owns a private active segment (`seg-<writer>-NNNNNN.jsonl`),
+//! listed in the manifest as an `active` entry so every other writer —
+//! and [`TrialStore::open_reader`] — can see its uncommitted records.
+//! Live writers never share a session (the campaign layer leases
+//! sessions through [`SessionMeta::lease`]), and a takeover after a
+//! kill re-runs deterministically, so cross-writer duplicate records
+//! are always content-identical and last-wins merge order does not
+//! matter. Single-writer stores are unchanged on disk: their manifests
+//! carry no `active` entries and their segment names no writer tag.
+//! Instead of rebasing, the single writer *pins* the revision it last
+//! saw: a manifest that moved under it means a second writer is live,
+//! which is an error, found before anything is written.
+//!
+//! [`TrialStore::open_shared`]: crate::TrialStore::open_shared
+//! [`TrialStore::open_reader`]: crate::TrialStore::open_reader
+//! [`SessionMeta::lease`]: crate::record::SessionMeta::lease
+
+use crate::backend::{Revision, StoreBackend};
+use llamatune::backoff::{Backoff, BackoffPolicy};
+use std::io;
+
+pub(crate) const MANIFEST_HEADER: &str = "llamatune-store v1";
+
+pub(crate) fn corrupt(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Segment object name: `seg-NNNNNN.jsonl` for single-writer stores,
+/// `seg-<writer>-NNNNNN.jsonl` in a fleet writer's private namespace
+/// (private namespaces make concurrent index allocation collision-free
+/// by construction).
+pub(crate) fn segment_name(writer: Option<&str>, index: usize) -> String {
+    match writer {
+        Some(w) => format!("seg-{w}-{index:06}.jsonl"),
+        None => format!("seg-{index:06}.jsonl"),
+    }
+}
+
+/// Splits a segment name into its optional writer tag and index.
+fn segment_parts(name: &str) -> Option<(Option<&str>, usize)> {
+    let core = name.strip_prefix("seg-")?.strip_suffix(".jsonl")?;
+    match core.rsplit_once('-') {
+        Some((writer, index)) => Some((Some(writer), index.parse().ok()?)),
+        None => Some((None, core.parse().ok()?)),
+    }
+}
+
+/// Inverse of [`segment_name`]: the numeric index of a segment file.
+pub(crate) fn segment_index(name: &str) -> Option<usize> {
+    segment_parts(name).map(|(_, index)| index)
+}
+
+/// The writer tag embedded in a fleet segment name, if any.
+pub(crate) fn segment_writer(name: &str) -> Option<&str> {
+    segment_parts(name).and_then(|(writer, _)| writer)
+}
+
+/// The parsed `MANIFEST`: sealed segments in commit order, then the
+/// registered active segments of fleet writers (empty for single-writer
+/// stores, whose active segment is derived, not listed).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Manifest {
+    pub(crate) sealed: Vec<String>,
+    pub(crate) actives: Vec<String>,
+}
+
+impl Manifest {
+    fn parse(bytes: &[u8]) -> io::Result<Manifest> {
+        let text = std::str::from_utf8(bytes).map_err(|_| corrupt("manifest is not UTF-8"))?;
+        let mut lines = text.lines();
+        match lines.next() {
+            Some(MANIFEST_HEADER) => {}
+            other => return Err(corrupt(format!("bad manifest header {other:?}"))),
+        }
+        let mut m = Manifest::default();
+        for line in lines {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let (list, name) = match line.strip_prefix("active ") {
+                Some(name) => (&mut m.actives, name),
+                None => (&mut m.sealed, line),
+            };
+            if segment_index(name).is_none() {
+                return Err(corrupt(format!("unparsable segment name {name:?} in manifest")));
+            }
+            list.push(name.to_string());
+        }
+        Ok(m)
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut text = String::from(MANIFEST_HEADER);
+        text.push('\n');
+        for name in &self.sealed {
+            text.push_str(name);
+            text.push('\n');
+        }
+        for name in &self.actives {
+            text.push_str("active ");
+            text.push_str(name);
+            text.push('\n');
+        }
+        text.into_bytes()
+    }
+
+    /// Highest segment index across every listed segment, any writer.
+    pub(crate) fn max_index(&self) -> usize {
+        self.sealed.iter().chain(&self.actives).filter_map(|n| segment_index(n)).max().unwrap_or(0)
+    }
+
+    /// The implicit active segment of a single-writer store: unlisted,
+    /// it follows the highest sealed index (indices are monotonic but,
+    /// after compaction, not necessarily dense). `None` once fleet
+    /// writers have registered theirs.
+    pub(crate) fn derived_active(&self) -> Option<String> {
+        self.actives.is_empty().then(|| segment_name(None, self.max_index() + 1))
+    }
+}
+
+/// Starts the store's CAS-loop backoff schedule, seeded from whatever
+/// identifies the contender (the writer tag) so contending writers
+/// draw decorrelated delays.
+fn cas_backoff(tag: &str) -> Backoff {
+    let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in tag.bytes() {
+        seed ^= u64::from(b);
+        seed = seed.wrapping_mul(0x1_0000_0000_01b3);
+    }
+    Backoff::new(BackoffPolicy::STORE_CAS, seed)
+}
+
+/// Sleeps out one step of a CAS backoff schedule (ticks are
+/// microseconds here), or errors once the retry budget is exhausted —
+/// a livelocked manifest race becomes a clean error instead of a spin.
+fn cas_retry(backoff: &mut Backoff, what: &str) -> io::Result<()> {
+    // Contention is scheduling-dependent, so retries are a process-wide
+    // metric, never a trace span (traces stay deterministic).
+    llamatune_obs::global().incr("store.cas_retries", 1);
+    match backoff.next() {
+        Some(us) => {
+            if us > 0 {
+                std::thread::sleep(std::time::Duration::from_micros(us));
+            }
+            Ok(())
+        }
+        None => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!(
+                "manifest CAS contention: {what} lost {} consecutive races",
+                backoff.attempts()
+            ),
+        )),
+    }
+}
+
+/// On whose behalf [`with_manifest`] runs, which is what it may do.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Access<'a> {
+    /// A read-only handle. It never writes, so an absent manifest stays
+    /// absent and reads as an empty store.
+    Reader,
+    /// The single writer, with the revision it last read or committed
+    /// (`None` while it is still opening). That revision is a *pin*: a
+    /// manifest that has moved off it means another writer is live.
+    Single(Option<Revision>),
+    /// The fleet writer with this tag, which rebases onto whatever the
+    /// manifest has become.
+    Fleet(&'a str),
+}
+
+/// What one `step` of [`with_manifest`] decided.
+pub(crate) enum Step<T> {
+    /// The manifest stays as it is.
+    Keep(T),
+    /// Commit `manifest`. `created` names the objects this attempt
+    /// wrote for it; they are deleted if the commit loses its race.
+    Install { manifest: Manifest, created: Vec<String>, out: T },
+}
+
+/// How [`with_manifest`] ended: the step's answer, and the manifest now
+/// in force with its revision.
+pub(crate) struct Settled<T> {
+    pub(crate) out: T,
+    pub(crate) manifest: Manifest,
+    pub(crate) revision: Revision,
+}
+
+/// The store's one read–decide–commit loop. Reads the current manifest
+/// (committing an empty one first iff the store is brand new and
+/// `access` may write), runs `step` on it, and commits what `step`
+/// asks for. One round ends in one of three ways:
+///
+/// * **settled** — `step` kept the manifest, or its [`Step::Install`]
+///   won the CAS: the loop returns.
+/// * **lost the race** — another writer committed first. The attempt's
+///   `created` objects are deleted (unlisted objects would otherwise
+///   leak forever on a real object store), the [`BackoffPolicy::STORE_CAS`]
+///   schedule is slept, and `step` runs again on the winner's manifest,
+///   which the conflict carries. Losing never drops anyone's segment:
+///   `step` re-decides from the winner's list.
+/// * **the view went stale** — `step` failed with `NotFound`: a
+///   concurrent compaction deleted a segment this manifest names.
+///   `step` runs again if the manifest has moved since; if it has not,
+///   the segment is genuinely gone and the error is returned as it is.
+///
+/// Any other error of `step` or the backend is returned at once. For
+/// [`Access::Single`] with a pin, a manifest that is not at the pinned
+/// revision is the "another writer is live" error, never a rebase: it
+/// is checked when the manifest is read, before `step` has written
+/// anything, and a commit that conflicts all the same ends the same way
+/// (leaving `created` alone — the other writer may be using the name).
+pub(crate) fn with_manifest<T>(
+    backend: &dyn StoreBackend,
+    access: Access<'_>,
+    what: &str,
+    mut step: impl FnMut(&Manifest) -> io::Result<Step<T>>,
+) -> io::Result<Settled<T>> {
+    let (tag, pinned) = match access {
+        Access::Reader => ("reader", None),
+        Access::Single(pinned) => ("single", pinned),
+        Access::Fleet(tag) => (tag, None),
+    };
+    let live_writer =
+        || io::Error::other("manifest changed under a single-writer store: another writer is live");
+    let mut backoff = cas_backoff(tag);
+    let mut view = backend.read_manifest()?;
+    loop {
+        let (bytes, mut revision) = view;
+        if pinned.is_some_and(|pin| pin != revision) {
+            return Err(live_writer());
+        }
+        let manifest = match bytes {
+            Some(bytes) => Manifest::parse(&bytes)?,
+            None if matches!(access, Access::Reader) => Manifest::default(),
+            None => match backend.commit_manifest(&Manifest::default().to_bytes(), 0)? {
+                Ok(created) => {
+                    revision = created;
+                    Manifest::default()
+                }
+                // CAS-raced creators simply take the winner's.
+                Err(lost) => {
+                    view = (lost.current, lost.revision);
+                    cas_retry(&mut backoff, what)?;
+                    continue;
+                }
+            },
+        };
+        view = match step(&manifest) {
+            Ok(Step::Keep(out)) => return Ok(Settled { out, manifest, revision }),
+            Ok(Step::Install { manifest, created, out }) => {
+                match backend.commit_manifest(&manifest.to_bytes(), revision)? {
+                    Ok(revision) => return Ok(Settled { out, manifest, revision }),
+                    Err(_) if pinned.is_some() => return Err(live_writer()),
+                    Err(lost) => {
+                        for name in &created {
+                            let _ = backend.delete(name);
+                        }
+                        (lost.current, lost.revision)
+                    }
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let now = backend.read_manifest()?;
+                if now.1 == revision {
+                    return Err(e);
+                }
+                now
+            }
+            Err(e) => return Err(e),
+        };
+        cas_retry(&mut backoff, what)?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{CasConflict, ObjectStoreBackend, ObjectStoreOptions};
+    use crate::record::StoredTrial;
+    use crate::store::{StoreOptions, TrialStore};
+    use std::sync::{Arc, Mutex};
+
+    /// An object store that logs what is done to it and can stage a
+    /// rival: the next commit finds the rival's manifest committed just
+    /// ahead of it, and so loses a real CAS.
+    #[derive(Debug)]
+    struct Probe {
+        inner: ObjectStoreBackend,
+        rival: Mutex<Option<Manifest>>,
+        log: Mutex<Vec<String>>,
+    }
+
+    impl Probe {
+        fn new() -> Arc<Probe> {
+            Arc::new(Probe {
+                inner: ObjectStoreBackend::new(ObjectStoreOptions { eventual_list: false }),
+                rival: Mutex::new(None),
+                log: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn note(&self, op: &str, name: &str) {
+            self.log.lock().unwrap().push(format!("{op} {name}"));
+        }
+    }
+
+    impl StoreBackend for Probe {
+        fn get(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            self.inner.get(name)
+        }
+        fn put(&self, name: &str, data: &[u8]) -> io::Result<()> {
+            self.note("put", name);
+            self.inner.put(name, data)
+        }
+        fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
+            self.note("append", name);
+            self.inner.append(name, data)
+        }
+        fn sync(&self, name: &str) -> io::Result<()> {
+            self.note("sync", name);
+            self.inner.sync(name)
+        }
+        fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+            self.note("truncate", name);
+            self.inner.truncate(name, len)
+        }
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn delete(&self, name: &str) -> io::Result<()> {
+            self.note("delete", name);
+            self.inner.delete(name)
+        }
+        fn read_manifest(&self) -> io::Result<(Option<Vec<u8>>, Revision)> {
+            self.note("read", "MANIFEST");
+            self.inner.read_manifest()
+        }
+        fn commit_manifest(
+            &self,
+            data: &[u8],
+            expected: Revision,
+        ) -> io::Result<Result<Revision, CasConflict>> {
+            self.note("commit", "MANIFEST");
+            if let Some(rival) = self.rival.lock().unwrap().take() {
+                self.inner.commit_manifest(&rival.to_bytes(), expected)?.expect("the rival wins");
+            }
+            self.inner.commit_manifest(data, expected)
+        }
+    }
+
+    fn trial(iteration: usize) -> StoredTrial {
+        StoredTrial {
+            session: "s".to_string(),
+            iteration,
+            raw_score: Some(1.0),
+            score: 1.0,
+            point: vec![0.5],
+            config: vec![llamatune_space::KnobValue::Int(iteration as i64)],
+            metrics: vec![1.0],
+            status: llamatune::session::TrialStatus::Ok,
+            attempts: 1,
+        }
+    }
+
+    #[test]
+    fn a_lost_race_reruns_the_step_on_the_winners_manifest_and_drops_what_it_created() {
+        let be = Probe::new();
+        be.inner.commit_manifest(&Manifest::default().to_bytes(), 0).unwrap().unwrap();
+        let rival = Manifest { sealed: Vec::new(), actives: vec![segment_name(Some("rival"), 1)] };
+        *be.rival.lock().unwrap() = Some(rival.clone());
+
+        let mut seen = Vec::new();
+        let settled = with_manifest(&*be, Access::Fleet("me"), "test", |m| {
+            seen.push(m.clone());
+            let mut next = m.clone();
+            let name = segment_name(Some("me"), m.max_index() + 1);
+            be.put(&name, b"")?;
+            next.actives.push(name.clone());
+            Ok(Step::Install { manifest: next, created: vec![name.clone()], out: name })
+        })
+        .unwrap();
+
+        assert_eq!(seen, vec![Manifest::default(), rival.clone()], "one rerun, on the winner's");
+        assert_eq!(settled.out, "seg-me-000002.jsonl");
+        assert_eq!(settled.manifest.actives, [rival.actives[0].as_str(), "seg-me-000002.jsonl"]);
+        assert_eq!(be.read_manifest().unwrap().1, settled.revision);
+        assert_eq!(be.get("seg-me-000001.jsonl").unwrap(), None, "the losing attempt's object");
+        assert!(be.get("seg-me-000002.jsonl").unwrap().is_some());
+    }
+
+    #[test]
+    fn a_stale_single_writer_handle_fails_its_seal_before_writing_anything() {
+        let be = Probe::new();
+        let opts = StoreOptions { segment_records: 2 };
+        let a = TrialStore::open_backend(be.clone(), opts.clone()).unwrap();
+        let b = TrialStore::open_backend(be.clone(), opts).unwrap();
+        // A seals its first segment and acknowledges a third record into
+        // the next one.
+        for i in 0..3 {
+            a.append_trial(&trial(i)).unwrap();
+        }
+        let third = be.get("seg-000002.jsonl").unwrap().unwrap();
+        assert!(!third.is_empty());
+
+        // B still believes in the manifest it opened on. Its seal would
+        // start by emptying `seg-000002.jsonl`.
+        b.append_trial(&trial(0)).unwrap();
+        let mark = be.log.lock().unwrap().len();
+        let err = b.append_trial(&trial(1)).unwrap_err();
+        assert!(err.to_string().contains("another writer is live"), "{err}");
+        assert_eq!(
+            be.log.lock().unwrap()[mark..],
+            ["append seg-000001.jsonl", "sync seg-000001.jsonl", "read MANIFEST"],
+            "the record itself, then a seal that reads once and gives up: no put, no retry"
+        );
+        assert_eq!(be.get("seg-000002.jsonl").unwrap().unwrap(), third, "A's record survives");
+    }
+
+    #[test]
+    fn a_reader_writes_nothing_so_an_absent_manifest_stays_absent() {
+        let be = Probe::new();
+        let reader = TrialStore::open_reader(be.clone(), StoreOptions::default()).unwrap();
+        reader.refresh().unwrap();
+        assert!(reader.is_empty());
+        assert!(be.list().unwrap().is_empty());
+        assert!(be.log.lock().unwrap().iter().all(|op| op == "read MANIFEST"));
+    }
+
+    #[test]
+    fn a_manifest_line_that_is_no_segment_name_is_invalid_data_in_every_open_mode() {
+        for line in ["not-a-segment", "active seg-w0-oops.jsonl"] {
+            let be = Probe::new();
+            let bytes = format!("{MANIFEST_HEADER}\n{line}\n");
+            be.inner.commit_manifest(bytes.as_bytes(), 0).unwrap().unwrap();
+            let opens: [(&str, io::Result<TrialStore>); 3] = [
+                ("single", TrialStore::open_backend(be.clone(), StoreOptions::default())),
+                ("shared", TrialStore::open_shared(be.clone(), "w1", StoreOptions::default())),
+                ("reader", TrialStore::open_reader(be.clone(), StoreOptions::default())),
+            ];
+            for (mode, opened) in opens {
+                let err = opened.expect_err(mode);
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{mode} on {line:?}: {err}");
+            }
+            assert_eq!(be.read_manifest().unwrap().0.unwrap(), bytes.as_bytes(), "left as found");
+        }
+    }
+}

@@ -1,108 +1,25 @@
-//! The append-only, crash-safe trial store.
+//! [`TrialStore`]: the append-only, crash-safe trial store.
 //!
-//! ## Layout
-//!
-//! ```text
-//! MANIFEST            # header + sealed segment names (+ "active" lines
-//!                     # for fleet writers — see below)
-//! seg-000001.jsonl    # sealed: listed in MANIFEST, immutable, fully valid
-//! seg-000002.jsonl    # active: append-only, may be torn
-//! ```
-//!
-//! Objects live behind a [`StoreBackend`] — a local directory
-//! ([`crate::backend::LocalDirBackend`]) or S3-style object storage
-//! ([`crate::backend::ObjectStoreBackend`]); the store never touches
-//! the filesystem directly. Every segment line is one [`StoreRecord`]
-//! (see [`crate::record`]). Appends go to the *active* segment — one
-//! backend `append` per record. When the active segment reaches
-//! [`StoreOptions::segment_records`] records it is *sealed*: the
-//! segment is synced, then a new `MANIFEST` naming it is committed —
-//! by atomic rename on local directories, by conditional put (CAS) on
-//! object stores (see [`crate::backend`] for the two protocols). The
-//! manifest commit is the commit point — a crash during rotation leaves
-//! either the old manifest (segment still active, fully replayable) or
-//! the new one (segment sealed); no state in between.
-//!
-//! ## Recovery
-//!
-//! Opening a store replays the manifest's sealed segments *strictly*
-//! (they were synced before sealing, so any damage is real corruption
-//! and surfaces as an error) and active segments *leniently*: a final
-//! line that fails to parse is a torn append — it is dropped and the
-//! segment truncated back to the last good record — while an unparsable
-//! line with valid records after it means interleaved garbage and is
-//! rejected. Duplicate `(session, iteration)` trials are legal and
-//! resolve last-wins: a resumed session re-runs its partial trailing
-//! round, deterministically overwriting the records the crash left
-//! behind.
-//!
-//! ## Fleet mode (multi-writer)
-//!
-//! [`TrialStore::open_shared`] registers a named writer on the store: a
-//! writer owns a private active segment (`seg-<writer>-NNNNNN.jsonl`),
-//! listed in the manifest as an `active` entry so every other writer —
-//! and [`TrialStore::open_reader`] — can see its uncommitted records.
-//! Rotation and compaction commit through a manifest CAS retry loop: a
-//! writer that loses the race re-reads the winning manifest, merges its
-//! change, and retries, so concurrent rotations and compactions never
-//! drop a committed segment. Live writers never share a session (the
-//! campaign layer leases sessions through [`SessionMeta::lease`]), and
-//! a takeover after a kill re-runs deterministically, so cross-writer
-//! duplicate records are always content-identical and last-wins merge
-//! order does not matter. Single-writer stores are unchanged on disk:
-//! their manifests carry no `active` entries and their segment names no
-//! writer tag.
-//!
-//! [`SessionMeta::lease`]: crate::record::SessionMeta::lease
+//! The handle on top of the two layers that carry the format: the
+//! segment log ([`crate::segment`] — layout, strict and lenient reads,
+//! torn-tail recovery, the replay that builds the in-memory index) and
+//! the manifest ([`crate::manifest`] — the commit point, the one
+//! read–decide–commit loop, fleet mode). What is left here is what a
+//! handle *does* with them: the three ways to open one, append with its
+//! seal, compaction, and the queries and export over the index.
 
 use crate::backend::{lock_recover, LocalDirBackend, Revision, StoreBackend};
-use crate::record::{record_from_json, record_to_json, SessionMeta, StoreRecord, StoredTrial};
-use llamatune::backoff::{Backoff, BackoffPolicy};
+use crate::manifest::{
+    corrupt, segment_index, segment_name, segment_writer, with_manifest, Access, Manifest, Step,
+};
+use crate::record::{record_to_json, SessionMeta, StoreRecord, StoredTrial};
+use crate::segment::{load_segment_lenient, replay_manifest, Index};
 use llamatune::history_io::{events_to_jsonl, TrialEvent};
 use llamatune::session::PriorTrial;
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-const MANIFEST_HEADER: &str = "llamatune-store v1";
-
-/// Starts the store's CAS-loop backoff schedule, seeded from whatever
-/// identifies the contender (the writer tag) so contending writers
-/// draw decorrelated delays.
-fn cas_backoff(tag: &str) -> Backoff {
-    let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tag.bytes() {
-        seed ^= u64::from(b);
-        seed = seed.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    Backoff::new(BackoffPolicy::STORE_CAS, seed)
-}
-
-/// Sleeps out one step of a CAS backoff schedule (ticks are
-/// microseconds here), or errors once the retry budget is exhausted —
-/// a livelocked manifest race becomes a clean error instead of a spin.
-fn cas_retry(backoff: &mut Backoff, what: &str) -> io::Result<()> {
-    // Contention is scheduling-dependent, so retries are a process-wide
-    // metric, never a trace span (traces stay deterministic).
-    llamatune_obs::global().incr("store.cas_retries", 1);
-    match backoff.next() {
-        Some(us) => {
-            if us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(us));
-            }
-            Ok(())
-        }
-        None => Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!(
-                "manifest CAS contention: {what} lost {} consecutive races",
-                backoff.attempts()
-            ),
-        )),
-    }
-}
 
 /// The trace span summarising one compaction pass. Attributed to the
 /// synthetic `"store"` session: compaction runs from one thread at a
@@ -144,66 +61,6 @@ impl Default for StoreOptions {
 }
 
 #[derive(Debug, Default)]
-struct SessionEntry {
-    /// Trials by iteration, last record wins.
-    trials: BTreeMap<usize, StoredTrial>,
-    /// Latest metadata record.
-    meta: Option<SessionMeta>,
-}
-
-/// The parsed `MANIFEST`: sealed segments in commit order, then the
-/// registered active segments of fleet writers (empty for single-writer
-/// stores, whose active segment is derived, not listed).
-#[derive(Debug, Clone, Default)]
-struct Manifest {
-    sealed: Vec<String>,
-    actives: Vec<String>,
-}
-
-impl Manifest {
-    fn parse(bytes: &[u8]) -> io::Result<Manifest> {
-        let text = std::str::from_utf8(bytes).map_err(|_| corrupt("manifest is not UTF-8"))?;
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(MANIFEST_HEADER) => {}
-            other => return Err(corrupt(format!("bad manifest header {other:?}"))),
-        }
-        let mut m = Manifest::default();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match line.strip_prefix("active ") {
-                Some(name) => m.actives.push(name.to_string()),
-                None => m.sealed.push(line.to_string()),
-            }
-        }
-        Ok(m)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut text = String::from(MANIFEST_HEADER);
-        text.push('\n');
-        for name in &self.sealed {
-            text.push_str(name);
-            text.push('\n');
-        }
-        for name in &self.actives {
-            text.push_str("active ");
-            text.push_str(name);
-            text.push('\n');
-        }
-        text.into_bytes()
-    }
-
-    /// Highest segment index across every listed segment, any writer.
-    fn max_index(&self) -> usize {
-        self.sealed.iter().chain(&self.actives).filter_map(|n| segment_index(n)).max().unwrap_or(0)
-    }
-}
-
-#[derive(Debug)]
 struct Inner {
     /// Sealed segments, in manifest (commit) order — fleet-wide in
     /// shared mode.
@@ -212,16 +69,31 @@ struct Inner {
     foreign_active: Vec<String>,
     /// Our active segment (empty string in reader mode).
     active_name: String,
+    active_records: usize,
+    /// Manifest revision this handle last read or committed (`None`
+    /// until it has opened) — what a single-writer handle pins.
+    revision: Option<Revision>,
+    index: Index,
+}
+
+impl Inner {
     /// Numeric index of the active segment. Segment numbering is
     /// monotonically increasing but — after a [`TrialStore::compact`] —
-    /// not necessarily dense, so the index is tracked explicitly rather
-    /// than derived from `sealed.len()`.
-    active_index: usize,
-    active_records: usize,
-    /// Manifest revision this handle last observed or committed.
-    manifest_revision: Revision,
-    sessions: BTreeMap<String, SessionEntry>,
-    trial_records: usize,
+    /// not necessarily dense, so it is read off the name rather than
+    /// derived from `sealed.len()`.
+    fn active_index(&self) -> usize {
+        segment_index(&self.active_name).unwrap_or(0)
+    }
+
+    /// Takes over a manifest this handle has just read or committed,
+    /// with `active` (holding `records` records) as its own segment.
+    fn adopt(&mut self, manifest: Manifest, revision: Revision, active: String, records: usize) {
+        self.sealed = manifest.sealed;
+        self.foreign_active = manifest.actives.into_iter().filter(|n| *n != active).collect();
+        self.active_name = active;
+        self.active_records = records;
+        self.revision = Some(revision);
+    }
 }
 
 /// The persistent tuning knowledge store. Thread-safe: concurrent
@@ -244,178 +116,8 @@ pub struct TrialStore {
     tracer: Mutex<Arc<dyn Tracer>>,
 }
 
-fn corrupt(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 fn read_only_err() -> io::Error {
     io::Error::new(io::ErrorKind::Unsupported, "store opened read-only (open_reader)")
-}
-
-/// Segment object name: `seg-NNNNNN.jsonl` for single-writer stores,
-/// `seg-<writer>-NNNNNN.jsonl` in a fleet writer's private namespace
-/// (private namespaces make concurrent index allocation collision-free
-/// by construction).
-fn segment_name(writer: Option<&str>, index: usize) -> String {
-    match writer {
-        Some(w) => format!("seg-{w}-{index:06}.jsonl"),
-        None => format!("seg-{index:06}.jsonl"),
-    }
-}
-
-/// Splits a segment name into its optional writer tag and index.
-fn segment_parts(name: &str) -> Option<(Option<&str>, usize)> {
-    let core = name.strip_prefix("seg-")?.strip_suffix(".jsonl")?;
-    match core.rsplit_once('-') {
-        Some((writer, index)) => Some((Some(writer), index.parse().ok()?)),
-        None => Some((None, core.parse().ok()?)),
-    }
-}
-
-/// Inverse of [`segment_name`]: the numeric index of a segment file.
-fn segment_index(name: &str) -> Option<usize> {
-    segment_parts(name).map(|(_, index)| index)
-}
-
-/// The writer tag embedded in a fleet segment name, if any.
-fn segment_writer(name: &str) -> Option<&str> {
-    segment_parts(name).and_then(|(writer, _)| writer)
-}
-
-/// Reads a sealed segment strictly: it was synced before the manifest
-/// named it, so any unparsable line is corruption. A *missing* object
-/// surfaces as [`io::ErrorKind::NotFound`]: under a fleet it usually
-/// means a concurrent compaction committed a new manifest and deleted
-/// this segment while we were replaying the old one — callers re-read
-/// the manifest and retry, and only treat it as corruption when the
-/// manifest has not moved.
-fn load_segment_strict(backend: &dyn StoreBackend, name: &str) -> io::Result<Vec<StoreRecord>> {
-    let bytes = backend.get(name)?.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::NotFound, format!("manifest names missing segment {name}"))
-    })?;
-    let text = std::str::from_utf8(&bytes).map_err(|_| corrupt(format!("{name}: not UTF-8")))?;
-    text.lines()
-        .enumerate()
-        .map(|(i, line)| {
-            record_from_json(line).map_err(|e| corrupt(format!("{name} line {}: {e}", i + 1)))
-        })
-        .collect()
-}
-
-/// Reads an active segment leniently: an unparsable *final* line is a
-/// torn append and is dropped; garbage followed by valid records is
-/// rejected. With `repair`, the torn tail is truncated away on the
-/// backend and a missing final newline (a tear between the closing
-/// brace and the terminator) is repaired in place — only call with
-/// `repair` on a segment this handle owns.
-fn load_segment_lenient(
-    backend: &dyn StoreBackend,
-    name: &str,
-    repair: bool,
-) -> io::Result<Vec<StoreRecord>> {
-    let Some(bytes) = backend.get(name)? else {
-        return Ok(Vec::new());
-    };
-    let text = std::str::from_utf8(&bytes).map_err(|_| corrupt(format!("{name}: not UTF-8")))?;
-    let mut good_len = 0usize;
-    let mut pending: Vec<StoreRecord> = Vec::new();
-    let mut torn: Option<String> = None;
-    for (i, line) in text.lines().enumerate() {
-        match record_from_json(line) {
-            Ok(rec) => {
-                if let Some(bad) = &torn {
-                    return Err(corrupt(format!(
-                        "{name} line {}: unparsable record {bad:?} followed by valid records",
-                        i
-                    )));
-                }
-                pending.push(rec);
-                // `lines()` strips the terminator; count it back.
-                good_len += line.len() + 1;
-            }
-            Err(e) => {
-                if torn.is_some() {
-                    return Err(corrupt(format!(
-                        "{name} line {}: {e} (multiple unparsable lines)",
-                        i + 1
-                    )));
-                }
-                torn = Some(format!("line {}: {e}", i + 1));
-            }
-        }
-    }
-    if repair {
-        if torn.is_some() && good_len < text.len() {
-            // Torn final append: truncate the segment back to the last
-            // complete record before appending continues.
-            backend.truncate(name, good_len as u64)?;
-        } else if torn.is_none() && !text.is_empty() && !text.ends_with('\n') {
-            // A tear can also land *between* the closing brace and the
-            // newline: the final record is complete and kept, but its
-            // terminator must be repaired — otherwise the next append
-            // would concatenate onto this line and a later recovery
-            // would mis-read the merged line as torn, silently dropping
-            // an acknowledged record.
-            backend.append(name, b"\n")?;
-            backend.sync(name)?;
-        }
-    }
-    Ok(pending)
-}
-
-/// A manifest's replayed contents.
-struct Replay {
-    sessions: BTreeMap<String, SessionEntry>,
-    trial_records: usize,
-    /// Record count per active segment, by name.
-    active_counts: BTreeMap<String, usize>,
-}
-
-/// Replays one manifest view: sealed segments strictly (in manifest
-/// order), then active segments leniently, then — when the manifest
-/// registers no fleet writers — the implicit single-writer active at
-/// the derived index. Propagates [`io::ErrorKind::NotFound`] from
-/// sealed reads so callers can retry against a manifest a concurrent
-/// compaction just committed.
-fn replay_manifest(backend: &dyn StoreBackend, m: &Manifest) -> io::Result<Replay> {
-    let mut replay =
-        Replay { sessions: BTreeMap::new(), trial_records: 0, active_counts: BTreeMap::new() };
-    for name in &m.sealed {
-        for rec in load_segment_strict(backend, name)? {
-            apply_record(&mut replay.sessions, &mut replay.trial_records, rec);
-        }
-    }
-    for name in &m.actives {
-        let recs = load_segment_lenient(backend, name, false)?;
-        replay.active_counts.insert(name.clone(), recs.len());
-        for rec in recs {
-            apply_record(&mut replay.sessions, &mut replay.trial_records, rec);
-        }
-    }
-    if m.actives.is_empty() {
-        let derived = segment_name(None, m.max_index() + 1);
-        for rec in load_segment_lenient(backend, &derived, false)? {
-            apply_record(&mut replay.sessions, &mut replay.trial_records, rec);
-        }
-    }
-    Ok(replay)
-}
-
-/// Reads the manifest, committing an empty one first if the store is
-/// brand new (CAS-raced creators simply re-read the winner's).
-fn read_or_init_manifest(backend: &dyn StoreBackend) -> io::Result<(Manifest, Revision)> {
-    loop {
-        let (bytes, revision) = backend.read_manifest()?;
-        match bytes {
-            Some(b) => return Ok((Manifest::parse(&b)?, revision)),
-            None => {
-                let empty = Manifest::default().to_bytes();
-                if let Ok(rev) = backend.commit_manifest(&empty, 0)? {
-                    return Ok((Manifest::default(), rev));
-                }
-            }
-        }
-    }
 }
 
 impl TrialStore {
@@ -427,8 +129,9 @@ impl TrialStore {
     /// Opens (or creates) the store rooted at `dir`.
     pub fn open_with(dir: impl AsRef<Path>, opts: StoreOptions) -> io::Result<TrialStore> {
         let dir = dir.as_ref().to_path_buf();
-        let backend = Arc::new(LocalDirBackend::create(&dir)?);
-        TrialStore::open_single(backend, Some(dir), opts)
+        let mut store = TrialStore::open_backend(Arc::new(LocalDirBackend::create(&dir)?), opts)?;
+        store.dir = Some(dir);
+        Ok(store)
     }
 
     /// Opens (or creates) a single-writer store on any backend.
@@ -436,63 +139,9 @@ impl TrialStore {
         backend: Arc<dyn StoreBackend>,
         opts: StoreOptions,
     ) -> io::Result<TrialStore> {
-        TrialStore::open_single(backend, None, opts)
-    }
-
-    fn open_single(
-        backend: Arc<dyn StoreBackend>,
-        dir: Option<PathBuf>,
-        opts: StoreOptions,
-    ) -> io::Result<TrialStore> {
-        let (manifest, revision) = read_or_init_manifest(&*backend)?;
-        if !manifest.actives.is_empty() {
-            return Err(corrupt(
-                "store has registered fleet writers; open it with open_shared or open_reader",
-            ));
-        }
-
-        let mut sessions = BTreeMap::new();
-        let mut trial_records = 0usize;
-        for name in &manifest.sealed {
-            for rec in load_segment_strict(&*backend, name)? {
-                apply_record(&mut sessions, &mut trial_records, rec);
-            }
-        }
-
-        // The active segment follows the highest sealed index (indices
-        // are monotonic but, after compaction, not necessarily dense).
-        let mut max_index = 0usize;
-        for name in &manifest.sealed {
-            let idx = segment_index(name)
-                .ok_or_else(|| corrupt(format!("unparsable segment name {name:?} in manifest")))?;
-            max_index = max_index.max(idx);
-        }
-        let active_index = max_index + 1;
-        let active_name = segment_name(None, active_index);
-        let recs = load_segment_lenient(&*backend, &active_name, true)?;
-        let active_records = recs.len();
-        for rec in recs {
-            apply_record(&mut sessions, &mut trial_records, rec);
-        }
-
-        Ok(TrialStore {
-            backend,
-            dir,
-            writer: None,
-            read_only: false,
-            opts,
-            tracer: Mutex::new(Arc::new(NoopTracer)),
-            inner: Mutex::new(Inner {
-                sealed: manifest.sealed,
-                foreign_active: Vec::new(),
-                active_name,
-                active_index,
-                active_records,
-                manifest_revision: revision,
-                sessions,
-                trial_records,
-            }),
-        })
+        let store = TrialStore::handle(backend, None, false, opts);
+        store.reload("store open", true)?;
+        Ok(store)
     }
 
     /// Opens (or creates) a *fleet* store: this handle registers itself
@@ -500,7 +149,7 @@ impl TrialStore {
     /// listed in the manifest, so every other writer and reader can see
     /// its records. Writer tags must be unique among *live* workers —
     /// reopening a dead worker's tag reclaims (repairs and adopts) the
-    /// active segment it left behind. See the module docs for the
+    /// active segment it left behind. See [`crate::manifest`] for the
     /// multi-writer commit protocol.
     pub fn open_shared(
         backend: Arc<dyn StoreBackend>,
@@ -513,194 +162,153 @@ impl TrialStore {
                  (it is embedded in segment names)"
             )));
         }
-        let mut backoff = cas_backoff(writer);
-        loop {
-            let (mut m, revision) = read_or_init_manifest(&*backend)?;
-            let mut changed = false;
+        let store = TrialStore::handle(backend, Some(writer.to_string()), false, opts);
+        let backend = &*store.backend;
+        let registered =
+            with_manifest(backend, Access::Fleet(writer), "writer registration", |m| {
+                let mut m = m.clone();
+                let mut changed = false;
 
-            // A store previously written single-writer has an implicit
-            // (derived, unlisted) active segment; fold it into the
-            // sealed list so fleet writers can see it. Safe under the
-            // same assumption every shared open makes: no other handle
-            // with authority over that segment is live.
-            if m.actives.is_empty() {
-                let derived = segment_name(None, m.max_index() + 1);
-                if !load_segment_lenient(&*backend, &derived, true)?.is_empty() {
-                    m.sealed.push(derived);
+                // A store previously written single-writer has an implicit
+                // (derived, unlisted) active segment; fold it into the
+                // sealed list so fleet writers can see it. Safe under the
+                // same assumption every shared open makes: no other handle
+                // with authority over that segment is live.
+                if let Some(derived) = m.derived_active() {
+                    if !load_segment_lenient(backend, &derived, true)?.is_empty() {
+                        m.sealed.push(derived);
+                        changed = true;
+                    }
+                }
+
+                // Reclaim active segments a dead incarnation of this writer
+                // left behind: adopt the newest as our active segment (the
+                // replay below repairs its torn tail), repair and seal the
+                // rest.
+                let mut mine: Vec<(usize, String)> = m
+                    .actives
+                    .iter()
+                    .filter(|n| segment_writer(n) == Some(writer))
+                    .map(|n| (segment_index(n).unwrap_or(0), n.clone()))
+                    .collect();
+                mine.sort();
+                let adopted = mine.pop();
+                for (_, name) in mine {
+                    load_segment_lenient(backend, &name, true)?;
+                    m.actives.retain(|n| *n != name);
+                    m.sealed.push(name);
                     changed = true;
                 }
-            }
-
-            // Reclaim active segments a dead incarnation of this writer
-            // left behind: repair their torn tails, adopt the newest as
-            // our active segment, seal the rest.
-            let mut mine: Vec<(usize, String)> = m
-                .actives
-                .iter()
-                .filter(|n| segment_writer(n) == Some(writer))
-                .map(|n| (segment_index(n).unwrap_or(0), n.clone()))
-                .collect();
-            mine.sort();
-            let adopted = mine.pop();
-            for (_, name) in &mine {
-                load_segment_lenient(&*backend, name, true)?;
-                m.actives.retain(|n| n != name);
-                m.sealed.push(name.clone());
-                changed = true;
-            }
-            let mut created: Option<String> = None;
-            let (active_name, active_index) = match adopted {
-                Some((index, name)) => {
-                    load_segment_lenient(&*backend, &name, true)?;
-                    (name, index)
-                }
-                None => {
-                    let index = m.max_index() + 1;
-                    let name = segment_name(Some(writer), index);
+                let Some((_, active)) = adopted else {
+                    let active = segment_name(Some(writer), m.max_index() + 1);
                     // Truncate any stray left by a dead incarnation's
                     // interrupted compaction (private namespace: no
                     // race with other writers).
-                    backend.put(&name, b"")?;
-                    m.actives.push(name.clone());
-                    created = Some(name.clone());
-                    changed = true;
-                    (name, index)
-                }
-            };
-
-            let revision = if changed {
-                match backend.commit_manifest(&m.to_bytes(), revision)? {
-                    Ok(rev) => rev,
-                    Err(_) => {
-                        // Lost the registration race; discard the
-                        // pre-created segment (the redo recomputes its
-                        // index against the winner's manifest) and redo.
-                        if let Some(name) = created {
-                            let _ = backend.delete(&name);
-                        }
-                        cas_retry(&mut backoff, "writer registration")?;
-                        continue;
-                    }
-                }
-            } else {
-                revision
-            };
-
-            // Replay the committed view: sealed strictly, actives
-            // leniently (other writers may be mid-append; ours was
-            // just repaired). A NotFound means a concurrent compaction
-            // deleted a segment from under our manifest view — restart
-            // against the manifest it committed (our registration is
-            // already durable, so the retry adopts it unchanged).
-            let replay = match replay_manifest(&*backend, &m) {
-                Ok(r) => r,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    cas_retry(&mut backoff, "open replay")?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let active_records = replay.active_counts.get(&active_name).copied().unwrap_or(0);
-            let foreign_active = m.actives.iter().filter(|n| **n != active_name).cloned().collect();
-            return Ok(TrialStore {
-                backend,
-                dir: None,
-                writer: Some(writer.to_string()),
-                read_only: false,
-                opts,
-                tracer: Mutex::new(Arc::new(NoopTracer)),
-                inner: Mutex::new(Inner {
-                    sealed: m.sealed,
-                    foreign_active,
-                    active_name,
-                    active_index,
-                    active_records,
-                    manifest_revision: revision,
-                    sessions: replay.sessions,
-                    trial_records: replay.trial_records,
-                }),
-            });
-        }
+                    backend.put(&active, b"")?;
+                    m.actives.push(active.clone());
+                    return Ok(Step::Install {
+                        manifest: m,
+                        created: vec![active.clone()],
+                        out: active,
+                    });
+                };
+                Ok(if changed {
+                    Step::Install { manifest: m, created: Vec::new(), out: active }
+                } else {
+                    Step::Keep(active)
+                })
+            })?;
+        lock_recover(&store.inner).active_name = registered.out;
+        // The registration is durable; replay whatever manifest is
+        // current now (it still lists our segment): sealed strictly,
+        // actives leniently — other writers may be mid-append.
+        store.reload("open replay", true)?;
+        Ok(store)
     }
 
     /// Opens a read-only *merged view* of a store: sealed segments plus
     /// every registered writer's active segment (and the implicit
-    /// active of a single-writer store). Registers nothing and repairs
-    /// nothing; appends and compaction return errors. Call
+    /// active of a single-writer store). Registers nothing, repairs
+    /// nothing and writes nothing — an absent manifest stays absent;
+    /// appends and compaction return errors. Call
     /// [`TrialStore::refresh`] to re-read the current state.
     pub fn open_reader(
         backend: Arc<dyn StoreBackend>,
         opts: StoreOptions,
     ) -> io::Result<TrialStore> {
-        let store = TrialStore {
-            backend,
-            dir: None,
-            writer: None,
-            read_only: true,
-            opts,
-            tracer: Mutex::new(Arc::new(NoopTracer)),
-            inner: Mutex::new(Inner {
-                sealed: Vec::new(),
-                foreign_active: Vec::new(),
-                active_name: String::new(),
-                active_index: 0,
-                active_records: 0,
-                manifest_revision: 0,
-                sessions: BTreeMap::new(),
-                trial_records: 0,
-            }),
-        };
+        let store = TrialStore::handle(backend, None, true, opts);
         store.refresh()?;
         Ok(store)
+    }
+
+    /// A handle that has read nothing yet.
+    fn handle(
+        backend: Arc<dyn StoreBackend>,
+        writer: Option<String>,
+        read_only: bool,
+        opts: StoreOptions,
+    ) -> TrialStore {
+        TrialStore {
+            backend,
+            dir: None,
+            writer,
+            read_only,
+            opts,
+            inner: Mutex::new(Inner::default()),
+            tracer: Mutex::new(Arc::new(NoopTracer)),
+        }
+    }
+
+    /// On whose behalf this handle runs the manifest loop.
+    fn access(&self, inner: &Inner) -> Access<'_> {
+        match &self.writer {
+            Some(tag) => Access::Fleet(tag),
+            None if self.read_only => Access::Reader,
+            None => Access::Single(inner.revision),
+        }
     }
 
     /// Re-reads the store's committed state from the backend, merging
     /// in what other fleet writers have appended since this handle
     /// opened (or last refreshed). The handle's own active segment and
-    /// append position are untouched. No-op on single-writer handles —
-    /// their in-memory index is already authoritative.
+    /// append position are untouched, and nothing is written. No-op on
+    /// single-writer handles — their in-memory index is already
+    /// authoritative.
     pub fn refresh(&self) -> io::Result<()> {
         if self.writer.is_none() && !self.read_only {
             return Ok(());
         }
+        self.reload("refresh replay", false)
+    }
+
+    /// Replays the current manifest into this handle's index — a
+    /// [`Step::Keep`] pass of the manifest loop, so a view a concurrent
+    /// compaction deletes from under the replay is retried on the
+    /// manifest that compaction committed. With `repair`, the handle's
+    /// own active segment has its torn tail repaired as it is read.
+    fn reload(&self, what: &str, repair: bool) -> io::Result<()> {
         let mut guard = lock_recover(&self.inner);
         let inner = &mut *guard;
-        let mut backoff = cas_backoff(self.writer.as_deref().unwrap_or("reader"));
-        loop {
-            let (bytes, revision) = self.backend.read_manifest()?;
-            let Some(bytes) = bytes else {
-                return Ok(());
+        let backend = &*self.backend;
+        let access = self.access(inner);
+        let settled = with_manifest(backend, access, what, |m| {
+            let active = match access {
+                Access::Single(_) => m.derived_active().ok_or_else(|| {
+                    corrupt(
+                        "store has registered fleet writers; \
+                         open it with open_shared or open_reader",
+                    )
+                })?,
+                Access::Fleet(_) | Access::Reader => inner.active_name.clone(),
             };
-            let m = Manifest::parse(&bytes)?;
-            let replay = match replay_manifest(&*self.backend, &m) {
-                Ok(r) => r,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    // A concurrent compaction deleted a segment from
-                    // under this manifest view; retry against the
-                    // manifest it committed. If nothing moved, the
-                    // segment is genuinely gone: real corruption.
-                    let (_, now) = self.backend.read_manifest()?;
-                    if now == revision {
-                        return Err(e);
-                    }
-                    cas_retry(&mut backoff, "refresh replay")?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            inner.foreign_active =
-                m.actives.iter().filter(|n| **n != inner.active_name).cloned().collect();
-            inner.active_records = replay
-                .active_counts
-                .get(&inner.active_name)
-                .copied()
-                .unwrap_or(inner.active_records);
-            inner.sealed = m.sealed;
-            inner.sessions = replay.sessions;
-            inner.trial_records = replay.trial_records;
-            inner.manifest_revision = revision;
-            return Ok(());
-        }
+            let replay = replay_manifest(backend, m, repair.then_some(active.as_str()))?;
+            Ok(Step::Keep((active, replay)))
+        })?;
+        let (active, replay) = settled.out;
+        let records = replay.active_counts.get(&active).copied().unwrap_or(inner.active_records);
+        inner.adopt(settled.manifest, settled.revision, active, records);
+        inner.index = replay.index;
+        Ok(())
     }
 
     /// The store's root directory (local-directory stores only).
@@ -780,9 +388,11 @@ impl TrialStore {
         if self.read_only {
             return Err(read_only_err());
         }
+        // Rendered before the lock is taken: the sessions of a daemon
+        // share this handle, and only the write needs to be serial.
+        let line = format!("{}\n", record_to_json(&rec));
         let mut guard = lock_recover(&self.inner);
         let inner = &mut *guard;
-        let line = format!("{}\n", record_to_json(&rec));
         self.backend.append(&inner.active_name, line.as_bytes())?;
         inner.active_records += 1;
         // Attributed to the record's session: each live session appends
@@ -797,10 +407,25 @@ impl TrialStore {
                 .field("object", inner.active_name.clone())
                 .field("kind", kind)
         });
-        apply_record(&mut inner.sessions, &mut inner.trial_records, rec);
+        inner.index.apply_record(rec);
         if inner.active_records >= self.opts.segment_records {
             self.rotate(inner)?;
         }
+        Ok(())
+    }
+
+    /// Takes this handle's active segment off `m`'s registered actives
+    /// on its way to being sealed or rewritten. A single writer's is
+    /// derived, not listed; a fleet writer's must be there.
+    fn unregister(&self, m: &mut Manifest, active: &str) -> io::Result<()> {
+        let Some(writer) = &self.writer else { return Ok(()) };
+        let pos = m.actives.iter().position(|n| n == active).ok_or_else(|| {
+            corrupt(format!(
+                "active segment {active} missing from the manifest: writer tag {writer:?} \
+                 reclaimed by another live worker?"
+            ))
+        })?;
+        m.actives.remove(pos);
         Ok(())
     }
 
@@ -810,98 +435,33 @@ impl TrialStore {
     /// errors rather than panicking) and rotation is retried at the
     /// next threshold crossing.
     fn rotate(&self, inner: &mut Inner) -> io::Result<()> {
-        self.backend.sync(&inner.active_name)?;
-        match self.writer.clone() {
-            None => self.rotate_single(inner),
-            Some(w) => self.rotate_shared(inner, &w),
-        }
-    }
-
-    fn rotate_single(&self, inner: &mut Inner) -> io::Result<()> {
-        // Open the next segment *before* committing the manifest: a
-        // failure here leaves only an empty, unlisted file behind, and
-        // the store state (in memory and on backend) is unchanged.
-        let next_index = inner.active_index + 1;
-        let next_name = segment_name(None, next_index);
-        // Truncate before adopting: a compaction that crashed before
-        // its manifest commit can leave a stray file at this index
-        // whose stale records would otherwise be replayed *after* newer
-        // ones and win the last-wins resolution.
-        self.backend.put(&next_name, b"")?;
-        let mut sealed = inner.sealed.clone();
-        sealed.push(inner.active_name.clone());
-        let manifest = Manifest { sealed: sealed.clone(), actives: Vec::new() };
-        let revision = self
-            .backend
-            .commit_manifest(&manifest.to_bytes(), inner.manifest_revision)?
-            .map_err(|_| {
-                io::Error::other(
-                    "manifest changed under a single-writer store: another writer is live",
-                )
-            })?;
+        let backend = &*self.backend;
+        let writer = self.writer.as_deref();
+        backend.sync(&inner.active_name)?;
+        let settled = with_manifest(backend, self.access(inner), "rotation", |m| {
+            let mut m = m.clone();
+            self.unregister(&mut m, &inner.active_name)?;
+            m.sealed.push(inner.active_name.clone());
+            // Open the next segment *before* committing the manifest: a
+            // failure here leaves only an empty, unlisted object behind.
+            // Truncate rather than adopt: a compaction that crashed
+            // before its manifest commit can leave a stray at this index
+            // whose stale records would otherwise be replayed *after*
+            // newer ones and win the last-wins resolution.
+            let next = segment_name(writer, m.max_index().max(inner.active_index()) + 1);
+            backend.put(&next, b"")?;
+            if writer.is_some() {
+                m.actives.push(next.clone());
+            }
+            Ok(Step::Install { manifest: m, created: vec![next.clone()], out: next })
+        })?;
         self.trace(|| {
             TraceEvent::new("store", "store.rotate")
                 .field("sealed", inner.active_name.clone())
-                .field("next", next_name.clone())
+                .field("next", settled.out.clone())
         });
-        inner.sealed = sealed;
-        inner.active_name = next_name;
-        inner.active_index = next_index;
-        inner.active_records = 0;
-        inner.manifest_revision = revision;
+        inner.adopt(settled.manifest, settled.revision, settled.out, 0);
         Ok(())
-    }
-
-    fn rotate_shared(&self, inner: &mut Inner, writer: &str) -> io::Result<()> {
-        // CAS retry loop: rebase the seal onto whatever manifest is
-        // current. Losing the race never drops anyone's segment — the
-        // retry re-reads the winner's list and adds to it.
-        let mut backoff = cas_backoff(writer);
-        loop {
-            let (bytes, revision) = self.backend.read_manifest()?;
-            let bytes = bytes.ok_or_else(|| corrupt("fleet store manifest vanished"))?;
-            let mut m = Manifest::parse(&bytes)?;
-            let pos = m.actives.iter().position(|n| n == &inner.active_name).ok_or_else(|| {
-                corrupt(format!(
-                    "active segment {} missing from the manifest: writer tag {writer:?} \
-                     reclaimed by another live worker?",
-                    inner.active_name
-                ))
-            })?;
-            m.actives.remove(pos);
-            m.sealed.push(inner.active_name.clone());
-            let next_index = m.max_index().max(inner.active_index) + 1;
-            let next_name = segment_name(Some(writer), next_index);
-            self.backend.put(&next_name, b"")?;
-            m.actives.push(next_name.clone());
-            match self.backend.commit_manifest(&m.to_bytes(), revision)? {
-                Ok(rev) => {
-                    self.trace(|| {
-                        TraceEvent::new("store", "store.rotate")
-                            .field("sealed", inner.active_name.clone())
-                            .field("next", next_name.clone())
-                    });
-                    inner.foreign_active =
-                        m.actives.iter().filter(|n| **n != next_name).cloned().collect();
-                    inner.sealed = m.sealed;
-                    inner.active_name = next_name;
-                    inner.active_index = next_index;
-                    inner.active_records = 0;
-                    inner.manifest_revision = rev;
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Lost the race: discard the pre-created segment —
-                    // the retry recomputes a fresh index against the
-                    // winner's manifest, and nothing ever references
-                    // this one (unlisted objects would otherwise leak
-                    // forever on a real object store).
-                    let _ = self.backend.delete(&next_name);
-                    cas_retry(&mut backoff, "rotation")?;
-                    continue;
-                }
-            }
-        }
     }
 
     /// Syncs the active segment (sealed segments are already synced).
@@ -920,12 +480,12 @@ impl TrialStore {
 
     /// Labels of every stored session, sorted.
     pub fn sessions(&self) -> Vec<String> {
-        lock_recover(&self.inner).sessions.keys().cloned().collect()
+        lock_recover(&self.inner).index.sessions.keys().cloned().collect()
     }
 
     /// Latest metadata of a session, if any was recorded.
     pub fn session_meta(&self, session: &str) -> Option<SessionMeta> {
-        lock_recover(&self.inner).sessions.get(session).and_then(|e| e.meta.clone())
+        lock_recover(&self.inner).index.sessions.get(session).and_then(|e| e.meta.clone())
     }
 
     /// A session's trials, deduplicated last-wins and sorted by
@@ -933,7 +493,7 @@ impl TrialStore {
     /// the append protocol; truncating keeps a damaged store usable).
     pub fn trials_for(&self, session: &str) -> Vec<StoredTrial> {
         let inner = lock_recover(&self.inner);
-        let Some(entry) = inner.sessions.get(session) else {
+        let Some(entry) = inner.index.sessions.get(session) else {
             return Vec::new();
         };
         let mut out = Vec::with_capacity(entry.trials.len());
@@ -953,14 +513,13 @@ impl TrialStore {
 
     /// Number of distinct `(session, iteration)` trials stored.
     pub fn trial_count(&self) -> usize {
-        let inner = lock_recover(&self.inner);
-        inner.sessions.values().map(|e| e.trials.len()).sum()
+        lock_recover(&self.inner).index.trial_count()
     }
 
     /// Number of trial *records* appended (re-runs of a partial round
     /// append duplicates, so this can exceed [`TrialStore::trial_count`]).
     pub fn trial_records(&self) -> usize {
-        lock_recover(&self.inner).trial_records
+        lock_recover(&self.inner).index.trial_records
     }
 
     /// Whether the store holds no trials.
@@ -992,7 +551,7 @@ impl TrialStore {
     /// reuse when the segment sequence later reaches their index.
     ///
     /// On a fleet store the pass rebuilds the merged state from the
-    /// *current* manifest under a CAS retry loop, folds this writer's
+    /// *current* manifest inside the manifest loop, folds this writer's
     /// active segment in, and leaves every other writer's active
     /// segment registered and untouched — racing rotations retry on
     /// top of the compacted manifest, so no committed trial is lost.
@@ -1002,184 +561,87 @@ impl TrialStore {
         }
         let mut guard = lock_recover(&self.inner);
         let inner = &mut *guard;
-        // Satellite of the backend work: a store with nothing on the
-        // backend but an (empty or absent) active segment has nothing
-        // to rewrite; committing a fresh manifest revision would only
-        // churn revisions and mtimes on shared backends.
+        // A store with nothing on the backend but an (empty or absent)
+        // active segment has nothing to rewrite; committing a fresh
+        // manifest revision would only churn revisions and mtimes on
+        // shared backends.
         if inner.sealed.is_empty() && inner.foreign_active.is_empty() && inner.active_records == 0 {
             return Ok(CompactionStats {
-                trial_records_before: inner.trial_records,
-                trial_records_after: inner.trial_records,
+                trial_records_before: inner.index.trial_records,
+                trial_records_after: inner.index.trial_records,
                 segments_before: 1,
                 segments_after: 1,
             });
         }
-        match self.writer.clone() {
-            None => self.compact_single(inner),
-            Some(w) => self.compact_shared(inner, &w),
-        }
-    }
+        let backend = &*self.backend;
+        let writer = self.writer.as_deref();
+        backend.sync(&inner.active_name)?;
+        let settled = with_manifest(backend, self.access(inner), "compaction", |m| {
+            let mut next = Manifest { sealed: Vec::new(), actives: m.actives.clone() };
+            self.unregister(&mut next, &inner.active_name)?;
+            // Where the two modes really differ. The single writer's
+            // index is authoritative, and replaying the backend instead
+            // would add a full parse of the store to every pass; a fleet
+            // handle's index may lag other writers, so it rebuilds the
+            // merged state from the manifest it is about to replace.
+            let replayed = match writer {
+                None => None,
+                Some(_) => Some(replay_manifest(backend, m, None)?.index),
+            };
+            let index = replayed.as_ref().unwrap_or(&inner.index);
 
-    fn compact_single(&self, inner: &mut Inner) -> io::Result<CompactionStats> {
-        self.backend.sync(&inner.active_name)?;
-        let old_segments: Vec<String> =
-            inner.sealed.iter().cloned().chain([inner.active_name.clone()]).collect();
-        let records_before = inner.trial_records;
-
-        // Serialize the deduplicated state, session by session.
-        let records = serialize_sessions(&inner.sessions);
-
-        // Write the compacted run into fresh segment files past the
-        // current active index, fully synced before the manifest commit.
-        let (new_sealed, new_active_index) =
-            self.write_compacted(&records, inner.active_index, None)?;
-        let new_active_name = segment_name(None, new_active_index);
-
-        // Commit point.
-        let manifest = Manifest { sealed: new_sealed.clone(), actives: Vec::new() };
-        let revision = self
-            .backend
-            .commit_manifest(&manifest.to_bytes(), inner.manifest_revision)?
-            .map_err(|_| {
-                io::Error::other(
-                    "manifest changed under a single-writer store: another writer is live",
-                )
-            })?;
-        let segments_before = old_segments.len();
-        inner.sealed = new_sealed;
-        inner.active_name = new_active_name;
-        inner.active_index = new_active_index;
-        inner.active_records = 0;
-        inner.manifest_revision = revision;
-        inner.trial_records = inner.sessions.values().map(|e| e.trials.len()).sum();
-        let stats = CompactionStats {
-            trial_records_before: records_before,
-            trial_records_after: inner.trial_records,
-            segments_before,
-            segments_after: inner.sealed.len() + 1,
-        };
-        self.trace(|| compact_span(&stats));
+            // The deduplicated state, session by session, goes into
+            // fresh objects past every index in use, fully written
+            // before the manifest commit; a fresh empty active segment
+            // follows them (`put` truncates any stray an earlier
+            // interrupted compaction left at that name). Every other
+            // writer's active segment stays registered and untouched:
+            // its owner keeps appending to it, and the records of it
+            // folded in here are merely benign duplicates under
+            // last-wins.
+            let mut created = Vec::new();
+            let mut at = m.max_index().max(inner.active_index());
+            for chunk in index.serialize_sessions().chunks(self.opts.segment_records.max(1)) {
+                at += 1;
+                let name = segment_name(writer, at);
+                let mut text = String::with_capacity(chunk.iter().map(|r| r.len() + 1).sum());
+                for rec in chunk {
+                    text.push_str(rec);
+                    text.push('\n');
+                }
+                backend.put(&name, text.as_bytes())?;
+                created.push(name);
+            }
+            let active = segment_name(writer, at + 1);
+            backend.put(&active, b"")?;
+            next.sealed = created.clone();
+            if writer.is_some() {
+                next.actives.push(active.clone());
+            }
+            created.push(active.clone());
+            Ok(Step::Install { manifest: next, created, out: (active, m.clone(), replayed) })
+        })?;
+        let (active, old, replayed) = settled.out;
 
         // The old objects are unreachable from the new manifest;
         // deletion is cleanup, not correctness.
-        for name in old_segments {
-            let _ = self.backend.delete(&name);
+        for name in old.sealed.iter().chain([&inner.active_name]) {
+            let _ = backend.delete(name);
         }
+        inner.adopt(settled.manifest, settled.revision, active, 0);
+        if let Some(index) = replayed {
+            inner.index = index;
+        }
+        let trial_records_before = inner.index.trial_records;
+        inner.index.trial_records = inner.index.trial_count();
+        let stats = CompactionStats {
+            trial_records_before,
+            trial_records_after: inner.index.trial_records,
+            segments_before: old.sealed.len() + old.actives.len().max(1),
+            segments_after: inner.sealed.len() + inner.foreign_active.len() + 1,
+        };
+        self.trace(|| compact_span(&stats));
         Ok(stats)
-    }
-
-    fn compact_shared(&self, inner: &mut Inner, writer: &str) -> io::Result<CompactionStats> {
-        self.backend.sync(&inner.active_name)?;
-        let mut backoff = cas_backoff(writer);
-        loop {
-            // Rebuild the merged state fresh from the *current*
-            // manifest — this handle's index may lag other writers.
-            let (bytes, revision) = self.backend.read_manifest()?;
-            let bytes = bytes.ok_or_else(|| corrupt("fleet store manifest vanished"))?;
-            let m = Manifest::parse(&bytes)?;
-            if !m.actives.contains(&inner.active_name) {
-                return Err(corrupt(format!(
-                    "active segment {} missing from the manifest: writer tag {writer:?} \
-                     reclaimed by another live worker?",
-                    inner.active_name
-                )));
-            }
-            let replay = match replay_manifest(&*self.backend, &m) {
-                Ok(r) => r,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    // A concurrent compaction won and deleted segments
-                    // from under this view; rebase onto its manifest.
-                    let (_, now) = self.backend.read_manifest()?;
-                    if now == revision {
-                        return Err(e);
-                    }
-                    cas_retry(&mut backoff, "compaction replay")?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let (sessions, records_before) = (replay.sessions, replay.trial_records);
-            let records = serialize_sessions(&sessions);
-
-            let base_index = m.max_index().max(inner.active_index);
-            let (new_sealed, new_active_index) =
-                self.write_compacted(&records, base_index, Some(writer))?;
-            let new_active_name = segment_name(Some(writer), new_active_index);
-
-            // Every other writer's active segment stays registered and
-            // untouched: its owner keeps appending to it, and the
-            // records of it we folded into the compacted segments are
-            // merely benign duplicates under last-wins.
-            let mut actives: Vec<String> =
-                m.actives.iter().filter(|n| **n != inner.active_name).cloned().collect();
-            actives.push(new_active_name.clone());
-            let manifest = Manifest { sealed: new_sealed.clone(), actives: actives.clone() };
-            match self.backend.commit_manifest(&manifest.to_bytes(), revision)? {
-                Ok(rev) => {
-                    let segments_before = m.sealed.len() + m.actives.len();
-                    for name in m.sealed.iter().chain([&inner.active_name]) {
-                        let _ = self.backend.delete(name);
-                    }
-                    inner.foreign_active =
-                        actives.iter().filter(|n| **n != new_active_name).cloned().collect();
-                    inner.sealed = new_sealed;
-                    inner.active_name = new_active_name;
-                    inner.active_index = new_active_index;
-                    inner.active_records = 0;
-                    inner.manifest_revision = rev;
-                    inner.trial_records = sessions.values().map(|e| e.trials.len()).sum::<usize>();
-                    let trial_records_after = inner.trial_records;
-                    inner.sessions = sessions;
-                    let stats = CompactionStats {
-                        trial_records_before: records_before,
-                        trial_records_after,
-                        segments_before,
-                        segments_after: inner.sealed.len() + inner.foreign_active.len() + 1,
-                    };
-                    self.trace(|| compact_span(&stats));
-                    return Ok(stats);
-                }
-                Err(_) => {
-                    // Lost the race: discard this attempt's objects and
-                    // rebuild against the winner's manifest.
-                    for name in new_sealed.iter().chain([&new_active_name]) {
-                        let _ = self.backend.delete(name);
-                    }
-                    cas_retry(&mut backoff, "compaction")?;
-                    continue;
-                }
-            }
-        }
-    }
-
-    /// Writes `records` into fresh sealed segments numbered past
-    /// `base_index` (in `writer`'s namespace), plus a fresh empty
-    /// active segment after them. Returns the sealed names and the new
-    /// active index.
-    fn write_compacted(
-        &self,
-        records: &[String],
-        base_index: usize,
-        writer: Option<&str>,
-    ) -> io::Result<(Vec<String>, usize)> {
-        let mut new_sealed = Vec::new();
-        let mut idx = base_index;
-        for chunk in records.chunks(self.opts.segment_records.max(1)) {
-            idx += 1;
-            let name = segment_name(writer, idx);
-            let mut text = String::with_capacity(chunk.iter().map(|r| r.len() + 1).sum());
-            for rec in chunk {
-                text.push_str(rec);
-                text.push('\n');
-            }
-            self.backend.put(&name, text.as_bytes())?;
-            new_sealed.push(name);
-        }
-        let new_active_index = idx + 1;
-        // Truncate any stray file left by an earlier interrupted
-        // compaction, then adopt as the (empty) active segment.
-        self.backend.put(&segment_name(writer, new_active_index), b"")?;
-        Ok((new_sealed, new_active_index))
     }
 
     /// Every stored trial projected onto the core JSONL event schema,
@@ -1188,8 +650,8 @@ impl TrialStore {
     /// a resume exports exactly the transcript of the uninterrupted run.
     pub fn export_events(&self) -> Vec<TrialEvent> {
         let inner = lock_recover(&self.inner);
-        let mut out = Vec::with_capacity(inner.sessions.values().map(|e| e.trials.len()).sum());
-        for entry in inner.sessions.values() {
+        let mut out = Vec::with_capacity(inner.index.trial_count());
+        for entry in inner.index.sessions.values() {
             out.extend(entry.trials.values().map(StoredTrial::to_event));
         }
         out
@@ -1198,38 +660,6 @@ impl TrialStore {
     /// [`TrialStore::export_events`] rendered as JSONL.
     pub fn export_jsonl(&self) -> String {
         events_to_jsonl(&self.export_events())
-    }
-}
-
-/// One JSON line per logical record: each session's latest metadata,
-/// then its deduplicated trials in iteration order.
-fn serialize_sessions(sessions: &BTreeMap<String, SessionEntry>) -> Vec<String> {
-    let mut records: Vec<String> = Vec::new();
-    for entry in sessions.values() {
-        if let Some(m) = &entry.meta {
-            records.push(record_to_json(&StoreRecord::Session(m.clone())));
-        }
-        for t in entry.trials.values() {
-            records.push(record_to_json(&StoreRecord::Trial(t.clone())));
-        }
-    }
-    records
-}
-
-fn apply_record(
-    sessions: &mut BTreeMap<String, SessionEntry>,
-    trial_records: &mut usize,
-    rec: StoreRecord,
-) {
-    match rec {
-        StoreRecord::Trial(t) => {
-            *trial_records += 1;
-            sessions.entry(t.session.clone()).or_default().trials.insert(t.iteration, t);
-        }
-        StoreRecord::Session(m) => {
-            let label = m.session.clone();
-            sessions.entry(label).or_default().meta = Some(m);
-        }
     }
 }
 
@@ -1264,6 +694,7 @@ pub fn rebuild_history(
 mod tests {
     use super::*;
     use crate::backend::{ObjectStoreBackend, ObjectStoreOptions};
+    use crate::manifest::MANIFEST_HEADER;
     use crate::record::SessionStatus;
     use llamatune_space::KnobValue;
 

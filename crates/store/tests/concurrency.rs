@@ -122,9 +122,6 @@ struct AlwaysContendedBackend {
 }
 
 impl StoreBackend for AlwaysContendedBackend {
-    fn kind(&self) -> &'static str {
-        self.inner.kind()
-    }
     fn get(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
         self.inner.get(name)
     }
@@ -145,9 +142,6 @@ impl StoreBackend for AlwaysContendedBackend {
     }
     fn delete(&self, name: &str) -> io::Result<()> {
         self.inner.delete(name)
-    }
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.inner.rename(from, to)
     }
     fn read_manifest(&self) -> io::Result<(Option<Vec<u8>>, Revision)> {
         self.inner.read_manifest()
@@ -192,10 +186,35 @@ fn cas_exhaustion_is_a_clean_timeout_after_the_pinned_budget() {
     );
 
     // The loser's failed registration leaked nothing into the winning
-    // store: no stray segments, the acked trial intact.
+    // store: no stray segments, the acked trial intact. (Two listings:
+    // the first may lag.)
     drop(winner);
+    let _ = inner.list().unwrap();
+    let listed = inner.list().unwrap();
+    assert!(!listed.iter().any(|n| n.starts_with("seg-loser-")), "{listed:?}");
     let reader = TrialStore::open_reader(inner, StoreOptions::default()).unwrap();
     assert_eq!(reader.trials_for("sess_w0").len(), 1);
+}
+
+/// Real corruption is not contention: a sealed segment the manifest
+/// names and nobody has is `NotFound` at once, naming the segment —
+/// not a full replay per retry until the CAS budget runs out.
+#[test]
+fn a_sealed_segment_that_is_gone_is_not_found_not_a_lost_race() {
+    let be = eventual_object_backend();
+    {
+        let w0 =
+            TrialStore::open_shared(be.clone(), "w0", StoreOptions { segment_records: 2 }).unwrap();
+        for i in 0..2 {
+            w0.append_trial(&trial("sess_w0", i, i as f64)).unwrap();
+        }
+        assert_eq!(w0.sealed_segments(), ["seg-w0-000001.jsonl"]);
+    }
+    be.delete("seg-w0-000001.jsonl").unwrap();
+    let err = TrialStore::open_shared(be, "w1", StoreOptions::default())
+        .expect_err("the manifest names a segment that does not exist");
+    assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+    assert!(err.to_string().contains("seg-w0-000001.jsonl"), "{err}");
 }
 
 #[test]
