@@ -75,6 +75,6 @@ pub use projection::{HesboProjection, Projection, RemboProjection};
 pub use report::{convergence_map, final_improvement_pct, time_to_optimal};
 pub use session::{
     replay_cutoff, run_session, run_session_parallel, run_session_resumable, EvalResult,
-    FnExecutor, PriorTrial, SessionHistory, SessionOptions, Trial, TrialExecutor, TrialRecord,
-    TrialStatus,
+    FnExecutor, PriorTrial, Session, SessionHistory, SessionOptions, Trial, TrialExecutor,
+    TrialRecord, TrialStatus,
 };

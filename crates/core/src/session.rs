@@ -1,8 +1,12 @@
 //! The end-to-end tuning session (Figure 1): knowledge base, LHS
 //! initialization, optimizer loop, crash handling, best-so-far tracking.
 //!
-//! Three entry points share one loop and one per-trial fold step
-//! (`Fold::trial`), so they cannot drift apart:
+//! The loop is a value, [`Session`], stepped by whoever evaluates:
+//! `resume` (validate, replay, design), then `next_round` → evaluate →
+//! `report` until no round is left, then `finish`. There is one place
+//! that draws a round and one per-trial fold step (`Fold::trial`), and
+//! three entry points loop over that one value for callers that
+//! evaluate inline, so they cannot drift apart:
 //!
 //! * [`run_session`] — the paper's strictly sequential loop;
 //! * [`run_session_parallel`] — the batched loop used by the parallel
@@ -307,8 +311,7 @@ fn normalize_status(status: TrialStatus, raw: Option<f64>) -> TrialStatus {
 /// happens to a trial result — penalty, status, persist, trace,
 /// history, best curve, early stop — happens there and only there, so
 /// replayed and live trials cannot fold differently.
-struct Fold<'a> {
-    opts: &'a SessionOptions,
+struct Fold {
     traced: bool,
     history: SessionHistory,
     worst_seen: Option<f64>,
@@ -318,15 +321,20 @@ struct Fold<'a> {
     virtual_ms: f64,
 }
 
-impl Fold<'_> {
+impl Fold {
     /// Collects the optimizer's pending degradation events, stamped
     /// with the round they affected.
-    fn drain_degradations(&mut self, optimizer: &mut dyn Optimizer, iteration: usize) {
+    fn drain_degradations(
+        &mut self,
+        opts: &SessionOptions,
+        optimizer: &mut dyn Optimizer,
+        iteration: usize,
+    ) {
         for mut e in optimizer.drain_degradations() {
             e.iteration = iteration;
             if self.traced {
-                self.opts.tracer.record(
-                    TraceEvent::new(self.opts.trace_label.as_str(), "optimizer.degraded")
+                opts.tracer.record(
+                    TraceEvent::new(opts.trace_label.as_str(), "optimizer.degraded")
                         .field("iteration", e.iteration as u64)
                         .field("optimizer", e.optimizer.as_str())
                         .field("reason", e.reason.as_str()),
@@ -349,13 +357,13 @@ impl Fold<'_> {
     /// carry.
     fn trial(
         &mut self,
+        opts: &SessionOptions,
         t: PriorTrial,
         virtual_ms: f64,
         replayed: bool,
-        sink: &mut Option<&mut dyn FnMut(TrialRecord<'_>)>,
+        sink: &mut Option<&mut (dyn FnMut(TrialRecord<'_>) + '_)>,
         observations: &mut Vec<Observation>,
     ) -> bool {
-        let opts = self.opts;
         let raw_score = t.raw_score.filter(|s| s.is_finite());
         let score = crash_penalty(raw_score, &mut self.worst_seen);
         let status = normalize_status(t.status, raw_score);
@@ -591,127 +599,159 @@ pub fn replay_cutoff(recorded: usize, opts: &SessionOptions, batch_size: usize) 
     len
 }
 
-/// [`run_session_parallel`] plus the two durability seams of the
-/// persistent knowledge store:
-///
-/// * **Replay** — `prior` holds the recorded trials of an interrupted
-///   session (contiguous from iteration 0). They are truncated to the
-///   last round boundary ([`replay_cutoff`]), folded into the history
-///   with penalties and the best curve recomputed, and their
-///   observations re-fed to the optimizer in iteration order — as one
-///   [`Optimizer::observe_batch`] call, so surrogates with incremental
-///   batch paths (the GP's deferred weight refresh) replay a long
-///   history without per-trial rebuild costs. A partial trailing round
-///   is re-evaluated (deterministically) by the live loop. Early
-///   stopping is re-checked during replay, so a session that had
-///   already stopped returns immediately.
-/// * **Checkpointing** — `sink`, when present, receives a
-///   [`TrialRecord`] for every freshly evaluated trial as soon as its
-///   result is folded in (replayed trials are *not* re-emitted).
-///
-/// Returns an error on malformed inputs (non-contiguous prior trials,
-/// warm-start points of the wrong dimensionality) instead of running a
-/// corrupt session.
-pub fn run_session_resumable(
-    adapter: &dyn SearchSpaceAdapter,
-    mut optimizer: Box<dyn Optimizer>,
-    executor: &mut dyn TrialExecutor,
-    opts: &SessionOptions,
-    batch_size: usize,
-    prior: &[PriorTrial],
-    mut sink: Option<&mut dyn FnMut(TrialRecord<'_>)>,
-) -> Result<SessionHistory, String> {
-    let q = batch_size.max(1);
-    let spec = adapter.optimizer_spec();
-    for (i, p) in opts.warm_points.iter().enumerate() {
-        if p.len() != spec.len() {
-            return Err(format!(
-                "warm point {i} has {} dimensions, optimizer space has {}",
-                p.len(),
-                spec.len()
-            ));
-        }
-    }
-    for (i, t) in prior.iter().enumerate() {
-        if t.iteration != i {
-            return Err(format!(
-                "prior trials must be contiguous from iteration 0: slot {i} holds iteration {}",
-                t.iteration
-            ));
-        }
-    }
-    let prior = &prior[..replay_cutoff(prior.len(), opts, q)];
+/// A round [`Session::next_round`] drew and [`Session::report`] has not
+/// answered yet.
+struct Round {
+    source: &'static str,
+    points: Vec<Vec<f64>>,
+    trials: Vec<Trial>,
+    drawn: Instant,
+}
 
-    // All trace emission happens here in the single-threaded fold path,
-    // gated on `enabled()`, carrying only deterministic fields
-    // (iterations, scores, virtual time) — so traces are byte-identical
-    // across worker counts and tracing cannot perturb the run.
-    let tracer = Arc::clone(&opts.tracer);
-    let traced = tracer.enabled();
-    let label = opts.trace_label.as_str();
-    if traced {
-        tracer.record(
-            TraceEvent::new(label, "session.start")
-                .field("iterations", opts.iterations as u64)
-                .field("n_init", opts.n_init as u64)
-                .field("seed", opts.seed)
-                .field("batch_size", q as u64)
-                .field("replayed", prior.len() as u64),
-        );
-    }
+/// The session loop as a value that is *stepped*: [`Session::resume`]
+/// validates, replays and lays out the initialization design,
+/// [`Session::next_round`] draws a round, [`Session::report`] folds its
+/// results, [`Session::finish`] hands the history back. A caller that
+/// evaluates inline loops over the four ([`run_session_resumable`]); one
+/// that waits for somebody else's results — the daemon, between a
+/// client's `suggest_batch` and its `report` — holds the value in the
+/// meantime and needs no thread to park.
+pub struct Session {
+    opts: SessionOptions,
+    q: usize,
+    optimizer: Box<dyn Optimizer>,
+    fold: Fold,
+    init_points: Vec<Vec<f64>>,
+    pending: Option<Round>,
+    stopped: bool,
+}
 
-    let mut fold = Fold {
-        opts,
-        traced,
-        history: SessionHistory::default(),
-        worst_seen: None,
-        best: f64::NEG_INFINITY,
-        failures: 0,
-        attempts: 0,
-        virtual_ms: 0.0,
-    };
-    // Replay: rebuild the fold state (history, penalties, best curve)
-    // and collect the observations the optimizer already saw. Replayed
-    // trials carry no recorded virtual time (it is not persisted); the
-    // report still sees a contiguous session.
-    let mut replayed = Vec::with_capacity(prior.len().saturating_sub(1));
-    let stopped = prior.iter().any(|t| fold.trial(t.clone(), 0.0, true, &mut None, &mut replayed));
-    optimizer.observe_batch(replayed);
-    fold.drain_degradations(optimizer.as_mut(), fold.history.scores.len());
-    if stopped {
+impl Session {
+    /// Starts a session — or, with a non-empty `prior`, picks one up:
+    ///
+    /// `prior` holds the recorded trials of an interrupted session
+    /// (contiguous from iteration 0). They are truncated to the last
+    /// round boundary ([`replay_cutoff`]), folded into the history with
+    /// penalties and the best curve recomputed, and their observations
+    /// re-fed to the optimizer in iteration order — as one
+    /// [`Optimizer::observe_batch`] call, so surrogates with incremental
+    /// batch paths (the GP's deferred weight refresh) replay a long
+    /// history without per-trial rebuild costs. A partial trailing round
+    /// is re-evaluated (deterministically) by the live rounds. Early
+    /// stopping is re-checked during replay, so a session that had
+    /// already stopped has no round left to draw.
+    ///
+    /// Returns an error on malformed inputs (non-contiguous prior
+    /// trials, warm-start points of the wrong dimensionality) instead
+    /// of running a corrupt session.
+    pub fn resume(
+        adapter: &dyn SearchSpaceAdapter,
+        mut optimizer: Box<dyn Optimizer>,
+        opts: &SessionOptions,
+        batch_size: usize,
+        prior: &[PriorTrial],
+    ) -> Result<Session, String> {
+        let q = batch_size.max(1);
+        let spec = adapter.optimizer_spec();
+        for (i, p) in opts.warm_points.iter().enumerate() {
+            if p.len() != spec.len() {
+                return Err(format!(
+                    "warm point {i} has {} dimensions, optimizer space has {}",
+                    p.len(),
+                    spec.len()
+                ));
+            }
+        }
+        for (i, t) in prior.iter().enumerate() {
+            if t.iteration != i {
+                return Err(format!(
+                    "prior trials must be contiguous from iteration 0: slot {i} holds iteration {}",
+                    t.iteration
+                ));
+            }
+        }
+        let prior = &prior[..replay_cutoff(prior.len(), opts, q)];
+
+        // All trace emission happens in the single-threaded fold path,
+        // gated on `enabled()`, carrying only deterministic fields
+        // (iterations, scores, virtual time) — so traces are
+        // byte-identical across worker counts and tracing cannot
+        // perturb the run.
+        let traced = opts.tracer.enabled();
         if traced {
-            tracer.record(session_end_span(label, &fold.history));
+            opts.tracer.record(
+                TraceEvent::new(opts.trace_label.as_str(), "session.start")
+                    .field("iterations", opts.iterations as u64)
+                    .field("n_init", opts.n_init as u64)
+                    .field("seed", opts.seed)
+                    .field("batch_size", q as u64)
+                    .field("replayed", prior.len() as u64),
+            );
         }
-        return Ok(fold.history);
+
+        let mut fold = Fold {
+            traced,
+            history: SessionHistory::default(),
+            worst_seen: None,
+            best: f64::NEG_INFINITY,
+            failures: 0,
+            attempts: 0,
+            virtual_ms: 0.0,
+        };
+        // Replay: rebuild the fold state (history, penalties, best
+        // curve) and collect the observations the optimizer already
+        // saw. Replayed trials carry no recorded virtual time (it is
+        // not persisted); the report still sees a contiguous session.
+        let mut replayed = Vec::with_capacity(prior.len().saturating_sub(1));
+        let stopped =
+            prior.iter().any(|t| fold.trial(opts, t.clone(), 0.0, true, &mut None, &mut replayed));
+        optimizer.observe_batch(replayed);
+        fold.drain_degradations(opts, optimizer.as_mut(), fold.history.scores.len());
+
+        // Initialization design in the optimizer's space: the seeded LHS
+        // stream (identical to the sequential session), with warm-start
+        // points replacing the leading samples one for one.
+        let mut lhs_rng = StdRng::seed_from_u64(opts.seed ^ 0x1A5_0001);
+        let mut init_points =
+            latin_hypercube(opts.n_init.min(opts.iterations), spec.len(), &mut lhs_rng);
+        for (slot, warm) in init_points.iter_mut().zip(&opts.warm_points) {
+            slot.clone_from(warm);
+        }
+        Ok(Session { opts: opts.clone(), q, optimizer, fold, init_points, pending: None, stopped })
     }
 
-    // Initialization design in the optimizer's space: the seeded LHS
-    // stream (identical to the sequential session), with warm-start
-    // points replacing the leading samples one for one.
-    let mut lhs_rng = StdRng::seed_from_u64(opts.seed ^ 0x1A5_0001);
-    let mut init_points =
-        latin_hypercube(opts.n_init.min(opts.iterations), spec.len(), &mut lhs_rng);
-    for (slot, warm) in init_points.iter_mut().zip(&opts.warm_points) {
-        slot.clone_from(warm);
+    /// The round to evaluate next, or `None` once the budget is spent or
+    /// early stopping fired. The first call after a [`Session::report`]
+    /// (or after [`Session::resume`]) draws the round; every further
+    /// call hands back *the same trials* and touches nothing — the
+    /// optimizer included — until they are reported, so a round can be
+    /// delivered again to whoever lost it.
+    pub fn next_round(&mut self, adapter: &dyn SearchSpaceAdapter) -> Option<&[Trial]> {
+        let iter = self.fold.history.scores.len();
+        if self.pending.is_none() && !self.stopped && iter <= self.opts.iterations {
+            self.pending = Some(self.draw(adapter, iter));
+        }
+        self.pending.as_ref().map(|r| r.trials.as_slice())
     }
 
-    let mut iter = fold.history.scores.len();
-    while iter <= opts.iterations {
-        // Iteration 0 — the server default configuration — is a round
-        // of its own. After it, a round never mixes LHS and optimizer
-        // points: the LHS phase is truncated at its boundary so the
-        // optimizer's first batch starts with the full initialization
-        // observed.
-        let lhs_round = (1..=init_points.len()).contains(&iter);
+    /// Draws the round that starts at iteration `iter`.
+    fn draw(&mut self, adapter: &dyn SearchSpaceAdapter, iter: usize) -> Round {
+        let opts = &self.opts;
+        // Iteration 0 — the server default configuration — is a
+        // round of its own. After it, a round never mixes LHS and
+        // optimizer points: the LHS phase is truncated at its
+        // boundary so the optimizer's first batch starts with the
+        // full initialization observed.
+        let lhs_round = (1..=self.init_points.len()).contains(&iter);
         let source = match iter {
             0 => "default",
             _ if lhs_round => "lhs",
             _ => "optimizer",
         };
-        let round_q = if iter == 0 { 1 } else { q.min(opts.iterations - iter + 1) };
-        if traced {
-            tracer.record(
-                TraceEvent::new(label, "round")
+        let round_q = if iter == 0 { 1 } else { self.q.min(opts.iterations - iter + 1) };
+        if self.fold.traced {
+            opts.tracer.record(
+                TraceEvent::new(opts.trace_label.as_str(), "round")
                     .field("iteration", iter as u64)
                     .field("size", round_q as u64)
                     .field("source", source),
@@ -720,23 +760,24 @@ pub fn run_session_resumable(
         let points: Vec<Vec<f64>> = if iter == 0 {
             vec![Vec::new()]
         } else if lhs_round {
-            let end = (iter + round_q - 1).min(init_points.len());
-            (iter..=end).map(|i| spec.snap(&init_points[i - 1])).collect()
+            let spec = adapter.optimizer_spec();
+            let end = (iter + round_q - 1).min(self.init_points.len());
+            (iter..=end).map(|i| spec.snap(&self.init_points[i - 1])).collect()
         } else {
             let suggest_start = Instant::now();
-            let points = optimizer.suggest_batch(round_q);
+            let points = self.optimizer.suggest_batch(round_q);
             opts.metrics.observe("session.suggest_ms", suggest_start.elapsed().as_secs_f64() * 1e3);
-            if traced {
-                tracer.record(
-                    TraceEvent::new(label, "optimizer.suggest")
+            if self.fold.traced {
+                opts.tracer.record(
+                    TraceEvent::new(opts.trace_label.as_str(), "optimizer.suggest")
                         .field("iteration", iter as u64)
                         .field("count", points.len() as u64),
                 );
             }
             points
         };
-        fold.drain_degradations(optimizer.as_mut(), iter);
-        let trials: Vec<Trial> = points
+        self.fold.drain_degradations(opts, self.optimizer.as_mut(), iter);
+        let trials = points
             .iter()
             .enumerate()
             .map(|(k, p)| Trial {
@@ -748,16 +789,33 @@ pub fn run_session_resumable(
                 },
             })
             .collect();
-        let eval_start = Instant::now();
-        let results = executor.run_batch(&trials);
-        opts.metrics.observe("session.evaluate_ms", eval_start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(results.len(), trials.len(), "executor must return one result per trial");
+        Round { source, points, trials, drawn: Instant::now() }
+    }
 
-        // Fold results back in iteration order — penalties, best curve,
-        // and early stopping are scheduling-independent. If early
-        // stopping fires mid-round the rest of the round is discarded.
+    /// Folds the results of the round [`Session::next_round`] handed out
+    /// — positionally aligned with its trials — back in iteration
+    /// order, so penalties, the best curve and early stopping are
+    /// scheduling-independent (if early stopping fires mid-round the
+    /// rest of the round is discarded), then tells the optimizer.
+    /// `sink`, when present, receives a [`TrialRecord`] for every trial
+    /// as soon as it is folded in (replayed trials were *not* emitted).
+    ///
+    /// # Panics
+    /// Panics if no round is pending or `results` is not one per trial.
+    pub fn report(
+        &mut self,
+        results: Vec<EvalResult>,
+        mut sink: Option<&mut (dyn FnMut(TrialRecord<'_>) + '_)>,
+    ) {
+        let opts = &self.opts;
+        let Round { source, points, trials, drawn } =
+            self.pending.take().expect("report answers the round next_round drew");
+        opts.metrics.observe("session.evaluate_ms", drawn.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(results.len(), trials.len(), "executor must return one result per trial");
+        let iter = trials[0].iteration;
+
         let mut observations = Vec::with_capacity(results.len());
-        let stopped = points.into_iter().zip(trials).zip(results).any(|((point, trial), eval)| {
+        self.stopped = points.into_iter().zip(trials).zip(results).any(|((point, trial), eval)| {
             let t = PriorTrial {
                 iteration: trial.iteration,
                 point,
@@ -767,14 +825,15 @@ pub fn run_session_resumable(
                 status: eval.status,
                 attempts: eval.attempts,
             };
-            fold.trial(t, eval.virtual_ms, false, &mut sink, &mut observations)
+            self.fold.trial(opts, t, eval.virtual_ms, false, &mut sink, &mut observations)
         });
+        let fold = &mut self.fold;
         if let Some(progress) = &opts.progress {
             let round_scores = &fold.history.scores[iter..];
             let best_so_far = *fold.history.best_curve.last().expect("a round folds a trial");
             let round_best = round_scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             progress.emit(ProgressUpdate {
-                session: label.to_string(),
+                session: opts.trace_label.clone(),
                 iteration: iter as u64,
                 round_size: round_scores.len() as u64,
                 phase: source.to_string(),
@@ -790,25 +849,58 @@ pub fn run_session_resumable(
         // hears of the session after round one.
         if iter > 0 {
             let observed = observations.len();
-            optimizer.observe_batch(observations);
-            if traced {
-                tracer.record(
-                    TraceEvent::new(label, "optimizer.observe")
+            self.optimizer.observe_batch(observations);
+            if fold.traced {
+                opts.tracer.record(
+                    TraceEvent::new(opts.trace_label.as_str(), "optimizer.observe")
                         .field("iteration", iter as u64)
                         .field("count", observed as u64),
                 );
             }
-            fold.drain_degradations(optimizer.as_mut(), iter);
+            fold.drain_degradations(opts, self.optimizer.as_mut(), iter);
         }
-        if stopped {
-            break;
+    }
+
+    /// Ends the session and returns its history.
+    pub fn finish(self) -> SessionHistory {
+        if self.fold.traced {
+            self.opts
+                .tracer
+                .record(session_end_span(self.opts.trace_label.as_str(), &self.fold.history));
         }
-        iter = fold.history.scores.len();
+        self.fold.history
     }
-    if traced {
-        tracer.record(session_end_span(label, &fold.history));
+}
+
+/// [`run_session_parallel`] plus the two durability seams of the
+/// persistent knowledge store — the loop over a [`Session`] for a caller
+/// that evaluates inline:
+///
+/// * **Replay** — `prior` is handed to [`Session::resume`]: recorded
+///   trials up to the last round boundary are folded back and re-fed to
+///   the optimizer without running anything.
+/// * **Checkpointing** — `sink`, when present, receives a
+///   [`TrialRecord`] for every freshly evaluated trial as soon as its
+///   result is folded in (replayed trials are *not* re-emitted).
+///
+/// Returns an error on malformed inputs (non-contiguous prior trials,
+/// warm-start points of the wrong dimensionality) instead of running a
+/// corrupt session.
+pub fn run_session_resumable(
+    adapter: &dyn SearchSpaceAdapter,
+    optimizer: Box<dyn Optimizer>,
+    executor: &mut dyn TrialExecutor,
+    opts: &SessionOptions,
+    batch_size: usize,
+    prior: &[PriorTrial],
+    mut sink: Option<&mut dyn FnMut(TrialRecord<'_>)>,
+) -> Result<SessionHistory, String> {
+    let mut session = Session::resume(adapter, optimizer, opts, batch_size, prior)?;
+    while let Some(trials) = session.next_round(adapter) {
+        let results = executor.run_batch(trials);
+        session.report(results, sink.as_deref_mut());
     }
-    Ok(fold.history)
+    Ok(session.finish())
 }
 
 #[cfg(test)]
@@ -1234,7 +1326,64 @@ mod tests {
             )
             .unwrap();
             assert_histories_bit_equal(&full, &resumed);
+
+            // The same resume stepped by hand, as the daemon steps it.
+            let mut session = Session::resume(
+                &adapter,
+                Box::new(HistoryHash { dims, seen: vec![] }),
+                &opts,
+                3,
+                &prior[..cut],
+            )
+            .unwrap();
+            let mut eval = objective(&space);
+            while let Some(trials) = session.next_round(&adapter) {
+                let results = trials.iter().map(|t| eval(&t.config)).collect();
+                session.report(results, None);
+            }
+            assert_histories_bit_equal(&full, &session.finish());
         }
+    }
+
+    /// Steps a random-search session — `suggest` advances private RNG,
+    /// so one suggestion too many shifts every later point — asking for
+    /// each round `asks` times before answering it.
+    fn stepped_asking(asks: usize) -> SessionHistory {
+        let space = postgres_v9_6();
+        let adapter = IdentityAdapter::new(&space);
+        let opts = SessionOptions { iterations: 9, n_init: 2, ..Default::default() };
+        let optimizer = RandomSearch::new(adapter.optimizer_spec().clone(), 17);
+        let mut session = Session::resume(&adapter, Box::new(optimizer), &opts, 2, &[]).unwrap();
+        let mut eval = objective(&space);
+        while let Some(first) = session.next_round(&adapter).map(<[Trial]>::to_vec) {
+            for _ in 1..asks {
+                let again = session.next_round(&adapter).expect("the round is still pending");
+                assert_eq!(again.len(), first.len());
+                for (a, b) in again.iter().zip(&first) {
+                    assert_eq!((a.iteration, &a.config), (b.iteration, &b.config));
+                }
+            }
+            session.report(first.iter().map(|t| eval(&t.config)).collect(), None);
+        }
+        session.finish()
+    }
+
+    #[test]
+    fn next_round_redelivers_the_round_and_leaves_the_optimizer_alone() {
+        assert_histories_bit_equal(&stepped_asking(1), &stepped_asking(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "one result per trial")]
+    fn report_refuses_a_result_count_that_is_not_the_rounds() {
+        let space = postgres_v9_6();
+        let adapter = IdentityAdapter::new(&space);
+        let optimizer = RandomSearch::new(adapter.optimizer_spec().clone(), 1);
+        let mut session =
+            Session::resume(&adapter, Box::new(optimizer), &SessionOptions::default(), 2, &[])
+                .unwrap();
+        assert_eq!(session.next_round(&adapter).map(<[Trial]>::len), Some(1));
+        session.report(Vec::new(), None);
     }
 
     #[test]

@@ -31,6 +31,5 @@ pub use rf::{RandomForest, RandomForestConfig, Tree, TreeNode};
 pub use smac::{Smac, SmacConfig};
 pub use sparse::{select_inducing, subsample_indices, SparseGpConfig};
 pub use spec::{
-    warm_start, Observation, Optimizer, OptimizerKind, ParamKind, RandomSearch, SearchSpec,
-    DEFAULT_METRIC_DIM,
+    Observation, Optimizer, OptimizerKind, ParamKind, RandomSearch, SearchSpec, DEFAULT_METRIC_DIM,
 };

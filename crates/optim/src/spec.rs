@@ -262,28 +262,6 @@ impl OptimizerKind {
     }
 }
 
-/// Injects prior observations — e.g. the top trials of a similar past
-/// campaign pulled out of the persistent knowledge store — into an
-/// optimizer before its session starts: the observation-side half of
-/// warm-start transfer (the evaluation-side half is seeding the init
-/// design, `SessionOptions::warm_points` in the core crate). Points are
-/// snapped onto `spec`'s grids first, so records from a bucketized
-/// space replay cleanly into a space with different (or no) grids.
-///
-/// The observations enter through [`Optimizer::observe_batch`], so
-/// wrappers that fantasize pending points treat the injection exactly
-/// like replayed history.
-pub fn warm_start(optimizer: &mut dyn Optimizer, spec: &SearchSpec, prior: Vec<Observation>) {
-    let snapped = prior
-        .into_iter()
-        .map(|mut o| {
-            o.x = spec.snap(&o.x);
-            o
-        })
-        .collect();
-    optimizer.observe_batch(snapped);
-}
-
 /// Pure random search — the weakest baseline and a useful control.
 #[derive(Debug)]
 pub struct RandomSearch {
@@ -393,32 +371,6 @@ mod tests {
         let singles: Vec<_> = (0..4).map(|_| sequential.suggest()).collect();
         assert_eq!(batch, singles);
         assert_eq!(batch.len(), 4);
-    }
-
-    #[test]
-    fn warm_start_snaps_points_and_feeds_the_optimizer() {
-        let spec = SearchSpec {
-            params: vec![
-                ParamKind::Continuous { buckets: Some(5) },
-                ParamKind::Categorical { n: 2 },
-            ],
-        };
-        let mut warmed = crate::Smac::new(spec.clone(), crate::SmacConfig::default(), 4);
-        let mut plain = crate::Smac::new(spec.clone(), crate::SmacConfig::default(), 4);
-        let prior: Vec<Observation> = (0..6)
-            .map(|i| {
-                let t = i as f64 / 6.0;
-                Observation { x: vec![t, 1.0 - t], y: t, metrics: vec![] }
-            })
-            .collect();
-        warm_start(&mut warmed, &spec, prior.clone());
-        for o in prior {
-            plain.observe(Observation { x: spec.snap(&o.x), ..o });
-        }
-        // Same injected history ⇒ same next suggestions.
-        for _ in 0..3 {
-            assert_eq!(warmed.suggest(), plain.suggest());
-        }
     }
 
     #[test]

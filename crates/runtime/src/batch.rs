@@ -72,31 +72,14 @@ pub enum RetractionMode {
     Rebuild,
 }
 
-/// How the lie value is chosen from the real observations so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LiarStrategy {
-    /// The minimum real score (pessimistic — the classic "CL-min", best
-    /// for maximization as it strongly repels pending points).
-    #[default]
-    Min,
-    /// The mean real score (neutral).
-    Mean,
-    /// The maximum real score (optimistic — clusters the batch near the
-    /// incumbent).
-    Max,
-}
-
-impl LiarStrategy {
-    fn lie(&self, real: &[Observation]) -> f64 {
-        if real.is_empty() {
-            return 0.0;
-        }
-        match self {
-            LiarStrategy::Min => real.iter().map(|o| o.y).fold(f64::INFINITY, f64::min),
-            LiarStrategy::Mean => real.iter().map(|o| o.y).sum::<f64>() / real.len() as f64,
-            LiarStrategy::Max => real.iter().map(|o| o.y).fold(f64::NEG_INFINITY, f64::max),
-        }
+/// The lie: the minimum real score so far (the classic pessimistic
+/// "CL-min", which strongly repels pending points under maximization);
+/// a neutral `0.0` before anything real was observed.
+fn cl_min(real: &[Observation]) -> f64 {
+    if real.is_empty() {
+        return 0.0;
     }
+    real.iter().map(|o| o.y).fold(f64::INFINITY, f64::min)
 }
 
 /// Builds a fresh, identically-seeded optimizer. Called once up front and
@@ -113,7 +96,6 @@ pub struct BatchSuggest {
     real: Vec<Observation>,
     /// Number of fantasized observations currently inside `inner`.
     fantasized: usize,
-    strategy: LiarStrategy,
     mode: RetractionMode,
     /// The inner optimizer's state captured just before the current
     /// round's fantasizing, plus the real-history length it covers.
@@ -121,8 +103,7 @@ pub struct BatchSuggest {
 }
 
 impl BatchSuggest {
-    /// Wraps the optimizer produced by `factory` with the default
-    /// (pessimistic) liar.
+    /// Wraps the optimizer produced by `factory`.
     pub fn new(factory: OptimizerFactory) -> Self {
         let inner = factory();
         BatchSuggest {
@@ -130,16 +111,9 @@ impl BatchSuggest {
             inner,
             real: Vec::new(),
             fantasized: 0,
-            strategy: LiarStrategy::default(),
             mode: RetractionMode::default(),
             snapshot: None,
         }
-    }
-
-    /// Selects the liar strategy.
-    pub fn with_strategy(mut self, strategy: LiarStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Selects how lies are retracted (default: snapshot-restore with a
@@ -219,7 +193,7 @@ impl Optimizer for BatchSuggest {
         } else {
             None
         };
-        let lie = self.strategy.lie(&self.real);
+        let lie = cl_min(&self.real);
         let mut batch = Vec::with_capacity(q);
         for _ in 0..q {
             let x = self.inner.suggest();
@@ -344,10 +318,8 @@ mod tests {
             Observation { x: vec![0.1], y: 2.0, metrics: vec![] },
             Observation { x: vec![0.2], y: 8.0, metrics: vec![] },
         ];
-        assert_eq!(LiarStrategy::Min.lie(&real), -4.0);
-        assert_eq!(LiarStrategy::Mean.lie(&real), 2.0);
-        assert_eq!(LiarStrategy::Max.lie(&real), 8.0);
-        assert_eq!(LiarStrategy::Min.lie(&[]), 0.0, "no history: neutral lie");
+        assert_eq!(cl_min(&real), -4.0);
+        assert_eq!(cl_min(&[]), 0.0, "no history: neutral lie");
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! configuration that was already measured (under the same evaluation
 //! seed) buys no new information — the cache short-circuits those repeats
 //! and keeps hit statistics so campaigns can report how much bucketization
-//! actually deduplicated. An optional capacity bound (oldest-insertion
-//! eviction, counted in [`CacheStats::evictions`]) keeps long-running
-//! campaigns from growing the cache without limit, and store-backed
-//! campaigns pre-load it with every trial already persisted for the
-//! session — the persistent half of the evaluation cache.
+//! actually deduplicated. A cache is scoped to one session, so it holds at
+//! most one entry per trial; store-backed campaigns pre-load it with every
+//! trial already persisted for the session — the persistent half of the
+//! evaluation cache.
 
 use llamatune::session::EvalResult;
 use llamatune_space::{Config, KnobValue};
@@ -19,7 +18,7 @@ use llamatune_space::{Config, KnobValue};
 // whole campaign. Defined next to the store's index, which has the same
 // requirement.
 pub(crate) use llamatune_store::lock_recover;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -58,15 +57,13 @@ pub fn config_key(config: &Config) -> u64 {
     h
 }
 
-/// Hit/miss/eviction counters of an [`EvalCache`].
+/// Hit/miss counters of an [`EvalCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache (no DBMS run).
     pub hits: u64,
     /// Lookups that fell through to a real evaluation.
     pub misses: u64,
-    /// Entries evicted to respect the capacity bound.
-    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -81,50 +78,27 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<u64, EvalResult>,
-    /// Keys in insertion order; the front is the eviction victim.
-    order: VecDeque<u64>,
-}
-
-/// A thread-safe evaluation cache keyed by [`config_key`], with an
-/// optional capacity bound (oldest-insertion eviction) so long
-/// campaigns cannot grow it without limit.
+/// A thread-safe evaluation cache keyed by [`config_key`].
 ///
 /// Scope it to one (workload, evaluation-seed) context: the key covers
 /// only the configuration, so results from different workloads or
 /// evaluation seeds must not share a cache.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    inner: Mutex<CacheInner>,
-    capacity: Option<usize>,
+    map: Mutex<HashMap<u64, EvalResult>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl EvalCache {
-    /// Creates an unbounded cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a cache holding at most `capacity` entries; the oldest
-    /// insertion is evicted to admit a new distinct configuration. A
-    /// zero capacity caches nothing (every insert immediately evicts).
-    pub fn with_capacity(capacity: usize) -> Self {
-        EvalCache { capacity: Some(capacity), ..Self::default() }
-    }
-
-    /// The capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Looks up a configuration, counting the outcome.
     pub fn lookup(&self, config: &Config) -> Option<EvalResult> {
-        let found = lock_recover(&self.inner).map.get(&config_key(config)).cloned();
+        let found = lock_recover(&self.map).get(&config_key(config)).cloned();
         match found {
             Some(r) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -137,9 +111,8 @@ impl EvalCache {
         }
     }
 
-    /// Records an evaluation result, evicting the oldest insertion if
-    /// the cache is at capacity. Re-inserting an existing key replaces
-    /// its value without touching the insertion order.
+    /// Records an evaluation result. Re-inserting an existing key
+    /// replaces its value.
     ///
     /// Retryable outcomes ([`EvalResult::is_retryable`]: crashes,
     /// timeouts, quarantine hits, anything scoreless) are refused —
@@ -151,24 +124,12 @@ impl EvalCache {
         if result.is_retryable() {
             return;
         }
-        let key = config_key(config);
-        let mut inner = lock_recover(&self.inner);
-        if inner.map.insert(key, result).is_some() {
-            return; // replacement: size and order unchanged
-        }
-        inner.order.push_back(key);
-        if let Some(cap) = self.capacity {
-            while inner.map.len() > cap {
-                let victim = inner.order.pop_front().expect("order tracks map");
-                inner.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        lock_recover(&self.map).insert(config_key(config), result);
     }
 
     /// Number of distinct configurations stored.
     pub fn len(&self) -> usize {
-        lock_recover(&self.inner).map.len()
+        lock_recover(&self.map).len()
     }
 
     /// Whether nothing has been stored yet.
@@ -176,12 +137,11 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Snapshot of the hit/miss/eviction counters.
+    /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -216,9 +176,13 @@ mod tests {
         assert_eq!(hit.score, Some(123.0));
         assert_eq!(hit.metrics, vec![1.0]);
         let stats = cache.stats();
-        assert_eq!(stats, CacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(stats, CacheStats { hits: 1, misses: 1 });
         assert_eq!(stats.hit_rate(), 0.5);
         assert_eq!(cache.len(), 1);
+        // Re-inserting a key replaces its value.
+        cache.insert(&cfg, EvalResult { score: Some(10.0), ..Default::default() });
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(&cfg).unwrap().score, Some(10.0));
     }
 
     #[test]
@@ -250,66 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_evicts_oldest_insertion_first() {
-        let space = postgres_v9_6();
-        let cache = EvalCache::with_capacity(2);
-        let cfgs: Vec<Config> = (1..=3).map(|i| config_with_sb(&space, i * 1000)).collect();
-        for (i, cfg) in cfgs.iter().enumerate() {
-            cache.insert(cfg, EvalResult { score: Some(i as f64), ..Default::default() });
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup(&cfgs[0]).is_none(), "oldest insertion evicted");
-        assert!(cache.lookup(&cfgs[1]).is_some());
-        assert!(cache.lookup(&cfgs[2]).is_some());
-        assert_eq!(cache.capacity(), Some(2));
-    }
-
-    #[test]
-    fn reinserting_a_key_does_not_evict_or_reorder() {
-        let space = postgres_v9_6();
-        let cache = EvalCache::with_capacity(2);
-        let a = config_with_sb(&space, 1000);
-        let b = config_with_sb(&space, 2000);
-        cache.insert(&a, EvalResult { score: Some(1.0), ..Default::default() });
-        cache.insert(&b, EvalResult { score: Some(2.0), ..Default::default() });
-        // Refresh `a`'s value: still 2 entries, zero evictions, and `a`
-        // keeps its original (oldest) insertion slot.
-        cache.insert(&a, EvalResult { score: Some(10.0), ..Default::default() });
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.lookup(&a).unwrap().score, Some(10.0));
-        let c = config_with_sb(&space, 3000);
-        cache.insert(&c, EvalResult { score: Some(3.0), ..Default::default() });
-        assert!(cache.lookup(&a).is_none(), "a was still the oldest insertion");
-        assert!(cache.lookup(&b).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_caches_nothing() {
-        let space = postgres_v9_6();
-        let cache = EvalCache::with_capacity(0);
-        let cfg = space.default_config();
-        cache.insert(&cfg, EvalResult { score: Some(1.0), ..Default::default() });
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup(&cfg).is_none());
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
-        let space = postgres_v9_6();
-        let cache = EvalCache::new();
-        for i in 1..=64 {
-            let cfg = config_with_sb(&space, i * 512);
-            cache.insert(&cfg, EvalResult { score: Some(i as f64), ..Default::default() });
-        }
-        assert_eq!(cache.len(), 64);
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.capacity(), None);
-    }
-
-    #[test]
     fn poisoned_lock_recovers_instead_of_wedging() {
         use std::sync::Arc;
         let space = postgres_v9_6();
@@ -319,11 +223,11 @@ mod tests {
         // Poison the mutex: panic while holding the guard.
         let poisoner = cache.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.lock().unwrap();
+            let _guard = poisoner.map.lock().unwrap();
             panic!("worker died mid-campaign");
         })
         .join();
-        assert!(cache.inner.is_poisoned(), "the panic must have poisoned the lock");
+        assert!(cache.map.is_poisoned(), "the panic must have poisoned the lock");
         // Every operation still works on the recovered guard.
         assert_eq!(cache.lookup(&cfg).unwrap().score, Some(7.0));
         let other = config_with_sb(&space, 4242);

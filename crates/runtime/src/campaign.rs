@@ -119,10 +119,8 @@ impl Default for WarmStartOptions {
     }
 }
 
-/// Execution knobs of a campaign. Construct directly (every field is
-/// public, `Default` is sensible) or through the validating
-/// [`CampaignOptions::builder`], which rejects nonsensical
-/// combinations at build time instead of mid-campaign.
+/// Execution knobs of a campaign: every field is public and `Default`
+/// is sensible, so callers write a struct literal.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Per-session loop parameters (iterations, n_init, early stop; the
@@ -146,8 +144,6 @@ pub struct CampaignOptions {
     /// Deduplicate evaluations through a per-session
     /// [`EvalCache`](crate::EvalCache).
     pub cache: bool,
-    /// Capacity bound of the per-session cache (`None` = unbounded).
-    pub cache_capacity: Option<usize>,
     /// Warm-start sessions from similar stored campaigns (store-backed
     /// campaigns only; `None` disables transfer).
     pub warm_start: Option<WarmStartOptions>,
@@ -201,7 +197,6 @@ impl Default for CampaignOptions {
             session_parallelism: 1,
             constant_liar: true,
             cache: true,
-            cache_capacity: None,
             warm_start: None,
             run_options: None,
             fault_plan: None,
@@ -211,14 +206,6 @@ impl Default for CampaignOptions {
             progress: None,
             live_metrics: None,
         }
-    }
-}
-
-impl CampaignOptions {
-    /// A validating builder over these options — see
-    /// [`CampaignOptionsBuilder`](crate::CampaignOptionsBuilder).
-    pub fn builder() -> crate::options::CampaignOptionsBuilder {
-        crate::options::CampaignOptionsBuilder::new()
     }
 }
 
@@ -849,23 +836,6 @@ mod tests {
             meta.warm_points
         );
         std::fs::remove_dir_all(store.dir()).unwrap();
-    }
-
-    #[test]
-    fn bounded_cache_campaign_reports_evictions() {
-        // Capacity 1: the second distinct *successful* configuration
-        // must evict the first. (Failed evaluations are refused by the
-        // cache since the fault-tolerance work, so the bound only sees
-        // successful trials — this session produces two of them.)
-        let opts =
-            CampaignOptions { cache_capacity: Some(1), session_parallelism: 1, ..quick_opts() };
-        let spec =
-            CampaignSpec { seeds: vec![1], workloads: vec!["ycsb_b".into()], ..small_spec() };
-        let results = Campaign::new(postgres_v9_6(), spec, opts).run();
-        let ok = results[0].history.raw_scores.iter().flatten().count();
-        assert!(ok >= 2, "session must land at least two successful trials");
-        let stats = results[0].cache.expect("cache enabled");
-        assert!(stats.evictions > 0, "a 1-entry cache must evict: {stats:?}");
     }
 
     #[test]

@@ -5,12 +5,24 @@
 //! schedules a grid of drivers), the persistent/checkpointed path (a
 //! [`TrialStore`] attachment turns on durability seams: per-trial
 //! flushes, resume-from-round-boundary, warm-start transfer, lease
-//! takeover), and the tuning-as-a-service path (`llamatune-server`
-//! drives the same loop through [`SessionDriver::run_with_executor`],
-//! with trial evaluation delegated to a remote client). Because all
-//! three surfaces share this one fold, the byte-identity contract —
-//! history is a pure function of (adapter seed, optimizer seed, session
-//! seed, batch size) — holds across them by construction.
+//! takeover), and the tuning-as-a-service path (`llamatune-server`,
+//! whose trials are evaluated by a remote client). Because all three
+//! surfaces share this one fold, the byte-identity contract — history
+//! is a pure function of (adapter seed, optimizer seed, session seed,
+//! batch size) — holds across them by construction.
+//!
+//! The driver has one seam, in three steps: [`SessionDriver::open`]
+//! (a session the store records as finished is rebuilt; any other is
+//! set up — metadata, lease, warm points, optimizer stack, replay —
+//! into a [`LiveSession`]), [`SessionDriver::report`] (one round's
+//! results folded in, every trial in the store before it returns) and
+//! [`SessionDriver::finish`] (the `Done` record, the event block, the
+//! [`CampaignResult`]). A caller that evaluates inline never sees it:
+//! [`SessionDriver::run_with_executor`] is the loop over the three, and
+//! [`SessionDriver::run`] that loop with the driver's own executor. The
+//! daemon, which waits minutes between handing a round out and hearing
+//! back, calls the three steps itself and holds the [`LiveSession`] in
+//! between.
 //!
 //! Attachments compose builder-style and are all optional:
 //!
@@ -28,14 +40,14 @@
 //! [`Campaign`]: crate::Campaign
 
 use crate::batch::BatchSuggest;
-use crate::cache::{lock_recover, CacheStats, EvalCache};
+use crate::cache::{lock_recover, EvalCache};
 use crate::campaign::{AdapterKind, CampaignOptions, CampaignResult};
 use crate::executor::WorkloadExecutor;
 use crate::policy::FaultStatsSnapshot;
 use llamatune::history_io::{events_to_jsonl, history_to_events, TrialEvent};
 use llamatune::pipeline::SearchSpaceAdapter;
 use llamatune::session::{
-    replay_cutoff, run_session_resumable, SessionHistory, SessionOptions, TrialExecutor,
+    replay_cutoff, EvalResult, Session, SessionHistory, SessionOptions, Trial, TrialExecutor,
     TrialRecord,
 };
 use llamatune_obs::trace::Tracer;
@@ -118,12 +130,44 @@ impl EventSink for LogSink<'_> {
     }
 }
 
+/// A session [`SessionDriver::open`] set up and nobody finished yet:
+/// its adapter, the stepped [`Session`], the store metadata its `Done`
+/// record completes, and its metrics registry. Step it only through the
+/// driver that opened it (or one built from the same parts).
+pub struct LiveSession {
+    adapter: Box<dyn SearchSpaceAdapter>,
+    session: Session,
+    meta: Option<SessionMeta>,
+    metrics: Arc<MetricsRegistry>,
+}
+
+impl LiveSession {
+    /// The round to evaluate next — [`Session::next_round`]: drawn on
+    /// the first call after a report, handed back unchanged until it is
+    /// answered, `None` once the session has no round left.
+    pub fn next_round(&mut self) -> Option<&[Trial]> {
+        self.session.next_round(self.adapter.as_ref())
+    }
+}
+
+/// What [`SessionDriver::open`] found.
+pub enum Opened {
+    /// The store records the session as finished: its result, rebuilt
+    /// from the records with zero evaluations.
+    Done(Box<CampaignResult>),
+    /// The session has rounds left (fresh, or resumed from the store's
+    /// last recorded round boundary).
+    Live(Box<LiveSession>),
+}
+
 /// Drives one tuning session to completion. Construct with
 /// [`SessionDriver::new`], compose attachments (`with_store`,
 /// `with_events`, `with_tracer`), then call [`SessionDriver::run`] (the
 /// driver owns evaluation: a local [`WorkloadExecutor`] with cache,
 /// policy, and fault wiring) or [`SessionDriver::run_with_executor`]
-/// (the caller owns evaluation — the server's remote-trial seam).
+/// (the caller owns evaluation) — or step the session yourself through
+/// [`SessionDriver::open`] / [`SessionDriver::report`] /
+/// [`SessionDriver::finish`], as the server does.
 pub struct SessionDriver<'a> {
     catalog: &'a ConfigSpace,
     opts: &'a CampaignOptions,
@@ -186,11 +230,13 @@ impl<'a> SessionDriver<'a> {
     }
 
     /// The failed-terminally configurations of the session's replayed
-    /// prefix — what a resuming executor must preload into quarantine so
-    /// re-encounters answer from quarantine exactly like the
-    /// uninterrupted run. Empty without a store attachment or when the
-    /// policy has quarantine off. The server ships these to clients on
-    /// session attach; [`SessionDriver::run`] preloads them itself.
+    /// prefix — what a resuming executor must preload into quarantine
+    /// before its first live round, so re-encounters answer from
+    /// quarantine exactly like the uninterrupted run (trials past the
+    /// round boundary are re-run, and re-quarantine themselves). Empty
+    /// without a store attachment or when the policy has quarantine off.
+    /// The server ships these to clients on session attach;
+    /// [`SessionDriver::run`] preloads them itself.
     pub fn quarantine_preload(&self) -> Vec<Config> {
         let Some(store) = self.store else { return Vec::new() };
         if !self.opts.policy.quarantine {
@@ -207,11 +253,45 @@ impl<'a> SessionDriver<'a> {
     /// is set) under the campaign's execution policy, evaluation cache,
     /// and observability wiring.
     pub fn run(&self) -> std::io::Result<CampaignResult> {
-        self.run_internal(None)
+        let live = match self.open()? {
+            Opened::Done(result) => return Ok(*result),
+            Opened::Live(live) => *live,
+        };
+        // Evaluation seed: fixed per session, derived from the session
+        // seed exactly as the sequential harness does.
+        let mut executor = self.build_executor(self.cell.seed ^ 0x5EED).with_observability(
+            live.metrics.clone(),
+            self.tracer(),
+            self.cell.label.clone(),
+        );
+        let cache = self.opts.cache.then(|| Arc::new(EvalCache::new()));
+        if let Some(c) = &cache {
+            // The persistent half of the evaluation cache: every trial
+            // already recorded for this session is a measurement already
+            // paid for — a resumed partial round replays from here
+            // instead of re-running the DBMS. (Failed trials are refused
+            // by the cache; the quarantine preload covers them.)
+            for t in self.store.map(|s| s.trials_for(&self.cell.label)).unwrap_or_default() {
+                c.insert(
+                    &Config::new(t.config.clone()),
+                    EvalResult {
+                        score: t.raw_score,
+                        metrics: t.metrics,
+                        status: t.status,
+                        attempts: t.attempts,
+                        virtual_ms: 0.0,
+                    },
+                );
+            }
+            executor = executor.with_cache(c.clone());
+        }
+        executor.preload_quarantine(self.quarantine_preload().iter());
+        let mut result = self.drive(live, &mut executor)?;
+        result.cache = cache.map(|c| c.stats());
+        Ok(result)
     }
 
-    /// Runs the session through a caller-owned executor — the seam the
-    /// server uses to delegate evaluation to a remote client. All store
+    /// Runs the session through a caller-owned executor. All store
     /// seams (resume, per-trial flush, warm start, lease, completion
     /// metadata) stay active; cache and quarantine preloading are the
     /// caller's responsibility (see
@@ -221,15 +301,27 @@ impl<'a> SessionDriver<'a> {
         &self,
         executor: &mut dyn TrialExecutor,
     ) -> std::io::Result<CampaignResult> {
-        self.run_internal(Some(executor))
+        match self.open()? {
+            Opened::Done(result) => Ok(*result),
+            Opened::Live(live) => self.drive(*live, executor),
+        }
     }
 
-    fn result(
+    /// The loop over the driver's seam for a caller that evaluates
+    /// inline.
+    fn drive(
         &self,
-        history: SessionHistory,
-        cache: Option<CacheStats>,
-        metrics: MetricsSnapshot,
-    ) -> CampaignResult {
+        mut live: LiveSession,
+        executor: &mut dyn TrialExecutor,
+    ) -> std::io::Result<CampaignResult> {
+        while let Some(trials) = live.next_round() {
+            let results = executor.run_batch(trials);
+            self.report(&mut live, results)?;
+        }
+        self.finish(live)
+    }
+
+    fn result(&self, history: SessionHistory, metrics: MetricsSnapshot) -> CampaignResult {
         CampaignResult {
             label: self.cell.label.clone(),
             workload: self.cell.workload.clone(),
@@ -237,7 +329,7 @@ impl<'a> SessionDriver<'a> {
             optimizer: self.cell.optimizer.label().to_string(),
             seed: self.cell.seed,
             history,
-            cache,
+            cache: None,
             faults: FaultStatsSnapshot::from_metrics(&metrics),
             metrics,
         }
@@ -261,29 +353,33 @@ impl<'a> SessionDriver<'a> {
         opts
     }
 
-    fn run_internal(
-        &self,
-        external: Option<&mut dyn TrialExecutor>,
-    ) -> std::io::Result<CampaignResult> {
-        let cell = &self.cell;
-        let tracer = self.tracer();
+    /// The session's workload runner, under the campaign's simulation
+    /// window.
+    fn runner(&self) -> WorkloadRunner {
+        let spec = workload_by_name(&self.cell.workload)
+            .unwrap_or_else(|| panic!("unknown workload {:?}", self.cell.workload));
+        let runner = WorkloadRunner::new(spec, self.catalog.clone());
+        match self.opts.run_options.clone() {
+            Some(run_opts) => runner.with_options(run_opts),
+            None => runner,
+        }
+    }
 
-        // A session the store knows is finished is rebuilt from its
-        // records — zero evaluations.
+    /// Opens the session: a session the store knows is finished is
+    /// rebuilt from its records; any other gets its store metadata
+    /// (lease, fingerprint and warm points — recorded once, reused
+    /// verbatim on resume), its optimizer stack, and a [`Session`]
+    /// resumed from whatever the store already holds.
+    pub fn open(&self) -> std::io::Result<Opened> {
+        let cell = &self.cell;
         let meta = self.store.and_then(|s| s.session_meta(&cell.label));
         if let (Some(store), Some(m)) = (self.store, &meta) {
             if m.status == SessionStatus::Done {
                 let history = rebuild_history(&store.trials_for(&cell.label), m.stopped_at);
                 // Rebuilt without an executor: nothing ran, no faults.
-                return Ok(self.result(history, None, MetricsSnapshot::default()));
+                let result = self.result(history, MetricsSnapshot::default());
+                return Ok(Opened::Done(Box::new(result)));
             }
-        }
-
-        let spec = workload_by_name(&cell.workload)
-            .unwrap_or_else(|| panic!("unknown workload {:?}", cell.workload));
-        let mut runner = WorkloadRunner::new(spec, self.catalog.clone());
-        if let Some(run_opts) = self.opts.run_options.clone() {
-            runner = runner.with_options(run_opts);
         }
         let adapter = self.build_adapter();
 
@@ -307,7 +403,7 @@ impl<'a> SessionDriver<'a> {
                     m
                 }
                 None => {
-                    let fingerprint = workload_fingerprint(&runner, FINGERPRINT_PROBE_SEED);
+                    let fingerprint = workload_fingerprint(&self.runner(), FINGERPRINT_PROBE_SEED);
                     let warm_points = self.transfer_warm_points(store, &*adapter, &fingerprint);
                     let m = SessionMeta {
                         session: cell.label.clone(),
@@ -334,64 +430,27 @@ impl<'a> SessionDriver<'a> {
         let optimizer = self.build_optimizer(adapter.optimizer_spec().clone(), wrap_liar);
 
         let metrics = self.session_metrics();
+        let warm_points = meta.as_ref().map(|m| m.warm_points.clone()).unwrap_or_default();
         let session_opts =
-            self.session_options(meta.as_ref().map(|m| m.warm_points.clone()).unwrap_or_default());
-        let session_opts = SessionOptions { metrics: metrics.clone(), ..session_opts };
+            SessionOptions { metrics: metrics.clone(), ..self.session_options(warm_points) };
         let prior = self.store.map(|s| s.prior_trials(&cell.label)).unwrap_or_default();
+        let session = Session::resume(
+            adapter.as_ref(),
+            optimizer,
+            &session_opts,
+            self.opts.batch_size,
+            &prior,
+        )
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Ok(Opened::Live(Box::new(LiveSession { adapter, session, meta, metrics })))
+    }
 
-        // Local-executor construction, skipped entirely when the caller
-        // brought their own (the server's remote-evaluation seam).
-        let mut cache: Option<Arc<EvalCache>> = None;
-        let mut local: Option<WorkloadExecutor> = None;
-        if external.is_none() {
-            // Evaluation seed: fixed per session, derived from the
-            // session seed exactly as the sequential harness does.
-            let eval_seed = cell.seed ^ 0x5EED;
-            cache = self.opts.cache.then(|| Arc::new(self.build_cache()));
-            let mut executor = self.build_executor(&runner, eval_seed).with_observability(
-                metrics.clone(),
-                tracer.clone(),
-                cell.label.clone(),
-            );
-            if let (Some(c), Some(store)) = (&cache, self.store) {
-                // The persistent half of the evaluation cache: every
-                // trial already recorded for this session is a
-                // measurement already paid for — a resumed partial round
-                // replays from here instead of re-running the DBMS.
-                // (Failed trials are refused by the cache; quarantine
-                // preloading below covers them.)
-                for t in store.trials_for(&cell.label) {
-                    c.insert(
-                        &Config::new(t.config.clone()),
-                        llamatune::session::EvalResult {
-                            score: t.raw_score,
-                            metrics: t.metrics,
-                            status: t.status,
-                            attempts: t.attempts,
-                            virtual_ms: 0.0,
-                        },
-                    );
-                }
-            }
-            if let Some(c) = &cache {
-                executor = executor.with_cache(c.clone());
-            }
-            if self.store.is_some() && self.opts.policy.quarantine {
-                // Quarantine preload, replayed prefix only:
-                // configurations whose recorded trials failed terminally
-                // must enter quarantine before the first live round — the
-                // uninterrupted run would answer their re-encounters from
-                // quarantine, and a byte-identical resume must do the
-                // same. Trials past the round boundary are re-run, and
-                // re-quarantine themselves.
-                let cut = replay_cutoff(prior.len(), &session_opts, self.opts.batch_size);
-                executor.preload_quarantine(
-                    prior[..cut].iter().filter(|t| t.status.is_failure()).map(|t| &t.config),
-                );
-            }
-            local = Some(executor);
-        }
-
+    /// Folds the results of the round `live` handed out last. With a
+    /// store attached every trial of the round is appended before this
+    /// returns; the first append that fails is the call's error (the
+    /// rest of the round is not written), and the session must not be
+    /// stepped further — reopen it, and it resumes from the store.
+    pub fn report(&self, live: &mut LiveSession, results: Vec<EvalResult>) -> std::io::Result<()> {
         let mut sink_err: Option<std::io::Error> = None;
         let mut sink = self.store.map(|store| {
             let sink_err = &mut sink_err;
@@ -400,7 +459,7 @@ impl<'a> SessionDriver<'a> {
                     return;
                 }
                 let rec = StoredTrial {
-                    session: cell.label.clone(),
+                    session: self.cell.label.clone(),
                     iteration: t.iteration,
                     raw_score: t.raw_score,
                     score: t.score,
@@ -415,25 +474,15 @@ impl<'a> SessionDriver<'a> {
                 }
             }
         });
+        live.session.report(results, sink.as_mut().map(|s| s as &mut dyn FnMut(TrialRecord<'_>)));
+        sink_err.map_or(Ok(()), Err)
+    }
 
-        let executor: &mut dyn TrialExecutor = match external {
-            Some(e) => e,
-            None => local.as_mut().expect("local executor built"),
-        };
-        let history = run_session_resumable(
-            adapter.as_ref(),
-            optimizer,
-            executor,
-            &session_opts,
-            self.opts.batch_size,
-            &prior,
-            sink.as_mut().map(|s| s as &mut dyn FnMut(TrialRecord<'_>)),
-        )
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        if let Some(e) = sink_err {
-            return Err(e);
-        }
-        if let (Some(store), Some(meta)) = (self.store, meta) {
+    /// Finishes a session that has no round left: the store's `Done`
+    /// record (lease released), the event block, the result.
+    pub fn finish(&self, live: LiveSession) -> std::io::Result<CampaignResult> {
+        let history = live.session.finish();
+        if let (Some(store), Some(meta)) = (self.store, live.meta) {
             store.append_session(&SessionMeta {
                 status: SessionStatus::Done,
                 stopped_at: history.stopped_at,
@@ -441,13 +490,11 @@ impl<'a> SessionDriver<'a> {
                 ..meta
             })?;
         }
-
         if let Some(events) = self.events {
-            let evs: Vec<TrialEvent> = history_to_events(&cell.label, &history);
+            let evs: Vec<TrialEvent> = history_to_events(&self.cell.label, &history);
             events.append(&events_to_jsonl(&evs));
         }
-
-        Ok(self.result(history, cache.map(|c| c.stats()), metrics.snapshot()))
+        Ok(self.result(history, live.metrics.snapshot()))
     }
 
     /// Builds the session optimizer stack. Inside out: the raw
@@ -480,8 +527,8 @@ impl<'a> SessionDriver<'a> {
     /// Builds the trial executor: the workload runner — wrapped for
     /// seeded fault injection when a plan is set — under the campaign's
     /// execution policy.
-    fn build_executor(&self, runner: &WorkloadRunner, eval_seed: u64) -> WorkloadExecutor {
-        let base: Arc<dyn TrialRunner> = Arc::new(runner.clone());
+    fn build_executor(&self, eval_seed: u64) -> WorkloadExecutor {
+        let base: Arc<dyn TrialRunner> = Arc::new(self.runner());
         let trial_runner: Arc<dyn TrialRunner> = match &self.opts.fault_plan {
             Some(plan) => Arc::new(FaultyRunner::new(base, *plan)),
             None => base,
@@ -501,13 +548,6 @@ impl<'a> SessionDriver<'a> {
         match &self.opts.live_metrics {
             Some(live) => Arc::new(MetricsRegistry::with_parent(live.clone())),
             None => Arc::new(MetricsRegistry::new()),
-        }
-    }
-
-    fn build_cache(&self) -> EvalCache {
-        match self.opts.cache_capacity {
-            Some(cap) => EvalCache::with_capacity(cap),
-            None => EvalCache::new(),
         }
     }
 

@@ -1,14 +1,13 @@
-//! Parallel trial executors.
+//! The parallel trial executor.
 //!
-//! Both executors here implement [`TrialExecutor`] by splitting a batch
+//! [`WorkloadExecutor`] implements [`TrialExecutor`] by splitting a batch
 //! into contiguous chunks, one per worker, and evaluating the chunks on
 //! scoped threads. Results land in positional slots, so the returned
 //! vector is aligned with the input batch no matter which worker finishes
 //! first — the property `run_session_parallel` relies on for
 //! worker-count-independent histories.
 //!
-//! [`WorkloadExecutor`] is the DBMS-benchmark instantiation: trials run
-//! against a shared [`TrialRunner`] (a plain [`WorkloadRunner`], or a
+//! Trials run against a shared [`TrialRunner`] (a plain [`WorkloadRunner`], or a
 //! fault-injecting wrapper around one) under an [`ExecutionPolicy`] —
 //! watchdog, retry, hedging, quarantine — and an optional shared
 //! [`EvalCache`] short-circuits configurations that were already
@@ -115,53 +114,6 @@ fn run_batch_cached(
         resolved[i] = Some(fresh[u].clone());
     }
     (resolved.into_iter().map(|r| r.expect("resolved or evaluated")).collect(), outcome)
-}
-
-/// A [`TrialExecutor`] over an arbitrary `Sync` objective closure,
-/// evaluated by a pool of scoped worker threads. Useful for synthetic
-/// objectives in tests and benchmarks; DBMS campaigns use
-/// [`WorkloadExecutor`].
-pub struct ParallelExecutor<F: Fn(&Config) -> EvalResult + Sync> {
-    workers: usize,
-    eval: F,
-    cache: Option<Arc<EvalCache>>,
-}
-
-impl<F: Fn(&Config) -> EvalResult + Sync> ParallelExecutor<F> {
-    /// Creates an executor evaluating with `workers` threads.
-    pub fn new(workers: usize, eval: F) -> Self {
-        ParallelExecutor { workers: workers.max(1), eval, cache: None }
-    }
-
-    /// Attaches a (possibly shared) evaluation cache.
-    pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The attached cache's statistics, if any.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-}
-
-impl<F: Fn(&Config) -> EvalResult + Sync> TrialExecutor for ParallelExecutor<F> {
-    fn run_batch(&mut self, trials: &[Trial]) -> Vec<EvalResult> {
-        let eval_all = |_idxs: &[usize], configs: &[&Config]| {
-            eval_chunked(self.workers, configs, |_, _, cfg| (self.eval)(cfg))
-        };
-        match &self.cache {
-            Some(cache) => run_batch_cached(cache, trials, eval_all).0,
-            None => {
-                let configs: Vec<&Config> = trials.iter().map(|t| &t.config).collect();
-                eval_all(&[], &configs)
-            }
-        }
-    }
-
-    fn max_parallelism(&self) -> usize {
-        self.workers
-    }
 }
 
 /// The DBMS-benchmark [`TrialExecutor`]: a shared [`TrialRunner`]
@@ -462,10 +414,13 @@ mod tests {
         let space = postgres_v9_6();
         let trials: Vec<Trial> = (1..=17).map(|i| trial(&space, i * 1000)).collect();
         let expected: Vec<f64> = (1..=17).map(|i| (i * 1000) as f64).collect();
+        let configs: Vec<&Config> = trials.iter().map(|t| &t.config).collect();
+        let score = score_of(&space);
         for workers in [1, 2, 3, 8, 32] {
-            let mut ex = ParallelExecutor::new(workers, score_of(&space));
-            let scores: Vec<f64> =
-                ex.run_batch(&trials).into_iter().map(|r| r.score.unwrap()).collect();
+            let scores: Vec<f64> = eval_chunked(workers, &configs, |_, _, cfg| score(cfg))
+                .into_iter()
+                .map(|r| r.score.unwrap())
+                .collect();
             assert_eq!(scores, expected, "workers = {workers}");
         }
     }
@@ -480,15 +435,19 @@ mod tests {
             evals.fetch_add(1, Ordering::SeqCst);
             EvalResult { score: Some(cfg.values()[idx].as_float()), ..Default::default() }
         };
-        let cache = Arc::new(EvalCache::new());
-        let mut ex = ParallelExecutor::new(2, eval).with_cache(cache.clone());
+        let cache = EvalCache::new();
+        let run_batch = |batch: &[Trial]| {
+            let eval_all =
+                |_: &[usize], configs: &[&Config]| eval_chunked(2, configs, |_, _, cfg| eval(cfg));
+            run_batch_cached(&cache, batch, eval_all).0
+        };
         // Batch with an internal duplicate: 3 trials, 2 distinct configs.
         let batch = vec![trial(&space, 1000), trial(&space, 2000), trial(&space, 1000)];
-        let r1 = ex.run_batch(&batch);
+        let r1 = run_batch(&batch);
         assert_eq!(evals.load(Ordering::SeqCst), 2, "duplicate evaluated once");
         assert_eq!(r1[0].score, r1[2].score);
         // Second round: everything cached.
-        let r2 = ex.run_batch(&batch);
+        let r2 = run_batch(&batch);
         assert_eq!(evals.load(Ordering::SeqCst), 2, "no new evaluations");
         assert_eq!(r2[1].score, Some(2000.0));
         let stats = cache.stats();

@@ -5,11 +5,10 @@
 //! that leaves every core but one idle during the expensive part — the
 //! benchmark run. This crate turns the loop into a campaign engine:
 //!
-//! * [`ParallelExecutor`] / [`WorkloadExecutor`] — `TrialExecutor`s that
-//!   spread a batch of decoded configurations over scoped worker
-//!   threads, each worker owning its own [`WorkloadRunner`] clone
-//!   (cheap: runners are Arc-backed). Results return in batch order, so
-//!   histories are worker-count independent.
+//! * [`WorkloadExecutor`] — the `TrialExecutor` that spreads a batch of
+//!   decoded configurations over scoped worker threads sharing one
+//!   [`WorkloadRunner`] (cheap: runners are Arc-backed). Results return
+//!   in batch order, so histories are worker-count independent.
 //! * [`BatchSuggest`] — extracts q > 1 *diverse* suggestions per round
 //!   from any unmodified [`Optimizer`] via constant-liar fantasizing:
 //!   observe a pessimistic pseudo-score for each pending point, suggest
@@ -34,10 +33,15 @@
 //!   seed) cell through the whole trial loop: warm start, quarantine
 //!   preload, batched suggestion, evaluation via any `TrialExecutor`,
 //!   per-trial checkpointing, and resume from a recorded round
-//!   boundary. Every higher-level entry point — `Campaign`, the
-//!   `llamatune-server` daemon, the bench bins — is a thin loop over
-//!   this one driver, which is what makes their histories comparable
-//!   byte for byte.
+//!   boundary. Its seam is three steps — `open` (set the session up,
+//!   or rebuild a finished one), `report` (fold one round in, every
+//!   trial in the store before it returns), `finish` (the `Done`
+//!   record and the result) — and `run` / `run_with_executor` are the
+//!   loop over them for a caller that evaluates inline. `Campaign` and
+//!   the bench bins call the loop; the `llamatune-server` daemon, which
+//!   waits for a remote client between rounds, calls the steps and
+//!   keeps the [`LiveSession`] in between. One driver under all of
+//!   them is what makes their histories comparable byte for byte.
 //! * [`Campaign`] — fans a (workload × adapter × optimizer × seed) grid
 //!   across the pool and yields the same [`SessionHistory`] per session
 //!   that the sequential path produces. `Campaign::run_attached` is the
@@ -73,16 +77,14 @@ pub mod cache;
 pub mod campaign;
 pub mod driver;
 pub mod executor;
-pub mod options;
 pub mod policy;
 
-pub use batch::{BatchSuggest, LiarStrategy, OptimizerFactory, RetractionMode};
+pub use batch::{BatchSuggest, OptimizerFactory, RetractionMode};
 pub use cache::{config_key, CacheStats, EvalCache};
 pub use campaign::{
     AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignResult, CampaignSpec,
     OptimizerKind, WarmStartOptions,
 };
-pub use driver::{CellSpec, EventSink, SessionDriver};
-pub use executor::{ParallelExecutor, WorkloadExecutor};
-pub use options::{CampaignOptionsBuilder, OptionsError};
+pub use driver::{CellSpec, EventSink, LiveSession, Opened, SessionDriver};
+pub use executor::WorkloadExecutor;
 pub use policy::{ExecutionPolicy, FaultStatsSnapshot};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! llamatune-serverd --store /var/lib/llamatune [--addr 127.0.0.1:7701]
-//!                   [--suggest-timeout-secs 60] [--max-frame-bytes N]
+//!                   [--max-frame-bytes N]
 //! ```
 //!
 //! Serves the PostgreSQL 9.6 catalog over a local-directory store
@@ -15,13 +15,9 @@ use llamatune_server::{Server, ServerConfig, SessionRegistry};
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::{LocalDirBackend, StoreOptions};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: llamatune-serverd --store DIR [--addr HOST:PORT] \
-         [--suggest-timeout-secs N] [--max-frame-bytes N]"
-    );
+    eprintln!("usage: llamatune-serverd --store DIR [--addr HOST:PORT] [--max-frame-bytes N]");
     std::process::exit(2);
 }
 
@@ -36,13 +32,6 @@ fn main() -> std::io::Result<()> {
         match flag.as_str() {
             "--store" => store_dir = Some(value("--store")),
             "--addr" => addr = value("--addr"),
-            "--suggest-timeout-secs" => {
-                let secs: u64 = value("--suggest-timeout-secs").parse().unwrap_or_else(|e| {
-                    eprintln!("bad --suggest-timeout-secs: {e}");
-                    std::process::exit(2);
-                });
-                cfg.suggest_timeout = Duration::from_secs(secs);
-            }
             "--max-frame-bytes" => {
                 cfg.max_frame = value("--max-frame-bytes").parse().unwrap_or_else(|e| {
                     eprintln!("bad --max-frame-bytes: {e}");

@@ -2,11 +2,12 @@
 //! request dispatch into the [`SessionRegistry`].
 //!
 //! No async runtime: the protocol is request/response over long-lived
-//! connections, session multiplexing lives in the registry (driver
-//! threads + condvar round slots), so a plain thread-per-connection
-//! loop over [`std::net::TcpListener`] carries hundreds of concurrent
-//! clients — each connection thread spends its life blocked on either
-//! a socket read or a round condvar, both cheap to park.
+//! connections, and a session is a value in the registry that the
+//! connection thread of the request at hand steps — so a plain
+//! thread-per-connection loop over [`std::net::TcpListener`] is the
+//! only place this crate spawns a thread, and each one spends its life
+//! blocked on a socket read, cheap to park. A session nobody is talking
+//! to costs its optimizer state and nothing else.
 
 use crate::session::{Attach, SessionRegistry};
 use crate::wire::{
@@ -29,8 +30,12 @@ pub struct ServerConfig {
     /// idle timeout closes the connection cleanly (clients reconnect
     /// and re-attach — attachment is idempotent by design).
     pub read_timeout: Option<Duration>,
-    /// Longest a `suggest_batch` call blocks waiting for a round before
-    /// answering with a `timeout` error (the client simply re-asks).
+    /// Bounds nothing: `suggest_batch` reads a round that is already
+    /// drawn and never waits (it once blocked this long for a session
+    /// thread to publish one). Still a field because `benchmark/` sets
+    /// it; it goes, with the `timeout` parameter of
+    /// [`SessionRegistry::suggest`], in the next PR that may edit
+    /// `benchmark/`.
     pub suggest_timeout: Duration,
 }
 
@@ -100,9 +105,10 @@ impl Server {
     }
 
     /// Runs the accept loop until a handle (or a `shutdown` request)
-    /// stops it, then winds down every session thread. Sessions stopped
-    /// mid-round stay `Running` in the store and resume under the next
-    /// daemon over the same backend.
+    /// stops it, then closes the registry to new rounds and joins the
+    /// connection threads. Sessions stopped mid-round stay `Running` in
+    /// the store — which holds every round a `report` was acknowledged
+    /// for — and resume under the next daemon over the same backend.
     pub fn serve(self) -> std::io::Result<()> {
         let mut workers = Vec::new();
         for conn in self.listener.incoming() {

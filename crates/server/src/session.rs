@@ -1,12 +1,11 @@
-//! Session multiplexing: the registry of live tuning sessions and the
-//! remote-trial executor that bridges each session's driver thread to
-//! whichever client connection currently evaluates its trials.
+//! Session multiplexing: the registry of live tuning sessions, each a
+//! value the daemon steps when a client's request arrives.
 //!
 //! One daemon owns one shared [`StoreBackend`] and holds **one**
 //! [`TrialStore`] handle on it: fleet writer `svc`, opened by the first
 //! request that needs the store (an open failure is that request's
 //! `store_error`) and kept until the registry is dropped. Every session
-//! thread appends through that handle, and `create_session`,
+//! appends through that handle, and `create_session`,
 //! `session_status`, `warm_start_query` and `export_history` answer
 //! from its in-memory index, so what one session costs does not grow
 //! with what the store already holds. The index is complete by
@@ -19,23 +18,37 @@
 //! backend is the premise; [`TrialStore::refresh`] exists for a process
 //! that wants the merged view.
 //!
-//! Each session runs as a dedicated thread driving
-//! [`SessionDriver::run_with_executor`] with a `RemoteExecutor`: the
-//! driver's suggest→evaluate→observe fold runs server-side (optimizer
-//! state, store checkpoints, lease metadata), while evaluation blocks
-//! on a round slot until a client reports results over the wire. The
-//! slot is connection-agnostic — a client may die mid-round, reconnect,
-//! re-attach, and fetch the *same* pending round again; nothing is
-//! recorded until results arrive, so the recorded history stays
-//! byte-identical to an uninterrupted run.
+//! A live session is a [`LiveSession`] behind its own mutex — no thread,
+//! no rendezvous. The driver's seam is called from the connection
+//! thread of whichever client's request moves the session:
+//!
+//! * `create_session` opens it ([`SessionDriver::open`]: optimizer
+//!   state, lease metadata, replay of what the store holds) and draws
+//!   its first round, so it answers after both;
+//! * `suggest_batch` reads the drawn round — the *same* round, however
+//!   often and from whichever connection it is asked, until it is
+//!   reported: a client may die mid-round, reconnect, re-attach and
+//!   fetch it again;
+//! * `report` folds the round in ([`SessionDriver::report`]) and draws
+//!   the next one — the optimizer's suggest runs on the thread of the
+//!   client that reported, which would have waited for it anyway — or,
+//!   after the last round, appends the session's `Done` record.
+//!
+//! **An acknowledged `report` is a recorded round**: every trial of it
+//! is in the store before the call answers. A store error or a panic
+//! inside a step fails the session — its value is dropped, the call
+//! that stepped it answers `session_failed`, and so does every later
+//! `suggest_batch` until a `create_session` reopens the session, which
+//! resumes from the store's last recorded round boundary. Nothing of an
+//! unanswered round is recorded, so the history stays byte-identical to
+//! an uninterrupted run. Shutdown drops nothing it has to undo: sessions
+//! stay `Running` in the store and resume under the next daemon.
 
 use crate::wire::{self, CreateSession, Report, SessionStatusReply, SuggestReply, WireError};
 use llamatune::history_io::events_to_jsonl;
-use llamatune::session::{EvalResult, Trial, TrialExecutor};
-use llamatune_obs::trace::Tracer;
 use llamatune_optim::OptimizerKind;
-use llamatune_runtime::{CampaignOptions, CellSpec, SessionDriver};
-use llamatune_space::{ConfigSpace, KnobValue};
+use llamatune_runtime::{CampaignOptions, CellSpec, LiveSession, Opened, SessionDriver};
+use llamatune_space::ConfigSpace;
 use llamatune_store::{
     lock_recover, SessionStatus, StoreBackend, StoreOptions, StoredTrial, TrialStore,
 };
@@ -43,151 +56,42 @@ use llamatune_workloads::workload_by_name;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-fn store_err(e: std::io::Error) -> WireError {
-    WireError::new(wire::code::STORE_ERROR, e.to_string())
-}
-
-/// Silences the default panic hook for [`ShutdownToken`] unwinds (the
-/// deliberate mechanism that aborts a session thread's blocked
-/// evaluation on daemon shutdown) while delegating every real panic to
-/// the previously installed hook. Installed once per process, by the
-/// first registry constructed.
-fn install_quiet_shutdown_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !info.payload().is::<ShutdownToken>() {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Panic payload the [`RemoteExecutor`] throws to unwind a session
-/// thread out of the driver on daemon shutdown. Nothing is recorded for
-/// the aborted round: the session stays `Running` in the store and
-/// resumes from its last recorded round boundary — fabricating results
-/// to exit cleanly would corrupt the history.
-pub(crate) struct ShutdownToken;
-
-/// Where a session thread currently is, as the registry sees it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Phase {
-    /// The driver loop is live (or replaying its recorded prefix).
+/// Where a tracked session is.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+enum Phase {
+    /// The session has rounds left (or is being opened right now).
+    #[default]
     Running,
-    /// The driver finished; the store records the session as done.
+    /// The session finished; the store records it as done.
     Done,
-    /// The driver returned an error (store I/O, invalid state).
+    /// A step returned an error (store I/O, invalid state) or panicked.
     Failed(String),
-    /// Daemon shutdown unwound the thread mid-session; the session is
-    /// resumable by a future daemon over the same backend.
-    Detached,
 }
 
-/// One round published by a session's driver, awaiting client results.
-struct PendingRound {
-    /// Iteration index of the round's first trial — the round id.
-    round: usize,
-    /// `(iteration, decoded configuration)` per trial.
-    trials: Vec<(usize, Vec<KnobValue>)>,
+/// An opened session between two requests: what the driver that steps
+/// it is rebuilt from, and the session itself.
+struct Live {
+    opts: CampaignOptions,
+    cell: CellSpec,
+    session: LiveSession,
 }
 
-struct RoundState {
-    pending: Option<PendingRound>,
-    results: Option<Vec<EvalResult>>,
-    /// Round id of the last fully reported round, kept so a client that
+/// One tracked session. Its mutex is held for the length of a step, so
+/// requests for one session serialize; the registry's table lock is
+/// never held while a session's is taken.
+#[derive(Default)]
+struct Tracked {
+    /// `Some` from a successful open until the session is done or
+    /// failed. Its pending round is `session.next_round()`.
+    live: Option<Live>,
+    /// Round id of the last fully recorded round, kept so a client that
     /// re-sends a report after losing the ack sees success, not a
     /// conflict.
     last_done: Option<usize>,
     phase: Phase,
-    shutdown: bool,
-}
-
-/// A live session: the rendezvous slot between its driver thread and
-/// client connections.
-pub struct SessionHandle {
-    label: String,
-    batch_size: usize,
-    state: Mutex<RoundState>,
-    cv: Condvar,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl SessionHandle {
-    fn new(label: String, batch_size: usize) -> SessionHandle {
-        SessionHandle {
-            label,
-            batch_size,
-            state: Mutex::new(RoundState {
-                pending: None,
-                results: None,
-                last_done: None,
-                phase: Phase::Running,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-            thread: Mutex::new(None),
-        }
-    }
-
-    /// The session's canonical label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The session's current phase.
-    pub fn phase(&self) -> Phase {
-        lock_recover(&self.state).phase.clone()
-    }
-
-    fn set_phase(&self, phase: Phase) {
-        lock_recover(&self.state).phase = phase;
-        self.cv.notify_all();
-    }
-}
-
-/// The [`TrialExecutor`] a session thread hands its driver: publishes
-/// each suggested round to the session's slot and blocks until a client
-/// reports results (or shutdown unwinds the thread).
-struct RemoteExecutor {
-    handle: Arc<SessionHandle>,
-}
-
-impl TrialExecutor for RemoteExecutor {
-    fn run_batch(&mut self, trials: &[Trial]) -> Vec<EvalResult> {
-        let round = trials.first().map(|t| t.iteration).unwrap_or(0);
-        let mut st = lock_recover(&self.handle.state);
-        st.pending = Some(PendingRound {
-            round,
-            trials: trials.iter().map(|t| (t.iteration, t.config.values().to_vec())).collect(),
-        });
-        st.results = None;
-        self.handle.cv.notify_all();
-        loop {
-            // Results first: `report` acknowledged them, so a shutdown
-            // that lands before this thread wakes must not drop them.
-            if let Some(results) = st.results.take() {
-                st.pending = None;
-                st.last_done = Some(round);
-                self.handle.cv.notify_all();
-                return results;
-            }
-            if st.shutdown {
-                drop(st);
-                std::panic::panic_any(ShutdownToken);
-            }
-            st = self.handle.cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn max_parallelism(&self) -> usize {
-        self.handle.batch_size
-    }
 }
 
 /// What `create_session` resolved to.
@@ -201,47 +105,37 @@ pub enum Attach {
 }
 
 /// The daemon's session table: owns the shared backend, the one store
-/// handle on it, and one driver thread per live session.
+/// handle on it, and the value of every live session.
 pub struct SessionRegistry {
     backend: Arc<dyn StoreBackend>,
     catalog: ConfigSpace,
     base: CampaignOptions,
     store_opts: StoreOptions,
-    tracer: Option<Arc<dyn Tracer>>,
     /// Opened on first use ([`SessionRegistry::store`]), never replaced.
     store: Mutex<Option<Arc<TrialStore>>>,
-    sessions: Mutex<HashMap<String, Arc<SessionHandle>>>,
+    sessions: Mutex<HashMap<String, Arc<Mutex<Tracked>>>>,
     shutdown: AtomicBool,
 }
 
 impl SessionRegistry {
     /// A registry over `backend`, tuning `catalog`. `base` supplies
     /// everything `create_session` does not carry per session (policy,
-    /// constant liar, early stopping, warm-start transfer, …).
+    /// constant liar, early stopping, warm-start transfer, tracer, …).
     pub fn new(
         backend: Arc<dyn StoreBackend>,
         catalog: ConfigSpace,
         base: CampaignOptions,
         store_opts: StoreOptions,
     ) -> SessionRegistry {
-        install_quiet_shutdown_hook();
         SessionRegistry {
             backend,
             catalog,
             base,
             store_opts,
-            tracer: None,
             store: Mutex::new(None),
             sessions: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
         }
-    }
-
-    /// Tees every session's trace stream into `tracer` (and installs it
-    /// on the daemon's store handle).
-    pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
     }
 
     /// Number of sessions currently tracked (any phase).
@@ -250,18 +144,17 @@ impl SessionRegistry {
     }
 
     /// The daemon's store handle, opened (and replayed) by the first
-    /// caller. [`SessionRegistry::new`] cannot fail, so a backend that
-    /// does not open is the `store_error` of each request that needs it.
+    /// caller, tracing into the base options' tracer like every session.
+    /// [`SessionRegistry::new`] cannot fail, so a backend that does not
+    /// open is the `store_error` of each request that needs it.
     fn store(&self) -> Result<Arc<TrialStore>, WireError> {
         let mut slot = lock_recover(&self.store);
         if let Some(store) = &*slot {
             return Ok(store.clone());
         }
         let store = TrialStore::open_shared(self.backend.clone(), "svc", self.store_opts.clone())
-            .map_err(store_err)?;
-        if let Some(t) = &self.tracer {
-            store.set_tracer(t.clone());
-        }
+            .map_err(|e| WireError::new(wire::code::STORE_ERROR, e.to_string()))?;
+        store.set_tracer(self.base.tracer.clone());
         Ok(slot.insert(Arc::new(store)).clone())
     }
 
@@ -288,194 +181,209 @@ impl SessionRegistry {
         Ok(CellSpec::new(req.workload.clone(), req.adapter.clone(), optimizer, req.seed))
     }
 
+    fn driver<'a>(
+        &'a self,
+        store: &'a TrialStore,
+        opts: &'a CampaignOptions,
+        cell: &CellSpec,
+    ) -> SessionDriver<'a> {
+        SessionDriver::new(&self.catalog, opts, cell.clone()).with_store(store)
+    }
+
+    /// Runs one step of a session under its lock. An error or a panic
+    /// inside fails the session: its value is dropped (the store keeps
+    /// every recorded trial, so the next attach resumes) and the
+    /// request that stepped it answers `session_failed`.
+    fn step(
+        st: &mut Tracked,
+        f: impl FnOnce(&mut Tracked) -> std::io::Result<()>,
+    ) -> Result<(), WireError> {
+        let failure = match catch_unwind(AssertUnwindSafe(|| f(st))) {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(e)) => e.to_string(),
+            Err(_) => "session step panicked".to_string(),
+        };
+        st.live = None;
+        st.phase = Phase::Failed(failure.clone());
+        Err(WireError::new(wire::code::SESSION_FAILED, failure))
+    }
+
+    /// The tail of every step: draws the round the next `suggest` hands
+    /// out or, when none is left, finishes the session (its `Done`
+    /// record).
+    fn advance(&self, store: &TrialStore, st: &mut Tracked) -> std::io::Result<()> {
+        let live = st.live.as_mut().expect("a step advances a live session");
+        if live.session.next_round().is_none() {
+            let Live { opts, cell, session } = st.live.take().expect("checked above");
+            self.driver(store, &opts, &cell).finish(session)?;
+            st.phase = Phase::Done;
+        }
+        Ok(())
+    }
+
     /// `create_session`: idempotent attach. A label the registry already
     /// runs re-attaches (same pending round, recomputed quarantine); a
     /// label the store records as done answers `done` without running
-    /// anything; anything else spawns a fresh driver thread (resuming
-    /// from the store's recorded prefix if there is one).
+    /// anything; anything else — new, or failed earlier — is opened
+    /// (resuming from the store's recorded prefix if there is one) and
+    /// its first round drawn before the call answers.
     pub fn attach(&self, req: &CreateSession) -> Result<Attach, WireError> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(WireError::new(wire::code::SHUTTING_DOWN, "daemon is shutting down"));
         }
         let cell = self.cell_for(req)?;
         let opts = self.options_for(req);
+        let label = cell.label.clone();
 
         // The store is the authority on completion — consult it before
         // touching the live table, so a session finished by a previous
-        // daemon incarnation answers `done` instead of spawning.
+        // daemon incarnation answers `done` instead of opening.
         let store = self.store()?;
-        if let Some(m) = store.session_meta(&cell.label) {
+        if let Some(m) = store.session_meta(&label) {
             if m.status == SessionStatus::Done {
-                self.reap(&cell.label);
-                return Ok(Attach::Done { label: cell.label });
+                self.reap(&label);
+                return Ok(Attach::Done { label });
             }
         }
-        let quarantine: Vec<Vec<String>> = SessionDriver::new(&self.catalog, &opts, cell.clone())
-            .with_store(&store)
+        let quarantine: Vec<Vec<String>> = self
+            .driver(&store, &opts, &cell)
             .quarantine_preload()
             .iter()
             .map(|cfg| cfg.values().iter().map(llamatune_store::knob_value_to_token).collect())
             .collect();
 
-        let mut sessions = lock_recover(&self.sessions);
-        if let Some(handle) = sessions.get(&cell.label) {
-            match handle.phase() {
-                Phase::Running => {
-                    if handle.batch_size != req.batch_size {
-                        return Err(WireError::new(
-                            wire::code::ROUND_CONFLICT,
-                            format!(
-                                "session {} is live with batch_size {}, not {}",
-                                cell.label, handle.batch_size, req.batch_size
-                            ),
-                        ));
-                    }
-                    return Ok(Attach::Live { label: cell.label, quarantine });
+        let tracked = lock_recover(&self.sessions).entry(label.clone()).or_default().clone();
+        let mut st = lock_recover(&tracked);
+        match (&st.phase, &st.live) {
+            (Phase::Done, _) => return Ok(Attach::Done { label }),
+            (Phase::Running, Some(live)) => {
+                if live.opts.batch_size != req.batch_size {
+                    return Err(WireError::new(
+                        wire::code::ROUND_CONFLICT,
+                        format!(
+                            "session {label} is live with batch_size {}, not {}",
+                            live.opts.batch_size, req.batch_size
+                        ),
+                    ));
                 }
-                Phase::Done => return Ok(Attach::Done { label: cell.label }),
-                // A failed or detached thread is gone; drop the stale
-                // handle and respawn — the store still has every
-                // recorded trial, so the new thread resumes.
-                Phase::Failed(_) | Phase::Detached => {
-                    sessions.remove(&cell.label);
-                }
+                return Ok(Attach::Live { label, quarantine });
             }
+            // Never opened, or failed and dropped: open it here. The
+            // store still has every recorded trial, so a failed session
+            // resumes.
+            _ => st.phase = Phase::Running,
         }
-
-        let handle = Arc::new(SessionHandle::new(cell.label.clone(), req.batch_size));
-        let thread = self.spawn_session(handle.clone(), store, cell.clone(), opts);
-        *lock_recover(&handle.thread) = Some(thread);
-        sessions.insert(cell.label.clone(), handle);
-        Ok(Attach::Live { label: cell.label, quarantine })
-    }
-
-    fn spawn_session(
-        &self,
-        handle: Arc<SessionHandle>,
-        store: Arc<TrialStore>,
-        cell: CellSpec,
-        opts: CampaignOptions,
-    ) -> JoinHandle<()> {
-        let catalog = self.catalog.clone();
-        let tracer = self.tracer.clone();
-        std::thread::spawn(move || {
-            let run = || -> std::io::Result<()> {
-                let mut driver = SessionDriver::new(&catalog, &opts, cell).with_store(&store);
-                if let Some(t) = &tracer {
-                    driver = driver.with_tracer(t.clone());
+        Self::step(&mut st, |st| {
+            match self.driver(&store, &opts, &cell).open()? {
+                Opened::Done(_) => st.phase = Phase::Done,
+                Opened::Live(session) => {
+                    st.live = Some(Live { opts, cell, session: *session });
+                    self.advance(&store, st)?;
                 }
-                let mut executor = RemoteExecutor { handle: handle.clone() };
-                driver.run_with_executor(&mut executor)?;
-                Ok(())
-            };
-            match catch_unwind(AssertUnwindSafe(run)) {
-                Ok(Ok(())) => handle.set_phase(Phase::Done),
-                Ok(Err(e)) => handle.set_phase(Phase::Failed(e.to_string())),
-                Err(payload) if payload.is::<ShutdownToken>() => handle.set_phase(Phase::Detached),
-                Err(_) => handle.set_phase(Phase::Failed("session thread panicked".to_string())),
             }
+            Ok(())
+        })?;
+        Ok(match st.phase {
+            Phase::Done => Attach::Done { label },
+            _ => Attach::Live { label, quarantine },
         })
     }
 
-    fn get(&self, label: &str) -> Result<Arc<SessionHandle>, WireError> {
+    fn get(&self, label: &str) -> Result<Arc<Mutex<Tracked>>, WireError> {
         lock_recover(&self.sessions).get(label).cloned().ok_or_else(|| {
             WireError::new(wire::code::UNKNOWN_SESSION, format!("no live session {label:?}"))
         })
     }
 
-    /// Drops a tracked handle whose thread has finished (used when the
-    /// store already records the session done).
+    /// Drops a tracked session that is not running (used when the store
+    /// already records the session done).
     fn reap(&self, label: &str) {
-        let mut sessions = lock_recover(&self.sessions);
-        if let Some(h) = sessions.get(label) {
-            if h.phase() != Phase::Running {
-                sessions.remove(label);
-            }
+        let Ok(tracked) = self.get(label) else { return };
+        if lock_recover(&tracked).phase != Phase::Running {
+            lock_recover(&self.sessions).remove(label);
         }
     }
 
-    /// `suggest_batch`: blocks until the session has a pending round
-    /// (redelivering an unanswered one verbatim), finishes, or the wait
-    /// times out.
-    pub fn suggest(&self, label: &str, timeout: Duration) -> Result<SuggestReply, WireError> {
-        let handle = self.get(label)?;
-        let deadline = Instant::now() + timeout;
-        let mut st = lock_recover(&handle.state);
-        loop {
-            match &st.phase {
-                Phase::Done => return Ok(SuggestReply::Done),
-                Phase::Failed(e) => {
-                    return Err(WireError::new(wire::code::SESSION_FAILED, e.clone()))
-                }
-                Phase::Detached => {
-                    return Err(WireError::new(
-                        wire::code::SHUTTING_DOWN,
-                        "session detached by daemon shutdown",
-                    ))
-                }
-                Phase::Running => {}
+    /// `suggest_batch`: the session's pending round — redelivered
+    /// verbatim until it is reported — or `done`. It never waits: the
+    /// round was drawn by the `create_session` or `report` before it.
+    ///
+    /// `timeout` bounds nothing since no call waits for a round; it is
+    /// still a parameter because `benchmark/` passes it, and goes with
+    /// [`ServerConfig::suggest_timeout`](crate::ServerConfig). The
+    /// `timeout` wire code is left for one case: a session another
+    /// connection is opening this instant (the client re-asks).
+    pub fn suggest(&self, label: &str, _timeout: Duration) -> Result<SuggestReply, WireError> {
+        let tracked = self.get(label)?;
+        let mut st = lock_recover(&tracked);
+        match &st.phase {
+            Phase::Done => return Ok(SuggestReply::Done),
+            Phase::Failed(e) => return Err(WireError::new(wire::code::SESSION_FAILED, e.clone())),
+            Phase::Running => {}
+        }
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(WireError::new(wire::code::SHUTTING_DOWN, "daemon is shutting down"));
+        }
+        match st.live.as_mut().and_then(|live| live.session.next_round()) {
+            Some(trials) => {
+                let trials: Vec<_> =
+                    trials.iter().map(|t| (t.iteration, t.config.values().to_vec())).collect();
+                Ok(SuggestReply::from_trials(trials[0].0, &trials))
             }
-            if st.results.is_none() {
-                if let Some(p) = &st.pending {
-                    return Ok(SuggestReply::from_trials(p.round, &p.trials));
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(WireError::new(
-                    wire::code::TIMEOUT,
-                    format!("no round became ready within {timeout:?}"),
-                ));
-            }
-            let (guard, _) = handle
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
+            None => Err(WireError::new(wire::code::TIMEOUT, "session is still being opened")),
         }
     }
 
-    /// `report`: delivers one round's results to the session thread.
-    /// Idempotent on the last completed round; anything else that does
-    /// not match the pending round is a conflict.
+    /// `report`: folds one round's results into the session, records
+    /// them, and draws the next round (or finishes the session) before
+    /// answering — so `Ok` means every trial of the round is in the
+    /// store. Idempotent on the last recorded round; anything else that
+    /// does not match the pending round is a conflict.
     pub fn report(&self, report: &Report) -> Result<(), WireError> {
-        let handle = self.get(&report.session)?;
-        let mut st = lock_recover(&handle.state);
-        match &st.pending {
-            Some(p) if p.round == report.round => {
-                if st.results.is_some() {
-                    // Already delivered (duplicate report racing the
-                    // executor's wakeup) — an ack, not a conflict.
-                    return Ok(());
-                }
-                if report.results.len() != p.trials.len() {
+        let tracked = self.get(&report.session)?;
+        let mut st = lock_recover(&tracked);
+        let pending = st
+            .live
+            .as_mut()
+            .and_then(|live| live.session.next_round())
+            .map(|trials| (trials[0].iteration, trials.len()));
+        match pending {
+            Some((round, trials)) if round == report.round => {
+                if report.results.len() != trials {
                     return Err(WireError::new(
                         wire::code::BAD_PARAMS,
                         format!(
-                            "round {} has {} trials, report carries {} results",
-                            p.round,
-                            p.trials.len(),
+                            "round {round} has {trials} trials, report carries {} results",
                             report.results.len()
                         ),
                     ));
                 }
-                st.results = Some(report.results.iter().map(wire::WireResult::to_eval).collect());
-                handle.cv.notify_all();
-                Ok(())
             }
-            _ if st.last_done == Some(report.round) => Ok(()),
-            Some(p) => Err(WireError::new(
-                wire::code::ROUND_CONFLICT,
-                format!("pending round is {}, report names {}", p.round, report.round),
-            )),
-            None => match &st.phase {
-                Phase::Failed(e) => Err(WireError::new(wire::code::SESSION_FAILED, e.clone())),
-                _ => Err(WireError::new(
+            _ if st.last_done == Some(report.round) => return Ok(()),
+            Some((round, _)) => {
+                return Err(WireError::new(
                     wire::code::ROUND_CONFLICT,
-                    format!("no pending round to match report for round {}", report.round),
-                )),
-            },
+                    format!("pending round is {round}, report names {}", report.round),
+                ))
+            }
+            None => {
+                return Err(match &st.phase {
+                    Phase::Failed(e) => WireError::new(wire::code::SESSION_FAILED, e.clone()),
+                    _ => WireError::new(
+                        wire::code::ROUND_CONFLICT,
+                        format!("no pending round to match report for round {}", report.round),
+                    ),
+                })
+            }
         }
+        let store = self.store()?;
+        let results = report.results.iter().map(wire::WireResult::to_eval).collect();
+        Self::step(&mut st, |st| {
+            let Live { opts, cell, session } = st.live.as_mut().expect("the round was pending");
+            self.driver(&store, opts, cell).report(session, results)?;
+            st.last_done = Some(report.round);
+            self.advance(&store, st)
+        })
     }
 
     /// `session_status`: phase from the live table when present,
@@ -491,8 +399,8 @@ impl SessionRegistry {
                 format!("session {label:?} is neither live nor stored"),
             ));
         }
-        let (status, error) = match live.map(|h| h.phase()) {
-            Some(Phase::Running) | Some(Phase::Detached) => ("running".to_string(), None),
+        let (status, error) = match live.map(|t| lock_recover(&t).phase.clone()) {
+            Some(Phase::Running) => ("running".to_string(), None),
             Some(Phase::Done) => ("done".to_string(), None),
             Some(Phase::Failed(e)) => ("failed".to_string(), Some(e)),
             None => match meta.as_ref().map(|m| m.status) {
@@ -531,27 +439,12 @@ impl SessionRegistry {
         Ok(events_to_jsonl(&events))
     }
 
-    /// Stops every session thread: marks shutdown, wakes all waiters
-    /// (blocked executors unwind via `ShutdownToken`), joins threads.
-    /// Live sessions stay `Running` in the store and resume later.
+    /// Refuses new sessions and further rounds from now on. There is
+    /// nothing to stop or join: the store already holds every
+    /// acknowledged round, live sessions stay `Running` there and
+    /// resume under the next daemon over the same backend; their values
+    /// go when the registry is dropped.
     pub fn shutdown_all(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let handles: Vec<Arc<SessionHandle>> =
-            lock_recover(&self.sessions).values().cloned().collect();
-        for h in &handles {
-            let mut st = lock_recover(&h.state);
-            st.shutdown = true;
-            h.cv.notify_all();
-        }
-        for h in &handles {
-            if let Some(t) = lock_recover(&h.thread).take() {
-                let _ = t.join();
-            }
-        }
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
     }
 }

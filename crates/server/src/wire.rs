@@ -45,7 +45,7 @@ use std::io::{Read, Write};
 pub const MAX_FRAME: usize = 4 * 1024 * 1024;
 
 /// The largest sizes a `create_session` may ask for. Each one sizes an
-/// allocation on the session thread (the initial design alone is
+/// allocation when the session is opened (the initial design alone is
 /// `n_init × dimensions` floats), and an allocation that fails aborts
 /// the daemon with every other session in it — no `catch_unwind` sees a
 /// SIGABRT. Set far above use, not at it: the paper runs 100
@@ -164,13 +164,16 @@ pub mod code {
     pub const BAD_PARAMS: &str = "bad_params";
     /// The named session does not exist on this daemon.
     pub const UNKNOWN_SESSION: &str = "unknown_session";
-    /// The session's driver thread failed.
+    /// A step of the session failed (store error, panic): the request
+    /// that stepped it, and every `suggest_batch` until a
+    /// `create_session` reopens it.
     pub const SESSION_FAILED: &str = "session_failed";
     /// A report did not match the pending round.
     pub const ROUND_CONFLICT: &str = "round_conflict";
     /// The daemon is shutting down.
     pub const SHUTTING_DOWN: &str = "shutting_down";
-    /// A blocking call (suggest_batch) hit its server-side wait limit.
+    /// `suggest_batch` found the session still being opened by another
+    /// connection; the client re-asks. (No call waits server-side.)
     pub const TIMEOUT: &str = "timeout";
     /// Storage failure while serving the request.
     pub const STORE_ERROR: &str = "store_error";

@@ -248,7 +248,11 @@ impl StoreBackend for LocalDirBackend {
     }
 
     fn sync(&self, name: &str) -> io::Result<()> {
-        if let Some(f) = lock_recover(&self.handles).get(name) {
+        // The handle leaves the cache: a segment is synced to be sealed
+        // and nothing appends to a sealed segment again, so a handle
+        // kept here would stay open for the life of the backend. (An
+        // append to a segment that is still active reopens it.)
+        if let Some(f) = lock_recover(&self.handles).remove(name) {
             return f.sync_data();
         }
         match File::open(self.dir.join(name)) {
@@ -565,6 +569,37 @@ mod tests {
         be.append("seg", b"!\n").unwrap();
         assert_eq!(be.get("seg").unwrap().unwrap(), b"on!\n");
         assert!(be.list().unwrap().contains(&"seg".to_string()));
+        std::fs::remove_dir_all(be.dir()).unwrap();
+    }
+
+    /// Counted in the cache, not in `/proc/self/fd`: the tests beside
+    /// this one open files of their own on other threads.
+    #[test]
+    fn a_long_lived_writer_holds_no_handle_on_the_segments_it_sealed() {
+        use crate::{StoreOptions, StoredTrial, TrialStore};
+        let be = Arc::new(LocalDirBackend::create(tmp_dir("sealed_handles")).unwrap());
+        let opts = StoreOptions { segment_records: 2 };
+        let store = TrialStore::open_shared(be.clone(), "w", opts).unwrap();
+        let cached_after = |records: std::ops::Range<usize>| {
+            for iteration in records {
+                let trial = StoredTrial {
+                    session: "s".to_string(),
+                    iteration,
+                    raw_score: Some(1.0),
+                    score: 1.0,
+                    point: vec![0.5],
+                    config: Vec::new(),
+                    metrics: Vec::new(),
+                    status: Default::default(),
+                    attempts: 1,
+                };
+                store.append_trial(&trial).unwrap();
+            }
+            lock_recover(&be.handles).len()
+        };
+        assert_eq!(cached_after(0..1), 1, "the active segment's append handle");
+        assert_eq!(cached_after(1..41), 1, "and no other, 40 appends later");
+        assert_eq!(store.sealed_segments().len(), 20, "with 20 segments sealed in between");
         std::fs::remove_dir_all(be.dir()).unwrap();
     }
 }
