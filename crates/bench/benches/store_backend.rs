@@ -20,13 +20,13 @@
 //!
 //! `LLAMATUNE_QUICK=1` shrinks record counts to smoke-test scale.
 
+use llamatune_bench::artifact::{record, round, write_field, Field};
 use llamatune_bench::print_header;
-use llamatune_obs::json::{write_f64, write_object, write_str};
+use llamatune_obs::json::write_object;
 use llamatune_space::KnobValue;
 use llamatune_store::{
     LocalDirBackend, ObjectStoreBackend, StoreBackend, StoreOptions, StoredTrial, TrialStore,
 };
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,27 +58,6 @@ fn trial(session: &str, iteration: usize) -> StoredTrial {
         status: llamatune::session::TrialStatus::Ok,
         attempts: 1,
     }
-}
-
-/// One artifact value: rows mix a backend label with numbers.
-enum Field {
-    Flag(bool),
-    Num(f64),
-    Text(&'static str),
-}
-
-fn write_field(out: &mut String, field: Field) {
-    match field {
-        Field::Flag(b) => out.push_str(if b { "true" } else { "false" }),
-        Field::Num(v) => write_f64(out, v),
-        Field::Text(s) => write_str(out, s),
-    }
-}
-
-/// `v` to `places` decimals, as the artifact records it.
-fn round(v: f64, places: i32) -> f64 {
-    let scale = 10f64.powi(places);
-    (v * scale).round() / scale
 }
 
 struct Backends {
@@ -267,13 +246,7 @@ fn main() {
         write_object(&mut json, members, write_field);
     }
     json.push_str("\n  ]\n}\n");
-    // Anchor the artifact at the workspace root regardless of the
-    // working directory cargo launches the bench from.
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_store.json");
-    let mut f = std::fs::File::create(&path).expect("create BENCH_store.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_store.json");
-    println!("\nrecorded {}", path.display());
+    println!("\nrecorded {}", record("BENCH_store.json", &json).display());
 
     let _ = std::fs::remove_dir_all(tmp_dir("single").parent().unwrap());
 }

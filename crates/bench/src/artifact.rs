@@ -1,0 +1,35 @@
+//! Writing a `BENCH_*.json` regression artifact: the values a row mixes
+//! and where the file goes. [`crate::gate`] is the reader.
+
+use llamatune_obs::json::{write_f64, write_str};
+use std::path::PathBuf;
+
+/// One artifact value: rows mix labels with numbers.
+pub enum Field {
+    Flag(bool),
+    Num(f64),
+    Text(&'static str),
+}
+
+/// Appends `field` as JSON (the `value` callback of `json::write_object`).
+pub fn write_field(out: &mut String, field: Field) {
+    match field {
+        Field::Flag(b) => out.push_str(if b { "true" } else { "false" }),
+        Field::Num(v) => write_f64(out, v),
+        Field::Text(s) => write_str(out, s),
+    }
+}
+
+/// `v` to `places` decimals, as an artifact records it.
+pub fn round(v: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (v * scale).round() / scale
+}
+
+/// Writes `json` to `file` at the workspace root — wherever cargo launched
+/// the bench from — and returns the path.
+pub fn record(file: &str, json: &str) -> PathBuf {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    path
+}

@@ -10,6 +10,7 @@
 //! * `LLAMATUNE_QUICK=1` — shrink to 3 seeds x 50 iterations and shorter
 //!   simulated runs, for smoke-testing the harness.
 
+pub mod artifact;
 pub mod exp;
 pub mod gate;
 pub mod printing;

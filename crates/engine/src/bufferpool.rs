@@ -2,12 +2,12 @@
 //! cache that sits beneath it.
 //!
 //! `shared_buffers` sets the pool's frame count; pages missing from the pool
-//! may still hit the OS cache (tracked at 128 kB chunk granularity — the OS
+//! may still hit the OS cache (tracked at 32 kB chunk granularity — the OS
 //! reads ahead, so chunk-level residency is the honest model) before paying
 //! for a disk read. Dirty frames evicted by a backend incur a foreground
 //! write, which is what the background writer exists to prevent.
 
-use std::collections::HashMap;
+use crate::hash::IntMap;
 
 /// Identifies an 8 kB page: table id in the high bits, page number below.
 pub type PageId = u64;
@@ -33,14 +33,26 @@ pub enum Access {
 struct Frame {
     page: PageId,
     referenced: bool,
-    dirty: bool,
 }
 
+/// Bits per word of the dirty bitmap.
+const WORD: usize = u64::BITS as usize;
+
 /// Clock buffer pool over 8 kB frames.
+///
+/// Whether a frame is dirty is recorded in one place: bit `slot % 64` of
+/// word `slot / 64` of `dirty`, a bit per frame slot. [`access`], eviction
+/// and [`clean_dirty`] all read and write that bitmap and nothing else
+/// (`dirty_count` is its population count, kept beside it), so a writeback
+/// pass costs a word per 64 frames instead of a visit to each.
+///
+/// [`access`]: BufferPool::access
+/// [`clean_dirty`]: BufferPool::clean_dirty
 #[derive(Debug)]
 pub struct BufferPool {
     frames: Vec<Frame>,
-    map: HashMap<PageId, u32>,
+    dirty: Vec<u64>,
+    map: IntMap<PageId, u32>,
     capacity: usize,
     hand: usize,
     dirty_count: usize,
@@ -51,14 +63,25 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(16);
         BufferPool {
-            // Grow lazily: most runs touch far fewer pages than the
-            // configured capacity, and evaluations are frequent.
-            frames: Vec::with_capacity(capacity.min(4_096)),
-            map: HashMap::with_capacity(capacity.min(4_096)),
+            // Frames and map grow with what is touched (`reserve` sizes
+            // them ahead of a known burst): a pool can be far larger
+            // than the pages a short run reaches.
+            frames: Vec::new(),
+            dirty: vec![0; capacity.div_ceil(WORD)],
+            map: IntMap::default(),
             capacity,
             hand: 0,
             dirty_count: 0,
         }
+    }
+
+    /// Makes room for `pages` more resident pages (no more than fit), so
+    /// that a burst of faults known in advance sizes the tables once
+    /// instead of rehashing them at every doubling on the way.
+    pub fn reserve(&mut self, pages: usize) {
+        let additional = pages.min(self.capacity - self.frames.len());
+        self.frames.reserve(additional);
+        self.map.reserve(additional);
     }
 
     /// Number of frames currently holding pages.
@@ -76,34 +99,46 @@ impl BufferPool {
         self.dirty_count
     }
 
+    /// Marks `slot` dirty (idempotent).
+    fn set_dirty(&mut self, slot: usize) {
+        let bit = 1u64 << (slot % WORD);
+        let word = &mut self.dirty[slot / WORD];
+        self.dirty_count += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    /// Marks `slot` clean, returning whether it was dirty.
+    fn take_dirty(&mut self, slot: usize) -> bool {
+        let bit = 1u64 << (slot % WORD);
+        let word = &mut self.dirty[slot / WORD];
+        let was_dirty = *word & bit != 0;
+        self.dirty_count -= usize::from(was_dirty);
+        *word &= !bit;
+        was_dirty
+    }
+
     /// Accesses `page`, faulting it in on a miss; `write` marks it dirty.
     pub fn access(&mut self, page: PageId, write: bool) -> Access {
         if let Some(&slot) = self.map.get(&page) {
-            let f = &mut self.frames[slot as usize];
-            f.referenced = true;
-            if write && !f.dirty {
-                f.dirty = true;
-                self.dirty_count += 1;
+            self.frames[slot as usize].referenced = true;
+            if write {
+                self.set_dirty(slot as usize);
             }
             return Access::Hit;
         }
         let mut dirty_eviction = false;
         let slot = if self.frames.len() < self.capacity {
-            self.frames.push(Frame { page, referenced: true, dirty: write });
+            self.frames.push(Frame { page, referenced: true });
             self.frames.len() - 1
         } else {
             let victim = self.run_clock();
-            let old = self.frames[victim];
-            self.map.remove(&old.page);
-            if old.dirty {
-                dirty_eviction = true;
-                self.dirty_count -= 1;
-            }
-            self.frames[victim] = Frame { page, referenced: true, dirty: write };
+            self.map.remove(&self.frames[victim].page);
+            dirty_eviction = self.take_dirty(victim);
+            self.frames[victim] = Frame { page, referenced: true };
             victim
         };
         if write {
-            self.dirty_count += 1;
+            self.set_dirty(slot);
         }
         self.map.insert(page, slot as u32);
         Access::Miss { dirty_eviction }
@@ -126,27 +161,59 @@ impl BufferPool {
 
     /// Cleans up to `max_pages` dirty frames (background writer / checkpoint
     /// work), returning how many were written.
+    ///
+    /// The frames cleaned are the first `min(max_pages, dirty())` dirty
+    /// ones in clock order — slots `hand..resident()`, then `0..hand` — the
+    /// order eviction would find them, which is the LRU-ish set the
+    /// bgwriter targets. The pass reads the bitmap a word at a time and
+    /// stops as soon as nothing is left to clean.
     pub fn clean_dirty(&mut self, max_pages: usize) -> usize {
-        if self.dirty_count == 0 || max_pages == 0 {
-            return 0;
+        let written = max_pages.min(self.dirty_count);
+        let mut left = written;
+        for (from, to) in [(self.hand, self.frames.len()), (0, self.hand)] {
+            left = self.clean_slots(from, to, left);
         }
-        let mut written = 0;
-        // Sweep from the clock hand — the same order eviction would find
-        // them, which is exactly the LRU-ish set the bgwriter targets.
-        let n = self.frames.len();
-        for i in 0..n {
-            if written >= max_pages {
-                break;
-            }
-            let idx = (self.hand + i) % n;
-            let f = &mut self.frames[idx];
-            if f.dirty {
-                f.dirty = false;
-                written += 1;
-            }
-        }
+        debug_assert_eq!(left, 0, "the bitmap holds dirty_count set bits");
         self.dirty_count -= written;
         written
+    }
+
+    /// Clears the first `left` set bits of slots `from..to` in ascending
+    /// order; returns how many of `left` remain.
+    fn clean_slots(&mut self, from: usize, to: usize, mut left: usize) -> usize {
+        if left == 0 || from >= to {
+            return left;
+        }
+        let (first, last) = (from / WORD, (to - 1) / WORD);
+        for w in first..=last {
+            let mut mask = u64::MAX;
+            if w == first {
+                mask <<= from % WORD;
+            }
+            // Slots of this word below `to`: all 64 unless it is the last.
+            let below_to = to - w * WORD;
+            if below_to < WORD {
+                mask &= (1u64 << below_to) - 1;
+            }
+            let mut candidates = self.dirty[w] & mask;
+            let found = candidates.count_ones() as usize;
+            if found > left {
+                // Keep only the lowest `left` of them.
+                let mut keep = 0u64;
+                for _ in 0..left {
+                    let lowest = candidates & candidates.wrapping_neg();
+                    keep |= lowest;
+                    candidates ^= lowest;
+                }
+                candidates = keep;
+            }
+            self.dirty[w] &= !candidates;
+            left -= found.min(left);
+            if left == 0 {
+                break;
+            }
+        }
+        left
     }
 }
 
@@ -182,9 +249,139 @@ impl OsCache {
         matches!(self.pool.access(chunk, false), Access::Hit)
     }
 
+    /// Makes room for `chunks` more resident chunks; see
+    /// [`BufferPool::reserve`].
+    pub fn reserve(&mut self, chunks: usize) {
+        self.pool.reserve(chunks);
+    }
+
     /// Chunk capacity.
     pub fn capacity_chunks(&self) -> usize {
         self.pool.capacity()
+    }
+}
+
+/// The pool as it was before the dirty bitmap — a `dirty` flag in every
+/// frame and a `clean_dirty` that visits frames one by one from the clock
+/// hand. Kept as the oracle [`BufferPool`] is held to, step for step.
+#[cfg(test)]
+mod reference {
+    use super::{Access, PageId};
+    use std::collections::HashMap;
+
+    #[derive(Debug, Clone, Copy)]
+    struct Frame {
+        page: PageId,
+        referenced: bool,
+        dirty: bool,
+    }
+
+    #[derive(Debug)]
+    pub struct BufferPool {
+        frames: Vec<Frame>,
+        map: HashMap<PageId, u32>,
+        capacity: usize,
+        hand: usize,
+        dirty_count: usize,
+    }
+
+    impl BufferPool {
+        pub fn new(capacity: usize) -> Self {
+            let capacity = capacity.max(16);
+            BufferPool {
+                frames: Vec::new(),
+                map: HashMap::new(),
+                capacity,
+                hand: 0,
+                dirty_count: 0,
+            }
+        }
+
+        pub fn resident(&self) -> usize {
+            self.frames.len()
+        }
+
+        pub fn dirty(&self) -> usize {
+            self.dirty_count
+        }
+
+        pub fn hand(&self) -> usize {
+            self.hand
+        }
+
+        pub fn dirty_pages(&self) -> Vec<PageId> {
+            let mut pages: Vec<PageId> =
+                self.frames.iter().filter(|f| f.dirty).map(|f| f.page).collect();
+            pages.sort_unstable();
+            pages
+        }
+
+        pub fn access(&mut self, page: PageId, write: bool) -> Access {
+            if let Some(&slot) = self.map.get(&page) {
+                let f = &mut self.frames[slot as usize];
+                f.referenced = true;
+                if write && !f.dirty {
+                    f.dirty = true;
+                    self.dirty_count += 1;
+                }
+                return Access::Hit;
+            }
+            let mut dirty_eviction = false;
+            let slot = if self.frames.len() < self.capacity {
+                self.frames.push(Frame { page, referenced: true, dirty: write });
+                self.frames.len() - 1
+            } else {
+                let victim = self.run_clock();
+                let old = self.frames[victim];
+                self.map.remove(&old.page);
+                if old.dirty {
+                    dirty_eviction = true;
+                    self.dirty_count -= 1;
+                }
+                self.frames[victim] = Frame { page, referenced: true, dirty: write };
+                victim
+            };
+            if write {
+                self.dirty_count += 1;
+            }
+            self.map.insert(page, slot as u32);
+            Access::Miss { dirty_eviction }
+        }
+
+        fn run_clock(&mut self) -> usize {
+            loop {
+                let f = &mut self.frames[self.hand];
+                if f.referenced {
+                    f.referenced = false;
+                    self.hand = (self.hand + 1) % self.frames.len();
+                } else {
+                    let victim = self.hand;
+                    self.hand = (self.hand + 1) % self.frames.len();
+                    return victim;
+                }
+            }
+        }
+
+        pub fn clean_dirty(&mut self, max_pages: usize) -> usize {
+            if self.dirty_count == 0 || max_pages == 0 {
+                return 0;
+            }
+            let mut written = 0;
+            let n = self.frames.len();
+            for i in 0..n {
+                if written >= max_pages {
+                    break;
+                }
+                let idx = (self.hand + i) % n;
+                let f = &mut self.frames[idx];
+                if f.dirty {
+                    f.dirty = false;
+                    written += 1;
+                }
+            }
+            self.dirty_count -= written;
+            written
+        }
     }
 }
 
@@ -293,7 +490,110 @@ mod tests {
         assert_ne!(page_id(1, 7), page_id(1, 8));
     }
 
+    impl BufferPool {
+        fn dirty_pages(&self) -> Vec<PageId> {
+            let mut pages: Vec<PageId> = (0..self.frames.len())
+                .filter(|slot| self.dirty[slot / WORD] & (1 << (slot % WORD)) != 0)
+                .map(|slot| self.frames[slot].page)
+                .collect();
+            pages.sort_unstable();
+            pages
+        }
+    }
+
+    /// One step of a pool's life.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Access(PageId, bool),
+        Clean(usize),
+    }
+
+    /// Runs `ops` through the pool and the frame-by-frame reference,
+    /// holding them equal after every step; returns the pool.
+    fn run_against_reference(capacity: usize, ops: &[Op]) -> BufferPool {
+        let mut pool = BufferPool::new(capacity);
+        let mut oracle = reference::BufferPool::new(capacity);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Access(page, write) => {
+                    assert_eq!(
+                        pool.access(page, write),
+                        oracle.access(page, write),
+                        "step {step}: {op:?}"
+                    );
+                }
+                Op::Clean(k) => {
+                    assert_eq!(pool.clean_dirty(k), oracle.clean_dirty(k), "step {step}: {op:?}");
+                }
+            }
+            assert_eq!(pool.dirty(), oracle.dirty(), "step {step}: {op:?}");
+            assert_eq!(pool.resident(), oracle.resident(), "step {step}: {op:?}");
+            assert_eq!(pool.hand, oracle.hand(), "step {step}: {op:?}");
+            assert_eq!(pool.dirty_pages(), oracle.dirty_pages(), "step {step}: {op:?}");
+        }
+        pool
+    }
+
+    #[test]
+    fn clean_slots_stays_inside_its_range() {
+        let mut bp = BufferPool::new(100);
+        for p in 0..100 {
+            bp.access(p, true);
+        }
+        // Both ends inside a word, then across the word boundary.
+        assert_eq!(bp.clean_slots(10, 20, 100), 90);
+        assert_eq!(bp.clean_slots(60, 70, 4), 0);
+        let clean: Vec<PageId> = (10..20).chain(60..64).collect();
+        let expected: Vec<PageId> = (0..100).filter(|p| !clean.contains(p)).collect();
+        assert_eq!(bp.dirty_pages(), expected);
+    }
+
+    #[test]
+    fn clean_dirty_wraps_through_slot_zero_from_a_hand_inside_a_word() {
+        // 100 frames: the second word of the bitmap is partly used.
+        let mut ops: Vec<Op> = (0..100).map(|p| Op::Access(p, true)).collect();
+        // 40 misses: the first one laps the pool clearing reference bits,
+        // each evicts a dirty frame, and the hand stops at slot 40.
+        ops.extend((100..140).map(|p| Op::Access(p, false)));
+        // Dirty again behind the hand: slots 0..10 and 40..100 are dirty.
+        ops.extend((100..110).map(|p| Op::Access(p, true)));
+        ops.push(Op::Clean(0));
+        let pool = run_against_reference(100, &ops);
+        assert_eq!((pool.hand, pool.dirty()), (40, 70));
+
+        // Slots 40..100, then on through slot 0 to slots 0..5.
+        ops.push(Op::Clean(65));
+        let pool = run_against_reference(100, &ops);
+        assert_eq!(pool.dirty_pages(), (105..110).collect::<Vec<PageId>>());
+
+        ops.push(Op::Clean(1_000)); // five are left
+        ops.push(Op::Clean(5)); // none is
+        assert_eq!(run_against_reference(100, &ops).dirty(), 0);
+    }
+
     proptest! {
+        /// The bitmap pool against the frame-by-frame reference over random
+        /// lives: the same `Access` (dirty evictions included), the same
+        /// counts, the same hand and the same set of dirty pages after
+        /// every step. Capacities from one partly used word to three words
+        /// and a bit; a page universe 1.5x the pool, so hits, evictions and
+        /// re-dirtyings all happen; `k` from 0 to past the pool.
+        #[test]
+        fn bitmap_pool_matches_the_reference_step_for_step(
+            capacity in 16usize..=200,
+            raw in proptest::collection::vec((0u32..8, any::<u64>(), any::<bool>()), 1..900),
+        ) {
+            let universe = capacity as u64 * 3 / 4; // per table, of two
+            let ops: Vec<Op> = raw
+                .iter()
+                .map(|&(kind, arg, write)| match kind {
+                    0 => Op::Clean((arg % (capacity as u64 + 40)) as usize),
+                    _ => Op::Access(page_id((arg % 2) as u32, (arg >> 8) % universe), write),
+                })
+                .collect();
+            run_against_reference(capacity, &ops);
+        }
+
         /// Invariants: resident <= capacity, dirty <= resident, and a page
         /// just accessed is always a hit on re-access.
         #[test]

@@ -17,7 +17,7 @@ use llamatune_space::{ConfigSpace, KnobAssignment};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Options controlling one simulated workload run.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct RunOptions {
     pub arrival: Arrival,
     /// Divisor applied to slow daemon periods (checkpoint timeout, vacuum
     /// naptime, max_wal_size accumulation) so their dynamics appear within
-    /// the short virtual window. Documented in DESIGN.md.
+    /// the short virtual window; see the [crate docs](crate#scaling).
     pub daemon_time_scale: f64,
     /// Hard cap on simulated transactions (guards pathological configs).
     pub max_txns: u64,
@@ -45,7 +45,8 @@ pub struct RunOptions {
     /// pool, OS cache) so that cache-capacity effects of a 20 GB database
     /// appear within the short simulated window. Knob values and the crash
     /// check are untouched; only their effective capacities shrink by the
-    /// same factor, preserving every ratio. Documented in DESIGN.md.
+    /// same factor, preserving every ratio; see the
+    /// [crate docs](crate#scaling).
     pub memory_scale: f64,
 }
 
@@ -118,6 +119,26 @@ const ABORT_HORIZON_US: Micros = 4_000_000;
 /// Offset added to table ids for their index page namespace.
 const INDEX_TABLE_OFFSET: u32 = 1 << 16;
 
+/// Where an op's keys come from: its [`KeyDist`], with the Zipfian case
+/// resolved to an index into `Dbms::zipf` when the run is set up, so that
+/// a draw is an index and not a lookup by (rows, theta).
+#[derive(Debug, Clone, Copy)]
+enum KeySource {
+    Uniform,
+    HotRange(f64),
+    Zipfian(usize),
+}
+
+/// The buffers of one transaction, owned by the [`Dbms`] and reused so that
+/// executing a transaction allocates nothing.
+#[derive(Default)]
+struct TxnScratch {
+    /// Row locks to take, sorted and deduplicated.
+    lock_keys: Vec<LockKey>,
+    /// Per op: the key sampled for it in the lock phase, if it is a write.
+    sampled: Vec<Option<u64>>,
+}
+
 struct Dbms<'a> {
     knobs: DbmsKnobs,
     hw: HardwareProfile,
@@ -135,8 +156,12 @@ struct Dbms<'a> {
     wal: WalState,
     locks: LockTable,
     tables: Vec<TableVacState>,
-    zipf: HashMap<(u64, u64), Zipfian>,
+    /// One distribution per distinct (rows, theta) of the spec.
+    zipf: Vec<Zipfian>,
+    /// `key_sources[txn][op]`; `None` for an op that samples no key.
+    key_sources: Vec<Vec<Option<KeySource>>>,
     rng: StdRng,
+    scratch: TxnScratch,
 
     // Daemon state.
     wal_writer_next: Micros,
@@ -181,50 +206,26 @@ impl<'a> Dbms<'a> {
         // Dead tuples accrue as if the run lasted the paper's 5 minutes on
         // the scaled-down tables.
         let debt_mult = ((300.0 / opts.duration_s.max(0.1)) / ms).round().max(1.0) as u64;
-        let mut db = Dbms::default_parts(
-            knobs,
-            hw,
-            spec,
-            scale,
-            eff_rows,
-            debt_mult,
-            bp,
-            os,
-            wal,
-            tables,
-            total_db_pages,
-            opts,
-        );
-        db.prewarm_caches();
-        db
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn default_parts(
-        knobs: DbmsKnobs,
-        hw: HardwareProfile,
-        spec: &'a WorkloadSpec,
-        scale: f64,
-        eff_rows: Vec<u64>,
-        debt_mult: u64,
-        bp: BufferPool,
-        os: OsCache,
-        wal: WalState,
-        tables: Vec<TableVacState>,
-        total_db_pages: u64,
-        opts: &RunOptions,
-    ) -> Dbms<'a> {
-        let mut zipf = HashMap::new();
-        for t in &spec.txns {
-            for op in &t.ops {
-                if let Some((table, KeyDist::Zipfian(theta))) = op_dist(op) {
-                    let rows = eff_rows[table];
-                    zipf.entry((rows, theta.to_bits()))
-                        .or_insert_with(|| Zipfian::new(rows, theta));
-                }
+        // Each Zipfian op draws from the distribution over its table's
+        // effective rows; ops that agree on (rows, theta) share one.
+        let mut zipf_keys: Vec<(u64, u64)> = Vec::new();
+        let mut zipf = Vec::new();
+        let mut resolve = |op: &OpTemplate| match op_dist(op)? {
+            (_, KeyDist::Uniform) => Some(KeySource::Uniform),
+            (_, KeyDist::HotRange(frac)) => Some(KeySource::HotRange(frac)),
+            (table, KeyDist::Zipfian(theta)) => {
+                let key = (eff_rows[table], theta.to_bits());
+                let known = zipf_keys.iter().position(|k| *k == key);
+                Some(KeySource::Zipfian(known.unwrap_or_else(|| {
+                    zipf_keys.push(key);
+                    zipf.push(Zipfian::new(key.0, theta));
+                    zipf.len() - 1
+                })))
             }
-        }
-        Dbms {
+        };
+        let key_sources =
+            spec.txns.iter().map(|t| t.ops.iter().map(&mut resolve).collect()).collect();
+        let mut db = Dbms {
             knobs,
             hw,
             spec,
@@ -239,7 +240,9 @@ impl<'a> Dbms<'a> {
             locks: LockTable::new(),
             tables,
             zipf,
+            key_sources,
             rng: StdRng::seed_from_u64(opts.seed ^ 0x5EED_CAFE),
+            scratch: TxnScratch::default(),
             wal_writer_next: 0,
             bgwriter_next: 0,
             vacuum_next: 0,
@@ -249,7 +252,9 @@ impl<'a> Dbms<'a> {
             c: MetricCounters::default(),
             clients_active: opts.clients,
             total_db_pages,
-        }
+        };
+        db.prewarm_caches();
+        db
     }
 
     /// Seeds the buffer pool and OS cache with the hottest pages, emulating
@@ -262,6 +267,10 @@ impl<'a> Dbms<'a> {
         if n_tables == 0 {
             return;
         }
+        // The pool is about to be filled, and the OS cache to take about as
+        // many chunks (one per heap page faulted in below).
+        self.bp.reserve(self.bp.capacity());
+        self.os.reserve(self.bp.capacity());
         // Index leaves for every table.
         'leaves: for (t, spec) in self.spec.tables.iter().enumerate() {
             let leaves = self.eff_rows[t] / (spec.rows_per_page() * 50).max(1) + 1;
@@ -301,18 +310,17 @@ impl<'a> Dbms<'a> {
         self.c = MetricCounters::default();
     }
 
-    /// Samples a row key for `dist` over `table`.
-    fn sample_key(&mut self, table: usize, dist: KeyDist) -> u64 {
+    /// Samples a row key of `table` from the op's entry of `key_sources`.
+    fn sample_key(&mut self, table: usize, source: Option<KeySource>) -> u64 {
         let rows = self.eff_rows[table];
-        match dist {
-            KeyDist::Uniform => self.rng.random_range(0..rows),
-            KeyDist::HotRange(frac) => {
+        match source.expect("an op that samples keys has a source") {
+            KeySource::Uniform => self.rng.random_range(0..rows),
+            KeySource::HotRange(frac) => {
                 let hot = ((rows as f64 * frac) as u64).max(1);
                 self.rng.random_range(0..hot)
             }
-            KeyDist::Zipfian(theta) => {
-                let z = &self.zipf[&(rows, theta.to_bits())];
-                let rank = z.sample(&mut self.rng);
+            KeySource::Zipfian(z) => {
+                let rank = self.zipf[z].sample(&mut self.rng);
                 // Scatter hot ranks across the key space, YCSB-style.
                 splitmix64(rank) % rows
             }
@@ -413,13 +421,23 @@ impl<'a> Dbms<'a> {
 
     /// Executes one transaction starting at `start`; returns (commit time,
     /// committed?).
-    fn execute_txn(&mut self, start: Micros, tmpl: &TxnTemplate) -> (Micros, bool) {
+    fn execute_txn(&mut self, start: Micros, txn: usize) -> (Micros, bool) {
+        // Out of `self` for the call, so the body may borrow both.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outcome = self.run_txn(start, txn, &mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
+
+    fn run_txn(&mut self, start: Micros, txn: usize, scratch: &mut TxnScratch) -> (Micros, bool) {
+        let tmpl: &'a TxnTemplate = &self.spec.txns[txn];
+        let TxnScratch { lock_keys, sampled } = scratch;
+        lock_keys.clear();
+        sampled.clear();
         // Phase 1: sample write keys and acquire locks in sorted order.
-        let mut lock_keys: Vec<LockKey> = Vec::new();
-        let mut sampled: Vec<Option<u64>> = Vec::with_capacity(tmpl.ops.len());
-        for op in &tmpl.ops {
-            if let OpTemplate::PointUpdate { table, dist } = op {
-                let key = self.sample_key(*table, *dist);
+        for (i, op) in tmpl.ops.iter().enumerate() {
+            if let OpTemplate::PointUpdate { table, .. } = op {
+                let key = self.sample_key(*table, self.key_sources[txn][i]);
                 lock_keys.push((*table as u32, key));
                 sampled.push(Some(key));
             } else {
@@ -431,7 +449,7 @@ impl<'a> Dbms<'a> {
             lock_keys.sort_unstable();
             lock_keys.dedup();
             let horizon = ABORT_HORIZON_US.max(self.knobs.deadlock_timeout_ms * 1_000 * 4);
-            let grant = self.locks.acquire(start, &lock_keys, horizon);
+            let grant = self.locks.acquire(start, lock_keys, horizon);
             self.c.lock_waits += u64::from(grant.conflicts > 0);
             self.c.lock_wait_us += grant.wait_us;
             if grant.aborted {
@@ -445,10 +463,10 @@ impl<'a> Dbms<'a> {
         now_f += self.cpu.request(now_f as Micros, self.spec.base_cpu_us);
 
         // Phase 3: operations.
-        for (op, key) in tmpl.ops.iter().zip(&sampled) {
+        for (i, (op, key)) in tmpl.ops.iter().zip(sampled.iter()).enumerate() {
             let now = now_f as Micros;
             now_f += self.cpu.request(now, OP_CPU_US);
-            now_f += self.execute_op(now_f as Micros, op, *key);
+            now_f += self.execute_op(now_f as Micros, op, self.key_sources[txn][i], *key);
         }
 
         // Phase 4: commit.
@@ -488,29 +506,33 @@ impl<'a> Dbms<'a> {
         }
         let commit_time = now_f as Micros;
         if !lock_keys.is_empty() {
-            self.locks.hold_until(&lock_keys, commit_time);
+            self.locks.hold_until(lock_keys, commit_time);
         }
         self.c.commits += 1;
         (commit_time, true)
     }
 
     /// Executes a single logical operation, returning its latency (µs).
-    fn execute_op(&mut self, now: Micros, op: &OpTemplate, presampled: Option<u64>) -> f64 {
+    /// `source` is the op's entry of `key_sources`.
+    fn execute_op(
+        &mut self,
+        now: Micros,
+        op: &OpTemplate,
+        source: Option<KeySource>,
+        presampled: Option<u64>,
+    ) -> f64 {
         match op {
-            OpTemplate::PointRead { table, dist } => {
-                let key = self.sample_key(*table, *dist);
+            OpTemplate::PointRead { table, .. } => {
+                let key = self.sample_key(*table, source);
                 let mut cost = self.index_probe(now, *table, key);
                 let page = self.heap_page(*table, key);
                 cost += self.page_access(now, *table as u32, page, false);
                 cost + TUPLE_CPU_US
             }
-            OpTemplate::PointUpdate { table, dist } => {
-                let key = presampled.unwrap_or_else(|| {
-                    // Only reached when an update op appears without the
-                    // lock phase having sampled it (not the normal path).
-                    let d = *dist;
-                    self.sample_key(*table, d)
-                });
+            OpTemplate::PointUpdate { table, .. } => {
+                // Only sampled here when an update op appears without the
+                // lock phase having sampled it (not the normal path).
+                let key = presampled.unwrap_or_else(|| self.sample_key(*table, source));
                 let mut cost = self.index_probe(now, *table, key);
                 let page = self.heap_page(*table, key);
                 cost += self.page_access(now, *table as u32, page, true);
@@ -537,17 +559,23 @@ impl<'a> Dbms<'a> {
                 self.tables[*table].on_insert(u64::from(*rows) * self.debt_mult);
                 cost + f64::from(*rows) * TUPLE_CPU_US * 2.0
             }
-            OpTemplate::RangeScan { table, dist, rows } => {
-                self.execute_scan(now, *table, *dist, *rows)
+            OpTemplate::RangeScan { table, rows, .. } => {
+                self.execute_scan(now, *table, source, *rows)
             }
-            OpTemplate::Join { tables, driving_rows, dist, table } => {
-                self.execute_join(now, *tables, *driving_rows, *dist, *table)
+            OpTemplate::Join { tables, driving_rows, table, .. } => {
+                self.execute_join(now, *tables, *driving_rows, source, *table)
             }
             OpTemplate::Compute { us } => self.cpu.request(now, f64::from(*us)),
         }
     }
 
-    fn execute_scan(&mut self, now: Micros, table: usize, dist: KeyDist, rows: u32) -> f64 {
+    fn execute_scan(
+        &mut self,
+        now: Micros,
+        table: usize,
+        source: Option<KeySource>,
+        rows: u32,
+    ) -> f64 {
         let table_rows = self.eff_rows[table];
         let eff_pages = self.tables[table].effective_pages();
         let noise: f64 = self.rng.random();
@@ -559,7 +587,7 @@ impl<'a> Dbms<'a> {
         let mut cost = rows_f * TUPLE_CPU_US;
         match choice {
             planner::ScanChoice::Index | planner::ScanChoice::Bitmap => {
-                let start_key = self.sample_key(table, dist);
+                let start_key = self.sample_key(table, source);
                 cost += self.index_probe(now, table, start_key);
                 // Unclustered heap: ~one page per row, sampled.
                 let touches = rows.min(SCAN_SAMPLE);
@@ -623,7 +651,7 @@ impl<'a> Dbms<'a> {
         now: Micros,
         tables: u32,
         driving_rows: u32,
-        dist: KeyDist,
+        source: Option<KeySource>,
         table: usize,
     ) -> f64 {
         let choice = planner::choose_join(&self.knobs, u64::from(driving_rows));
@@ -636,7 +664,7 @@ impl<'a> Dbms<'a> {
         let probes = driving_rows.min(SCAN_SAMPLE);
         let mut sampled = 0.0;
         for _ in 0..probes {
-            let key = self.sample_key(table, dist);
+            let key = self.sample_key(table, source);
             sampled += self.index_probe(now, table, key);
             let page = self.heap_page(table, key);
             sampled += self.page_access(now, table as u32, page, false);
@@ -876,7 +904,7 @@ pub fn run_workload(
                 }
                 db.run_daemons(t);
                 let tmpl_idx = sample_txn(&mut mix_rng);
-                let (done, ok) = db.execute_txn(t, &spec.txns[tmpl_idx]);
+                let (done, ok) = db.execute_txn(t, tmpl_idx);
                 total += 1;
                 if done >= warmup_end && done < end {
                     if ok {
@@ -907,7 +935,7 @@ pub fn run_workload(
                 let start = arrival.max(free);
                 db.run_daemons(start);
                 let tmpl_idx = sample_txn(&mut mix_rng);
-                let (done, ok) = db.execute_txn(start, &spec.txns[tmpl_idx]);
+                let (done, ok) = db.execute_txn(start, tmpl_idx);
                 total += 1;
                 if done >= warmup_end && done < end {
                     if ok {
@@ -924,9 +952,7 @@ pub fn run_workload(
     }
 
     let elapsed_s = (end - warmup_end) as f64 / 1e6;
-    let p50 = latencies.percentile(50.0).unwrap_or(0.0);
-    let p95 = latencies.percentile(95.0).unwrap_or(0.0);
-    let p99 = latencies.percentile(99.0).unwrap_or(0.0);
+    let [p50, p95, p99] = latencies.percentiles([50.0, 95.0, 99.0]).unwrap_or([0.0; 3]);
     let metrics = db.finalize_metrics(elapsed_s, p50);
     RunResult {
         crashed: false,

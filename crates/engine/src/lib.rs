@@ -24,17 +24,42 @@
 //! clients are popped from a time-ordered heap, each transaction's timeline
 //! is computed against shared resource meters (CPU, disk) that model
 //! queueing by utilization, and daemons (checkpointer, vacuum, WAL writer,
-//! background writer) run as periodic actors on the same clock. Background
-//! daemon periods are divided by `RunOptions::daemon_time_scale` so that
-//! slow dynamics (5-minute checkpoints) appear within the short virtual
-//! window that substitutes for the paper's 5-minute wall-clock runs.
+//! background writer) run as periodic actors on the same clock.
 //!
 //! Configurations that overcommit the 16 GB box crash, mirroring the paper's
 //! crashed-configuration handling.
+//!
+//! # Scaling
+//!
+//! A run simulates a couple of virtual seconds where the paper runs five
+//! wall-clock minutes against a 20 GB database, so two [`RunOptions`]
+//! fields shrink what would not fit in that window, each by one factor so
+//! that every ratio a knob acts on is kept:
+//!
+//! * `daemon_time_scale` divides the slow daemon periods — checkpoint
+//!   timeout, autovacuum naptime, the WAL volume that triggers
+//!   `max_wal_size` — so that their dynamics (a 5-minute checkpoint cycle)
+//!   appear within the window.
+//! * `memory_scale` divides the memory hierarchy — table sizes, buffer
+//!   pool frames, OS cache — so that cache-capacity effects of the full
+//!   database appear in the pages a short run touches, and dead tuples
+//!   accrue as if the run lasted the paper's five minutes on the
+//!   scaled-down tables. Knob values and the crash check are untouched.
+//!
+//! # Cost of an evaluation
+//!
+//! One [`run_workload`] is what a tuning session pays per sample, so the
+//! model's bookkeeping is kept off its hot path: the buffer pool records
+//! dirtiness in a bitmap that writeback passes read a word at a time
+//! ([`bufferpool::BufferPool`]), every table is keyed by integers the
+//! simulator made itself and hashed accordingly, and an op's Zipfian is
+//! found when the run is set up. None of it is visible in a [`RunResult`]:
+//! `crates/workloads/tests/engine_golden.rs` pins results bit for bit.
 
 pub mod bufferpool;
 pub mod db;
 pub mod hardware;
+mod hash;
 pub mod knobs;
 pub mod locks;
 pub mod metrics;

@@ -7,8 +7,8 @@
 //! stores *release times*: a later transaction that touches a locked key
 //! simply waits until the earlier holder's commit time.
 
+use crate::hash::IntMap;
 use crate::sim::Micros;
-use std::collections::HashMap;
 
 /// A lockable row address.
 pub type LockKey = (u32, u64);
@@ -27,11 +27,7 @@ pub struct LockGrant {
 /// Lock table mapping keys to the time their current holder releases them.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    release_at: HashMap<LockKey, Micros>,
-    /// Total waits observed (for metrics).
-    pub waits: u64,
-    pub wait_time_us: u64,
-    pub aborts: u64,
+    release_at: IntMap<LockKey, Micros>,
     ops_since_sweep: u64,
 }
 
@@ -58,12 +54,7 @@ impl LockTable {
             }
         }
         let wait = wait_until - now;
-        if conflicts > 0 {
-            self.waits += 1;
-            self.wait_time_us += wait;
-        }
         if wait > abort_after_us {
-            self.aborts += 1;
             return LockGrant { wait_us: abort_after_us, conflicts, aborted: true };
         }
         LockGrant { wait_us: wait, conflicts, aborted: false }
@@ -113,7 +104,7 @@ mod tests {
         let g = lt.acquire(2_000, &[(0, 7)], 1_000_000);
         assert_eq!(g.wait_us, 3_000);
         assert_eq!(g.conflicts, 1);
-        assert_eq!(lt.waits, 1);
+        assert!(g.conflicts > 0, "what the caller counts as one lock wait");
     }
 
     #[test]
@@ -142,7 +133,11 @@ mod tests {
         let g = lt.acquire(0, &[(0, 1)], 50_000);
         assert!(g.aborted);
         assert_eq!(g.wait_us, 50_000, "abort happens at the horizon");
-        assert_eq!(lt.aborts, 1);
+        // One abort, not one per caller: the holder's release is in reach
+        // of a later acquire.
+        let later = lt.acquire(9_960_000, &[(0, 1)], 50_000);
+        assert!(!later.aborted);
+        assert_eq!(later.wait_us, 40_000);
     }
 
     #[test]

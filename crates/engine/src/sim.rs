@@ -191,10 +191,20 @@ impl LatencyReservoir {
 
     /// Percentile estimate (q in `[0, 100]`); `None` when empty.
     pub fn percentile(&self, q: f64) -> Option<f64> {
+        self.percentiles([q]).map(|[p]| p)
+    }
+
+    /// Several percentile estimates off one sort of the samples.
+    pub fn percentiles<const N: usize>(&self, qs: [f64; N]) -> Option<[f64; N]> {
         if self.samples.is_empty() {
             return None;
         }
-        Some(llamatune_math::percentile(&self.samples, q))
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
+        Some(qs.map(|q| {
+            assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
+            llamatune_math::stats::percentile_sorted(&sorted, q)
+        }))
     }
 }
 
