@@ -25,10 +25,10 @@ pub mod remote;
 
 pub use remote::{run_remote_session, RemoteOutcome, RemoteSessionOptions};
 
-use llamatune_obs::json::JsonValue;
+use llamatune_obs::json;
 use llamatune_server::wire::{
-    self, read_frame, write_frame, CreateSession, FrameError, Report, Response, SessionAttached,
-    SessionStatusReply, SuggestReply, WarmStartReply, WireError,
+    self, read_frame, write_frame, CreateSession, FrameError, Report, Request, Response,
+    SessionAttached, SessionStatusReply, SuggestReply, WarmStartReply, WireError,
 };
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
@@ -91,6 +91,10 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     next_id: u64,
     max_frame: usize,
+    /// The request being framed and the reply last read: one buffer
+    /// each, reused from call to call.
+    request: String,
+    reply: Vec<u8>,
 }
 
 impl Client {
@@ -104,6 +108,8 @@ impl Client {
             writer: BufWriter::new(write_half),
             next_id: 1,
             max_frame: wire::MAX_FRAME,
+            request: String::new(),
+            reply: Vec::new(),
         })
     }
 
@@ -113,13 +119,23 @@ impl Client {
         Ok(())
     }
 
-    /// One request/response round trip.
-    fn call(&mut self, method: &str, params: &str) -> Result<JsonValue, ClientError> {
+    /// One request/response round trip: `params` appends the request's
+    /// params behind the envelope; the `ok` body comes back as its source
+    /// text, borrowed from the reply's frame.
+    fn call(
+        &mut self,
+        method: &str,
+        params: impl FnOnce(&mut String),
+    ) -> Result<&str, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame(&mut self.writer, &wire::Request::encode(id, method, params))?;
-        let body = read_frame(&mut self.reader, self.max_frame)?;
-        let resp = Response::decode(&body)?;
+        self.request.clear();
+        Request::begin(&mut self.request, id, method);
+        params(&mut self.request);
+        self.request.push('}');
+        write_frame(&mut self.writer, &self.request)?;
+        let body = read_frame(&mut self.reader, self.max_frame, &mut self.reply)?;
+        let resp = Response::decode(body)?;
         if resp.id.is_some() && resp.id != Some(id) {
             return Err(ClientError::Transport(format!(
                 "response id {:?} does not match request id {id}",
@@ -129,53 +145,55 @@ impl Client {
         resp.result.map_err(ClientError::Wire)
     }
 
+    /// A call whose params name only the session.
+    fn call_session(&mut self, method: &str, session: &str) -> Result<&str, ClientError> {
+        self.call(method, |out| {
+            out.push_str("{\"session\":");
+            json::write_str(out, session);
+            out.push('}');
+        })
+    }
+
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call("ping", "{}").map(|_| ())
+        self.call("ping", |out| out.push_str("{}")).map(drop)
     }
 
     /// Creates — or idempotently re-attaches to — a session.
     pub fn create_session(&mut self, req: &CreateSession) -> Result<SessionAttached, ClientError> {
-        let body = self.call("create_session", &req.encode())?;
-        Ok(SessionAttached::decode(&body)?)
+        let body = self.call("create_session", |out| out.push_str(&req.encode()))?;
+        Ok(SessionAttached::decode(body)?)
     }
 
     /// Fetches the session's next (or still-unanswered) round.
     pub fn suggest_batch(&mut self, session: &str) -> Result<SuggestReply, ClientError> {
-        let body = self.call("suggest_batch", &session_params(session))?;
-        Ok(SuggestReply::decode(&body)?)
+        Ok(SuggestReply::decode(self.call_session("suggest_batch", session)?)?)
     }
 
     /// Reports one evaluated round.
     pub fn report(&mut self, report: &Report) -> Result<(), ClientError> {
-        self.call("report", &report.encode()).map(|_| ())
+        self.call("report", |out| report.write(out)).map(drop)
     }
 
     /// The session's recorded warm-start points (optimizer space).
     pub fn warm_start_query(&mut self, session: &str) -> Result<WarmStartReply, ClientError> {
-        let body = self.call("warm_start_query", &session_params(session))?;
-        Ok(WarmStartReply::decode(&body)?)
+        Ok(WarmStartReply::decode(self.call_session("warm_start_query", session)?)?)
     }
 
     /// The session's phase, trial count, and best score so far.
     pub fn session_status(&mut self, session: &str) -> Result<SessionStatusReply, ClientError> {
-        let body = self.call("session_status", &session_params(session))?;
-        Ok(SessionStatusReply::decode(&body)?)
+        Ok(SessionStatusReply::decode(self.call_session("session_status", session)?)?)
     }
 
     /// The session's full recorded history as JSONL (the store's
     /// canonical export — the byte-identity surface).
     pub fn export_history(&mut self, session: &str) -> Result<String, ClientError> {
-        let body = self.call("export_history", &session_params(session))?;
-        Ok(body.str("jsonl").map_err(WireError::bad_json)?.to_string())
+        let body = self.call_session("export_history", session)?;
+        Ok(wire::string_member(body, "jsonl").map_err(WireError::bad_json)?.into_owned())
     }
 
     /// Asks the daemon to shut down (acked before the daemon stops).
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.call("shutdown", "{}").map(|_| ())
+        self.call("shutdown", |out| out.push_str("{}")).map(drop)
     }
-}
-
-fn session_params(session: &str) -> String {
-    format!("{{\"session\":\"{}\"}}", llamatune_obs::json::escape(session))
 }

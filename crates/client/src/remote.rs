@@ -110,8 +110,7 @@ fn drive_once(
     }
 
     let mut executor = build_executor(catalog, spec, opts)?;
-    let quarantine = attached.quarantine_configs().map_err(ClientError::Wire)?;
-    executor.preload_quarantine(quarantine.iter());
+    executor.preload_quarantine(attached.quarantine.iter());
 
     loop {
         match client.suggest_batch(&session)? {

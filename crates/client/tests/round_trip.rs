@@ -277,7 +277,7 @@ fn a_non_finite_metric_is_reported_and_recorded() {
 
     // Round 0 is the default configuration alone; poison one metric of it.
     let evaluated = evaluate_rounds_with(&mut client, &catalog, &session, 31, 1, |results| {
-        results[0].metrics[2] = f64::NAN;
+        results[0].0.metrics[2] = f64::NAN;
     });
     assert_eq!(evaluated, 1);
     // The next round is only handed out once the reported one is recorded.

@@ -125,19 +125,61 @@ pub fn history_to_events(session: &str, history: &SessionHistory) -> Vec<TrialEv
         .collect()
 }
 
+/// A [`TrialEvent`]'s fields, borrowed: what the writers below take, so
+/// a record that holds the same fields (the store's trial record) is
+/// written from where it lies instead of being copied into an event first.
+#[derive(Debug, Clone, Copy)]
+pub struct EventRef<'a> {
+    pub session: &'a str,
+    pub iteration: usize,
+    pub raw_score: Option<f64>,
+    pub score: f64,
+    pub point: &'a [f64],
+    pub status: TrialStatus,
+    pub attempts: u32,
+}
+
+impl<'a> From<&'a TrialEvent> for EventRef<'a> {
+    fn from(e: &'a TrialEvent) -> Self {
+        EventRef {
+            session: &e.session,
+            iteration: e.iteration,
+            raw_score: e.raw_score,
+            score: e.score,
+            point: &e.point,
+            status: e.status,
+            attempts: e.attempts,
+        }
+    }
+}
+
+impl From<EventRef<'_>> for TrialEvent {
+    fn from(e: EventRef<'_>) -> Self {
+        TrialEvent {
+            session: e.session.to_string(),
+            iteration: e.iteration,
+            raw_score: e.raw_score,
+            score: e.score,
+            point: e.point.to_vec(),
+            status: e.status,
+            attempts: e.attempts,
+        }
+    }
+}
+
 /// Appends the event's members — `"session":…,"iteration":…` through
 /// the optional `status`/`attempts`, without the surrounding braces —
 /// so the store's trial record, a superset of this schema, extends the
 /// same bytes instead of re-spelling them.
-pub fn write_event_members(out: &mut String, e: &TrialEvent) {
+pub fn write_event_members(out: &mut String, e: EventRef<'_>) {
     out.push_str("\"session\":");
-    json::write_str(out, &e.session);
+    json::write_str(out, e.session);
     let _ = write!(out, ",\"iteration\":{},\"raw_score\":", e.iteration);
     json::write_opt(out, e.raw_score, json::write_f64);
     out.push_str(",\"score\":");
     json::write_f64(out, e.score);
     out.push_str(",\"point\":");
-    json::write_f64_array(out, &e.point);
+    json::write_f64_array(out, e.point);
     // Fault-tolerance keys are omitted when they carry no information
     // beyond the raw score (the derived status, first-try attempts), so
     // pre-status transcripts and fault-free sessions are byte-identical
@@ -155,21 +197,22 @@ pub fn write_event_members(out: &mut String, e: &TrialEvent) {
 /// parse-back is bit-exact for finite values.
 pub fn event_to_json(e: &TrialEvent) -> String {
     let mut out = String::with_capacity(96 + 20 * e.point.len());
-    write_event(&mut out, e);
+    write_event(&mut out, e.into());
     out
 }
 
-fn write_event(out: &mut String, e: &TrialEvent) {
+fn write_event(out: &mut String, e: EventRef<'_>) {
     out.push('{');
     write_event_members(out, e);
     out.push('}');
 }
 
-/// Serializes events as JSONL (one event per line).
-pub fn events_to_jsonl(events: &[TrialEvent]) -> String {
+/// Serializes events as JSONL (one event per line) — owned events by
+/// reference, or anything that lends an [`EventRef`].
+pub fn events_to_jsonl<'a, E: Into<EventRef<'a>>>(events: impl IntoIterator<Item = E>) -> String {
     let mut out = String::new();
     for e in events {
-        write_event(&mut out, e);
+        write_event(&mut out, e.into());
         out.push('\n');
     }
     out

@@ -9,11 +9,19 @@
 //!
 //! * **Closed line schemas** (trial events, store records) pull tokens
 //!   straight off the [`Scanner`] through [`Scanner::object`] — no
-//!   intermediate tree on the per-record path.
-//! * **Open documents** (wire frames, metrics, traces, bench artifacts)
-//!   go through [`parse`] and read members with the typed by-key
-//!   accessors ([`JsonValue::str`], [`JsonValue::u64`], …), whose
-//!   `Err(String)` names the offending key.
+//!   intermediate tree on the per-record path, and no `String` for a
+//!   token that is only parsed: [`Scanner::str_token`] lends the literal
+//!   (a knob token, a `kind`, a status) out of the line.
+//! * **Open documents** come two ways. The wire's per-round messages are
+//!   pulled like a line schema, through [`Scanner::open_object`] (a
+//!   repeated key is refused) with [`Scanner::skip`] for the members a
+//!   reader does not know; the same `skip` is how an envelope checks a
+//!   whole frame and hands a payload on as its source text. Everything
+//!   read once in a while (metrics, traces, bench artifacts, the wire's
+//!   per-session messages) goes through [`parse`] and reads members with
+//!   the typed by-key accessors ([`JsonValue::str`], [`JsonValue::u64`],
+//!   …), whose `Err(String)` names the offending key. `skip` and `parse`
+//!   accept exactly the same documents.
 //! * **Writers** append into a caller's `String`. Finite numbers print
 //!   in Rust's shortest-roundtrip form, so a value read back is
 //!   bit-identical and re-serializing a parsed document reproduces it
@@ -99,11 +107,6 @@ impl JsonValue {
         self.as_array()?.iter().map(JsonValue::as_f64).collect()
     }
 
-    /// The value as an array of strings.
-    pub fn as_str_array(&self) -> Option<Vec<String>> {
-        self.as_array()?.iter().map(|v| v.as_str().map(str::to_string)).collect()
-    }
-
     /// Required member `key` converted by `conv`; the error names the
     /// key and says whether it was absent or of the wrong type.
     fn member<'a, T>(
@@ -168,11 +171,6 @@ impl JsonValue {
         self.member(key, "an array of numbers", JsonValue::as_f64_array)
     }
 
-    /// Required array-of-strings member.
-    pub fn str_array(&self, key: &str) -> Result<Vec<String>, String> {
-        self.member(key, "an array of strings", JsonValue::as_str_array)
-    }
-
     /// Optional string member (absent or `null` is `None`).
     pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
         self.opt_member(key, "a string", JsonValue::as_str)
@@ -198,21 +196,29 @@ impl JsonValue {
 // Writers
 // ---------------------------------------------------------------------------
 
-/// Appends `s` escaped for embedding between JSON quotes.
+/// Appends `s` escaped for embedding between JSON quotes: the plain
+/// runs between escapes in whole slices (every byte that needs an escape
+/// is ASCII, so every slice boundary is a character boundary).
 pub fn write_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Appends `s` as a quoted JSON string.
@@ -284,11 +290,6 @@ pub fn write_f64_array(out: &mut String, vs: &[f64]) {
     write_array(out, vs, |out, v| write_f64(out, *v));
 }
 
-/// Appends a string array `["a","b"]`.
-pub fn write_str_array<S: AsRef<str>>(out: &mut String, items: impl IntoIterator<Item = S>) {
-    write_array(out, items, |out, s| write_str(out, s.as_ref()));
-}
-
 /// [`write_escaped`] into a fresh `String`.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -309,7 +310,9 @@ pub fn format_f64(v: f64) -> String {
 
 /// A pull scanner over one JSON text. Every method skips leading
 /// whitespace, consumes exactly one token or value, and runs in time
-/// linear in the bytes it consumes.
+/// linear in the bytes it consumes. Cloning one is a checkpoint: a reader
+/// that may have to give a value up tries it on the clone.
+#[derive(Clone)]
 pub struct Scanner<'a> {
     text: &'a str,
     pos: usize,
@@ -388,11 +391,13 @@ impl<'a> Scanner<'a> {
         self.str_token().map(Cow::into_owned)
     }
 
-    /// The string lexer: borrows the literal when it has no escapes,
-    /// otherwise copies the plain runs between escapes in whole slices.
-    /// `"` and `\` are ASCII, so every slice boundary is a character
-    /// boundary of the (already valid) UTF-8 input.
-    fn str_token(&mut self) -> Result<Cow<'a, str>, String> {
+    /// The string lexer: borrows the literal when it has no escapes —
+    /// how a reader takes a token it only parses (a knob token, a status,
+    /// a method name) without a `String` for it — otherwise copies the
+    /// plain runs between escapes in whole slices. `"` and `\` are ASCII,
+    /// so every slice boundary is a character boundary of the (already
+    /// valid) UTF-8 input.
+    pub fn str_token(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let bytes = self.text.as_bytes();
         let mut out = String::new();
@@ -469,6 +474,28 @@ impl<'a> Scanner<'a> {
         })
     }
 
+    /// [`Scanner::object`] for an open document: a repeated key is
+    /// refused, so a reader that skips the members it does not know
+    /// accepts exactly the objects [`parse`] accepts.
+    pub fn open_object(
+        &mut self,
+        mut member: impl FnMut(&str, &mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut keys: Vec<Cow<'a, str>> = Vec::new();
+        self.sequence(b'{', b'}', |sc| {
+            let key = sc.str_token()?;
+            sc.expect(b':')?;
+            member(&key, sc)?;
+            keys.push(key);
+            Ok(())
+        })?;
+        keys.sort_unstable();
+        match keys.windows(2).find(|w| w[0] == w[1]) {
+            Some(dup) => Err(format!("duplicate key {:?}", dup[0])),
+            None => Ok(()),
+        }
+    }
+
     fn sequence(
         &mut self,
         open: u8,
@@ -493,13 +520,42 @@ impl<'a> Scanner<'a> {
         Ok(())
     }
 
-    /// Parses a flat array of numbers, returned without growth slack
-    /// (callers keep these: points, metrics, fingerprints).
-    pub fn f64_array(&mut self) -> Result<Vec<f64>, String> {
+    /// Parses `[ … ]` into a `Vec`, one `item` per element, returned
+    /// without growth slack (callers keep these: points, metrics,
+    /// configurations).
+    pub fn vec<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
         let mut xs = Vec::new();
-        self.array(|sc| sc.number().map(|x| xs.push(x)))?;
+        self.array(|sc| item(sc).map(|x| xs.push(x)))?;
         xs.shrink_to_fit();
         Ok(xs)
+    }
+
+    /// Parses a flat array of numbers.
+    pub fn f64_array(&mut self) -> Result<Vec<f64>, String> {
+        self.vec(Scanner::number)
+    }
+
+    /// Consumes one value of any type, checked as [`Scanner::value`]
+    /// checks it, and returns its source text instead of a tree — how an
+    /// envelope hands its payload to the payload's own reader, and how
+    /// that reader passes over a member it does not know.
+    pub fn skip(&mut self) -> Result<&'a str, String> {
+        let first = self.peek().ok_or("unexpected end of input")?;
+        let start = self.pos;
+        match first {
+            b'{' => self.open_object(|_, sc| sc.skip().map(drop))?,
+            b'[' => self.array(|sc| sc.skip().map(drop))?,
+            b'"' => drop(self.str_token()?),
+            b't' if self.literal("true") => {}
+            b'f' if self.literal("false") => {}
+            b'n' if self.literal("null") => {}
+            b't' | b'f' | b'n' => return Err(format!("invalid literal at byte {}", self.pos)),
+            _ => drop(self.number()?),
+        }
+        Ok(&self.text[start..self.pos])
     }
 
     /// Parses any value into a tree, rejecting duplicate object keys.
@@ -507,12 +563,7 @@ impl<'a> Scanner<'a> {
         match self.peek().ok_or("unexpected end of input")? {
             b'{' => {
                 let mut members: Vec<(String, JsonValue)> = Vec::new();
-                self.object(|key, sc| sc.value().map(|v| members.push((key.to_string(), v))))?;
-                let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-                keys.sort_unstable();
-                if let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]) {
-                    return Err(format!("duplicate key {:?}", dup[0]));
-                }
+                self.open_object(|key, sc| sc.value().map(|v| members.push((key.to_string(), v))))?;
                 Ok(JsonValue::Obj(members))
             }
             b'[' => {
@@ -673,7 +724,7 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, "q\"b\\n\nr\rt\tc\u{1}é/");
         write_f64_array(&mut out, &[0.1, -2.0, 1e21, f64::NAN, f64::INFINITY]);
-        write_str_array(&mut out, ["i1", "f0.5"]);
+        write_array(&mut out, ["i1", "f0.5"], write_str);
         assert_eq!(
             out,
             r#""q\"b\\n\nr\rt\tc\u0001é/"[0.1,-2,1000000000000000000000,null,null]["i1","f0.5"]"#
@@ -718,13 +769,12 @@ mod tests {
             .unwrap();
         assert_eq!((v.str("s"), v.u64("n"), v.f64("f")), (Ok("x"), Ok(7), Ok(1.5)));
         assert_eq!(v.f64_array("a"), Ok(vec![1.0, 2.0]));
-        assert_eq!(v.str_array("t"), Ok(vec!["p".to_string()]));
         assert_eq!(v.object("o").unwrap()[0].1.as_bool(), Some(true));
         assert_eq!(v.get("o").unwrap().bool("k"), Ok(true));
         assert_eq!(v.str("gone"), Err("missing \"gone\"".to_string()));
         assert_eq!(v.str("n"), Err("\"n\" is not a string".to_string()));
         assert_eq!(v.u64("f"), Err("\"f\" is not a non-negative integer".to_string()));
-        assert!(v.f64_array("t").is_err() && v.str_array("a").is_err() && v.array("o").is_err());
+        assert!(v.f64_array("t").is_err() && v.array("o").is_err());
         // Optional members: absent and null are None, a wrong type is not.
         assert_eq!(
             (v.opt_f64("gone"), v.opt_f64("z"), v.opt_f64("n")),
@@ -784,7 +834,85 @@ mod tests {
         }
     }
 
+    /// `skip` over a whole document, the way an envelope walks a frame.
+    fn skip_document(text: &str) -> Result<&str, String> {
+        let mut sc = Scanner::new(text);
+        let span = sc.skip()?;
+        sc.end().map(|()| span)
+    }
+
+    /// `skip` is `value` without the tree: the same documents, the same
+    /// refusals (with the same words), and the span is the value's text.
+    #[test]
+    fn skip_accepts_exactly_what_value_accepts() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let (deep, too_deep) = (nest(MAX_DEPTH), nest(MAX_DEPTH + 1));
+        for doc in [
+            r#"{"a":1,"b":[1.5,"x",null],"c":{"d":true,"e":false}}"#,
+            " [ ] ",
+            r#""q\"\u00e9""#,
+            "-1.5e3",
+            "1.",
+            "+1",
+            "1e999",
+            &deep,
+            "",
+            "{",
+            r#"{"a":}"#,
+            "[1,]",
+            "[1 2]",
+            "nul",
+            "truth",
+            r#"{"a":1}x"#,
+            r#"{"a":1,"a":2}"#,
+            r#"{"a":{"k":1,"j":2,"k":3}}"#,
+            r#"{"i\u0064":1,"id":2}"#,
+            r#""\x""#,
+            r#""abc"#,
+            "NaN",
+            "--1",
+            "1e",
+            ".",
+            &too_deep,
+        ] {
+            assert_eq!(skip_document(doc).map(drop), parse(doc).map(drop), "{doc}");
+        }
+        let mut sc = Scanner::new(r#" [ {"k": [1, "two"]} , 3 ] "#);
+        sc.array(|sc| {
+            let span = sc.skip()?;
+            assert!(span == r#"{"k": [1, "two"]}"# || span == "3", "{span}");
+            Ok(())
+        })
+        .unwrap();
+        // A clone is a checkpoint: the original has not moved.
+        let mut sc = Scanner::new("[1,2]");
+        assert!(sc.clone().u64().is_err());
+        assert_eq!(sc.f64_array(), Ok(vec![1.0, 2.0]));
+    }
+
     proptest! {
+        #[test]
+        fn skip_agrees_with_parse_on_mangled_documents(
+            words in proptest::collection::vec(any::<u64>(), 4096)
+        ) {
+            let mut words = words.into_iter();
+            let mut text = String::new();
+            write_value(&mut text, &random_value(&mut words, 4));
+            prop_assert_eq!(skip_document(&text), Ok(text.as_str()));
+            // One byte replaced, dropped or doubled, anywhere.
+            let mut bytes = text.clone().into_bytes();
+            let at = (word(&mut words) % bytes.len() as u64) as usize;
+            match word(&mut words) % 3 {
+                0 => bytes[at] = b"{}[]\",:e-0\\ x"[(word(&mut words) % 13) as usize],
+                1 => drop(bytes.remove(at)),
+                _ => bytes.insert(at, bytes[at]),
+            }
+            if let Ok(mangled) = String::from_utf8(bytes) {
+                let (skipped, parsed) = (skip_document(&mangled), parse(&mangled));
+                prop_assert_eq!(skipped.map(drop), parsed.map(drop), "{}", mangled);
+            }
+        }
+
         #[test]
         fn parse_inverts_write(words in proptest::collection::vec(any::<u64>(), 4096)) {
             let v = random_value(&mut words.into_iter(), 4);

@@ -54,7 +54,9 @@ use llamatune_obs::trace::Tracer;
 use llamatune_obs::{MetricsRegistry, MetricsSnapshot};
 use llamatune_optim::{GuardFactory, GuardedOptimizer, Optimizer, OptimizerKind, SearchSpec};
 use llamatune_space::{Config, ConfigSpace};
-use llamatune_store::{rebuild_history, SessionMeta, SessionStatus, StoredTrial, TrialStore};
+use llamatune_store::{
+    rebuild_history, SessionMeta, SessionStatus, StoreRecord, StoredTrial, TrialStore,
+};
 use llamatune_workloads::{
     workload_by_name, workload_fingerprint, FaultyRunner, TrialRunner, WorkloadRunner,
     FINGERPRINT_PROBE_SEED,
@@ -469,7 +471,7 @@ impl<'a> SessionDriver<'a> {
                     status: t.status,
                     attempts: t.attempts,
                 };
-                if let Err(e) = store.append_trial(&rec) {
+                if let Err(e) = store.append_record(StoreRecord::Trial(rec)) {
                     *sink_err = Some(e);
                 }
             }

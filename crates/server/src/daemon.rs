@@ -11,10 +11,10 @@
 
 use crate::session::{Attach, SessionRegistry};
 use crate::wire::{
-    self, encode_err, encode_ok, read_frame, write_frame, CreateSession, FrameError, Report,
-    Request, SessionAttached, WireError,
+    self, encode_err, read_frame, write_frame, CreateSession, FrameError, Report, Request,
+    SessionAttached, WireError,
 };
-use llamatune_obs::json::{self, JsonValue};
+use llamatune_obs::json;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -139,9 +139,10 @@ impl Server {
 
 /// One connection's request loop. Close conditions: clean peer close,
 /// transport error, or a frame so damaged resynchronization is
-/// impossible (truncated/oversized). Malformed JSON inside a
-/// well-formed frame keeps the connection: framing still delimits the
-/// next request, so the daemon answers a structured error and reads on.
+/// impossible (truncated/oversized). A body that is not JSON — not even
+/// UTF-8 — inside a well-formed frame keeps the connection: framing
+/// still delimits the next request, so the daemon answers a structured
+/// error and reads on.
 fn serve_connection(
     stream: TcpStream,
     registry: &SessionRegistry,
@@ -159,16 +160,17 @@ fn serve_connection(
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(write_half);
     let mut idle = Duration::ZERO;
+    // The frame being read and the frame being written, one buffer
+    // each for the life of the connection.
+    let (mut frame, mut reply) = (Vec::new(), String::new());
 
     loop {
         if handle.is_stopped() {
             return;
         }
-        let body = match read_frame(&mut reader, cfg.max_frame) {
-            Ok(body) => {
-                idle = Duration::ZERO;
-                body
-            }
+        let req = match read_frame(&mut reader, cfg.max_frame, &mut frame) {
+            Ok(body) => Request::decode(body),
+            Err(e @ FrameError::NotUtf8) => Err(WireError::bad_json(e.to_string())),
             Err(FrameError::TimedOut) => {
                 idle += poll;
                 if cfg.read_timeout.is_some_and(|limit| idle >= limit) {
@@ -189,7 +191,8 @@ fn serve_connection(
             }
             Err(FrameError::Io(_)) => return,
         };
-        let req = match Request::decode(&body) {
+        idle = Duration::ZERO;
+        let req = match req {
             Ok(req) => req,
             Err(err) => {
                 if write_frame(&mut writer, &encode_err(None, &err)).is_err() {
@@ -198,36 +201,35 @@ fn serve_connection(
                 continue;
             }
         };
-        let id = req.id;
-        let shutdown_requested = req.method == "shutdown";
-        let reply = match dispatch(registry, cfg, &req) {
-            Ok(ok) => encode_ok(id, &ok),
-            Err(err) => encode_err(Some(id), &err),
-        };
+        reply.clear();
+        wire::begin_ok(&mut reply, req.id);
+        match dispatch(registry, cfg, &req, &mut reply) {
+            Ok(()) => reply.push('}'),
+            Err(err) => reply = encode_err(Some(req.id), &err),
+        }
         if write_frame(&mut writer, &reply).is_err() {
             return;
         }
-        if shutdown_requested {
+        if req.method == "shutdown" {
             handle.shutdown();
             return;
         }
     }
 }
 
-fn param_str<'p>(params: &'p JsonValue, key: &str) -> Result<&'p str, WireError> {
-    params.str(key).map_err(WireError::bad_params)
-}
-
-/// Routes one request into the registry and renders the `ok` body.
+/// Routes one request into the registry and appends the `ok` body to
+/// `out`, behind the envelope the caller opened there.
 fn dispatch(
     registry: &SessionRegistry,
     cfg: &ServerConfig,
-    req: &Request,
-) -> Result<String, WireError> {
-    match req.method.as_str() {
-        "ping" => Ok("{}".to_string()),
+    req: &Request<'_>,
+    out: &mut String,
+) -> Result<(), WireError> {
+    let session = || wire::string_member(req.params, "session").map_err(WireError::bad_params);
+    match &*req.method {
+        "ping" | "shutdown" => out.push_str("{}"),
         "create_session" => {
-            let create = CreateSession::decode(&req.params)?;
+            let create = CreateSession::decode(req.params)?;
             let reply = match registry.attach(&create)? {
                 Attach::Done { label } => {
                     SessionAttached { session: label, done: true, quarantine: Vec::new() }
@@ -236,34 +238,29 @@ fn dispatch(
                     SessionAttached { session: label, done: false, quarantine }
                 }
             };
-            Ok(reply.encode())
+            out.push_str(&reply.encode());
         }
-        "suggest_batch" => {
-            let session = param_str(&req.params, "session")?;
-            Ok(registry.suggest(session, cfg.suggest_timeout)?.encode())
-        }
+        "suggest_batch" => registry.suggest(&session()?, cfg.suggest_timeout)?.write(out),
         "report" => {
-            let report = Report::decode(&req.params)?;
-            registry.report(&report)?;
-            Ok("{}".to_string())
+            registry.report(&Report::decode(req.params)?)?;
+            out.push_str("{}");
         }
         "warm_start_query" => {
-            let session = param_str(&req.params, "session")?;
-            let points = registry.warm_points(session)?;
-            Ok(wire::WarmStartReply { points }.encode())
+            let points = registry.warm_points(&session()?)?;
+            out.push_str(&wire::WarmStartReply { points }.encode());
         }
-        "session_status" => {
-            let session = param_str(&req.params, "session")?;
-            Ok(registry.status(session)?.encode())
-        }
+        "session_status" => out.push_str(&registry.status(&session()?)?.encode()),
         "export_history" => {
-            let session = param_str(&req.params, "session")?;
-            let jsonl = registry.export(session)?;
-            Ok(format!("{{\"jsonl\":\"{}\"}}", json::escape(&jsonl)))
+            out.push_str("{\"jsonl\":\"");
+            json::write_escaped(out, &registry.export(&session()?)?);
+            out.push_str("\"}");
         }
-        "shutdown" => Ok("{}".to_string()),
         other => {
-            Err(WireError::new(wire::code::UNKNOWN_METHOD, format!("unknown method {other:?}")))
+            return Err(WireError::new(
+                wire::code::UNKNOWN_METHOD,
+                format!("unknown method {other:?}"),
+            ))
         }
     }
+    Ok(())
 }

@@ -44,14 +44,14 @@
 //! an uninterrupted run. Shutdown drops nothing it has to undo: sessions
 //! stay `Running` in the store and resume under the next daemon.
 
-use crate::wire::{self, CreateSession, Report, SessionStatusReply, SuggestReply, WireError};
+use crate::wire::{
+    self, CreateSession, Report, SessionStatusReply, SuggestReply, WireError, WireTrial,
+};
 use llamatune::history_io::events_to_jsonl;
 use llamatune_optim::OptimizerKind;
 use llamatune_runtime::{CampaignOptions, CellSpec, LiveSession, Opened, SessionDriver};
-use llamatune_space::ConfigSpace;
-use llamatune_store::{
-    lock_recover, SessionStatus, StoreBackend, StoreOptions, StoredTrial, TrialStore,
-};
+use llamatune_space::{Config, ConfigSpace};
+use llamatune_store::{lock_recover, SessionStatus, StoreBackend, StoreOptions, TrialStore};
 use llamatune_workloads::workload_by_name;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,7 +101,7 @@ pub enum Attach {
     /// The session is live (fresh, or re-attached to a running one);
     /// the quarantine preload is what a client-side executor must know
     /// before evaluating anything.
-    Live { label: String, quarantine: Vec<Vec<String>> },
+    Live { label: String, quarantine: Vec<Config> },
 }
 
 /// The daemon's session table: owns the shared backend, the one store
@@ -245,12 +245,7 @@ impl SessionRegistry {
                 return Ok(Attach::Done { label });
             }
         }
-        let quarantine: Vec<Vec<String>> = self
-            .driver(&store, &opts, &cell)
-            .quarantine_preload()
-            .iter()
-            .map(|cfg| cfg.values().iter().map(llamatune_store::knob_value_to_token).collect())
-            .collect();
+        let quarantine = self.driver(&store, &opts, &cell).quarantine_preload();
 
         let tracked = lock_recover(&self.sessions).entry(label.clone()).or_default().clone();
         let mut st = lock_recover(&tracked);
@@ -325,11 +320,16 @@ impl SessionRegistry {
             return Err(WireError::new(wire::code::SHUTTING_DOWN, "daemon is shutting down"));
         }
         match st.live.as_mut().and_then(|live| live.session.next_round()) {
-            Some(trials) => {
-                let trials: Vec<_> =
-                    trials.iter().map(|t| (t.iteration, t.config.values().to_vec())).collect();
-                Ok(SuggestReply::from_trials(trials[0].0, &trials))
-            }
+            Some(trials) => Ok(SuggestReply::Round {
+                round: trials[0].iteration,
+                trials: trials
+                    .iter()
+                    .map(|t| WireTrial {
+                        iteration: t.iteration,
+                        config: t.config.values().to_vec(),
+                    })
+                    .collect(),
+            }),
             None => Err(WireError::new(wire::code::TIMEOUT, "session is still being opened")),
         }
     }
@@ -429,14 +429,14 @@ impl SessionRegistry {
     /// contract.
     pub fn export(&self, label: &str) -> Result<String, WireError> {
         let store = self.store()?;
-        let events: Vec<_> = store.trials_for(label).iter().map(StoredTrial::to_event).collect();
-        if events.is_empty() && store.session_meta(label).is_none() {
+        let trials = store.trials_for(label);
+        if trials.is_empty() && store.session_meta(label).is_none() {
             return Err(WireError::new(
                 wire::code::UNKNOWN_SESSION,
                 format!("session {label:?} has no stored history"),
             ));
         }
-        Ok(events_to_jsonl(&events))
+        Ok(events_to_jsonl(&trials))
     }
 
     /// Refuses new sessions and further rounds from now on. There is

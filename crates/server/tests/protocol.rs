@@ -48,13 +48,25 @@ fn connect(addr: &str) -> TcpStream {
     stream
 }
 
-fn roundtrip(stream: &mut TcpStream, body: &str) -> Response {
-    write_frame(stream, body).unwrap();
-    let reply = read_frame(stream, wire::MAX_FRAME).unwrap();
-    Response::decode(&reply).unwrap()
+/// One reply with what [`Response`] borrows from its frame copied out.
+struct Reply {
+    id: Option<u64>,
+    result: Result<String, wire::WireError>,
 }
 
-fn expect_err(resp: &Response, code: &str) {
+fn read_reply(stream: &mut TcpStream) -> Reply {
+    let mut frame = Vec::new();
+    let body = read_frame(stream, wire::MAX_FRAME, &mut frame).unwrap();
+    let resp = Response::decode(body).unwrap();
+    Reply { id: resp.id, result: resp.result.map(str::to_string) }
+}
+
+fn roundtrip(stream: &mut TcpStream, body: &str) -> Reply {
+    write_frame(stream, body).unwrap();
+    read_reply(stream)
+}
+
+fn expect_err(resp: &Reply, code: &str) {
     let err = resp.result.as_ref().expect_err("expected a structured error");
     assert_eq!(err.code, code, "unexpected error: {err}");
 }
@@ -83,6 +95,29 @@ fn malformed_json_gets_a_structured_error_and_keeps_the_connection() {
     join.join().unwrap();
 }
 
+/// A frame that arrived whole is a frame the daemon can answer and read
+/// past, whatever its body holds: bytes that are not UTF-8 are `bad_json`
+/// like any other body that is not a JSON document, not a framing fault.
+#[test]
+fn invalid_utf8_body_is_bad_json_and_keeps_the_connection() {
+    let (handle, join, addr) = start_daemon();
+    let mut stream = connect(&addr);
+
+    let body = b"{\"id\":1,\"method\":\"ping\",\"params\":{\"x\":\"\xff\xfe\"}}";
+    stream.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let resp = read_reply(&mut stream);
+    assert_eq!(resp.id, None);
+    expect_err(&resp, wire::code::BAD_JSON);
+
+    let resp = roundtrip(&mut stream, "{\"id\":2,\"method\":\"ping\",\"params\":{}}");
+    assert_eq!(resp.id, Some(2));
+    assert!(resp.result.is_ok(), "the stream is still in step");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn truncated_frame_is_answered_then_closed() {
     let (handle, join, addr) = start_daemon();
@@ -93,13 +128,14 @@ fn truncated_frame_is_answered_then_closed() {
     stream.write_all(b"0123456789").unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
 
-    let reply = read_frame(&mut stream, wire::MAX_FRAME).unwrap();
-    let resp = Response::decode(&reply).unwrap();
+    let resp = read_reply(&mut stream);
     assert_eq!(resp.id, None);
     expect_err(&resp, wire::code::BAD_FRAME);
 
     // The daemon hangs up after a framing fault — resync is impossible.
-    assert!(matches!(read_frame(&mut stream, wire::MAX_FRAME), Err(wire::FrameError::Closed)));
+    let mut frame = Vec::new();
+    let closed = read_frame(&mut stream, wire::MAX_FRAME, &mut frame);
+    assert!(matches!(closed, Err(wire::FrameError::Closed)));
 
     handle.shutdown();
     join.join().unwrap();
@@ -115,8 +151,7 @@ fn oversized_frame_is_rejected_without_reading_the_body() {
     stream.write_all(&(1u32 << 30).to_be_bytes()).unwrap();
     stream.flush().unwrap();
 
-    let reply = read_frame(&mut stream, wire::MAX_FRAME).unwrap();
-    let resp = Response::decode(&reply).unwrap();
+    let resp = read_reply(&mut stream);
     expect_err(&resp, wire::code::BAD_FRAME);
 
     handle.shutdown();

@@ -8,7 +8,7 @@
 //! here holds one lock and runs alone in it; nothing else belongs in
 //! this binary.
 
-use llamatune::session::TrialStatus;
+use llamatune::session::{EvalResult, TrialStatus};
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{AdapterKind, CampaignOptions};
 use llamatune_server::wire::{self, CreateSession, Report, SuggestReply, WireResult, WireTrial};
@@ -65,12 +65,14 @@ fn suggest(registry: &SessionRegistry, label: &str) -> SuggestReply {
 fn made_up(label: &str, round: usize, seed: u64, trials: &[WireTrial]) -> Report {
     let results = trials
         .iter()
-        .map(|t| WireResult {
-            score: Some(1000.0 + (seed * 10 + t.iteration as u64) as f64),
-            metrics: vec![1.0, 2.0],
-            status: TrialStatus::Ok,
-            attempts: 1,
-            virtual_ms: 0.0,
+        .map(|t| {
+            WireResult(EvalResult {
+                score: Some(1000.0 + (seed * 10 + t.iteration as u64) as f64),
+                metrics: vec![1.0, 2.0],
+                status: TrialStatus::Ok,
+                attempts: 1,
+                virtual_ms: 0.0,
+            })
         })
         .collect();
     Report { session: label.to_string(), round, results }

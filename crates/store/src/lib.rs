@@ -55,8 +55,8 @@ pub use backend::{
 };
 pub use faults::{FailingBackend, FaultPlan};
 pub use record::{
-    knob_value_from_token, knob_value_to_token, record_from_json, record_to_json, SessionMeta,
-    SessionStatus, StoreRecord, StoredTrial,
+    knob_value_from_token, read_config, record_from_json, record_to_json, write_config,
+    SessionMeta, SessionStatus, StoreRecord, StoredTrial,
 };
 pub use store::{rebuild_history, CompactionStats, StoreOptions, TrialStore};
 pub use transfer::{cosine_distance, SessionMatch};

@@ -12,7 +12,7 @@ use crate::backend::{lock_recover, LocalDirBackend, Revision, StoreBackend};
 use crate::manifest::{
     corrupt, segment_index, segment_name, segment_writer, with_manifest, Access, Manifest, Step,
 };
-use crate::record::{record_to_json, SessionMeta, StoreRecord, StoredTrial};
+use crate::record::{write_record, SessionMeta, StoreRecord, StoredTrial};
 use crate::segment::{load_segment_lenient, replay_manifest, Index};
 use llamatune::history_io::{events_to_jsonl, TrialEvent};
 use llamatune::session::PriorTrial;
@@ -375,22 +375,29 @@ impl TrialStore {
 
     /// Appends one trial record (one backend `append` per record; the
     /// record is durable to the backend's append contract on return).
+    /// The index keeps a copy; a caller done with its record hands it
+    /// over through [`TrialStore::append_record`] instead.
     pub fn append_trial(&self, trial: &StoredTrial) -> io::Result<()> {
-        self.append(StoreRecord::Trial(trial.clone()))
+        self.append_record(StoreRecord::Trial(trial.clone()))
     }
 
     /// Appends one session-metadata record (latest record wins on load).
     pub fn append_session(&self, meta: &SessionMeta) -> io::Result<()> {
-        self.append(StoreRecord::Session(meta.clone()))
+        self.append_record(StoreRecord::Session(meta.clone()))
     }
 
-    fn append(&self, rec: StoreRecord) -> io::Result<()> {
+    /// Appends `rec` and files it in the index as it is, uncopied.
+    pub fn append_record(&self, rec: StoreRecord) -> io::Result<()> {
         if self.read_only {
             return Err(read_only_err());
         }
-        // Rendered before the lock is taken: the sessions of a daemon
-        // share this handle, and only the write needs to be serial.
-        let line = format!("{}\n", record_to_json(&rec));
+        // Rendered once, terminator included (a trial of the 90-knob
+        // catalog is ~1.8 KB), before the lock is taken: the sessions of
+        // a daemon share this handle, and only the write needs to be
+        // serial.
+        let mut line = String::with_capacity(2048);
+        write_record(&mut line, &rec);
+        line.push('\n');
         let mut guard = lock_recover(&self.inner);
         let inner = &mut *guard;
         self.backend.append(&inner.active_name, line.as_bytes())?;
@@ -659,7 +666,8 @@ impl TrialStore {
 
     /// [`TrialStore::export_events`] rendered as JSONL.
     pub fn export_jsonl(&self) -> String {
-        events_to_jsonl(&self.export_events())
+        let inner = lock_recover(&self.inner);
+        events_to_jsonl(inner.index.sessions.values().flat_map(|e| e.trials.values()))
     }
 }
 
@@ -695,7 +703,7 @@ mod tests {
     use super::*;
     use crate::backend::{ObjectStoreBackend, ObjectStoreOptions};
     use crate::manifest::MANIFEST_HEADER;
-    use crate::record::SessionStatus;
+    use crate::record::{record_to_json, SessionStatus};
     use llamatune_space::KnobValue;
 
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -84,8 +84,8 @@ impl TrialStore {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::with_capacity(k);
         for t in trials {
-            let key: Vec<String> =
-                t.config.iter().map(crate::record::knob_value_to_token).collect();
+            let mut key = String::new();
+            crate::record::write_config(&mut key, &t.config);
             if seen.insert(key) {
                 out.push(t.point);
                 if out.len() == k {
