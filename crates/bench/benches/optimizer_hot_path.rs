@@ -3,8 +3,7 @@
 //! state updates buy over the rebuild-from-scratch baselines.
 //!
 //! The measurements, each at history sizes n = 50 / 100 / 200 (the
-//! paper's sessions run 100 iterations; fleet-scale campaigns go
-//! beyond):
+//! paper's sessions run 100 iterations):
 //!
 //! * **GP-BO observe** — incremental Cholesky append (O(n²), the
 //!   default) vs the config-forced full refactorization (O(n³),
@@ -22,19 +21,13 @@
 //!   vanilla 90-knob width, 27 metrics, with the replay buffer pinned at
 //!   32 (the first trial that trains) and 100 (a paper session's end)
 //!   transitions.
-//! * **GP-BO suggest** — one exact-path `GpBo::suggest` (1500 candidates
+//! * **GP-BO suggest** — one `GpBo::suggest` (1500 candidates
 //!   drawn and EI-scored against the cached factor) and, inside it, the
 //!   scoring pass alone (`optim.gp.ei_score_ms`).
 //! * **Constant-liar retract, q = 8** — `BatchSuggest::observe_batch`
 //!   after a fantasized round under the default auto mode (the
 //!   per-optimizer cost hint), snapshot-restore, and rebuild-and-replay
 //!   (`RetractionMode::Rebuild`).
-//! * **Sparse GP scaling** — observe and full-refit latency of the
-//!   inducing-point surrogate (`GpConfig::sparse_default()`) at
-//!   n = 2000 and 10000, where the exact path's O(n²) appends and
-//!   O(n³) refits are no longer viable; plus a regret-parity check
-//!   pinning the sparse path within tolerance of the exact GP on a
-//!   paper-scale session.
 //!
 //! Results are printed as a table and recorded in
 //! `BENCH_optimizer.json` (in the working directory) so later PRs have
@@ -45,6 +38,7 @@
 //! `LLAMATUNE_QUICK=1` shrinks history sizes and repetitions to
 //! smoke-test scale.
 
+use llamatune_bench::artifact::{record, round, write_field, Field};
 use llamatune_bench::print_header;
 use llamatune_obs::json::{write_f64, write_object};
 use llamatune_optim::{
@@ -54,7 +48,6 @@ use llamatune_optim::{
 use llamatune_runtime::{BatchSuggest, RetractionMode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::io::Write;
 use std::time::Instant;
 
 /// The LlamaTune projected space: 16 continuous dimensions.
@@ -207,7 +200,7 @@ struct GpSuggestRow {
     ei_score_us: f64,
 }
 
-/// Times one exact-path GP suggestion at history size `n`, and the share
+/// Times one GP suggestion at history size `n`, and the share
 /// of it the optimizer itself books to `optim.gp.ei_score_ms`.
 fn gp_suggest_row(n: usize, reps: usize) -> GpSuggestRow {
     let mut gp = GpBo::new(SearchSpec::continuous(DIMS), GpConfig::default(), SEED);
@@ -277,77 +270,6 @@ fn retract_row(
     }
 }
 
-struct SparseRow {
-    n: usize,
-    observe_us: f64,
-    refit_us: f64,
-    inducing: usize,
-}
-
-/// Times one sparse-path observation and one forced full refit at
-/// exactly history size `n`, rewinding through snapshot/restore like
-/// [`gp_observe_row`]. The observation is a rank-1 accumulator update
-/// whose cost must not grow with n; the refit is the bounded
-/// subsample-MLE plus the O(n·m²) inducing rebuild.
-fn gp_sparse_row(n: usize, reps: usize) -> SparseRow {
-    let history = synthetic_history(n + 1);
-    let (prefill, probe) = history.split_at(n);
-    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), GpConfig::sparse_default(), SEED);
-    gp.observe_batch(prefill.to_vec());
-    let snap = gp.snapshot().expect("GP supports snapshots");
-    let (mut observe_t, mut refit_t) = (Vec::new(), Vec::new());
-    for _ in 0..reps {
-        assert!(gp.restore(snap.as_ref()));
-        let t = Instant::now();
-        gp.observe(probe[0].clone());
-        observe_t.push(t.elapsed().as_secs_f64() * 1e6);
-        let t = Instant::now();
-        gp.refit_now();
-        refit_t.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    SparseRow {
-        n,
-        observe_us: median_us(observe_t),
-        refit_us: median_us(refit_t),
-        inducing: gp.inducing_points().unwrap_or(0),
-    }
-}
-
-struct ParityResult {
-    iters: usize,
-    exact_best: f64,
-    sparse_best: f64,
-}
-
-/// Drives the exact and sparse GPs through identical paper-scale
-/// sessions and compares their best objective values, averaged over
-/// three fixed seeds (single-seed best values in 16 dimensions are
-/// dominated by acquisition luck, not surrogate quality). Fully
-/// deterministic, so the tolerance assert is a hard gate, not a flake.
-fn regret_parity(iters: usize) -> ParityResult {
-    const SEEDS: [u64; 3] = [7, 11, 23];
-    let run = |config: &GpConfig, seed: u64| {
-        let mut gp = GpBo::new(SearchSpec::continuous(DIMS), config.clone(), seed);
-        let mut best = f64::NEG_INFINITY;
-        for _ in 0..iters {
-            let x = gp.suggest();
-            let y = -x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>();
-            best = best.max(y);
-            gp.observe(Observation { x, y, metrics: vec![] });
-        }
-        best
-    };
-    let mean =
-        |config: GpConfig| SEEDS.iter().map(|&s| run(&config, s)).sum::<f64>() / SEEDS.len() as f64;
-    let exact_best = mean(GpConfig::default());
-    let sparse_best = mean(GpConfig::sparse_default());
-    assert!(
-        sparse_best >= exact_best - 0.15,
-        "sparse path lost regret parity: mean best {sparse_best} vs exact {exact_best}"
-    );
-    ParityResult { iters, exact_best, sparse_best }
-}
-
 fn ratio(slow: f64, fast: f64) -> f64 {
     if fast <= 0.0 {
         f64::INFINITY
@@ -356,24 +278,12 @@ fn ratio(slow: f64, fast: f64) -> f64 {
     }
 }
 
-/// Two decimals, the artifact's resolution.
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 fn main() {
     let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
-    // Match the runtime default (`CampaignOptions::trial_workers = 4`)
-    // so the blocked factorization and batch solves run at the
-    // parallelism a real campaign would see. Results are bit-identical
-    // at any worker count; only the timings move.
-    llamatune_math::set_worker_budget(4);
     // History sizes are chosen so the probing observation does not land
     // on a refit boundary (refit_every = 5), which both paths pay alike.
     let (ns, reps, q, rounds): (&[usize], usize, usize, usize) =
         if quick { (&[12, 26], 5, 4, 2) } else { (&[50, 100, 200], 9, 8, 3) };
-    let sparse_ns: &[usize] = if quick { &[2000] } else { &[2000, 10000] };
-    let parity_iters = if quick { 40 } else { 60 };
 
     print_header(
         "Optimizer hot path",
@@ -471,66 +381,57 @@ fn main() {
         );
     }
 
-    let sparse_reps = if quick { 3 } else { 5 };
-    let sparse_rows: Vec<SparseRow> =
-        sparse_ns.iter().map(|&n| gp_sparse_row(n, sparse_reps)).collect();
-    println!("\nSparse GP scaling (inducing-point surrogate, medians over {sparse_reps} reps):");
-    println!("{:>8} {:>10} {:>16} {:>16}", "n", "inducing", "observe", "full refit");
-    for r in &sparse_rows {
-        println!("{:>8} {:>10} {:>14.1}us {:>14.1}us", r.n, r.inducing, r.observe_us, r.refit_us);
-    }
-
-    let parity = regret_parity(parity_iters);
-    println!(
-        "\nRegret parity ({} iters, 3-seed mean): exact best {:.4}, sparse best {:.4}",
-        parity.iters, parity.exact_best, parity.sparse_best
-    );
-
     // The regression artifact.
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"dims\": {DIMS}, \"quick\": {quick}, \"reps\": {reps}, \
-         \"q\": {q}, \"rounds\": {rounds}}},\n"
-    ));
-    json.push_str("  \"gp_observe\": [\n");
+    let mut json = String::from("{\n  \"config\": ");
+    let config = [
+        ("dims", Field::Num(DIMS as f64)),
+        ("quick", Field::Flag(quick)),
+        ("reps", Field::Num(reps as f64)),
+        ("q", Field::Num(q as f64)),
+        ("rounds", Field::Num(rounds as f64)),
+    ];
+    write_object(&mut json, config, write_field);
+    json.push_str(",\n  \"gp_observe\": [");
     for (i, r) in gp_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"incremental_us\": {:.2}, \"rebuild_us\": {:.2}, \
-             \"speedup\": {:.2}}}{}\n",
-            r.n,
-            r.incremental_us,
-            r.rebuild_us,
-            ratio(r.rebuild_us, r.incremental_us),
-            if i + 1 < gp_rows.len() { "," } else { "" }
-        ));
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("n", r.n as f64),
+            ("incremental_us", round(r.incremental_us, 2)),
+            ("rebuild_us", round(r.rebuild_us, 2)),
+            ("speedup", round(ratio(r.rebuild_us, r.incremental_us), 2)),
+        ];
+        write_object(&mut json, members, write_f64);
     }
-    json.push_str("  ],\n  \"smac_suggest\": [\n");
+    json.push_str("\n  ],\n  \"smac_suggest\": [");
     for (i, r) in smac_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"cold_us\": {:.2}, \"warm_us\": {:.2}, \"speedup\": {:.2}}}{}\n",
-            r.n,
-            r.cold_us,
-            r.warm_us,
-            ratio(r.cold_us, r.warm_us),
-            if i + 1 < smac_rows.len() { "," } else { "" }
-        ));
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("n", r.n as f64),
+            ("cold_us", round(r.cold_us, 2)),
+            ("warm_us", round(r.warm_us, 2)),
+            ("speedup", round(ratio(r.cold_us, r.warm_us), 2)),
+        ];
+        write_object(&mut json, members, write_f64);
     }
-    json.push_str("  ],\n  \"forest_fit\": [");
+    json.push_str("\n  ],\n  \"forest_fit\": [");
     for (i, r) in forest_rows.iter().enumerate() {
         json.push_str(if i == 0 { "\n    " } else { ",\n    " });
         let members = [
             ("d", r.d as f64),
             ("n", r.n as f64),
-            ("fit_us", round2(r.fit_us)),
-            ("predict_1500_us", round2(r.predict_1500_us)),
+            ("fit_us", round(r.fit_us, 2)),
+            ("predict_1500_us", round(r.predict_1500_us, 2)),
         ];
         write_object(&mut json, members, write_f64);
     }
     json.push_str("\n  ],\n  \"ddpg_observe\": [");
     for (i, r) in ddpg_rows.iter().enumerate() {
         json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members =
-            [("d", r.d as f64), ("replay", r.replay as f64), ("observe_us", round2(r.observe_us))];
+        let members = [
+            ("d", r.d as f64),
+            ("replay", r.replay as f64),
+            ("observe_us", round(r.observe_us, 2)),
+        ];
         write_object(&mut json, members, write_f64);
     }
     json.push_str("\n  ],\n  \"gp_suggest\": [");
@@ -538,48 +439,25 @@ fn main() {
         json.push_str(if i == 0 { "\n    " } else { ",\n    " });
         let members = [
             ("n", r.n as f64),
-            ("suggest_us", round2(r.suggest_us)),
-            ("ei_score_us", round2(r.ei_score_us)),
+            ("suggest_us", round(r.suggest_us, 2)),
+            ("ei_score_us", round(r.ei_score_us, 2)),
         ];
         write_object(&mut json, members, write_f64);
     }
-    json.push_str("\n  ],\n  \"retract\": [\n");
+    json.push_str("\n  ],\n  \"retract\": [");
     for (i, r) in retract_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"optimizer\": \"{}\", \"n\": {}, \"q\": {}, \"auto_us\": {:.2}, \
-             \"snapshot_us\": {:.2}, \"rebuild_us\": {:.2}, \"speedup\": {:.2}}}{}\n",
-            r.optimizer,
-            r.n,
-            r.q,
-            r.auto_us,
-            r.snapshot_us,
-            r.rebuild_us,
-            ratio(r.rebuild_us, r.snapshot_us),
-            if i + 1 < retract_rows.len() { "," } else { "" }
-        ));
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("optimizer", Field::Text(r.optimizer)),
+            ("n", Field::Num(r.n as f64)),
+            ("q", Field::Num(r.q as f64)),
+            ("auto_us", Field::Num(round(r.auto_us, 2))),
+            ("snapshot_us", Field::Num(round(r.snapshot_us, 2))),
+            ("rebuild_us", Field::Num(round(r.rebuild_us, 2))),
+            ("speedup", Field::Num(round(ratio(r.rebuild_us, r.snapshot_us), 2))),
+        ];
+        write_object(&mut json, members, write_field);
     }
-    json.push_str("  ],\n  \"gp_sparse\": [\n");
-    for (i, r) in sparse_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"inducing\": {}, \"observe_us\": {:.2}, \"refit_us\": {:.2}}}{}\n",
-            r.n,
-            r.inducing,
-            r.observe_us,
-            r.refit_us,
-            if i + 1 < sparse_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"regret_parity\": {{\"iters\": {}, \"exact_best\": {:.4}, \
-         \"sparse_best\": {:.4}}}\n",
-        parity.iters, parity.exact_best, parity.sparse_best
-    ));
-    json.push_str("}\n");
-    // Anchor the artifact at the workspace root regardless of the
-    // working directory cargo launches the bench from.
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_optimizer.json");
-    let mut f = std::fs::File::create(&path).expect("create BENCH_optimizer.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_optimizer.json");
-    println!("\nrecorded {}", path.display());
+    json.push_str("\n  ]\n}\n");
+    println!("\nrecorded {}", record("BENCH_optimizer.json", &json).display());
 }

@@ -9,13 +9,11 @@
 //! workspace has no dependency on external linear-algebra or statistics
 //! crates.
 
-pub mod block;
 pub mod dist;
 pub mod lhs;
 pub mod matrix;
 pub mod stats;
 
-pub use block::{set_worker_budget, worker_budget, BlockSchedule};
 pub use dist::{Exponential, Normal, Zipfian};
 pub use lhs::latin_hypercube;
 pub use matrix::{CholeskyError, Matrix};

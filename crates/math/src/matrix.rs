@@ -74,11 +74,6 @@ impl Matrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Borrows row `i` as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
@@ -89,18 +84,10 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Splits the backing row-major storage at flat index `mid` — the
-    /// aliasing seam the blocked kernels in [`crate::block`] use to
-    /// hand finalized rows to reader threads while writer threads own
-    /// the rows below.
-    pub(crate) fn data_split_at_mut(&mut self, mid: usize) -> (&mut [f64], &mut [f64]) {
-        self.data.split_at_mut(mid)
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Panics
-    /// Panics if `v.len() != self.cols()`.
+    /// Panics if `v.len()` is not the number of columns.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "dimension mismatch in matvec");
         let mut out = vec![0.0; self.rows];

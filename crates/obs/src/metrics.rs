@@ -25,11 +25,7 @@
 //! | `optim.gp.cholesky_append_ms` | histogram | GP incremental factor update |
 //! | `optim.gp.ei_score_ms` | histogram | GP EI candidate scoring |
 //! | `optim.gp.append_fallback` | counter | appends rejected (ill-conditioned or non-finite row) → full refit |
-//! | `optim.gp.inducing_observe_ms` | histogram | sparse-path rank-1 observe |
-//! | `optim.gp.inducing_refit_ms` | histogram | sparse-path subsampled MLE + inducing rebuild |
-//! | `optim.gp.inducing_points` | gauge | inducing set size after the last sparse refit |
-//! | `optim.gp.sparse_build_failures` / `sparse_refresh_failures` | counter | sparse factorization failures (jitter ladder exhausted) |
-//! | `optim.math.block_chol_ms` | histogram | blocked Cholesky factorization |
+//! | `optim.gp.cholesky_ms` | histogram | GP Cholesky factorization (one per hyperparameter draw of a refit) |
 //! | `optim.smac.forest_fit_ms` | histogram | SMAC random-forest refit |
 //! | `store.cas_retries` | counter | manifest CAS races lost (fleet) |
 //!

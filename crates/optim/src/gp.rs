@@ -15,10 +15,10 @@
 //! accumulator per candidate as the rows go by.
 //!
 //! **The contract is bit identity with the pointwise posterior**,
-//! `GpBo::predict` over the scalar `GpBo::kernel` (which the refit,
-//! the factor append and the sparse path still use): checked by the
+//! `GpBo::predict` over the scalar `GpBo::kernel` (which the refit
+//! and the factor append still use): checked by the
 //! `ei_batch_matches_pointwise_predict_bit_for_bit` proptest and pinned
-//! by the two streams in `tests/sparse_path.rs`. As in [`crate::rf`] and
+//! by the two streams in `tests/gp_golden.rs`. As in [`crate::rf`] and
 //! [`crate::nn`], a lane is another *result* — another candidate — never
 //! a partial sum of one: candidate `j`'s squared distance starts at `0.0`
 //! and takes `(c[k][j] - x[k])²` in `dims.cont` order, its mean and
@@ -29,9 +29,8 @@
 //! factor costs a second `exp` only when the space has a categorical
 //! dimension (`exp(-γ·0)` is exactly `1.0`, and `x * 1.0` is `x`).
 
-use crate::sparse::{select_inducing, subsample_indices, SparseGpConfig, SparseModel};
 use crate::spec::{expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
-use llamatune_math::{BlockSchedule, Matrix, Normal};
+use llamatune_math::{Matrix, Normal};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -52,37 +51,11 @@ pub struct GpConfig {
     /// (pinned by the math crate's append-vs-rebuild test); `false`
     /// exists so the hot-path benchmark can measure the rebuild baseline.
     pub incremental: bool,
-    /// Run the sparse inducing-point surrogate ([`crate::sparse`])
-    /// instead of the exact GP. `None` (the default) keeps the exact
-    /// path bit-identical to previous releases — the sparse machinery
-    /// is never consulted.
-    pub sparse: Option<SparseGpConfig>,
-    /// Worker threads for the blocked Cholesky schedule and the sparse
-    /// data-term build. `None` uses the process-global budget set by
-    /// the runtime ([`llamatune_math::set_worker_budget`]). Results are
-    /// bit-identical at any worker count, so this only affects speed.
-    pub workers: Option<usize>,
 }
 
 impl Default for GpConfig {
     fn default() -> Self {
-        GpConfig {
-            n_candidates: 1_500,
-            refit_every: 5,
-            mle_draws: 24,
-            xi: 0.01,
-            incremental: true,
-            sparse: None,
-            workers: None,
-        }
-    }
-}
-
-impl GpConfig {
-    /// The sparse-surrogate preset: every knob at its default except
-    /// the surrogate, which runs the inducing-point approximation.
-    pub fn sparse_default() -> Self {
-        GpConfig { sparse: Some(SparseGpConfig::default()), ..GpConfig::default() }
+        GpConfig { n_candidates: 1_500, refit_every: 5, mle_draws: 24, xi: 0.01, incremental: true }
     }
 }
 
@@ -144,9 +117,6 @@ pub struct GpBo {
     hyper: Hyper,
     /// Cached Cholesky factor and weights for the standardized targets.
     cache: Option<GpCache>,
-    /// The inducing-point surrogate; populated only when
-    /// `config.sparse` is set.
-    sparse: Option<SparseModel>,
     y_mean: f64,
     y_std: f64,
 }
@@ -177,7 +147,6 @@ struct GpSnapshot {
     ys: Vec<f64>,
     hyper: Hyper,
     cache: Option<GpCache>,
-    sparse: Option<SparseModel>,
     y_mean: f64,
     y_std: f64,
 }
@@ -195,35 +164,18 @@ impl GpBo {
             ys: Vec::new(),
             hyper: Hyper::default(),
             cache: None,
-            sparse: None,
             y_mean: 0.0,
             y_std: 1.0,
         }
     }
 
-    /// Worker count for blocked factorizations and the sparse build:
-    /// the config override, else the runtime's process-global budget.
-    fn workers(&self) -> usize {
-        self.config.workers.unwrap_or_else(llamatune_math::worker_budget)
-    }
-
-    /// The kernel as a `Sync` closure over fixed hyperparameters, the
-    /// shape the sparse model's parallel kernels consume.
-    fn kernel_fn(&self, h: Hyper) -> impl Fn(&[f64], &[f64]) -> f64 + Sync + '_ {
-        move |a: &[f64], b: &[f64]| self.kernel(&h, a, b)
-    }
-
-    /// Blocked Cholesky with wall time recorded in the process-global
-    /// `optim.math.block_chol_ms` histogram. Bit-identical to the
-    /// scalar factorization at any worker count (pinned in
-    /// `llamatune_math::block`), so routing the exact path through it
-    /// cannot change suggestion streams.
+    /// Cholesky factorization with wall time recorded in the
+    /// process-global `optim.gp.cholesky_ms` histogram.
     fn timed_cholesky(&self, k: &Matrix) -> Option<Matrix> {
         let hot_path_start = std::time::Instant::now();
-        let sched = BlockSchedule { workers: self.workers(), ..BlockSchedule::default() };
-        let chol = k.cholesky_blocked(1e-8, sched).ok();
+        let chol = k.cholesky(1e-8).ok();
         llamatune_obs::global()
-            .observe("optim.math.block_chol_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
+            .observe("optim.gp.cholesky_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
         chol
     }
 
@@ -519,170 +471,6 @@ impl GpBo {
     fn needs_refit(&self) -> bool {
         self.xs.len().is_multiple_of(self.config.refit_every) || self.cache.is_none()
     }
-
-    /// Forces a full refit immediately, regardless of the schedule —
-    /// the benchmark seam for timing refit cost at an exact history
-    /// size. Dispatches to whichever surrogate path is configured.
-    pub fn refit_now(&mut self) {
-        if self.config.sparse.is_some() {
-            self.sparse_refit();
-        } else {
-            self.refit();
-        }
-    }
-
-    /// Number of inducing points in the live sparse model (`None` on
-    /// the exact path or before the first sparse refit).
-    pub fn inducing_points(&self) -> Option<usize> {
-        self.sparse.as_ref().map(|m| m.inducing())
-    }
-
-    /// The sparse path's geometric refit schedule: refit once the
-    /// history has grown by `refit_growth` since the last refit (never
-    /// more often than the exact path's `refit_every`), giving O(log n)
-    /// refits over a whole campaign.
-    fn needs_sparse_refit(&self) -> bool {
-        let Some(model) = &self.sparse else { return true };
-        let Some(cfg) = &self.config.sparse else { return false };
-        let growth = ((model.last_refit_n as f64) * (cfg.refit_growth - 1.0)).ceil() as usize;
-        self.xs.len() >= model.last_refit_n + self.config.refit_every.max(growth)
-    }
-
-    /// Sparse-path observe: a rank-1 accumulator update in O(m·d + m²)
-    /// — independent of n — or a scheduled refit at a growth boundary.
-    /// Wall time lands in the `optim.gp.inducing_observe_ms` histogram.
-    fn observe_sparse(&mut self) {
-        let hot_path_start = std::time::Instant::now();
-        if self.needs_sparse_refit() {
-            self.sparse_refit();
-        } else if let Some(mut model) = self.sparse.take() {
-            let n = self.xs.len();
-            let h = self.hyper;
-            let kf = self.kernel_fn(h);
-            model.append(&kf, &self.xs[n - 1], self.ys[n - 1]);
-            drop(kf);
-            self.sparse = Some(model);
-        }
-        llamatune_obs::global()
-            .observe("optim.gp.inducing_observe_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
-    }
-
-    /// Sparse-path refit: MLE over the bounded history subsample
-    /// ([`subsample_indices`]), then a from-scratch inducing-point
-    /// rebuild over the full history — O(cap³ + n·m²) total, with the
-    /// O(n·m²) data term fanned out across the worker budget. Wall
-    /// time lands in the `optim.gp.inducing_refit_ms` histogram.
-    fn sparse_refit(&mut self) {
-        let refit_start = std::time::Instant::now();
-        let cfg = self.config.sparse.clone().expect("sparse_refit requires GpConfig::sparse");
-        self.y_mean = llamatune_math::mean(&self.ys);
-        self.y_std = llamatune_math::std_dev(&self.ys).max(1e-6);
-        let idx = subsample_indices(
-            &self.ys,
-            cfg.refit_subsample,
-            cfg.retain_incumbents,
-            cfg.retain_recent,
-        );
-        let mut best: Option<(f64, Hyper)> = None;
-        for i in 0..self.config.mle_draws {
-            let h = if i == 0 {
-                self.hyper // warm start from the current setting
-            } else {
-                Hyper {
-                    signal_var: 10f64.powf(self.rng.random_range(-1.0..1.0)),
-                    lengthscale: 10f64.powf(self.rng.random_range(-1.3..0.5)),
-                    cat_gamma: 10f64.powf(self.rng.random_range(-1.0..1.0)),
-                    noise_var: 10f64.powf(self.rng.random_range(-6.0..-1.0)),
-                }
-            };
-            if let Some(lml) = self.subset_lml(&h, &idx) {
-                if best.as_ref().is_none_or(|(b, _)| lml > *b) {
-                    best = Some((lml, h));
-                }
-            }
-        }
-        if let Some((_, h)) = best {
-            self.hyper = h;
-        }
-        let z = select_inducing(&self.xs, &self.ys, cfg.max_inducing);
-        let h = self.hyper;
-        let workers = self.workers();
-        let kf = self.kernel_fn(h);
-        let model = SparseModel::build(&kf, &self.xs, &self.ys, &z, workers);
-        drop(kf);
-        self.sparse = model;
-        let obs = llamatune_obs::global();
-        match &self.sparse {
-            Some(model) => obs.gauge_set("optim.gp.inducing_points", model.inducing() as f64),
-            None => obs.incr("optim.gp.sparse_build_failures", 1),
-        }
-        obs.observe("optim.gp.inducing_refit_ms", refit_start.elapsed().as_secs_f64() * 1e3);
-    }
-
-    /// Log marginal likelihood of the exact GP restricted to the
-    /// subsampled indices — the sparse path's bounded MLE objective.
-    fn subset_lml(&self, h: &Hyper, idx: &[usize]) -> Option<f64> {
-        let k = Matrix::from_symmetric_fn(idx.len(), |i, j| {
-            self.kernel(h, &self.xs[idx[i]], &self.xs[idx[j]])
-                + if i == j { h.noise_var } else { 0.0 }
-        });
-        let chol = self.timed_cholesky(&k)?;
-        let ys: Vec<f64> = idx.iter().map(|&i| (self.ys[i] - self.y_mean) / self.y_std).collect();
-        let alpha = chol.cholesky_solve(&ys);
-        let fit: f64 = ys.iter().zip(&alpha).map(|(y, a)| y * a).sum();
-        Some(
-            -0.5 * fit
-                - chol.log_diag_sum()
-                - 0.5 * idx.len() as f64 * (2.0 * std::f64::consts::PI).ln(),
-        )
-    }
-
-    /// Brings the sparse model to a predict-ready state: builds it if
-    /// missing, re-standardizes targets over the full history (O(n)
-    /// scan; the accumulators fold μ/σ in analytically so the factor
-    /// work is O(m³) and only when stale), and refreshes the G factor.
-    fn ensure_sparse_ready(&mut self) {
-        if self.sparse.is_none() {
-            self.sparse_refit();
-        }
-        let Some(mut model) = self.sparse.take() else { return };
-        self.y_mean = llamatune_math::mean(&self.ys);
-        self.y_std = llamatune_math::std_dev(&self.ys).max(1e-6);
-        if !model.refresh(self.hyper.noise_var, self.y_mean, self.y_std) {
-            // G resisted the whole jitter ladder: keep serving the
-            // previous (stale but valid) posterior and count it.
-            llamatune_obs::global().incr("optim.gp.sparse_refresh_failures", 1);
-        }
-        self.sparse = Some(model);
-    }
-
-    /// Sparse-path analogue of [`GpBo::ei_batch`]: EI from the
-    /// inducing-point posterior, O(m²) per candidate instead of O(n²).
-    /// Falls back to the prior (0, 1) — matching the exact path's
-    /// no-cache behavior — when the model has no usable factor.
-    fn ei_batch_sparse(&self, candidates: &[Vec<f64>], best_standardized: f64) -> Vec<f64> {
-        let hot_path_start = std::time::Instant::now();
-        let std_norm = Normal::new(0.0, 1.0);
-        let ei_of = |mean: f64, var: f64| {
-            expected_improvement(mean, var, best_standardized, self.config.xi, &std_norm)
-        };
-        let eis = match &self.sparse {
-            Some(model) if model.ready() => {
-                let h = self.hyper;
-                let kf = self.kernel_fn(h);
-                let kss = h.signal_var + h.noise_var;
-                model
-                    .predict_batch(&kf, candidates, kss, h.noise_var, self.workers())
-                    .into_iter()
-                    .map(|(mean, var)| ei_of(mean, var))
-                    .collect()
-            }
-            _ => candidates.iter().map(|_| ei_of(0.0, 1.0)).collect(),
-        };
-        llamatune_obs::global()
-            .observe("optim.gp.ei_score_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
-        eis
-    }
 }
 
 impl Optimizer for GpBo {
@@ -690,9 +478,7 @@ impl Optimizer for GpBo {
         if self.xs.len() < 2 {
             return self.spec.sample(&mut self.rng);
         }
-        if self.config.sparse.is_some() {
-            self.ensure_sparse_ready();
-        } else if self.cache.is_none() {
+        if self.cache.is_none() {
             self.refit();
         }
         let best_std =
@@ -702,11 +488,7 @@ impl Optimizer for GpBo {
         // batch against the factor in one blocked triangular solve.
         let candidates: Vec<Vec<f64>> =
             (0..self.config.n_candidates).map(|_| self.spec.sample(&mut self.rng)).collect();
-        let eis = if self.config.sparse.is_some() {
-            self.ei_batch_sparse(&candidates, best_std)
-        } else {
-            self.ei_batch(&candidates, best_std)
-        };
+        let eis = self.ei_batch(&candidates, best_std);
         let mut champion: Option<(f64, usize)> = None;
         for (j, &ei) in eis.iter().enumerate() {
             if champion.is_none_or(|(b, _)| ei > b) {
@@ -721,9 +503,7 @@ impl Optimizer for GpBo {
         debug_assert_eq!(obs.x.len(), self.spec.len());
         self.xs.push(obs.x);
         self.ys.push(obs.y);
-        if self.config.sparse.is_some() {
-            self.observe_sparse();
-        } else if self.needs_refit() {
+        if self.needs_refit() {
             self.refit();
         } else if self.config.incremental {
             // Extend the cached factor in O(n²); bit-identical to the
@@ -745,14 +525,6 @@ impl Optimizer for GpBo {
     }
 
     fn observe_batch(&mut self, obs: Vec<Observation>) {
-        if self.config.sparse.is_some() {
-            // Sparse appends are already O(m²) with a lazy factor, so
-            // per-item observe *is* the batched path.
-            for o in obs {
-                self.observe(o);
-            }
-            return;
-        }
         if !self.config.incremental {
             for o in obs {
                 self.observe(o);
@@ -786,11 +558,7 @@ impl Optimizer for GpBo {
     }
 
     fn name(&self) -> &'static str {
-        if self.config.sparse.is_some() {
-            "gp-bo-sparse"
-        } else {
-            "gp-bo"
-        }
+        "gp-bo"
     }
 
     fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
@@ -800,7 +568,6 @@ impl Optimizer for GpBo {
             ys: self.ys.clone(),
             hyper: self.hyper,
             cache: self.cache.clone(),
-            sparse: self.sparse.clone(),
             y_mean: self.y_mean,
             y_std: self.y_std,
         }))
@@ -813,7 +580,6 @@ impl Optimizer for GpBo {
         self.ys = s.ys.clone();
         self.hyper = s.hyper;
         self.cache = s.cache.clone();
-        self.sparse = s.sparse.clone();
         self.y_mean = s.y_mean;
         self.y_std = s.y_std;
         true

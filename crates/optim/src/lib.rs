@@ -21,7 +21,6 @@ pub mod guard;
 pub mod nn;
 pub mod rf;
 pub mod smac;
-pub mod sparse;
 pub mod spec;
 
 pub use ddpg::{Ddpg, DdpgConfig};
@@ -29,7 +28,6 @@ pub use gp::{GpBo, GpConfig};
 pub use guard::{DegradationEvent, GuardFactory, GuardedOptimizer};
 pub use rf::{RandomForest, RandomForestConfig, Tree, TreeNode};
 pub use smac::{Smac, SmacConfig};
-pub use sparse::{select_inducing, subsample_indices, SparseGpConfig};
 pub use spec::{
     Observation, Optimizer, OptimizerKind, ParamKind, RandomSearch, SearchSpec, DEFAULT_METRIC_DIM,
 };

@@ -207,10 +207,6 @@ pub enum OptimizerKind {
     Random,
     Smac,
     GpBo,
-    /// GP-BO with the sparse inducing-point surrogate
-    /// ([`crate::sparse`]) — the scalable path for histories in the
-    /// thousands.
-    GpBoSparse,
     Ddpg,
 }
 
@@ -221,7 +217,6 @@ impl OptimizerKind {
             OptimizerKind::Random => "random",
             OptimizerKind::Smac => "smac",
             OptimizerKind::GpBo => "gp_bo",
-            OptimizerKind::GpBoSparse => "gp_bo_sparse",
             OptimizerKind::Ddpg => "ddpg",
         }
     }
@@ -233,7 +228,6 @@ impl OptimizerKind {
             "random" => Some(OptimizerKind::Random),
             "smac" => Some(OptimizerKind::Smac),
             "gp_bo" => Some(OptimizerKind::GpBo),
-            "gp_bo_sparse" => Some(OptimizerKind::GpBoSparse),
             "ddpg" => Some(OptimizerKind::Ddpg),
             _ => None,
         }
@@ -248,9 +242,6 @@ impl OptimizerKind {
             }
             OptimizerKind::GpBo => {
                 Box::new(crate::GpBo::new(spec.clone(), crate::GpConfig::default(), seed))
-            }
-            OptimizerKind::GpBoSparse => {
-                Box::new(crate::GpBo::new(spec.clone(), crate::GpConfig::sparse_default(), seed))
             }
             OptimizerKind::Ddpg => Box::new(crate::Ddpg::new(
                 spec.clone(),

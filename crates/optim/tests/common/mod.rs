@@ -1,5 +1,5 @@
 //! What the pinned-stream tests (`smac_golden.rs`, `ddpg_golden.rs`, the
-//! GP goldens in `sparse_path.rs`) share: the two search-space shapes the
+//! GP goldens in `gp_golden.rs`) share: the two search-space shapes the
 //! benchmark runs, SMAC's and DDPG's objective, the per-suggestion
 //! digest, and the assertion that prints a re-capturable array when a
 //! stream moves.

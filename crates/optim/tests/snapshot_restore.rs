@@ -35,9 +35,6 @@ fn snapshot_capable_builders() -> Vec<(&'static str, Builder)> {
         ("random", |seed| Box::new(RandomSearch::new(mixed_spec(), seed))),
         ("smac", |seed| Box::new(Smac::new(mixed_spec(), SmacConfig::default(), seed))),
         ("gp-bo", |seed| Box::new(GpBo::new(mixed_spec(), GpConfig::default(), seed))),
-        ("gp-bo-sparse", |seed| {
-            Box::new(GpBo::new(mixed_spec(), GpConfig::sparse_default(), seed))
-        }),
     ]
 }
 
@@ -106,13 +103,9 @@ fn foreign_snapshots_are_refused_without_side_effects() {
         }
         let foreign: Box<dyn std::any::Any + Send> = Box::new(("not", "a", "snapshot"));
         assert!(!live.restore(foreign.as_ref()), "{name}: foreign snapshot accepted");
-        // Cross-optimizer snapshots are foreign too. The two GpBo
-        // configurations (exact and sparse) share one state type — a
-        // snapshot restores into either, and the *config* decides which
-        // surrogate path serves — so they count as the same family.
-        let family = |n: &str| if n.starts_with("gp-bo") { "gp-bo" } else { n }.to_string();
+        // Cross-optimizer snapshots are foreign too.
         for (other_name, other_build) in snapshot_capable_builders() {
-            if family(other_name) == family(name) {
+            if other_name == name {
                 continue;
             }
             let other_snap = other_build(3).snapshot().unwrap();

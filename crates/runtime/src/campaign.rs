@@ -128,7 +128,8 @@ pub struct CampaignOptions {
     pub session: SessionOptions,
     /// Trials per suggest→evaluate round (q of the constant liar).
     pub batch_size: usize,
-    /// Worker threads evaluating one session's batch.
+    /// Worker threads evaluating one session's batch of trials; nothing
+    /// else takes its width from this (optimizers run single-threaded).
     pub trial_workers: usize,
     /// Sessions running concurrently.
     pub session_parallelism: usize,
@@ -365,7 +366,6 @@ impl Campaign {
             }
             return self.run_fleet(fleet.backend, fleet.workers, fleet.store_opts);
         }
-        self.publish_worker_budget();
         if let Some(store) = store {
             store.set_tracer(self.opts.tracer.clone());
         }
@@ -477,7 +477,6 @@ impl Campaign {
         workers: usize,
         store_opts: StoreOptions,
     ) -> std::io::Result<Vec<CampaignResult>> {
-        self.publish_worker_budget();
         let cells = self.cells();
         let workers = workers.clamp(1, cells.len().max(1));
         let next = AtomicUsize::new(0);
@@ -592,15 +591,6 @@ impl Campaign {
         let mut merged = MetricsSnapshot::merged(results.iter().map(|r| &r.metrics));
         merged.merge(&llamatune_obs::global().snapshot());
         backend.put(&format!("telemetry-{tag}.metrics.json"), merged.to_json().as_bytes())
-    }
-
-    /// Publishes the campaign's trial-worker count as the process-global
-    /// budget for blocked factorizations and sparse-surrogate builds
-    /// ([`llamatune_math::set_worker_budget`]). Those kernels are
-    /// bit-identical at any worker count, so sharing one global across
-    /// concurrent campaigns only affects speed, never results.
-    fn publish_worker_budget(&self) {
-        llamatune_math::set_worker_budget(self.opts.trial_workers);
     }
 }
 

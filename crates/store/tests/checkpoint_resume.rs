@@ -317,18 +317,18 @@ fn object_store_resume_after_a_torn_write_reproduces_the_history() {
 }
 
 #[test]
-fn sparse_gp_campaign_is_worker_invariant_and_resumes_byte_identically() {
-    // The sparse surrogate fans its data-term build and blocked
-    // factorizations across `trial_workers` threads; none of that
-    // parallelism may leak into recorded histories. The same campaign
-    // at different worker counts must export byte-identical JSONL, and
-    // a mid-flight kill must resume to that same export.
+fn gp_campaign_is_worker_invariant_and_resumes_byte_identically() {
+    // The workspace's one campaign-level run of a GP surrogate: batches
+    // of 3 evaluated on `trial_workers` threads must not leak their
+    // width into recorded histories. The same campaign at different
+    // worker counts must export byte-identical JSONL, and a mid-flight
+    // kill must resume to that same export.
     let run_opts =
         RunOptions { duration_s: 0.2, warmup_s: 0.05, max_txns: 20_000, ..Default::default() };
     let spec = CampaignSpec {
         workloads: vec!["ycsb_b".into()],
         adapters: vec![AdapterKind::LlamaTune(LlamaTuneConfig::default())],
-        optimizers: vec![OptimizerKind::GpBoSparse],
+        optimizers: vec![OptimizerKind::GpBo],
         seeds: vec![1],
     };
     let opts_for = |workers: usize| CampaignOptions {
@@ -340,20 +340,20 @@ fn sparse_gp_campaign_is_worker_invariant_and_resumes_byte_identically() {
         ..Default::default()
     };
 
-    let truth_dir = tmp_dir("sparse_truth");
+    let truth_dir = tmp_dir("gp_truth");
     let truth_store = TrialStore::open(&truth_dir).unwrap();
     let campaign = Campaign::new(postgres_v9_6(), spec.clone(), opts_for(1));
     campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
 
     for workers in [2usize, 4] {
-        let dir = tmp_dir(&format!("sparse_w{workers}"));
+        let dir = tmp_dir(&format!("gp_w{workers}"));
         let store = TrialStore::open(&dir).unwrap();
         Campaign::new(postgres_v9_6(), spec.clone(), opts_for(workers)).resume(&store).unwrap();
         assert_eq!(
             store.export_jsonl(),
             truth_export,
-            "trial_workers={workers} changed the sparse campaign's history"
+            "trial_workers={workers} changed the GP campaign's history"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -365,14 +365,14 @@ fn sparse_gp_campaign_is_worker_invariant_and_resumes_byte_identically() {
     let resume_campaign = Campaign::new(postgres_v9_6(), spec, opts_for(2));
     for cut_records in [2, lines.len() / 2, lines.len() - 1] {
         let prefix: String = lines[..cut_records].iter().map(|l| format!("{l}\n")).collect();
-        let dir = tmp_dir(&format!("sparse_cut_{cut_records}"));
+        let dir = tmp_dir(&format!("gp_cut_{cut_records}"));
         store_from_prefix(&dir, &prefix);
         let store = TrialStore::open(&dir).unwrap();
         resume_campaign.resume(&store).unwrap();
         assert_eq!(
             store.export_jsonl(),
             truth_export,
-            "sparse campaign cut after {cut_records} records must resume to truth"
+            "GP campaign cut after {cut_records} records must resume to truth"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
