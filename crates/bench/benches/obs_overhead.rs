@@ -23,12 +23,13 @@
 
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
+use llamatune_bench::artifact::{record, round, write_field, Field};
 use llamatune_bench::print_header;
 use llamatune_engine::RunOptions;
+use llamatune_obs::json::write_object;
 use llamatune_obs::trace::{NoopTracer, RecordingTracer, TraceEvent, Tracer};
 use llamatune_runtime::{AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind};
 use llamatune_space::catalog::postgres_v9_6;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -153,33 +154,30 @@ fn main() {
     );
 
     // The regression artifact.
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"config\": {{\"quick\": {quick}, \"reps\": {reps}}},\n"));
-    json.push_str("  \"span_site\": [\n");
+    let mut json = String::from("{\n  \"config\": ");
+    let config = [("quick", Field::Flag(quick)), ("reps", Field::Num(reps as f64))];
+    write_object(&mut json, config, write_field);
+    json.push_str(",\n  \"span_site\": [");
     for (i, r) in span_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"tracer\": \"{}\", \"n\": {}, \"total_us\": {:.2}, \"per_call_ns\": {:.3}}}{}\n",
-            r.tracer,
-            r.n,
-            r.total_us,
-            r.per_call_ns,
-            if i + 1 < span_rows.len() { "," } else { "" }
-        ));
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("tracer", Field::Text(r.tracer)),
+            ("n", Field::Num(r.n as f64)),
+            ("total_us", Field::Num(round(r.total_us, 2))),
+            ("per_call_ns", Field::Num(round(r.per_call_ns, 3))),
+        ];
+        write_object(&mut json, members, write_field);
     }
-    json.push_str("  ],\n  \"campaign\": [\n");
+    json.push_str("\n  ],\n  \"campaign\": [");
     for (i, r) in campaign_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"tracer\": \"{}\", \"sessions\": {}, \"total_us\": {:.2}}}{}\n",
-            r.tracer,
-            r.sessions,
-            r.total_us,
-            if i + 1 < campaign_rows.len() { "," } else { "" }
-        ));
+        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        let members = [
+            ("tracer", Field::Text(r.tracer)),
+            ("sessions", Field::Num(r.sessions as f64)),
+            ("total_us", Field::Num(round(r.total_us, 2))),
+        ];
+        write_object(&mut json, members, write_field);
     }
-    json.push_str("  ]\n}\n");
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_obs.json");
-    let mut f = std::fs::File::create(&path).expect("create BENCH_obs.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_obs.json");
-    println!("\nrecorded {}", path.display());
+    json.push_str("\n  ]\n}\n");
+    println!("\nrecorded {}", record("BENCH_obs.json", &json).display());
 }

@@ -5,14 +5,14 @@ use llamatune_obs::json::{write_f64, write_str};
 use std::path::PathBuf;
 
 /// One artifact value: rows mix labels with numbers.
-pub enum Field {
+pub enum Field<'a> {
     Flag(bool),
     Num(f64),
-    Text(&'static str),
+    Text(&'a str),
 }
 
 /// Appends `field` as JSON (the `value` callback of `json::write_object`).
-pub fn write_field(out: &mut String, field: Field) {
+pub fn write_field(out: &mut String, field: Field<'_>) {
     match field {
         Field::Flag(b) => out.push_str(if b { "true" } else { "false" }),
         Field::Num(v) => write_f64(out, v),

@@ -2,7 +2,7 @@
 //! aggregation, and the paper's summary statistics.
 
 use llamatune::pipeline::SearchSpaceAdapter;
-use llamatune::report::{final_improvement_pct, time_to_optimal};
+use llamatune::report::{final_improvement_pct, time_to_optimal, time_to_optimal_speedup};
 use llamatune::session::{run_session, EvalResult, SessionHistory, SessionOptions};
 use llamatune_math::Summary;
 use llamatune_space::ConfigSpace;
@@ -19,13 +19,19 @@ pub struct ExpScale {
 impl ExpScale {
     /// Reads `LLAMATUNE_SEEDS` / `LLAMATUNE_ITERS` / `LLAMATUNE_QUICK`.
     pub fn from_env() -> Self {
-        let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
-        let seeds = std::env::var("LLAMATUNE_SEEDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if quick { 3 } else { 5 });
-        let iterations = std::env::var("LLAMATUNE_ITERS")
-            .ok()
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// [`Self::from_env`] over any name → value lookup. An unparsable
+    /// value counts as unset.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let quick = lookup("LLAMATUNE_QUICK").is_some_and(|v| v == "1");
+        let seeds = lookup("LLAMATUNE_SEEDS").and_then(|v| v.parse().ok()).unwrap_or(if quick {
+            3
+        } else {
+            5
+        });
+        let iterations = lookup("LLAMATUNE_ITERS")
             .and_then(|v| v.parse().ok())
             .unwrap_or(if quick { 50 } else { 100 });
         ExpScale { seeds, iterations, quick }
@@ -37,7 +43,6 @@ pub use llamatune_optim::OptimizerKind;
 /// All sessions of one experiment arm (one per seed).
 #[derive(Debug, Clone)]
 pub struct ArmResult {
-    pub label: String,
     pub histories: Vec<SessionHistory>,
 }
 
@@ -59,54 +64,38 @@ impl ArmResult {
 }
 
 /// Runs one tuning arm: `seeds` sessions of `iterations` each, in parallel
-/// across seeds. The `adapter_for` and `optimizer_for` factories receive
-/// the seed so that projections and optimizers vary per session (the
-/// paper repeats each experiment "five times with different random seeds").
+/// across seeds. The `adapter_for` factory receives the seed, and the
+/// optimizer is built from it, so that projections and optimizers vary per
+/// session (the paper repeats each experiment "five times with different
+/// random seeds").
 pub fn run_tuning_arm(
-    label: &str,
     runner: &WorkloadRunner,
     tuned_space: &ConfigSpace,
     adapter_for: impl Fn(u64) -> Box<dyn SearchSpaceAdapter> + Sync,
     optimizer: OptimizerKind,
     scale: ExpScale,
 ) -> ArmResult {
-    let mut histories: Vec<Option<SessionHistory>> = (0..scale.seeds).map(|_| None).collect();
-    let threads = std::thread::available_parallelism().map_or(2, |n| n.get()).min(8);
-    let chunk = histories.len().div_ceil(threads);
-
-    crossbeam::thread::scope(|scope| {
-        for (t, slot_chunk) in histories.chunks_mut(chunk).enumerate() {
-            let adapter_for = &adapter_for;
-            scope.spawn(move |_| {
-                for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                    let seed = (t * chunk + off) as u64;
-                    let adapter = adapter_for(seed);
-                    let opt = optimizer.build(adapter.optimizer_spec(), seed ^ 0x0BB5);
-                    let opts = SessionOptions {
-                        iterations: scale.iterations,
-                        n_init: 10.min(scale.iterations / 2).max(1),
-                        seed,
-                        ..Default::default()
-                    };
-                    let objective = |cfg: &llamatune_space::Config| {
-                        let out = runner.evaluate(tuned_space, cfg, seed ^ 0x5EED);
-                        EvalResult {
-                            score: out.score,
-                            metrics: out.result.metrics,
-                            ..Default::default()
-                        }
-                    };
-                    *slot = Some(run_session(adapter.as_ref(), opt, objective, &opts));
-                }
-            });
-        }
-    })
-    .expect("experiment threads");
-
-    ArmResult {
-        label: label.to_string(),
-        histories: histories.into_iter().map(|h| h.expect("session ran")).collect(),
-    }
+    let session = |seed: u64| {
+        let adapter = adapter_for(seed);
+        let opt = optimizer.build(adapter.optimizer_spec(), seed ^ 0x0BB5);
+        let opts = SessionOptions {
+            iterations: scale.iterations,
+            n_init: 10.min(scale.iterations / 2).max(1),
+            seed,
+            ..Default::default()
+        };
+        let objective = |cfg: &llamatune_space::Config| {
+            let out = runner.evaluate(tuned_space, cfg, seed ^ 0x5EED);
+            EvalResult { score: out.score, metrics: out.result.metrics, ..Default::default() }
+        };
+        run_session(adapter.as_ref(), opt, objective, &opts)
+    };
+    let histories = std::thread::scope(|scope| {
+        let sessions: Vec<_> =
+            (0..scale.seeds).map(|seed| scope.spawn(move || session(seed))).collect();
+        sessions.into_iter().map(|s| s.join().expect("session thread")).collect()
+    });
+    ArmResult { histories }
 }
 
 /// Mean best-so-far curve across sessions (curves may differ in length
@@ -139,34 +128,27 @@ pub struct PairedRow {
 }
 
 /// Builds the paired comparison row between a baseline arm and a candidate
-/// arm, seed-by-seed (matching seeds are paired).
+/// arm, seed-by-seed (matching seeds are paired). Time-to-optimal is
+/// measured against the baseline arm's *mean* curve — its length and its
+/// final value — and a seed that never catches up counts as 1.0x.
 pub fn paired_rows(workload: &str, baseline: &ArmResult, candidate: &ArmResult) -> PairedRow {
-    let base_bests = baseline.final_bests();
-    let cand_bests = candidate.final_bests();
-    let base_mean_final = llamatune_math::mean(&base_bests);
-
-    let improvements: Vec<f64> =
-        cand_bests.iter().zip(&base_bests).map(|(c, b)| final_improvement_pct(*b, *c)).collect();
-
-    let total_iters = baseline
-        .histories
+    let improvements: Vec<f64> = candidate
+        .final_bests()
         .iter()
-        .map(|h| h.best_curve.len().saturating_sub(1))
-        .max()
-        .unwrap_or(0)
-        .max(1);
+        .zip(&baseline.final_bests())
+        .map(|(c, b)| final_improvement_pct(*b, *c))
+        .collect();
+
+    // Every curve opens with the iteration-0 default entry: skipped.
+    let base_curve = &baseline.mean_curve()[1..];
     let speedups: Vec<f64> = candidate
         .histories
         .iter()
-        .map(|h| {
-            // Skip the iteration-0 default entry.
-            match time_to_optimal(&h.best_curve[1..], base_mean_final) {
-                Some(iter) => total_iters as f64 / iter as f64,
-                None => 1.0, // never caught up within the budget
-            }
-        })
+        .map(|h| time_to_optimal_speedup(&h.best_curve[1..], base_curve).unwrap_or(1.0))
         .collect();
-    let catch_up_iter = time_to_optimal(&candidate.mean_curve()[1..], base_mean_final);
+    let catch_up_iter = base_curve
+        .last()
+        .and_then(|&base_final| time_to_optimal(&candidate.mean_curve()[1..], base_final));
 
     PairedRow {
         workload: workload.to_string(),
@@ -176,28 +158,13 @@ pub fn paired_rows(workload: &str, baseline: &ArmResult, candidate: &ArmResult) 
     }
 }
 
-/// Convenience: summary of one arm's final bests.
-pub fn arm_summary(arm: &ArmResult) -> Summary {
-    Summary::from_samples(&arm.final_bests())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use llamatune::session::SessionHistory;
 
     fn history(curve: Vec<f64>) -> SessionHistory {
-        SessionHistory {
-            configs: Vec::new(),
-            points: Vec::new(),
-            scores: Vec::new(),
-            raw_scores: Vec::new(),
-            best_curve: curve,
-            stopped_at: None,
-            statuses: Vec::new(),
-            attempts: Vec::new(),
-            degradations: Vec::new(),
-        }
+        SessionHistory { best_curve: curve, ..Default::default() }
     }
 
     #[test]
@@ -212,14 +179,12 @@ mod tests {
     fn paired_rows_compute_improvement_and_speedup() {
         // Baseline reaches 100 at the end of 10 iterations.
         let base = ArmResult {
-            label: "base".into(),
             histories: vec![history(
                 std::iter::once(0.0).chain((1..=10).map(|i| 10.0 * i as f64)).collect(),
             )],
         };
         // Candidate hits 110 from iteration 2 onward.
         let cand = ArmResult {
-            label: "cand".into(),
             histories: vec![history(
                 std::iter::once(0.0)
                     .chain((1..=10).map(|i| if i >= 2 { 110.0 } else { 50.0 }))
@@ -234,10 +199,8 @@ mod tests {
 
     #[test]
     fn never_catching_up_counts_as_1x() {
-        let base =
-            ArmResult { label: "base".into(), histories: vec![history(vec![0.0, 100.0, 100.0])] };
-        let cand =
-            ArmResult { label: "cand".into(), histories: vec![history(vec![0.0, 50.0, 60.0])] };
+        let base = ArmResult { histories: vec![history(vec![0.0, 100.0, 100.0])] };
+        let cand = ArmResult { histories: vec![history(vec![0.0, 50.0, 60.0])] };
         let row = paired_rows("t", &base, &cand);
         assert_eq!(row.speedup.mean, 1.0);
         assert_eq!(row.catch_up_iter, None);
@@ -246,13 +209,19 @@ mod tests {
 
     #[test]
     fn scale_from_env_defaults() {
-        // Without env vars: paper scale.
-        std::env::remove_var("LLAMATUNE_SEEDS");
-        std::env::remove_var("LLAMATUNE_ITERS");
-        std::env::remove_var("LLAMATUNE_QUICK");
-        let s = ExpScale::from_env();
-        assert_eq!(s.seeds, 5);
-        assert_eq!(s.iterations, 100);
-        assert!(!s.quick);
+        let scale = |vars: &[(&str, &str)]| {
+            let s = ExpScale::from_lookup(|name| {
+                vars.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string())
+            });
+            (s.seeds, s.iterations, s.quick)
+        };
+        assert_eq!(scale(&[]), (5, 100, false), "nothing set: the paper's scale");
+        assert_eq!(scale(&[("LLAMATUNE_QUICK", "1")]), (3, 50, true));
+        assert_eq!(scale(&[("LLAMATUNE_QUICK", "yes")]), (5, 100, false), "only \"1\" is quick");
+        assert_eq!(scale(&[("LLAMATUNE_SEEDS", "many")]), (5, 100, false), "unparsable = unset");
+        assert_eq!(
+            scale(&[("LLAMATUNE_QUICK", "1"), ("LLAMATUNE_SEEDS", "7"), ("LLAMATUNE_ITERS", "20")]),
+            (7, 20, true)
+        );
     }
 }

@@ -11,23 +11,23 @@ pub fn print_header(title: &str, detail: &str) {
     print!("{}", llamatune_obs::fmt::header(title, detail));
 }
 
-/// Prints one paired-comparison row in the style of Tables 5-9.
-pub fn print_row(row: &PairedRow, _metric: &str) {
+/// One paired-comparison row in the style of Tables 5-9, as table cells:
+/// the row's name, the baseline it is against, final improvement and its
+/// CI, time-to-optimal speedup, catch-up iteration and the speedup's CI.
+pub fn paired_cells(row: &PairedRow, baseline: &str) -> Vec<String> {
     let catch = match row.catch_up_iter {
         Some(i) => format!("[{i} iter]"),
         None => "[not reached]".to_string(),
     };
-    println!(
-        "{:<18} {:>8.2}% [{:>6.1}%, {:>6.1}%]   {:>6.2}x {:<14} [{:.1}x, {:.1}x]",
-        row.workload,
-        row.improvement.mean,
-        row.improvement.ci_lo,
-        row.improvement.ci_hi,
-        row.speedup.mean,
+    vec![
+        row.workload.clone(),
+        baseline.to_string(),
+        format!("{:.2}%", row.improvement.mean),
+        format!("[{:.1}%, {:.1}%]", row.improvement.ci_lo, row.improvement.ci_hi),
+        format!("{:.2}x", row.speedup.mean),
         catch,
-        row.speedup.ci_lo,
-        row.speedup.ci_hi,
-    );
+        format!("[{:.1}x, {:.1}x]", row.speedup.ci_lo, row.speedup.ci_hi),
+    ]
 }
 
 /// Prints best-so-far curves as an iteration-indexed table (one column per

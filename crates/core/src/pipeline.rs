@@ -203,8 +203,9 @@ impl SearchSpaceAdapter for LlamaTunePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamatune_space::catalog::postgres_v9_6;
+    use llamatune_space::catalog::{postgres_v13_6, postgres_v9_6};
     use llamatune_space::KnobValue;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -234,41 +235,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decoded_configs_are_always_valid() {
-        let space = postgres_v9_6();
-        for kind in [ProjectionKind::Hesbo, ProjectionKind::Rembo] {
-            let cfg = LlamaTuneConfig { projection: kind, ..Default::default() };
-            let pipe = LlamaTunePipeline::new(&space, &cfg, 2);
-            let mut rng = StdRng::seed_from_u64(3);
-            for _ in 0..100 {
-                let x: Vec<f64> = (0..16).map(|_| rng.random::<f64>()).collect();
-                let config = pipe.decode(&x);
-                assert!(space.validate(&config).is_ok());
+    proptest! {
+        /// Whatever the seed, projection, target dimension, bias, bucket
+        /// count and catalog: every decoded suggestion is a configuration
+        /// of the catalog, no knob is reported biased when biasing is off,
+        /// and a knob bucketized to K values takes at most K.
+        #[test]
+        fn decoded_configs_are_always_valid(
+            seed in any::<u64>(),
+            rembo in any::<bool>(),
+            d in 1usize..=24,
+            bias in (any::<bool>(), 0.05f64..0.3),
+            buckets in (any::<bool>(), 3u64..=20_000),
+            v13 in any::<bool>(),
+        ) {
+            let space = if v13 { postgres_v13_6() } else { postgres_v9_6() };
+            let (bias, buckets) = (bias.0.then_some(bias.1), buckets.0.then_some(buckets.1));
+            let config = LlamaTuneConfig {
+                target_dim: d,
+                projection: if rembo { ProjectionKind::Rembo } else { ProjectionKind::Hesbo },
+                special_value_bias: bias,
+                bucket_count: buckets,
+            };
+            let pipe = LlamaTunePipeline::new(&space, &config, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..50 {
+                let x: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+                let (decoded, biased) = pipe.decode_traced(&x);
+                prop_assert!(space.validate(&decoded).is_ok());
+                prop_assert!(bias.is_some() || biased.is_empty(), "biased {biased:?} with bias off");
+            }
+
+            let point = |rng: &mut StdRng| -> Vec<f64> {
+                (0..space.len()).map(|_| rng.random::<f64>()).collect()
+            };
+            let identity = IdentityAdapter::with_options(&space, bias, buckets);
+            for _ in 0..50 {
+                prop_assert!(space.validate(&identity.decode(&point(&mut rng))).is_ok());
+            }
+
+            // Biasing adds the special value to a knob's grid, so count
+            // without it; and 2 000 points can only show more than K values
+            // of a knob when K is smaller.
+            if let Some(k) = buckets.filter(|k| *k < 2_000) {
+                let identity = IdentityAdapter::with_options(&space, None, Some(k));
+                let bucketized: Vec<usize> = (0..space.len())
+                    .filter(|&i| {
+                        let param = &identity.optimizer_spec().params[i];
+                        matches!(param, ParamKind::Continuous { buckets: Some(_) })
+                    })
+                    .collect();
+                let mut seen = vec![std::collections::HashSet::new(); bucketized.len()];
+                for _ in 0..2_000 {
+                    let decoded = identity.decode(&point(&mut rng));
+                    for (values, &i) in seen.iter_mut().zip(&bucketized) {
+                        values.insert(decoded.values()[i].to_string());
+                    }
+                }
+                for (values, i) in seen.iter().zip(&bucketized) {
+                    prop_assert!(values.len() as u64 <= k, "knob {i}: {} values", values.len());
+                }
             }
         }
-    }
-
-    #[test]
-    fn bias_applies_only_when_enabled() {
-        let space = postgres_v9_6();
-        let with = LlamaTunePipeline::new(&space, &LlamaTuneConfig::default(), 4);
-        let without = LlamaTunePipeline::new(
-            &space,
-            &LlamaTuneConfig { special_value_bias: None, ..Default::default() },
-            4,
-        );
-        // Count biased knobs across random suggestions.
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut with_hits = 0;
-        let mut without_hits = 0;
-        for _ in 0..50 {
-            let x: Vec<f64> = (0..16).map(|_| rng.random::<f64>()).collect();
-            with_hits += with.decode_traced(&x).1.len();
-            without_hits += without.decode_traced(&x).1.len();
-        }
-        assert!(with_hits > 0, "20% bias over 17 hybrids must hit");
-        assert_eq!(without_hits, 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! of Figure 10.
 
 /// Final performance improvement of `candidate` over `baseline`, in
-//  percent, comparing best scores at the end of tuning.
+/// percent, comparing best scores at the end of tuning.
 /// Positive = candidate better. Works for negated-latency scores too
 /// (a less-negative score is an improvement).
 pub fn final_improvement_pct(baseline_best: f64, candidate_best: f64) -> f64 {
