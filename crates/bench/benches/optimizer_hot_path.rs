@@ -41,6 +41,7 @@
 use llamatune_bench::artifact::{record, round, write_field, Field};
 use llamatune_bench::print_header;
 use llamatune_obs::json::{write_f64, write_object};
+use llamatune_obs::MetricsRegistry;
 use llamatune_optim::{
     Ddpg, DdpgConfig, GpBo, GpConfig, Observation, Optimizer, RandomForest, RandomForestConfig,
     SearchSpec, Smac, SmacConfig, DEFAULT_METRIC_DIM,
@@ -48,6 +49,7 @@ use llamatune_optim::{
 use llamatune_runtime::{BatchSuggest, RetractionMode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The LlamaTune projected space: 16 continuous dimensions.
@@ -203,11 +205,12 @@ struct GpSuggestRow {
 /// Times one GP suggestion at history size `n`, and the share
 /// of it the optimizer itself books to `optim.gp.ei_score_ms`.
 fn gp_suggest_row(n: usize, reps: usize) -> GpSuggestRow {
-    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), GpConfig::default(), SEED);
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), GpConfig::default(), SEED)
+        .with_metrics(registry.clone());
     gp.observe_batch(synthetic_history(n));
-    let ei_score_ms = || {
-        llamatune_obs::global().snapshot().hists.get("optim.gp.ei_score_ms").map_or(0.0, |h| h.sum)
-    };
+    let ei_score_ms =
+        || registry.snapshot().hists.get("optim.gp.ei_score_ms").map_or(0.0, |h| h.sum);
     let (mut suggest, mut ei_score) = (Vec::new(), Vec::new());
     for _ in 0..reps {
         let before = ei_score_ms();

@@ -148,7 +148,7 @@ fn main() {
         let t = Instant::now();
         let results = campaign.run();
         let elapsed = t.elapsed().as_secs_f64();
-        let quarantined = results[0].faults.quarantine_hits;
+        let quarantined = results[0].metrics.counter("policy.quarantine_hits");
         let cache_cell = match results[0].cache {
             Some(stats) => format!(
                 "{} hits / {} misses ({:.0}% hit rate)",

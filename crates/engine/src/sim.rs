@@ -126,7 +126,12 @@ impl ResourceMeter {
         let last = (start + duration) / self.bucket_us;
         let n = (last - first + 1) as f64;
         let per_bucket = total_service_us / n;
-        for b in first..=last {
+        // `slot_for` rejects every bucket past the reservation horizon,
+        // so the walk ends there: a throttled vacuum pass of 10^15 µs
+        // spans ~10^11 buckets and lands in a dozen slots. `n` keeps
+        // the unclamped count, so what each slot receives is unchanged.
+        let horizon = self.current_bucket + self.ring.len() as u64 - 5;
+        for b in first..=last.min(horizon) {
             if let Some(slot) = self.slot_for(b) {
                 self.ring[slot] += per_bucket;
             }
@@ -211,6 +216,70 @@ impl LatencyReservoir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`ResourceMeter::add_background`] as it was before its loop was
+    /// clamped to the reservation horizon: every bucket of the pass is
+    /// offered to `slot_for`.
+    fn add_background_reference(
+        m: &mut ResourceMeter,
+        start: Micros,
+        total: f64,
+        duration: Micros,
+    ) {
+        m.advance(start);
+        let duration = duration.max(m.bucket_us);
+        let first = start / m.bucket_us;
+        let last = (start + duration) / m.bucket_us;
+        let per_bucket = total / (last - first + 1) as f64;
+        for b in first..=last {
+            if let Some(slot) = m.slot_for(b) {
+                m.ring[slot] += per_bucket;
+            }
+        }
+        m.total_busy += total;
+    }
+
+    proptest! {
+        /// Passes of up to a few thousand buckets, starting ahead of,
+        /// inside and behind the meter's window: the ring and the busy
+        /// total are the unclamped loop's, bit for bit, after each.
+        #[test]
+        fn clamped_background_matches_the_unclamped_walk_bit_for_bit(
+            passes in proptest::collection::vec(
+                (0u64..400_000, 0.0f64..1e7, 0u64..30_000_000),
+                1..12,
+            ),
+        ) {
+            let mut clamped = ResourceMeter::new(2.0, 10_000, 3.0);
+            let mut reference = clamped.clone();
+            for (start, total, duration) in passes {
+                clamped.add_background(start, total, duration);
+                add_background_reference(&mut reference, start, total, duration);
+                let bits = |m: &ResourceMeter| m.ring.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&clamped), bits(&reference));
+                prop_assert_eq!(clamped.total_busy.to_bits(), reference.total_busy.to_bits());
+                prop_assert_eq!(clamped.current_bucket, reference.current_bucket);
+            }
+        }
+    }
+
+    /// The pass `VacuumPacing::plan` answers `vacuum_cost_limit = 1`,
+    /// `vacuum_cost_page_hit = 10 000` and a 100 ms delay with: ~10^11
+    /// buckets, which the unclamped loop walked for twenty minutes.
+    #[test]
+    fn a_pass_of_ten_to_the_fifteen_microseconds_returns_at_once() {
+        let mut m = ResourceMeter::new(1.0, 10_000, 2.0);
+        let t = std::time::Instant::now();
+        m.add_background(50_000, 4.0e9, 1_000_000_000_000_000);
+        assert!(t.elapsed().as_secs() < 1, "walked the whole pass: {:?}", t.elapsed());
+        assert_eq!(m.total_busy_us(), 4.0e9);
+        // Twelve reachable buckets (the current one and eleven ahead),
+        // each with its 1/(10^11 + 1) share.
+        let share = 4.0e9 / 100_000_000_001.0;
+        assert_eq!(m.ring.iter().filter(|v| **v == share).count(), 12);
+        assert_eq!(m.ring.iter().filter(|v| **v == 0.0).count(), 4);
+    }
 
     #[test]
     fn idle_resource_has_no_queueing() {

@@ -3,9 +3,10 @@
 //!
 //! A fleet campaign (`CampaignAttachments::with_fleet`) persists one
 //! telemetry pair per store writer — `telemetry-<tag>.trace.jsonl` and
-//! `telemetry-<tag>.metrics.json` — holding exactly the spans and
-//! counters of the sessions that worker ran. This module rebuilds the
-//! fleet view from those pairs:
+//! `telemetry-<tag>.metrics.json` — holding exactly the spans, the
+//! counters and the timings (`optim.*` included) of the sessions that
+//! worker ran, plus the `store.cas_retries` of its store handle. This
+//! module rebuilds the fleet view from those pairs:
 //!
 //! * [`merge_traces`] — the deterministic union of every session's span
 //!   stream, in stable `(session, seq)` order. Which worker ran which
@@ -57,7 +58,9 @@ impl TelemetrySet {
     /// `telemetry-<tag>.metrics.json` pair from a store directory. A
     /// tag may have either half missing (empty events / default
     /// snapshot). The derived `fleet` pair is skipped whenever
-    /// per-writer pairs exist — it *is* their merge; a directory
+    /// per-writer pairs exist — its metrics *are* their sum (pinned by
+    /// `per_writer_metrics_sum_to_the_fleet_pair` in
+    /// `crates/runtime/tests/observability.rs`); a directory
     /// holding only a `fleet` or `local` pair loads that pair as its
     /// single writer. Errors on unreadable files, schema-invalid
     /// telemetry, or a directory with no telemetry at all.

@@ -17,8 +17,8 @@
 //!   and fixed-bucket histograms with mergeable snapshots. It absorbs
 //!   the runtime crate's former `FaultStats` counters (`policy.*`) and
 //!   adds per-phase session latencies (`session.*_ms`) and optimizer
-//!   hot-path timings (`optim.*`, recorded into the process-global
-//!   registry, [`global`]).
+//!   hot-path timings (`optim.*`), all in the registry of the session
+//!   that paid for them — no registry is process-wide.
 //! * **Reporting** ([`report`], [`fmt`]) — a schema-validating trace
 //!   parser, one table renderer shared by bench output and session
 //!   reports, and the `llamatune-report` binary, which rebuilds
@@ -60,7 +60,7 @@ pub use export::{
     prometheus_text, JsonlProgressSink, MemoryProgressSink, MetricsExporter, ProgressSink,
     ProgressUpdate,
 };
-pub use metrics::{global, HistSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{HistSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{build_report, render_report, Report, SessionCurves};
 pub use trace::{
     parse_trace_jsonl, FanoutTracer, FieldValue, NoopTracer, RecordingTracer, TraceEvent, Tracer,

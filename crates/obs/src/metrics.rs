@@ -27,17 +27,18 @@
 //! | `optim.gp.append_fallback` | counter | appends rejected (ill-conditioned or non-finite row) → full refit |
 //! | `optim.gp.cholesky_ms` | histogram | GP Cholesky factorization (one per hyperparameter draw of a refit) |
 //! | `optim.smac.forest_fit_ms` | histogram | SMAC random-forest refit |
-//! | `store.cas_retries` | counter | manifest CAS races lost (fleet) |
+//! | `store.cas_retries` | counter | manifest CAS rounds a store handle retried (races lost in a fleet), added when telemetry is persisted |
 //!
-//! Optimizer hot-path timings go to the process-global registry
-//! ([`global`]) because optimizers are built by `OptimizerKind::build`,
-//! which has no injection seam; everything else records into the
-//! per-session registry the campaign driver wires through
-//! `SessionOptions` and the executor.
+//! Every metric has one owner. The session driver makes one registry
+//! per session and hands it to the session loop, the executor and — via
+//! `OptimizerKind::build_in` — the optimizer, so `optim.*` timings land
+//! in the session that paid for them; `store.cas_retries` is counted on
+//! the store handle that lost the races and joins the snapshot when a
+//! campaign persists its telemetry. There is no process-wide registry.
 
 use crate::json;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Default histogram bounds for millisecond latencies (upper bucket
 /// edges; one implicit overflow bucket follows the last bound).
@@ -65,6 +66,24 @@ impl Hist {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Applies `write` to the entry for `name`, creating it from `init` on
+/// first sight of the name — the only time the key is allocated (the
+/// `entry` API would build a `String` on every write).
+fn upsert<V>(
+    map: &Mutex<BTreeMap<String, V>>,
+    name: &str,
+    init: impl FnOnce() -> V,
+    write: impl FnOnce(&mut V),
+) {
+    let mut map = lock(map);
+    if let Some(v) = map.get_mut(name) {
+        return write(v);
+    }
+    let mut v = init();
+    write(&mut v);
+    map.insert(name.to_string(), v);
 }
 
 /// A registry of named counters, gauges, and histograms. Cheap to
@@ -98,7 +117,7 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the named counter (created at zero).
     pub fn incr(&self, name: &str, delta: u64) {
-        *lock(&self.counters).entry(name.to_string()).or_insert(0) += delta;
+        upsert(&self.counters, name, || 0, |c| *c += delta);
         if let Some(p) = &self.parent {
             p.incr(name, delta);
         }
@@ -111,7 +130,7 @@ impl MetricsRegistry {
 
     /// Sets the named gauge to `value`.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        lock(&self.gauges).insert(name.to_string(), value);
+        upsert(&self.gauges, name, || value, |g| *g = value);
         if let Some(p) = &self.parent {
             p.gauge_set(name, value);
         }
@@ -126,10 +145,7 @@ impl MetricsRegistry {
     /// Records one observation into the named histogram, creating it
     /// with the given bucket bounds on first use.
     pub fn observe_with(&self, name: &str, bounds: &[f64], value: f64) {
-        lock(&self.hists)
-            .entry(name.to_string())
-            .or_insert_with(|| Hist::new(bounds))
-            .observe(value);
+        upsert(&self.hists, name, || Hist::new(bounds), |h| h.observe(value));
         if let Some(p) = &self.parent {
             p.observe_with(name, bounds, value);
         }
@@ -293,14 +309,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// The process-global registry, used where no injection seam exists
-/// (optimizer internals built behind `OptimizerKind::build`). Its
-/// timings aggregate across every session of the process.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,11 +392,5 @@ mod tests {
         // Parent writes do not leak back down.
         live.incr("policy.retries", 10);
         assert_eq!(s1.counter("policy.retries"), 2);
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        global().incr("test.global_marker", 1);
-        assert!(global().counter("test.global_marker") >= 1);
     }
 }

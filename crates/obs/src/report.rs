@@ -153,7 +153,7 @@ pub fn render_report(report: &Report) -> String {
         }
         if !hot_rows.is_empty() {
             out.push_str(&fmt::header(
-                "Optimizer hot-path timings (wall clock, process-global)",
+                "Optimizer hot-path timings (wall clock)",
                 "Cholesky append, EI scoring, SMAC forest fit",
             ));
             out.push_str(&fmt::table(&["path", "count", "mean ms", "total ms"], &hot_rows));

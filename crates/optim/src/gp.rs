@@ -31,8 +31,10 @@
 
 use crate::spec::{expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
 use llamatune_math::{Matrix, Normal};
+use llamatune_obs::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// GP-BO hyperparameters.
 #[derive(Debug, Clone)]
@@ -119,6 +121,9 @@ pub struct GpBo {
     cache: Option<GpCache>,
     y_mean: f64,
     y_std: f64,
+    /// Where the `optim.gp.*` timings and counts go: private (and
+    /// dropped with the optimizer) unless [`GpBo::with_metrics`] set it.
+    metrics: Arc<MetricsRegistry>,
 }
 
 #[derive(Clone)]
@@ -166,16 +171,23 @@ impl GpBo {
             cache: None,
             y_mean: 0.0,
             y_std: 1.0,
+            metrics: Arc::default(),
         }
     }
 
+    /// Records this optimizer's `optim.gp.*` metrics into `registry` —
+    /// the registry of the session it serves.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.metrics = registry;
+        self
+    }
+
     /// Cholesky factorization with wall time recorded in the
-    /// process-global `optim.gp.cholesky_ms` histogram.
+    /// `optim.gp.cholesky_ms` histogram.
     fn timed_cholesky(&self, k: &Matrix) -> Option<Matrix> {
         let hot_path_start = std::time::Instant::now();
         let chol = k.cholesky(1e-8).ok();
-        llamatune_obs::global()
-            .observe("optim.gp.cholesky_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
+        self.metrics.observe("optim.gp.cholesky_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
         chol
     }
 
@@ -338,13 +350,12 @@ impl GpBo {
     /// constructed once per batch instead of once per candidate.
     /// Per-candidate arithmetic matches [`GpBo::predict`] bit for bit.
     ///
-    /// Wall time lands in the process-global `optim.gp.ei_score_ms`
-    /// histogram (timing only — nothing about the result depends on it).
+    /// Wall time lands in the `optim.gp.ei_score_ms` histogram (timing
+    /// only — nothing about the result depends on it).
     fn ei_batch(&self, candidates: &[Vec<f64>], best_standardized: f64) -> Vec<f64> {
         let hot_path_start = std::time::Instant::now();
         let eis = self.ei_batch_inner(candidates, best_standardized);
-        llamatune_obs::global()
-            .observe("optim.gp.ei_score_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
+        self.metrics.observe("optim.gp.ei_score_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
         eis
     }
 
@@ -410,7 +421,7 @@ impl GpBo {
             // An ill-conditioned border silently downgrades the O(n²)
             // append to an O(n³) refit; count it so reports surface
             // the hidden cost at large n.
-            llamatune_obs::global().incr("optim.gp.append_fallback", 1);
+            self.metrics.incr("optim.gp.append_fallback", 1);
             self.refit();
         }
     }
@@ -419,12 +430,12 @@ impl GpBo {
     /// the kernel row only, leaving `alpha` and the y standardization
     /// stale (callers must [`GpBo::refresh_alpha`] before the next
     /// prediction). Returns `false` if the border is not positive
-    /// definite. Wall time lands in the process-global
-    /// `optim.gp.cholesky_append_ms` histogram.
+    /// definite. Wall time lands in the `optim.gp.cholesky_append_ms`
+    /// histogram.
     fn append_row_to_factor(&mut self) -> bool {
         let hot_path_start = std::time::Instant::now();
         let ok = self.append_row_to_factor_inner();
-        llamatune_obs::global()
+        self.metrics
             .observe("optim.gp.cholesky_append_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
         ok
     }
@@ -547,7 +558,7 @@ impl Optimizer for GpBo {
             } else if self.append_row_to_factor() {
                 stale_alpha = true;
             } else {
-                llamatune_obs::global().incr("optim.gp.append_fallback", 1);
+                self.metrics.incr("optim.gp.append_fallback", 1);
                 self.refit();
                 stale_alpha = false;
             }

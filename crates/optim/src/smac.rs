@@ -5,8 +5,10 @@
 use crate::rf::{RandomForest, RandomForestConfig};
 use crate::spec::{expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
 use llamatune_math::Normal;
+use llamatune_obs::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// SMAC hyperparameters.
 #[derive(Debug, Clone)]
@@ -52,6 +54,9 @@ pub struct Smac {
     /// until the next observation invalidates it — a q-wide
     /// `suggest_batch` fits once, not q times.
     forest: Option<RandomForest>,
+    /// Where `optim.smac.forest_fit_ms` goes: private (and dropped with
+    /// the optimizer) unless [`Smac::with_metrics`] set it.
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// A [`Smac`] state checkpoint (see [`Optimizer::snapshot`]).
@@ -76,7 +81,15 @@ impl Smac {
             suggestions: 0,
             seed,
             forest: None,
+            metrics: Arc::default(),
         }
+    }
+
+    /// Records this optimizer's `optim.smac.*` metrics into `registry`
+    /// — the registry of the session it serves.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.metrics = registry;
+        self
     }
 
     /// One-exchange neighbour: perturb a single dimension. `step` is the
@@ -118,8 +131,8 @@ impl Optimizer for Smac {
         // cached (observations invalidate it); `take` releases the
         // borrow so local search can perturb through `&mut self`.
         let forest = self.forest.take().unwrap_or_else(|| {
-            // Wall time lands in the process-global
-            // `optim.smac.forest_fit_ms` histogram (timing only).
+            // Wall time lands in the `optim.smac.forest_fit_ms`
+            // histogram (timing only).
             let hot_path_start = std::time::Instant::now();
             let forest = RandomForest::fit(
                 &self.spec,
@@ -128,7 +141,7 @@ impl Optimizer for Smac {
                 &self.config.forest,
                 self.seed ^ (self.suggestions as u64) << 17,
             );
-            llamatune_obs::global()
+            self.metrics
                 .observe("optim.smac.forest_fit_ms", hot_path_start.elapsed().as_secs_f64() * 1e3);
             forest
         });

@@ -2,8 +2,10 @@
 //! trait shared by SMAC, GP-BO, and DDPG.
 
 use llamatune_math::Normal;
+use llamatune_obs::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// One dimension of the search space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,16 +235,32 @@ impl OptimizerKind {
         }
     }
 
-    /// Builds a fresh optimizer instance over `spec`.
+    /// Builds a fresh optimizer instance over `spec` whose `optim.*`
+    /// metrics nobody reads (see [`OptimizerKind::build_in`]).
     pub fn build(self, spec: &SearchSpec, seed: u64) -> Box<dyn Optimizer> {
+        self.build_in(spec, seed, &Arc::default())
+    }
+
+    /// Builds a fresh optimizer instance over `spec` that records its
+    /// `optim.*` metrics into `metrics` — the registry of the session
+    /// it serves, so a rebuilt optimizer keeps writing where the one it
+    /// replaces did.
+    pub fn build_in(
+        self,
+        spec: &SearchSpec,
+        seed: u64,
+        metrics: &Arc<MetricsRegistry>,
+    ) -> Box<dyn Optimizer> {
         match self {
             OptimizerKind::Random => Box::new(RandomSearch::new(spec.clone(), seed)),
-            OptimizerKind::Smac => {
-                Box::new(crate::Smac::new(spec.clone(), crate::SmacConfig::default(), seed))
-            }
-            OptimizerKind::GpBo => {
-                Box::new(crate::GpBo::new(spec.clone(), crate::GpConfig::default(), seed))
-            }
+            OptimizerKind::Smac => Box::new(
+                crate::Smac::new(spec.clone(), crate::SmacConfig::default(), seed)
+                    .with_metrics(metrics.clone()),
+            ),
+            OptimizerKind::GpBo => Box::new(
+                crate::GpBo::new(spec.clone(), crate::GpConfig::default(), seed)
+                    .with_metrics(metrics.clone()),
+            ),
             OptimizerKind::Ddpg => Box::new(crate::Ddpg::new(
                 spec.clone(),
                 DEFAULT_METRIC_DIM,

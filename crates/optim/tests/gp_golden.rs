@@ -132,9 +132,9 @@ fn exact_path_is_pinned_on_the_all_continuous_llamatune_shape() {
 /// instead of panicking on a stale, size-mismatched factor.
 #[test]
 fn non_finite_rows_fall_back_to_refit_and_are_counted() {
-    let registry = llamatune_obs::global();
-    let before = registry.counter("optim.gp.append_fallback");
-    let mut gp = GpBo::new(SearchSpec::continuous(2), GpConfig::default(), 41);
+    let registry = std::sync::Arc::new(llamatune_obs::MetricsRegistry::new());
+    let mut gp = GpBo::new(SearchSpec::continuous(2), GpConfig::default(), 41)
+        .with_metrics(registry.clone());
     // Warm up past the first refit boundary so a cached factor exists
     // and the next observe takes the incremental append path.
     for i in 0..6 {
@@ -143,9 +143,10 @@ fn non_finite_rows_fall_back_to_refit_and_are_counted() {
         gp.observe(Observation { x: x.clone(), y: objective(&x), metrics: vec![] });
     }
     gp.observe(Observation { x: vec![f64::NAN, 0.5], y: 0.0, metrics: vec![] });
-    assert!(
-        registry.counter("optim.gp.append_fallback") > before,
-        "the rejected append must increment optim.gp.append_fallback"
+    assert_eq!(
+        registry.counter("optim.gp.append_fallback"),
+        1,
+        "the rejected append, and nothing else, must increment optim.gp.append_fallback"
     );
     // The optimizer must stay usable (prior-only) rather than panic.
     let x = gp.suggest();

@@ -18,7 +18,7 @@
 
 use crate::cache::{lock_recover, CacheStats};
 use crate::driver::{CellSpec, EventSink, LogSink, SessionDriver};
-use crate::policy::{ExecutionPolicy, FaultStatsSnapshot};
+use crate::policy::ExecutionPolicy;
 use llamatune::pipeline::{
     IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter,
 };
@@ -222,21 +222,17 @@ pub struct CampaignResult {
     pub history: SessionHistory,
     /// Cache counters, when the campaign ran with a cache. Hits count
     /// only healthy repeats: failed evaluations are never cached, so
-    /// re-encounters of poisoned configurations show up in
-    /// [`CampaignResult::faults`] as quarantine hits instead.
+    /// re-encounters of poisoned configurations show up in `metrics`
+    /// as `policy.quarantine_hits` instead.
     pub cache: Option<CacheStats>,
-    /// What the execution-policy layer did: timeouts, retries, caught
-    /// panics, quarantine short-circuits, hedges. All zero under the
-    /// inert default policy on healthy workloads — except
+    /// Everything this session — and only this session — counted and
+    /// timed: what the execution-policy layer did (`policy.timeouts`,
+    /// `retries`, `panics_caught`, `quarantine_hits`, `hedges`; all
+    /// zero under the inert default policy on healthy workloads, except
     /// `quarantine_hits`, which fires whenever a crashed configuration
-    /// is re-suggested.
-    ///
-    /// This is a typed view over `metrics` (the `policy.*` counters);
-    /// kept for ergonomic access and compatibility.
-    pub faults: FaultStatsSnapshot,
-    /// Full per-session metrics snapshot: fault counters, cache
-    /// counters, and the `session.*_ms` phase-latency histograms.
-    /// Empty for sessions rebuilt from a store without running.
+    /// is re-suggested), the cache counters, the `session.*_ms`
+    /// phase-latency histograms and its optimizer's `optim.*` hot-path
+    /// timings. Empty for sessions rebuilt from a store without running.
     pub metrics: MetricsSnapshot,
 }
 
@@ -381,8 +377,15 @@ impl Campaign {
             }
             driver.run()
         })?;
-        if let Some(store) = store {
-            self.persist_telemetry(store.backend().as_ref(), "local", &results)?;
+        if let Some(store) = store.filter(|_| self.opts.tracer.enabled()) {
+            let sessions = results.iter().map(|r| &r.metrics);
+            persist_telemetry(
+                store.backend().as_ref(),
+                "local",
+                &*self.opts.tracer,
+                sessions,
+                store.cas_retries(),
+            )?;
         }
         if let Some(log) = log {
             if let Some(e) = log.take_error() {
@@ -484,12 +487,15 @@ impl Campaign {
             (0..cells.len()).map(|_| Mutex::new(None)).collect();
         let open_failure: Mutex<Option<String>> = Mutex::new(None);
         let telemetry_failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
+        // What the workers wrote as their `telemetry-<tag>.metrics.json`,
+        // summed: the metrics half of the `telemetry-fleet.*` pair.
+        let fleet_metrics = Mutex::new(MetricsSnapshot::default());
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let tag = format!("w{w}");
                 let (next, results, cells) = (&next, &results, &cells);
                 let open_failure = &open_failure;
-                let telemetry_failure = &telemetry_failure;
+                let (telemetry_failure, fleet_metrics) = (&telemetry_failure, &fleet_metrics);
                 let backend = backend.clone();
                 let store_opts = store_opts.clone();
                 scope.spawn(move || {
@@ -515,7 +521,7 @@ impl Campaign {
                         self.opts.tracer.clone()
                     };
                     store.set_tracer(tracer.clone());
-                    let mut worker_metrics: Vec<MetricsSnapshot> = Vec::new();
+                    let mut worker_metrics = MetricsSnapshot::default();
                     loop {
                         let i = next.fetch_add(1, Ordering::SeqCst);
                         if i >= cells.len() {
@@ -528,15 +534,22 @@ impl Campaign {
                                 .run()
                         });
                         if let Ok(r) = &res {
-                            worker_metrics.push(r.metrics.clone());
+                            worker_metrics.merge(&r.metrics);
                         }
                         *lock_recover(&results[i]) = Some(res);
                     }
                     if traced {
-                        if let Err(e) =
-                            persist_worker_telemetry(&store, &tag, &recorder, &worker_metrics)
-                        {
-                            lock_recover(telemetry_failure).get_or_insert(e);
+                        match persist_telemetry(
+                            store.backend().as_ref(),
+                            &tag,
+                            &*recorder,
+                            [&worker_metrics],
+                            store.cas_retries(),
+                        ) {
+                            Ok(written) => lock_recover(fleet_metrics).merge(&written),
+                            Err(e) => {
+                                lock_recover(telemetry_failure).get_or_insert(e);
+                            }
                         }
                     }
                 });
@@ -563,56 +576,39 @@ impl Campaign {
         if let Some(e) = telemetry_failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
             return Err(e);
         }
-        self.persist_telemetry(backend.as_ref(), "fleet", &results)?;
+        if self.opts.tracer.enabled() {
+            // The campaign tracer's stream, and the sum of what the
+            // workers wrote (their handles' retries already in it).
+            let written = fleet_metrics.into_inner().unwrap_or_else(|e| e.into_inner());
+            persist_telemetry(backend.as_ref(), "fleet", &*self.opts.tracer, [&written], 0)?;
+        }
         Ok(results)
-    }
-
-    /// Writes the campaign's telemetry (`telemetry-<tag>.trace.jsonl`
-    /// and `telemetry-<tag>.metrics.json`) next to the trial segments
-    /// — only when a live tracer is installed, so untraced runs leave
-    /// backend contents byte-identical. Telemetry objects never match
-    /// the `seg-` pattern and never enter the manifest, so they cannot
-    /// perturb recovery or checkpoint bytes either way. The metrics
-    /// object merges every session's registry with the process-global
-    /// registry (optimizer hot-path timings, store CAS retries).
-    fn persist_telemetry(
-        &self,
-        backend: &dyn StoreBackend,
-        tag: &str,
-        results: &[CampaignResult],
-    ) -> std::io::Result<()> {
-        let tracer = &self.opts.tracer;
-        if !tracer.enabled() {
-            return Ok(());
-        }
-        if let Some(jsonl) = tracer.export_jsonl() {
-            backend.put(&format!("telemetry-{tag}.trace.jsonl"), jsonl.as_bytes())?;
-        }
-        let mut merged = MetricsSnapshot::merged(results.iter().map(|r| &r.metrics));
-        merged.merge(&llamatune_obs::global().snapshot());
-        backend.put(&format!("telemetry-{tag}.metrics.json"), merged.to_json().as_bytes())
     }
 }
 
-/// Persists one fleet worker's private telemetry pair
-/// (`telemetry-<tag>.trace.jsonl` / `telemetry-<tag>.metrics.json`)
-/// through its shared store handle. The trace holds exactly the spans
-/// this worker recorded; the metrics snapshot folds the sessions it ran
-/// — deliberately *without* the process-global registry, which is
-/// shared across workers and belongs to the fleet-level pair only
-/// (counting it per worker would multiply it by the worker count in
-/// the merged view).
-fn persist_worker_telemetry(
-    store: &TrialStore,
+/// Writes one telemetry pair next to the trial segments:
+/// `telemetry-<tag>.trace.jsonl` (the spans `tracer` holds) and
+/// `telemetry-<tag>.metrics.json` — the sum of `snapshots` plus
+/// `cas_retries`, the `store.cas_retries` of the handle the sessions
+/// behind them wrote through —, and returns the latter. Callers write
+/// telemetry only when a live tracer is installed, so untraced runs
+/// leave backend contents byte-identical; telemetry objects never match
+/// the `seg-` pattern and never enter the manifest, so they cannot
+/// perturb recovery or checkpoint bytes either way.
+fn persist_telemetry<'a>(
+    backend: &dyn StoreBackend,
     tag: &str,
-    recorder: &RecordingTracer,
-    worker_metrics: &[MetricsSnapshot],
-) -> std::io::Result<()> {
-    if let Some(jsonl) = recorder.export_jsonl() {
-        store.put_telemetry(&format!("{tag}.trace.jsonl"), jsonl.as_bytes())?;
+    tracer: &dyn Tracer,
+    snapshots: impl IntoIterator<Item = &'a MetricsSnapshot>,
+    cas_retries: u64,
+) -> std::io::Result<MetricsSnapshot> {
+    if let Some(jsonl) = tracer.export_jsonl() {
+        backend.put(&format!("telemetry-{tag}.trace.jsonl"), jsonl.as_bytes())?;
     }
-    let merged = MetricsSnapshot::merged(worker_metrics.iter());
-    store.put_telemetry(&format!("{tag}.metrics.json"), merged.to_json().as_bytes())
+    let mut metrics = MetricsSnapshot::merged(snapshots);
+    *metrics.counters.entry("store.cas_retries".to_string()).or_insert(0) += cas_retries;
+    backend.put(&format!("telemetry-{tag}.metrics.json"), metrics.to_json().as_bytes())?;
+    Ok(metrics)
 }
 
 #[cfg(test)]

@@ -43,7 +43,6 @@ use crate::batch::BatchSuggest;
 use crate::cache::{lock_recover, EvalCache};
 use crate::campaign::{AdapterKind, CampaignOptions, CampaignResult};
 use crate::executor::WorkloadExecutor;
-use crate::policy::FaultStatsSnapshot;
 use llamatune::history_io::{events_to_jsonl, history_to_events, TrialEvent};
 use llamatune::pipeline::SearchSpaceAdapter;
 use llamatune::session::{
@@ -332,7 +331,6 @@ impl<'a> SessionDriver<'a> {
             seed: self.cell.seed,
             history,
             cache: None,
-            faults: FaultStatsSnapshot::from_metrics(&metrics),
             metrics,
         }
     }
@@ -429,9 +427,9 @@ impl<'a> SessionDriver<'a> {
         // which is what lets a resume continue bit-identically. Plain
         // sessions wrap only when batching actually happens.
         let wrap_liar = self.store.is_some() || self.opts.batch_size > 1;
-        let optimizer = self.build_optimizer(adapter.optimizer_spec().clone(), wrap_liar);
-
         let metrics = self.session_metrics();
+        let optimizer = self.build_optimizer(adapter.optimizer_spec().clone(), wrap_liar, &metrics);
+
         let warm_points = meta.as_ref().map(|m| m.warm_points.clone()).unwrap_or_default();
         let session_opts =
             SessionOptions { metrics: metrics.clone(), ..self.session_options(warm_points) };
@@ -503,22 +501,30 @@ impl<'a> SessionDriver<'a> {
     /// optimizer, under constant-liar [`BatchSuggest`] when `wrap_liar`,
     /// under [`GuardedOptimizer`] when `opts.guard`. The guard sits
     /// outermost so its rebuild-and-replay recovery reconstructs the
-    /// same batch wrapper the session loop drives.
-    fn build_optimizer(&self, spec: SearchSpec, wrap_liar: bool) -> Box<dyn Optimizer> {
+    /// same batch wrapper the session loop drives. `raw` is the one
+    /// place a raw optimizer is built, so every guard or constant-liar
+    /// rebuild writes its `optim.*` metrics into `metrics`, the
+    /// session's registry, like the optimizer it replaces.
+    fn build_optimizer(
+        &self,
+        spec: SearchSpec,
+        wrap_liar: bool,
+        metrics: &Arc<MetricsRegistry>,
+    ) -> Box<dyn Optimizer> {
         let kind = self.cell.optimizer;
         let seed = self.cell.seed;
         let liar = self.opts.constant_liar && wrap_liar;
-        let make: GuardFactory = {
-            let spec = spec.clone();
-            Box::new(move || -> Box<dyn Optimizer> {
-                if liar {
-                    let spec = spec.clone();
-                    Box::new(BatchSuggest::new(Box::new(move || kind.build(&spec, seed))))
-                } else {
-                    kind.build(&spec, seed)
-                }
-            })
+        let raw = {
+            let (spec, metrics) = (spec.clone(), metrics.clone());
+            move || kind.build_in(&spec, seed, &metrics)
         };
+        let make: GuardFactory = Box::new(move || -> Box<dyn Optimizer> {
+            if liar {
+                Box::new(BatchSuggest::new(Box::new(raw.clone())))
+            } else {
+                raw()
+            }
+        });
         if self.opts.guard {
             Box::new(GuardedOptimizer::new(make, spec, seed))
         } else {

@@ -15,8 +15,8 @@
 //! new keys are committed only after the batch folds, so recorded
 //! statuses stay independent of worker count and completion order.
 
-use crate::cache::{config_key, CacheStats, EvalCache};
-use crate::policy::{run_trial_policy, ExecutionPolicy, FaultStatsSnapshot, TrialOutcome};
+use crate::cache::{config_key, EvalCache};
+use crate::policy::{run_trial_policy, ExecutionPolicy, TrialOutcome};
 use llamatune::session::{EvalResult, Trial, TrialExecutor, TrialStatus};
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
 use llamatune_obs::MetricsRegistry;
@@ -201,17 +201,6 @@ impl WorkloadExecutor {
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// The attached cache's statistics, if any.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// What the policy layer actually did so far (a typed view over the
-    /// registry's `policy.*` counters).
-    pub fn fault_stats(&self) -> FaultStatsSnapshot {
-        FaultStatsSnapshot::from_metrics(&self.metrics.snapshot())
     }
 
     /// Number of quarantined configurations.

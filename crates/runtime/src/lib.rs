@@ -87,4 +87,4 @@ pub use campaign::{
 };
 pub use driver::{CellSpec, EventSink, LiveSession, Opened, SessionDriver};
 pub use executor::WorkloadExecutor;
-pub use policy::{ExecutionPolicy, FaultStatsSnapshot};
+pub use policy::ExecutionPolicy;

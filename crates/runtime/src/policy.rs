@@ -25,7 +25,7 @@
 
 use llamatune::backoff::{Backoff, BackoffPolicy};
 use llamatune::session::{EvalResult, TrialStatus};
-use llamatune_obs::{MetricsRegistry, MetricsSnapshot};
+use llamatune_obs::MetricsRegistry;
 use llamatune_space::{Config, ConfigSpace};
 use llamatune_workloads::{config_fingerprint, TrialRunner};
 use std::collections::HashSet;
@@ -86,38 +86,6 @@ impl ExecutionPolicy {
             max_attempts: 3,
             hedge_ms: 2_500.0,
             ..ExecutionPolicy::default()
-        }
-    }
-}
-
-/// Fault totals as a typed view over the metrics registry's `policy.*`
-/// counters (observability for the chaos suites: a green run that never
-/// retried proves nothing). The policy layer itself counts straight
-/// into a [`MetricsRegistry`]; this struct survives as the convenient
-/// read side on [`crate::CampaignResult`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStatsSnapshot {
-    /// Attempts the watchdog timed out.
-    pub timeouts: u64,
-    /// Retries launched (excluding hedges).
-    pub retries: u64,
-    /// Panics contained by per-trial isolation.
-    pub panics_caught: u64,
-    /// Trials answered from quarantine without a run.
-    pub quarantine_hits: u64,
-    /// Hedge re-attempts launched for stragglers.
-    pub hedges: u64,
-}
-
-impl FaultStatsSnapshot {
-    /// Reads the `policy.*` counters out of a metrics snapshot.
-    pub fn from_metrics(snapshot: &MetricsSnapshot) -> FaultStatsSnapshot {
-        FaultStatsSnapshot {
-            timeouts: snapshot.counter("policy.timeouts"),
-            retries: snapshot.counter("policy.retries"),
-            panics_caught: snapshot.counter("policy.panics_caught"),
-            quarantine_hits: snapshot.counter("policy.quarantine_hits"),
-            hedges: snapshot.counter("policy.hedges"),
         }
     }
 }
@@ -451,9 +419,7 @@ mod tests {
         let out = run_trial_policy(&r, &sp, &cfg, 7, &policy, &HashSet::new(), &metrics, 1, 3);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("policy.retries"), 2);
-        let faults = FaultStatsSnapshot::from_metrics(&snap);
-        assert_eq!(faults.retries, 2);
-        assert_eq!(faults.timeouts, 0);
+        assert_eq!(snap.counter("policy.timeouts"), 0);
         let dispositions: Vec<&str> = out.attempts_log.iter().map(|a| a.disposition).collect();
         assert_eq!(dispositions, vec!["crashed", "crashed", "ok"]);
         assert_eq!(out.result.virtual_ms, out.virtual_ms);

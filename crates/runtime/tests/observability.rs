@@ -184,10 +184,101 @@ fn report_is_reproducible_from_stored_telemetry_alone() {
         assert_eq!(s.best_curve, r.history.best_curve, "{}: best curve diverged", r.label);
     }
     let totals = report.metrics.as_ref().unwrap();
-    let expected: u64 = results.iter().map(|r| r.faults.quarantine_hits).sum();
+    let expected: u64 = results.iter().map(|r| r.metrics.counter("policy.quarantine_hits")).sum();
     assert_eq!(totals.counter("policy.quarantine_hits"), expected);
-    let expected: u64 = results.iter().map(|r| r.faults.retries).sum();
+    let expected: u64 = results.iter().map(|r| r.metrics.counter("policy.retries")).sum();
     assert_eq!(totals.counter("policy.retries"), expected);
+}
+
+/// Every metric has one owner, so two campaigns in one process do not
+/// see each other: a GP-BO session's result carries its own `optim.gp.*`
+/// (the same counts on a second run — fits and factorizations are
+/// functions of the seeds), a random-search session's carries no
+/// `optim.*` at all, and the second campaign's persisted
+/// `telemetry-local.metrics.json` counts its own sessions only.
+#[test]
+fn optimizer_timings_belong_to_the_session_that_paid_for_them() {
+    let catalog = postgres_v9_6();
+    let spec = CampaignSpec {
+        workloads: vec!["ycsb_b".into()],
+        optimizers: vec![OptimizerKind::GpBo, OptimizerKind::Random],
+        ..spec()
+    };
+    let run = |tag: &str| {
+        let store = TrialStore::open(tmp_dir(tag)).unwrap();
+        let tracer = Arc::new(RecordingTracer::new());
+        let results = Campaign::new(catalog.clone(), spec.clone(), opts(2, Some(tracer)))
+            .resume(&store)
+            .unwrap();
+        let stored = store.read_telemetry("local.metrics.json").unwrap().unwrap();
+        (results, MetricsSnapshot::from_json(std::str::from_utf8(&stored).unwrap()).unwrap())
+    };
+    let (first, _) = run("owner_first");
+    let (second, stored) = run("owner_second");
+    for results in [&first, &second] {
+        let [gp, random] = &results[..] else { panic!("two cells, got {}", results.len()) };
+        assert_eq!((gp.optimizer.as_str(), random.optimizer.as_str()), ("gp_bo", "random"));
+        let optim = |r: &CampaignResult| -> Vec<String> {
+            let m = &r.metrics;
+            m.counters
+                .keys()
+                .chain(m.hists.keys())
+                .filter(|k| k.starts_with("optim."))
+                .cloned()
+                .collect()
+        };
+        assert!(optim(gp).iter().any(|k| k == "optim.gp.ei_score_ms"), "{:?}", optim(gp));
+        assert_eq!(optim(random), Vec::<String>::new(), "random search times no optimizer");
+    }
+    let cholesky = |r: &CampaignResult| r.metrics.hists["optim.gp.cholesky_ms"].count();
+    assert!(cholesky(&first[0]) > 0);
+    assert_eq!(cholesky(&first[0]), cholesky(&second[0]), "a function of the seeds");
+    assert_eq!(stored.hists["optim.gp.cholesky_ms"].count(), cholesky(&second[0]));
+    let sessions = MetricsSnapshot::merged(second.iter().map(|r| &r.metrics));
+    assert_eq!(
+        stored.hists["session.suggest_ms"].count(),
+        sessions.hists["session.suggest_ms"].count()
+    );
+}
+
+fn run_traced_fleet(workers: usize, tag: &str) -> std::path::PathBuf {
+    let dir = tmp_dir(tag);
+    let backend: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
+    let tracer = Arc::new(RecordingTracer::new());
+    Campaign::new(postgres_v9_6(), spec(), opts(2, Some(tracer)))
+        .run_attached(CampaignAttachments::new().with_fleet(
+            backend,
+            workers,
+            StoreOptions::default(),
+        ))
+        .unwrap();
+    dir
+}
+
+/// Per-writer telemetry sums to the fleet's: the `telemetry-w*` metrics
+/// files of a 2-worker fleet merge to `telemetry-fleet.metrics.json` in
+/// every counter and every histogram count — the optimizer's timings
+/// and the store handles' CAS retries included —, which is what lets
+/// [`TelemetrySet::load_dir`] drop the fleet pair as derived.
+#[test]
+fn per_writer_metrics_sum_to_the_fleet_pair() {
+    let dir = run_traced_fleet(2, "fleet_sum");
+    let read = |tag: &str| {
+        let text = std::fs::read_to_string(dir.join(format!("telemetry-{tag}.metrics.json")));
+        MetricsSnapshot::from_json(&text.unwrap()).unwrap()
+    };
+    let writers = MetricsSnapshot::merged([&read("w0"), &read("w1")]);
+    let fleet = read("fleet");
+    let loaded = TelemetrySet::load_dir(&dir).unwrap().merged_metrics();
+    let counts = |m: &MetricsSnapshot| -> BTreeMap<String, u64> {
+        m.hists.iter().map(|(k, h)| (k.clone(), h.count())).collect()
+    };
+    for view in [&writers, &loaded] {
+        assert_eq!(view.counters, fleet.counters);
+        assert_eq!(counts(view), counts(&fleet));
+    }
+    assert!(fleet.counters.contains_key("store.cas_retries"), "{:?}", fleet.counters);
+    assert!(fleet.hists["optim.smac.forest_fit_ms"].count() > 0);
 }
 
 /// A traced fleet persists one `telemetry-<tag>.*` pair per registered
@@ -197,21 +288,8 @@ fn report_is_reproducible_from_stored_telemetry_alone() {
 #[test]
 fn fleet_persists_per_writer_telemetry_and_merge_is_worker_count_invariant() {
     let catalog = postgres_v9_6();
-    let run_fleet = |workers: usize, tag: &str| {
-        let dir = tmp_dir(tag);
-        let backend: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
-        let tracer = Arc::new(RecordingTracer::new());
-        Campaign::new(catalog.clone(), spec(), opts(2, Some(tracer)))
-            .run_attached(CampaignAttachments::new().with_fleet(
-                backend,
-                workers,
-                StoreOptions::default(),
-            ))
-            .unwrap();
-        dir
-    };
-    let dir1 = run_fleet(1, "fleet_w1");
-    let dir2 = run_fleet(2, "fleet_w2");
+    let dir1 = run_traced_fleet(1, "fleet_w1");
+    let dir2 = run_traced_fleet(2, "fleet_w2");
 
     for (dir, workers) in [(&dir1, 1usize), (&dir2, 2)] {
         for w in 0..workers {

@@ -169,9 +169,6 @@ fn cas_backoff(tag: &str) -> Backoff {
 /// microseconds here), or errors once the retry budget is exhausted —
 /// a livelocked manifest race becomes a clean error instead of a spin.
 fn cas_retry(backoff: &mut Backoff, what: &str) -> io::Result<()> {
-    // Contention is scheduling-dependent, so retries are a process-wide
-    // metric, never a trace span (traces stay deterministic).
-    llamatune_obs::global().incr("store.cas_retries", 1);
     match backoff.next() {
         Some(us) => {
             if us > 0 {
@@ -213,12 +210,18 @@ pub(crate) enum Step<T> {
     Install { manifest: Manifest, created: Vec<String>, out: T },
 }
 
-/// How [`with_manifest`] ended: the step's answer, and the manifest now
-/// in force with its revision.
+/// How [`with_manifest`] ended: the step's answer, the manifest now in
+/// force with its revision, and how many rounds were retried on the
+/// way. Contention is scheduling-dependent, so retries are a metric
+/// ([`TrialStore::cas_retries`]), never a trace span (traces stay
+/// deterministic).
+///
+/// [`TrialStore::cas_retries`]: crate::TrialStore::cas_retries
 pub(crate) struct Settled<T> {
     pub(crate) out: T,
     pub(crate) manifest: Manifest,
     pub(crate) revision: Revision,
+    pub(crate) cas_retries: u32,
 }
 
 /// The store's one read–decide–commit loop. Reads the current manifest
@@ -260,7 +263,7 @@ pub(crate) fn with_manifest<T>(
         || io::Error::other("manifest changed under a single-writer store: another writer is live");
     let mut backoff = cas_backoff(tag);
     let mut view = backend.read_manifest()?;
-    loop {
+    let (out, manifest, revision) = loop {
         let (bytes, mut revision) = view;
         if pinned.is_some_and(|pin| pin != revision) {
             return Err(live_writer());
@@ -282,10 +285,10 @@ pub(crate) fn with_manifest<T>(
             },
         };
         view = match step(&manifest) {
-            Ok(Step::Keep(out)) => return Ok(Settled { out, manifest, revision }),
+            Ok(Step::Keep(out)) => break (out, manifest, revision),
             Ok(Step::Install { manifest, created, out }) => {
                 match backend.commit_manifest(&manifest.to_bytes(), revision)? {
-                    Ok(revision) => return Ok(Settled { out, manifest, revision }),
+                    Ok(revision) => break (out, manifest, revision),
                     Err(_) if pinned.is_some() => return Err(live_writer()),
                     Err(lost) => {
                         for name in &created {
@@ -305,7 +308,8 @@ pub(crate) fn with_manifest<T>(
             Err(e) => return Err(e),
         };
         cas_retry(&mut backoff, what)?;
-    }
+    };
+    Ok(Settled { out, manifest, revision, cas_retries: backoff.attempts() })
 }
 
 #[cfg(test)]
@@ -417,6 +421,7 @@ mod tests {
         .unwrap();
 
         assert_eq!(seen, vec![Manifest::default(), rival.clone()], "one rerun, on the winner's");
+        assert_eq!(settled.cas_retries, 1, "and the race it lost is counted");
         assert_eq!(settled.out, "seg-me-000002.jsonl");
         assert_eq!(settled.manifest.actives, [rival.actives[0].as_str(), "seg-me-000002.jsonl"]);
         assert_eq!(be.read_manifest().unwrap().1, settled.revision);

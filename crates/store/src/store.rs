@@ -10,7 +10,8 @@
 
 use crate::backend::{lock_recover, LocalDirBackend, Revision, StoreBackend};
 use crate::manifest::{
-    corrupt, segment_index, segment_name, segment_writer, with_manifest, Access, Manifest, Step,
+    corrupt, segment_index, segment_name, segment_writer, with_manifest, Access, Manifest, Settled,
+    Step,
 };
 use crate::record::{write_record, SessionMeta, StoreRecord, StoredTrial};
 use crate::segment::{load_segment_lenient, replay_manifest, Index};
@@ -19,6 +20,7 @@ use llamatune::session::PriorTrial;
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The trace span summarising one compaction pass. Attributed to the
@@ -110,6 +112,8 @@ pub struct TrialStore {
     read_only: bool,
     opts: StoreOptions,
     inner: Mutex<Inner>,
+    /// Manifest rounds this handle retried ([`TrialStore::cas_retries`]).
+    cas_retries: AtomicU64,
     /// Observability sink ([`TrialStore::set_tracer`]); [`NoopTracer`]
     /// by default, so untraced stores pay one relaxed load per span
     /// site and emit nothing.
@@ -165,7 +169,7 @@ impl TrialStore {
         let store = TrialStore::handle(backend, Some(writer.to_string()), false, opts);
         let backend = &*store.backend;
         let registered =
-            with_manifest(backend, Access::Fleet(writer), "writer registration", |m| {
+            store.with_manifest(Access::Fleet(writer), "writer registration", |m| {
                 let mut m = m.clone();
                 let mut changed = false;
 
@@ -255,8 +259,31 @@ impl TrialStore {
             read_only,
             opts,
             inner: Mutex::new(Inner::default()),
+            cas_retries: AtomicU64::new(0),
             tracer: Mutex::new(Arc::new(NoopTracer)),
         }
+    }
+
+    /// Runs the manifest loop ([`with_manifest`]) on this handle's
+    /// backend and books the rounds it retried to the handle.
+    fn with_manifest<T>(
+        &self,
+        access: Access<'_>,
+        what: &str,
+        step: impl FnMut(&Manifest) -> io::Result<Step<T>>,
+    ) -> io::Result<Settled<T>> {
+        let settled = with_manifest(&*self.backend, access, what, step)?;
+        // A statistic that publishes nothing else.
+        self.cas_retries.fetch_add(u64::from(settled.cas_retries), Ordering::Relaxed);
+        Ok(settled)
+    }
+
+    /// Manifest commit rounds this handle has retried since it opened —
+    /// CAS races lost to other fleet writers, registration included.
+    /// Scheduling-dependent, hence a metric (`store.cas_retries`) and
+    /// never part of a trace.
+    pub fn cas_retries(&self) -> u64 {
+        self.cas_retries.load(Ordering::Relaxed)
     }
 
     /// On whose behalf this handle runs the manifest loop.
@@ -291,7 +318,7 @@ impl TrialStore {
         let inner = &mut *guard;
         let backend = &*self.backend;
         let access = self.access(inner);
-        let settled = with_manifest(backend, access, what, |m| {
+        let settled = self.with_manifest(access, what, |m| {
             let active = match access {
                 Access::Single(_) => m.derived_active().ok_or_else(|| {
                     corrupt(
@@ -345,32 +372,13 @@ impl TrialStore {
         }
     }
 
-    /// Writes a telemetry object (`telemetry-<name>`) next to the trial
-    /// segments. Telemetry objects never match the `seg-` pattern and
-    /// are never listed in the manifest, so they cannot perturb
-    /// recovery, checkpoint bytes, or compaction.
-    pub fn put_telemetry(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        self.backend.put(&format!("telemetry-{name}"), bytes)
-    }
-
-    /// Reads a telemetry object written by [`TrialStore::put_telemetry`].
+    /// Reads a telemetry object (`telemetry-<name>`, e.g.
+    /// `w0.trace.jsonl`, `fleet.metrics.json`) a traced campaign left
+    /// next to the trial segments. Telemetry objects never match the
+    /// `seg-` pattern and are never listed in the manifest, so they
+    /// cannot perturb recovery, checkpoint bytes, or compaction.
     pub fn read_telemetry(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
         self.backend.get(&format!("telemetry-{name}"))
-    }
-
-    /// Every telemetry object in the store, sorted, without the
-    /// `telemetry-` prefix (e.g. `w0.trace.jsonl`, `fleet.metrics.json`).
-    /// A fleet run leaves one `.trace.jsonl`/`.metrics.json` pair per
-    /// writer tag plus the merged `fleet` pair.
-    pub fn list_telemetry(&self) -> io::Result<Vec<String>> {
-        let mut names: Vec<String> = self
-            .backend
-            .list()?
-            .into_iter()
-            .filter_map(|n| n.strip_prefix("telemetry-").map(str::to_string))
-            .collect();
-        names.sort();
-        Ok(names)
     }
 
     /// Appends one trial record (one backend `append` per record; the
@@ -445,7 +453,7 @@ impl TrialStore {
         let backend = &*self.backend;
         let writer = self.writer.as_deref();
         backend.sync(&inner.active_name)?;
-        let settled = with_manifest(backend, self.access(inner), "rotation", |m| {
+        let settled = self.with_manifest(self.access(inner), "rotation", |m| {
             let mut m = m.clone();
             self.unregister(&mut m, &inner.active_name)?;
             m.sealed.push(inner.active_name.clone());
@@ -583,7 +591,7 @@ impl TrialStore {
         let backend = &*self.backend;
         let writer = self.writer.as_deref();
         backend.sync(&inner.active_name)?;
-        let settled = with_manifest(backend, self.access(inner), "compaction", |m| {
+        let settled = self.with_manifest(self.access(inner), "compaction", |m| {
             let mut next = Manifest { sealed: Vec::new(), actives: m.actives.clone() };
             self.unregister(&mut next, &inner.active_name)?;
             // Where the two modes really differ. The single writer's
