@@ -6,11 +6,11 @@
 //! the trial store (MANIFEST + seg-*.jsonl) plus telemetry pairs:
 //! single-writer runs persist `telemetry-local.{trace.jsonl,metrics.json}`;
 //! with `--workers N` (N ≥ 1) the campaign runs as an N-worker fleet
-//! and persists one `telemetry-wK.*` pair per worker plus the derived
-//! `telemetry-fleet.*` pair — `llamatune-report --fleet <dir>` renders
-//! the merged view. Every persisted trace is validated through the
-//! schema-checking parser before the process exits, so a zero exit
-//! status certifies well-formed telemetry.
+//! and persists one `telemetry-wK.*` pair per worker and nothing else —
+//! `llamatune-report --fleet <dir>` merges them into the campaign view.
+//! Every persisted pair is validated through the schema-checking
+//! parsers before the process exits, so a zero exit status certifies
+//! well-formed telemetry.
 
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
@@ -75,7 +75,7 @@ fn run(dir: &str, workers: Option<usize>) -> Result<(), String> {
 
     let (results, tags) = match workers {
         // Fleet mode: N shared writers pull sessions from one queue;
-        // each persists its own telemetry pair next to the fleet pair.
+        // each persists its own telemetry pair.
         Some(n) => {
             let backend: Arc<dyn llamatune_store::StoreBackend> = Arc::new(
                 LocalDirBackend::create(dir).map_err(|e| format!("open store {dir}: {e}"))?,
@@ -87,9 +87,7 @@ fn run(dir: &str, workers: Option<usize>) -> Result<(), String> {
                     StoreOptions::default(),
                 ))
                 .map_err(|e| format!("campaign: {e}"))?;
-            let mut tags: Vec<String> = (0..n).map(|w| format!("w{w}")).collect();
-            tags.push("fleet".to_string());
-            (results, tags)
+            (results, (0..n).map(|w| format!("w{w}")).collect())
         }
         None => {
             let store = TrialStore::open(dir).map_err(|e| format!("open store {dir}: {e}"))?;
@@ -117,9 +115,7 @@ fn run(dir: &str, workers: Option<usize>) -> Result<(), String> {
         let trace = String::from_utf8(trace).map_err(|e| format!("trace {tag} not UTF-8: {e}"))?;
         let events =
             parse_trace_jsonl(&trace).map_err(|e| format!("trace {tag} validation: {e}"))?;
-        if *tag == "local" || *tag == "fleet" {
-            total_events = events.len();
-        }
+        total_events += events.len();
         let metrics = store
             .read_telemetry(&format!("{tag}.metrics.json"))
             .map_err(|e| format!("read metrics {tag}: {e}"))?
@@ -131,7 +127,7 @@ fn run(dir: &str, workers: Option<usize>) -> Result<(), String> {
     }
 
     println!(
-        "traced {} sessions across {} telemetry pair(s): {} campaign trace events, telemetry in {dir}",
+        "traced {} sessions across {} telemetry pair(s): {} trace events, telemetry in {dir}",
         results.len(),
         tags.len(),
         total_events

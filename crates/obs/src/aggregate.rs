@@ -5,8 +5,9 @@
 //! telemetry pair per store writer — `telemetry-<tag>.trace.jsonl` and
 //! `telemetry-<tag>.metrics.json` — holding exactly the spans, the
 //! counters and the timings (`optim.*` included) of the sessions that
-//! worker ran, plus the `store.cas_retries` of its store handle. This
-//! module rebuilds the fleet view from those pairs:
+//! worker ran, plus the `store.cas_retries` of its store handle — and
+//! nothing else: the campaign view is never stored, this module
+//! rebuilds it from those pairs on read:
 //!
 //! * [`merge_traces`] — the deterministic union of every session's span
 //!   stream, in stable `(session, seq)` order. Which worker ran which
@@ -55,15 +56,11 @@ pub struct TelemetrySet {
 
 impl TelemetrySet {
     /// Loads every `telemetry-<tag>.trace.jsonl` /
-    /// `telemetry-<tag>.metrics.json` pair from a store directory. A
+    /// `telemetry-<tag>.metrics.json` pair from a store directory, one
+    /// writer per tag (a single-writer store's `local` pair included). A
     /// tag may have either half missing (empty events / default
-    /// snapshot). The derived `fleet` pair is skipped whenever
-    /// per-writer pairs exist — its metrics *are* their sum (pinned by
-    /// `per_writer_metrics_sum_to_the_fleet_pair` in
-    /// `crates/runtime/tests/observability.rs`); a directory
-    /// holding only a `fleet` or `local` pair loads that pair as its
-    /// single writer. Errors on unreadable files, schema-invalid
-    /// telemetry, or a directory with no telemetry at all.
+    /// snapshot). Errors on unreadable files, schema-invalid telemetry,
+    /// or a directory with no telemetry at all.
     pub fn load_dir(dir: &Path) -> Result<TelemetrySet, String> {
         let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
         let mut tags: BTreeMap<String, (Option<String>, Option<String>)> = BTreeMap::new();
@@ -86,11 +83,6 @@ impl TelemetrySet {
             } else {
                 pair.1 = Some(text);
             }
-        }
-        if tags.len() > 1 {
-            // The fleet pair is the merge of the per-writer pairs;
-            // loading both would double-count.
-            tags.remove("fleet");
         }
         if tags.is_empty() {
             return Err(format!("no telemetry-* objects in {}", dir.display()));
@@ -177,23 +169,11 @@ pub fn merge_metrics(writers: &[WriterTelemetry]) -> MetricsSnapshot {
     MetricsSnapshot::merged(writers.iter().map(|w| &w.metrics))
 }
 
-/// Serializes events back to the canonical JSONL form (one
-/// [`TraceEvent::to_json`] line each) — what the fleet trace object
-/// holds on disk.
-pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&e.to_json());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use crate::trace::{RecordingTracer, Tracer};
+    use crate::trace::{events_to_jsonl, RecordingTracer, Tracer};
 
     /// Records session `s`'s canonical little stream into `t`,
     /// `complete` meaning it reached `session.end`.
@@ -273,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn load_dir_reads_per_writer_pairs_and_skips_the_derived_fleet_pair() {
+    fn load_dir_reads_every_telemetry_pair() {
         let dir = std::env::temp_dir()
             .join("llamatune_obs_aggregate")
             .join(format!("load_{}", std::process::id()));
@@ -294,23 +274,14 @@ mod tests {
             )
             .unwrap();
         }
-        let fleet = merge_traces(&[w0.clone(), w1.clone()]);
-        std::fs::write(dir.join("telemetry-fleet.trace.jsonl"), events_to_jsonl(&fleet)).unwrap();
         // Unrelated store files must be ignored.
         std::fs::write(dir.join("MANIFEST"), b"sealed seg-000001\n").unwrap();
 
         let set = TelemetrySet::load_dir(&dir).unwrap();
         let tags: Vec<&str> = set.writers.iter().map(|w| w.writer.as_str()).collect();
-        assert_eq!(tags, ["w0", "w1"], "fleet pair skipped when per-writer pairs exist");
-        assert_eq!(events_to_jsonl(&set.merged_events()), events_to_jsonl(&fleet));
-
-        // A directory with only the fleet pair loads it directly.
-        let only = dir.join("only_fleet");
-        std::fs::create_dir_all(&only).unwrap();
-        std::fs::write(only.join("telemetry-fleet.trace.jsonl"), events_to_jsonl(&fleet)).unwrap();
-        let set = TelemetrySet::load_dir(&only).unwrap();
-        assert_eq!(set.writers.len(), 1);
-        assert_eq!(set.writers[0].writer, "fleet");
+        assert_eq!(tags, ["w0", "w1"]);
+        let merged = events_to_jsonl(&merge_traces(&[w0, w1]));
+        assert_eq!(events_to_jsonl(&set.merged_events()), merged);
 
         assert!(TelemetrySet::load_dir(&dir.join("missing")).is_err());
         let empty = dir.join("empty");

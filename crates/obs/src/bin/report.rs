@@ -4,8 +4,8 @@
 //!
 //! * `llamatune-report <trace.jsonl> [metrics.json]` — one telemetry
 //!   pair: best-so-far/regret curves, fault totals, per-phase
-//!   latencies, optimizer hot-path timings, plus span-tree critical-path
-//!   analytics.
+//!   latencies, optimizer hot-path timings and each round's
+//!   virtual-clock critical path.
 //! * `llamatune-report --fleet <store-dir>` — every per-writer
 //!   telemetry pair a fleet campaign persisted: a per-worker breakdown
 //!   table, then the full report over the merged campaign view (which
@@ -18,8 +18,8 @@
 //! Exits nonzero on unreadable input or schema violations.
 
 use llamatune_obs::{
-    build_report, diff_telemetry, fmt, parse_trace_jsonl, render_analytics, render_diff,
-    render_report, MetricsSnapshot, TelemetrySet, TraceEvent,
+    build_report, diff_telemetry, fmt, parse_trace_jsonl, render_diff, render_report,
+    MetricsSnapshot, TelemetrySet,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -27,14 +27,6 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: llamatune-report <trace.jsonl> [metrics.json]\n       \
                      llamatune-report --fleet <store-dir>\n       \
                      llamatune-report diff <old-dir> <new-dir>";
-
-/// Renders the standard report plus the trace-analytics section.
-fn full_report(events: &[TraceEvent], metrics: Option<MetricsSnapshot>) -> Result<String, String> {
-    let report = build_report(events, metrics.clone())?;
-    let mut out = render_report(&report);
-    out.push_str(&render_analytics(events, metrics.as_ref()));
-    Ok(out)
-}
 
 fn run_single(trace_path: &str, metrics_path: Option<&str>) -> Result<String, String> {
     let trace_text = std::fs::read_to_string(trace_path)
@@ -52,7 +44,7 @@ fn run_single(trace_path: &str, metrics_path: Option<&str>) -> Result<String, St
         }
         None => None,
     };
-    full_report(&events, metrics)
+    Ok(render_report(&build_report(&events, metrics)?))
 }
 
 fn run_fleet(dir: &str) -> Result<String, String> {
@@ -86,9 +78,7 @@ fn run_fleet(dir: &str) -> Result<String, String> {
         })
         .collect();
     out.push_str(&fmt::table(&["writer", "sessions", "spans", "trials", "faults"], &rows));
-    let events = set.merged_events();
-    let metrics = set.merged_metrics();
-    out.push_str(&full_report(&events, Some(metrics))?);
+    out.push_str(&render_report(&build_report(&set.merged_events(), Some(set.merged_metrics()))?));
     Ok(out)
 }
 

@@ -2,48 +2,17 @@
 //! metrics snapshots, and per-round progress sinks for a running
 //! campaign.
 //!
-//! Both surfaces are *pull/push seams*, not servers: [`MetricsExporter`]
-//! renders the scrape body a `/metrics` endpoint would serve (the
-//! future tuning-as-a-service daemon binds the socket; everything below
-//! the socket is here), and [`ProgressSink`] receives one
-//! [`ProgressUpdate`] per completed round while the session loop is
-//! still running — the live counterpart of the post-hoc
-//! [`crate::report`] curves. Neither surface can perturb a run:
-//! exporters only read snapshots, and sinks receive values the fold
-//! already computed.
+//! Neither surface is a server. [`prometheus_text`] renders the scrape
+//! body a `/metrics` endpoint would serve, from any registry snapshot: a
+//! session's `CampaignResult::metrics`, or the campaign-wide registry
+//! handed in as `CampaignOptions::live_metrics`. [`ProgressSink`]
+//! receives one [`ProgressUpdate`] per completed round while the session
+//! loop is still running, the live counterpart of the post-hoc
+//! [`crate::report`] curves. Neither can perturb a run: rendering only
+//! reads a snapshot, and sinks receive values the fold already computed.
 
-use crate::json;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-
-/// Renders registry snapshots in the Prometheus text exposition format
-/// (version 0.0.4): counters as `<ns>_<name>_total`, gauges verbatim,
-/// histograms as cumulative `_bucket{le="…"}` series closed by `+Inf`
-/// plus `_sum` and `_count`. Dots in metric names become underscores.
-#[derive(Debug, Clone)]
-pub struct MetricsExporter {
-    registry: Arc<MetricsRegistry>,
-    namespace: String,
-}
-
-impl MetricsExporter {
-    /// An exporter over `registry` with the default `llamatune`
-    /// namespace prefix.
-    pub fn new(registry: Arc<MetricsRegistry>) -> MetricsExporter {
-        MetricsExporter::with_namespace(registry, "llamatune")
-    }
-
-    /// An exporter with an explicit namespace prefix (may be empty).
-    pub fn with_namespace(registry: Arc<MetricsRegistry>, namespace: &str) -> MetricsExporter {
-        MetricsExporter { registry, namespace: namespace.to_string() }
-    }
-
-    /// Renders the current registry state as one scrape body.
-    pub fn render(&self) -> String {
-        prometheus_text(&self.registry.snapshot(), &self.namespace)
-    }
-}
+use crate::metrics::MetricsSnapshot;
+use std::sync::Mutex;
 
 /// `policy.retries` → `llamatune_policy_retries`: Prometheus metric
 /// names allow `[a-zA-Z0-9_:]` only.
@@ -130,56 +99,12 @@ pub struct ProgressUpdate {
     pub virtual_ms: f64,
 }
 
-impl ProgressUpdate {
-    /// Serializes the update as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"session\":\"{}\",\"iteration\":{},\"round_size\":{},\"phase\":\"{}\",\
-             \"best_so_far\":{},\"round_best\":{},\"regret\":{},\"failures\":{},\
-             \"attempts\":{},\"virtual_ms\":{}}}",
-            json::escape(&self.session),
-            self.iteration,
-            self.round_size,
-            json::escape(&self.phase),
-            json::format_f64(self.best_so_far),
-            json::format_f64(self.round_best),
-            json::format_f64(self.regret),
-            self.failures,
-            self.attempts,
-            json::format_f64(self.virtual_ms)
-        )
-    }
-}
-
 /// Receives one update per completed round, live. Implementations must
 /// tolerate concurrent emitters (parallel sessions of one campaign
 /// share a sink) and must never panic — monitoring cannot be allowed to
 /// kill the run it monitors.
 pub trait ProgressSink: Send + Sync + std::fmt::Debug {
     fn emit(&self, update: ProgressUpdate);
-}
-
-/// Appends each update as one JSON line to a writer (a file the daemon
-/// tails, or a pipe). Write errors are swallowed: a full disk degrades
-/// monitoring, not the campaign.
-#[derive(Debug)]
-pub struct JsonlProgressSink {
-    out: Mutex<std::fs::File>,
-}
-
-impl JsonlProgressSink {
-    /// Creates (truncating) the JSONL file at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<JsonlProgressSink> {
-        Ok(JsonlProgressSink { out: Mutex::new(std::fs::File::create(path)?) })
-    }
-}
-
-impl ProgressSink for JsonlProgressSink {
-    fn emit(&self, update: ProgressUpdate) {
-        let mut out = self.out.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = writeln!(out, "{}", update.to_json());
-        let _ = out.flush();
-    }
 }
 
 /// Retains every update in memory — the test double, and the seam a
@@ -213,6 +138,7 @@ impl ProgressSink for MemoryProgressSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
 
     #[test]
     fn prometheus_text_renders_counters_gauges_and_histograms() {
@@ -237,50 +163,15 @@ mod tests {
 
     #[test]
     fn exporter_scrapes_the_live_registry() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let exporter = MetricsExporter::new(registry.clone());
-        assert_eq!(exporter.render(), "");
+        // Each scrape renders the registry as it stands, not as it stood
+        // at the first scrape.
+        let registry = MetricsRegistry::new();
+        let scrape = || prometheus_text(&registry.snapshot(), "llamatune");
+        assert_eq!(scrape(), "");
         registry.incr("cache.hits", 2);
-        assert!(exporter.render().contains("llamatune_cache_hits_total 2\n"));
+        assert!(scrape().contains("llamatune_cache_hits_total 2\n"));
         registry.incr("cache.hits", 1);
-        assert!(exporter.render().contains("llamatune_cache_hits_total 3\n"));
-    }
-
-    #[test]
-    fn progress_updates_serialize_as_jsonl() {
-        let u = ProgressUpdate {
-            session: "w/llamatune/smac/s1".to_string(),
-            iteration: 3,
-            round_size: 3,
-            phase: "optimizer".to_string(),
-            best_so_far: 42.5,
-            round_best: 40.0,
-            regret: 2.5,
-            failures: 1,
-            attempts: 4,
-            virtual_ms: 120.0,
-        };
-        let line = u.to_json();
-        assert!(line.contains("\"iteration\":3"));
-        assert!(line.contains("\"best_so_far\":42.5"));
-        assert!(line.contains("\"regret\":2.5"));
-        let doc = json::parse(&line).unwrap();
-        assert_eq!(doc.get("phase").and_then(json::JsonValue::as_str), Some("optimizer"));
-    }
-
-    #[test]
-    fn jsonl_sink_appends_one_line_per_update() {
-        let path = std::env::temp_dir()
-            .join(format!("llamatune_obs_progress_{}.jsonl", std::process::id()));
-        let sink = JsonlProgressSink::create(&path).unwrap();
-        sink.emit(ProgressUpdate { session: "a".into(), iteration: 0, ..Default::default() });
-        sink.emit(ProgressUpdate { session: "a".into(), iteration: 3, ..Default::default() });
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            json::parse(line).unwrap();
-        }
-        std::fs::remove_file(&path).unwrap();
+        assert!(scrape().contains("llamatune_cache_hits_total 3\n"));
     }
 
     #[test]

@@ -22,20 +22,20 @@
 //! * **Reporting** ([`report`], [`fmt`]) — a schema-validating trace
 //!   parser, one table renderer shared by bench output and session
 //!   reports, and the `llamatune-report` binary, which rebuilds
-//!   best-so-far and regret curves plus fault and hot-path totals from
-//!   a stored session's telemetry alone.
+//!   best-so-far and regret curves, fault and hot-path totals and each
+//!   round's virtual-clock critical path from a stored session's
+//!   telemetry alone.
 //! * **Fleet aggregation** ([`aggregate`]) — merges the per-writer
 //!   telemetry pairs a fleet campaign persists into one campaign view:
 //!   traces in stable `(session, seq)` order (byte-identical at every
 //!   worker count), metrics snapshots folded additively.
-//! * **Live exposition** ([`export`]) — [`MetricsExporter`] renders
-//!   Prometheus text-format scrape bodies from registry snapshots, and
-//!   [`ProgressSink`] receives per-round JSONL summaries while a
+//! * **Live exposition** ([`export`]) — [`prometheus_text`] renders a
+//!   registry snapshot as a Prometheus text-format scrape body, and
+//!   [`ProgressSink`] receives one summary per completed round while a
 //!   campaign runs.
-//! * **Analytics and diffing** ([`analytics`], [`diff`]) — span-tree
-//!   reconstruction, per-round virtual-clock critical paths, and
-//!   `llamatune-report diff`, which gates >2x phase-latency or
-//!   fault-count regressions between two stored telemetry sets.
+//! * **Diffing** ([`diff`]) — `llamatune-report diff`, which gates >2x
+//!   phase-latency or fault-count regressions between two stored
+//!   telemetry sets.
 //!
 //! Instrumentation is strictly out-of-band: with tracing enabled or
 //! disabled, recorded histories and checkpoints are bit-identical
@@ -44,7 +44,6 @@
 //! hot path.
 
 pub mod aggregate;
-pub mod analytics;
 pub mod diff;
 pub mod export;
 pub mod fmt;
@@ -54,12 +53,8 @@ pub mod report;
 pub mod trace;
 
 pub use aggregate::{merge_metrics, merge_traces, TelemetrySet, WriterTelemetry};
-pub use analytics::{critical_path, render_analytics, span_tree, SessionPath, SessionTree};
 pub use diff::{diff_telemetry, render_diff, Regression, TelemetryDiff};
-pub use export::{
-    prometheus_text, JsonlProgressSink, MemoryProgressSink, MetricsExporter, ProgressSink,
-    ProgressUpdate,
-};
+pub use export::{prometheus_text, MemoryProgressSink, ProgressSink, ProgressUpdate};
 pub use metrics::{HistSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{build_report, render_report, Report, SessionCurves};
 pub use trace::{

@@ -107,10 +107,10 @@ impl MetricsRegistry {
     /// A registry that *forwards* every write to `parent` as well as
     /// recording it locally. The campaign driver hands each session a
     /// forwarding registry over the shared live registry: per-session
-    /// snapshots stay scoped to their session, while a
-    /// [`crate::MetricsExporter`] scraping the parent sees the whole
-    /// campaign accumulate in real time. Snapshots never read through
-    /// to the parent.
+    /// snapshots stay scoped to their session, while a scrape of the
+    /// parent ([`crate::prometheus_text`] over its snapshot) sees the
+    /// whole campaign accumulate in real time. Snapshots never read
+    /// through to the parent.
     pub fn with_parent(parent: std::sync::Arc<MetricsRegistry>) -> MetricsRegistry {
         MetricsRegistry { parent: Some(parent), ..MetricsRegistry::default() }
     }

@@ -26,19 +26,19 @@ use std::sync::{Arc, Mutex};
 ///
 /// | span | emitted by | key fields |
 /// |---|---|---|
-/// | `session.start` | session loop | `iterations`, `n_init`, `batch`, `replayed` |
-/// | `round` | session loop | `iteration`, `size`, `phase` (`init`/`optimizer`) |
-/// | `optimizer.suggest` | session loop | `iteration`, `q` |
+/// | `session.start` | session loop | `iterations`, `n_init`, `seed`, `batch_size`, `replayed` |
+/// | `round` | session loop | `iteration`, `size`, `source` (`default`/`lhs`/`optimizer`) |
+/// | `optimizer.suggest` | session loop | `iteration`, `count` |
 /// | `trial.attempt` | executor epilogue | `iteration`, `attempt`, `virtual_ms`, `disposition` |
-/// | `trial` | session fold | `iteration`, `score`, `raw_score`?, `status`, `attempts`, `virtual_ms` |
+/// | `trial` | session fold | `iteration`, `score`, `status`, `attempts`, `virtual_ms`, `raw_score`?, `replayed`? |
 /// | `optimizer.observe` | session loop | `iteration`, `count` |
 /// | `optimizer.degraded` | session loop | `iteration`, `optimizer`, `reason` |
-/// | `cache.lookup` | executor | `iteration`, `hits`, `misses` |
-/// | `policy.quarantine` | executor | `iteration`, `committed` |
-/// | `store.append` | store | `object`, `record` (`trial`/`session`) |
+/// | `cache.lookup` | executor | `iteration`, `hits`, `misses`, `duplicates` |
+/// | `policy.quarantine` | executor | `iteration`, `committed`, `total` |
+/// | `store.append` | store | `object`, `kind` (`trial`/`session`) |
 /// | `store.rotate` | store | `sealed`, `next` |
-/// | `store.compact` | store | `segments_before`, `segments_after` |
-/// | `session.end` | session loop | `iterations_run`, `stopped_at`? |
+/// | `store.compact` | store | `segments_before`, `segments_after`, `records_before`, `records_after` |
+/// | `session.end` | session loop | `iterations_run`, `degradations`, `best`?, `stopped_at`? |
 pub const SPAN_TAXONOMY: &[&str] = &[
     "session.start",
     "round",
@@ -277,13 +277,20 @@ impl Tracer for RecordingTracer {
     }
 
     fn export_jsonl(&self) -> Option<String> {
-        let mut out = String::new();
-        for e in self.events() {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        Some(out)
+        Some(events_to_jsonl(&self.events()))
     }
+}
+
+/// Serializes events to the canonical JSONL form, one
+/// [`TraceEvent::to_json`] line each: what a stored trace holds on disk,
+/// and what [`parse_trace_jsonl`] reads back byte for byte.
+pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    for e in events {
+        out.push_str(&e.to_json());
+        out.push('\n');
+    }
+    out
 }
 
 /// Truncates a malformed payload line for an error message: long lines

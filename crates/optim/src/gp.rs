@@ -47,17 +47,11 @@ pub struct GpConfig {
     pub mle_draws: usize,
     /// EI exploration margin.
     pub xi: f64,
-    /// Extend the cached Cholesky factor incrementally (O(n²)) between
-    /// hyperparameter refits instead of refactoring from scratch (O(n³))
-    /// on every observation. Produces bit-identical results either way
-    /// (pinned by the math crate's append-vs-rebuild test); `false`
-    /// exists so the hot-path benchmark can measure the rebuild baseline.
-    pub incremental: bool,
 }
 
 impl Default for GpConfig {
     fn default() -> Self {
-        GpConfig { n_candidates: 1_500, refit_every: 5, mle_draws: 24, xi: 0.01, incremental: true }
+        GpConfig { n_candidates: 1_500, refit_every: 5, mle_draws: 24, xi: 0.01 }
     }
 }
 
@@ -516,32 +510,15 @@ impl Optimizer for GpBo {
         self.ys.push(obs.y);
         if self.needs_refit() {
             self.refit();
-        } else if self.config.incremental {
-            // Extend the cached factor in O(n²); bit-identical to the
-            // rebuild below (see `Matrix::cholesky_append_row`).
-            self.append_to_cache();
         } else {
-            // Full O(n³) rebuild with current hyperparameters — kept as
-            // the config-forced baseline for the hot-path benchmark.
-            // The refit fallback mirrors the incremental path: both
-            // detect indefiniteness at the same (bit-identical) pivot,
-            // so the two configs stay equivalent even on failure.
-            self.y_mean = llamatune_math::mean(&self.ys);
-            self.y_std = llamatune_math::std_dev(&self.ys).max(1e-6);
-            match self.build_cache(&self.hyper.clone()) {
-                Some((cache, _)) => self.cache = Some(cache),
-                None => self.refit(),
-            }
+            // Extend the cached factor in O(n²): bit-identical to
+            // refactoring from scratch (see `Matrix::cholesky_append_row`
+            // and `incremental_gp_matches_rebuild_gp_exactly`).
+            self.append_to_cache();
         }
     }
 
     fn observe_batch(&mut self, obs: Vec<Observation>) {
-        if !self.config.incremental {
-            for o in obs {
-                self.observe(o);
-            }
-            return;
-        }
         // Sequentially equivalent to observe() per item, but the weight
         // vector (and y standardization) is only refreshed once at the
         // end — replaying a stored history costs one O(n²) solve, not
@@ -698,6 +675,42 @@ mod tests {
             a.observe(Observation { x: xa.clone(), y: f(&xa), metrics: vec![] });
             b.observe(Observation { x: xb.clone(), y: f(&xb), metrics: vec![] });
         }
+    }
+
+    /// The O(n²) append between refits is a refactorization in all but
+    /// its cost: after every observe, the cached factor and weights are,
+    /// bit for bit, what `build_cache` computes from scratch over the
+    /// same points with the same hyperparameters.
+    #[test]
+    fn incremental_gp_matches_rebuild_gp_exactly() {
+        let spec = SearchSpec {
+            params: vec![
+                ParamKind::Continuous { buckets: None },
+                ParamKind::Categorical { n: 3 },
+                ParamKind::Continuous { buckets: Some(50) },
+            ],
+        };
+        let f = |x: &[f64]| x.iter().map(|v| -(v - 0.6) * (v - 0.6) + (7.0 * v).sin() * 0.05).sum();
+        let mut gp = GpBo::new(spec, GpConfig::default(), 11);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for i in 0..25 {
+            let x = gp.suggest();
+            let y = f(&x);
+            gp.observe(Observation { x, y, metrics: vec![] });
+            // The weights are solved against the current standardization.
+            assert_eq!(gp.y_mean.to_bits(), llamatune_math::mean(&gp.ys).to_bits(), "obs {i}");
+            let y_std = llamatune_math::std_dev(&gp.ys).max(1e-6);
+            assert_eq!(gp.y_std.to_bits(), y_std.to_bits(), "obs {i}");
+            let cache = gp.cache.as_ref().expect("a factorable history");
+            let (rebuilt, _) = gp.build_cache(&gp.hyper).expect("the same matrix factors");
+            for r in 0..cache.chol.rows() {
+                assert_eq!(bits(cache.chol.row(r)), bits(rebuilt.chol.row(r)), "obs {i}, row {r}");
+            }
+            assert_eq!(bits(&cache.alpha), bits(&rebuilt.alpha), "obs {i}: alpha");
+        }
+        let appends = gp.metrics.snapshot().hists["optim.gp.cholesky_append_ms"].count();
+        // Refits at n = 1 (no factor yet), 5, 10, 15, 20, 25; appends elsewhere.
+        assert_eq!(appends, 19);
     }
 
     /// A random scoring problem: a continuous-only, mixed or

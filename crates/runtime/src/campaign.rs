@@ -181,9 +181,9 @@ pub struct CampaignOptions {
     pub progress: Option<Arc<dyn ProgressSink>>,
     /// Campaign-wide live metrics registry: when set, every session's
     /// private registry forwards its writes here
-    /// ([`MetricsRegistry::with_parent`]), so a
-    /// [`llamatune_obs::MetricsExporter`] scraping this registry sees
-    /// the whole campaign accumulate in real time. Per-session
+    /// ([`MetricsRegistry::with_parent`]), so a scrape of this registry
+    /// ([`llamatune_obs::prometheus_text`] over its snapshot) sees the
+    /// whole campaign accumulate in real time. Per-session
     /// snapshots in [`CampaignResult::metrics`] stay session-scoped
     /// either way.
     pub live_metrics: Option<Arc<MetricsRegistry>>,
@@ -487,15 +487,11 @@ impl Campaign {
             (0..cells.len()).map(|_| Mutex::new(None)).collect();
         let open_failure: Mutex<Option<String>> = Mutex::new(None);
         let telemetry_failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        // What the workers wrote as their `telemetry-<tag>.metrics.json`,
-        // summed: the metrics half of the `telemetry-fleet.*` pair.
-        let fleet_metrics = Mutex::new(MetricsSnapshot::default());
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let tag = format!("w{w}");
                 let (next, results, cells) = (&next, &results, &cells);
-                let open_failure = &open_failure;
-                let (telemetry_failure, fleet_metrics) = (&telemetry_failure, &fleet_metrics);
+                let (open_failure, telemetry_failure) = (&open_failure, &telemetry_failure);
                 let backend = backend.clone();
                 let store_opts = store_opts.clone();
                 scope.spawn(move || {
@@ -509,10 +505,9 @@ impl Campaign {
                             return;
                         }
                     };
-                    // Tee this worker's spans into a private recorder:
-                    // the shared tracer keeps the campaign-wide stream
-                    // (exported as `telemetry-fleet.*`), the recorder
-                    // becomes the per-writer `telemetry-<tag>.*` pair.
+                    // Tee this worker's spans into a private recorder,
+                    // persisted as the `telemetry-<tag>.*` pair; the
+                    // caller's tracer keeps seeing the whole campaign.
                     let traced = self.opts.tracer.enabled();
                     let recorder = Arc::new(RecordingTracer::new());
                     let tracer: Arc<dyn Tracer> = if traced {
@@ -539,17 +534,14 @@ impl Campaign {
                         *lock_recover(&results[i]) = Some(res);
                     }
                     if traced {
-                        match persist_telemetry(
+                        if let Err(e) = persist_telemetry(
                             store.backend().as_ref(),
                             &tag,
                             &*recorder,
                             [&worker_metrics],
                             store.cas_retries(),
                         ) {
-                            Ok(written) => lock_recover(fleet_metrics).merge(&written),
-                            Err(e) => {
-                                lock_recover(telemetry_failure).get_or_insert(e);
-                            }
+                            lock_recover(telemetry_failure).get_or_insert(e);
                         }
                     }
                 });
@@ -573,42 +565,35 @@ impl Campaign {
                 })
             })
             .collect::<std::io::Result<_>>()?;
-        if let Some(e) = telemetry_failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(e);
+        match telemetry_failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(e) => Err(e),
+            None => Ok(results),
         }
-        if self.opts.tracer.enabled() {
-            // The campaign tracer's stream, and the sum of what the
-            // workers wrote (their handles' retries already in it).
-            let written = fleet_metrics.into_inner().unwrap_or_else(|e| e.into_inner());
-            persist_telemetry(backend.as_ref(), "fleet", &*self.opts.tracer, [&written], 0)?;
-        }
-        Ok(results)
     }
 }
 
-/// Writes one telemetry pair next to the trial segments:
+/// Writes one store writer's telemetry pair next to the trial segments:
 /// `telemetry-<tag>.trace.jsonl` (the spans `tracer` holds) and
 /// `telemetry-<tag>.metrics.json` — the sum of `snapshots` plus
 /// `cas_retries`, the `store.cas_retries` of the handle the sessions
-/// behind them wrote through —, and returns the latter. Callers write
-/// telemetry only when a live tracer is installed, so untraced runs
-/// leave backend contents byte-identical; telemetry objects never match
-/// the `seg-` pattern and never enter the manifest, so they cannot
-/// perturb recovery or checkpoint bytes either way.
+/// behind them wrote through. Callers write telemetry only when a live
+/// tracer is installed, so untraced runs leave backend contents
+/// byte-identical; telemetry objects never match the `seg-` pattern and
+/// never enter the manifest, so they cannot perturb recovery or
+/// checkpoint bytes either way.
 fn persist_telemetry<'a>(
     backend: &dyn StoreBackend,
     tag: &str,
     tracer: &dyn Tracer,
     snapshots: impl IntoIterator<Item = &'a MetricsSnapshot>,
     cas_retries: u64,
-) -> std::io::Result<MetricsSnapshot> {
+) -> std::io::Result<()> {
     if let Some(jsonl) = tracer.export_jsonl() {
         backend.put(&format!("telemetry-{tag}.trace.jsonl"), jsonl.as_bytes())?;
     }
     let mut metrics = MetricsSnapshot::merged(snapshots);
     *metrics.counters.entry("store.cas_retries".to_string()).or_insert(0) += cas_retries;
-    backend.put(&format!("telemetry-{tag}.metrics.json"), metrics.to_json().as_bytes())?;
-    Ok(metrics)
+    backend.put(&format!("telemetry-{tag}.metrics.json"), metrics.to_json().as_bytes())
 }
 
 #[cfg(test)]

@@ -79,7 +79,7 @@ pub mod driver;
 pub mod executor;
 pub mod policy;
 
-pub use batch::{BatchSuggest, OptimizerFactory, RetractionMode};
+pub use batch::{BatchSuggest, OptimizerFactory};
 pub use cache::{config_key, CacheStats, EvalCache};
 pub use campaign::{
     AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignResult, CampaignSpec,

@@ -6,10 +6,9 @@
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
 use llamatune_engine::RunOptions;
-use llamatune_obs::aggregate::events_to_jsonl;
-use llamatune_obs::trace::{parse_trace_jsonl, RecordingTracer, Tracer};
+use llamatune_obs::trace::{events_to_jsonl, parse_trace_jsonl, RecordingTracer, Tracer};
 use llamatune_obs::{
-    build_report, MemoryProgressSink, MetricsExporter, MetricsRegistry, MetricsSnapshot,
+    build_report, prometheus_text, MemoryProgressSink, MetricsRegistry, MetricsSnapshot,
     TelemetrySet,
 };
 use llamatune_runtime::{
@@ -241,44 +240,57 @@ fn optimizer_timings_belong_to_the_session_that_paid_for_them() {
     );
 }
 
-fn run_traced_fleet(workers: usize, tag: &str) -> std::path::PathBuf {
+fn run_traced_fleet(workers: usize, tag: &str) -> (std::path::PathBuf, Vec<CampaignResult>) {
     let dir = tmp_dir(tag);
     let backend: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
     let tracer = Arc::new(RecordingTracer::new());
-    Campaign::new(postgres_v9_6(), spec(), opts(2, Some(tracer)))
+    let results = Campaign::new(postgres_v9_6(), spec(), opts(2, Some(tracer)))
         .run_attached(CampaignAttachments::new().with_fleet(
             backend,
             workers,
             StoreOptions::default(),
         ))
         .unwrap();
-    dir
+    (dir, results)
 }
 
-/// Per-writer telemetry sums to the fleet's: the `telemetry-w*` metrics
-/// files of a 2-worker fleet merge to `telemetry-fleet.metrics.json` in
-/// every counter and every histogram count — the optimizer's timings
-/// and the store handles' CAS retries included —, which is what lets
-/// [`TelemetrySet::load_dir`] drop the fleet pair as derived.
+/// A traced fleet writes its telemetry once: exactly one pair per
+/// writer, no campaign-wide pair, and what those pairs load to is the
+/// sum of the sessions' own snapshots plus the store handles'
+/// `store.cas_retries`, in every counter and every histogram count —
+/// the optimizer's timings included.
 #[test]
-fn per_writer_metrics_sum_to_the_fleet_pair() {
-    let dir = run_traced_fleet(2, "fleet_sum");
-    let read = |tag: &str| {
-        let text = std::fs::read_to_string(dir.join(format!("telemetry-{tag}.metrics.json")));
-        MetricsSnapshot::from_json(&text.unwrap()).unwrap()
-    };
-    let writers = MetricsSnapshot::merged([&read("w0"), &read("w1")]);
-    let fleet = read("fleet");
+fn per_writer_telemetry_is_all_a_fleet_writes() {
+    let (dir, results) = run_traced_fleet(2, "fleet_sum");
+    let mut telemetry: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with("telemetry-"))
+        .collect();
+    telemetry.sort();
+    assert_eq!(
+        telemetry,
+        [
+            "telemetry-w0.metrics.json",
+            "telemetry-w0.trace.jsonl",
+            "telemetry-w1.metrics.json",
+            "telemetry-w1.trace.jsonl"
+        ]
+    );
+
     let loaded = TelemetrySet::load_dir(&dir).unwrap().merged_metrics();
+    let mut expected = MetricsSnapshot::merged(results.iter().map(|r| &r.metrics));
+    // Retries are counted on the handles, which only the written pairs
+    // report; no session counts any.
+    assert!(loaded.counters.contains_key("store.cas_retries"), "{:?}", loaded.counters);
+    assert!(!expected.counters.contains_key("store.cas_retries"));
+    expected.counters.insert("store.cas_retries".into(), loaded.counter("store.cas_retries"));
     let counts = |m: &MetricsSnapshot| -> BTreeMap<String, u64> {
         m.hists.iter().map(|(k, h)| (k.clone(), h.count())).collect()
     };
-    for view in [&writers, &loaded] {
-        assert_eq!(view.counters, fleet.counters);
-        assert_eq!(counts(view), counts(&fleet));
-    }
-    assert!(fleet.counters.contains_key("store.cas_retries"), "{:?}", fleet.counters);
-    assert!(fleet.hists["optim.smac.forest_fit_ms"].count() > 0);
+    assert_eq!(loaded.counters, expected.counters);
+    assert_eq!(counts(&loaded), counts(&expected));
+    assert!(loaded.hists["optim.smac.forest_fit_ms"].count() > 0);
 }
 
 /// A traced fleet persists one `telemetry-<tag>.*` pair per registered
@@ -288,8 +300,8 @@ fn per_writer_metrics_sum_to_the_fleet_pair() {
 #[test]
 fn fleet_persists_per_writer_telemetry_and_merge_is_worker_count_invariant() {
     let catalog = postgres_v9_6();
-    let dir1 = run_traced_fleet(1, "fleet_w1");
-    let dir2 = run_traced_fleet(2, "fleet_w2");
+    let (dir1, _) = run_traced_fleet(1, "fleet_w1");
+    let (dir2, _) = run_traced_fleet(2, "fleet_w2");
 
     for (dir, workers) in [(&dir1, 1usize), (&dir2, 2)] {
         for w in 0..workers {
@@ -298,8 +310,6 @@ fn fleet_persists_per_writer_telemetry_and_merge_is_worker_count_invariant() {
                 assert!(dir.join(&name).exists(), "{workers}-worker fleet missing {name}");
             }
         }
-        // The derived fleet pair rides along either way.
-        assert!(dir.join("telemetry-fleet.trace.jsonl").exists());
     }
 
     let merged = |dir: &Path| {
@@ -386,7 +396,7 @@ fn live_metrics_registry_aggregates_the_campaign_and_renders_prometheus() {
         assert!(r.metrics.counter("cache.misses") < total, "{}: snapshot not scoped", r.label);
     }
 
-    let body = MetricsExporter::new(live).render();
+    let body = prometheus_text(&live.snapshot(), "llamatune");
     assert!(body.contains("# TYPE llamatune_cache_misses_total counter\n"));
     assert!(body.contains(&format!("llamatune_cache_misses_total {total}\n")));
     assert!(body.contains("# TYPE llamatune_session_evaluate_ms histogram\n"));
