@@ -32,13 +32,29 @@
 //! trailing round, deterministically overwriting the records the crash
 //! left behind.
 //!
+//! A segment is read and parsed independently of every other, so a
+//! replay reads and parses them on all cores, one segment per unit of
+//! work (a lone segment is parsed inline). What stays serial is what
+//! carries meaning across segments: one thread applies the parsed
+//! records to the index in manifest order, so last-wins resolution is
+//! that of a front-to-back read; and the opening handle's own segment
+//! is read and repaired only at its manifest position, once every
+//! earlier segment has loaded, because a repair is a write and an open
+//! that fails on an earlier segment writes nothing. Errors surface in
+//! manifest order: the one returned is the one a front-to-back read
+//! would have met first, with the same kind and text.
+//! [`TrialStore::export_jsonl`] renders each session's lines the same
+//! way, one session per unit of work, joined in label order.
+//!
 //! [`StoreOptions::segment_records`]: crate::StoreOptions::segment_records
+//! [`TrialStore::export_jsonl`]: crate::TrialStore::export_jsonl
 
 use crate::backend::StoreBackend;
 use crate::manifest::{corrupt, Manifest};
 use crate::record::{record_from_json, record_to_json, SessionMeta, StoreRecord, StoredTrial};
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[derive(Debug, Default)]
 pub(crate) struct SessionEntry {
@@ -179,6 +195,37 @@ pub(crate) struct Replay {
     pub(crate) active_counts: BTreeMap<String, usize>,
 }
 
+/// Maps `f` over `items` on up to [`std::thread::available_parallelism`]
+/// scoped workers, never more than there are items, and returns the
+/// results in item order. The calling thread is one of the workers, and
+/// each worker takes the next unclaimed item, so uneven items balance.
+/// With one worker (one item, or one core) it runs inline.
+pub(crate) fn ordered_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Replays one manifest view: sealed segments strictly (in manifest
 /// order), then active segments leniently — the registered ones, or,
 /// when the manifest registers no fleet writers, the implicit
@@ -186,7 +233,56 @@ pub(crate) struct Replay {
 /// torn tail is repaired while it is read. Propagates
 /// [`io::ErrorKind::NotFound`] from sealed reads so the manifest loop
 /// can retry against a manifest a concurrent compaction just committed.
+///
+/// Every segment but `own` is read and parsed up front, in parallel
+/// ([`ordered_map`]); the records are then applied in manifest order,
+/// with `own` read at its place in that order, and the first error in
+/// that order is returned — the replay a front-to-back read would do.
 pub(crate) fn replay_manifest(
+    backend: &dyn StoreBackend,
+    m: &Manifest,
+    own: Option<&str>,
+) -> io::Result<Replay> {
+    let derived = m.derived_active();
+    // (name, sealed), in manifest order.
+    let segments: Vec<(&str, bool)> = m
+        .sealed
+        .iter()
+        .map(|n| (n.as_str(), true))
+        .chain(m.actives.iter().chain(&derived).map(|n| (n.as_str(), false)))
+        .collect();
+    let is_own = |&(name, sealed): &(&str, bool)| !sealed && own == Some(name);
+    let others: Vec<(&str, bool)> = segments.iter().copied().filter(|s| !is_own(s)).collect();
+    let mut parsed = ordered_map(&others, |&(name, sealed)| {
+        if sealed {
+            load_segment_strict(backend, name)
+        } else {
+            load_segment_lenient(backend, name, false)
+        }
+    })
+    .into_iter();
+
+    let mut replay = Replay { index: Index::default(), active_counts: BTreeMap::new() };
+    for segment @ (name, sealed) in segments {
+        let recs = if is_own(&segment) {
+            load_segment_lenient(backend, name, true)?
+        } else {
+            parsed.next().expect("one parse per segment")?
+        };
+        if !sealed {
+            replay.active_counts.insert(name.to_string(), recs.len());
+        }
+        for rec in recs {
+            replay.index.apply_record(rec);
+        }
+    }
+    Ok(replay)
+}
+
+/// The serial replay [`replay_manifest`] parallelises, kept as its
+/// oracle: every segment read, parsed and applied in manifest order.
+#[cfg(test)]
+pub(crate) fn reference_replay(
     backend: &dyn StoreBackend,
     m: &Manifest,
     own: Option<&str>,

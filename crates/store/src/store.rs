@@ -14,7 +14,7 @@ use crate::manifest::{
     Step,
 };
 use crate::record::{write_record, SessionMeta, StoreRecord, StoredTrial};
-use crate::segment::{load_segment_lenient, replay_manifest, Index};
+use crate::segment::{load_segment_lenient, ordered_map, replay_manifest, Index, SessionEntry};
 use llamatune::history_io::{events_to_jsonl, TrialEvent};
 use llamatune::session::PriorTrial;
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
@@ -672,10 +672,12 @@ impl TrialStore {
         out
     }
 
-    /// [`TrialStore::export_events`] rendered as JSONL.
+    /// [`TrialStore::export_events`] rendered as JSONL: each session's
+    /// lines on a worker of its own, joined in label order.
     pub fn export_jsonl(&self) -> String {
         let inner = lock_recover(&self.inner);
-        events_to_jsonl(inner.index.sessions.values().flat_map(|e| e.trials.values()))
+        let sessions: Vec<&SessionEntry> = inner.index.sessions.values().collect();
+        ordered_map(&sessions, |e| events_to_jsonl(e.trials.values())).concat()
     }
 }
 
@@ -884,6 +886,61 @@ mod tests {
         let text = std::fs::read_to_string(&seg).unwrap();
         std::fs::write(&seg, &text[..text.len() - 5]).unwrap();
         assert!(TrialStore::open(&dir).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The parent's strict-read error for `name` when its line `line`
+    /// reads `text`.
+    fn strict_error(name: &str, line: usize, text: &str) -> String {
+        let e = crate::record::record_from_json(text).unwrap_err();
+        format!("{name} line {line}: {e}")
+    }
+
+    #[test]
+    fn the_first_corrupt_sealed_segment_in_manifest_order_is_the_error() {
+        let dir = tmp_dir("sealed_first_error");
+        {
+            let store = TrialStore::open_with(&dir, StoreOptions { segment_records: 2 }).unwrap();
+            for i in 0..8 {
+                store.append_trial(&trial("s1", i, i as f64)).unwrap();
+            }
+        }
+        // Four sealed segments. The second is torn at its tail; the
+        // fourth is garbage from its first line, so it fails sooner.
+        let second = dir.join("seg-000002.jsonl");
+        let text = std::fs::read_to_string(&second).unwrap();
+        let torn = &text[..text.len() - 5];
+        std::fs::write(&second, torn).unwrap();
+        std::fs::write(dir.join("seg-000004.jsonl"), "!!! garbage\n").unwrap();
+
+        let err = TrialStore::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let line = torn.lines().nth(1).unwrap();
+        assert_eq!(err.to_string(), strict_error("seg-000002.jsonl", 2, line));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_sealed_segment_fails_the_open_before_the_own_segment_is_repaired() {
+        let dir = tmp_dir("sealed_before_own");
+        {
+            let store = TrialStore::open_with(&dir, StoreOptions { segment_records: 2 }).unwrap();
+            for i in 0..5 {
+                store.append_trial(&trial("s1", i, i as f64)).unwrap();
+            }
+        }
+        let first = dir.join("seg-000001.jsonl");
+        let text = std::fs::read_to_string(&first).unwrap();
+        std::fs::write(&first, &text[..text.len() - 5]).unwrap();
+        // The own (active) segment is torn too; a repair would truncate it.
+        let own = dir.join("seg-000003.jsonl");
+        let text = std::fs::read_to_string(&own).unwrap();
+        std::fs::write(&own, &text[..text.len() - 17]).unwrap();
+        let before = std::fs::read(&own).unwrap();
+
+        let err = TrialStore::open(&dir).unwrap_err();
+        assert!(err.to_string().starts_with("seg-000001.jsonl line 2: "), "{err}");
+        assert_eq!(std::fs::read(&own).unwrap(), before, "the own segment is left as found");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1303,5 +1360,266 @@ mod tests {
         w.append_session(&m).unwrap();
         let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
         assert_eq!(reader.session_meta("s1").unwrap().lease.as_deref(), Some("w1"));
+    }
+}
+
+/// [`replay_manifest`] against [`reference_replay`], the serial replay it
+/// parallelised, and the parallel [`TrialStore::export_jsonl`] against
+/// the serial rendering — on stores of more segments than cores, with
+/// re-run trials across segment boundaries, metadata updates in several
+/// segments, torn actives and corrupt sealed segments.
+#[cfg(test)]
+mod replay_oracle {
+    use super::*;
+    use crate::backend::{ObjectStoreBackend, ObjectStoreOptions};
+    use crate::segment::{reference_replay, Replay};
+    use crate::SessionStatus;
+    use llamatune_space::KnobValue;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    const SESSIONS: usize = 3;
+
+    /// One generated store.
+    struct Plan {
+        local: bool,
+        /// Two fleet writers (`a`, `b`) rather than one single writer.
+        fleet: bool,
+        segment_records: usize,
+        /// `(session, kind, value)` per append: a metadata update, a
+        /// re-run of a recent iteration, or the session's next trial.
+        ops: Vec<(usize, usize, u64)>,
+        /// How the own active segment is torn (0: not at all); a foreign
+        /// one is torn the next way.
+        tear: usize,
+        /// Which sealed segment gets a garbage line, if any (when odd,
+        /// the last one gets another).
+        corrupt: Option<usize>,
+    }
+
+    impl Plan {
+        fn opts(&self) -> StoreOptions {
+            StoreOptions { segment_records: self.segment_records }
+        }
+    }
+
+    fn trial(session: usize, iteration: usize, score: f64) -> StoredTrial {
+        StoredTrial {
+            session: format!("s{session}"),
+            iteration,
+            raw_score: Some(score),
+            score,
+            point: vec![score / 64.0, 0.5],
+            config: vec![KnobValue::Int(iteration as i64), KnobValue::Float(score)],
+            metrics: vec![score],
+            status: llamatune::session::TrialStatus::Ok,
+            attempts: 1,
+        }
+    }
+
+    fn meta(session: usize, value: u64) -> SessionMeta {
+        SessionMeta {
+            session: format!("s{session}"),
+            workload: "ycsb_a".to_string(),
+            adapter: "identity/s1".to_string(),
+            status: if value % 2 == 1 { SessionStatus::Done } else { SessionStatus::Running },
+            stopped_at: Some(value as usize),
+            fingerprint: vec![0.6, 0.8],
+            warm_points: vec![],
+            lease: None,
+        }
+    }
+
+    fn current(be: &dyn StoreBackend) -> Manifest {
+        with_manifest(be, Access::Reader, "oracle", |m| Ok(Step::Keep(m.clone()))).unwrap().out
+    }
+
+    /// Tears the end of `name` as a crash mid-append would: 1 drops the
+    /// final newline, 2 cuts the last line in half, 3 leaves the start
+    /// of a record no newline ends.
+    fn tear(be: &dyn StoreBackend, name: &str, how: usize) {
+        let bytes = be.get(name).unwrap().unwrap_or_default();
+        let len = bytes.len();
+        let start =
+            bytes[..len.saturating_sub(1)].iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        match how {
+            1 if len > 0 => be.truncate(name, len as u64 - 1).unwrap(),
+            2 if len > 0 => be.truncate(name, (start + (len - 1 - start) / 2) as u64).unwrap(),
+            3 => be.append(name, b"{\"kind\":\"tri").unwrap(),
+            _ => {}
+        }
+    }
+
+    /// Writes `plan` to `be`, then tears and corrupts it. Returns the
+    /// writers' active segments, the own one (writer 0's) first.
+    fn build(plan: &Plan, be: &Arc<dyn StoreBackend>) -> Vec<String> {
+        let writers: Vec<TrialStore> = if plan.fleet {
+            ["a", "b"].map(|w| TrialStore::open_shared(be.clone(), w, plan.opts()).unwrap()).into()
+        } else {
+            vec![TrialStore::open_backend(be.clone(), plan.opts()).unwrap()]
+        };
+        let writer = |s: usize| &writers[s % writers.len()];
+        let mut next = [0usize; SESSIONS];
+        for s in 0..SESSIONS {
+            writer(s).append_session(&meta(s, 0)).unwrap();
+        }
+        for (k, &(s, kind, value)) in plan.ops.iter().enumerate() {
+            let score = k as f64 + value as f64 / 8.0;
+            match kind {
+                0 => writer(s).append_session(&meta(s, value)).unwrap(),
+                1 if next[s] > 0 => {
+                    let back = 1 + value as usize % next[s].min(2);
+                    writer(s).append_trial(&trial(s, next[s] - back, score)).unwrap();
+                }
+                _ => {
+                    writer(s).append_trial(&trial(s, next[s], score)).unwrap();
+                    next[s] += 1;
+                }
+            }
+        }
+        let w0 = &writers[0];
+        let mut fresh = |score: f64| {
+            w0.append_trial(&trial(0, next[0], score)).unwrap();
+            next[0] += 1;
+            next[0] - 1
+        };
+        // More sealed segments than cores...
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        while current(&**be).sealed.len() <= cores {
+            fresh(0.5);
+        }
+        // ...a re-run whose original closes one segment and whose
+        // re-run opens the next...
+        while lock_recover(&w0.inner).active_records + 1 != plan.segment_records {
+            fresh(0.25);
+        }
+        let last = fresh(1.0);
+        w0.append_trial(&trial(0, last, 2.0)).unwrap();
+        // ...and a metadata update segments after the first.
+        w0.append_session(&meta(0, 7)).unwrap();
+        let actives: Vec<String> =
+            writers.iter().map(|w| lock_recover(&w.inner).active_name.clone()).collect();
+        drop(writers);
+
+        tear(&**be, &actives[0], plan.tear);
+        for foreign in &actives[1..] {
+            tear(&**be, foreign, (plan.tear + 1) % 4);
+        }
+        if let Some(i) = plan.corrupt {
+            // One corrupt sealed segment, or two: then the last one too.
+            let sealed = current(&**be).sealed;
+            be.append(&sealed[i % sealed.len()], b"!!! garbage\n").unwrap();
+            if i % 2 == 1 {
+                be.append(sealed.last().unwrap(), b"!!! more garbage\n").unwrap();
+            }
+        }
+        actives
+    }
+
+    /// A reader handle over `replay`'s index, to query it the public way.
+    fn view(replay: Replay) -> (BTreeMap<String, usize>, TrialStore) {
+        let be = Arc::new(ObjectStoreBackend::new(ObjectStoreOptions { eventual_list: false }));
+        let store = TrialStore::handle(be, None, true, StoreOptions::default());
+        lock_recover(&store.inner).index = replay.index;
+        (replay.active_counts, store)
+    }
+
+    fn assert_same(got: &TrialStore, want: &TrialStore) {
+        let sessions = want.sessions();
+        assert_eq!(got.sessions(), sessions);
+        for s in &sessions {
+            assert_eq!(got.trials_for(s), want.trials_for(s), "{s}");
+            assert_eq!(got.session_meta(s), want.session_meta(s), "{s}");
+        }
+        assert_eq!(got.trial_records(), want.trial_records());
+        let index = |store: &TrialStore| lock_recover(&store.inner).index.serialize_sessions();
+        assert_eq!(index(got), index(want));
+        let serial = {
+            let inner = lock_recover(&want.inner);
+            events_to_jsonl(inner.index.sessions.values().flat_map(|e| e.trials.values()))
+        };
+        assert_eq!(got.export_jsonl(), serial);
+        assert_eq!(want.export_jsonl(), serial);
+    }
+
+    /// The same replay, or the same error: kind and text.
+    fn agree(got: io::Result<Replay>, want: &io::Result<(BTreeMap<String, usize>, TrialStore)>) {
+        match (got, want) {
+            (Ok(got), Ok((want_counts, want))) => {
+                let (got_counts, got) = view(got);
+                assert_eq!(&got_counts, want_counts);
+                assert_same(&got, want);
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got.kind(), want.kind());
+                assert_eq!(got.to_string(), want.to_string());
+            }
+            (got, want) => panic!("parallel {:?}, reference {:?}", got.err(), want.as_ref().err()),
+        }
+    }
+
+    fn check(plan: &Plan, seed: u64) {
+        let mut dirs = Vec::new();
+        let copies: Vec<Arc<dyn StoreBackend>> = (0..3)
+            .map(|copy| -> Arc<dyn StoreBackend> {
+                if !plan.local {
+                    return Arc::new(ObjectStoreBackend::new(ObjectStoreOptions::default()));
+                }
+                let dir = std::env::temp_dir()
+                    .join("llamatune_store_unit")
+                    .join(format!("oracle_{seed:016x}_{copy}_{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                dirs.push(dir.clone());
+                Arc::new(LocalDirBackend::create(&dir).unwrap())
+            })
+            .collect();
+        let actives: Vec<Vec<String>> = copies.iter().map(|be| build(plan, be)).collect();
+        let [a, b, c] = [&*copies[0], &*copies[1], &*copies[2]];
+        let own = actives[0][0].as_str();
+        let m = current(a);
+        assert!(actives.iter().all(|x| *x == actives[0]) && current(b) == m && current(c) == m);
+        let torn = a.get(own).unwrap();
+
+        // A reader's replay owns nothing and repairs nothing...
+        agree(replay_manifest(b, &m, None), &reference_replay(a, &m, None).map(view));
+        // ...an owner's repairs its own segment in place...
+        let want = reference_replay(a, &m, Some(own)).map(view);
+        agree(replay_manifest(b, &m, Some(own)), &want);
+        // ...and so does a real open.
+        let opened = if plan.fleet {
+            TrialStore::open_shared(copies[2].clone(), "a", plan.opts())
+        } else {
+            TrialStore::open_backend(copies[2].clone(), plan.opts())
+        };
+        match (&opened, &want) {
+            (Ok(got), Ok((counts, want))) => {
+                assert_eq!(lock_recover(&got.inner).active_records, counts[own]);
+                assert_same(got, want);
+            }
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+            _ => panic!("open {:?}, reference {:?}", opened.err(), want.err()),
+        }
+        let repaired = a.get(own).unwrap();
+        assert_eq!(b.get(own).unwrap(), repaired);
+        assert_eq!(c.get(own).unwrap(), repaired);
+        if want.is_err() {
+            assert_eq!(repaired, torn, "a failed replay leaves the own segment as found");
+        }
+        for dir in dirs {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn parallel_replay_and_export_match_the_serial_reference(
+            (local, fleet) in (any::<bool>(), any::<bool>()),
+            (segment_records, seed) in (1usize..5, any::<u64>()),
+            ops in proptest::collection::vec((0..SESSIONS, 0usize..6, 0u64..8), 0..40),
+            (tear, corrupt) in (0usize..4, 0usize..12),
+        ) {
+            let corrupt = (corrupt < 4).then_some(corrupt);
+            check(&Plan { local, fleet, segment_records, ops, tear, corrupt }, seed);
+        }
     }
 }
