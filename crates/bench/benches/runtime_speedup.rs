@@ -148,15 +148,14 @@ fn main() {
         let t = Instant::now();
         let results = campaign.run();
         let elapsed = t.elapsed().as_secs_f64();
-        let quarantined = results[0].metrics.counter("policy.quarantine_hits");
-        let cache_cell = match results[0].cache {
-            Some(stats) => format!(
-                "{} hits / {} misses ({:.0}% hit rate)",
-                stats.hits,
-                stats.misses,
-                stats.hit_rate() * 100.0
-            ),
-            None => "-".to_string(),
+        let metrics = &results[0].metrics;
+        let quarantined = metrics.counter("policy.quarantine_hits");
+        let (hits, misses) = (metrics.counter("cache.hits"), metrics.counter("cache.misses"));
+        let cache_cell = if cache {
+            let rate = hits as f64 / (hits + misses).max(1) as f64;
+            format!("{hits} hits / {misses} misses ({:.0}% hit rate)", rate * 100.0)
+        } else {
+            "-".to_string()
         };
         rows.push(vec![
             if cache { "with cache" } else { "without cache" }.to_string(),

@@ -26,8 +26,7 @@ use llamatune::session::{SessionHistory, SessionOptions};
 use llamatune_bench::{print_header, ExpScale};
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignSpec, OptimizerKind,
-    WarmStartOptions,
+    AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind, WarmStartOptions,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::TrialStore;
@@ -102,7 +101,7 @@ fn main() {
 
         // 1. Source campaign feeds the knowledge store.
         Campaign::new(catalog.clone(), spec_for(source, optimizer), options(&scale, false))
-            .run_attached(CampaignAttachments::new().with_store(&store))
+            .resume(&store)
             .expect("source campaign");
 
         // 2. Cold target: no store, pure LHS initialization.
@@ -115,7 +114,7 @@ fn main() {
         // 3. Warm target: fingerprint-matched against the store.
         let warm =
             Campaign::new(catalog.clone(), spec_for(target, optimizer), options(&scale, true))
-                .run_attached(CampaignAttachments::new().with_store(&store))
+                .resume(&store)
                 .expect("warm campaign")
                 .remove(0);
         let transferred = store.session_meta(&warm.label).map(|m| m.warm_points.len()).unwrap_or(0);

@@ -16,9 +16,7 @@ use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
 use llamatune_engine::RunOptions;
 use llamatune_obs::trace::{parse_trace_jsonl, RecordingTracer};
-use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignSpec, OptimizerKind,
-};
+use llamatune_runtime::{AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind};
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::{LocalDirBackend, StoreOptions, TrialStore};
 use std::process::ExitCode;
@@ -81,19 +79,13 @@ fn run(dir: &str, workers: Option<usize>) -> Result<(), String> {
                 LocalDirBackend::create(dir).map_err(|e| format!("open store {dir}: {e}"))?,
             );
             let results = campaign
-                .run_attached(CampaignAttachments::new().with_fleet(
-                    backend,
-                    n,
-                    StoreOptions::default(),
-                ))
+                .run_fleet(backend, n, StoreOptions::default())
                 .map_err(|e| format!("campaign: {e}"))?;
             (results, (0..n).map(|w| format!("w{w}")).collect())
         }
         None => {
             let store = TrialStore::open(dir).map_err(|e| format!("open store {dir}: {e}"))?;
-            let results = campaign
-                .run_attached(CampaignAttachments::new().with_store(&store))
-                .map_err(|e| format!("campaign: {e}"))?;
+            let results = campaign.resume(&store).map_err(|e| format!("campaign: {e}"))?;
             (results, vec!["local".to_string()])
         }
     };

@@ -1,6 +1,7 @@
 //! Shared experiment machinery: arm runners (parallel over seeds),
 //! aggregation, and the paper's summary statistics.
 
+use llamatune::par::ordered_map;
 use llamatune::pipeline::SearchSpaceAdapter;
 use llamatune::report::{final_improvement_pct, time_to_optimal, time_to_optimal_speedup};
 use llamatune::session::{run_session, EvalResult, SessionHistory, SessionOptions};
@@ -90,12 +91,8 @@ pub fn run_tuning_arm(
         };
         run_session(adapter.as_ref(), opt, objective, &opts)
     };
-    let histories = std::thread::scope(|scope| {
-        let sessions: Vec<_> =
-            (0..scale.seeds).map(|seed| scope.spawn(move || session(seed))).collect();
-        sessions.into_iter().map(|s| s.join().expect("session thread")).collect()
-    });
-    ArmResult { histories }
+    let seeds: Vec<u64> = (0..scale.seeds).collect();
+    ArmResult { histories: ordered_map(seeds.len(), &seeds, |&seed| session(seed)) }
 }
 
 /// Mean best-so-far curve across sessions (curves may differ in length

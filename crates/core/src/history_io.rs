@@ -1,21 +1,17 @@
 //! Plain-text persistence of tuning sessions (the knowledge base of
-//! Figure 1): a tab-separated transcript that survives process restarts
-//! and feeds post-hoc analysis such as the Table 11 early-stopping study.
+//! Figure 1): the JSONL trial-event schema, a transcript that survives
+//! process restarts and feeds post-hoc analysis such as the Table 11
+//! early-stopping study.
 //!
-//! Two formats are supported:
-//!
-//! * **TSV** ([`to_tsv`] / [`curves_from_tsv`]) — one header line, then
-//!   one line per iteration with the iteration index, raw score (`crash`
-//!   for crashed runs), penalized score, and the optimizer-space point.
-//! * **JSONL trial events** ([`TrialEvent`], [`events_to_jsonl`] /
-//!   [`events_from_jsonl`]) — one self-describing JSON object per
-//!   evaluated trial, tagged with a session label so events from many
-//!   concurrent sessions can interleave in a single append-only log (the
-//!   parallel runtime's campaign transcript). [`session_curves`] regroups
-//!   a mixed log back into per-session score curves. The lines are a
-//!   closed schema read and written through `llamatune_obs::json` (the
-//!   workspace's one lexer and writer set); this module owns only the
-//!   schema, not a tokenizer.
+//! A [`TrialEvent`] ([`events_to_jsonl`] / [`events_from_jsonl`]) is one
+//! self-describing JSON object per evaluated trial, tagged with a
+//! session label so events from many concurrent sessions can interleave
+//! in a single append-only log (the trial store's `export_jsonl` writes
+//! exactly these lines, and its segment records extend them).
+//! [`session_curves`] regroups a mixed log back into per-session score
+//! curves. The lines are a closed schema read and written through
+//! `llamatune_obs::json` (the workspace's one lexer and writer set);
+//! this module owns only the schema, not a tokenizer.
 
 use crate::session::{SessionHistory, TrialStatus};
 use llamatune_obs::json::{self, Scanner};
@@ -23,68 +19,10 @@ use llamatune_space::{Config, ConfigSpace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Serializes a history (scores + optimizer points + knob configs) as TSV.
-pub fn to_tsv(space: &ConfigSpace, history: &SessionHistory) -> String {
-    let mut out = String::from("iter\traw_score\tscore\tpoint\tconfig\n");
-    for i in 0..history.scores.len() {
-        let raw = match history.raw_scores[i] {
-            Some(v) => format!("{v}"),
-            None => "crash".to_string(),
-        };
-        let point = history.points[i].iter().map(|v| format!("{v}")).collect::<Vec<_>>().join(",");
-        let config =
-            history.configs[i].values().iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",");
-        out.push_str(&format!("{i}\t{raw}\t{}\t{point}\t{config}\n", history.scores[i]));
-    }
-    debug_assert_eq!(space.len(), history.configs[0].values().len());
-    out
-}
-
-/// Restores the score curves (not the configs) from a TSV transcript —
-/// enough for every post-hoc analysis in the paper (best curves,
-/// improvements, early-stopping replay).
-pub fn curves_from_tsv(text: &str) -> Result<(Vec<f64>, Vec<Option<f64>>), String> {
-    let mut scores = Vec::new();
-    let mut raw = Vec::new();
-    for (i, line) in text.lines().enumerate().skip(1) {
-        let mut fields = line.split('\t');
-        let _iter = fields.next().ok_or_else(|| format!("line {}: empty", i + 1))?;
-        let raw_s = fields.next().ok_or_else(|| format!("line {}: missing raw", i + 1))?;
-        let score_s = fields.next().ok_or_else(|| format!("line {}: missing score", i + 1))?;
-        raw.push(if raw_s == "crash" {
-            None
-        } else {
-            Some(raw_s.parse().map_err(|e| format!("line {}: {e}", i + 1))?)
-        });
-        scores.push(score_s.parse().map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    if scores.is_empty() {
-        return Err("empty transcript".into());
-    }
-    Ok((scores, raw))
-}
-
-/// Rebuilds the best-so-far curve from penalized scores (iteration 0 is
-/// the default-config run, excluded from the tuner's best as in the
-/// paper's plots).
-pub fn best_curve_from_scores(scores: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(scores.len());
-    let mut best = f64::NEG_INFINITY;
-    for (i, &s) in scores.iter().enumerate() {
-        if i == 0 {
-            out.push(s);
-        } else {
-            best = best.max(s);
-            out.push(best);
-        }
-    }
-    out
-}
-
 /// One evaluated trial of some session, as recorded in a JSONL campaign
-/// log. Events carry everything [`curves_from_tsv`]-style post-hoc
-/// analysis needs; configurations are intentionally omitted (they are
-/// recoverable by re-decoding `point` through the session's adapter).
+/// log. Events carry everything post-hoc curve analysis needs;
+/// configurations are intentionally omitted (they are recoverable by
+/// re-decoding `point` through the session's adapter).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialEvent {
     /// Label of the session this trial belongs to (e.g.
@@ -282,10 +220,9 @@ pub fn dedup_events(events: &[TrialEvent]) -> Vec<TrialEvent> {
 }
 
 /// Regroups an interleaved event log into per-session `(scores,
-/// raw_scores)` curves, ordered by iteration index — the JSONL
-/// counterpart of [`curves_from_tsv`]. Fails on missing or duplicate
-/// iterations (a torn log); deduplicate a resumed or multi-writer log
-/// with [`dedup_events`] first.
+/// raw_scores)` curves, ordered by iteration index. Fails on missing or
+/// duplicate iterations (a torn log); deduplicate a resumed or
+/// multi-writer log with [`dedup_events`] first.
 #[allow(clippy::type_complexity)]
 pub fn session_curves(
     events: &[TrialEvent],
@@ -354,48 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn tsv_roundtrip_restores_curves() {
-        let (space, h) = tiny_history();
-        let tsv = to_tsv(&space, &h);
-        let (scores, raw) = curves_from_tsv(&tsv).unwrap();
-        assert_eq!(scores, h.scores);
-        assert_eq!(raw, h.raw_scores);
-        let rebuilt = best_curve_from_scores(&scores);
-        assert_eq!(rebuilt, h.best_curve);
-    }
-
-    #[test]
-    fn crash_markers_survive() {
-        let (space, h) = tiny_history();
-        let tsv = to_tsv(&space, &h);
-        assert!(tsv.contains("\tcrash\t"), "crash marker missing:\n{tsv}");
-        let (_, raw) = curves_from_tsv(&tsv).unwrap();
-        assert_eq!(raw.iter().filter(|r| r.is_none()).count(), 1);
-    }
-
-    #[test]
-    fn malformed_transcripts_are_rejected() {
-        assert!(curves_from_tsv("").is_err());
-        assert!(curves_from_tsv("header\n1\tnot_a_number\t2\t\t\n").is_err());
-        assert!(curves_from_tsv("header only\n").is_err());
-    }
-
-    #[test]
-    fn tsv_roundtrip_through_a_file_restores_curves() {
-        let (space, h) = tiny_history();
-        let dir = std::env::temp_dir().join("llamatune_history_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.tsv");
-        std::fs::write(&path, to_tsv(&space, &h)).unwrap();
-        let loaded = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let (scores, raw) = curves_from_tsv(&loaded).unwrap();
-        assert_eq!(scores, h.scores);
-        assert_eq!(raw, h.raw_scores);
-        assert!(raw.iter().any(|r| r.is_none()), "fixture must include a crash");
-    }
-
-    #[test]
     fn jsonl_roundtrip_restores_events_exactly() {
         let (_, h) = tiny_history();
         let events = history_to_events("ycsb_a/identity/random/s1", &h);
@@ -426,7 +321,6 @@ mod tests {
         for (scores, raw) in curves.values() {
             assert_eq!(scores, &h.scores);
             assert_eq!(raw, &h.raw_scores);
-            assert_eq!(best_curve_from_scores(scores), h.best_curve);
         }
     }
 

@@ -60,6 +60,7 @@ pub mod backoff;
 pub mod bias;
 pub mod early_stop;
 pub mod history_io;
+pub mod par;
 pub mod pipeline;
 pub mod projection;
 pub mod report;

@@ -1,7 +1,7 @@
 //! Fleet telemetry aggregation: merging per-writer traces and metrics
 //! into one campaign-wide view.
 //!
-//! A fleet campaign (`CampaignAttachments::with_fleet`) persists one
+//! A fleet campaign (`Campaign::run_fleet`) persists one
 //! telemetry pair per store writer — `telemetry-<tag>.trace.jsonl` and
 //! `telemetry-<tag>.metrics.json` — holding exactly the spans, the
 //! counters and the timings (`optim.*` included) of the sessions that

@@ -17,7 +17,7 @@ use llamatune_space::{Config, KnobValue};
 // Shared poison-recovering lock: one panicked worker must not wedge a
 // whole campaign. Defined next to the store's index, which has the same
 // requirement.
-pub(crate) use llamatune_store::lock_recover;
+use llamatune_store::lock_recover;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -16,7 +16,7 @@
 //! set up — metadata, lease, warm points, optimizer stack, replay —
 //! into a [`LiveSession`]), [`SessionDriver::report`] (one round's
 //! results folded in, every trial in the store before it returns) and
-//! [`SessionDriver::finish`] (the `Done` record, the event block, the
+//! [`SessionDriver::finish`] (the `Done` record and the
 //! [`CampaignResult`]). A caller that evaluates inline never sees it:
 //! [`SessionDriver::run_with_executor`] is the loop over the three, and
 //! [`SessionDriver::run`] that loop with the driver's own executor. The
@@ -40,10 +40,9 @@
 //! [`Campaign`]: crate::Campaign
 
 use crate::batch::BatchSuggest;
-use crate::cache::{lock_recover, EvalCache};
+use crate::cache::EvalCache;
 use crate::campaign::{AdapterKind, CampaignOptions, CampaignResult};
 use crate::executor::WorkloadExecutor;
-use llamatune::history_io::{events_to_jsonl, history_to_events, TrialEvent};
 use llamatune::pipeline::SearchSpaceAdapter;
 use llamatune::session::{
     replay_cutoff, EvalResult, Session, SessionHistory, SessionOptions, Trial, TrialExecutor,
@@ -60,7 +59,7 @@ use llamatune_workloads::{
     workload_by_name, workload_fingerprint, FaultyRunner, TrialRunner, WorkloadRunner,
     FINGERPRINT_PROBE_SEED,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One cell of a campaign grid: the full identity of a tuning session.
 /// The label (`workload/adapter/optimizer/s<seed>`) is the session's
@@ -90,44 +89,6 @@ impl CellSpec {
         let workload = workload.into();
         let label = format!("{workload}/{}/{}/s{seed}", adapter.label(), optimizer.label());
         CellSpec { label, workload, adapter, optimizer, seed }
-    }
-}
-
-/// Receives each finished session's per-trial JSONL event block.
-/// Implementations must tolerate concurrent appends (sessions finish on
-/// different lanes); blocks arrive whole, so events of concurrent
-/// sessions interleave at session granularity only.
-pub trait EventSink: Sync {
-    /// Appends one session's JSONL block (newline-terminated).
-    fn append(&self, chunk: &str);
-}
-
-/// Shared append-and-flush handle over a caller's log writer; the first
-/// write error is kept and surfaced after the campaign finishes.
-pub(crate) struct LogSink<'a> {
-    pub(crate) sink: Mutex<&'a mut (dyn std::io::Write + Send)>,
-    pub(crate) error: Mutex<Option<std::io::Error>>,
-}
-
-impl<'a> LogSink<'a> {
-    pub(crate) fn new(sink: &'a mut (dyn std::io::Write + Send)) -> Self {
-        LogSink { sink: Mutex::new(sink), error: Mutex::new(None) }
-    }
-
-    pub(crate) fn take_error(self) -> Option<std::io::Error> {
-        self.error.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl EventSink for LogSink<'_> {
-    fn append(&self, chunk: &str) {
-        // Poison-recovering locks: a panicked session thread must not
-        // silence every other session's log appends.
-        let mut sink = lock_recover(&self.sink);
-        let outcome = sink.write_all(chunk.as_bytes()).and_then(|()| sink.flush());
-        if let Err(e) = outcome {
-            lock_recover(&self.error).get_or_insert(e);
-        }
     }
 }
 
@@ -163,7 +124,7 @@ pub enum Opened {
 
 /// Drives one tuning session to completion. Construct with
 /// [`SessionDriver::new`], compose attachments (`with_store`,
-/// `with_events`, `with_tracer`), then call [`SessionDriver::run`] (the
+/// `with_tracer`), then call [`SessionDriver::run`] (the
 /// driver owns evaluation: a local [`WorkloadExecutor`] with cache,
 /// policy, and fault wiring) or [`SessionDriver::run_with_executor`]
 /// (the caller owns evaluation) — or step the session yourself through
@@ -174,14 +135,13 @@ pub struct SessionDriver<'a> {
     opts: &'a CampaignOptions,
     cell: CellSpec,
     store: Option<&'a TrialStore>,
-    events: Option<&'a dyn EventSink>,
     tracer: Option<Arc<dyn Tracer>>,
 }
 
 impl<'a> SessionDriver<'a> {
     /// A driver for one session of `catalog`, with no attachments.
     pub fn new(catalog: &'a ConfigSpace, opts: &'a CampaignOptions, cell: CellSpec) -> Self {
-        SessionDriver { catalog, opts, cell, store: None, events: None, tracer: None }
+        SessionDriver { catalog, opts, cell, store: None, tracer: None }
     }
 
     /// Attaches a persistent store: every completed trial is flushed
@@ -193,13 +153,6 @@ impl<'a> SessionDriver<'a> {
     /// set) and fleet lease takeover for shared stores.
     pub fn with_store(mut self, store: &'a TrialStore) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Attaches an event sink receiving the session's per-trial JSONL
-    /// block when it finishes.
-    pub fn with_events(mut self, events: &'a dyn EventSink) -> Self {
-        self.events = Some(events);
         self
     }
 
@@ -265,15 +218,15 @@ impl<'a> SessionDriver<'a> {
             self.tracer(),
             self.cell.label.clone(),
         );
-        let cache = self.opts.cache.then(|| Arc::new(EvalCache::new()));
-        if let Some(c) = &cache {
+        if self.opts.cache {
+            let cache = Arc::new(EvalCache::new());
             // The persistent half of the evaluation cache: every trial
             // already recorded for this session is a measurement already
             // paid for — a resumed partial round replays from here
             // instead of re-running the DBMS. (Failed trials are refused
             // by the cache; the quarantine preload covers them.)
             for t in self.store.map(|s| s.trials_for(&self.cell.label)).unwrap_or_default() {
-                c.insert(
+                cache.insert(
                     &Config::new(t.config.clone()),
                     EvalResult {
                         score: t.raw_score,
@@ -284,12 +237,10 @@ impl<'a> SessionDriver<'a> {
                     },
                 );
             }
-            executor = executor.with_cache(c.clone());
+            executor = executor.with_cache(cache);
         }
         executor.preload_quarantine(self.quarantine_preload().iter());
-        let mut result = self.drive(live, &mut executor)?;
-        result.cache = cache.map(|c| c.stats());
-        Ok(result)
+        self.drive(live, &mut executor)
     }
 
     /// Runs the session through a caller-owned executor. All store
@@ -330,7 +281,6 @@ impl<'a> SessionDriver<'a> {
             optimizer: self.cell.optimizer.label().to_string(),
             seed: self.cell.seed,
             history,
-            cache: None,
             metrics,
         }
     }
@@ -479,7 +429,7 @@ impl<'a> SessionDriver<'a> {
     }
 
     /// Finishes a session that has no round left: the store's `Done`
-    /// record (lease released), the event block, the result.
+    /// record (lease released), the result.
     pub fn finish(&self, live: LiveSession) -> std::io::Result<CampaignResult> {
         let history = live.session.finish();
         if let (Some(store), Some(meta)) = (self.store, live.meta) {
@@ -489,10 +439,6 @@ impl<'a> SessionDriver<'a> {
                 lease: None, // released on completion
                 ..meta
             })?;
-        }
-        if let Some(events) = self.events {
-            let evs: Vec<TrialEvent> = history_to_events(&self.cell.label, &history);
-            events.append(&events_to_jsonl(&evs));
         }
         Ok(self.result(history, live.metrics.snapshot()))
     }

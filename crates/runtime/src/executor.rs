@@ -1,11 +1,12 @@
 //! The parallel trial executor.
 //!
-//! [`WorkloadExecutor`] implements [`TrialExecutor`] by splitting a batch
-//! into contiguous chunks, one per worker, and evaluating the chunks on
-//! scoped threads. Results land in positional slots, so the returned
-//! vector is aligned with the input batch no matter which worker finishes
-//! first — the property `run_session_parallel` relies on for
-//! worker-count-independent histories.
+//! [`WorkloadExecutor`] implements [`TrialExecutor`] by mapping a batch
+//! over `workers` threads with [`llamatune::par::ordered_map`]: the
+//! calling thread is one of them, each takes the next unevaluated trial,
+//! and a batch of one (or one worker) runs inline. Results come back in
+//! batch order no matter which worker finishes first — the property
+//! `run_session_parallel` relies on for worker-count-independent
+//! histories.
 //!
 //! Trials run against a shared [`TrialRunner`] (a plain [`WorkloadRunner`], or a
 //! fault-injecting wrapper around one) under an [`ExecutionPolicy`] —
@@ -17,6 +18,7 @@
 
 use crate::cache::{config_key, EvalCache};
 use crate::policy::{run_trial_policy, ExecutionPolicy, TrialOutcome};
+use llamatune::par::ordered_map;
 use llamatune::session::{EvalResult, Trial, TrialExecutor, TrialStatus};
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
 use llamatune_obs::MetricsRegistry;
@@ -24,38 +26,6 @@ use llamatune_space::{Config, ConfigSpace};
 use llamatune_workloads::{config_fingerprint, TrialRunner, WorkloadRunner};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-
-/// Evaluates `jobs` across `slots.len()`-aligned chunks, one worker per
-/// chunk, calling `eval(worker_index, job_index, config)`.
-fn eval_chunked<T, F>(workers: usize, jobs: &[&Config], eval: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize, &Config) -> T + Sync,
-{
-    let n = jobs.len();
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        for (i, cfg) in jobs.iter().enumerate() {
-            out[i] = Some(eval(0, i, cfg));
-        }
-    } else {
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (w, slots) in out.chunks_mut(chunk).enumerate() {
-                let eval = &eval;
-                let base = w * chunk;
-                let jobs = &jobs[base..base + slots.len()];
-                scope.spawn(move || {
-                    for (off, (slot, cfg)) in slots.iter_mut().zip(jobs).enumerate() {
-                        *slot = Some(eval(w, base + off, cfg));
-                    }
-                });
-            }
-        });
-    }
-    out.into_iter().map(|r| r.expect("every slot evaluated")).collect()
-}
 
 /// What one batch resolved against the cache — counted locally (not by
 /// delta against the shared [`CacheStats`], which other sessions may be
@@ -235,7 +205,7 @@ impl WorkloadExecutor {
         let (space, seed, policy) = (&self.space, self.eval_seed, &self.policy);
         let metrics = &*self.metrics;
         let runner = &*self.runner;
-        let mut outs: Vec<TrialOutcome> = eval_chunked(self.workers, configs, |_, _, cfg| {
+        let mut outs: Vec<TrialOutcome> = ordered_map(self.workers, configs, |cfg| {
             run_trial_policy(
                 runner,
                 space,
@@ -390,30 +360,6 @@ mod tests {
         Trial { iteration: 0, config: cfg }
     }
 
-    fn score_of(space: &ConfigSpace) -> impl Fn(&Config) -> EvalResult + Sync + '_ {
-        let idx = space.index_of("shared_buffers").unwrap();
-        move |cfg: &Config| EvalResult {
-            score: Some(cfg.values()[idx].as_float()),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn results_are_positionally_aligned_at_any_worker_count() {
-        let space = postgres_v9_6();
-        let trials: Vec<Trial> = (1..=17).map(|i| trial(&space, i * 1000)).collect();
-        let expected: Vec<f64> = (1..=17).map(|i| (i * 1000) as f64).collect();
-        let configs: Vec<&Config> = trials.iter().map(|t| &t.config).collect();
-        let score = score_of(&space);
-        for workers in [1, 2, 3, 8, 32] {
-            let scores: Vec<f64> = eval_chunked(workers, &configs, |_, _, cfg| score(cfg))
-                .into_iter()
-                .map(|r| r.score.unwrap())
-                .collect();
-            assert_eq!(scores, expected, "workers = {workers}");
-        }
-    }
-
     #[test]
     fn cache_short_circuits_repeats_and_batch_duplicates() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -427,7 +373,7 @@ mod tests {
         let cache = EvalCache::new();
         let run_batch = |batch: &[Trial]| {
             let eval_all =
-                |_: &[usize], configs: &[&Config]| eval_chunked(2, configs, |_, _, cfg| eval(cfg));
+                |_: &[usize], configs: &[&Config]| ordered_map(2, configs, |cfg| eval(cfg));
             run_batch_cached(&cache, batch, eval_all).0
         };
         // Batch with an internal duplicate: 3 trials, 2 distinct configs.

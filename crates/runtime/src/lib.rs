@@ -5,8 +5,8 @@
 //! that leaves every core but one idle during the expensive part — the
 //! benchmark run. This crate turns the loop into a campaign engine:
 //!
-//! * [`WorkloadExecutor`] — the `TrialExecutor` that spreads a batch of
-//!   decoded configurations over scoped worker threads sharing one
+//! * [`WorkloadExecutor`] — the `TrialExecutor` that maps a batch of
+//!   decoded configurations over worker threads sharing one
 //!   [`WorkloadRunner`] (cheap: runners are Arc-backed). Results return
 //!   in batch order, so histories are worker-count independent.
 //! * [`BatchSuggest`] — extracts q > 1 *diverse* suggestions per round
@@ -43,21 +43,19 @@
 //!   keeps the [`LiveSession`] in between. One driver under all of
 //!   them is what makes their histories comparable byte for byte.
 //! * [`Campaign`] — fans a (workload × adapter × optimizer × seed) grid
-//!   across the pool and yields the same [`SessionHistory`] per session
-//!   that the sequential path produces. `Campaign::run_attached` is the
-//!   single entry point; [`CampaignAttachments`] selects what the run
-//!   persists: `with_log` appends per-trial events to a JSONL sink
-//!   (flushed as each session completes, so partial campaigns keep
-//!   their transcript), `with_store` checkpoints every trial into a
-//!   persistent `llamatune_store::TrialStore` (crash-survivable —
-//!   `Campaign::resume` continues bit-identically from the last
-//!   recorded round boundary — and warm-startable from
-//!   fingerprint-similar past campaigns), and `with_fleet` scales the
-//!   same contract to N workers registered as shared writers on one
-//!   store backend (local directory or S3-style object store —
-//!   `llamatune_store::backend`), leasing sessions and appending into
-//!   one common knowledge base; killing any worker and re-running
-//!   converges to the identical exported history.
+//!   over threads and yields the same [`SessionHistory`] per session
+//!   that the sequential path produces. It has three entry points, one
+//!   per persistence mode: `run` keeps everything in memory; `resume`
+//!   checkpoints every trial into a persistent
+//!   `llamatune_store::TrialStore` (crash-survivable — a second
+//!   `resume` continues bit-identically from the last recorded round
+//!   boundary — and warm-startable from fingerprint-similar past
+//!   campaigns); and `run_fleet` scales the same contract to N workers
+//!   registered as shared writers on one store backend (local directory
+//!   or S3-style object store — `llamatune_store::backend`), leasing
+//!   sessions and appending into one common knowledge base; killing any
+//!   worker and re-running converges to the identical exported history.
+//!   A campaign's transcript is the store's `export_jsonl`.
 //!
 //! [`WorkloadRunner`]: llamatune_workloads::WorkloadRunner
 //! [`Optimizer`]: llamatune_optim::Optimizer
@@ -82,9 +80,9 @@ pub mod policy;
 pub use batch::{BatchSuggest, OptimizerFactory};
 pub use cache::{config_key, CacheStats, EvalCache};
 pub use campaign::{
-    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignResult, CampaignSpec,
-    OptimizerKind, WarmStartOptions,
+    AdapterKind, Campaign, CampaignOptions, CampaignResult, CampaignSpec, OptimizerKind,
+    WarmStartOptions,
 };
-pub use driver::{CellSpec, EventSink, LiveSession, Opened, SessionDriver};
+pub use driver::{CellSpec, LiveSession, Opened, SessionDriver};
 pub use executor::WorkloadExecutor;
 pub use policy::ExecutionPolicy;

@@ -87,7 +87,8 @@ fn bucketized_session_reports_cache_hits() {
         ..Default::default()
     };
     let results = Campaign::new(postgres_v9_6(), spec, opts).run();
-    let stats = results[0].cache.expect("campaign ran with a cache");
+    let (hits, misses) =
+        (results[0].metrics.counter("cache.hits"), results[0].metrics.counter("cache.misses"));
     // Repeated *successful* configs are answered by the cache; repeated
     // *failed* configs by the quarantine (the cache refuses retryable
     // results). Either way, a repeat must not re-run the benchmark.
@@ -98,9 +99,9 @@ fn bucketized_session_reports_cache_hits() {
         .filter(|s| **s == llamatune::session::TrialStatus::Quarantined)
         .count();
     assert!(
-        stats.hits as usize + quarantined > 0,
+        hits as usize + quarantined > 0,
         "bucket_count = Some(16) over 40 iterations must repeat configs: \
-         {stats:?}, {quarantined} quarantined"
+         {hits} hits, {misses} misses, {quarantined} quarantined"
     );
-    assert!(stats.misses > 0, "first sighting of each config is a miss");
+    assert!(misses > 0, "first sighting of each config is a miss");
 }

@@ -12,8 +12,7 @@ use llamatune_obs::{
     TelemetrySet,
 };
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignResult, CampaignSpec,
-    OptimizerKind,
+    AdapterKind, Campaign, CampaignOptions, CampaignResult, CampaignSpec, OptimizerKind,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::{LocalDirBackend, StoreBackend, StoreOptions, TrialStore};
@@ -245,11 +244,7 @@ fn run_traced_fleet(workers: usize, tag: &str) -> (std::path::PathBuf, Vec<Campa
     let backend: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
     let tracer = Arc::new(RecordingTracer::new());
     let results = Campaign::new(postgres_v9_6(), spec(), opts(2, Some(tracer)))
-        .run_attached(CampaignAttachments::new().with_fleet(
-            backend,
-            workers,
-            StoreOptions::default(),
-        ))
+        .run_fleet(backend, workers, StoreOptions::default())
         .unwrap();
     (dir, results)
 }

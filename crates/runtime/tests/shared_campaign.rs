@@ -1,5 +1,5 @@
 //! Fleet campaigns: N workers sharing one knowledge base through
-//! `CampaignAttachments::with_fleet`.
+//! `Campaign::run_fleet`.
 //!
 //! The acceptance bar (mirroring the single-store checkpoint suite):
 //! a 4-worker fleet writing into one object-store backend produces the
@@ -13,8 +13,7 @@ use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignSpec, OptimizerKind,
-    WarmStartOptions,
+    AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind, WarmStartOptions,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::{
@@ -30,10 +29,6 @@ fn object_backend() -> Arc<dyn StoreBackend> {
 fn fleet_store_opts() -> StoreOptions {
     // Tiny segments so every session crosses several CAS rotations.
     StoreOptions { segment_records: 5 }
-}
-
-fn fleet(backend: Arc<dyn StoreBackend>, workers: usize) -> CampaignAttachments<'static> {
-    CampaignAttachments::new().with_fleet(backend, workers, fleet_store_opts())
 }
 
 fn campaign() -> Campaign {
@@ -67,7 +62,7 @@ fn four_worker_fleet_matches_the_single_store_run_and_resumes_for_free() {
 
     // 4 workers, one backend, 4 sessions pulled from a shared queue.
     let be = object_backend();
-    let results = campaign.run_attached(fleet(be.clone(), 4)).unwrap();
+    let results = campaign.run_fleet(be.clone(), 4, fleet_store_opts()).unwrap();
     assert_eq!(results.len(), 4);
     for (a, b) in truth.iter().zip(&results) {
         assert_eq!(a.label, b.label);
@@ -89,7 +84,7 @@ fn four_worker_fleet_matches_the_single_store_run_and_resumes_for_free() {
 
     // Re-running the finished fleet re-evaluates nothing.
     let records_before = reader.trial_records();
-    let resumed = campaign.run_attached(fleet(be.clone(), 2)).unwrap();
+    let resumed = campaign.run_fleet(be.clone(), 2, fleet_store_opts()).unwrap();
     let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
     assert_eq!(reader.trial_records(), records_before, "no re-evaluation on fleet resume");
     for (a, b) in truth.iter().zip(&resumed) {
@@ -105,7 +100,7 @@ fn killing_any_worker_mid_round_resumes_byte_identically() {
     // Fleet ground truth (fleet runs are deterministic per cell, so a
     // clean fleet's export is the reference for every kill scenario).
     let clean_be = object_backend();
-    campaign.run_attached(fleet(clean_be.clone(), 4)).unwrap();
+    campaign.run_fleet(clean_be.clone(), 4, fleet_store_opts()).unwrap();
     let truth_export =
         TrialStore::open_reader(clean_be, StoreOptions::default()).unwrap().export_jsonl();
 
@@ -125,7 +120,7 @@ fn killing_any_worker_mid_round_resumes_byte_identically() {
             inner.clone(),
             FaultPlan::FailAppendsMatching { needle: victim.to_string(), allow: 5 },
         ));
-        let err = campaign.run_attached(fleet(failing, 4)).unwrap_err();
+        let err = campaign.run_fleet(failing, 4, fleet_store_opts()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe, "kill {victim}: {err}");
 
         // The victim's session is stranded mid-round, still leased...
@@ -140,7 +135,7 @@ fn killing_any_worker_mid_round_resumes_byte_identically() {
 
         // ...and a fresh fleet (different worker count) takes it over
         // and converges to the identical exported history.
-        campaign.run_attached(fleet(inner.clone(), 2)).unwrap();
+        campaign.run_fleet(inner.clone(), 2, fleet_store_opts()).unwrap();
         let reader = TrialStore::open_reader(inner, StoreOptions::default()).unwrap();
         assert_eq!(reader.export_jsonl(), truth_export, "kill {victim}: resume diverged");
         let meta = reader.session_meta(victim).unwrap();
@@ -170,7 +165,7 @@ fn fleet_warm_start_reads_the_merged_view_of_past_fleets() {
     };
     let be = object_backend();
     Campaign::new(catalog.clone(), source, base_opts.clone())
-        .run_attached(fleet(be.clone(), 2))
+        .run_fleet(be.clone(), 2, fleet_store_opts())
         .unwrap();
 
     // Phase 2: a later fleet tunes a fingerprint-adjacent workload with
@@ -186,7 +181,8 @@ fn fleet_warm_start_reads_the_merged_view_of_past_fleets() {
         warm_start: Some(WarmStartOptions { k: 2, max_distance: 1.9 }),
         ..base_opts
     };
-    let results = Campaign::new(catalog, target, opts).run_attached(fleet(be.clone(), 2)).unwrap();
+    let results =
+        Campaign::new(catalog, target, opts).run_fleet(be.clone(), 2, fleet_store_opts()).unwrap();
     let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
     let meta = reader.session_meta(&results[0].label).unwrap();
     assert!(!meta.warm_points.is_empty(), "transfer found the first fleet's session");
@@ -195,4 +191,14 @@ fn fleet_warm_start_reads_the_merged_view_of_past_fleets() {
         reader.top_points("ycsb_a/llamatune/smac/s7", 2),
         "warm points come from the matched source session (same adapter identity and seed)"
     );
+}
+
+#[test]
+fn a_fleet_whose_workers_cannot_open_the_store_runs_nothing_and_says_why() {
+    // Every mutation fails, so no worker can register as a writer.
+    let dead: Arc<dyn StoreBackend> =
+        Arc::new(FailingBackend::new(object_backend(), FaultPlan::KillAtByte(0)));
+    let err = campaign().run_fleet(dead, 2, fleet_store_opts()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe, "{err}");
+    assert!(err.to_string().starts_with("fleet worker w"), "the error names the worker: {err}");
 }

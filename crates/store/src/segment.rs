@@ -54,7 +54,6 @@ use crate::manifest::{corrupt, Manifest};
 use crate::record::{record_from_json, record_to_json, SessionMeta, StoreRecord, StoredTrial};
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[derive(Debug, Default)]
 pub(crate) struct SessionEntry {
@@ -195,35 +194,11 @@ pub(crate) struct Replay {
     pub(crate) active_counts: BTreeMap<String, usize>,
 }
 
-/// Maps `f` over `items` on up to [`std::thread::available_parallelism`]
-/// scoped workers, never more than there are items, and returns the
-/// results in item order. The calling thread is one of the workers, and
-/// each worker takes the next unclaimed item, so uneven items balance.
-/// With one worker (one item, or one core) it runs inline.
-pub(crate) fn ordered_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { return done };
-            done.push((i, f(item)));
-        }
-    };
-    let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for helper in helpers {
-            done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
+/// [`llamatune::par::ordered_map`] at [`std::thread::available_parallelism`]
+/// width: inline on one core or for one item.
+pub(crate) fn on_every_core<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    llamatune::par::ordered_map(cores, items, f)
 }
 
 /// Replays one manifest view: sealed segments strictly (in manifest
@@ -235,7 +210,7 @@ pub(crate) fn ordered_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + S
 /// can retry against a manifest a concurrent compaction just committed.
 ///
 /// Every segment but `own` is read and parsed up front, in parallel
-/// ([`ordered_map`]); the records are then applied in manifest order,
+/// ([`on_every_core`]); the records are then applied in manifest order,
 /// with `own` read at its place in that order, and the first error in
 /// that order is returned — the replay a front-to-back read would do.
 pub(crate) fn replay_manifest(
@@ -253,7 +228,7 @@ pub(crate) fn replay_manifest(
         .collect();
     let is_own = |&(name, sealed): &(&str, bool)| !sealed && own == Some(name);
     let others: Vec<(&str, bool)> = segments.iter().copied().filter(|s| !is_own(s)).collect();
-    let mut parsed = ordered_map(&others, |&(name, sealed)| {
+    let mut parsed = on_every_core(&others, |&(name, sealed)| {
         if sealed {
             load_segment_strict(backend, name)
         } else {

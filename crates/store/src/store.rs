@@ -14,7 +14,7 @@ use crate::manifest::{
     Step,
 };
 use crate::record::{write_record, SessionMeta, StoreRecord, StoredTrial};
-use crate::segment::{load_segment_lenient, ordered_map, replay_manifest, Index, SessionEntry};
+use crate::segment::{load_segment_lenient, on_every_core, replay_manifest, Index, SessionEntry};
 use llamatune::history_io::{events_to_jsonl, TrialEvent};
 use llamatune::session::PriorTrial;
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
@@ -677,7 +677,7 @@ impl TrialStore {
     pub fn export_jsonl(&self) -> String {
         let inner = lock_recover(&self.inner);
         let sessions: Vec<&SessionEntry> = inner.index.sessions.values().collect();
-        ordered_map(&sessions, |e| events_to_jsonl(e.trials.values())).concat()
+        on_every_core(&sessions, |e| events_to_jsonl(e.trials.values())).concat()
     }
 }
 

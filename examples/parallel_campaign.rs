@@ -1,17 +1,18 @@
-//! Runs a small parallel tuning campaign — two workloads, LlamaTune vs
-//! the identity baseline, SMAC, two seeds — with batched constant-liar
-//! suggestions, per-worker runners, and a deduplicating evaluation
-//! cache, then prints the best score per session, the cache statistics,
-//! and where the JSONL trial log went.
+//! Runs a small parallel tuning campaign in memory (`Campaign::run`) —
+//! two workloads, LlamaTune vs the identity baseline, SMAC, two seeds —
+//! with batched constant-liar suggestions, a worker pool per batch, and
+//! a deduplicating evaluation cache, then prints the best score and the
+//! cache counters per session, and writes the sessions' JSONL trial
+//! events (the schema the trial store exports) to a file.
 //!
 //!     cargo run --release --example parallel_campaign
 
-use llamatune::history_io::{events_from_jsonl, session_curves};
+use llamatune::history_io::{
+    events_from_jsonl, events_to_jsonl, history_to_events, session_curves,
+};
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
-use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignSpec, OptimizerKind,
-};
+use llamatune_runtime::{AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind};
 use llamatune_space::catalog::postgres_v9_6;
 use std::time::Instant;
 
@@ -38,19 +39,15 @@ fn main() {
     );
 
     let campaign = Campaign::new(postgres_v9_6(), spec, opts);
-    let log_path = std::env::temp_dir().join("llamatune_parallel_campaign.jsonl");
-    let mut log = Vec::new();
     let t = Instant::now();
-    let results = campaign
-        .run_attached(CampaignAttachments::new().with_log(&mut log))
-        .expect("in-memory log");
+    let results = campaign.run();
     let elapsed = t.elapsed();
-    std::fs::write(&log_path, &log).expect("write JSONL log");
 
     println!("{:<28} {:>12} {:>12} {:>16}", "session", "default", "best", "cache hits/miss");
+    let mut log = String::new();
     for r in &results {
         let cache =
-            r.cache.map(|c| format!("{}/{}", c.hits, c.misses)).unwrap_or_else(|| "-".to_string());
+            format!("{}/{}", r.metrics.counter("cache.hits"), r.metrics.counter("cache.misses"));
         println!(
             "{:<28} {:>12.1} {:>12.1} {:>16}",
             r.label,
@@ -58,10 +55,13 @@ fn main() {
             r.history.best_score().unwrap_or(f64::NAN),
             cache
         );
+        log.push_str(&events_to_jsonl(&history_to_events(&r.label, &r.history)));
     }
+    let log_path = std::env::temp_dir().join("llamatune_parallel_campaign.jsonl");
+    std::fs::write(&log_path, &log).expect("write JSONL log");
 
     // The JSONL log replays into the same curves the results carry.
-    let events = events_from_jsonl(std::str::from_utf8(&log).unwrap()).expect("parse log");
+    let events = events_from_jsonl(&log).expect("parse log");
     let curves = session_curves(&events).expect("regroup");
     assert_eq!(curves.len(), results.len());
     println!(

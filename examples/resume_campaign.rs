@@ -11,8 +11,7 @@
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignAttachments, CampaignOptions, CampaignSpec, OptimizerKind,
-    WarmStartOptions,
+    AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind, WarmStartOptions,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_store::TrialStore;
@@ -39,8 +38,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&truth_dir);
     let store = TrialStore::open(&truth_dir).expect("open store");
     let t = Instant::now();
-    let results =
-        campaign.run_attached(CampaignAttachments::new().with_store(&store)).expect("campaign");
+    let results = campaign.resume(&store).expect("campaign");
     println!(
         "uninterrupted: {} trials checkpointed in {:.1}s, best = {:.1}",
         store.trial_count(),
@@ -91,9 +89,7 @@ fn main() {
         seeds: vec![0],
     };
     let warm_opts = CampaignOptions { warm_start: Some(WarmStartOptions::default()), ..opts };
-    let warm = Campaign::new(catalog, target, warm_opts)
-        .run_attached(CampaignAttachments::new().with_store(&recovered))
-        .expect("warm campaign");
+    let warm = Campaign::new(catalog, target, warm_opts).resume(&recovered).expect("warm campaign");
     let meta = recovered.session_meta(&warm[0].label).expect("meta");
     println!(
         "warm start: ycsb_a seeded with {} configs from the stored ycsb_b campaign, \
