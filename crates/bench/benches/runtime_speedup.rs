@@ -1,7 +1,6 @@
 //! Runtime speedup: wall-clock of a multi-workload tuning campaign under
 //! the parallel trial-execution runtime at 1/2/4/8 workers, against the
-//! strictly sequential session loop, plus the evaluation-cache ablation
-//! on a coarsely bucketized session.
+//! strictly sequential session loop.
 //!
 //! Scores are identical at every worker count (see the runtime crate's
 //! determinism test); only wall-clock changes. Speedup saturates at the
@@ -66,13 +65,12 @@ fn sequential_campaign(catalog: &llamatune_space::ConfigSpace) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-fn parallel_campaign(catalog: &llamatune_space::ConfigSpace, workers: usize, cache: bool) -> f64 {
+fn parallel_campaign(catalog: &llamatune_space::ConfigSpace, workers: usize) -> f64 {
     let opts = CampaignOptions {
         session: SessionOptions { iterations: ITERATIONS, n_init: 10, ..Default::default() },
         batch_size: BATCH,
         trial_workers: workers,
         session_parallelism: 1,
-        cache,
         run_options: Some(quick_run_options()),
         ..Default::default()
     };
@@ -105,7 +103,7 @@ fn main() {
         String::new(),
     ]];
     for workers in [1usize, 2, 4, 8] {
-        let t = parallel_campaign(&catalog, workers, false);
+        let t = parallel_campaign(&catalog, workers);
         rows.push(vec![
             format!("parallel, {workers} worker(s)"),
             format!("{t:.2}s"),
@@ -114,55 +112,4 @@ fn main() {
         ]);
     }
     print_table(&["config", "time", "speedup", ""], &rows);
-
-    print_header(
-        "EvalCache ablation: bucketized session (bucket_count = 4)",
-        "coarse buckets collapse suggestions onto few distinct configs",
-    );
-    // Repeats split by health: healthy repeats are answered by the
-    // evaluation cache (hits), while repeats of configurations that
-    // crashed are answered by the execution policy's quarantine — the
-    // cache refuses to memoize failures (a cached transient crash
-    // would never get a second chance), so its hit counter deliberately
-    // counts only healthy dedup.
-    let bucket_spec = CampaignSpec {
-        workloads: vec!["ycsb_b".to_string()],
-        adapters: vec![AdapterKind::LlamaTune(LlamaTuneConfig {
-            bucket_count: Some(4),
-            ..Default::default()
-        })],
-        optimizers: vec![OptimizerKind::Random],
-        seeds: vec![0],
-    };
-    let mut rows = Vec::new();
-    for cache in [false, true] {
-        let opts = CampaignOptions {
-            session: SessionOptions { iterations: 60, n_init: 10, ..Default::default() },
-            batch_size: 4,
-            trial_workers: cores.min(4),
-            cache,
-            run_options: Some(quick_run_options()),
-            ..Default::default()
-        };
-        let campaign = Campaign::new(catalog.clone(), bucket_spec.clone(), opts);
-        let t = Instant::now();
-        let results = campaign.run();
-        let elapsed = t.elapsed().as_secs_f64();
-        let metrics = &results[0].metrics;
-        let quarantined = metrics.counter("policy.quarantine_hits");
-        let (hits, misses) = (metrics.counter("cache.hits"), metrics.counter("cache.misses"));
-        let cache_cell = if cache {
-            let rate = hits as f64 / (hits + misses).max(1) as f64;
-            format!("{hits} hits / {misses} misses ({:.0}% hit rate)", rate * 100.0)
-        } else {
-            "-".to_string()
-        };
-        rows.push(vec![
-            if cache { "with cache" } else { "without cache" }.to_string(),
-            format!("{elapsed:.2}s"),
-            cache_cell,
-            format!("{quarantined}"),
-        ]);
-    }
-    print_table(&["config", "time", "cache", "quarantine short-circuits"], &rows);
 }

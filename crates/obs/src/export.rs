@@ -144,15 +144,15 @@ mod tests {
     fn prometheus_text_renders_counters_gauges_and_histograms() {
         let m = MetricsRegistry::new();
         m.incr("policy.retries", 3);
-        m.gauge_set("quarantine.len", 4.0);
+        m.gauge_set("cache.len", 4.0);
         m.observe_with("session.suggest_ms", &[1.0, 10.0], 0.5);
         m.observe_with("session.suggest_ms", &[1.0, 10.0], 5.0);
         m.observe_with("session.suggest_ms", &[1.0, 10.0], 50.0);
         let text = prometheus_text(&m.snapshot(), "llamatune");
         assert!(text.contains("# TYPE llamatune_policy_retries_total counter\n"));
         assert!(text.contains("llamatune_policy_retries_total 3\n"));
-        assert!(text.contains("# TYPE llamatune_quarantine_len gauge\n"));
-        assert!(text.contains("llamatune_quarantine_len 4\n"));
+        assert!(text.contains("# TYPE llamatune_cache_len gauge\n"));
+        assert!(text.contains("llamatune_cache_len 4\n"));
         // Buckets are cumulative and close with +Inf.
         assert!(text.contains("llamatune_session_suggest_ms_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("llamatune_session_suggest_ms_bucket{le=\"10\"} 2\n"));

@@ -14,11 +14,10 @@
 //! | metric | kind | meaning |
 //! |---|---|---|
 //! | `policy.timeouts` | counter | attempts the watchdog timed out |
-//! | `policy.retries` | counter | retries launched (excluding hedges) |
+//! | `policy.retries` | counter | retries launched |
 //! | `policy.panics_caught` | counter | panics contained per trial |
-//! | `policy.quarantine_hits` | counter | trials answered from quarantine |
-//! | `policy.hedges` | counter | hedge re-attempts for stragglers |
-//! | `cache.hits` / `cache.misses` | counter | evaluation-cache lookups |
+//! | `policy.quarantine_hits` | counter | configurations answered from quarantine (once per batch) |
+//! | `cache.hits` / `cache.misses` | counter | trials answered with a measured result / configurations of a batch that were not (run, or quarantined) |
 //! | `session.suggest_ms` | histogram | optimizer suggest latency per round |
 //! | `session.evaluate_ms` | histogram | batch evaluation latency per round |
 //! | `session.persist_ms` | histogram | checkpoint-sink latency per trial |

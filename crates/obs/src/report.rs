@@ -188,7 +188,6 @@ pub fn render_report(report: &Report) -> String {
             "policy.retries",
             "policy.panics_caught",
             "policy.quarantine_hits",
-            "policy.hedges",
             "cache.hits",
             "cache.misses",
             "optim.gp.append_fallback",

@@ -1,68 +1,37 @@
-//! Deduplicating evaluation cache.
+//! The session's record of what is settled per configuration.
 //!
 //! LlamaTune's bucketization deliberately collapses the search space: with
 //! `bucket_count = Some(K)` each synthetic dimension exposes at most `K`
 //! values, so distinct optimizer suggestions frequently decode to the
 //! *same* DBMS configuration. Re-running the DBMS benchmark for a
 //! configuration that was already measured (under the same evaluation
-//! seed) buys no new information — the cache short-circuits those repeats
-//! and keeps hit statistics so campaigns can report how much bucketization
-//! actually deduplicated. A cache is scoped to one session, so it holds at
-//! most one entry per trial; store-backed campaigns pre-load it with every
-//! trial already persisted for the session — the persistent half of the
+//! seed) buys no new information, and neither does re-running one that
+//! already failed terminally: the paper scores a crash once, with the §6
+//! penalty. [`EvalCache`] remembers both — each measured result, and each
+//! quarantined configuration — keyed by [`config_fingerprint`], and keeps
+//! hit statistics so campaigns can report how much bucketization actually
+//! deduplicated. A cache is scoped to one session, so it holds at most one
+//! entry per trial; store-backed campaigns pre-load it with every trial
+//! already persisted for the session — the persistent half of the
 //! evaluation cache.
 
-use llamatune::session::EvalResult;
-use llamatune_space::{Config, KnobValue};
+use llamatune::session::{EvalResult, TrialStatus};
+use llamatune_space::Config;
 // Shared poison-recovering lock: one panicked worker must not wedge a
 // whole campaign. Defined next to the store's index, which has the same
 // requirement.
 use llamatune_store::lock_recover;
-use std::collections::HashMap;
+use llamatune_workloads::config_fingerprint;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Canonical 64-bit key of a decoded configuration (FNV-1a over each
-/// knob's index and value bits). Two configs hash equal iff every knob
-/// value is bit-identical, which is the right notion here: decoded
-/// configs come from the same deterministic pipeline, so equal settings
-/// are equal bits.
-pub fn config_key(config: &Config) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |bytes: u64| {
-        for b in bytes.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for (i, v) in config.values().iter().enumerate() {
-        mix(i as u64);
-        match *v {
-            KnobValue::Int(x) => {
-                mix(1);
-                mix(x as u64);
-            }
-            KnobValue::Float(x) => {
-                mix(2);
-                mix(x.to_bits());
-            }
-            KnobValue::Cat(x) => {
-                mix(3);
-                mix(x as u64);
-            }
-        }
-    }
-    h
-}
 
 /// Hit/miss counters of an [`EvalCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache (no DBMS run).
     pub hits: u64,
-    /// Lookups that fell through to a real evaluation.
+    /// Lookups that fell through to a real evaluation (or to quarantine).
     pub misses: u64,
 }
 
@@ -78,14 +47,15 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe evaluation cache keyed by [`config_key`].
+/// A thread-safe record of settled configurations: the measured result,
+/// or `None` for a configuration quarantined after it failed terminally.
 ///
 /// Scope it to one (workload, evaluation-seed) context: the key covers
 /// only the configuration, so results from different workloads or
 /// evaluation seeds must not share a cache.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    map: Mutex<HashMap<u64, EvalResult>>,
+    map: Mutex<HashMap<u64, Option<EvalResult>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -96,19 +66,23 @@ impl EvalCache {
         Self::default()
     }
 
-    /// Looks up a configuration, counting the outcome.
+    /// Looks up a configuration. A measured one answers its result and
+    /// counts as a hit; a quarantined one answers a penalty-scored
+    /// [`TrialStatus::Quarantined`] result and, like an unknown one,
+    /// counts as a miss.
     pub fn lookup(&self, config: &Config) -> Option<EvalResult> {
-        let found = lock_recover(&self.map).get(&config_key(config)).cloned();
-        match found {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = lock_recover(&self.map).get(&config_fingerprint(config)).cloned();
+        let counter = if matches!(found, Some(Some(_))) { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found.map(|measured| {
+            measured.unwrap_or(EvalResult {
+                score: None,
+                metrics: Vec::new(),
+                status: TrialStatus::Quarantined,
+                attempts: 1,
+                virtual_ms: 0.0,
+            })
+        })
     }
 
     /// Records an evaluation result. Re-inserting an existing key
@@ -117,22 +91,43 @@ impl EvalCache {
     /// Retryable outcomes ([`EvalResult::is_retryable`]: crashes,
     /// timeouts, quarantine hits, anything scoreless) are refused —
     /// memoizing one would replay a possibly-transient failure forever.
-    /// Deciding whether a failed configuration is worth re-running is
-    /// the execution policy's job (retry budget + quarantine), not the
-    /// cache's.
+    /// A configuration whose failure is final is [quarantined]
+    /// instead, once the execution policy has spent its retry budget on
+    /// it.
+    ///
+    /// [quarantined]: EvalCache::quarantine
     pub fn insert(&self, config: &Config, result: EvalResult) {
         if result.is_retryable() {
             return;
         }
-        lock_recover(&self.map).insert(config_key(config), result);
+        lock_recover(&self.map).insert(config_fingerprint(config), Some(result));
     }
 
-    /// Number of distinct configurations stored.
+    /// Quarantines a configuration that failed terminally: later lookups
+    /// answer it as [`TrialStatus::Quarantined`] without a re-run.
+    /// Returns whether it was newly quarantined.
+    pub fn quarantine(&self, config: &Config) -> bool {
+        match lock_recover(&self.map).entry(config_fingerprint(config)) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(None);
+                true
+            }
+        }
+    }
+
+    /// Number of quarantined configurations.
+    pub fn quarantined(&self) -> usize {
+        lock_recover(&self.map).values().filter(|v| v.is_none()).count()
+    }
+
+    /// Number of distinct configurations settled (measured or
+    /// quarantined).
     pub fn len(&self) -> usize {
         lock_recover(&self.map).len()
     }
 
-    /// Whether nothing has been stored yet.
+    /// Whether nothing has been settled yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -150,16 +145,17 @@ impl EvalCache {
 mod tests {
     use super::*;
     use llamatune_space::catalog::postgres_v9_6;
+    use llamatune_space::KnobValue;
 
     #[test]
     fn key_distinguishes_configs_and_is_stable() {
         let space = postgres_v9_6();
         let a = space.default_config();
-        let mut b = a.clone();
-        let sb = space.index_of("shared_buffers").unwrap();
-        b.values_mut()[sb] = KnobValue::Int(99_999);
-        assert_eq!(config_key(&a), config_key(&a.clone()));
-        assert_ne!(config_key(&a), config_key(&b));
+        let b = config_with_sb(&space, 99_999);
+        let cache = EvalCache::new();
+        cache.insert(&a, EvalResult { score: Some(1.0), ..Default::default() });
+        assert_eq!(cache.lookup(&a.clone()).expect("same bits, same key").score, Some(1.0));
+        assert!(cache.lookup(&b).is_none(), "one knob apart is another configuration");
     }
 
     #[test]
@@ -189,7 +185,6 @@ mod tests {
     fn failed_evaluations_are_never_cached() {
         // Regression test: crashed results used to be cacheable, which
         // turned any transient fault into a permanently memoized penalty.
-        use llamatune::session::TrialStatus;
         let space = postgres_v9_6();
         let cfg = space.default_config();
         let cache = EvalCache::new();
@@ -204,6 +199,25 @@ mod tests {
         // A later healthy result for the same configuration is welcome.
         cache.insert(&cfg, EvalResult { score: Some(5.0), attempts: 2, ..Default::default() });
         assert_eq!(cache.lookup(&cfg).expect("cached").attempts, 2);
+    }
+
+    #[test]
+    fn quarantine_answers_without_a_hit_and_only_once() {
+        let space = postgres_v9_6();
+        let cfg = config_with_sb(&space, 4242);
+        let cache = EvalCache::new();
+        assert!(cache.quarantine(&cfg), "first quarantine is new");
+        assert!(!cache.quarantine(&cfg), "the second is not");
+        assert_eq!(cache.quarantined(), 1);
+        let answer = cache.lookup(&cfg).expect("quarantined configurations are answered");
+        assert_eq!(answer.status, TrialStatus::Quarantined);
+        assert_eq!((answer.score, answer.attempts), (None, 1));
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 }, "a quarantine is a miss");
+        // `insert` still refuses failures: the quarantined answer does
+        // not overwrite the entry as a measurement.
+        cache.insert(&cfg, answer);
+        assert_eq!(cache.lookup(&cfg).unwrap().status, TrialStatus::Quarantined);
+        assert_eq!(cache.quarantined(), 1);
     }
 
     fn config_with_sb(space: &llamatune_space::ConfigSpace, sb: i64) -> Config {

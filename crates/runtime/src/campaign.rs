@@ -145,9 +145,6 @@ pub struct CampaignOptions {
     ///
     /// [`BatchSuggest`]: crate::BatchSuggest
     pub constant_liar: bool,
-    /// Deduplicate evaluations through a per-session
-    /// [`EvalCache`](crate::EvalCache).
-    pub cache: bool,
     /// Warm-start sessions from similar stored campaigns (store-backed
     /// campaigns only; `None` disables transfer).
     pub warm_start: Option<WarmStartOptions>,
@@ -160,8 +157,10 @@ pub struct CampaignOptions {
     /// is part of the determinism contract, exactly like the session
     /// seed.
     pub fault_plan: Option<FaultPlan>,
-    /// Trial-level fault-tolerance policy (watchdog, retry, hedging,
-    /// quarantine). The default is inert on healthy evaluations.
+    /// Trial-level fault-tolerance policy (watchdog and retry; a trial
+    /// that still fails is quarantined in the session's
+    /// [`EvalCache`](crate::EvalCache)). The default is inert on healthy
+    /// evaluations.
     pub policy: ExecutionPolicy,
     /// Wrap each session's optimizer in a `GuardedOptimizer`: a panic
     /// or numerical failure inside the optimizer degrades that round to
@@ -200,7 +199,6 @@ impl Default for CampaignOptions {
             trial_workers: 4,
             session_parallelism: 1,
             constant_liar: true,
-            cache: true,
             warm_start: None,
             run_options: None,
             fault_plan: None,
@@ -225,13 +223,14 @@ pub struct CampaignResult {
     pub history: SessionHistory,
     /// Everything this session — and only this session — counted and
     /// timed: what the execution-policy layer did (`policy.timeouts`,
-    /// `retries`, `panics_caught`, `quarantine_hits`, `hedges`; all
-    /// zero under the inert default policy on healthy workloads, except
+    /// `retries`, `panics_caught`, `quarantine_hits`; all zero under the
+    /// inert default policy on healthy workloads, except
     /// `quarantine_hits`, which fires whenever a crashed configuration
     /// is re-suggested), the cache counters (`cache.hits` counts trials
-    /// answered from the cache — healthy repeats only, since failures
-    /// are never cached; `cache.misses` counts distinct configurations
-    /// run, so a within-batch duplicate is neither), the `session.*_ms`
+    /// answered with a measured result; `cache.misses` counts the
+    /// distinct configurations of a batch that were not — run, or
+    /// answered from quarantine — so a within-batch duplicate is
+    /// neither), the `session.*_ms`
     /// phase-latency histograms and its optimizer's `optim.*` hot-path
     /// timings. Empty for sessions rebuilt from a store without running.
     pub metrics: MetricsSnapshot,

@@ -188,14 +188,10 @@ impl<'a> SessionDriver<'a> {
     /// before its first live round, so re-encounters answer from
     /// quarantine exactly like the uninterrupted run (trials past the
     /// round boundary are re-run, and re-quarantine themselves). Empty
-    /// without a store attachment or when the policy has quarantine off.
-    /// The server ships these to clients on session attach;
-    /// [`SessionDriver::run`] preloads them itself.
+    /// without a store attachment. The server ships these to clients on
+    /// session attach; [`SessionDriver::run`] preloads them itself.
     pub fn quarantine_preload(&self) -> Vec<Config> {
         let Some(store) = self.store else { return Vec::new() };
-        if !self.opts.policy.quarantine {
-            return Vec::new();
-        }
         let session_opts = self.session_options(Vec::new());
         let prior = store.prior_trials(&self.cell.label);
         let cut = replay_cutoff(prior.len(), &session_opts, self.opts.batch_size);
@@ -213,32 +209,28 @@ impl<'a> SessionDriver<'a> {
         };
         // Evaluation seed: fixed per session, derived from the session
         // seed exactly as the sequential harness does.
-        let mut executor = self.build_executor(self.cell.seed ^ 0x5EED).with_observability(
-            live.metrics.clone(),
-            self.tracer(),
-            self.cell.label.clone(),
-        );
-        if self.opts.cache {
-            let cache = Arc::new(EvalCache::new());
-            // The persistent half of the evaluation cache: every trial
-            // already recorded for this session is a measurement already
-            // paid for — a resumed partial round replays from here
-            // instead of re-running the DBMS. (Failed trials are refused
-            // by the cache; the quarantine preload covers them.)
-            for t in self.store.map(|s| s.trials_for(&self.cell.label)).unwrap_or_default() {
-                cache.insert(
-                    &Config::new(t.config.clone()),
-                    EvalResult {
-                        score: t.raw_score,
-                        metrics: t.metrics,
-                        status: t.status,
-                        attempts: t.attempts,
-                        virtual_ms: 0.0,
-                    },
-                );
-            }
-            executor = executor.with_cache(cache);
+        // The persistent half of the evaluation cache: every trial
+        // already recorded for this session is a measurement already
+        // paid for — a resumed partial round replays from here instead
+        // of re-running the DBMS. (Failed trials are refused by the
+        // cache; the quarantine preload covers them.)
+        let cache = Arc::new(EvalCache::new());
+        for t in self.store.map(|s| s.trials_for(&self.cell.label)).unwrap_or_default() {
+            cache.insert(
+                &Config::new(t.config),
+                EvalResult {
+                    score: t.raw_score,
+                    metrics: t.metrics,
+                    status: t.status,
+                    attempts: t.attempts,
+                    virtual_ms: 0.0,
+                },
+            );
         }
+        let mut executor = self
+            .build_executor(self.cell.seed ^ 0x5EED)
+            .with_cache(cache)
+            .with_observability(live.metrics.clone(), self.tracer(), self.cell.label.clone());
         executor.preload_quarantine(self.quarantine_preload().iter());
         self.drive(live, &mut executor)
     }

@@ -10,98 +10,39 @@
 //!
 //! Trials run against a shared [`TrialRunner`] (a plain [`WorkloadRunner`], or a
 //! fault-injecting wrapper around one) under an [`ExecutionPolicy`] —
-//! watchdog, retry, hedging, quarantine — and an optional shared
-//! [`EvalCache`] short-circuits configurations that were already
-//! measured. Quarantine is consulted through a per-batch snapshot and
-//! new keys are committed only after the batch folds, so recorded
-//! statuses stay independent of worker count and completion order.
+//! watchdog, retry, panic isolation — and the executor's [`EvalCache`]
+//! settles each configuration once: a batch is resolved in one pass over
+//! it (measured repeats are answered, quarantined configurations are
+//! scored as quarantined, and everything else runs once however often
+//! the batch holds it), and the cache is written only after the batch
+//! folds, so recorded statuses stay independent of worker count and
+//! completion order.
 
-use crate::cache::{config_key, EvalCache};
-use crate::policy::{run_trial_policy, ExecutionPolicy, TrialOutcome};
+use crate::cache::EvalCache;
+use crate::policy::{run_trial_policy, AttemptTrace, ExecutionPolicy};
 use llamatune::par::ordered_map;
 use llamatune::session::{EvalResult, Trial, TrialExecutor, TrialStatus};
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
 use llamatune_obs::MetricsRegistry;
 use llamatune_space::{Config, ConfigSpace};
 use llamatune_workloads::{config_fingerprint, TrialRunner, WorkloadRunner};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
-
-/// What one batch resolved against the cache — counted locally (not by
-/// delta against the shared [`CacheStats`], which other sessions may be
-/// advancing concurrently), so the `cache.lookup` trace span stays
-/// deterministic.
-#[derive(Debug, Clone, Copy, Default)]
-struct BatchCacheOutcome {
-    /// Trials answered from the cache.
-    hits: u64,
-    /// Distinct configurations that had to run.
-    misses: u64,
-    /// Trials served from a within-batch duplicate's fresh result.
-    duplicates: u64,
-}
-
-/// Runs a batch through the cache: cached configurations short-circuit,
-/// within-batch duplicates are evaluated once, and fresh results are
-/// recorded. `eval_all` receives the trial indices and configurations
-/// that actually need a run and must return results positionally.
-fn run_batch_cached(
-    cache: &EvalCache,
-    trials: &[Trial],
-    eval_all: impl FnOnce(&[usize], &[&Config]) -> Vec<EvalResult>,
-) -> (Vec<EvalResult>, BatchCacheOutcome) {
-    let mut resolved: Vec<Option<EvalResult>> = vec![None; trials.len()];
-    // Key -> index into `unique` for within-batch duplicates.
-    let mut seen: HashMap<u64, usize> = HashMap::new();
-    let mut unique: Vec<usize> = Vec::new(); // trial indices to evaluate
-    let mut dup_of: Vec<(usize, usize)> = Vec::new(); // (trial, unique slot)
-    for (i, t) in trials.iter().enumerate() {
-        if let Some(hit) = cache.lookup(&t.config) {
-            resolved[i] = Some(hit);
-            continue;
-        }
-        match seen.entry(config_key(&t.config)) {
-            std::collections::hash_map::Entry::Occupied(e) => dup_of.push((i, *e.get())),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(unique.len());
-                unique.push(i);
-            }
-        }
-    }
-    let outcome = BatchCacheOutcome {
-        hits: (trials.len() - unique.len() - dup_of.len()) as u64,
-        misses: unique.len() as u64,
-        duplicates: dup_of.len() as u64,
-    };
-    let configs: Vec<&Config> = unique.iter().map(|&i| &trials[i].config).collect();
-    let fresh = eval_all(&unique, &configs);
-    assert_eq!(fresh.len(), configs.len(), "eval_all must be positional");
-    for (&i, r) in unique.iter().zip(&fresh) {
-        cache.insert(&trials[i].config, r.clone());
-        resolved[i] = Some(r.clone());
-    }
-    for (i, u) in dup_of {
-        resolved[i] = Some(fresh[u].clone());
-    }
-    (resolved.into_iter().map(|r| r.expect("resolved or evaluated")).collect(), outcome)
-}
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The DBMS-benchmark [`TrialExecutor`]: a shared [`TrialRunner`]
 /// evaluated by `workers` scoped threads, a fixed evaluation seed (the
 /// paper evaluates every configuration of a session under the same
 /// simulated conditions), an [`ExecutionPolicy`] shepherding each trial
-/// through failures, and an optional deduplicating cache.
+/// through failures, and the [`EvalCache`] that settles each
+/// configuration once.
 pub struct WorkloadExecutor {
     runner: Arc<dyn TrialRunner>,
     workers: usize,
     space: ConfigSpace,
     eval_seed: u64,
-    cache: Option<Arc<EvalCache>>,
+    cache: Arc<EvalCache>,
     policy: ExecutionPolicy,
-    /// Fingerprints of configurations that failed terminally. Consulted
-    /// via per-batch snapshot; new keys merge after each batch.
-    quarantined: Mutex<HashSet<u64>>,
-    /// Receives the `policy.*` fault counters.
+    /// Receives the `cache.*` and `policy.*` counters.
     metrics: Arc<MetricsRegistry>,
     /// Receives `trial.attempt`, `cache.lookup`, and `policy.quarantine`
     /// spans — emitted only from the caller's thread after a batch
@@ -124,7 +65,8 @@ impl WorkloadExecutor {
     }
 
     /// Creates an executor over an arbitrary [`TrialRunner`] — a plain
-    /// workload runner, or a fault-injecting wrapper around one.
+    /// workload runner, or a fault-injecting wrapper around one — with a
+    /// fresh cache.
     pub fn from_trial_runner(
         runner: Arc<dyn TrialRunner>,
         space: ConfigSpace,
@@ -136,9 +78,8 @@ impl WorkloadExecutor {
             workers: workers.max(1),
             space,
             eval_seed,
-            cache: None,
+            cache: Arc::default(),
             policy: ExecutionPolicy::default(),
-            quarantined: Mutex::new(HashSet::new()),
             metrics: Arc::new(MetricsRegistry::new()),
             tracer: Arc::new(NoopTracer),
             trace_label: String::new(),
@@ -160,186 +101,123 @@ impl WorkloadExecutor {
     }
 
     /// Sets the execution policy (the default is inert: one attempt, no
-    /// watchdog, no hedging).
+    /// watchdog).
     pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Attaches a (possibly shared) evaluation cache. Share a cache only
-    /// between executors with the same workload and evaluation seed.
+    /// Replaces the executor's cache with a (possibly pre-loaded or
+    /// shared) one. Share a cache only between executors with the same
+    /// workload and evaluation seed.
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
     }
 
-    /// Number of quarantined configurations.
-    pub fn quarantine_len(&self) -> usize {
-        self.lock_quarantine().len()
-    }
-
-    /// Seeds the quarantine set, used on resume: configurations whose
+    /// Seeds the quarantine, used on resume: configurations whose
     /// replayed trials failed terminally must be quarantined *before*
     /// the first live round, or a resumed campaign would re-run (and
     /// possibly re-score) a poisoned config that the uninterrupted run
-    /// answered from quarantine — breaking byte-identical resume.
+    /// answered from quarantine — breaking byte-identical resume. Writes
+    /// into the executor's cache, so call it after
+    /// [`WorkloadExecutor::with_cache`].
     pub fn preload_quarantine<'a>(&self, configs: impl IntoIterator<Item = &'a Config>) {
-        let mut q = self.lock_quarantine();
         for cfg in configs {
-            q.insert(config_fingerprint(cfg));
+            self.cache.quarantine(cfg);
         }
     }
+}
 
-    fn lock_quarantine(&self) -> std::sync::MutexGuard<'_, HashSet<u64>> {
-        // A worker panicking between lock and unlock cannot leave the
-        // set logically torn (inserts are atomic); recover the data.
-        self.quarantined.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Evaluates `configs` under the execution policy: quarantine
-    /// snapshot, per-trial retry loop, straggler hedging, then a single
-    /// post-batch quarantine merge (deterministic in worker count).
-    /// `iterations` aligns with `configs` and only labels trace spans.
-    fn eval_with_policy(&self, iterations: &[usize], configs: &[&Config]) -> Vec<EvalResult> {
-        let snapshot: HashSet<u64> = self.lock_quarantine().clone();
-        let (space, seed, policy) = (&self.space, self.eval_seed, &self.policy);
-        let metrics = &*self.metrics;
-        let runner = &*self.runner;
-        let mut outs: Vec<TrialOutcome> = ordered_map(self.workers, configs, |cfg| {
-            run_trial_policy(
-                runner,
-                space,
-                cfg,
-                seed,
-                policy,
-                &snapshot,
-                metrics,
-                1,
-                policy.max_attempts.max(1),
-            )
-        });
-        if policy.hedge_ms.is_finite() {
-            self.hedge_stragglers(configs, &mut outs, &snapshot);
-        }
-        if policy.quarantine {
-            let mut q = self.lock_quarantine();
-            let mut committed = 0u64;
-            for out in &outs {
-                if let Some(key) = out.quarantine_key {
-                    if q.insert(key) {
-                        committed += 1;
-                    }
+impl TrialExecutor for WorkloadExecutor {
+    /// Resolves the batch in one pass over the cache — a measured repeat
+    /// is answered; every other configuration takes one slot in `unique`
+    /// however often the batch holds it, settled already when it is
+    /// quarantined — runs the unsettled slots under the policy, and
+    /// writes the cache once the whole batch has folded.
+    fn run_batch(&mut self, trials: &[Trial]) -> Vec<EvalResult> {
+        let mut answers: Vec<Result<EvalResult, usize>> = Vec::with_capacity(trials.len());
+        let mut unique: Vec<(&Trial, Option<EvalResult>)> = Vec::new();
+        let mut slots: HashMap<u64, usize> = HashMap::new();
+        for t in trials {
+            match self.cache.lookup(&t.config) {
+                Some(hit) if hit.status == TrialStatus::Ok => answers.push(Ok(hit)),
+                settled => {
+                    let slot = *slots.entry(config_fingerprint(&t.config)).or_insert_with(|| {
+                        if settled.is_some() {
+                            self.metrics.incr("policy.quarantine_hits", 1);
+                        }
+                        unique.push((t, settled));
+                        unique.len() - 1
+                    });
+                    answers.push(Err(slot));
                 }
             }
-            if self.tracer.enabled() && committed > 0 {
-                self.tracer.record(
-                    TraceEvent::new(&self.trace_label, "policy.quarantine")
-                        .field("iteration", iterations.first().copied().unwrap_or(0) as u64)
-                        .field("committed", committed)
-                        .field("total", q.len() as u64),
-                );
+        }
+        let hits = answers.iter().filter(|a| a.is_ok()).count() as u64;
+        let duplicates = trials.len() as u64 - hits - unique.len() as u64;
+
+        let (space, seed, policy) = (&self.space, self.eval_seed, &self.policy);
+        let (runner, metrics) = (&*self.runner, &*self.metrics);
+        let settled: Vec<(EvalResult, Vec<AttemptTrace>)> =
+            ordered_map(self.workers, &unique, |(t, quarantined)| match quarantined {
+                Some(q) => {
+                    let log =
+                        AttemptTrace { attempt: 1, virtual_ms: 0.0, disposition: "quarantined" };
+                    (q.clone(), vec![log])
+                }
+                None => run_trial_policy(runner, space, &t.config, seed, policy, metrics),
+            });
+
+        // Write the cache: fresh measurements are recorded, fresh
+        // failures quarantined.
+        let mut committed = 0u64;
+        for ((t, quarantined), (result, _)) in unique.iter().zip(&settled) {
+            if quarantined.is_some() {
+                continue;
+            }
+            if result.status == TrialStatus::Ok {
+                self.cache.insert(&t.config, result.clone());
+            } else if self.cache.quarantine(&t.config) {
+                committed += 1;
             }
         }
-        // Attempt spans, emitted positionally from the caller's thread
-        // after the whole batch (including hedges) has settled. Every
-        // field is virtual-clock or attempt-count data, so the spans are
+        // Spans, from the caller's thread after the whole batch settled.
+        // Every field is virtual-clock or count data, so the spans are
         // identical at any worker count.
         if self.tracer.enabled() {
-            for (k, out) in outs.iter().enumerate() {
-                let iteration = iterations.get(k).copied().unwrap_or(0) as u64;
-                for a in &out.attempts_log {
+            let label = &self.trace_label;
+            let iteration = |t: Option<&Trial>| t.map_or(0, |t| t.iteration as u64);
+            if committed > 0 {
+                self.tracer.record(
+                    TraceEvent::new(label, "policy.quarantine")
+                        .field("iteration", iteration(unique.first().map(|(t, _)| *t)))
+                        .field("committed", committed)
+                        .field("total", self.cache.quarantined() as u64),
+                );
+            }
+            for ((t, _), (_, log)) in unique.iter().zip(&settled) {
+                for a in log {
                     self.tracer.record(
-                        TraceEvent::new(&self.trace_label, "trial.attempt")
-                            .field("iteration", iteration)
+                        TraceEvent::new(label, "trial.attempt")
+                            .field("iteration", t.iteration as u64)
                             .field("attempt", u64::from(a.attempt))
                             .field("virtual_ms", a.virtual_ms)
                             .field("disposition", a.disposition),
                     );
                 }
             }
-        }
-        outs.into_iter().map(|o| o.result).collect()
-    }
-
-    /// Straggler hedging: any successful trial whose virtual time
-    /// exceeds the policy's absolute `hedge_ms` threshold gets one
-    /// extra attempt, and the faster successful outcome wins. The
-    /// threshold is per-trial, never batch-relative, so whether a trial
-    /// hedges is a pure function of the trial itself — a batch median
-    /// would shift when part of a round is answered by the cache (on
-    /// resume, or under bucketized repeats) and recorded attempt
-    /// counts would diverge from the uninterrupted run.
-    fn hedge_stragglers(
-        &self,
-        configs: &[&Config],
-        outs: &mut [TrialOutcome],
-        snapshot: &HashSet<u64>,
-    ) {
-        let threshold = self.policy.hedge_ms;
-        for (i, cfg) in configs.iter().enumerate() {
-            if outs[i].result.status != TrialStatus::Ok || outs[i].virtual_ms <= threshold {
-                continue;
-            }
-            self.metrics.incr("policy.hedges", 1);
-            let mut hedge = run_trial_policy(
-                &*self.runner,
-                &self.space,
-                cfg,
-                self.eval_seed,
-                &self.policy,
-                snapshot,
-                &self.metrics,
-                outs[i].result.attempts + 1,
-                1,
+            self.tracer.record(
+                TraceEvent::new(label, "cache.lookup")
+                    .field("iteration", iteration(trials.first()))
+                    .field("hits", hits)
+                    .field("misses", unique.len() as u64)
+                    .field("duplicates", duplicates),
             );
-            if hedge.result.status == TrialStatus::Ok && hedge.virtual_ms < outs[i].virtual_ms {
-                // The hedge wins, but its attempt log still records the
-                // original's attempts (attempt numbers are absolute).
-                let mut log = std::mem::take(&mut outs[i].attempts_log);
-                log.append(&mut hedge.attempts_log);
-                hedge.attempts_log = log;
-                outs[i] = hedge;
-            } else {
-                // The original stands, but the hedge attempt happened:
-                // account for it so attempt counts stay truthful.
-                outs[i].result.attempts = hedge.result.attempts;
-                outs[i].attempts_log.append(&mut hedge.attempts_log);
-            }
         }
-    }
-}
-
-impl TrialExecutor for WorkloadExecutor {
-    fn run_batch(&mut self, trials: &[Trial]) -> Vec<EvalResult> {
-        let eval_all = |idxs: &[usize], configs: &[&Config]| {
-            let iterations: Vec<usize> = idxs.iter().map(|&i| trials[i].iteration).collect();
-            self.eval_with_policy(&iterations, configs)
-        };
-        match &self.cache {
-            Some(cache) => {
-                let (results, batch) = run_batch_cached(cache, trials, eval_all);
-                if self.tracer.enabled() {
-                    self.tracer.record(
-                        TraceEvent::new(&self.trace_label, "cache.lookup")
-                            .field(
-                                "iteration",
-                                trials.first().map(|t| t.iteration).unwrap_or(0) as u64,
-                            )
-                            .field("hits", batch.hits)
-                            .field("misses", batch.misses)
-                            .field("duplicates", batch.duplicates),
-                    );
-                }
-                self.metrics.incr("cache.hits", batch.hits);
-                self.metrics.incr("cache.misses", batch.misses);
-                results
-            }
-            None => {
-                let iterations: Vec<usize> = trials.iter().map(|t| t.iteration).collect();
-                let configs: Vec<&Config> = trials.iter().map(|t| &t.config).collect();
-                self.eval_with_policy(&iterations, &configs)
-            }
-        }
+        self.metrics.incr("cache.hits", hits);
+        self.metrics.incr("cache.misses", unique.len() as u64);
+        answers.into_iter().map(|a| a.unwrap_or_else(|slot| settled[slot].0.clone())).collect()
     }
 
     fn max_parallelism(&self) -> usize {
@@ -360,34 +238,71 @@ mod tests {
         Trial { iteration: 0, config: cfg }
     }
 
+    /// Scores each configuration by its `shared_buffers`, counting runs.
+    #[derive(Default)]
+    struct Counting(std::sync::atomic::AtomicUsize);
+
+    impl TrialRunner for Counting {
+        fn evaluate_attempt(
+            &self,
+            space: &ConfigSpace,
+            config: &Config,
+            _seed: u64,
+            _attempt: u32,
+        ) -> llamatune_workloads::AttemptOutcome {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let sb = config.values()[space.index_of("shared_buffers").unwrap()].as_float();
+            llamatune_workloads::AttemptOutcome {
+                score: Some(sb),
+                metrics: vec![],
+                virtual_ms: 1.0,
+                retryable: false,
+            }
+        }
+    }
+
+    fn counting_executor(workers: usize) -> (WorkloadExecutor, Arc<Counting>, Arc<EvalCache>) {
+        let runner = Arc::new(Counting::default());
+        let cache = Arc::new(EvalCache::new());
+        let ex = WorkloadExecutor::from_trial_runner(runner.clone(), postgres_v9_6(), 7, workers)
+            .with_cache(cache.clone());
+        (ex, runner, cache)
+    }
+
     #[test]
     fn cache_short_circuits_repeats_and_batch_duplicates() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::Ordering;
         let space = postgres_v9_6();
-        let evals = AtomicUsize::new(0);
-        let idx = space.index_of("shared_buffers").unwrap();
-        let eval = |cfg: &Config| {
-            evals.fetch_add(1, Ordering::SeqCst);
-            EvalResult { score: Some(cfg.values()[idx].as_float()), ..Default::default() }
-        };
-        let cache = EvalCache::new();
-        let run_batch = |batch: &[Trial]| {
-            let eval_all =
-                |_: &[usize], configs: &[&Config]| ordered_map(2, configs, |cfg| eval(cfg));
-            run_batch_cached(&cache, batch, eval_all).0
-        };
+        let (mut ex, runs, cache) = counting_executor(2);
         // Batch with an internal duplicate: 3 trials, 2 distinct configs.
         let batch = vec![trial(&space, 1000), trial(&space, 2000), trial(&space, 1000)];
-        let r1 = run_batch(&batch);
-        assert_eq!(evals.load(Ordering::SeqCst), 2, "duplicate evaluated once");
+        let r1 = ex.run_batch(&batch);
+        assert_eq!(runs.0.load(Ordering::SeqCst), 2, "duplicate evaluated once");
         assert_eq!(r1[0].score, r1[2].score);
         // Second round: everything cached.
-        let r2 = run_batch(&batch);
-        assert_eq!(evals.load(Ordering::SeqCst), 2, "no new evaluations");
+        let r2 = ex.run_batch(&batch);
+        assert_eq!(runs.0.load(Ordering::SeqCst), 2, "no new evaluations");
         assert_eq!(r2[1].score, Some(2000.0));
         let stats = cache.stats();
         assert_eq!(stats.hits, 3, "second round served from cache");
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn quarantined_configs_are_scored_without_running() {
+        use std::sync::atomic::Ordering;
+        let space = postgres_v9_6();
+        let (mut ex, runs, cache) = counting_executor(2);
+        let poisoned = trial(&space, 1000);
+        ex.preload_quarantine([&poisoned.config]);
+        assert_eq!(cache.quarantined(), 1);
+        let results = ex.run_batch(&[poisoned.clone(), trial(&space, 2000), poisoned]);
+        assert_eq!(runs.0.load(Ordering::SeqCst), 1, "quarantine must not run the benchmark");
+        for r in [&results[0], &results[2]] {
+            assert_eq!(r.status, TrialStatus::Quarantined);
+            assert!(r.score.is_none());
+        }
+        assert_eq!(results[1].status, TrialStatus::Ok);
     }
 
     #[test]
@@ -448,14 +363,16 @@ mod tests {
         let mut per_worker: Vec<Vec<TrialStatus>> = Vec::new();
         for workers in [1, 4] {
             let runner = Arc::new(FaultyRunner::new(Arc::new(Flat), plan)) as Arc<dyn TrialRunner>;
-            let mut ex = WorkloadExecutor::from_trial_runner(runner, catalog.clone(), 7, workers);
+            let cache = Arc::new(EvalCache::new());
+            let mut ex = WorkloadExecutor::from_trial_runner(runner, catalog.clone(), 7, workers)
+                .with_cache(cache.clone());
             let mut statuses = Vec::new();
             for batch in &rounds {
                 for r in ex.run_batch(batch) {
                     statuses.push(r.status);
                 }
             }
-            assert!(ex.quarantine_len() > 0, "plan must quarantine something");
+            assert!(cache.quarantined() > 0, "plan must quarantine something");
             assert!(
                 statuses.contains(&TrialStatus::Quarantined),
                 "repeated round must hit quarantine"

@@ -13,15 +13,17 @@
 //!   from any unmodified [`Optimizer`] via constant-liar fantasizing:
 //!   observe a pessimistic pseudo-score for each pending point, suggest
 //!   again, retract the lies (rebuild + replay) when real results land.
-//! * [`EvalCache`] — deduplicates evaluations by a canonical hash of the
-//!   decoded configuration. LlamaTune's bucketization collapses many
-//!   suggestions onto identical configs, so repeats are common by
-//!   design; the cache makes them free and reports hit statistics.
+//! * [`EvalCache`] — the session's one record of what is settled per
+//!   configuration, keyed by a hash of the decoded configuration: each
+//!   measured result, and each configuration quarantined after it failed
+//!   terminally. LlamaTune's bucketization collapses many suggestions
+//!   onto identical configs, so repeats are common by design; the cache
+//!   answers them without a re-run (a quarantined one with the crash
+//!   penalty) and reports hit statistics.
 //! * [`ExecutionPolicy`] — trial-level fault tolerance: per-attempt
 //!   watchdog timeouts on the *virtual* clock, bounded retry with
-//!   deterministic backoff (`llamatune::backoff`), straggler hedging
-//!   for batch rounds, panic isolation per worker, and quarantine of
-//!   configurations that failed terminally. Paired with
+//!   deterministic backoff (`llamatune::backoff`), and panic isolation
+//!   per worker. Paired with
 //!   `llamatune_workloads::FaultyRunner` (seeded fault injection) it
 //!   makes campaigns survivable under chaos while keeping histories a
 //!   pure function of seeds. Failures never abort a campaign: they are
@@ -78,7 +80,7 @@ pub mod executor;
 pub mod policy;
 
 pub use batch::{BatchSuggest, OptimizerFactory};
-pub use cache::{config_key, CacheStats, EvalCache};
+pub use cache::{CacheStats, EvalCache};
 pub use campaign::{
     AdapterKind, Campaign, CampaignOptions, CampaignResult, CampaignSpec, OptimizerKind,
     WarmStartOptions,

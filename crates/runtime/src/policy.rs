@@ -1,34 +1,30 @@
 //! Per-trial execution policy: watchdog timeouts, bounded retry with
-//! deterministic backoff, straggler hedging, panic isolation, and
-//! poisoned-config quarantine.
+//! deterministic backoff, and panic isolation.
 //!
-//! The policy sits between the session loop and a
-//! [`TrialRunner`]: every trial is
-//! evaluated under `catch_unwind` (a panicking runner poisons one
-//! worker slot, never the campaign), timed against a *virtual* watchdog
-//! (the engine simulates, so timeouts compare simulated milliseconds —
-//! recorded histories never contain wall time), retried on retryable
-//! failures with delays drawn from the shared
-//! [`llamatune::backoff`] schedule, and — when a configuration fails
-//! terminally — quarantined, so later rounds that re-suggest it are
-//! penalty-scored ([`TrialStatus::Quarantined`]) without re-running.
+//! The policy sits between the executor and a [`TrialRunner`]: every
+//! trial is evaluated under `catch_unwind` (a panicking runner poisons
+//! one worker slot, never the campaign), timed against a *virtual*
+//! watchdog (the engine simulates, so timeouts compare simulated
+//! milliseconds — recorded histories never contain wall time), and
+//! retried on retryable failures with delays drawn from the shared
+//! [`llamatune::backoff`] schedule. A trial that still fails is final:
+//! the executor quarantines its configuration in the session's
+//! [`EvalCache`](crate::EvalCache), so later rounds that re-suggest it
+//! are penalty-scored ([`TrialStatus::Quarantined`]) without re-running.
 //!
 //! Determinism: every decision here is a pure function of the trial's
 //! configuration, the evaluation seed, and the policy — never of wall
-//! clock, worker count, or completion order. Quarantine membership is
-//! snapshotted per batch (and committed after the batch folds), so two
-//! trials of one round can never race on it.
+//! clock, worker count, or completion order.
 //!
-//! The default policy is inert: infinite timeout, one attempt, no
-//! hedging. Fault-free campaigns behave — byte for byte — as if the
-//! policy layer did not exist.
+//! The default policy is inert: infinite timeout, one attempt.
+//! Fault-free campaigns behave — byte for byte — as if the policy layer
+//! did not exist.
 
 use llamatune::backoff::{Backoff, BackoffPolicy};
 use llamatune::session::{EvalResult, TrialStatus};
 use llamatune_obs::MetricsRegistry;
 use llamatune_space::{Config, ConfigSpace};
 use llamatune_workloads::{config_fingerprint, TrialRunner};
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How the executor shepherds each trial through failure modes.
@@ -41,52 +37,25 @@ pub struct ExecutionPolicy {
     pub timeout_ms: f64,
     /// Evaluation attempts per trial (>= 1). Retries fire on panics,
     /// timeouts, and retryable failures; a deterministic crash
-    /// (`retryable: false`) is never retried.
+    /// (`retryable: false`) is never retried. Delays between attempts
+    /// follow [`BackoffPolicy::TRIAL_RETRY`] in virtual milliseconds,
+    /// seeded by `(eval seed, config fingerprint)` so they replay
+    /// exactly.
     pub max_attempts: u32,
-    /// Backoff schedule between attempts; delays are virtual
-    /// milliseconds added to the trial's virtual clock, seeded by
-    /// `(eval seed, config fingerprint)` so they replay exactly.
-    pub retry_backoff: BackoffPolicy,
-    /// Straggler hedging threshold, in virtual milliseconds: a
-    /// *successful* trial whose virtual time exceeds this is
-    /// re-attempted once, and the faster successful outcome wins
-    /// (attempt counts record the hedge). The threshold is absolute —
-    /// deliberately not batch-relative — so the hedge decision is a
-    /// pure function of the trial itself: a batch median would shift
-    /// when part of a round is answered by the evaluation cache (e.g.
-    /// on resume), silently changing recorded attempt counts.
-    /// `f64::INFINITY` (the default) disables hedging.
-    pub hedge_ms: f64,
-    /// Quarantine configurations that failed terminally: re-encounters
-    /// are scored with the crash penalty (status
-    /// [`TrialStatus::Quarantined`]) without re-running the benchmark.
-    pub quarantine: bool,
 }
 
 impl Default for ExecutionPolicy {
     fn default() -> Self {
-        ExecutionPolicy {
-            timeout_ms: f64::INFINITY,
-            max_attempts: 1,
-            retry_backoff: BackoffPolicy::TRIAL_RETRY,
-            hedge_ms: f64::INFINITY,
-            quarantine: true,
-        }
+        ExecutionPolicy { timeout_ms: f64::INFINITY, max_attempts: 1 }
     }
 }
 
 impl ExecutionPolicy {
     /// A policy hardened for chaotic runners, used by the chaos suites:
     /// a 10-second virtual watchdog (catches hangs and pathological
-    /// stragglers), three attempts (clears transient faults), hedging
-    /// at a quarter of the watchdog, and quarantine on.
+    /// stragglers) and three attempts (clears transient faults).
     pub fn hardened() -> ExecutionPolicy {
-        ExecutionPolicy {
-            timeout_ms: 10_000.0,
-            max_attempts: 3,
-            hedge_ms: 2_500.0,
-            ..ExecutionPolicy::default()
-        }
+        ExecutionPolicy { timeout_ms: 10_000.0, max_attempts: 3 }
     }
 }
 
@@ -96,7 +65,7 @@ impl ExecutionPolicy {
 /// trace emission on the session thread.
 #[derive(Debug, Clone)]
 pub(crate) struct AttemptTrace {
-    /// Absolute attempt number (hedge re-runs continue the count).
+    /// Attempt number, from 1.
     pub attempt: u32,
     /// Virtual milliseconds this attempt consumed.
     pub virtual_ms: f64,
@@ -105,64 +74,22 @@ pub(crate) struct AttemptTrace {
     pub disposition: &'static str,
 }
 
-/// One trial's settled outcome plus the policy-internal context the
-/// executor needs (hedging compares virtual times; quarantine keys are
-/// committed only after the whole batch folds).
-#[derive(Debug, Clone)]
-pub(crate) struct TrialOutcome {
-    pub result: EvalResult,
-    /// Total virtual milliseconds consumed (attempts + backoff delays).
-    pub virtual_ms: f64,
-    /// Fingerprint to quarantine, when the trial failed terminally.
-    pub quarantine_key: Option<u64>,
-    /// Per-attempt dispositions, in attempt order.
-    pub attempts_log: Vec<AttemptTrace>,
-}
-
-/// Runs one trial to a settled disposition under `policy`.
-///
-/// `first_attempt`/`budget` parameterize hedge re-runs: the normal path
-/// starts at attempt 1 with the policy's full attempt budget; a hedge
-/// re-runs starting past the original's last attempt with a budget of
-/// one. Attempt numbers are absolute, so the recorded `attempts` field
-/// counts every evaluation the trial consumed.
-#[allow(clippy::too_many_arguments)] // internal seam; callers are the executor and its hedger
+/// Runs one trial to a settled disposition under `policy`: its result,
+/// and one [`AttemptTrace`] per attempt, in attempt order. The recorded
+/// `attempts` counts every evaluation the trial consumed, and
+/// `virtual_ms` totals them with the backoff delays between them.
 pub(crate) fn run_trial_policy(
     runner: &dyn TrialRunner,
     space: &ConfigSpace,
     config: &Config,
     seed: u64,
     policy: &ExecutionPolicy,
-    quarantined: &HashSet<u64>,
     metrics_reg: &MetricsRegistry,
-    first_attempt: u32,
-    budget: u32,
-) -> TrialOutcome {
+) -> (EvalResult, Vec<AttemptTrace>) {
     let fp = config_fingerprint(config);
-    if policy.quarantine && first_attempt == 1 && quarantined.contains(&fp) {
-        metrics_reg.incr("policy.quarantine_hits", 1);
-        return TrialOutcome {
-            result: EvalResult {
-                score: None,
-                metrics: Vec::new(),
-                status: TrialStatus::Quarantined,
-                attempts: 1,
-                virtual_ms: 0.0,
-            },
-            virtual_ms: 0.0,
-            quarantine_key: None,
-            attempts_log: vec![AttemptTrace {
-                attempt: 1,
-                virtual_ms: 0.0,
-                disposition: "quarantined",
-            }],
-        };
-    }
-
     let mut clock = 0.0;
-    let mut backoff = Backoff::new(policy.retry_backoff, seed ^ fp);
-    let mut attempt = first_attempt;
-    let last_attempt = first_attempt.saturating_add(budget.max(1)) - 1;
+    let mut backoff = Backoff::new(BackoffPolicy::TRIAL_RETRY, seed ^ fp);
+    let mut attempt = 1;
     let mut attempts_log = Vec::new();
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -196,25 +123,17 @@ pub(crate) fn run_trial_policy(
             },
         });
 
-        if !timed_out && !panicked && score.is_some() {
-            return TrialOutcome {
-                result: EvalResult {
-                    score,
-                    metrics,
-                    status: TrialStatus::Ok,
-                    attempts: attempt,
-                    virtual_ms: clock,
-                },
-                virtual_ms: clock,
-                quarantine_key: None,
-                attempts_log,
-            };
-        }
-
-        // This attempt failed. Deterministic crashes (retryable: false,
-        // no panic, no timeout) are final immediately; everything else
-        // retries while attempts and the backoff budget allow.
-        if attempt < last_attempt && (timed_out || retryable) {
+        let status = if timed_out {
+            TrialStatus::TimedOut
+        } else if panicked || score.is_none() {
+            TrialStatus::Crashed
+        } else {
+            TrialStatus::Ok
+        };
+        // A failed attempt retries while attempts and the backoff budget
+        // allow, unless it is a deterministic crash (retryable: false,
+        // no panic, no timeout), which is final immediately.
+        if status != TrialStatus::Ok && attempt < policy.max_attempts && (timed_out || retryable) {
             if let Some(delay) = backoff.next() {
                 metrics_reg.incr("policy.retries", 1);
                 clock += delay as f64;
@@ -222,22 +141,12 @@ pub(crate) fn run_trial_policy(
                 continue;
             }
         }
-        let status = if timed_out { TrialStatus::TimedOut } else { TrialStatus::Crashed };
-        // Keep the failed attempt's metrics (a crashing benchmark may
+        // A failed attempt keeps its metrics (a crashing benchmark may
         // still report partial counters) — matching what a plain runner
         // records for a crashed configuration.
-        return TrialOutcome {
-            result: EvalResult {
-                score: None,
-                metrics,
-                status,
-                attempts: attempt,
-                virtual_ms: clock,
-            },
-            virtual_ms: clock,
-            quarantine_key: policy.quarantine.then_some(fp),
-            attempts_log,
-        };
+        let score = if status == TrialStatus::Ok { score } else { None };
+        let result = EvalResult { score, metrics, status, attempts: attempt, virtual_ms: clock };
+        return (result, attempts_log);
     }
 }
 
@@ -303,46 +212,30 @@ mod tests {
         llamatune_space::catalog::postgres_v9_6()
     }
 
-    fn run(
-        runner: &dyn TrialRunner,
-        policy: &ExecutionPolicy,
-        quarantined: &HashSet<u64>,
-    ) -> TrialOutcome {
+    fn run(runner: &dyn TrialRunner, policy: &ExecutionPolicy) -> (EvalResult, Vec<AttemptTrace>) {
         let sp = space();
         let cfg = sp.default_config();
-        let metrics = MetricsRegistry::new();
-        run_trial_policy(
-            runner,
-            &sp,
-            &cfg,
-            7,
-            policy,
-            quarantined,
-            &metrics,
-            1,
-            policy.max_attempts,
-        )
+        run_trial_policy(runner, &sp, &cfg, 7, policy, &MetricsRegistry::new())
     }
 
     #[test]
     fn default_policy_is_single_attempt_pass_through() {
         let r = Scripted::ok(100.0);
-        let out = run(&r, &ExecutionPolicy::default(), &HashSet::new());
-        assert_eq!(out.result.status, TrialStatus::Ok);
-        assert_eq!(out.result.attempts, 1);
-        assert_eq!(out.result.score, Some(10.0));
+        let (out, _) = run(&r, &ExecutionPolicy::default());
+        assert_eq!(out.status, TrialStatus::Ok);
+        assert_eq!(out.attempts, 1);
+        assert_eq!(out.score, Some(10.0));
         assert_eq!(r.calls.load(Ordering::SeqCst), 1);
-        assert!(out.quarantine_key.is_none());
     }
 
     #[test]
     fn transient_failures_retry_with_backoff_and_record_attempts() {
         let r = Scripted { fail_first: 2, ..Scripted::ok(100.0) };
         let policy = ExecutionPolicy { max_attempts: 3, ..Default::default() };
-        let out = run(&r, &policy, &HashSet::new());
-        assert_eq!(out.result.status, TrialStatus::Ok);
-        assert_eq!(out.result.attempts, 3);
-        assert_eq!(out.result.score, Some(30.0));
+        let (out, _) = run(&r, &policy);
+        assert_eq!(out.status, TrialStatus::Ok);
+        assert_eq!(out.attempts, 3);
+        assert_eq!(out.score, Some(30.0));
         // Virtual clock: two 1ms failures + backoff delays + the run.
         assert!(out.virtual_ms > 102.0, "backoff delays must land on the virtual clock");
     }
@@ -351,33 +244,33 @@ mod tests {
     fn exhausted_retries_settle_as_crashed_and_quarantine() {
         let r = Scripted { fail_first: 10, ..Scripted::ok(100.0) };
         let policy = ExecutionPolicy { max_attempts: 3, ..Default::default() };
-        let out = run(&r, &policy, &HashSet::new());
-        assert_eq!(out.result.status, TrialStatus::Crashed);
-        assert_eq!(out.result.attempts, 3);
-        assert!(out.result.score.is_none());
-        assert!(out.quarantine_key.is_some());
+        let (out, _) = run(&r, &policy);
+        assert_eq!(out.status, TrialStatus::Crashed);
+        assert_eq!(out.attempts, 3);
+        assert!(out.score.is_none());
+        // A failure is final: the executor quarantines it.
+        assert!(out.is_retryable(), "the cache must refuse it");
     }
 
     #[test]
     fn deterministic_crashes_are_never_retried() {
         let r = Scripted { fail_first: 10, retryable: false, ..Scripted::ok(100.0) };
         let policy = ExecutionPolicy { max_attempts: 5, ..Default::default() };
-        let out = run(&r, &policy, &HashSet::new());
-        assert_eq!(out.result.status, TrialStatus::Crashed);
-        assert_eq!(out.result.attempts, 1, "retrying a deterministic crash is waste");
+        let (out, _) = run(&r, &policy);
+        assert_eq!(out.status, TrialStatus::Crashed);
+        assert_eq!(out.attempts, 1, "retrying a deterministic crash is waste");
         assert_eq!(r.calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn watchdog_times_out_on_virtual_not_wall_time() {
         let r = Scripted::ok(50_000.0);
-        let policy =
-            ExecutionPolicy { timeout_ms: 10_000.0, max_attempts: 2, ..Default::default() };
+        let policy = ExecutionPolicy { timeout_ms: 10_000.0, max_attempts: 2 };
         let started = std::time::Instant::now();
-        let out = run(&r, &policy, &HashSet::new());
-        assert_eq!(out.result.status, TrialStatus::TimedOut);
-        assert_eq!(out.result.attempts, 2, "timeouts are retried up to the budget");
-        assert!(out.quarantine_key.is_some());
+        let (out, _) = run(&r, &policy);
+        assert_eq!(out.status, TrialStatus::TimedOut);
+        assert_eq!(out.attempts, 2, "timeouts are retried up to the budget");
+        assert!(out.score.is_none());
         // 100 virtual seconds, near-zero wall time.
         assert!(started.elapsed().as_secs() < 5);
     }
@@ -388,25 +281,10 @@ mod tests {
         let policy = ExecutionPolicy { max_attempts: 2, ..Default::default() };
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence the scripted panic
-        let out = run(&r, &policy, &HashSet::new());
+        let (out, _) = run(&r, &policy);
         std::panic::set_hook(prev);
-        assert_eq!(out.result.status, TrialStatus::Ok);
-        assert_eq!(out.result.attempts, 2);
-    }
-
-    #[test]
-    fn quarantined_configs_are_scored_without_running() {
-        let r = Scripted::ok(100.0);
-        let sp = space();
-        let fp = config_fingerprint(&sp.default_config());
-        let out = run(&r, &ExecutionPolicy::default(), &HashSet::from([fp]));
-        assert_eq!(out.result.status, TrialStatus::Quarantined);
-        assert!(out.result.score.is_none());
-        assert_eq!(r.calls.load(Ordering::SeqCst), 0, "quarantine must not run the benchmark");
-        // Quarantine off: the trial runs normally.
-        let policy = ExecutionPolicy { quarantine: false, ..Default::default() };
-        let out = run(&r, &policy, &HashSet::from([fp]));
-        assert_eq!(out.result.status, TrialStatus::Ok);
+        assert_eq!(out.status, TrialStatus::Ok);
+        assert_eq!(out.attempts, 2);
     }
 
     #[test]
@@ -416,22 +294,21 @@ mod tests {
         let sp = space();
         let cfg = sp.default_config();
         let metrics = MetricsRegistry::new();
-        let out = run_trial_policy(&r, &sp, &cfg, 7, &policy, &HashSet::new(), &metrics, 1, 3);
+        let (_, log) = run_trial_policy(&r, &sp, &cfg, 7, &policy, &metrics);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("policy.retries"), 2);
         assert_eq!(snap.counter("policy.timeouts"), 0);
-        let dispositions: Vec<&str> = out.attempts_log.iter().map(|a| a.disposition).collect();
+        let dispositions: Vec<&str> = log.iter().map(|a| a.disposition).collect();
         assert_eq!(dispositions, vec!["crashed", "crashed", "ok"]);
-        assert_eq!(out.result.virtual_ms, out.virtual_ms);
     }
 
     #[test]
     fn settled_outcomes_are_deterministic() {
         let policy = ExecutionPolicy { max_attempts: 3, ..Default::default() };
-        let a = run(&Scripted { fail_first: 1, ..Scripted::ok(80.0) }, &policy, &HashSet::new());
-        let b = run(&Scripted { fail_first: 1, ..Scripted::ok(80.0) }, &policy, &HashSet::new());
-        assert_eq!(a.result.score, b.result.score);
-        assert_eq!(a.result.attempts, b.result.attempts);
+        let (a, _) = run(&Scripted { fail_first: 1, ..Scripted::ok(80.0) }, &policy);
+        let (b, _) = run(&Scripted { fail_first: 1, ..Scripted::ok(80.0) }, &policy);
+        assert_eq!(a.score, b.score);
+        assert_eq!(a.attempts, b.attempts);
         assert_eq!(a.virtual_ms, b.virtual_ms, "backoff jitter is seeded, not random");
     }
 }

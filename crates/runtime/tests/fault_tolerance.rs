@@ -6,7 +6,7 @@
 //! 1. **Session properties** (proptest, 96 seeded cases each): under any
 //!    `FaultPlan::chaos(seed)` schedule a session terminates, records
 //!    every trial exactly once (finite penalty scores, truthful
-//!    statuses, attempt counts within the retry + hedge budget), and
+//!    statuses, attempt counts within the retry budget), and
 //!    produces bit-identical histories at any worker count.
 //! 2. **Optimizer degradation**: a panicking optimizer under
 //!    `GuardedOptimizer` degrades rounds to random search — recorded as
@@ -64,7 +64,7 @@ fn silence_injected_panics() {
 
 /// A deterministic stand-in benchmark: cheap enough for thousands of
 /// property cases, with config-dependent scores and virtual durations so
-/// hedging and timeouts have something to bite on.
+/// timeouts have something to bite on.
 struct SimRunner;
 
 impl TrialRunner for SimRunner {
@@ -110,7 +110,7 @@ proptest! {
     /// policy in the grid — the session ends with every iteration
     /// recorded exactly once, failures penalty-scored (finite), statuses
     /// truthful about raw scores, and attempt counts inside the
-    /// retry + hedge budget.
+    /// retry budget.
     #[test]
     fn any_fault_schedule_terminates_with_every_trial_accounted(
         seed in 0u64..1_000_000,
@@ -122,8 +122,6 @@ proptest! {
         let policy = ExecutionPolicy {
             max_attempts,
             timeout_ms: if watchdog { 10_000.0 } else { f64::INFINITY },
-            hedge_ms: 2_500.0,
-            ..ExecutionPolicy::default()
         };
         let h = run_chaos_session(seed, workers, FaultPlan::chaos(seed), policy);
         prop_assert_eq!(h.scores.len(), ITERS + 1);
@@ -132,9 +130,9 @@ proptest! {
         prop_assert_eq!(h.attempts.len(), ITERS + 1);
         for i in 0..=ITERS {
             prop_assert!(h.scores[i].is_finite(), "seed {seed} trial {i}: penalty not applied");
-            // Budget: max_attempts retries + at most one hedge attempt.
+            // Budget: max_attempts attempts.
             prop_assert!(
-                h.attempts[i] >= 1 && h.attempts[i] <= max_attempts + 1,
+                h.attempts[i] >= 1 && h.attempts[i] <= max_attempts,
                 "seed {seed} trial {i}: attempts {} outside budget", h.attempts[i]
             );
             match h.raw_scores[i] {
@@ -171,10 +169,7 @@ proptest! {
 
     /// Fault-free inertness: with no fault plan, a hardened policy must
     /// not change a single recorded bit relative to the inert default —
-    /// retries, watchdogs, and hedging only engage on actual faults
-    /// (hedge re-runs of a deterministic runner return the identical
-    /// outcome, so only attempt counts may move, and only when a batch
-    /// has a straggler).
+    /// retries and watchdogs only engage on actual faults.
     #[test]
     fn hardened_policy_is_score_inert_without_faults(seed in 0u64..1_000_000) {
         let a = run_chaos_session(seed, 2, FaultPlan::default(), ExecutionPolicy::default());

@@ -25,8 +25,8 @@
 //!   watchdog with any finite timeout fires and a policy without one
 //!   still terminates.
 //! * [`FaultKind::Slow`] — a straggler: the run completes with its
-//!   virtual duration inflated, exercising hedging and near-timeout
-//!   paths without failing.
+//!   virtual duration inflated, exercising the watchdog's near-timeout
+//!   path (or, past the timeout, its retries) without failing.
 //! * [`FaultKind::Corrupt`] — a wrong result: the score is
 //!   deterministically perturbed but reported as a success, the failure
 //!   mode no retry policy can catch (recorded histories stay
@@ -324,9 +324,10 @@ impl TrialRunner for FaultyRunner {
     }
 }
 
-/// FNV-1a fingerprint of a decoded configuration (same construction as
-/// the runtime cache's `config_key`, duplicated here because this crate
-/// sits below the runtime in the dependency order).
+/// FNV-1a fingerprint of a decoded configuration — the one
+/// configuration hash in the product: it keys the fault schedule here
+/// and the runtime's `EvalCache`, which settles each configuration of a
+/// session once.
 pub fn config_fingerprint(config: &Config) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |bytes: &[u8]| {
