@@ -272,16 +272,24 @@ impl OptimizerKind {
 }
 
 /// Pure random search — the weakest baseline and a useful control.
+///
+/// Every observation reseeds the stream from `(seed, observations
+/// seen)`, so a draw is a pure function of the history: a constant-liar
+/// round that restores the pre-batch state and feeds the real results
+/// moves on to fresh points instead of redrawing the round it retracted.
+/// Without observations (the guard's fallback) the stream is the seed's.
 #[derive(Debug)]
 pub struct RandomSearch {
     spec: SearchSpec,
+    seed: u64,
+    seen: u64,
     rng: StdRng,
 }
 
 impl RandomSearch {
     /// Creates a random-search optimizer.
     pub fn new(spec: SearchSpec, seed: u64) -> Self {
-        RandomSearch { spec, rng: StdRng::seed_from_u64(seed) }
+        RandomSearch { spec, seed, seen: 0, rng: StdRng::seed_from_u64(seed) }
     }
 }
 
@@ -290,21 +298,25 @@ impl Optimizer for RandomSearch {
         self.spec.sample(&mut self.rng)
     }
 
-    fn observe(&mut self, _obs: Observation) {}
+    fn observe(&mut self, _obs: Observation) {
+        self.seen += 1;
+        self.rng = StdRng::seed_from_u64(self.seed ^ self.seen.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    }
 
     fn name(&self) -> &'static str {
         "random"
     }
 
     fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        // The RNG is the entire mutable state.
-        Some(Box::new(self.rng.clone()))
+        // The stream and the count it was seeded from are the entire
+        // mutable state.
+        Some(Box::new((self.rng.clone(), self.seen)))
     }
 
     fn restore(&mut self, snapshot: &(dyn std::any::Any + Send)) -> bool {
-        match snapshot.downcast_ref::<StdRng>() {
-            Some(rng) => {
-                self.rng = rng.clone();
+        match snapshot.downcast_ref::<(StdRng, u64)>() {
+            Some((rng, seen)) => {
+                (self.rng, self.seen) = (rng.clone(), *seen);
                 true
             }
             None => false,

@@ -267,6 +267,23 @@ mod tests {
         }
     }
 
+    /// Random search draws from a stream reseeded by every observation,
+    /// so restoring the pre-batch state and feeding the real results
+    /// moves the next round on instead of redrawing the retracted one.
+    #[test]
+    fn random_search_rounds_never_repeat_under_the_liar() {
+        let opt = BatchSuggest::new(Box::new(|| {
+            Box::new(RandomSearch::new(SearchSpec::continuous(3), 4)) as Box<dyn Optimizer>
+        }));
+        let all = drive(opt, 4, 6);
+        for (round, pair) in all.chunks(4).collect::<Vec<_>>().windows(2).enumerate() {
+            assert_ne!(pair[0], pair[1], "round {} redrew round {round}", round + 1);
+        }
+        let distinct: std::collections::HashSet<Vec<u64>> =
+            all.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect();
+        assert_eq!(distinct.len(), all.len(), "every suggestion is a fresh point");
+    }
+
     #[test]
     fn liar_strategies_use_the_real_history() {
         let real = [

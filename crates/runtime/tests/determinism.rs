@@ -76,7 +76,7 @@ fn bucketized_session_reports_cache_hits() {
             bucket_count: Some(16),
             ..Default::default()
         })],
-        optimizers: vec![OptimizerKind::Random],
+        optimizers: vec![OptimizerKind::Smac],
         seeds: vec![0],
     };
     let opts = CampaignOptions {

@@ -338,7 +338,7 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn kill_mid_chaos_campaign_resumes_byte_identically() {
     silence_injected_panics();
-    for seed in [3u64, 11] {
+    for seed in [6u64, 9] {
         let campaign = chaos_campaign(seed, 2);
 
         // Ground truth: the chaos campaign, uninterrupted.
