@@ -148,8 +148,8 @@ fn drive_once(
 
 /// The client-side executor, constructed exactly as [`SessionDriver`]
 /// builds its local one: same eval-seed derivation, same worker pool,
-/// same policy — the equivalence that makes remote and in-process
-/// histories byte-identical.
+/// same policy, its own evaluation cache — the equivalence that makes
+/// remote and in-process histories byte-identical.
 ///
 /// [`SessionDriver`]: llamatune_runtime::SessionDriver
 fn build_executor(
