@@ -207,8 +207,6 @@ impl<'a> SessionDriver<'a> {
             Opened::Done(result) => return Ok(*result),
             Opened::Live(live) => *live,
         };
-        // Evaluation seed: fixed per session, derived from the session
-        // seed exactly as the sequential harness does.
         // The persistent half of the evaluation cache: every trial
         // already recorded for this session is a measurement already
         // paid for — a resumed partial round replays from here instead
@@ -227,6 +225,8 @@ impl<'a> SessionDriver<'a> {
                 },
             );
         }
+        // Evaluation seed: fixed per session, derived from the session
+        // seed exactly as the sequential harness does.
         let mut executor = self
             .build_executor(self.cell.seed ^ 0x5EED)
             .with_cache(cache)
