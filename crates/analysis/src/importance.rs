@@ -1,69 +1,4 @@
-//! Cheaper importance scores (Gini / permutation) and knob ranking.
-
-use llamatune_optim::{RandomForest, TreeNode};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
-/// Gini (variance-reduction) importance: total SSE decrease contributed by
-/// each feature's splits, cover-weighted, averaged over trees and
-/// normalized to sum to 1.
-pub fn gini_importance(forest: &RandomForest) -> Vec<f64> {
-    let d = forest.spec().len();
-    let mut imp = vec![0.0; d];
-    for tree in &forest.trees {
-        for node in &tree.nodes {
-            if let TreeNode::Split { feature, n, .. } = node {
-                // Cover-weighted split count as an SSE-decrease proxy: the
-                // deeper (smaller-cover) a split, the less it matters.
-                imp[*feature] += f64::from(*n);
-            }
-        }
-    }
-    let total: f64 = imp.iter().sum();
-    if total > 0.0 {
-        for v in imp.iter_mut() {
-            *v /= total;
-        }
-    }
-    imp
-}
-
-/// Permutation importance: increase in mean-squared error when one
-/// feature's column is shuffled.
-pub fn permutation_importance(
-    forest: &RandomForest,
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    seed: u64,
-) -> Vec<f64> {
-    assert_eq!(xs.len(), ys.len());
-    let d = forest.spec().len();
-    let mse = |data: &[Vec<f64>]| -> f64 {
-        data.iter()
-            .zip(ys)
-            .map(|(x, y)| {
-                let (p, _) = forest.predict(x);
-                (p - y) * (p - y)
-            })
-            .sum::<f64>()
-            / data.len().max(1) as f64
-    };
-    let baseline = mse(xs);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut imp = vec![0.0; d];
-    for (f, slot) in imp.iter_mut().enumerate() {
-        let mut shuffled: Vec<Vec<f64>> = xs.to_vec();
-        // Fisher-Yates over the f-th column.
-        for i in (1..shuffled.len()).rev() {
-            let j = rng.random_range(0..=i);
-            let tmp = shuffled[i][f];
-            shuffled[i][f] = shuffled[j][f];
-            shuffled[j][f] = tmp;
-        }
-        *slot = (mse(&shuffled) - baseline).max(0.0);
-    }
-    imp
-}
+//! Knob ranking by importance score.
 
 /// Ranks knob names by importance, descending; ties broken by name for
 /// determinism.
@@ -78,38 +13,6 @@ pub fn rank_knobs<'a>(names: &[&'a str], importance: &[f64]) -> Vec<(&'a str, f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamatune_optim::{RandomForestConfig, SearchSpec};
-
-    fn fit(
-        d: usize,
-        f: impl Fn(&[f64]) -> f64,
-        n: usize,
-    ) -> (RandomForest, Vec<Vec<f64>>, Vec<f64>) {
-        let spec = SearchSpec::continuous(d);
-        let mut rng = StdRng::seed_from_u64(3);
-        let xs: Vec<Vec<f64>> =
-            (0..n).map(|_| (0..d).map(|_| rng.random::<f64>()).collect()).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| f(x)).collect();
-        let forest = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 3);
-        (forest, xs, ys)
-    }
-
-    #[test]
-    fn gini_finds_the_signal_feature() {
-        let (forest, _, _) = fit(5, |x| 6.0 * x[2], 200);
-        let imp = gini_importance(&forest);
-        let best = imp.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
-        assert_eq!(best, 2, "importance {imp:?}");
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9, "normalized");
-    }
-
-    #[test]
-    fn permutation_finds_the_signal_feature() {
-        let (forest, xs, ys) = fit(4, |x| 5.0 * x[1] + 0.5 * x[3], 200);
-        let imp = permutation_importance(&forest, &xs, &ys, 1);
-        assert!(imp[1] > imp[0] && imp[1] > imp[2], "{imp:?}");
-        assert!(imp[1] > imp[3], "strong feature beats weak one: {imp:?}");
-    }
 
     #[test]
     fn ranking_is_descending_and_deterministic() {

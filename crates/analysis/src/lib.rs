@@ -9,12 +9,10 @@
 //!   al. 2018, Algorithm 2) over the random-forest trees of
 //!   `llamatune-optim`, validated against brute-force Shapley values;
 //! * [`shap_importance`] — mean |SHAP| per feature over a background set;
-//! * [`gini_importance`] / [`permutation_importance`] — the cheaper
-//!   alternatives, for comparison;
 //! * [`rank_knobs`] — descending importance ranking with names.
 
 pub mod importance;
 pub mod shap;
 
-pub use importance::{gini_importance, permutation_importance, rank_knobs};
+pub use importance::rank_knobs;
 pub use shap::{expected_value, shap_importance, tree_shap};

@@ -1,6 +1,5 @@
 //! Optimizer hot-path latency: what one suggest / observe / retract
-//! costs as the observation history grows — and what snapshot-restore
-//! retraction buys over rebuild-and-replay.
+//! costs as the observation history grows.
 //!
 //! The measurements, each at history sizes n = 50 / 100 / 200 (the
 //! paper's sessions run 100 iterations):
@@ -23,10 +22,10 @@
 //! * **GP-BO suggest** — one `GpBo::suggest` (1500 candidates
 //!   drawn and EI-scored against the cached factor) and, inside it, the
 //!   scoring pass alone (`optim.gp.ei_score_ms`).
-//! * **Constant-liar retract, q = 8** — `BatchSuggest::observe_batch`
-//!   after a fantasized round, retracting the way the optimizer's own
-//!   cost hint picks (`auto`), and forced to snapshot-restore and to
-//!   rebuild-and-replay through a wrapper that answers the hint.
+//! * **Constant-liar retract, q = 8** — GP-BO, SMAC and DDPG at n = 100
+//!   and 200: the snapshot `BatchSuggest::suggest_batch` takes before
+//!   fantasizing, plus the restore and the replay of the q real results
+//!   in `observe_batch`.
 //!
 //! Results are printed as a table and recorded in
 //! `BENCH_optimizer.json` (in the working directory) so later PRs have
@@ -45,9 +44,10 @@ use llamatune_optim::{
     Ddpg, DdpgConfig, GpBo, GpConfig, Observation, Optimizer, RandomForest, RandomForestConfig,
     SearchSpec, Smac, SmacConfig, DEFAULT_METRIC_DIM,
 };
-use llamatune_runtime::{BatchSuggest, OptimizerFactory};
+use llamatune_runtime::BatchSuggest;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -217,19 +217,17 @@ struct RetractRow {
     optimizer: &'static str,
     n: usize,
     q: usize,
-    auto_us: f64,
-    snapshot_us: f64,
-    rebuild_us: f64,
+    retract_us: f64,
 }
 
-/// An optimizer whose retraction strategy is forced: it answers
-/// `snapshot_beats_replay` with `snapshot` and forwards the rest.
-struct Forced {
+/// Forwards to the optimizer it wraps, adding the time its `snapshot`
+/// takes to `spent_ns`.
+struct SnapshotClock {
     inner: Box<dyn Optimizer>,
-    snapshot: bool,
+    spent_ns: Arc<AtomicU64>,
 }
 
-impl Optimizer for Forced {
+impl Optimizer for SnapshotClock {
     fn suggest(&mut self) -> Vec<f64> {
         self.inner.suggest()
     }
@@ -239,68 +237,52 @@ impl Optimizer for Forced {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
-    fn suggest_batch(&mut self, q: usize) -> Vec<Vec<f64>> {
-        self.inner.suggest_batch(q)
-    }
     fn observe_batch(&mut self, obs: Vec<Observation>) {
         self.inner.observe_batch(obs)
     }
     fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        self.inner.snapshot()
-    }
-    fn snapshot_beats_replay(&self) -> bool {
-        self.snapshot
+        let t = Instant::now();
+        let snapshot = self.inner.snapshot();
+        self.spent_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        snapshot
     }
     fn restore(&mut self, snapshot: &(dyn std::any::Any + Send)) -> bool {
         self.inner.restore(snapshot)
     }
-    fn drain_degradations(&mut self) -> Vec<llamatune_optim::DegradationEvent> {
-        self.inner.drain_degradations()
-    }
 }
 
-/// Times the lie-retracting `observe_batch` of a q-wide constant-liar
-/// round, retracting as the optimizer's cost hint picks, then forced to
-/// snapshot-restore, then forced to rebuild-and-replay.
+/// Times what retracting a q-wide constant-liar round costs: the
+/// snapshot `suggest_batch` takes before fantasizing, plus the restore
+/// and the replay of the q real results in `observe_batch`.
 fn retract_row(
     optimizer: &'static str,
-    factory: fn() -> Box<dyn Optimizer>,
+    build: fn() -> Box<dyn Optimizer>,
     n: usize,
     q: usize,
     rounds: usize,
 ) -> RetractRow {
-    let forced = |snapshot: bool| -> OptimizerFactory {
-        Box::new(move || Box::new(Forced { inner: factory(), snapshot }) as Box<dyn Optimizer>)
-    };
-    let mut medians = [0.0, 0.0, 0.0];
-    let strategies: [OptimizerFactory; 3] = [Box::new(factory), forced(true), forced(false)];
-    for (slot, strategy) in strategies.into_iter().enumerate() {
-        let mut wrapped = BatchSuggest::new(strategy);
-        wrapped.observe_batch(synthetic_history(n));
-        let mut times = Vec::new();
-        for _ in 0..rounds {
-            let batch = wrapped.suggest_batch(q);
-            let obs: Vec<Observation> = batch
-                .into_iter()
-                .map(|x| {
-                    let y = -x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>();
-                    Observation { x, y, metrics: vec![] }
-                })
-                .collect();
-            let t = Instant::now();
-            wrapped.observe_batch(obs);
-            times.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-        medians[slot] = median_us(times);
+    let spent_ns = Arc::new(AtomicU64::new(0));
+    let mut wrapped = BatchSuggest::new(|| {
+        Box::new(SnapshotClock { inner: build(), spent_ns: spent_ns.clone() })
+    });
+    wrapped.observe_batch(synthetic_history(n));
+    let mut times = Vec::new();
+    for _ in 0..rounds {
+        spent_ns.store(0, Ordering::Relaxed);
+        let batch = wrapped.suggest_batch(q);
+        let snapshot_us = spent_ns.load(Ordering::Relaxed) as f64 / 1e3;
+        let obs: Vec<Observation> = batch
+            .into_iter()
+            .map(|x| {
+                let y = -x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>();
+                Observation { x, y, metrics: vec![] }
+            })
+            .collect();
+        let t = Instant::now();
+        wrapped.observe_batch(obs);
+        times.push(snapshot_us + t.elapsed().as_secs_f64() * 1e6);
     }
-    RetractRow {
-        optimizer,
-        n,
-        q,
-        auto_us: medians[0],
-        snapshot_us: medians[1],
-        rebuild_us: medians[2],
-    }
+    RetractRow { optimizer, n, q, retract_us: median_us(times) }
 }
 
 fn ratio(slow: f64, fast: f64) -> f64 {
@@ -390,22 +372,21 @@ fn main() {
             q,
             rounds,
         ));
+        retract_rows.push(retract_row(
+            "ddpg",
+            || {
+                let config = DdpgConfig::default();
+                Box::new(Ddpg::new(SearchSpec::continuous(DIMS), DEFAULT_METRIC_DIM, config, SEED))
+            },
+            n,
+            q,
+            rounds,
+        ));
     }
-    println!("\nConstant-liar retract (observe_batch of a q = {q} round):");
-    println!(
-        "{:>8} {:>6} {:>12} {:>14} {:>16} {:>10}",
-        "opt", "n", "auto", "snapshot", "rebuild+replay", "speedup"
-    );
+    println!("\nConstant-liar retract (snapshot + restore + replay of a q = {q} round):");
+    println!("{:>8} {:>6} {:>14}", "opt", "n", "retract");
     for r in &retract_rows {
-        println!(
-            "{:>8} {:>6} {:>10.1}us {:>12.1}us {:>14.1}us {:>9.1}x",
-            r.optimizer,
-            r.n,
-            r.auto_us,
-            r.snapshot_us,
-            r.rebuild_us,
-            ratio(r.rebuild_us, r.snapshot_us)
-        );
+        println!("{:>8} {:>6} {:>12.1}us", r.optimizer, r.n, r.retract_us);
     }
 
     // The regression artifact.
@@ -473,10 +454,7 @@ fn main() {
             ("optimizer", Field::Text(r.optimizer)),
             ("n", Field::Num(r.n as f64)),
             ("q", Field::Num(r.q as f64)),
-            ("auto_us", Field::Num(round(r.auto_us, 2))),
-            ("snapshot_us", Field::Num(round(r.snapshot_us, 2))),
-            ("rebuild_us", Field::Num(round(r.rebuild_us, 2))),
-            ("speedup", Field::Num(round(ratio(r.rebuild_us, r.snapshot_us), 2))),
+            ("retract_us", Field::Num(round(r.retract_us, 2))),
         ];
         write_object(&mut json, members, write_field);
     }

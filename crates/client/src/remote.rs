@@ -3,11 +3,9 @@
 
 use crate::{Client, ClientError};
 use llamatune::session::{Trial, TrialExecutor};
-use llamatune_runtime::{ExecutionPolicy, WorkloadExecutor};
+use llamatune_runtime::{session_executor, CampaignOptions, ExecutionPolicy, WorkloadExecutor};
 use llamatune_server::wire::{CreateSession, Report, SuggestReply, WireResult};
 use llamatune_space::ConfigSpace;
-use llamatune_workloads::{workload_by_name, TrialRunner, WorkloadRunner};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Client-side evaluation knobs.
@@ -146,29 +144,24 @@ fn drive_once(
     }
 }
 
-/// The client-side executor, constructed exactly as [`SessionDriver`]
-/// builds its local one: same eval-seed derivation, same worker pool,
-/// same policy, its own evaluation cache — the equivalence that makes
-/// remote and in-process histories byte-identical.
-///
-/// [`SessionDriver`]: llamatune_runtime::SessionDriver
+/// The client-side executor: the one [`session_executor`] builds for
+/// the in-process run of the same session (no fault plan; its own
+/// evaluation cache).
 fn build_executor(
     catalog: &ConfigSpace,
     spec: &CreateSession,
     opts: &RemoteSessionOptions,
 ) -> Result<WorkloadExecutor, ClientError> {
-    let workload = workload_by_name(&spec.workload).ok_or_else(|| {
+    let campaign = CampaignOptions {
+        trial_workers: opts.trial_workers,
+        policy: opts.policy,
+        run_options: opts.run_options.clone(),
+        ..CampaignOptions::default()
+    };
+    session_executor(catalog, &campaign, &spec.workload, spec.seed).ok_or_else(|| {
         ClientError::Wire(llamatune_server::wire::WireError::new(
             llamatune_server::wire::code::BAD_PARAMS,
             format!("unknown workload {:?}", spec.workload),
         ))
-    })?;
-    let mut runner = WorkloadRunner::new(workload, catalog.clone());
-    if let Some(run_opts) = opts.run_options.clone() {
-        runner = runner.with_options(run_opts);
-    }
-    let runner: Arc<dyn TrialRunner> = Arc::new(runner);
-    let eval_seed = spec.seed ^ 0x5EED;
-    Ok(WorkloadExecutor::from_trial_runner(runner, catalog.clone(), eval_seed, opts.trial_workers)
-        .with_policy(opts.policy))
+    })
 }

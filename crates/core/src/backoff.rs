@@ -16,6 +16,8 @@
 //! jitter keeps a floor under the delay while still decorrelating
 //! contending writers that share an attempt number.
 
+use llamatune_math::splitmix64;
+
 /// Bounded, seeded exponential-backoff schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffPolicy {
@@ -109,14 +111,6 @@ impl Backoff {
         self.attempt += 1;
         Some(d)
     }
-}
-
-/// Fast, well-mixed 64-bit hash (splitmix64 finalizer).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

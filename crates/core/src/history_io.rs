@@ -510,8 +510,12 @@ mod tests {
     fn best_config_renders_as_conf() {
         let (space, h) = tiny_history();
         let conf = best_config_conf(&space, &h).unwrap();
-        // The best config must parse back cleanly.
-        let parsed = llamatune_space::conf_file::from_conf(&space, &conf).unwrap();
-        assert!(space.validate(&parsed).is_ok());
+        // The score is shared_buffers, so the best configuration is the
+        // run's largest; every other knob differs from its default too.
+        let head =
+            "shared_buffers = 16641480kB\nwork_mem = 1553087kB\nmaintenance_work_mem = 930260kB\n";
+        assert!(conf.starts_with(head), "{conf}");
+        assert!(conf.ends_with("\nmax_parallel_workers_per_gather = 7\n"), "{conf}");
+        assert_eq!(conf.lines().count(), 76);
     }
 }

@@ -30,12 +30,12 @@
 //! per seed, so the re-run reproduces the recorded results bit for bit).
 //! The continued session is bit-identical to an uninterrupted run
 //! whenever the optimizer's state is a pure function of the ordered real
-//! observation history — which is exactly the contract of the runtime
-//! crate's rebuild-and-replay `BatchSuggest` wrapper. Optimizers whose
-//! `suggest` advances private RNG state (plain random search, unwrapped
-//! SMAC) replay their observations correctly but may diverge in later
-//! suggestions; store-backed campaigns therefore always run under the
-//! constant-liar wrapper.
+//! observation history — which the runtime crate's `BatchSuggest`
+//! wrapper guarantees by restoring, every round, the snapshot it took
+//! before fantasizing. Optimizers whose `suggest` advances private RNG
+//! state (unwrapped SMAC or DDPG) replay their observations correctly
+//! but may diverge in later suggestions; store-backed campaigns
+//! therefore always run under the constant-liar wrapper.
 
 use crate::early_stop::EarlyStopPolicy;
 use crate::pipeline::SearchSpaceAdapter;
@@ -1210,8 +1210,8 @@ mod tests {
 
     /// A deterministic optimizer whose suggestions are a pure function
     /// of the observation history — the state model under which
-    /// checkpoint/resume promises bit-identical continuation (the
-    /// rebuild-and-replay contract of the runtime's constant liar).
+    /// checkpoint/resume promises bit-identical continuation (the one
+    /// the runtime's constant liar keeps).
     struct HistoryHash {
         dims: usize,
         seen: Vec<Observation>,

@@ -12,7 +12,7 @@ use crate::sim::{LatencyReservoir, Micros, ResourceMeter};
 use crate::vacuum::{TableVacState, VacuumPacing};
 use crate::wal::WalState;
 use crate::workload_spec::{Arrival, KeyDist, OpTemplate, TxnTemplate, WorkloadSpec};
-use llamatune_math::Zipfian;
+use llamatune_math::{splitmix64, Zipfian};
 use llamatune_space::{ConfigSpace, KnobAssignment};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -844,13 +844,6 @@ fn op_dist(op: &OpTemplate) -> Option<(usize, KeyDist)> {
         | OpTemplate::Join { table, dist, .. } => Some((*table, *dist)),
         _ => None,
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Runs `spec` against the simulated DBMS configured by `assignment`

@@ -1,12 +1,23 @@
 //! Sampling distributions implemented from scratch: standard/scaled normal
 //! (Box–Muller, plus pdf/cdf needed by the Expected-Improvement acquisition
-//! function), YCSB-style Zipfian over item ranks (for skewed key access), and
-//! exponential inter-arrival times (for the fixed-rate tail-latency runner).
+//! function), YCSB-style Zipfian over item ranks (for skewed key access),
+//! exponential inter-arrival times (for the fixed-rate tail-latency runner),
+//! and [`splitmix64`], the stateless hash behind every seeded draw that must
+//! not depend on call order.
 
 use parking_lot::Mutex;
 use rand::{Rng, RngExt};
 use std::collections::HashMap;
 use std::sync::OnceLock;
+
+/// The splitmix64 finalizer: a fast, well-mixed 64-bit hash, so a draw
+/// keyed by `(seed, index)` is a pure function of the key.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Normal distribution `N(mean, std^2)`.
 #[derive(Debug, Clone, Copy)]

@@ -14,7 +14,7 @@ pub mod lhs;
 pub mod matrix;
 pub mod stats;
 
-pub use dist::{Exponential, Normal, Zipfian};
+pub use dist::{splitmix64, Exponential, Normal, Zipfian};
 pub use lhs::latin_hypercube;
 pub use matrix::{CholeskyError, Matrix};
 pub use stats::{bootstrap_ci_mean, mean, percentile, std_dev, RunningStats, Summary};

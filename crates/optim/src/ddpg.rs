@@ -13,20 +13,10 @@
 //! builds only) is the one-sample-at-a-time loop it replaced, which the
 //! equivalence proptest below drives side by side with it.
 //!
-//! DDPG deliberately keeps the [`Optimizer::snapshot`] default (`None`),
-//! so batch wrappers retract fantasized observations against it, and
-//! resume restores it, via the documented rebuild-and-replay fallback. A
-//! checkpoint would copy about 1 MB (four networks, each with gradients
-//! and two Adam moments per parameter — 4 × 28 k doubles at d = 16 —
-//! plus the replay buffer); the replay is cheap for a reason worth
-//! knowing. An `observe` that no `suggest` preceded has no action to pair
-//! with its state, so it pushes no transition and trains nothing:
-//! replaying a 100-observation history rebuilds the metric statistics and
-//! the episode state in 0.4 ms (d = 16; 0.8 ms at d = 90), and the result
-//! is a function of the history, not a trained copy of the optimizer that
-//! produced it. Training (about 2 ms per trial at d = 16, the
-//! `ddpg_observe` rows of `BENCH_optimizer.json`) is paid only by trials
-//! that are suggested and observed live.
+//! [`Optimizer::snapshot`] is one clone of the whole optimizer — the four
+//! networks with their gradients and Adam moments, the replay buffer, the
+//! noise and the RNG: about 1 MB at d = 16 — and `restore` copies it
+//! back, so the constant liar rewinds a round without rebuilding DDPG.
 
 use crate::nn::{scatter, Activation, Mlp, Tape};
 use crate::spec::{Observation, Optimizer, SearchSpec};
@@ -67,6 +57,7 @@ impl Default for DdpgConfig {
     }
 }
 
+#[derive(Clone)]
 struct Transition {
     state: Vec<f64>,
     action: Vec<f64>,
@@ -75,6 +66,7 @@ struct Transition {
 }
 
 /// The DDPG optimizer.
+#[derive(Clone)]
 pub struct Ddpg {
     spec: SearchSpec,
     config: DdpgConfig,
@@ -107,6 +99,7 @@ pub struct Ddpg {
 
 /// What a training step works in, sized once for the configured minibatch
 /// and reused, so a step allocates nothing.
+#[derive(Clone)]
 struct Scratch {
     /// The step's replay indices, in minibatch order.
     picks: Vec<usize>,
@@ -321,6 +314,16 @@ impl Optimizer for Ddpg {
 
     fn name(&self) -> &'static str {
         "ddpg"
+    }
+
+    fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn restore(&mut self, snapshot: &(dyn std::any::Any + Send)) -> bool {
+        let Some(s) = snapshot.downcast_ref::<Ddpg>() else { return false };
+        self.clone_from(s);
+        true
     }
 }
 

@@ -200,19 +200,11 @@ impl Optimizer for Smac {
         "smac"
     }
 
-    /// SMAC's snapshot clones the cached random forest (tens of trees),
-    /// while rebuild-and-replay only pushes observations and lets the
-    /// forest re-fit lazily on the next suggest — never dearer, and no
-    /// forest clone (BENCH_optimizer.json `retract` rows: at n = 100 and
-    /// 200 both take 20–50 µs and rebuild/snapshot reads 0.8–1.3 from
-    /// run to run, against the milliseconds of the fit that follows
-    /// either way). The forest cannot be dropped from the snapshot
-    /// instead: its fit seed depends on the suggestion counter at fit
-    /// time, so a post-restore re-fit would not be bit-identical.
-    fn snapshot_beats_replay(&self) -> bool {
-        false
-    }
-
+    /// The history, the RNG, the suggestion counter and the cached forest
+    /// (empty right after an observation, which is when the constant liar
+    /// snapshots). The forest cannot be left out: its fit seed depends on
+    /// the suggestion counter at fit time, so a re-fit after restore
+    /// would not be bit-identical.
     fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
         Some(Box::new(SmacSnapshot {
             rng: self.rng.clone(),

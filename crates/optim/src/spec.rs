@@ -150,29 +150,21 @@ pub trait Optimizer: Send {
 
     /// Captures the optimizer's complete mutable state as an opaque
     /// checkpoint, or `None` when the optimizer cannot be checkpointed
-    /// (the default — e.g. DDPG, whose replay buffer and target networks
-    /// make a copy as expensive as the state it would save).
+    /// (the default). Every optimizer of [`OptimizerKind`] implements it.
     ///
     /// Contract: a successful [`Optimizer::restore`] of this snapshot
     /// must return the optimizer to a state *bit-identical* to the one
     /// captured — every subsequent `suggest`/`observe` behaves exactly
     /// as it would have had the intervening calls never happened. The
-    /// runtime's constant-liar wrapper relies on this to retract
-    /// fantasized observations in O(state copy) instead of rebuilding
-    /// and replaying the whole history.
+    /// runtime's constant-liar wrapper retracts fantasized observations
+    /// this way, and refuses an optimizer that returns `None`.
     fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
         None
     }
 
-    /// Whether retracting fantasized observations via
-    /// [`Optimizer::snapshot`]/[`Optimizer::restore`] is cheaper than
-    /// rebuilding a fresh instance and replaying the true history.
-    /// Purely a performance hint — both retraction strategies produce
-    /// bit-identical suggestion streams (pinned by the runtime's batch
-    /// tests). `true` for optimizers whose snapshot is a small state
-    /// copy (GP factor, RNG); overridden to `false` where the snapshot
-    /// clones a heavyweight model that replay would simply not build
-    /// (SMAC's cached forest).
+    /// Unread: the constant liar retracts by snapshot-restore whatever
+    /// this says. Kept because implementations outside the workspace
+    /// still override it.
     fn snapshot_beats_replay(&self) -> bool {
         true
     }
@@ -180,7 +172,7 @@ pub trait Optimizer: Send {
     /// Restores state previously captured by [`Optimizer::snapshot`].
     /// Returns `false` (leaving the optimizer untouched) when the
     /// snapshot is of a foreign type or the optimizer does not support
-    /// checkpointing; callers must then fall back to rebuild-and-replay.
+    /// checkpointing.
     fn restore(&mut self, snapshot: &(dyn std::any::Any + Send)) -> bool {
         let _ = snapshot;
         false

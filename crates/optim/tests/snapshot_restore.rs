@@ -7,7 +7,7 @@
 //! lie retraction on.
 
 use llamatune_optim::{
-    GpBo, GpConfig, Observation, Optimizer, OptimizerKind, ParamKind, RandomSearch, SearchSpec,
+    Ddpg, DdpgConfig, GpBo, GpConfig, Observation, Optimizer, ParamKind, RandomSearch, SearchSpec,
     Smac, SmacConfig,
 };
 
@@ -35,6 +35,13 @@ fn snapshot_capable_builders() -> Vec<(&'static str, Builder)> {
         ("random", |seed| Box::new(RandomSearch::new(mixed_spec(), seed))),
         ("smac", |seed| Box::new(Smac::new(mixed_spec(), SmacConfig::default(), seed))),
         ("gp-bo", |seed| Box::new(GpBo::new(mixed_spec(), GpConfig::default(), seed))),
+        // A minibatch of 4 trains from the fifth transition on, so the
+        // detour below moves the weights, the Adam moments, the replay
+        // buffer, the noise and the RNG.
+        ("ddpg", |seed| {
+            let config = DdpgConfig { batch_size: 4, ..DdpgConfig::default() };
+            Box::new(Ddpg::new(mixed_spec(), 2, config, seed))
+        }),
     ]
 }
 
@@ -113,17 +120,6 @@ fn foreign_snapshots_are_refused_without_side_effects() {
         }
         assert_eq!(live.suggest(), twin.suggest(), "{name}: refused restore mutated state");
     }
-}
-
-/// DDPG opts out of checkpointing: `snapshot()` is `None`, `restore`
-/// refuses everything — the contract that routes batch wrappers onto
-/// the rebuild-and-replay fallback.
-#[test]
-fn ddpg_opts_out_of_snapshots() {
-    let mut ddpg = OptimizerKind::Ddpg.build(&mixed_spec(), 5);
-    assert!(ddpg.snapshot().is_none());
-    let snap = RandomSearch::new(mixed_spec(), 5).snapshot().unwrap();
-    assert!(!ddpg.restore(snap.as_ref()));
 }
 
 /// Batched observation (the replay path's entry point) must leave the

@@ -13,122 +13,98 @@
 //! 3. repeat until q points are collected;
 //! 4. when real results arrive, *retract* the lies.
 //!
-//! Retraction has two implementations, and the wrapped optimizer picks
-//! the cheaper one for itself through [`Optimizer::snapshot_beats_replay`]:
+//! Retraction is a restore: before fantasizing, the wrapper captures the
+//! inner optimizer's state through [`Optimizer::snapshot`]; when the real
+//! results arrive it restores that state and feeds in only those results
+//! — a state copy, never a rebuild of the optimizer or a replay of its
+//! history. Restoration is exact by contract (bit-identical state), so
+//! when a campaign is driven entirely through `suggest_batch` /
+//! `observe_batch` rounds — the only way the session loops use the
+//! wrapper — each round starts from a state that is a pure function of
+//! the real history: the state a fresh optimizer reaches by replaying
+//! that history, which is what lets a resumed session continue
+//! bit-identically. `retraction_modes_produce_identical_streams` below
+//! holds the wrapper to that rebuild-and-replay liar, kept there as the
+//! oracle. An optimizer that cannot snapshot is refused at construction.
 //!
-//! * **Snapshot-restore**: before fantasizing, the wrapper captures the
-//!   inner optimizer's state via [`Optimizer::snapshot`]; retracting
-//!   restores it and feeds only the real observations that arrived
-//!   since — O(state copy) instead of O(rebuild + full-history replay).
-//!   Restoration is exact by contract (bit-identical state), so this
-//!   path preserves the reproducibility guarantees unchanged. GP-BO
-//!   retracts this way.
-//! * **Rebuild-and-replay**: rebuild the optimizer from its factory and
-//!   replay every real observation in iteration order. SMAC retracts
-//!   this way (its snapshot clones the cached forest that replay would
-//!   simply not rebuild), and so does every optimizer whose state
-//!   cannot be copied out (`snapshot()` returns `None`: DDPG's replay
-//!   buffer and target networks).
-//!
-//! For campaigns driven entirely through `suggest_batch`/`observe_batch`
-//! rounds — the only way the session loops use the wrapper — the two
-//! are interchangeable: each round starts from a state that is a pure
-//! function of the real history, so retraction by exact restore and
-//! retraction by rebuild-and-replay land on identical states and the
-//! suggestion streams match (pinned by
-//! `retraction_modes_produce_identical_streams` below, which forces each
-//! strategy through a wrapper answering the hint); the hint is purely
-//! about cost, which the `optimizer_hot_path` bench quantifies.
-//! Interleaving *bare* `suggest()` calls between rounds voids that
-//! equivalence: a single suggest advances inner RNG that a later
-//! snapshot preserves but a rebuild discards (sequential use must
-//! degenerate to the wrapped optimizer, so the wrapper cannot unwind
-//! it). Resumable campaigns never do this.
+//! Interleaving *bare* `suggest()` calls between rounds voids the
+//! pure-function property: a single suggest advances inner RNG that the
+//! next snapshot preserves (sequential use must degenerate to the
+//! wrapped optimizer, so the wrapper cannot unwind it). Resumable
+//! campaigns never do this.
 
 use llamatune_optim::{Observation, Optimizer};
+use std::any::Any;
 
-/// The lie: the minimum real score so far (the classic pessimistic
-/// "CL-min", which strongly repels pending points under maximization);
-/// a neutral `0.0` before anything real was observed.
-fn cl_min(real: &[Observation]) -> f64 {
-    if real.is_empty() {
-        return 0.0;
-    }
-    real.iter().map(|o| o.y).fold(f64::INFINITY, f64::min)
+/// Wraps any snapshot-capable [`Optimizer`] with constant-liar batch
+/// suggestion. Itself an [`Optimizer`], so it drops into
+/// `run_session_parallel` (or any other session loop) unchanged.
+pub struct BatchSuggest {
+    inner: Box<dyn Optimizer>,
+    /// The minimum real score so far, `None` before the first one.
+    worst: Option<f64>,
+    /// The inner optimizer's state from just before the current round's
+    /// fantasizing; `Some` while lies are outstanding.
+    pending: Option<Box<dyn Any + Send>>,
 }
 
-/// Builds a fresh, identically-seeded optimizer. Called once up front and
-/// once per retraction.
-pub type OptimizerFactory = Box<dyn Fn() -> Box<dyn Optimizer> + Send>;
-
-/// Wraps any [`Optimizer`] with constant-liar batch suggestion. Itself an
-/// [`Optimizer`], so it drops into `run_session_parallel` (or any other
-/// session loop) unchanged.
-pub struct BatchSuggest {
-    factory: OptimizerFactory,
-    inner: Box<dyn Optimizer>,
-    /// All real observations, in the order they were reported.
-    real: Vec<Observation>,
-    /// Number of fantasized observations currently inside `inner`.
-    fantasized: usize,
-    /// The inner optimizer's state captured just before the current
-    /// round's fantasizing, plus the real-history length it covers.
-    snapshot: Option<(Box<dyn std::any::Any + Send>, usize)>,
+/// `inner`'s state, or a panic naming the capability the liar needs.
+fn snapshot(inner: &dyn Optimizer) -> Box<dyn Any + Send> {
+    inner.snapshot().unwrap_or_else(|| {
+        panic!(
+            "constant-liar batching retracts its lies by restoring a snapshot, \
+             and `{}` returns None from Optimizer::snapshot",
+            inner.name()
+        )
+    })
 }
 
 impl BatchSuggest {
-    /// Wraps the optimizer produced by `factory`.
-    pub fn new(factory: OptimizerFactory) -> Self {
-        let inner = factory();
-        BatchSuggest { factory, inner, real: Vec::new(), fantasized: 0, snapshot: None }
+    /// Wraps the optimizer `build` returns. Panics when that optimizer
+    /// cannot snapshot its state.
+    pub fn new(build: impl FnOnce() -> Box<dyn Optimizer>) -> Self {
+        let inner = build();
+        snapshot(inner.as_ref());
+        BatchSuggest { inner, worst: None, pending: None }
     }
 
-    /// Number of real observations replayed into the wrapped optimizer.
-    pub fn observed(&self) -> usize {
-        self.real.len()
+    /// The lie: the minimum real score so far (the classic pessimistic
+    /// "CL-min", which strongly repels pending points under
+    /// maximization); a neutral `0.0` before anything real was observed.
+    fn lie(&self) -> f64 {
+        self.worst.unwrap_or(0.0)
     }
 
-    /// Retracts any outstanding lies. Fast path: restore the pre-batch
-    /// snapshot and feed only the real observations recorded since it
-    /// was taken. Fallback (no snapshot taken, or restore refused):
-    /// rebuild the wrapped optimizer from the factory and replay the
-    /// whole real history in order.
-    fn retract(&mut self) {
-        // Observations are handed to the inner optimizer as batches so
-        // surrogates with batched incremental paths (the GP's deferred
-        // weight refresh) pay their per-batch costs once — the trait
-        // contract makes `observe_batch` sequentially equivalent.
-        let restored = match self.snapshot.take() {
-            Some((snap, covered)) if self.inner.restore(snap.as_ref()) => {
-                self.inner.observe_batch(self.real[covered..].to_vec());
-                true
-            }
-            _ => false,
-        };
-        if !restored {
-            self.inner = (self.factory)();
-            self.inner.observe_batch(self.real.clone());
+    fn record(&mut self, obs: &Observation) {
+        self.worst = Some(self.worst.unwrap_or(f64::INFINITY).min(obs.y));
+    }
+
+    /// Restores the pre-round state if lies are outstanding, then feeds
+    /// `real` in as one batch, so surrogates with batched incremental
+    /// paths (the GP's deferred weight refresh) pay their per-batch costs
+    /// once — the trait contract makes `observe_batch` sequentially
+    /// equivalent.
+    fn retract(&mut self, real: Vec<Observation>) {
+        if let Some(snapshot) = self.pending.take() {
+            let restored = self.inner.restore(snapshot.as_ref());
+            assert!(restored, "`{}` refused its own snapshot", self.inner.name());
         }
-        self.fantasized = 0;
-    }
-
-    fn ensure_clean(&mut self) {
-        if self.fantasized > 0 {
-            self.retract();
-        }
+        self.inner.observe_batch(real);
     }
 }
 
 impl Optimizer for BatchSuggest {
     fn suggest(&mut self) -> Vec<f64> {
-        self.ensure_clean();
+        if self.pending.is_some() {
+            self.retract(Vec::new());
+        }
         self.inner.suggest()
     }
 
     fn observe(&mut self, obs: Observation) {
-        self.real.push(obs.clone());
-        if self.fantasized > 0 {
-            self.retract();
+        self.record(&obs);
+        if self.pending.is_some() {
+            self.retract(vec![obs]);
         } else {
             self.inner.observe(obs);
         }
@@ -139,40 +115,29 @@ impl Optimizer for BatchSuggest {
     }
 
     fn suggest_batch(&mut self, q: usize) -> Vec<Vec<f64>> {
-        self.ensure_clean();
-        // Capture the pre-fantasy state so retraction is an O(copy)
-        // restore instead of a rebuild, where the optimizer says that is
-        // cheaper; optimizers that cannot snapshot (DDPG) return None
-        // here and keep the rebuild fallback.
-        self.snapshot = if self.inner.snapshot_beats_replay() {
-            self.inner.snapshot().map(|snap| (snap, self.real.len()))
-        } else {
-            None
-        };
-        let lie = cl_min(&self.real);
+        if self.pending.is_some() {
+            self.retract(Vec::new());
+        }
+        self.pending = Some(snapshot(self.inner.as_ref()));
+        let lie = self.lie();
         let mut batch = Vec::with_capacity(q);
         for _ in 0..q {
             let x = self.inner.suggest();
             // Fantasize: the pending point "scored" the lie, repelling
             // the next suggestion. Retracted when real results arrive.
             self.inner.observe(Observation { x: x.clone(), y: lie, metrics: Vec::new() });
-            self.fantasized += 1;
             batch.push(x);
         }
         batch
     }
 
     fn observe_batch(&mut self, obs: Vec<Observation>) {
-        if self.fantasized > 0 {
-            self.real.extend(obs);
-            self.retract();
-        } else {
-            // No outstanding lies (LHS-init rounds, history replay on
-            // resume): feed the results straight through as one batch,
-            // hitting the inner optimizer's incremental batch path.
-            self.real.extend(obs.iter().cloned());
-            self.inner.observe_batch(obs);
+        for o in &obs {
+            self.record(o);
         }
+        // With no lies outstanding (LHS-init rounds, history replay on
+        // resume) this feeds the results straight through.
+        self.retract(obs);
     }
 
     fn drain_degradations(&mut self) -> Vec<llamatune_optim::DegradationEvent> {
@@ -183,26 +148,31 @@ impl Optimizer for BatchSuggest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamatune_optim::{RandomSearch, SearchSpec, Smac, SmacConfig};
+    use llamatune_optim::{
+        GpBo, GpConfig, OptimizerKind, RandomSearch, SearchSpec, Smac, SmacConfig,
+    };
 
-    fn smac_factory(seed: u64, d: usize) -> OptimizerFactory {
-        Box::new(move || -> Box<dyn Optimizer> {
-            Box::new(Smac::new(SearchSpec::continuous(d), SmacConfig::default(), seed))
-        })
+    fn smac(seed: u64, d: usize) -> Box<dyn Optimizer> {
+        Box::new(Smac::new(SearchSpec::continuous(d), SmacConfig::default(), seed))
+    }
+
+    fn random(seed: u64, d: usize) -> Box<dyn Optimizer> {
+        Box::new(RandomSearch::new(SearchSpec::continuous(d), seed))
     }
 
     fn sphere(x: &[f64]) -> f64 {
         -x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>()
     }
 
-    /// Drives `opt` for `rounds` rounds of batch size `q` on the sphere.
-    fn drive(mut opt: BatchSuggest, q: usize, rounds: usize) -> Vec<Vec<f64>> {
+    /// Drives `opt` for `rounds` rounds of batch size `q` on the sphere;
+    /// the point itself stands in for DDPG's metrics.
+    fn drive(opt: &mut dyn Optimizer, q: usize, rounds: usize) -> Vec<Vec<f64>> {
         let mut all = Vec::new();
         for _ in 0..rounds {
             let batch = opt.suggest_batch(q);
             let obs: Vec<Observation> = batch
                 .iter()
-                .map(|x| Observation { x: x.clone(), y: sphere(x), metrics: vec![] })
+                .map(|x| Observation { x: x.clone(), y: sphere(x), metrics: x.clone() })
                 .collect();
             all.extend(batch);
             opt.observe_batch(obs);
@@ -212,7 +182,7 @@ mod tests {
 
     #[test]
     fn batches_are_diverse_under_the_liar() {
-        let mut opt = BatchSuggest::new(smac_factory(1, 2));
+        let mut opt = BatchSuggest::new(|| smac(1, 2));
         // Give the model something to fit.
         for i in 0..10 {
             let t = i as f64 / 10.0;
@@ -234,7 +204,7 @@ mod tests {
     fn lies_are_retracted_exactly() {
         // After a batch round, the wrapper's state must equal a plain
         // optimizer that saw only the real observations.
-        let mut wrapped = BatchSuggest::new(smac_factory(9, 2));
+        let mut wrapped = BatchSuggest::new(|| smac(9, 2));
         let mut plain = Smac::new(SearchSpec::continuous(2), SmacConfig::default(), 9);
 
         let batch = wrapped.suggest_batch(3);
@@ -254,9 +224,7 @@ mod tests {
 
     #[test]
     fn sequential_use_degenerates_to_the_wrapped_optimizer() {
-        let mut wrapped = BatchSuggest::new(Box::new(|| {
-            Box::new(RandomSearch::new(SearchSpec::continuous(3), 4)) as Box<dyn Optimizer>
-        }));
+        let mut wrapped = BatchSuggest::new(|| random(4, 3));
         let mut plain = RandomSearch::new(SearchSpec::continuous(3), 4);
         for _ in 0..5 {
             let a = wrapped.suggest();
@@ -272,10 +240,7 @@ mod tests {
     /// moves the next round on instead of redrawing the retracted one.
     #[test]
     fn random_search_rounds_never_repeat_under_the_liar() {
-        let opt = BatchSuggest::new(Box::new(|| {
-            Box::new(RandomSearch::new(SearchSpec::continuous(3), 4)) as Box<dyn Optimizer>
-        }));
-        let all = drive(opt, 4, 6);
+        let all = drive(&mut BatchSuggest::new(|| random(4, 3)), 4, 6);
         for (round, pair) in all.chunks(4).collect::<Vec<_>>().windows(2).enumerate() {
             assert_ne!(pair[0], pair[1], "round {} redrew round {round}", round + 1);
         }
@@ -286,153 +251,128 @@ mod tests {
 
     #[test]
     fn liar_strategies_use_the_real_history() {
-        let real = [
-            Observation { x: vec![0.0], y: -4.0, metrics: vec![] },
-            Observation { x: vec![0.1], y: 2.0, metrics: vec![] },
+        let mut opt = BatchSuggest::new(|| random(1, 1));
+        assert_eq!(opt.lie(), 0.0, "no history: neutral lie");
+        opt.observe(Observation { x: vec![0.0], y: 2.0, metrics: vec![] });
+        opt.observe_batch(vec![
+            Observation { x: vec![0.1], y: -4.0, metrics: vec![] },
             Observation { x: vec![0.2], y: 8.0, metrics: vec![] },
-        ];
-        assert_eq!(cl_min(&real), -4.0);
-        assert_eq!(cl_min(&[]), 0.0, "no history: neutral lie");
+        ]);
+        assert_eq!(opt.lie(), -4.0);
+        // Lies are not history: a fantasized round leaves the lie alone.
+        let batch = opt.suggest_batch(2);
+        let obs = batch.into_iter().map(|x| Observation { x, y: 1.0, metrics: vec![] });
+        opt.observe_batch(obs.collect());
+        assert_eq!(opt.lie(), -4.0);
     }
 
     #[test]
     fn batched_optimization_still_approaches_the_optimum() {
-        let opt = BatchSuggest::new(smac_factory(7, 2));
-        let all = drive(opt, 4, 10);
+        let all = drive(&mut BatchSuggest::new(|| smac(7, 2)), 4, 10);
         let best = all.iter().map(|x| sphere(x)).fold(f64::NEG_INFINITY, f64::max);
         assert!(best > -0.05, "40 evaluations in batches of 4 should near (0.5, 0.5): {best}");
     }
 
-    /// An optimizer whose retraction strategy is forced: it answers
-    /// `snapshot_beats_replay` with `snapshot` and forwards the rest.
-    struct Forced {
-        inner: Box<dyn Optimizer>,
-        snapshot: bool,
+    /// An optimizer that keeps the default `snapshot` (`None`).
+    struct Unsnapshottable;
+
+    impl Optimizer for Unsnapshottable {
+        fn suggest(&mut self) -> Vec<f64> {
+            vec![0.5]
+        }
+        fn observe(&mut self, _: Observation) {}
+        fn name(&self) -> &'static str {
+            "unsnapshottable"
+        }
     }
 
-    impl Optimizer for Forced {
+    #[test]
+    #[should_panic(expected = "`unsnapshottable` returns None from Optimizer::snapshot")]
+    fn optimizers_that_cannot_snapshot_are_refused() {
+        BatchSuggest::new(|| Box::new(Unsnapshottable));
+    }
+
+    /// The rebuild-and-replay liar that restoring replaced, kept as the
+    /// oracle: each retraction builds a fresh optimizer and replays every
+    /// real observation in order.
+    struct RebuildLiar {
+        build: fn() -> Box<dyn Optimizer>,
+        inner: Box<dyn Optimizer>,
+        real: Vec<Observation>,
+        fantasized: bool,
+    }
+
+    impl RebuildLiar {
+        fn new(build: fn() -> Box<dyn Optimizer>) -> Self {
+            RebuildLiar { build, inner: build(), real: Vec::new(), fantasized: false }
+        }
+
+        fn retract(&mut self) {
+            if self.fantasized {
+                self.inner = (self.build)();
+                self.inner.observe_batch(self.real.clone());
+                self.fantasized = false;
+            }
+        }
+    }
+
+    impl Optimizer for RebuildLiar {
         fn suggest(&mut self) -> Vec<f64> {
+            self.retract();
             self.inner.suggest()
         }
         fn observe(&mut self, obs: Observation) {
-            self.inner.observe(obs)
+            self.observe_batch(vec![obs]);
         }
         fn name(&self) -> &'static str {
-            self.inner.name()
+            "rebuild-liar"
         }
         fn suggest_batch(&mut self, q: usize) -> Vec<Vec<f64>> {
-            self.inner.suggest_batch(q)
+            self.retract();
+            let lie = if self.real.is_empty() {
+                0.0
+            } else {
+                self.real.iter().map(|o| o.y).fold(f64::INFINITY, f64::min)
+            };
+            let mut batch = Vec::with_capacity(q);
+            for _ in 0..q {
+                let x = self.inner.suggest();
+                self.inner.observe(Observation { x: x.clone(), y: lie, metrics: Vec::new() });
+                self.fantasized = true;
+                batch.push(x);
+            }
+            batch
         }
         fn observe_batch(&mut self, obs: Vec<Observation>) {
-            self.inner.observe_batch(obs)
-        }
-        fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
-            self.inner.snapshot()
-        }
-        fn snapshot_beats_replay(&self) -> bool {
-            self.snapshot
-        }
-        fn restore(&mut self, snapshot: &(dyn std::any::Any + Send)) -> bool {
-            self.inner.restore(snapshot)
-        }
-        fn drain_degradations(&mut self) -> Vec<llamatune_optim::DegradationEvent> {
-            self.inner.drain_degradations()
+            self.real.extend(obs.iter().cloned());
+            if self.fantasized {
+                self.retract();
+            } else {
+                self.inner.observe_batch(obs);
+            }
         }
     }
 
-    /// `factory`'s optimizer, retracting by snapshot-restore (`true`) or
-    /// by rebuild-and-replay (`false`) whatever its own hint says.
-    fn forced(factory: fn() -> Box<dyn Optimizer>, snapshot: bool) -> OptimizerFactory {
-        Box::new(move || Box::new(Forced { inner: factory(), snapshot }) as Box<dyn Optimizer>)
-    }
-
-    /// The determinism contract of snapshot-based retraction: restoring
+    /// The determinism contract of restore-based retraction: restoring
     /// the pre-batch snapshot and feeding the new reals leaves the inner
-    /// optimizer in exactly the state rebuild-and-replay would — so both
-    /// strategies, and the optimizer's own choice between them, emit
-    /// bit-identical suggestion streams over a whole batched campaign,
-    /// for every snapshot-capable optimizer.
+    /// optimizer in exactly the state rebuild-and-replay would, so the
+    /// two liars emit bit-identical suggestion streams over a whole
+    /// batched campaign, for every optimizer family and batch width.
     #[test]
     fn retraction_modes_produce_identical_streams() {
-        use llamatune_optim::{GpBo, GpConfig, OptimizerKind};
-        type TestFactory = fn() -> Box<dyn Optimizer>;
-        let factories: Vec<(&str, TestFactory)> = vec![
-            ("smac", || Box::new(Smac::new(SearchSpec::continuous(2), SmacConfig::default(), 5))),
+        type Build = fn() -> Box<dyn Optimizer>;
+        let builds: [(&str, Build); 4] = [
+            ("random", || random(5, 2)),
+            ("smac", || smac(5, 2)),
             ("gp-bo", || Box::new(GpBo::new(SearchSpec::continuous(2), GpConfig::default(), 5))),
-            ("random", || Box::new(RandomSearch::new(SearchSpec::continuous(2), 5))),
             ("ddpg", || OptimizerKind::Ddpg.build(&SearchSpec::continuous(2), 5)),
         ];
-        for (name, factory) in factories {
-            let reference = drive(BatchSuggest::new(Box::new(factory)), 3, 5);
-            let a = drive(BatchSuggest::new(forced(factory, true)), 3, 5);
-            let b = drive(BatchSuggest::new(forced(factory, false)), 3, 5);
-            assert_eq!(reference, a, "{name}: snapshot retraction changed the suggestion stream");
-            assert_eq!(a, b, "{name}: retraction strategy changed the suggestion stream");
+        for (name, build) in builds {
+            for q in [1, 3, 8] {
+                let restored = drive(&mut BatchSuggest::new(build), q, 5);
+                let rebuilt = drive(&mut RebuildLiar::new(build), q, 5);
+                assert_eq!(restored, rebuilt, "{name}, q = {q}: restoring changed the stream");
+            }
         }
-    }
-
-    /// A snapshot-capable optimizer retracts without touching the
-    /// factory when snapshot-restore is forced.
-    #[test]
-    fn snapshot_retraction_skips_the_factory_rebuild() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let rebuilds = Arc::new(AtomicUsize::new(0));
-        let counter = rebuilds.clone();
-        let mut opt = BatchSuggest::new(Box::new(move || -> Box<dyn Optimizer> {
-            counter.fetch_add(1, Ordering::SeqCst);
-            let smac = Smac::new(SearchSpec::continuous(2), SmacConfig::default(), 3);
-            Box::new(Forced { inner: Box::new(smac), snapshot: true })
-        }));
-        assert_eq!(rebuilds.load(Ordering::SeqCst), 1, "one build at construction");
-        drop(drive_mut(&mut opt, 3, 4));
-        assert_eq!(
-            rebuilds.load(Ordering::SeqCst),
-            1,
-            "snapshot retraction must never rebuild a snapshot-capable optimizer"
-        );
-    }
-
-    /// Retraction follows each optimizer's cost hint: SMAC (whose
-    /// snapshot clones the cached forest) retracts by rebuild-and-
-    /// replay, GP-BO by snapshot-restore.
-    #[test]
-    fn auto_mode_follows_the_optimizer_cost_hint() {
-        use llamatune_optim::{GpBo, GpConfig};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        let rebuilds = Arc::new(AtomicUsize::new(0));
-        let counter = rebuilds.clone();
-        let mut smac = BatchSuggest::new(Box::new(move || -> Box<dyn Optimizer> {
-            counter.fetch_add(1, Ordering::SeqCst);
-            Box::new(Smac::new(SearchSpec::continuous(2), SmacConfig::default(), 3))
-        }));
-        drop(drive_mut(&mut smac, 3, 4));
-        assert!(rebuilds.load(Ordering::SeqCst) > 1, "SMAC must retract via rebuild-and-replay");
-
-        let rebuilds = Arc::new(AtomicUsize::new(0));
-        let counter = rebuilds.clone();
-        let mut gp = BatchSuggest::new(Box::new(move || -> Box<dyn Optimizer> {
-            counter.fetch_add(1, Ordering::SeqCst);
-            Box::new(GpBo::new(SearchSpec::continuous(2), GpConfig::default(), 3))
-        }));
-        drop(drive_mut(&mut gp, 3, 4));
-        assert_eq!(rebuilds.load(Ordering::SeqCst), 1, "GP-BO must retract via snapshot-restore");
-    }
-
-    /// Like `drive` but borrowing, so the caller keeps the wrapper.
-    fn drive_mut(opt: &mut BatchSuggest, q: usize, rounds: usize) -> Vec<Vec<f64>> {
-        let mut all = Vec::new();
-        for _ in 0..rounds {
-            let batch = opt.suggest_batch(q);
-            let obs: Vec<Observation> = batch
-                .iter()
-                .map(|x| Observation { x: x.clone(), y: sphere(x), metrics: vec![] })
-                .collect();
-            all.extend(batch);
-            opt.observe_batch(obs);
-        }
-        all
     }
 }

@@ -139,8 +139,9 @@ pub struct CampaignOptions {
     /// Wrap optimizers in constant-liar [`BatchSuggest`] when
     /// `batch_size > 1` (otherwise batches fall back to the optimizer's
     /// naive `suggest_batch`). Store-backed campaigns wrap whenever
-    /// this is set, regardless of batch size: the wrapper's
-    /// rebuild-and-replay state model is what makes resumed optimizer
+    /// this is set, regardless of batch size: the wrapper restores each
+    /// round's pre-fantasy snapshot, which keeps optimizer state a pure
+    /// function of the recorded history and so makes resumed optimizer
     /// state bit-identical.
     ///
     /// [`BatchSuggest`]: crate::BatchSuggest

@@ -225,12 +225,11 @@ impl<'a> SessionDriver<'a> {
                 },
             );
         }
-        // Evaluation seed: fixed per session, derived from the session
-        // seed exactly as the sequential harness does.
-        let mut executor = self
-            .build_executor(self.cell.seed ^ 0x5EED)
-            .with_cache(cache)
-            .with_observability(live.metrics.clone(), self.tracer(), self.cell.label.clone());
+        let mut executor =
+            session_executor(self.catalog, self.opts, &self.cell.workload, self.cell.seed)
+                .unwrap_or_else(|| panic!("unknown workload {:?}", self.cell.workload))
+                .with_cache(cache)
+                .with_observability(live.metrics.clone(), self.tracer(), self.cell.label.clone());
         executor.preload_quarantine(self.quarantine_preload().iter());
         self.drive(live, &mut executor)
     }
@@ -298,13 +297,8 @@ impl<'a> SessionDriver<'a> {
     /// The session's workload runner, under the campaign's simulation
     /// window.
     fn runner(&self) -> WorkloadRunner {
-        let spec = workload_by_name(&self.cell.workload)
-            .unwrap_or_else(|| panic!("unknown workload {:?}", self.cell.workload));
-        let runner = WorkloadRunner::new(spec, self.catalog.clone());
-        match self.opts.run_options.clone() {
-            Some(run_opts) => runner.with_options(run_opts),
-            None => runner,
-        }
+        workload_runner(self.catalog, self.opts, &self.cell.workload)
+            .unwrap_or_else(|| panic!("unknown workload {:?}", self.cell.workload))
     }
 
     /// Opens the session: a session the store knows is finished is
@@ -364,10 +358,11 @@ impl<'a> SessionDriver<'a> {
         };
 
         // Store-backed sessions always wrap under `constant_liar`, even
-        // at batch size 1: the wrapper's rebuild-and-replay makes
-        // optimizer state a pure function of the recorded history,
-        // which is what lets a resume continue bit-identically. Plain
-        // sessions wrap only when batching actually happens.
+        // at batch size 1: retracting each round by restoring the
+        // pre-round snapshot keeps optimizer state a pure function of
+        // the recorded history, which is what lets a resume continue
+        // bit-identically. Plain sessions wrap only when batching
+        // actually happens.
         let wrap_liar = self.store.is_some() || self.opts.batch_size > 1;
         let metrics = self.session_metrics();
         let optimizer = self.build_optimizer(adapter.optimizer_spec().clone(), wrap_liar, &metrics);
@@ -458,7 +453,7 @@ impl<'a> SessionDriver<'a> {
         };
         let make: GuardFactory = Box::new(move || -> Box<dyn Optimizer> {
             if liar {
-                Box::new(BatchSuggest::new(Box::new(raw.clone())))
+                Box::new(BatchSuggest::new(&raw))
             } else {
                 raw()
             }
@@ -468,24 +463,6 @@ impl<'a> SessionDriver<'a> {
         } else {
             make()
         }
-    }
-
-    /// Builds the trial executor: the workload runner — wrapped for
-    /// seeded fault injection when a plan is set — under the campaign's
-    /// execution policy.
-    fn build_executor(&self, eval_seed: u64) -> WorkloadExecutor {
-        let base: Arc<dyn TrialRunner> = Arc::new(self.runner());
-        let trial_runner: Arc<dyn TrialRunner> = match &self.opts.fault_plan {
-            Some(plan) => Arc::new(FaultyRunner::new(base, *plan)),
-            None => base,
-        };
-        WorkloadExecutor::from_trial_runner(
-            trial_runner,
-            self.catalog.clone(),
-            eval_seed,
-            self.opts.trial_workers,
-        )
-        .with_policy(self.opts.policy)
     }
 
     /// One session's metrics registry: private, but forwarding into the
@@ -519,4 +496,43 @@ impl<'a> SessionDriver<'a> {
         });
         points.into_iter().filter(|p| p.len() == dims).collect()
     }
+}
+
+/// `workload`'s runner over `catalog`, under the campaign's simulation
+/// window; `None` when the workload is unknown.
+fn workload_runner(
+    catalog: &ConfigSpace,
+    opts: &CampaignOptions,
+    workload: &str,
+) -> Option<WorkloadRunner> {
+    let runner = WorkloadRunner::new(workload_by_name(workload)?, catalog.clone());
+    Some(match opts.run_options.clone() {
+        Some(run_opts) => runner.with_options(run_opts),
+        None => runner,
+    })
+}
+
+/// The trial executor of the session of `workload` seeded `seed`: the
+/// workload runner — wrapped for seeded fault injection when
+/// `opts.fault_plan` is set — on `opts.trial_workers` threads under
+/// `opts.policy`. [`SessionDriver::run`] evaluates on it and so does a
+/// remote client, which is what keeps served and in-process histories
+/// byte-identical. `None` when the workload is unknown.
+pub fn session_executor(
+    catalog: &ConfigSpace,
+    opts: &CampaignOptions,
+    workload: &str,
+    seed: u64,
+) -> Option<WorkloadExecutor> {
+    let base: Arc<dyn TrialRunner> = Arc::new(workload_runner(catalog, opts, workload)?);
+    let runner: Arc<dyn TrialRunner> = match &opts.fault_plan {
+        Some(plan) => Arc::new(FaultyRunner::new(base, *plan)),
+        None => base,
+    };
+    // Evaluation seed: fixed per session, derived from the session seed
+    // exactly as the sequential harness does.
+    let eval_seed = seed ^ 0x5EED;
+    let executor =
+        WorkloadExecutor::from_trial_runner(runner, catalog.clone(), eval_seed, opts.trial_workers);
+    Some(executor.with_policy(opts.policy))
 }

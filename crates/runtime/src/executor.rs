@@ -8,8 +8,8 @@
 //! `run_session_parallel` relies on for worker-count-independent
 //! histories.
 //!
-//! Trials run against a shared [`TrialRunner`] (a plain [`WorkloadRunner`], or a
-//! fault-injecting wrapper around one) under an [`ExecutionPolicy`] —
+//! Trials run against a shared [`TrialRunner`] (a plain
+//! [`WorkloadRunner`], or a fault-injecting wrapper around one) under an [`ExecutionPolicy`] —
 //! watchdog, retry, panic isolation — and the executor's [`EvalCache`]
 //! settles each configuration once: a batch is resolved in one pass over
 //! it (measured repeats are answered, quarantined configurations are
@@ -17,6 +17,8 @@
 //! the batch holds it), and the cache is written only after the batch
 //! folds, so recorded statuses stay independent of worker count and
 //! completion order.
+//!
+//! [`WorkloadRunner`]: llamatune_workloads::WorkloadRunner
 
 use crate::cache::EvalCache;
 use crate::policy::{run_trial_policy, AttemptTrace, ExecutionPolicy};
@@ -25,7 +27,7 @@ use llamatune::session::{EvalResult, Trial, TrialExecutor, TrialStatus};
 use llamatune_obs::trace::{NoopTracer, TraceEvent, Tracer};
 use llamatune_obs::MetricsRegistry;
 use llamatune_space::{Config, ConfigSpace};
-use llamatune_workloads::{config_fingerprint, TrialRunner, WorkloadRunner};
+use llamatune_workloads::{config_fingerprint, TrialRunner};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -52,21 +54,11 @@ pub struct WorkloadExecutor {
 }
 
 impl WorkloadExecutor {
-    /// Creates an executor over `workers` threads sharing one runner.
-    /// `space` is the tuned knob space (may be a subset of the runner's
-    /// catalog); `eval_seed` drives the simulated benchmark.
-    pub fn new(
-        runner: &WorkloadRunner,
-        space: ConfigSpace,
-        eval_seed: u64,
-        workers: usize,
-    ) -> Self {
-        WorkloadExecutor::from_trial_runner(Arc::new(runner.clone()), space, eval_seed, workers)
-    }
-
-    /// Creates an executor over an arbitrary [`TrialRunner`] — a plain
-    /// workload runner, or a fault-injecting wrapper around one — with a
-    /// fresh cache.
+    /// Creates an executor over `workers` threads sharing `runner` — a
+    /// plain workload runner, or a fault-injecting wrapper around one —
+    /// with a fresh cache. `space` is the tuned knob space (may be a
+    /// subset of the runner's catalog); `eval_seed` drives the simulated
+    /// benchmark.
     pub fn from_trial_runner(
         runner: Arc<dyn TrialRunner>,
         space: ConfigSpace,
@@ -318,7 +310,8 @@ mod tests {
         let direct: Vec<Option<f64>> =
             trials.iter().map(|t| runner.evaluate(&catalog, &t.config, 7).score).collect();
         for workers in [1, 3] {
-            let mut ex = WorkloadExecutor::new(&runner, catalog.clone(), 7, workers);
+            let runner = Arc::new(runner.clone());
+            let mut ex = WorkloadExecutor::from_trial_runner(runner, catalog.clone(), 7, workers);
             let scores: Vec<Option<f64>> =
                 ex.run_batch(&trials).into_iter().map(|r| r.score).collect();
             assert_eq!(scores, direct, "workers = {workers}");

@@ -12,7 +12,8 @@
 //! * [`BatchSuggest`] — extracts q > 1 *diverse* suggestions per round
 //!   from any unmodified [`Optimizer`] via constant-liar fantasizing:
 //!   observe a pessimistic pseudo-score for each pending point, suggest
-//!   again, retract the lies (rebuild + replay) when real results land.
+//!   again, retract the lies (restore the pre-round snapshot, feed the
+//!   real results) when they land.
 //! * [`EvalCache`] — the session's one record of what is settled per
 //!   configuration, keyed by a hash of the decoded configuration: each
 //!   measured result, and each configuration quarantined after it failed
@@ -79,12 +80,12 @@ pub mod driver;
 pub mod executor;
 pub mod policy;
 
-pub use batch::{BatchSuggest, OptimizerFactory};
+pub use batch::BatchSuggest;
 pub use cache::{CacheStats, EvalCache};
 pub use campaign::{
     AdapterKind, Campaign, CampaignOptions, CampaignResult, CampaignSpec, OptimizerKind,
     WarmStartOptions,
 };
-pub use driver::{CellSpec, LiveSession, Opened, SessionDriver};
+pub use driver::{session_executor, CellSpec, LiveSession, Opened, SessionDriver};
 pub use executor::WorkloadExecutor;
 pub use policy::ExecutionPolicy;

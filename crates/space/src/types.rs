@@ -153,25 +153,6 @@ impl Knob {
         }
     }
 
-    /// Converts a knob value to bytes where the unit allows it.
-    pub fn value_to_bytes(&self, value: &KnobValue) -> Option<u64> {
-        let raw = match value {
-            KnobValue::Int(v) => *v,
-            KnobValue::Float(v) => *v as i64,
-            KnobValue::Cat(_) => return None,
-        };
-        if raw < 0 {
-            return None;
-        }
-        let raw = raw as u64;
-        match self.unit {
-            Unit::Pages8k => Some(raw * 8 * 1024),
-            Unit::KiloBytes => Some(raw * 1024),
-            Unit::WalSegments16Mb => Some(raw * 16 * 1024 * 1024),
-            _ => None,
-        }
-    }
-
     /// Renders the concrete choice label for a categorical value.
     pub fn choice_label(&self, value: &KnobValue) -> Option<&'static str> {
         match (&self.domain, value) {
@@ -221,19 +202,6 @@ mod tests {
         assert!(!k.validates(&KnobValue::Cat(2)));
         assert_eq!(k.choice_label(&KnobValue::Cat(1)), Some("off"));
         assert_eq!(k.choice_label(&KnobValue::Cat(7)), None);
-    }
-
-    #[test]
-    fn value_to_bytes_units() {
-        let k = test_knob();
-        assert_eq!(k.value_to_bytes(&KnobValue::Int(2)), Some(16 * 1024));
-        let kb = Knob { unit: Unit::KiloBytes, ..test_knob() };
-        assert_eq!(kb.value_to_bytes(&KnobValue::Int(4)), Some(4096));
-        let wal = Knob { unit: Unit::WalSegments16Mb, ..test_knob() };
-        assert_eq!(wal.value_to_bytes(&KnobValue::Int(1)), Some(16 * 1024 * 1024));
-        let ms = Knob { unit: Unit::Millis, ..test_knob() };
-        assert_eq!(ms.value_to_bytes(&KnobValue::Int(5)), None);
-        assert_eq!(k.value_to_bytes(&KnobValue::Int(-1)), None);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   CI crash suites.
 //! * **Checkpoint/resume** — the runtime crate's `Campaign` flushes
 //!   every completed trial through the store and, on restart,
-//!   `Campaign::resume` replays recorded trials to rebuild optimizer
-//!   state (the same rebuild-and-replay contract as the constant-liar
-//!   wrapper) and continues each session bit-identically to an
+//!   `Campaign::resume` replays recorded trials into a fresh optimizer
+//!   (whose state the constant-liar wrapper keeps a pure function of the
+//!   real history) and continues each session bit-identically to an
 //!   uninterrupted run.
 //! * **Warm-start transfer** ([`transfer`]) — workloads are
 //!   fingerprinted from a probe run's internal metrics; a new session

@@ -33,6 +33,7 @@
 //!   deterministic — the corruption is part of the schedule).
 
 use crate::runner::WorkloadRunner;
+use llamatune_math::splitmix64;
 use llamatune_space::{Config, ConfigSpace, KnobValue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -354,14 +355,6 @@ pub fn config_fingerprint(config: &Config) -> u64 {
         }
     }
     h
-}
-
-/// Fast, well-mixed 64-bit hash (splitmix64 finalizer).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
