@@ -90,7 +90,7 @@ fn single_writer_row(kind: &'static str, records: usize, backends: &Backends) ->
     let be = backends.make(kind);
     let opts = StoreOptions { segment_records: 256 };
 
-    let store = TrialStore::open_backend(be.clone(), opts.clone()).unwrap();
+    let store = TrialStore::open_shared(be.clone(), "local", opts.clone()).unwrap();
     let t = Instant::now();
     for i in 0..records {
         store.append_trial(&trial("bench", i)).unwrap();
@@ -100,7 +100,7 @@ fn single_writer_row(kind: &'static str, records: usize, backends: &Backends) ->
     drop(store);
 
     let t = Instant::now();
-    let store = TrialStore::open_backend(be.clone(), opts.clone()).unwrap();
+    let store = TrialStore::open_shared(be.clone(), "local", opts.clone()).unwrap();
     let open_us = t.elapsed().as_secs_f64() * 1e6;
     assert_eq!(store.trial_count(), records);
 

@@ -3,10 +3,12 @@
 //! driver, and a worked example of the tracing stack end to end.
 //!
 //! Usage: `traced_campaign <dir> [--workers N]`. The directory receives
-//! the trial store (MANIFEST + seg-*.jsonl) plus telemetry pairs:
-//! single-writer runs persist `telemetry-local.{trace.jsonl,metrics.json}`;
-//! with `--workers N` (N ≥ 1) the campaign runs as an N-worker fleet
-//! and persists one `telemetry-wK.*` pair per worker and nothing else —
+//! the trial store (MANIFEST + seg-*.jsonl) plus telemetry pairs, each
+//! named after the store writer that ran it: without `--workers` the
+//! campaign resumes into `TrialStore::open(dir)`, the writer `local`,
+//! and persists `telemetry-local.{trace.jsonl,metrics.json}`; with
+//! `--workers N` (N ≥ 1) the campaign runs as an N-worker fleet and
+//! persists one `telemetry-wK.*` pair per worker and nothing else —
 //! `llamatune-report --fleet <dir>` merges them into the campaign view.
 //! Every persisted pair is validated through the schema-checking
 //! parsers before the process exits, so a zero exit status certifies

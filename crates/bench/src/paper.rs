@@ -139,10 +139,16 @@ fn workload(cell: &Cell) -> llamatune_engine::WorkloadSpec {
 }
 
 /// A measured claim: the gated value, its [5 %, 95 %] CI where seeds give
-/// one, and the rows it adds to its source's printed table.
+/// one, and the rows it adds to its source's printed table. An
+/// improvement claim also carries its time-to-optimal against the
+/// baseline it is gated on: the speedup (mean and CI) and the iteration
+/// at which the candidate's mean curve catches up, if it does.
+#[derive(Default)]
 pub struct Outcome {
     pub value: f64,
     pub ci: Option<(f64, f64)>,
+    pub speedup: Option<Summary>,
+    pub catch_up_iter: Option<usize>,
     pub rows: Vec<Vec<String>>,
 }
 
@@ -169,7 +175,7 @@ fn headers(measure: &Measure) -> &'static [&'static str] {
 /// Measures one claim, running whichever of its arms `memo` has not seen.
 pub fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
     let cell = &claim.cell;
-    let count = |value: usize, rows| Outcome { value: value as f64, ci: None, rows };
+    let count = |value: usize, rows| Outcome { value: value as f64, rows, ..Outcome::default() };
     match &claim.measure {
         Measure::Improvement { candidate, baselines } => {
             let cand = memo.arm(cell, candidate);
@@ -182,6 +188,8 @@ pub fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
             Outcome {
                 value: mean,
                 ci: Some((ci_lo, ci_hi)),
+                speedup: Some(row.speedup),
+                catch_up_iter: row.catch_up_iter,
                 rows: vec![paired_cells(&row, &base.label)],
             }
         }
@@ -204,7 +212,7 @@ pub fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
                 format!("{:.2}%", mean(&in_full)),
                 format!("{value:.2}"),
             ];
-            Outcome { value, ci: Some((ci_lo, ci_hi)), rows: vec![cells] }
+            Outcome { value, ci: Some((ci_lo, ci_hi)), rows: vec![cells], ..Outcome::default() }
         }
         Measure::Sweep { knob, values, rivals_up_to } => {
             let catalog = cell.catalog.space();
@@ -227,8 +235,8 @@ pub fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
                 values.iter().zip(&tputs).map(|(v, t)| vec![v.to_string(), format!("{t:.0}")]);
             Outcome {
                 value: final_improvement_pct(rival, tputs[0]),
-                ci: None,
                 rows: rows.collect(),
+                ..Outcome::default()
             }
         }
         Measure::HybridKnobs => {
@@ -306,7 +314,7 @@ pub fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
                 format!("{narrow:.0}"),
                 format!("{ratio:.2}"),
             ];
-            Outcome { value: ratio, ci: None, rows: vec![cells] }
+            Outcome { value: ratio, rows: vec![cells], ..Outcome::default() }
         }
     }
 }
@@ -363,13 +371,21 @@ impl Report {
         write_object(&mut json, config, write_field);
         json.push_str(",\n  \"claims\": ");
         write_array(&mut json, &self.rows, |json, (claim, outcome)| {
+            // Absent figures are NaN, which the artifact writes as `null`.
             let (ci_lo, ci_hi) = outcome.ci.unwrap_or((f64::NAN, f64::NAN));
+            let nan = Summary { mean: f64::NAN, ci_lo: f64::NAN, ci_hi: f64::NAN };
+            let speedup = outcome.speedup.unwrap_or(nan);
+            let catch_up_iter = outcome.catch_up_iter.map_or(f64::NAN, |i| i as f64);
             let members = [
                 ("id", Field::Text(&claim.id)),
                 ("source", Field::Text(claim.source)),
                 ("value", Field::Num(round(outcome.value, 4))),
                 ("ci_lo", Field::Num(round(ci_lo, 4))),
                 ("ci_hi", Field::Num(round(ci_hi, 4))),
+                ("speedup", Field::Num(round(speedup.mean, 4))),
+                ("speedup_ci_lo", Field::Num(round(speedup.ci_lo, 4))),
+                ("speedup_ci_hi", Field::Num(round(speedup.ci_hi, 4))),
+                ("catch_up_iter", Field::Num(catch_up_iter)),
                 ("band_lo", Field::Num(claim.band.0)),
                 ("band_hi", Field::Num(claim.band.1)),
                 ("status", Field::Text(status_name(claim.status))),
@@ -546,6 +562,24 @@ mod tests {
         }
         let hybrid = &report.rows.iter().find(|(c, _)| c.id == "table2/v9.6").unwrap().1;
         assert_eq!((hybrid.value, hybrid.rows.len()), (17.0, 17));
+
+        // Time-to-optimal rides on improvement rows only.
+        let row = |id: &str| rows.iter().find(|r| r.get("id").unwrap().as_str() == Some(id));
+        let outcome = |id: &str| &report.rows.iter().find(|(c, _)| c.id == id).unwrap().1;
+        let (table5, measured) = (row("table5/ycsb_b").unwrap(), outcome("table5/ycsb_b"));
+        let speedup = measured.speedup.expect("an improvement row carries its speedup");
+        for (key, want) in [
+            ("speedup", speedup.mean),
+            ("speedup_ci_lo", speedup.ci_lo),
+            ("speedup_ci_hi", speedup.ci_hi),
+        ] {
+            assert_eq!(table5.get(key).unwrap().as_f64(), Some(round(want, 4)), "{key}");
+        }
+        let catch_up = measured.catch_up_iter.map_or(JsonValue::Null, |i| JsonValue::Num(i as f64));
+        assert_eq!(table5.get("catch_up_iter"), Some(&catch_up));
+        for key in ["speedup", "speedup_ci_lo", "speedup_ci_hi", "catch_up_iter"] {
+            assert_eq!(row("table2/v9.6").unwrap().get(key), Some(&JsonValue::Null), "{key}");
+        }
     }
 
     fn arm_with_finals(finals: &[f64]) -> Rc<ArmResult> {

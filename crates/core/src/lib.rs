@@ -72,10 +72,9 @@ pub use early_stop::EarlyStopPolicy;
 pub use pipeline::{
     IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, ProjectionKind, SearchSpaceAdapter,
 };
-pub use projection::{HesboProjection, Projection, RemboProjection};
+pub use projection::{HesboProjection, RemboProjection};
 pub use report::{convergence_map, final_improvement_pct, time_to_optimal};
 pub use session::{
-    replay_cutoff, run_session, run_session_parallel, run_session_resumable, EvalResult,
-    FnExecutor, PriorTrial, Session, SessionHistory, SessionOptions, Trial, TrialExecutor,
-    TrialRecord, TrialStatus,
+    replay_cutoff, run_session, run_session_resumable, EvalResult, FnExecutor, PriorTrial, Session,
+    SessionHistory, SessionOptions, Trial, TrialExecutor, TrialRecord, TrialStatus,
 };

@@ -13,7 +13,7 @@
 //! 4. values are re-scaled to physical knob ranges.
 
 use crate::bias::apply_special_value_bias;
-use crate::projection::{HesboProjection, Projection, RemboProjection};
+use crate::projection::{HesboProjection, RemboProjection};
 use llamatune_optim::{ParamKind, SearchSpec};
 use llamatune_space::{Config, ConfigSpace, Domain};
 

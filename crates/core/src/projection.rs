@@ -8,18 +8,6 @@ use llamatune_math::{Matrix, Normal};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// A randomized linear projection from a `d`-dimensional synthetic space to
-/// the `D`-dimensional knob space.
-pub trait Projection: Send + Sync {
-    /// Synthetic (low) dimension `d`.
-    fn low_dim(&self) -> usize;
-    /// Original (high) dimension `D`.
-    fn high_dim(&self) -> usize;
-    /// Projects a unit-cube point of the low space to a unit-cube point of
-    /// the high space (clipping if the projection overshoots).
-    fn project_unit(&self, low: &[f64]) -> Vec<f64>;
-}
-
 /// HeSBO (Nayebi et al. 2019): a count-sketch projection. Each original
 /// dimension `i` is controlled by exactly one synthetic dimension `h(i)`
 /// with sign `sigma(i)`; projections can never leave the box, so no
@@ -50,18 +38,10 @@ impl HesboProjection {
     pub fn sign_of(&self, i: usize) -> f64 {
         self.sign[i]
     }
-}
 
-impl Projection for HesboProjection {
-    fn low_dim(&self) -> usize {
-        self.d
-    }
-
-    fn high_dim(&self) -> usize {
-        self.h.len()
-    }
-
-    fn project_unit(&self, low: &[f64]) -> Vec<f64> {
+    /// Projects a unit-cube point of the low space to a unit-cube point
+    /// of the high space.
+    pub fn project_unit(&self, low: &[f64]) -> Vec<f64> {
         assert_eq!(low.len(), self.d, "low-dimensional point has wrong arity");
         (0..self.h.len())
             .map(|i| {
@@ -82,9 +62,6 @@ impl Projection for HesboProjection {
 pub struct RemboProjection {
     a: Matrix,
     d: usize,
-    /// Count of coordinates clipped across all projections (diagnostic).
-    clip_events: std::sync::atomic::AtomicU64,
-    total_coords: std::sync::atomic::AtomicU64,
 }
 
 impl RemboProjection {
@@ -100,55 +77,18 @@ impl RemboProjection {
                 a[(i, j)] = normal.sample(&mut rng);
             }
         }
-        RemboProjection {
-            a,
-            d: low_dim,
-            clip_events: std::sync::atomic::AtomicU64::new(0),
-            total_coords: std::sync::atomic::AtomicU64::new(0),
-        }
+        RemboProjection { a, d: low_dim }
     }
 
-    /// Fraction of projected coordinates that needed clipping so far.
-    pub fn clip_fraction(&self) -> f64 {
-        let clips = self.clip_events.load(std::sync::atomic::Ordering::Relaxed) as f64;
-        let total = self.total_coords.load(std::sync::atomic::Ordering::Relaxed) as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            clips / total
-        }
-    }
-}
-
-impl Projection for RemboProjection {
-    fn low_dim(&self) -> usize {
-        self.d
-    }
-
-    fn high_dim(&self) -> usize {
-        self.a.rows()
-    }
-
-    fn project_unit(&self, low: &[f64]) -> Vec<f64> {
+    /// Projects a unit-cube point of the low space to a unit-cube point
+    /// of the high space, clipping the coordinates that overshoot.
+    pub fn project_unit(&self, low: &[f64]) -> Vec<f64> {
         assert_eq!(low.len(), self.d);
         let sqrt_d = (self.d as f64).sqrt();
         // [0,1]^d -> [-sqrt(d), sqrt(d)]^d.
         let p: Vec<f64> = low.iter().map(|u| (2.0 * u - 1.0) * sqrt_d).collect();
-        let hat = self.a.matvec(&p);
-        let mut clips = 0;
-        let out: Vec<f64> = hat
-            .into_iter()
-            .map(|v| {
-                if !(-1.0..=1.0).contains(&v) {
-                    clips += 1;
-                }
-                // Clip to [-1,1], then to [0,1].
-                (v.clamp(-1.0, 1.0) + 1.0) / 2.0
-            })
-            .collect();
-        self.clip_events.fetch_add(clips, std::sync::atomic::Ordering::Relaxed);
-        self.total_coords.fetch_add(out.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        out
+        // Clip to [-1,1], then to [0,1].
+        self.a.matvec(&p).into_iter().map(|v| (v.clamp(-1.0, 1.0) + 1.0) / 2.0).collect()
     }
 }
 
@@ -206,18 +146,19 @@ mod tests {
     fn rembo_clips_most_coordinates_in_high_dim() {
         // The pathology of Section 3.2: random Gaussian projections from a
         // scaled box overwhelmingly land outside [-1,1] and get clipped.
+        // A clipped coordinate lands exactly on a face of the unit cube.
         let p = RemboProjection::new(16, 90, 5);
         let mut rng = StdRng::seed_from_u64(6);
+        let (mut clipped, mut total) = (0, 0);
         for _ in 0..100 {
             let low: Vec<f64> = (0..16).map(|_| rng.random::<f64>()).collect();
             let high = p.project_unit(&low);
             assert!(high.iter().all(|v| (0.0..=1.0).contains(v)));
+            clipped += high.iter().filter(|&&v| v == 0.0 || v == 1.0).count();
+            total += high.len();
         }
-        assert!(
-            p.clip_fraction() > 0.5,
-            "REMBO should clip most coordinates: {}",
-            p.clip_fraction()
-        );
+        let fraction = clipped as f64 / total as f64;
+        assert!(fraction > 0.5, "REMBO should clip most coordinates: {fraction}");
     }
 
     #[test]

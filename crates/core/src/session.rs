@@ -5,17 +5,16 @@
 //! `resume` (validate, replay, design), then `next_round` → evaluate →
 //! `report` until no round is left, then `finish`. There is one place
 //! that draws a round and one per-trial fold step (`Fold::trial`), and
-//! three entry points loop over that one value for callers that
-//! evaluate inline, so they cannot drift apart:
+//! two entry points loop over that one value for callers that evaluate
+//! inline, so they cannot drift apart:
 //!
 //! * [`run_session`] — the paper's strictly sequential loop;
-//! * [`run_session_parallel`] — the batched loop used by the parallel
-//!   runtime: per round it draws `batch_size` suggestions
-//!   ([`Optimizer::suggest_batch`]), hands the decoded configurations to a
-//!   [`TrialExecutor`] (which may evaluate them concurrently), then folds
-//!   the results back *in iteration order*, so crash penalties, the best
-//!   curve, and early stopping are independent of evaluation scheduling.
-//! * [`run_session_resumable`] — the batched loop plus the durability
+//! * [`run_session_resumable`] — the batched loop: per round it draws
+//!   `batch_size` suggestions ([`Optimizer::suggest_batch`]), hands the
+//!   decoded configurations to a [`TrialExecutor`] (which may evaluate
+//!   them concurrently), then folds the results back *in iteration
+//!   order*, so crash penalties, the best curve, and early stopping are
+//!   independent of evaluation scheduling. It carries the durability
 //!   seams used by the persistent knowledge store: a prefix of
 //!   already-evaluated [`PriorTrial`]s is *replayed* (history rebuilt,
 //!   observations re-fed to the optimizer, no DBMS runs), and every
@@ -446,16 +445,22 @@ fn session_end_span(label: &str, history: &SessionHistory) -> TraceEvent {
 /// penalty: one fourth of the worst performance seen so far (initialized
 /// to the default configuration's performance).
 ///
-/// This is [`run_session_parallel`] at batch size 1 with an inline
-/// executor — the sequential loop of the paper, kept as the convenient
-/// entry point for closures.
+/// This is [`run_session_resumable`] at batch size 1 with an inline
+/// executor, no prior trials and no sink — the sequential loop of the
+/// paper, kept as the convenient entry point for closures.
+///
+/// # Panics
+/// Panics if a warm-start point's dimensionality does not match the
+/// optimizer space (use [`run_session_resumable`] for a fallible entry).
 pub fn run_session(
     adapter: &dyn SearchSpaceAdapter,
     optimizer: Box<dyn Optimizer>,
     objective: impl FnMut(&Config) -> EvalResult,
     opts: &SessionOptions,
 ) -> SessionHistory {
-    run_session_parallel(adapter, optimizer, &mut FnExecutor(objective), opts, 1)
+    let mut executor = FnExecutor(objective);
+    run_session_resumable(adapter, optimizer, &mut executor, opts, 1, &[], None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One scheduled evaluation: a decoded configuration tagged with the
@@ -491,36 +496,6 @@ impl<F: FnMut(&Config) -> EvalResult> TrialExecutor for FnExecutor<F> {
     fn run_batch(&mut self, trials: &[Trial]) -> Vec<EvalResult> {
         trials.iter().map(|t| (self.0)(&t.config)).collect()
     }
-}
-
-/// Runs a tuning session whose trials are evaluated in batches of
-/// `batch_size` by `executor`, preserving [`run_session`]'s semantics:
-/// iteration 0 evaluates the server default configuration, iterations
-/// `1..=n_init` come from LHS (or [`SessionOptions::warm_points`]),
-/// later ones from the optimizer ([`Optimizer::suggest_batch`]); crash
-/// penalties, the best curve, and early stopping are applied in
-/// iteration order, so the resulting [`SessionHistory`] is a pure
-/// function of the seeds and batch size — independent of how many
-/// workers the executor uses or in which order trials physically
-/// complete. With `batch_size == 1` it reproduces [`run_session`]
-/// exactly.
-///
-/// Early stopping is checked per iteration while folding a batch in; if
-/// it fires mid-batch, the remaining results of that batch are discarded
-/// (the inherent overshoot cost of batched evaluation).
-///
-/// # Panics
-/// Panics if a warm-start point's dimensionality does not match the
-/// optimizer space (use [`run_session_resumable`] for a fallible entry).
-pub fn run_session_parallel(
-    adapter: &dyn SearchSpaceAdapter,
-    optimizer: Box<dyn Optimizer>,
-    executor: &mut dyn TrialExecutor,
-    opts: &SessionOptions,
-    batch_size: usize,
-) -> SessionHistory {
-    run_session_resumable(adapter, optimizer, executor, opts, batch_size, &[], None)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One already-evaluated trial handed back to [`run_session_resumable`]
@@ -872,9 +847,23 @@ impl Session {
     }
 }
 
-/// [`run_session_parallel`] plus the two durability seams of the
-/// persistent knowledge store — the loop over a [`Session`] for a caller
-/// that evaluates inline:
+/// Runs a tuning session whose trials are evaluated in batches of
+/// `batch_size` by `executor` — the loop over a [`Session`] for a caller
+/// that evaluates inline. It keeps [`run_session`]'s semantics:
+/// iteration 0 evaluates the server default configuration, iterations
+/// `1..=n_init` come from LHS (or [`SessionOptions::warm_points`]),
+/// later ones from the optimizer ([`Optimizer::suggest_batch`]); crash
+/// penalties, the best curve, and early stopping are applied in
+/// iteration order, so the resulting [`SessionHistory`] is a pure
+/// function of the seeds and batch size — independent of how many
+/// workers the executor uses or in which order trials physically
+/// complete. With `batch_size == 1` it reproduces [`run_session`]
+/// exactly. Early stopping is checked per iteration while folding a
+/// batch in; if it fires mid-batch, the remaining results of that batch
+/// are discarded (the inherent overshoot cost of batched evaluation).
+///
+/// It also carries the two durability seams of the persistent knowledge
+/// store:
 ///
 /// * **Replay** — `prior` is handed to [`Session::resume`]: recorded
 ///   trials up to the last round boundary are folded back and re-fed to
@@ -906,6 +895,17 @@ pub fn run_session_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`run_session_resumable`] from scratch, with no sink.
+    fn run_batched(
+        adapter: &dyn SearchSpaceAdapter,
+        optimizer: Box<dyn Optimizer>,
+        executor: &mut dyn TrialExecutor,
+        opts: &SessionOptions,
+        batch_size: usize,
+    ) -> SessionHistory {
+        run_session_resumable(adapter, optimizer, executor, opts, batch_size, &[], None).unwrap()
+    }
     use crate::pipeline::{IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline};
     use llamatune_optim::{RandomSearch, Smac, SmacConfig};
     use llamatune_space::catalog::postgres_v9_6;
@@ -1009,7 +1009,7 @@ mod tests {
         }
         // A score-less result claiming Ok normalizes to Crashed.
         let mut e = FnExecutor(|_: &Config| EvalResult::default());
-        let h = run_session_parallel(
+        let h = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 3)),
             &mut e,
@@ -1086,7 +1086,7 @@ mod tests {
             &opts,
         );
         let mut executor = FnExecutor(objective(&space));
-        let par = run_session_parallel(
+        let par = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 21)),
             &mut executor,
@@ -1112,7 +1112,7 @@ mod tests {
             &opts,
         );
         let mut executor = FnExecutor(objective(&space));
-        let par = run_session_parallel(
+        let par = run_batched(
             &pipe,
             Box::new(Smac::new(pipe.optimizer_spec().clone(), SmacConfig::default(), 5)),
             &mut executor,
@@ -1131,7 +1131,7 @@ mod tests {
         // Batched and unbatched sessions share the LHS design (seeded),
         // so iterations 0..=n_init must be identical at any batch size.
         let mut e1 = FnExecutor(objective(&space));
-        let a = run_session_parallel(
+        let a = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 8)),
             &mut e1,
@@ -1139,7 +1139,7 @@ mod tests {
             1,
         );
         let mut e4 = FnExecutor(objective(&space));
-        let b = run_session_parallel(
+        let b = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 8)),
             &mut e4,
@@ -1170,7 +1170,7 @@ mod tests {
         };
         let mut executor = FnExecutor(obj);
         let opts = SessionOptions { iterations: 6, n_init: 2, ..Default::default() };
-        let h = run_session_parallel(
+        let h = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 3)),
             &mut executor,
@@ -1196,7 +1196,7 @@ mod tests {
             early_stop: Some(EarlyStopPolicy { min_improvement_pct: 1.0, patience: 8 }),
             ..Default::default()
         };
-        let h = run_session_parallel(
+        let h = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 5)),
             &mut executor,
@@ -1305,13 +1305,8 @@ mod tests {
         let opts = SessionOptions { iterations: 11, n_init: 4, ..Default::default() };
         let dims = adapter.optimizer_spec().len();
         let mut e = FnExecutor(objective(&space));
-        let full = run_session_parallel(
-            &adapter,
-            Box::new(HistoryHash { dims, seen: vec![] }),
-            &mut e,
-            &opts,
-            3,
-        );
+        let full =
+            run_batched(&adapter, Box::new(HistoryHash { dims, seen: vec![] }), &mut e, &opts, 3);
         let prior = history_to_prior(&full);
         for cut in 0..=prior.len() {
             let mut e = FnExecutor(objective(&space));
@@ -1438,7 +1433,7 @@ mod tests {
         let adapter = IdentityAdapter::new(&space);
         let opts = SessionOptions { iterations: 6, n_init: 6, ..Default::default() };
         let mut e = FnExecutor(objective(&space));
-        let full = run_session_parallel(
+        let full = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 3)),
             &mut e,
@@ -1473,7 +1468,7 @@ mod tests {
             ..Default::default()
         };
         let mut e = FnExecutor(obj);
-        let full = run_session_parallel(
+        let full = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 9)),
             &mut e,
@@ -1513,7 +1508,7 @@ mod tests {
         let cold_opts = opts.clone();
         let warm_opts = SessionOptions { warm_points: warm.clone(), ..opts };
         let mut e = FnExecutor(objective(&space));
-        let cold = run_session_parallel(
+        let cold = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 2)),
             &mut e,
@@ -1521,7 +1516,7 @@ mod tests {
             1,
         );
         let mut e = FnExecutor(objective(&space));
-        let warmed = run_session_parallel(
+        let warmed = run_batched(
             &adapter,
             Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), 2)),
             &mut e,

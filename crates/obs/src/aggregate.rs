@@ -38,8 +38,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// One store writer's telemetry: its recorded spans and its metrics
-/// snapshot, tagged with the writer name (`w0`, `w1`, …; `local` for a
-/// single-writer store).
+/// snapshot, tagged with the writer name (`w0`, `w1`, … for fleet
+/// workers; `local` for a campaign resumed into `TrialStore::open`).
 #[derive(Debug, Clone, Default)]
 pub struct WriterTelemetry {
     pub writer: String,
@@ -57,10 +57,10 @@ pub struct TelemetrySet {
 impl TelemetrySet {
     /// Loads every `telemetry-<tag>.trace.jsonl` /
     /// `telemetry-<tag>.metrics.json` pair from a store directory, one
-    /// writer per tag (a single-writer store's `local` pair included). A
-    /// tag may have either half missing (empty events / default
-    /// snapshot). Errors on unreadable files, schema-invalid telemetry,
-    /// or a directory with no telemetry at all.
+    /// writer per tag (the `local` pair included). A tag may have either
+    /// half missing (empty events / default snapshot). Errors on
+    /// unreadable files, schema-invalid telemetry, or a directory with no
+    /// telemetry at all.
     pub fn load_dir(dir: &Path) -> Result<TelemetrySet, String> {
         let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
         let mut tags: BTreeMap<String, (Option<String>, Option<String>)> = BTreeMap::new();

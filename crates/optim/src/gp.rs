@@ -29,7 +29,7 @@
 //! factor costs a second `exp` only when the space has a categorical
 //! dimension (`exp(-γ·0)` is exactly `1.0`, and `x * 1.0` is `x`).
 
-use crate::spec::{expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
+use crate::spec::{category, expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
 use llamatune_math::{Matrix, Normal};
 use llamatune_obs::MetricsRegistry;
 use rand::rngs::StdRng;
@@ -93,13 +93,6 @@ impl DimSplit {
         }
         DimSplit { cont, cat }
     }
-}
-
-/// Decodes a unit value into its categorical bin, matching
-/// [`ParamKind::to_category`] exactly.
-#[inline]
-fn unit_category(u: f64, n: usize) -> usize {
-    ((u.clamp(0.0, 1.0) * n as f64).floor() as usize).min(n - 1)
 }
 
 /// The GP-BO optimizer.
@@ -194,7 +187,7 @@ impl GpBo {
         }
         let mut mismatches = 0.0;
         for &(i, n) in &self.dims.cat {
-            if unit_category(a[i], n) != unit_category(b[i], n) {
+            if category(a[i], n) != category(b[i], n) {
                 mismatches += 1.0;
             }
         }
@@ -240,7 +233,7 @@ impl GpBo {
         }
         mismatches.fill(0.0);
         for (col, &(k, n)) in cat.chunks_exact(m).zip(&self.dims.cat) {
-            let xk = unit_category(x[k], n);
+            let xk = category(x[k], n);
             for (mismatches, &c) in mismatches.iter_mut().zip(col) {
                 if c != xk {
                     *mismatches += 1.0;
@@ -263,7 +256,7 @@ impl GpBo {
             .dims
             .cat
             .iter()
-            .flat_map(|&(k, n)| candidates.iter().map(move |c| unit_category(c[k], n)));
+            .flat_map(|&(k, n)| candidates.iter().map(move |c| category(c[k], n)));
         CandidateColumns {
             cont: cont.collect(),
             cat: cat.collect(),

@@ -21,6 +21,7 @@ pub enum ParamKind {
 }
 
 /// The choice (of `n`) a categorical dimension's unit value decodes to.
+#[inline]
 pub(crate) fn category(u: f64, n: usize) -> usize {
     ((u.clamp(0.0, 1.0) * n as f64).floor() as usize).min(n - 1)
 }

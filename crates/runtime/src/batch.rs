@@ -38,7 +38,8 @@ use std::any::Any;
 
 /// Wraps any snapshot-capable [`Optimizer`] with constant-liar batch
 /// suggestion. Itself an [`Optimizer`], so it drops into
-/// `run_session_parallel` (or any other session loop) unchanged.
+/// [`llamatune::run_session_resumable`] (or any other session loop)
+/// unchanged.
 pub struct BatchSuggest {
     inner: Box<dyn Optimizer>,
     /// The minimum real score so far, `None` before the first one.

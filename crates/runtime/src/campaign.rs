@@ -299,10 +299,12 @@ impl Campaign {
     pub fn resume(&self, store: &TrialStore) -> io::Result<Vec<CampaignResult>> {
         store.set_tracer(self.opts.tracer.clone());
         let results = self.run_grid(Some(store))?;
-        if self.opts.tracer.enabled() {
+        // Named after the writer (`local` for `TrialStore::open`); a
+        // reader writes nothing.
+        if let Some(writer) = store.writer().filter(|_| self.opts.tracer.enabled()) {
             let sessions = results.iter().map(|r| &r.metrics);
             let backend = store.backend().as_ref();
-            persist_telemetry(backend, "local", &*self.opts.tracer, sessions, store.cas_retries())?;
+            persist_telemetry(backend, writer, &*self.opts.tracer, sessions, store.cas_retries())?;
         }
         Ok(results)
     }

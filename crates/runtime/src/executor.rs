@@ -5,7 +5,7 @@
 //! calling thread is one of them, each takes the next unevaluated trial,
 //! and a batch of one (or one worker) runs inline. Results come back in
 //! batch order no matter which worker finishes first — the property
-//! `run_session_parallel` relies on for worker-count-independent
+//! [`llamatune::run_session_resumable`] relies on for worker-count-independent
 //! histories.
 //!
 //! Trials run against a shared [`TrialRunner`] (a plain

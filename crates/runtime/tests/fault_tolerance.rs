@@ -24,7 +24,7 @@
 
 use llamatune::pipeline::{IdentityAdapter, LlamaTuneConfig, SearchSpaceAdapter};
 use llamatune::session::{
-    run_session_parallel, EvalResult, FnExecutor, SessionHistory, SessionOptions, TrialStatus,
+    run_session_resumable, EvalResult, FnExecutor, SessionHistory, SessionOptions, TrialStatus,
 };
 use llamatune_engine::RunOptions;
 use llamatune_optim::{GuardedOptimizer, Observation, Optimizer, RandomSearch};
@@ -102,7 +102,7 @@ fn run_chaos_session(
         WorkloadExecutor::from_trial_runner(runner, catalog.clone(), seed ^ 0x5EED, workers)
             .with_policy(policy);
     let opts = SessionOptions { iterations: ITERS, n_init: 4, seed, ..Default::default() };
-    run_session_parallel(&adapter, optimizer, &mut executor, &opts, 3)
+    run_session_resumable(&adapter, optimizer, &mut executor, &opts, 3, &[], None).unwrap()
 }
 
 proptest! {
@@ -229,7 +229,7 @@ fn optimizer_panics_degrade_to_random_search_and_are_recorded() {
     let runner: Arc<dyn TrialRunner> = Arc::new(SimRunner);
     let mut executor = WorkloadExecutor::from_trial_runner(runner, catalog.clone(), 7, 2);
     let opts = SessionOptions { iterations: ITERS, n_init: 2, seed: 11, ..Default::default() };
-    let h = run_session_parallel(&adapter, optimizer, &mut executor, &opts, 3);
+    let h = run_session_resumable(&adapter, optimizer, &mut executor, &opts, 3, &[], None).unwrap();
     assert_eq!(h.scores.len(), ITERS + 1, "session survives its optimizer");
     assert!(h.scores.iter().all(|s| s.is_finite()));
     assert!(!h.degradations.is_empty(), "degradations must be recorded");
@@ -258,7 +258,7 @@ fn non_finite_scores_fold_as_crashes_and_survive_a_store_reopen() {
     let run = |bad: [Option<f64>; 3]| {
         let backend: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
         let store_opts = StoreOptions { segment_records: 4 };
-        let store = TrialStore::open_backend(backend.clone(), store_opts.clone()).unwrap();
+        let store = TrialStore::open_shared(backend.clone(), "local", store_opts.clone()).unwrap();
         // `FnExecutor` evaluates in iteration order, so the call count
         // is the iteration: score by it, except at the scripted three.
         let mut iteration = 0;
@@ -273,7 +273,7 @@ fn non_finite_scores_fold_as_crashes_and_survive_a_store_reopen() {
             .run_with_executor(&mut executor)
             .unwrap();
         drop(store);
-        let reopened = TrialStore::open_backend(backend, store_opts).unwrap();
+        let reopened = TrialStore::open_shared(backend, "local", store_opts).unwrap();
         assert_eq!(reopened.trials_for(&cell.label).len(), ITERS + 1, "no record lost");
         (result.history, reopened.export_jsonl())
     };
@@ -311,20 +311,15 @@ fn chaos_campaign(seed: u64, workers: usize) -> Campaign {
     Campaign::new(postgres_v9_6(), spec, opts)
 }
 
-/// The store's raw record stream, in manifest order, active segment
-/// last (same helper as the checkpoint_resume suite).
+/// A one-writer store's raw record stream: every segment the manifest
+/// lists, in order, the writer's active segment last (same helper as the
+/// checkpoint_resume suite).
 fn record_stream(dir: &std::path::Path) -> String {
     let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
-    let sealed: Vec<&str> = manifest.lines().skip(1).filter(|l| !l.trim().is_empty()).collect();
-    let mut out = String::new();
-    for name in &sealed {
-        out.push_str(&std::fs::read_to_string(dir.join(name)).unwrap());
-    }
-    let active = dir.join(format!("seg-{:06}.jsonl", sealed.len() + 1));
-    if active.exists() {
-        out.push_str(&std::fs::read_to_string(active).unwrap());
-    }
-    out
+    let names = manifest.lines().skip(1).filter(|l| !l.trim().is_empty());
+    names
+        .map(|l| std::fs::read_to_string(dir.join(l.strip_prefix("active ").unwrap_or(l))).unwrap())
+        .collect()
 }
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -393,7 +388,8 @@ fn chaos_matrix_case_from_env() {
 
     // Truth on a clean backend.
     let clean: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
-    let truth_store = TrialStore::open_backend(clean.clone(), StoreOptions::default()).unwrap();
+    let truth_store =
+        TrialStore::open_shared(clean.clone(), "local", StoreOptions::default()).unwrap();
     let truth = campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
     assert_eq!(truth[0].history.scores.len(), 9);
@@ -408,10 +404,11 @@ fn chaos_matrix_case_from_env() {
         let budget = 2_000 + (seed % 7) * 900;
         let failing: Arc<dyn StoreBackend> =
             Arc::new(FailingBackend::new(inner.clone(), StoreFaultPlan::KillAtByte(budget)));
-        if let Ok(store) = TrialStore::open_backend(failing, StoreOptions { segment_records: 4 }) {
+        let opts = StoreOptions { segment_records: 4 };
+        if let Ok(store) = TrialStore::open_shared(failing, "local", opts) {
             let _ = campaign.resume(&store); // dies at the byte budget
         }
-        let survivor = TrialStore::open_backend(inner, StoreOptions::default()).unwrap();
+        let survivor = TrialStore::open_shared(inner, "local", StoreOptions::default()).unwrap();
         if std::env::var("CHAOS_DEBUG").is_ok() {
             eprintln!("=== survivor before resume ===\n{}", survivor.export_jsonl());
         }
@@ -424,7 +421,7 @@ fn chaos_matrix_case_from_env() {
     } else {
         // Runner-faults-only leg: a second identical run is bit-equal.
         let again: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
-        let store = TrialStore::open_backend(again, StoreOptions::default()).unwrap();
+        let store = TrialStore::open_shared(again, "local", StoreOptions::default()).unwrap();
         campaign.resume(&store).unwrap();
         assert_eq!(store.export_jsonl(), truth_export, "seed {seed}: chaos run not deterministic");
     }

@@ -56,7 +56,7 @@ fn four_worker_fleet_matches_the_single_store_run_and_resumes_for_free() {
 
     // Single-store ground truth.
     let truth_be = object_backend();
-    let truth_store = TrialStore::open_backend(truth_be, StoreOptions::default()).unwrap();
+    let truth_store = TrialStore::open_shared(truth_be, "local", StoreOptions::default()).unwrap();
     let truth = campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
 

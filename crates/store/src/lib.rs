@@ -18,10 +18,11 @@
 //!   [`LocalDirBackend`] keeps the original one-file-per-object layout
 //!   (manifest committed by atomic rename), [`ObjectStoreBackend`]
 //!   emulates S3-style object storage (no rename; manifest committed
-//!   by conditional put). Fleet mode ([`TrialStore::open_shared`])
-//!   lets N tuning workers append into one store through per-writer
-//!   active segments and the manifest's one CAS retry loop, with
-//!   [`TrialStore::open_reader`] serving the merged view. [`faults`]
+//!   by conditional put). Every writer ([`TrialStore::open_shared`];
+//!   [`TrialStore::open`] is the writer `local`) appends into an active
+//!   segment of its own and commits through the manifest's one CAS
+//!   retry loop, so N tuning workers can share one store, and
+//!   [`TrialStore::open_reader`] serves the merged view. [`faults`]
 //!   injects deterministic kill-at-byte failures at this seam for the
 //!   CI crash suites.
 //! * **Checkpoint/resume** — the runtime crate's `Campaign` flushes

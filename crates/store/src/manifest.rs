@@ -3,8 +3,8 @@
 //! ## The commit point
 //!
 //! ```text
-//! MANIFEST            # header + sealed segment names (+ "active" lines
-//!                     # for fleet writers — see below)
+//! MANIFEST            # header, sealed segment names, then one
+//!                     # "active <name>" line per writer (see below)
 //! ```
 //!
 //! The manifest is the only authority on which segments make up the
@@ -29,27 +29,36 @@
 //! committed segment, and that a livelocked race ends in a clean
 //! `TimedOut` after [`BackoffPolicy::STORE_CAS`]'s budget.
 //!
-//! ## Fleet mode (multi-writer)
+//! ## Writers and readers
 //!
-//! [`TrialStore::open_shared`] registers a named writer on the store: a
-//! writer owns a private active segment (`seg-<writer>-NNNNNN.jsonl`),
-//! listed in the manifest as an `active` entry so every other writer —
-//! and [`TrialStore::open_reader`] — can see its uncommitted records.
-//! Live writers never share a session (the campaign layer leases
-//! sessions through [`SessionMeta::lease`]), and a takeover after a
-//! kill re-runs deterministically, so cross-writer duplicate records
-//! are always content-identical and last-wins merge order does not
-//! matter. Single-writer stores are unchanged on disk: their manifests
-//! carry no `active` entries and their segment names no writer tag.
-//! Instead of rebasing, the single writer *pins* the revision it last
-//! saw: a manifest that moved under it means a second writer is live,
-//! which is an error, found before anything is written.
+//! Every writable handle is a tagged writer
+//! ([`TrialStore::open_shared`]; [`TrialStore::open`] is the writer
+//! `local` on a local directory). A writer owns a private active
+//! segment (`seg-<writer>-NNNNNN.jsonl`), listed in the manifest as an
+//! `active` entry so every other writer — and
+//! [`TrialStore::open_reader`] — can see its unsealed records, and a
+//! writer that loses a race rebases onto the winner's manifest. Live
+//! writers never share a session (the campaign layer leases sessions
+//! through [`SessionMeta::lease`]), and a takeover after a kill re-runs
+//! deterministically, so cross-writer duplicate records are always
+//! content-identical and last-wins merge order does not matter. A
+//! handle with no writer tag is a reader: it never writes.
 //!
+//! ## The legacy reader
+//!
+//! Stores written before every writer carried a tag have untagged
+//! segment names (`seg-NNNNNN.jsonl`) and no `active` entries: their
+//! active segment is unlisted and follows the highest listed index
+//! (`Manifest::derived_active`). Readers and replays still read such
+//! a segment, and a writer opening the store repairs and seals it
+//! before it registers its own.
+//!
+//! [`TrialStore::open`]: crate::TrialStore::open
 //! [`TrialStore::open_shared`]: crate::TrialStore::open_shared
 //! [`TrialStore::open_reader`]: crate::TrialStore::open_reader
 //! [`SessionMeta::lease`]: crate::record::SessionMeta::lease
 
-use crate::backend::{Revision, StoreBackend};
+use crate::backend::{revision_of, StoreBackend};
 use llamatune::backoff::{Backoff, BackoffPolicy};
 use std::io;
 
@@ -59,18 +68,15 @@ pub(crate) fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Segment object name: `seg-NNNNNN.jsonl` for single-writer stores,
-/// `seg-<writer>-NNNNNN.jsonl` in a fleet writer's private namespace
-/// (private namespaces make concurrent index allocation collision-free
-/// by construction).
-pub(crate) fn segment_name(writer: Option<&str>, index: usize) -> String {
-    match writer {
-        Some(w) => format!("seg-{w}-{index:06}.jsonl"),
-        None => format!("seg-{index:06}.jsonl"),
-    }
+/// Segment object name: `seg-<writer>-NNNNNN.jsonl`, in the writer's
+/// private namespace (private namespaces make concurrent index
+/// allocation collision-free by construction).
+pub(crate) fn segment_name(writer: &str, index: usize) -> String {
+    format!("seg-{writer}-{index:06}.jsonl")
 }
 
-/// Splits a segment name into its optional writer tag and index.
+/// Splits a segment name into its writer tag and index; a legacy
+/// store's untagged `seg-NNNNNN.jsonl` has no tag.
 fn segment_parts(name: &str) -> Option<(Option<&str>, usize)> {
     let core = name.strip_prefix("seg-")?.strip_suffix(".jsonl")?;
     match core.rsplit_once('-') {
@@ -84,14 +90,14 @@ pub(crate) fn segment_index(name: &str) -> Option<usize> {
     segment_parts(name).map(|(_, index)| index)
 }
 
-/// The writer tag embedded in a fleet segment name, if any.
+/// The writer tag embedded in a segment name (`None`: legacy).
 pub(crate) fn segment_writer(name: &str) -> Option<&str> {
     segment_parts(name).and_then(|(writer, _)| writer)
 }
 
 /// The parsed `MANIFEST`: sealed segments in commit order, then the
-/// registered active segments of fleet writers (empty for single-writer
-/// stores, whose active segment is derived, not listed).
+/// registered active segments of the writers (empty for a legacy store,
+/// whose active segment is derived, not listed).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Manifest {
     pub(crate) sealed: Vec<String>,
@@ -144,12 +150,12 @@ impl Manifest {
         self.sealed.iter().chain(&self.actives).filter_map(|n| segment_index(n)).max().unwrap_or(0)
     }
 
-    /// The implicit active segment of a single-writer store: unlisted,
-    /// it follows the highest sealed index (indices are monotonic but,
-    /// after compaction, not necessarily dense). `None` once fleet
-    /// writers have registered theirs.
+    /// The implicit active segment of a legacy store: unlisted and
+    /// untagged, it follows the highest sealed index (indices are
+    /// monotonic but, after compaction, not necessarily dense). `None`
+    /// once a writer has registered its own.
     pub(crate) fn derived_active(&self) -> Option<String> {
-        self.actives.is_empty().then(|| segment_name(None, self.max_index() + 1))
+        self.actives.is_empty().then(|| format!("seg-{:06}.jsonl", self.max_index() + 1))
     }
 }
 
@@ -157,12 +163,7 @@ impl Manifest {
 /// identifies the contender (the writer tag) so contending writers
 /// draw decorrelated delays.
 fn cas_backoff(tag: &str) -> Backoff {
-    let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tag.bytes() {
-        seed ^= u64::from(b);
-        seed = seed.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    Backoff::new(BackoffPolicy::STORE_CAS, seed)
+    Backoff::new(BackoffPolicy::STORE_CAS, revision_of(tag.as_bytes()))
 }
 
 /// Sleeps out one step of a CAS backoff schedule (ticks are
@@ -186,21 +187,6 @@ fn cas_retry(backoff: &mut Backoff, what: &str) -> io::Result<()> {
     }
 }
 
-/// On whose behalf [`with_manifest`] runs, which is what it may do.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Access<'a> {
-    /// A read-only handle. It never writes, so an absent manifest stays
-    /// absent and reads as an empty store.
-    Reader,
-    /// The single writer, with the revision it last read or committed
-    /// (`None` while it is still opening). That revision is a *pin*: a
-    /// manifest that has moved off it means another writer is live.
-    Single(Option<Revision>),
-    /// The fleet writer with this tag, which rebases onto whatever the
-    /// manifest has become.
-    Fleet(&'a str),
-}
-
 /// What one `step` of [`with_manifest`] decided.
 pub(crate) enum Step<T> {
     /// The manifest stays as it is.
@@ -211,8 +197,8 @@ pub(crate) enum Step<T> {
 }
 
 /// How [`with_manifest`] ended: the step's answer, the manifest now in
-/// force with its revision, and how many rounds were retried on the
-/// way. Contention is scheduling-dependent, so retries are a metric
+/// force, and how many rounds were retried on the way. Contention is
+/// scheduling-dependent, so retries are a metric
 /// ([`TrialStore::cas_retries`]), never a trace span (traces stay
 /// deterministic).
 ///
@@ -220,14 +206,15 @@ pub(crate) enum Step<T> {
 pub(crate) struct Settled<T> {
     pub(crate) out: T,
     pub(crate) manifest: Manifest,
-    pub(crate) revision: Revision,
     pub(crate) cas_retries: u32,
 }
 
-/// The store's one read–decide–commit loop. Reads the current manifest
-/// (committing an empty one first iff the store is brand new and
-/// `access` may write), runs `step` on it, and commits what `step`
-/// asks for. One round ends in one of three ways:
+/// The store's one read–decide–commit loop, run by the writer tagged
+/// `writer` or, with `None`, by a reader. Reads the current manifest
+/// (committing an empty one first iff the store is brand new and the
+/// caller is a writer; to a reader an absent manifest is an empty
+/// store), runs `step` on it, and commits what `step` asks for. One
+/// round ends in one of three ways:
 ///
 /// * **settled** — `step` kept the manifest, or its [`Step::Install`]
 ///   won the CAS: the loop returns.
@@ -242,35 +229,20 @@ pub(crate) struct Settled<T> {
 ///   `step` runs again if the manifest has moved since; if it has not,
 ///   the segment is genuinely gone and the error is returned as it is.
 ///
-/// Any other error of `step` or the backend is returned at once. For
-/// [`Access::Single`] with a pin, a manifest that is not at the pinned
-/// revision is the "another writer is live" error, never a rebase: it
-/// is checked when the manifest is read, before `step` has written
-/// anything, and a commit that conflicts all the same ends the same way
-/// (leaving `created` alone — the other writer may be using the name).
+/// Any other error of `step` or the backend is returned at once.
 pub(crate) fn with_manifest<T>(
     backend: &dyn StoreBackend,
-    access: Access<'_>,
+    writer: Option<&str>,
     what: &str,
     mut step: impl FnMut(&Manifest) -> io::Result<Step<T>>,
 ) -> io::Result<Settled<T>> {
-    let (tag, pinned) = match access {
-        Access::Reader => ("reader", None),
-        Access::Single(pinned) => ("single", pinned),
-        Access::Fleet(tag) => (tag, None),
-    };
-    let live_writer =
-        || io::Error::other("manifest changed under a single-writer store: another writer is live");
-    let mut backoff = cas_backoff(tag);
+    let mut backoff = cas_backoff(writer.unwrap_or("reader"));
     let mut view = backend.read_manifest()?;
-    let (out, manifest, revision) = loop {
+    let (out, manifest) = loop {
         let (bytes, mut revision) = view;
-        if pinned.is_some_and(|pin| pin != revision) {
-            return Err(live_writer());
-        }
         let manifest = match bytes {
             Some(bytes) => Manifest::parse(&bytes)?,
-            None if matches!(access, Access::Reader) => Manifest::default(),
+            None if writer.is_none() => Manifest::default(),
             None => match backend.commit_manifest(&Manifest::default().to_bytes(), 0)? {
                 Ok(created) => {
                     revision = created;
@@ -285,11 +257,10 @@ pub(crate) fn with_manifest<T>(
             },
         };
         view = match step(&manifest) {
-            Ok(Step::Keep(out)) => break (out, manifest, revision),
+            Ok(Step::Keep(out)) => break (out, manifest),
             Ok(Step::Install { manifest, created, out }) => {
                 match backend.commit_manifest(&manifest.to_bytes(), revision)? {
-                    Ok(revision) => break (out, manifest, revision),
-                    Err(_) if pinned.is_some() => return Err(live_writer()),
+                    Ok(_) => break (out, manifest),
                     Err(lost) => {
                         for name in &created {
                             let _ = backend.delete(name);
@@ -309,13 +280,13 @@ pub(crate) fn with_manifest<T>(
         };
         cas_retry(&mut backoff, what)?;
     };
-    Ok(Settled { out, manifest, revision, cas_retries: backoff.attempts() })
+    Ok(Settled { out, manifest, cas_retries: backoff.attempts() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CasConflict, ObjectStoreBackend, ObjectStoreOptions};
+    use crate::backend::{CasConflict, ObjectStoreBackend, ObjectStoreOptions, Revision};
     use crate::record::StoredTrial;
     use crate::store::{StoreOptions, TrialStore};
     use std::sync::{Arc, Mutex};
@@ -346,6 +317,7 @@ mod tests {
 
     impl StoreBackend for Probe {
         fn get(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            self.note("get", name);
             self.inner.get(name)
         }
         fn put(&self, name: &str, data: &[u8]) -> io::Result<()> {
@@ -406,14 +378,14 @@ mod tests {
     fn a_lost_race_reruns_the_step_on_the_winners_manifest_and_drops_what_it_created() {
         let be = Probe::new();
         be.inner.commit_manifest(&Manifest::default().to_bytes(), 0).unwrap().unwrap();
-        let rival = Manifest { sealed: Vec::new(), actives: vec![segment_name(Some("rival"), 1)] };
+        let rival = Manifest { sealed: Vec::new(), actives: vec![segment_name("rival", 1)] };
         *be.rival.lock().unwrap() = Some(rival.clone());
 
         let mut seen = Vec::new();
-        let settled = with_manifest(&*be, Access::Fleet("me"), "test", |m| {
+        let settled = with_manifest(&*be, Some("me"), "test", |m| {
             seen.push(m.clone());
             let mut next = m.clone();
-            let name = segment_name(Some("me"), m.max_index() + 1);
+            let name = segment_name("me", m.max_index() + 1);
             be.put(&name, b"")?;
             next.actives.push(name.clone());
             Ok(Step::Install { manifest: next, created: vec![name.clone()], out: name })
@@ -424,37 +396,75 @@ mod tests {
         assert_eq!(settled.cas_retries, 1, "and the race it lost is counted");
         assert_eq!(settled.out, "seg-me-000002.jsonl");
         assert_eq!(settled.manifest.actives, [rival.actives[0].as_str(), "seg-me-000002.jsonl"]);
-        assert_eq!(be.read_manifest().unwrap().1, settled.revision);
+        let committed = Manifest::parse(&be.read_manifest().unwrap().0.unwrap()).unwrap();
+        assert_eq!(committed, settled.manifest);
         assert_eq!(be.get("seg-me-000001.jsonl").unwrap(), None, "the losing attempt's object");
         assert!(be.get("seg-me-000002.jsonl").unwrap().is_some());
     }
 
     #[test]
-    fn a_stale_single_writer_handle_fails_its_seal_before_writing_anything() {
+    fn a_stale_handle_of_a_live_tag_fails_its_seal_before_writing_anything() {
         let be = Probe::new();
         let opts = StoreOptions { segment_records: 2 };
-        let a = TrialStore::open_backend(be.clone(), opts.clone()).unwrap();
-        let b = TrialStore::open_backend(be.clone(), opts).unwrap();
-        // A seals its first segment and acknowledges a third record into
-        // the next one.
+        // Two live handles with one tag: both adopt `seg-w-000001.jsonl`.
+        let a = TrialStore::open_shared(be.clone(), "w", opts.clone()).unwrap();
+        let b = TrialStore::open_shared(be.clone(), "w", opts).unwrap();
+        // A seals that segment and acknowledges a third record into the
+        // next one.
         for i in 0..3 {
             a.append_trial(&trial(i)).unwrap();
         }
-        let third = be.get("seg-000002.jsonl").unwrap().unwrap();
+        let third = be.get("seg-w-000002.jsonl").unwrap().unwrap();
         assert!(!third.is_empty());
 
-        // B still believes in the manifest it opened on. Its seal would
-        // start by emptying `seg-000002.jsonl`.
+        // B still believes `seg-w-000001.jsonl` is its active segment,
+        // but the manifest no longer lists it as anyone's.
         b.append_trial(&trial(0)).unwrap();
         let mark = be.log.lock().unwrap().len();
         let err = b.append_trial(&trial(1)).unwrap_err();
-        assert!(err.to_string().contains("another writer is live"), "{err}");
+        assert!(err.to_string().contains("reclaimed by another live worker"), "{err}");
         assert_eq!(
             be.log.lock().unwrap()[mark..],
-            ["append seg-000001.jsonl", "sync seg-000001.jsonl", "read MANIFEST"],
+            ["append seg-w-000001.jsonl", "sync seg-w-000001.jsonl", "read MANIFEST"],
             "the record itself, then a seal that reads once and gives up: no put, no retry"
         );
-        assert_eq!(be.get("seg-000002.jsonl").unwrap().unwrap(), third, "A's record survives");
+        assert_eq!(be.get("seg-w-000002.jsonl").unwrap().unwrap(), third, "A's record survives");
+    }
+
+    #[test]
+    fn a_lone_writer_compacts_from_its_index_and_one_beside_another_replays() {
+        let be = Probe::new();
+        let opts = StoreOptions { segment_records: 2 };
+        let gets_since = |mark: usize| -> Vec<String> {
+            let log = be.log.lock().unwrap();
+            log[mark..].iter().filter_map(|op| op.strip_prefix("get ")).map(String::from).collect()
+        };
+        let a = TrialStore::open_shared(be.clone(), "a", opts.clone()).unwrap();
+        for i in 0..5 {
+            a.append_trial(&trial(i)).unwrap();
+        }
+        assert_eq!(a.sealed_segments().len(), 2);
+        let mark = be.log.lock().unwrap().len();
+        let stats = a.compact().unwrap();
+        assert_eq!(gets_since(mark), Vec::<String>::new(), "the lone writer reads nothing back");
+        assert_eq!((stats.trial_records_before, stats.trial_records_after), (5, 5));
+
+        // A second writer registers and appends: A's index no longer
+        // holds the whole store, so its next pass replays the manifest.
+        let b = TrialStore::open_shared(be.clone(), "b", opts).unwrap();
+        b.append_trial(&StoredTrial { session: "t".to_string(), ..trial(0) }).unwrap();
+        let sealed = a.sealed_segments();
+        let listed = Manifest::parse(&be.read_manifest().unwrap().0.unwrap()).unwrap();
+        let b_active = listed.actives.into_iter().find(|n| segment_writer(n) == Some("b")).unwrap();
+        let mark = be.log.lock().unwrap().len();
+        a.compact().unwrap();
+        let gets = gets_since(mark);
+        for name in sealed.iter().chain([&b_active]) {
+            assert!(gets.contains(name), "{name} not read back: {gets:?}");
+        }
+        assert_eq!(a.trials_for("t").len(), 1, "B's record is folded in");
+        let reader = TrialStore::open_reader(be.clone(), StoreOptions::default()).unwrap();
+        assert_eq!((reader.trials_for("s").len(), reader.trials_for("t").len()), (5, 1));
     }
 
     #[test]
@@ -464,7 +474,8 @@ mod tests {
         reader.refresh().unwrap();
         assert!(reader.is_empty());
         assert!(be.list().unwrap().is_empty());
-        assert!(be.log.lock().unwrap().iter().all(|op| op == "read MANIFEST"));
+        let log = be.log.lock().unwrap();
+        assert!(log.iter().all(|op| op == "read MANIFEST" || op.starts_with("get ")), "{log:?}");
     }
 
     #[test]
@@ -473,9 +484,8 @@ mod tests {
             let be = Probe::new();
             let bytes = format!("{MANIFEST_HEADER}\n{line}\n");
             be.inner.commit_manifest(bytes.as_bytes(), 0).unwrap().unwrap();
-            let opens: [(&str, io::Result<TrialStore>); 3] = [
-                ("single", TrialStore::open_backend(be.clone(), StoreOptions::default())),
-                ("shared", TrialStore::open_shared(be.clone(), "w1", StoreOptions::default())),
+            let opens: [(&str, io::Result<TrialStore>); 2] = [
+                ("writer", TrialStore::open_shared(be.clone(), "w1", StoreOptions::default())),
                 ("reader", TrialStore::open_reader(be.clone(), StoreOptions::default())),
             ];
             for (mode, opened) in opens {

@@ -4,10 +4,16 @@
 //! ## Layout
 //!
 //! ```text
-//! seg-000001.jsonl       # sealed: listed in MANIFEST, immutable, fully valid
-//! seg-000002.jsonl       # active: append-only, may be torn
-//! seg-svc-000003.jsonl   # a fleet writer's segment carries its tag ("svc")
+//! seg-local-000001.jsonl # sealed: listed in MANIFEST, immutable, fully valid
+//! seg-svc-000002.jsonl   # sealed too: every segment carries its writer's tag
+//! seg-local-000003.jsonl # active: listed as "active", append-only, may be torn
+//! seg-svc-000004.jsonl   # another writer's active segment
 //! ```
+//!
+//! A store written before every writer carried a tag has untagged
+//! names (`seg-000001.jsonl`) and an unlisted active segment after the
+//! highest listed index; replays still read it (the *legacy reader*,
+//! see [`crate::manifest`]).
 //!
 //! Objects live behind a [`StoreBackend`] — a local directory
 //! ([`crate::backend::LocalDirBackend`]) or S3-style object storage
@@ -108,10 +114,10 @@ impl Index {
 
 /// Reads a sealed segment strictly: it was synced before the manifest
 /// named it, so any unparsable line is corruption. A *missing* object
-/// surfaces as [`io::ErrorKind::NotFound`]: under a fleet it usually
-/// means a concurrent compaction committed a new manifest and deleted
-/// this segment while we were replaying the old one — the manifest
-/// loop re-reads and retries, and only treats it as corruption when the
+/// surfaces as [`io::ErrorKind::NotFound`]: it usually means another
+/// writer's compaction committed a new manifest and deleted this
+/// segment while we were replaying the old one — the manifest loop
+/// re-reads and retries, and only treats it as corruption when the
 /// manifest has not moved.
 fn load_segment_strict(backend: &dyn StoreBackend, name: &str) -> io::Result<Vec<StoreRecord>> {
     let bytes = backend.get(name)?.ok_or_else(|| {
@@ -203,8 +209,8 @@ pub(crate) fn on_every_core<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R +
 
 /// Replays one manifest view: sealed segments strictly (in manifest
 /// order), then active segments leniently — the registered ones, or,
-/// when the manifest registers no fleet writers, the implicit
-/// single-writer active. `own` names the segment the caller owns; its
+/// when the manifest registers no writer, a legacy store's implicit
+/// active. `own` names the segment the caller owns; its
 /// torn tail is repaired while it is read. Propagates
 /// [`io::ErrorKind::NotFound`] from sealed reads so the manifest loop
 /// can retry against a manifest a concurrent compaction just committed.

@@ -4,14 +4,14 @@
 //! segment log ([`crate::segment`] — layout, strict and lenient reads,
 //! torn-tail recovery, the replay that builds the in-memory index) and
 //! the manifest ([`crate::manifest`] — the commit point, the one
-//! read–decide–commit loop, fleet mode). What is left here is what a
-//! handle *does* with them: the three ways to open one, append with its
-//! seal, compaction, and the queries and export over the index.
+//! read–decide–commit loop, writers and readers). What is left here is
+//! what a handle *does* with them: open as a writer or as a reader,
+//! append with its seal, compaction, and the queries and export over the
+//! index.
 
-use crate::backend::{lock_recover, LocalDirBackend, Revision, StoreBackend};
+use crate::backend::{lock_recover, LocalDirBackend, StoreBackend};
 use crate::manifest::{
-    corrupt, segment_index, segment_name, segment_writer, with_manifest, Access, Manifest, Settled,
-    Step,
+    corrupt, segment_index, segment_name, segment_writer, with_manifest, Manifest, Settled, Step,
 };
 use crate::record::{write_record, SessionMeta, StoreRecord, StoredTrial};
 use crate::segment::{load_segment_lenient, on_every_core, replay_manifest, Index, SessionEntry};
@@ -25,9 +25,9 @@ use std::sync::{Arc, Mutex};
 
 /// The trace span summarising one compaction pass. Attributed to the
 /// synthetic `"store"` session: compaction runs from one thread at a
-/// time per handle, so the span order is deterministic for
-/// single-writer runs (multi-writer ordering is explicitly outside the
-/// determinism contract).
+/// time per handle, so the span order is deterministic for a lone
+/// writer (multi-writer ordering is explicitly outside the determinism
+/// contract).
 fn compact_span(stats: &CompactionStats) -> TraceEvent {
     TraceEvent::new("store", "store.compact")
         .field("segments_before", stats.segments_before)
@@ -64,17 +64,13 @@ impl Default for StoreOptions {
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Sealed segments, in manifest (commit) order — fleet-wide in
-    /// shared mode.
+    /// Sealed segments, in manifest (commit) order, every writer's.
     sealed: Vec<String>,
-    /// Manifest-listed active segments of *other* writers (shared mode).
+    /// Manifest-listed active segments of *other* writers.
     foreign_active: Vec<String>,
     /// Our active segment (empty string in reader mode).
     active_name: String,
     active_records: usize,
-    /// Manifest revision this handle last read or committed (`None`
-    /// until it has opened) — what a single-writer handle pins.
-    revision: Option<Revision>,
     index: Index,
 }
 
@@ -89,12 +85,11 @@ impl Inner {
 
     /// Takes over a manifest this handle has just read or committed,
     /// with `active` (holding `records` records) as its own segment.
-    fn adopt(&mut self, manifest: Manifest, revision: Revision, active: String, records: usize) {
+    fn adopt(&mut self, manifest: Manifest, active: String, records: usize) {
         self.sealed = manifest.sealed;
         self.foreign_active = manifest.actives.into_iter().filter(|n| *n != active).collect();
         self.active_name = active;
         self.active_records = records;
-        self.revision = Some(revision);
     }
 }
 
@@ -106,10 +101,8 @@ pub struct TrialStore {
     /// Backing directory, when the backend is a local directory opened
     /// through [`TrialStore::open`] / [`TrialStore::open_with`].
     dir: Option<PathBuf>,
-    /// Fleet writer tag ([`TrialStore::open_shared`]); `None` for
-    /// single-writer and reader handles.
+    /// Writer tag ([`TrialStore::open_shared`]); `None` for a reader.
     writer: Option<String>,
-    read_only: bool,
     opts: StoreOptions,
     inner: Mutex<Inner>,
     /// Manifest rounds this handle retried ([`TrialStore::cas_retries`]).
@@ -120,8 +113,8 @@ pub struct TrialStore {
     tracer: Mutex<Arc<dyn Tracer>>,
 }
 
-fn read_only_err() -> io::Error {
-    io::Error::new(io::ErrorKind::Unsupported, "store opened read-only (open_reader)")
+fn reader_err() -> io::Error {
+    io::Error::new(io::ErrorKind::Unsupported, "a reader handle cannot write (open_reader)")
 }
 
 impl TrialStore {
@@ -130,31 +123,21 @@ impl TrialStore {
         TrialStore::open_with(dir, StoreOptions::default())
     }
 
-    /// Opens (or creates) the store rooted at `dir`.
+    /// Opens (or creates) the store rooted at `dir` as the writer
+    /// `local` ([`TrialStore::open_shared`] on a [`LocalDirBackend`]).
     pub fn open_with(dir: impl AsRef<Path>, opts: StoreOptions) -> io::Result<TrialStore> {
         let dir = dir.as_ref().to_path_buf();
-        let mut store = TrialStore::open_backend(Arc::new(LocalDirBackend::create(&dir)?), opts)?;
-        store.dir = Some(dir);
-        Ok(store)
+        let backend = Arc::new(LocalDirBackend::create(&dir)?);
+        Ok(TrialStore { dir: Some(dir), ..TrialStore::open_shared(backend, "local", opts)? })
     }
 
-    /// Opens (or creates) a single-writer store on any backend.
-    pub fn open_backend(
-        backend: Arc<dyn StoreBackend>,
-        opts: StoreOptions,
-    ) -> io::Result<TrialStore> {
-        let store = TrialStore::handle(backend, None, false, opts);
-        store.reload("store open", true)?;
-        Ok(store)
-    }
-
-    /// Opens (or creates) a *fleet* store: this handle registers itself
-    /// as writer `writer` and appends into a private active segment
+    /// Opens (or creates) a store as writer `writer`: the handle
+    /// registers itself and appends into a private active segment
     /// listed in the manifest, so every other writer and reader can see
-    /// its records. Writer tags must be unique among *live* workers —
-    /// reopening a dead worker's tag reclaims (repairs and adopts) the
+    /// its records. Writer tags must be unique among *live* writers —
+    /// reopening a dead writer's tag reclaims (repairs and adopts) the
     /// active segment it left behind. See [`crate::manifest`] for the
-    /// multi-writer commit protocol.
+    /// commit protocol.
     pub fn open_shared(
         backend: Arc<dyn StoreBackend>,
         writer: &str,
@@ -166,62 +149,61 @@ impl TrialStore {
                  (it is embedded in segment names)"
             )));
         }
-        let store = TrialStore::handle(backend, Some(writer.to_string()), false, opts);
+        let store = TrialStore::handle(backend, Some(writer.to_string()), opts);
         let backend = &*store.backend;
-        let registered =
-            store.with_manifest(Access::Fleet(writer), "writer registration", |m| {
-                let mut m = m.clone();
-                let mut changed = false;
+        let registered = store.with_manifest("writer registration", |m| {
+            let mut m = m.clone();
+            let mut changed = false;
 
-                // A store previously written single-writer has an implicit
-                // (derived, unlisted) active segment; fold it into the
-                // sealed list so fleet writers can see it. Safe under the
-                // same assumption every shared open makes: no other handle
-                // with authority over that segment is live.
-                if let Some(derived) = m.derived_active() {
-                    if !load_segment_lenient(backend, &derived, true)?.is_empty() {
-                        m.sealed.push(derived);
-                        changed = true;
-                    }
-                }
-
-                // Reclaim active segments a dead incarnation of this writer
-                // left behind: adopt the newest as our active segment (the
-                // replay below repairs its torn tail), repair and seal the
-                // rest.
-                let mut mine: Vec<(usize, String)> = m
-                    .actives
-                    .iter()
-                    .filter(|n| segment_writer(n) == Some(writer))
-                    .map(|n| (segment_index(n).unwrap_or(0), n.clone()))
-                    .collect();
-                mine.sort();
-                let adopted = mine.pop();
-                for (_, name) in mine {
-                    load_segment_lenient(backend, &name, true)?;
-                    m.actives.retain(|n| *n != name);
-                    m.sealed.push(name);
+            // A legacy store has an implicit (derived, unlisted) active
+            // segment; fold it into the sealed list so every writer can
+            // see it. Safe under the same assumption every writer's open
+            // makes: no other handle with authority over that segment is
+            // live.
+            if let Some(derived) = m.derived_active() {
+                if !load_segment_lenient(backend, &derived, true)?.is_empty() {
+                    m.sealed.push(derived);
                     changed = true;
                 }
-                let Some((_, active)) = adopted else {
-                    let active = segment_name(Some(writer), m.max_index() + 1);
-                    // Truncate any stray left by a dead incarnation's
-                    // interrupted compaction (private namespace: no
-                    // race with other writers).
-                    backend.put(&active, b"")?;
-                    m.actives.push(active.clone());
-                    return Ok(Step::Install {
-                        manifest: m,
-                        created: vec![active.clone()],
-                        out: active,
-                    });
-                };
-                Ok(if changed {
-                    Step::Install { manifest: m, created: Vec::new(), out: active }
-                } else {
-                    Step::Keep(active)
-                })
-            })?;
+            }
+
+            // Reclaim active segments a dead incarnation of this writer
+            // left behind: adopt the newest as our active segment (the
+            // replay below repairs its torn tail), repair and seal the
+            // rest.
+            let mut mine: Vec<(usize, String)> = m
+                .actives
+                .iter()
+                .filter(|n| segment_writer(n) == Some(writer))
+                .map(|n| (segment_index(n).unwrap_or(0), n.clone()))
+                .collect();
+            mine.sort();
+            let adopted = mine.pop();
+            for (_, name) in mine {
+                load_segment_lenient(backend, &name, true)?;
+                m.actives.retain(|n| *n != name);
+                m.sealed.push(name);
+                changed = true;
+            }
+            let Some((_, active)) = adopted else {
+                let active = segment_name(writer, m.max_index() + 1);
+                // Truncate any stray left by a dead incarnation's
+                // interrupted compaction (private namespace: no race with
+                // other writers).
+                backend.put(&active, b"")?;
+                m.actives.push(active.clone());
+                return Ok(Step::Install {
+                    manifest: m,
+                    created: vec![active.clone()],
+                    out: active,
+                });
+            };
+            Ok(if changed {
+                Step::Install { manifest: m, created: Vec::new(), out: active }
+            } else {
+                Step::Keep(active)
+            })
+        })?;
         lock_recover(&store.inner).active_name = registered.out;
         // The registration is durable; replay whatever manifest is
         // current now (it still lists our segment): sealed strictly,
@@ -230,17 +212,17 @@ impl TrialStore {
         Ok(store)
     }
 
-    /// Opens a read-only *merged view* of a store: sealed segments plus
-    /// every registered writer's active segment (and the implicit
-    /// active of a single-writer store). Registers nothing, repairs
-    /// nothing and writes nothing — an absent manifest stays absent;
-    /// appends and compaction return errors. Call
-    /// [`TrialStore::refresh`] to re-read the current state.
+    /// Opens a *reader*: the merged view of a store — sealed segments
+    /// plus every registered writer's active segment (and the implicit
+    /// active of a legacy store). Registers nothing, repairs nothing and
+    /// writes nothing — an absent manifest stays absent; appends and
+    /// compaction return errors. Call [`TrialStore::refresh`] to re-read
+    /// the current state.
     pub fn open_reader(
         backend: Arc<dyn StoreBackend>,
         opts: StoreOptions,
     ) -> io::Result<TrialStore> {
-        let store = TrialStore::handle(backend, None, true, opts);
+        let store = TrialStore::handle(backend, None, opts);
         store.refresh()?;
         Ok(store)
     }
@@ -249,14 +231,12 @@ impl TrialStore {
     fn handle(
         backend: Arc<dyn StoreBackend>,
         writer: Option<String>,
-        read_only: bool,
         opts: StoreOptions,
     ) -> TrialStore {
         TrialStore {
             backend,
             dir: None,
             writer,
-            read_only,
             opts,
             inner: Mutex::new(Inner::default()),
             cas_retries: AtomicU64::new(0),
@@ -265,46 +245,32 @@ impl TrialStore {
     }
 
     /// Runs the manifest loop ([`with_manifest`]) on this handle's
-    /// backend and books the rounds it retried to the handle.
+    /// backend, as its writer or reader, and books the rounds it retried
+    /// to the handle.
     fn with_manifest<T>(
         &self,
-        access: Access<'_>,
         what: &str,
         step: impl FnMut(&Manifest) -> io::Result<Step<T>>,
     ) -> io::Result<Settled<T>> {
-        let settled = with_manifest(&*self.backend, access, what, step)?;
+        let settled = with_manifest(&*self.backend, self.writer.as_deref(), what, step)?;
         // A statistic that publishes nothing else.
         self.cas_retries.fetch_add(u64::from(settled.cas_retries), Ordering::Relaxed);
         Ok(settled)
     }
 
     /// Manifest commit rounds this handle has retried since it opened —
-    /// CAS races lost to other fleet writers, registration included.
+    /// CAS races lost to other writers, registration included.
     /// Scheduling-dependent, hence a metric (`store.cas_retries`) and
     /// never part of a trace.
     pub fn cas_retries(&self) -> u64 {
         self.cas_retries.load(Ordering::Relaxed)
     }
 
-    /// On whose behalf this handle runs the manifest loop.
-    fn access(&self, inner: &Inner) -> Access<'_> {
-        match &self.writer {
-            Some(tag) => Access::Fleet(tag),
-            None if self.read_only => Access::Reader,
-            None => Access::Single(inner.revision),
-        }
-    }
-
     /// Re-reads the store's committed state from the backend, merging
-    /// in what other fleet writers have appended since this handle
-    /// opened (or last refreshed). The handle's own active segment and
-    /// append position are untouched, and nothing is written. No-op on
-    /// single-writer handles — their in-memory index is already
-    /// authoritative.
+    /// in what other writers have appended since this handle opened (or
+    /// last refreshed). The handle's own active segment and append
+    /// position are untouched, and nothing is written.
     pub fn refresh(&self) -> io::Result<()> {
-        if self.writer.is_none() && !self.read_only {
-            return Ok(());
-        }
         self.reload("refresh replay", false)
     }
 
@@ -317,23 +283,13 @@ impl TrialStore {
         let mut guard = lock_recover(&self.inner);
         let inner = &mut *guard;
         let backend = &*self.backend;
-        let access = self.access(inner);
-        let settled = self.with_manifest(access, what, |m| {
-            let active = match access {
-                Access::Single(_) => m.derived_active().ok_or_else(|| {
-                    corrupt(
-                        "store has registered fleet writers; \
-                         open it with open_shared or open_reader",
-                    )
-                })?,
-                Access::Fleet(_) | Access::Reader => inner.active_name.clone(),
-            };
-            let replay = replay_manifest(backend, m, repair.then_some(active.as_str()))?;
-            Ok(Step::Keep((active, replay)))
+        let active = inner.active_name.clone();
+        let settled = self.with_manifest(what, |m| {
+            Ok(Step::Keep(replay_manifest(backend, m, repair.then_some(active.as_str()))?))
         })?;
-        let (active, replay) = settled.out;
+        let replay = settled.out;
         let records = replay.active_counts.get(&active).copied().unwrap_or(inner.active_records);
-        inner.adopt(settled.manifest, settled.revision, active, records);
+        inner.adopt(settled.manifest, active, records);
         inner.index = replay.index;
         Ok(())
     }
@@ -351,7 +307,8 @@ impl TrialStore {
         &self.backend
     }
 
-    /// The fleet writer tag of this handle ([`TrialStore::open_shared`]).
+    /// The writer tag of this handle ([`TrialStore::open_shared`];
+    /// `local` for [`TrialStore::open`]), `None` for a reader.
     pub fn writer(&self) -> Option<&str> {
         self.writer.as_deref()
     }
@@ -396,9 +353,9 @@ impl TrialStore {
 
     /// Appends `rec` and files it in the index as it is, uncopied.
     pub fn append_record(&self, rec: StoreRecord) -> io::Result<()> {
-        if self.read_only {
-            return Err(read_only_err());
-        }
+        let Some(writer) = self.writer.as_deref() else {
+            return Err(reader_err());
+        };
         // Rendered once, terminator included (a trial of the 90-knob
         // catalog is ~1.8 KB), before the lock is taken: the sessions of
         // a daemon share this handle, and only the write needs to be
@@ -424,16 +381,14 @@ impl TrialStore {
         });
         inner.index.apply_record(rec);
         if inner.active_records >= self.opts.segment_records {
-            self.rotate(inner)?;
+            self.rotate(inner, writer)?;
         }
         Ok(())
     }
 
-    /// Takes this handle's active segment off `m`'s registered actives
-    /// on its way to being sealed or rewritten. A single writer's is
-    /// derived, not listed; a fleet writer's must be there.
-    fn unregister(&self, m: &mut Manifest, active: &str) -> io::Result<()> {
-        let Some(writer) = &self.writer else { return Ok(()) };
+    /// Takes `writer`'s active segment off `m`'s registered actives on
+    /// its way to being sealed or rewritten.
+    fn unregister(m: &mut Manifest, active: &str, writer: &str) -> io::Result<()> {
         let pos = m.actives.iter().position(|n| n == active).ok_or_else(|| {
             corrupt(format!(
                 "active segment {active} missing from the manifest: writer tag {writer:?} \
@@ -449,13 +404,12 @@ impl TrialStore {
     /// segment stays in place, so appends keep working (returning
     /// errors rather than panicking) and rotation is retried at the
     /// next threshold crossing.
-    fn rotate(&self, inner: &mut Inner) -> io::Result<()> {
+    fn rotate(&self, inner: &mut Inner, writer: &str) -> io::Result<()> {
         let backend = &*self.backend;
-        let writer = self.writer.as_deref();
         backend.sync(&inner.active_name)?;
-        let settled = self.with_manifest(self.access(inner), "rotation", |m| {
+        let settled = self.with_manifest("rotation", |m| {
             let mut m = m.clone();
-            self.unregister(&mut m, &inner.active_name)?;
+            TrialStore::unregister(&mut m, &inner.active_name, writer)?;
             m.sealed.push(inner.active_name.clone());
             // Open the next segment *before* committing the manifest: a
             // failure here leaves only an empty, unlisted object behind.
@@ -465,9 +419,7 @@ impl TrialStore {
             // newer ones and win the last-wins resolution.
             let next = segment_name(writer, m.max_index().max(inner.active_index()) + 1);
             backend.put(&next, b"")?;
-            if writer.is_some() {
-                m.actives.push(next.clone());
-            }
+            m.actives.push(next.clone());
             Ok(Step::Install { manifest: m, created: vec![next.clone()], out: next })
         })?;
         self.trace(|| {
@@ -475,13 +427,13 @@ impl TrialStore {
                 .field("sealed", inner.active_name.clone())
                 .field("next", settled.out.clone())
         });
-        inner.adopt(settled.manifest, settled.revision, settled.out, 0);
+        inner.adopt(settled.manifest, settled.out, 0);
         Ok(())
     }
 
     /// Syncs the active segment (sealed segments are already synced).
     pub fn sync(&self) -> io::Result<()> {
-        if self.read_only {
+        if self.writer.is_none() {
             return Ok(());
         }
         let inner = lock_recover(&self.inner);
@@ -562,18 +514,18 @@ impl TrialStore {
     /// are deleted best-effort. A crash before the commit leaves the
     /// old manifest — and therefore the old store — fully intact; stray
     /// compacted objects are inert (recovery only reads manifest-listed
-    /// segments plus the derived active name) and are truncated before
-    /// reuse when the segment sequence later reaches their index.
+    /// segments) and are truncated before reuse when the segment
+    /// sequence later reaches their index.
     ///
-    /// On a fleet store the pass rebuilds the merged state from the
-    /// *current* manifest inside the manifest loop, folds this writer's
-    /// active segment in, and leaves every other writer's active
-    /// segment registered and untouched — racing rotations retry on
-    /// top of the compacted manifest, so no committed trial is lost.
+    /// The pass rewrites the merged state of the *current* manifest
+    /// inside the manifest loop, folds this writer's active segment in,
+    /// and leaves every other writer's active segment registered and
+    /// untouched — racing rotations retry on top of the compacted
+    /// manifest, so no committed trial is lost.
     pub fn compact(&self) -> io::Result<CompactionStats> {
-        if self.read_only {
-            return Err(read_only_err());
-        }
+        let Some(writer) = self.writer.as_deref() else {
+            return Err(reader_err());
+        };
         let mut guard = lock_recover(&self.inner);
         let inner = &mut *guard;
         // A store with nothing on the backend but an (empty or absent)
@@ -589,19 +541,20 @@ impl TrialStore {
             });
         }
         let backend = &*self.backend;
-        let writer = self.writer.as_deref();
         backend.sync(&inner.active_name)?;
-        let settled = self.with_manifest(self.access(inner), "compaction", |m| {
+        let settled = self.with_manifest("compaction", |m| {
             let mut next = Manifest { sealed: Vec::new(), actives: m.actives.clone() };
-            self.unregister(&mut next, &inner.active_name)?;
-            // Where the two modes really differ. The single writer's
-            // index is authoritative, and replaying the backend instead
-            // would add a full parse of the store to every pass; a fleet
-            // handle's index may lag other writers, so it rebuilds the
-            // merged state from the manifest it is about to replace.
-            let replayed = match writer {
-                None => None,
-                Some(_) => Some(replay_manifest(backend, m, None)?.index),
+            TrialStore::unregister(&mut next, &inner.active_name, writer)?;
+            // A lone writer's index is the store: no other writer is
+            // registered, and every sealed segment is one it has already
+            // read or written. Replaying the backend then would add a
+            // full parse of the store to every pass. Any other view may
+            // hold records this handle has not seen, so the merged state
+            // is rebuilt from the manifest about to be replaced.
+            let replayed = if next.actives.is_empty() && m.sealed == inner.sealed {
+                None
+            } else {
+                Some(replay_manifest(backend, m, None)?.index)
             };
             let index = replayed.as_ref().unwrap_or(&inner.index);
 
@@ -630,9 +583,7 @@ impl TrialStore {
             let active = segment_name(writer, at + 1);
             backend.put(&active, b"")?;
             next.sealed = created.clone();
-            if writer.is_some() {
-                next.actives.push(active.clone());
-            }
+            next.actives.push(active.clone());
             created.push(active.clone());
             Ok(Step::Install { manifest: next, created, out: (active, m.clone(), replayed) })
         })?;
@@ -643,7 +594,7 @@ impl TrialStore {
         for name in old.sealed.iter().chain([&inner.active_name]) {
             let _ = backend.delete(name);
         }
-        inner.adopt(settled.manifest, settled.revision, active, 0);
+        inner.adopt(settled.manifest, active, 0);
         if let Some(index) = replayed {
             inner.index = index;
         }
@@ -652,7 +603,7 @@ impl TrialStore {
         let stats = CompactionStats {
             trial_records_before,
             trial_records_after: inner.index.trial_records,
-            segments_before: old.sealed.len() + old.actives.len().max(1),
+            segments_before: old.sealed.len() + old.actives.len(),
             segments_after: inner.sealed.len() + inner.foreign_active.len() + 1,
         };
         self.trace(|| compact_span(&stats));
@@ -784,10 +735,16 @@ mod tests {
         }
         assert_eq!(store.sealed_segments().len(), 2, "8 records at 3/segment: 2 sealed");
         let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
-        assert!(manifest.starts_with(MANIFEST_HEADER));
-        assert!(manifest.contains("seg-000001.jsonl"));
-        assert!(manifest.contains("seg-000002.jsonl"));
-        assert!(!manifest.contains("seg-000003.jsonl"), "active segment is not sealed");
+        assert_eq!(
+            manifest.lines().collect::<Vec<_>>(),
+            [
+                MANIFEST_HEADER,
+                "seg-local-000001.jsonl",
+                "seg-local-000002.jsonl",
+                "active seg-local-000003.jsonl"
+            ],
+            "the active segment is listed, not sealed"
+        );
         // Reload sees all 8 trials across the 3 segments.
         drop(store);
         let store = TrialStore::open(&dir).unwrap();
@@ -806,7 +763,7 @@ mod tests {
             }
         }
         // Tear the last record mid-way, as a crash during write would.
-        let seg = dir.join("seg-000001.jsonl");
+        let seg = dir.join("seg-local-000001.jsonl");
         let text = std::fs::read_to_string(&seg).unwrap();
         let cut = text.len() - 17;
         std::fs::write(&seg, &text[..cut]).unwrap();
@@ -834,7 +791,7 @@ mod tests {
         }
         // Tear exactly after the final '}' but before its '\n': the
         // record is complete; only the terminator is lost.
-        let seg = dir.join("seg-000001.jsonl");
+        let seg = dir.join("seg-local-000001.jsonl");
         let text = std::fs::read_to_string(&seg).unwrap();
         std::fs::write(&seg, text.trim_end_matches('\n')).unwrap();
 
@@ -861,7 +818,7 @@ mod tests {
                 store.append_trial(&trial("s1", i, i as f64)).unwrap();
             }
         }
-        let seg = dir.join("seg-000001.jsonl");
+        let seg = dir.join("seg-local-000001.jsonl");
         let text = std::fs::read_to_string(&seg).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
         lines.insert(1, "!!! garbage");
@@ -882,7 +839,7 @@ mod tests {
         }
         // Tear the *sealed* first segment: sealed segments are parsed
         // strictly, so even a torn final line is corruption.
-        let seg = dir.join("seg-000001.jsonl");
+        let seg = dir.join("seg-local-000001.jsonl");
         let text = std::fs::read_to_string(&seg).unwrap();
         std::fs::write(&seg, &text[..text.len() - 5]).unwrap();
         assert!(TrialStore::open(&dir).is_err());
@@ -907,16 +864,16 @@ mod tests {
         }
         // Four sealed segments. The second is torn at its tail; the
         // fourth is garbage from its first line, so it fails sooner.
-        let second = dir.join("seg-000002.jsonl");
+        let second = dir.join("seg-local-000002.jsonl");
         let text = std::fs::read_to_string(&second).unwrap();
         let torn = &text[..text.len() - 5];
         std::fs::write(&second, torn).unwrap();
-        std::fs::write(dir.join("seg-000004.jsonl"), "!!! garbage\n").unwrap();
+        std::fs::write(dir.join("seg-local-000004.jsonl"), "!!! garbage\n").unwrap();
 
         let err = TrialStore::open(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let line = torn.lines().nth(1).unwrap();
-        assert_eq!(err.to_string(), strict_error("seg-000002.jsonl", 2, line));
+        assert_eq!(err.to_string(), strict_error("seg-local-000002.jsonl", 2, line));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -929,17 +886,17 @@ mod tests {
                 store.append_trial(&trial("s1", i, i as f64)).unwrap();
             }
         }
-        let first = dir.join("seg-000001.jsonl");
+        let first = dir.join("seg-local-000001.jsonl");
         let text = std::fs::read_to_string(&first).unwrap();
         std::fs::write(&first, &text[..text.len() - 5]).unwrap();
         // The own (active) segment is torn too; a repair would truncate it.
-        let own = dir.join("seg-000003.jsonl");
+        let own = dir.join("seg-local-000003.jsonl");
         let text = std::fs::read_to_string(&own).unwrap();
         std::fs::write(&own, &text[..text.len() - 17]).unwrap();
         let before = std::fs::read(&own).unwrap();
 
         let err = TrialStore::open(&dir).unwrap_err();
-        assert!(err.to_string().starts_with("seg-000001.jsonl line 2: "), "{err}");
+        assert!(err.to_string().starts_with("seg-local-000001.jsonl line 2: "), "{err}");
         assert_eq!(std::fs::read(&own).unwrap(), before, "the own segment is left as found");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -956,7 +913,7 @@ mod tests {
             store.append_trial(&odd).unwrap();
             store.append_trial(&trial("s1", 1, 2.0)).unwrap(); // seals the segment
             assert_eq!(store.sealed_segments().len(), 1);
-            (store.export_jsonl(), std::fs::read(dir.join("seg-000001.jsonl")).unwrap())
+            (store.export_jsonl(), std::fs::read(dir.join("seg-local-000001.jsonl")).unwrap())
         };
         // The sealed segment is parsed strictly on open: the `null`s the
         // writer put there must be readable, as NaN.
@@ -1161,11 +1118,11 @@ mod tests {
             "{}\n",
             record_to_json(&StoreRecord::Session(meta("ghost", SessionStatus::Running)))
         );
-        std::fs::write(dir.join(segment_name(None, 2)), stale).unwrap();
+        std::fs::write(dir.join(segment_name("local", 2)), stale).unwrap();
         for i in 0..3 {
             store.append_trial(&trial("s1", i, i as f64)).unwrap();
         }
-        assert_eq!(store.sealed_segments(), vec![segment_name(None, 1)], "rotation happened");
+        assert_eq!(store.sealed_segments(), vec![segment_name("local", 1)], "rotation happened");
         drop(store);
         let store = TrialStore::open(&dir).unwrap();
         assert_eq!(store.trial_count(), 3);
@@ -1200,8 +1157,8 @@ mod tests {
     fn single_writer_store_works_identically_on_an_object_backend() {
         let be = object_backend();
         {
-            let store =
-                TrialStore::open_backend(be.clone(), StoreOptions { segment_records: 3 }).unwrap();
+            let opts = StoreOptions { segment_records: 3 };
+            let store = TrialStore::open_shared(be.clone(), "local", opts).unwrap();
             store.append_session(&meta("s1", SessionStatus::Running)).unwrap();
             for i in 0..8 {
                 store.append_trial(&trial("s1", i, i as f64)).unwrap();
@@ -1211,14 +1168,14 @@ mod tests {
         }
         // Reopen on the same backend: everything survives, including
         // through a compaction cycle.
-        let store = TrialStore::open_backend(be.clone(), StoreOptions::default()).unwrap();
+        let store = TrialStore::open_shared(be.clone(), "local", StoreOptions::default()).unwrap();
         assert_eq!(store.trial_count(), 8);
         assert_eq!(store.session_meta("s1").unwrap().status, SessionStatus::Done);
         let export = store.export_jsonl();
         store.compact().unwrap();
         assert_eq!(store.export_jsonl(), export);
         drop(store);
-        let store = TrialStore::open_backend(be, StoreOptions::default()).unwrap();
+        let store = TrialStore::open_shared(be, "local", StoreOptions::default()).unwrap();
         assert_eq!(store.export_jsonl(), export);
     }
 
@@ -1226,15 +1183,16 @@ mod tests {
     fn torn_object_append_recovers_like_a_torn_file() {
         let be = object_backend();
         {
-            let store = TrialStore::open_backend(be.clone(), StoreOptions::default()).unwrap();
+            let store =
+                TrialStore::open_shared(be.clone(), "local", StoreOptions::default()).unwrap();
             for i in 0..4 {
                 store.append_trial(&trial("s1", i, i as f64)).unwrap();
             }
         }
-        let seg = "seg-000001.jsonl";
+        let seg = "seg-local-000001.jsonl";
         let bytes = be.get(seg).unwrap().unwrap();
         be.put(seg, &bytes[..bytes.len() - 17]).unwrap();
-        let store = TrialStore::open_backend(be, StoreOptions::default()).unwrap();
+        let store = TrialStore::open_shared(be, "local", StoreOptions::default()).unwrap();
         assert_eq!(store.trial_count(), 3, "torn trial dropped");
         store.append_trial(&trial("s1", 3, 30.0)).unwrap();
         assert_eq!(store.trials_for("s1")[3].score, 30.0);
@@ -1282,7 +1240,7 @@ mod tests {
             // The worker "dies" here: its active segment stays listed.
         }
         // Tear the dead worker's active segment mid-record.
-        let name = segment_name(Some("w0"), 1);
+        let name = segment_name("w0", 1);
         let bytes = be.get(&name).unwrap().unwrap();
         be.put(&name, &bytes[..bytes.len() - 9]).unwrap();
         // The reborn worker repairs and adopts the segment and appends on.
@@ -1293,29 +1251,61 @@ mod tests {
         assert_eq!(reader.trials_for("s1").len(), 3);
     }
 
+    /// A store as the parent format left it: a MANIFEST naming one
+    /// untagged sealed segment, and after it the unlisted active segment
+    /// `seg-000002.jsonl`, whose last append was torn mid-record.
+    fn legacy_store(dir: &Path) {
+        std::fs::create_dir_all(dir).unwrap();
+        let line = |rec: StoreRecord| format!("{}\n", record_to_json(&rec));
+        let trial_line = |i: usize| line(StoreRecord::Trial(trial("s1", i, i as f64)));
+        let sealed = line(StoreRecord::Session(meta("s1", SessionStatus::Running)))
+            + &trial_line(0)
+            + &trial_line(1);
+        let torn = trial_line(4);
+        let active = trial_line(2) + &trial_line(3) + &torn[..torn.len() / 2];
+        std::fs::write(dir.join("MANIFEST"), format!("{MANIFEST_HEADER}\nseg-000001.jsonl\n"))
+            .unwrap();
+        std::fs::write(dir.join("seg-000001.jsonl"), sealed).unwrap();
+        std::fs::write(dir.join("seg-000002.jsonl"), active).unwrap();
+    }
+
     #[test]
-    fn shared_open_adopts_a_single_writer_store_and_single_open_rejects_fleet_stores() {
-        let dir = tmp_dir("adopt");
-        {
-            let store = TrialStore::open(&dir).unwrap();
-            for i in 0..4 {
-                store.append_trial(&trial("s1", i, i as f64)).unwrap();
+    fn a_legacy_store_reads_the_same_through_every_open() {
+        let mut views = Vec::new();
+        for mode in ["open", "open_shared", "open_reader"] {
+            let dir = tmp_dir(&format!("legacy_{mode}"));
+            legacy_store(&dir);
+            let before = std::fs::read(dir.join("seg-000002.jsonl")).unwrap();
+            let be: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
+            let opts = StoreOptions::default();
+            let store = match mode {
+                "open" => TrialStore::open(&dir),
+                "open_shared" => TrialStore::open_shared(be.clone(), "w0", opts.clone()),
+                _ => TrialStore::open_reader(be.clone(), opts.clone()),
             }
+            .unwrap();
+            views.push((store.trials_for("s1"), store.export_jsonl()));
+            let after = std::fs::read(dir.join("seg-000002.jsonl")).unwrap();
+            if store.writer().is_none() {
+                assert_eq!(after, before, "a reader repairs nothing");
+            } else {
+                // A writer repairs the unlisted active segment, seals it,
+                // and appends past it into a tagged segment of its own.
+                assert_eq!(after, before[..after.len()], "the torn tail is cut");
+                assert!(after.ends_with(b"\n"));
+                assert_eq!(store.sealed_segments(), ["seg-000001.jsonl", "seg-000002.jsonl"]);
+                store.append_trial(&trial("s1", 4, 4.0)).unwrap();
+                drop(store);
+                // Whichever writer wrote it, `open` reads the store on.
+                let reopened = TrialStore::open(&dir).unwrap();
+                assert_eq!(reopened.trials_for("s1").len(), 5);
+                let reader = TrialStore::open_reader(be, opts).unwrap();
+                assert_eq!(reader.export_jsonl(), reopened.export_jsonl());
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        // Fleet writers fold the single-writer store's implicit active
-        // segment into the manifest and see its records.
-        let be: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
-        let w = TrialStore::open_shared(be.clone(), "w0", StoreOptions::default()).unwrap();
-        assert_eq!(w.trial_count(), 4);
-        w.append_trial(&trial("s1", 4, 4.0)).unwrap();
-        drop(w);
-        // A fleet store refuses the single-writer entry points.
-        let err = TrialStore::open(&dir).unwrap_err();
-        assert!(err.to_string().contains("fleet"), "{err}");
-        // ...but the reader still serves the merged view.
-        let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
-        assert_eq!(reader.trials_for("s1").len(), 5);
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(views[0].0.len(), 4, "the torn fifth trial is dropped");
+        assert!(views.iter().all(|v| *v == views[0]), "every open reads the same store");
     }
 
     #[test]
@@ -1383,7 +1373,7 @@ mod replay_oracle {
     /// One generated store.
     struct Plan {
         local: bool,
-        /// Two fleet writers (`a`, `b`) rather than one single writer.
+        /// Two writers (`a`, `b`) rather than one (`a`).
         fleet: bool,
         segment_records: usize,
         /// `(session, kind, value)` per append: a metadata update, a
@@ -1431,7 +1421,7 @@ mod replay_oracle {
     }
 
     fn current(be: &dyn StoreBackend) -> Manifest {
-        with_manifest(be, Access::Reader, "oracle", |m| Ok(Step::Keep(m.clone()))).unwrap().out
+        with_manifest(be, None, "oracle", |m| Ok(Step::Keep(m.clone()))).unwrap().out
     }
 
     /// Tears the end of `name` as a crash mid-append would: 1 drops the
@@ -1453,11 +1443,11 @@ mod replay_oracle {
     /// Writes `plan` to `be`, then tears and corrupts it. Returns the
     /// writers' active segments, the own one (writer 0's) first.
     fn build(plan: &Plan, be: &Arc<dyn StoreBackend>) -> Vec<String> {
-        let writers: Vec<TrialStore> = if plan.fleet {
-            ["a", "b"].map(|w| TrialStore::open_shared(be.clone(), w, plan.opts()).unwrap()).into()
-        } else {
-            vec![TrialStore::open_backend(be.clone(), plan.opts()).unwrap()]
-        };
+        let tags: &[&str] = if plan.fleet { &["a", "b"] } else { &["a"] };
+        let writers: Vec<TrialStore> = tags
+            .iter()
+            .map(|w| TrialStore::open_shared(be.clone(), w, plan.opts()).unwrap())
+            .collect();
         let writer = |s: usize| &writers[s % writers.len()];
         let mut next = [0usize; SESSIONS];
         for s in 0..SESSIONS {
@@ -1519,7 +1509,7 @@ mod replay_oracle {
     /// A reader handle over `replay`'s index, to query it the public way.
     fn view(replay: Replay) -> (BTreeMap<String, usize>, TrialStore) {
         let be = Arc::new(ObjectStoreBackend::new(ObjectStoreOptions { eventual_list: false }));
-        let store = TrialStore::handle(be, None, true, StoreOptions::default());
+        let store = TrialStore::handle(be, None, StoreOptions::default());
         lock_recover(&store.inner).index = replay.index;
         (replay.active_counts, store)
     }
@@ -1586,11 +1576,7 @@ mod replay_oracle {
         let want = reference_replay(a, &m, Some(own)).map(view);
         agree(replay_manifest(b, &m, Some(own)), &want);
         // ...and so does a real open.
-        let opened = if plan.fleet {
-            TrialStore::open_shared(copies[2].clone(), "a", plan.opts())
-        } else {
-            TrialStore::open_backend(copies[2].clone(), plan.opts())
-        };
+        let opened = TrialStore::open_shared(copies[2].clone(), "a", plan.opts());
         match (&opened, &want) {
             (Ok(got), Ok((counts, want))) => {
                 assert_eq!(lock_recover(&got.inner).active_records, counts[own]);

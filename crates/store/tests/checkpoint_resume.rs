@@ -51,24 +51,24 @@ fn campaign() -> Campaign {
     Campaign::new(postgres_v9_6(), spec, opts)
 }
 
-/// The store's raw record stream: every segment's text, in manifest
-/// order, the active segment last.
-fn record_stream(dir: &std::path::Path) -> String {
-    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
-    let sealed: Vec<&str> = manifest.lines().skip(1).filter(|l| !l.trim().is_empty()).collect();
-    let mut out = String::new();
-    for name in &sealed {
-        out.push_str(&std::fs::read_to_string(dir.join(name)).unwrap());
-    }
-    let active = dir.join(format!("seg-{:06}.jsonl", sealed.len() + 1));
-    if active.exists() {
-        out.push_str(&std::fs::read_to_string(active).unwrap());
-    }
-    out
+/// A one-writer store's raw record stream: the text of every segment
+/// its `manifest` lists, in order — the sealed ones, then the writer's
+/// `active` one.
+fn stream_of(manifest: &str, read: impl Fn(&str) -> String) -> String {
+    let names = manifest.lines().skip(1).filter(|l| !l.trim().is_empty());
+    names.map(|l| read(l.strip_prefix("active ").unwrap_or(l))).collect()
 }
 
-/// Writes a prefix of a record stream as a fresh single-segment store
-/// directory — the on-disk state a kill at that byte would leave.
+/// [`stream_of`] a local store directory.
+fn record_stream(dir: &std::path::Path) -> String {
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    stream_of(&manifest, |name| std::fs::read_to_string(dir.join(name)).unwrap())
+}
+
+/// Writes a prefix of a record stream as a fresh store directory in the
+/// legacy format — an empty manifest and the unlisted, untagged active
+/// segment after it — so each resume also reads the legacy layout. It
+/// is the on-disk state a kill at that byte would leave.
 fn store_from_prefix(dir: &std::path::Path, stream_prefix: &str) {
     std::fs::create_dir_all(dir).unwrap();
     std::fs::write(dir.join("MANIFEST"), "llamatune-store v1\n").unwrap();
@@ -215,34 +215,20 @@ fn object_backend() -> Arc<dyn StoreBackend> {
     Arc::new(ObjectStoreBackend::new(ObjectStoreOptions { eventual_list: true }))
 }
 
-/// The object-store analogue of [`store_from_prefix`]: one segment
-/// object holding the stream prefix, plus an empty committed manifest.
+/// The object-store analogue of [`store_from_prefix`]: one legacy
+/// segment object holding the stream prefix, plus an empty committed
+/// manifest.
 fn object_store_from_prefix(prefix: &str) -> TrialStore {
     let be = object_backend();
     be.put("seg-000001.jsonl", prefix.as_bytes()).unwrap();
     be.commit_manifest(b"llamatune-store v1\n", 0).unwrap().unwrap();
-    TrialStore::open_backend(be, StoreOptions::default()).unwrap()
+    TrialStore::open_shared(be, "local", StoreOptions::default()).unwrap()
 }
 
-/// The record stream of a single-writer store on an object backend, in
-/// manifest order, the derived active segment last.
+/// [`stream_of`] a store on an object backend.
 fn object_record_stream(be: &dyn StoreBackend) -> String {
-    let (bytes, _) = be.read_manifest().unwrap();
-    let manifest = String::from_utf8(bytes.unwrap()).unwrap();
-    let sealed: Vec<&str> = manifest.lines().skip(1).filter(|l| !l.trim().is_empty()).collect();
-    let mut out = String::new();
-    let mut max_index = 0usize;
-    for name in &sealed {
-        out.push_str(std::str::from_utf8(&be.get(name).unwrap().unwrap()).unwrap());
-        let idx: usize =
-            name.trim_start_matches("seg-").trim_end_matches(".jsonl").parse().unwrap();
-        max_index = max_index.max(idx);
-    }
-    let active = format!("seg-{:06}.jsonl", max_index + 1);
-    if let Some(bytes) = be.get(&active).unwrap() {
-        out.push_str(std::str::from_utf8(&bytes).unwrap());
-    }
-    out
+    let manifest = String::from_utf8(be.read_manifest().unwrap().0.unwrap()).unwrap();
+    stream_of(&manifest, |name| String::from_utf8(be.get(name).unwrap().unwrap()).unwrap())
 }
 
 #[test]
@@ -255,8 +241,8 @@ fn object_store_campaign_matches_the_local_store_byte_for_byte() {
     let local = TrialStore::open(&local_dir).unwrap();
     campaign.resume(&local).unwrap();
 
-    let store =
-        TrialStore::open_backend(object_backend(), StoreOptions { segment_records: 7 }).unwrap();
+    let opts = StoreOptions { segment_records: 7 };
+    let store = TrialStore::open_shared(object_backend(), "local", opts).unwrap();
     campaign.resume(&store).unwrap();
     assert!(store.sealed_segments().len() >= 2, "CAS rotation exercised");
     assert_eq!(store.export_jsonl(), local.export_jsonl());
@@ -267,8 +253,8 @@ fn object_store_campaign_matches_the_local_store_byte_for_byte() {
 fn object_store_resume_from_any_cut_reproduces_the_uninterrupted_history() {
     let campaign = campaign();
     let truth_be = object_backend();
-    let truth_store =
-        TrialStore::open_backend(truth_be.clone(), StoreOptions { segment_records: 7 }).unwrap();
+    let opts = StoreOptions { segment_records: 7 };
+    let truth_store = TrialStore::open_shared(truth_be.clone(), "local", opts).unwrap();
     let truth = campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
     let stream = object_record_stream(&*truth_be);
@@ -298,7 +284,8 @@ fn object_store_resume_from_any_cut_reproduces_the_uninterrupted_history() {
 fn object_store_resume_after_a_torn_write_reproduces_the_history() {
     let campaign = campaign();
     let truth_be = object_backend();
-    let truth_store = TrialStore::open_backend(truth_be.clone(), StoreOptions::default()).unwrap();
+    let truth_store =
+        TrialStore::open_shared(truth_be.clone(), "local", StoreOptions::default()).unwrap();
     campaign.resume(&truth_store).unwrap();
     let truth_export = truth_store.export_jsonl();
     let stream = object_record_stream(&*truth_be);

@@ -59,7 +59,9 @@ fn run_case(seed: u64, inner: Arc<dyn StoreBackend>) -> usize {
     let mut acked: Vec<StoredTrial> = Vec::new();
     // The kill can land inside open() itself (manifest creation): that
     // case must still recover below, to an empty store.
-    if let Ok(store) = TrialStore::open_backend(failing, StoreOptions { segment_records: 3 }) {
+    if let Ok(store) =
+        TrialStore::open_shared(failing, "local", StoreOptions { segment_records: 3 })
+    {
         for i in 0..200 {
             let t = trial("fuzz", i, (i as f64) * 1.5 + rng.random::<f64>());
             match store.append_trial(&t) {
@@ -75,7 +77,7 @@ fn run_case(seed: u64, inner: Arc<dyn StoreBackend>) -> usize {
     }
 
     // Recovery on the clean underlying backend sees the raw wreckage.
-    let recovered = TrialStore::open_backend(inner, StoreOptions::default())
+    let recovered = TrialStore::open_shared(inner, "local", StoreOptions::default())
         .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
     let trials = recovered.trials_for("fuzz");
     assert!(
