@@ -6,15 +6,29 @@
 //! reads ahead, so chunk-level residency is the honest model) before paying
 //! for a disk read. Dirty frames evicted by a backend incur a foreground
 //! write, which is what the background writer exists to prevent.
-
-use crate::hash::IntMap;
+//!
+//! A pool finds a page's frame through a page table indexed by the page's
+//! table id and page number, not through a hash map: every simulated row
+//! access looks a page up, and with the pool full every miss also unmaps
+//! its victim. Table ids are small and dense (the engine numbers heap
+//! tables `0..n` and their indexes `n..2n`), so the table is a directory
+//! per table id of fixed-size blocks of entries, a block held only while
+//! one of its pages is resident.
 
 /// Identifies an 8 kB page: table id in the high bits, page number below.
 pub type PageId = u64;
 
+/// Bits of a [`PageId`] holding the page number.
+const PAGE_BITS: u32 = 40;
+
 /// Builds a [`PageId`] from a table id and page number.
 pub fn page_id(table: u32, page_no: u64) -> PageId {
-    ((table as u64) << 40) | (page_no & 0xFF_FFFF_FFFF)
+    ((table as u64) << PAGE_BITS) | (page_no & ((1 << PAGE_BITS) - 1))
+}
+
+/// Splits a [`PageId`] into its table id and page number.
+fn split(page: PageId) -> (usize, usize) {
+    ((page >> PAGE_BITS) as usize, (page & ((1 << PAGE_BITS) - 1)) as usize)
 }
 
 /// Result of a buffer-pool page access.
@@ -38,6 +52,78 @@ struct Frame {
 /// Bits per word of the dirty bitmap.
 const WORD: usize = u64::BITS as usize;
 
+/// Page-table entries per block.
+const BLOCK: usize = 64;
+
+/// Where each resident page lives: the page table behind
+/// [`BufferPool::access`].
+///
+/// `dirs[table][page_no / BLOCK]` is 1 + the number of the block covering
+/// that page's range, 0 while none of its pages is resident; entry
+/// `page_no % BLOCK` of that block, in `entries`, is 1 + the page's frame
+/// slot, 0 while the page is not resident. A block is taken the first time
+/// one of its pages is mapped and handed back when the last one is
+/// unmapped, so there are never more blocks than resident pages, however
+/// large the tables; a directory is as long as the highest page number
+/// mapped in its table, divided by [`BLOCK`].
+#[derive(Debug, Default)]
+struct PageTable {
+    dirs: Vec<Vec<u32>>,
+    /// Block `b` is `entries[b * BLOCK..(b + 1) * BLOCK]`.
+    entries: Vec<u32>,
+    /// Resident pages per block.
+    live: Vec<u32>,
+    /// Blocks no directory points to, for the next range mapped.
+    free: Vec<u32>,
+}
+
+impl PageTable {
+    /// The frame slot holding `page`, if it is resident.
+    fn get(&self, page: PageId) -> Option<u32> {
+        let (table, page_no) = split(page);
+        let block = *self.dirs.get(table)?.get(page_no / BLOCK)?;
+        let block = block.checked_sub(1)? as usize;
+        self.entries[block * BLOCK + page_no % BLOCK].checked_sub(1)
+    }
+
+    /// Maps `page`, which is not resident, to frame `slot`.
+    fn insert(&mut self, page: PageId, slot: u32) {
+        let (table, page_no) = split(page);
+        if table >= self.dirs.len() {
+            self.dirs.resize_with(table + 1, Vec::new);
+        }
+        let dir = &mut self.dirs[table];
+        let d = page_no / BLOCK;
+        if d >= dir.len() {
+            dir.resize(d + 1, 0);
+        }
+        if dir[d] == 0 {
+            let block = self.free.pop().unwrap_or_else(|| {
+                self.entries.resize(self.entries.len() + BLOCK, 0);
+                self.live.push(0);
+                (self.live.len() - 1) as u32
+            });
+            dir[d] = block + 1;
+        }
+        let block = dir[d] as usize - 1;
+        self.live[block] += 1;
+        self.entries[block * BLOCK + page_no % BLOCK] = slot + 1;
+    }
+
+    /// Unmaps `page`, which is resident.
+    fn remove(&mut self, page: PageId) {
+        let (table, page_no) = split(page);
+        let d = page_no / BLOCK;
+        let block = self.dirs[table][d] as usize - 1;
+        self.entries[block * BLOCK + page_no % BLOCK] = 0;
+        self.live[block] -= 1;
+        if self.live[block] == 0 {
+            self.dirs[table][d] = 0;
+            self.free.push(block as u32);
+        }
+    }
+}
+
 /// Clock buffer pool over 8 kB frames.
 ///
 /// Whether a frame is dirty is recorded in one place: bit `slot % 64` of
@@ -52,7 +138,7 @@ const WORD: usize = u64::BITS as usize;
 pub struct BufferPool {
     frames: Vec<Frame>,
     dirty: Vec<u64>,
-    map: IntMap<PageId, u32>,
+    pages: PageTable,
     capacity: usize,
     hand: usize,
     dirty_count: usize,
@@ -63,12 +149,12 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(16);
         BufferPool {
-            // Frames and map grow with what is touched (`reserve` sizes
-            // them ahead of a known burst): a pool can be far larger
-            // than the pages a short run reaches.
+            // Frames and the page table grow with what is touched
+            // (`reserve` sizes the frames ahead of a known burst): a pool
+            // can be far larger than the pages a short run reaches.
             frames: Vec::new(),
             dirty: vec![0; capacity.div_ceil(WORD)],
-            map: IntMap::default(),
+            pages: PageTable::default(),
             capacity,
             hand: 0,
             dirty_count: 0,
@@ -76,12 +162,12 @@ impl BufferPool {
     }
 
     /// Makes room for `pages` more resident pages (no more than fit), so
-    /// that a burst of faults known in advance sizes the tables once
-    /// instead of rehashing them at every doubling on the way.
+    /// that a burst of faults known in advance sizes the frames once
+    /// instead of copying them at every doubling on the way. The page
+    /// table is not sized: it holds a block per page range resident.
     pub fn reserve(&mut self, pages: usize) {
         let additional = pages.min(self.capacity - self.frames.len());
         self.frames.reserve(additional);
-        self.map.reserve(additional);
     }
 
     /// Number of frames currently holding pages.
@@ -119,7 +205,7 @@ impl BufferPool {
 
     /// Accesses `page`, faulting it in on a miss; `write` marks it dirty.
     pub fn access(&mut self, page: PageId, write: bool) -> Access {
-        if let Some(&slot) = self.map.get(&page) {
+        if let Some(slot) = self.pages.get(page) {
             self.frames[slot as usize].referenced = true;
             if write {
                 self.set_dirty(slot as usize);
@@ -132,7 +218,7 @@ impl BufferPool {
             self.frames.len() - 1
         } else {
             let victim = self.run_clock();
-            self.map.remove(&self.frames[victim].page);
+            self.pages.remove(self.frames[victim].page);
             dirty_eviction = self.take_dirty(victim);
             self.frames[victim] = Frame { page, referenced: true };
             victim
@@ -140,7 +226,7 @@ impl BufferPool {
         if write {
             self.set_dirty(slot);
         }
-        self.map.insert(page, slot as u32);
+        self.pages.insert(page, slot as u32);
         Access::Miss { dirty_eviction }
     }
 
@@ -245,7 +331,8 @@ impl OsCache {
     /// Whether the chunk containing `page` is resident; touches it in
     /// either case (misses fault the chunk in).
     pub fn access(&mut self, page: PageId) -> bool {
-        let chunk = page / CHUNK_PAGES;
+        let (table, page_no) = split(page);
+        let chunk = page_id(table as u32, page_no as u64 / CHUNK_PAGES);
         matches!(self.pool.access(chunk, false), Access::Hit)
     }
 
@@ -485,12 +572,41 @@ mod tests {
     }
 
     #[test]
+    fn os_cache_chunks_of_neighbouring_tables_never_alias() {
+        let mut os = OsCache::new(1 << 30);
+        // Every chunk of table 0's first 256 pages, and a far one.
+        for k in 0..64 {
+            assert!(!os.access(page_id(0, k * CHUNK_PAGES)));
+        }
+        assert!(!os.access(page_id(0, 1 << 20)));
+        // Table 1's first chunk is not table 0's chunk 0, and table 2's
+        // chunk at page 2^20 is not table 0's.
+        assert!(!os.access(page_id(1, 0)));
+        assert!(os.access(page_id(1, 3)));
+        assert!(!os.access(page_id(2, 1 << 20)));
+        assert!(os.access(page_id(0, 1)));
+        assert!(os.access(page_id(0, (1 << 20) + 2)));
+    }
+
+    #[test]
     fn page_id_separates_tables() {
         assert_ne!(page_id(1, 7), page_id(2, 7));
         assert_ne!(page_id(1, 7), page_id(1, 8));
     }
 
     impl BufferPool {
+        /// Panics unless the page table maps exactly the resident pages,
+        /// each to its frame, and holds no block without one.
+        fn check_page_table(&self) {
+            let mapped = self.pages.entries.iter().filter(|&&e| e != 0).count();
+            assert_eq!(mapped, self.resident(), "mapped entries");
+            for (slot, frame) in self.frames.iter().enumerate() {
+                assert_eq!(self.pages.get(frame.page), Some(slot as u32), "slot {slot}");
+            }
+            let blocks = self.pages.live.len() - self.pages.free.len();
+            assert_eq!(self.pages.live.iter().filter(|&&n| n > 0).count(), blocks, "blocks");
+        }
+
         fn dirty_pages(&self) -> Vec<PageId> {
             let mut pages: Vec<PageId> = (0..self.frames.len())
                 .filter(|slot| self.dirty[slot / WORD] & (1 << (slot % WORD)) != 0)
@@ -530,6 +646,7 @@ mod tests {
             assert_eq!(pool.resident(), oracle.resident(), "step {step}: {op:?}");
             assert_eq!(pool.hand, oracle.hand(), "step {step}: {op:?}");
             assert_eq!(pool.dirty_pages(), oracle.dirty_pages(), "step {step}: {op:?}");
+            pool.check_page_table();
         }
         pool
     }
@@ -572,23 +689,34 @@ mod tests {
     }
 
     proptest! {
-        /// The bitmap pool against the frame-by-frame reference over random
-        /// lives: the same `Access` (dirty evictions included), the same
-        /// counts, the same hand and the same set of dirty pages after
-        /// every step. Capacities from one partly used word to three words
-        /// and a bit; a page universe 1.5x the pool, so hits, evictions and
-        /// re-dirtyings all happen; `k` from 0 to past the pool.
+        /// The bitmap pool and its page table against the frame-by-frame
+        /// reference and its `HashMap` over random lives: the same `Access`
+        /// (dirty evictions included), the same counts, the same hand and
+        /// the same set of dirty pages after every step, and a page table
+        /// that maps exactly the resident pages. Capacities from one partly
+        /// used word to three words and a bit; a page universe 1.5x the
+        /// pool, so hits, evictions and re-dirtyings all happen; `k` from 0
+        /// to past the pool. The universe spreads over six table ids (the
+        /// heap and index ids of three tables) and, per id, over page
+        /// numbers `7j² + j`: dense in the first block, then a block apart
+        /// and farther, so blocks are taken, handed back on eviction and
+        /// reused, and directories regrow well past their first length.
         #[test]
         fn bitmap_pool_matches_the_reference_step_for_step(
             capacity in 16usize..=200,
             raw in proptest::collection::vec((0u32..8, any::<u64>(), any::<bool>()), 1..900),
         ) {
-            let universe = capacity as u64 * 3 / 4; // per table, of two
+            const TABLE_IDS: u64 = 6;
+            let universe = capacity as u64 * 3 / 2;
             let ops: Vec<Op> = raw
                 .iter()
                 .map(|&(kind, arg, write)| match kind {
                     0 => Op::Clean((arg % (capacity as u64 + 40)) as usize),
-                    _ => Op::Access(page_id((arg % 2) as u32, (arg >> 8) % universe), write),
+                    _ => {
+                        let u = (arg >> 8) % universe;
+                        let j = u / TABLE_IDS;
+                        Op::Access(page_id((u % TABLE_IDS) as u32, 7 * j * j + j), write)
+                    }
                 })
                 .collect();
             run_against_reference(capacity, &ops);

@@ -116,8 +116,12 @@ const SCAN_SAMPLE: u32 = 16;
 /// Lock wait after which a client gives up and aborts.
 const ABORT_HORIZON_US: Micros = 4_000_000;
 
-/// Offset added to table ids for their index page namespace.
-const INDEX_TABLE_OFFSET: u32 = 1 << 16;
+/// Table id of the index pages of table `table` of `n_tables`: ids stay
+/// dense (heap tables `0..n`, their indexes `n..2n`), which is what the
+/// buffer pool's page table is indexed by.
+fn index_table_id(n_tables: usize, table: usize) -> u32 {
+    (n_tables + table) as u32
+}
 
 /// Where an op's keys come from: its [`KeyDist`], with the Zipfian case
 /// resolved to an index into `Dbms::zipf` when the run is set up, so that
@@ -278,7 +282,7 @@ impl<'a> Dbms<'a> {
                 if self.bp.resident() >= self.bp.capacity() {
                     break 'leaves;
                 }
-                self.bp.access(page_id(t as u32 + INDEX_TABLE_OFFSET, leaf), false);
+                self.bp.access(page_id(index_table_id(n_tables, t), leaf), false);
             }
         }
         // Heap pages in popularity order (scattered rank order for zipfian
@@ -416,7 +420,8 @@ impl<'a> Dbms<'a> {
     fn index_probe(&mut self, now: Micros, table: usize, key: u64) -> f64 {
         let t = &self.spec.tables[table];
         let leaf = key / (t.rows_per_page() * 50).max(1);
-        INDEX_UPPER_CPU_US + self.page_access(now, table as u32 + INDEX_TABLE_OFFSET, leaf, false)
+        let index = index_table_id(self.spec.tables.len(), table);
+        INDEX_UPPER_CPU_US + self.page_access(now, index, leaf, false)
     }
 
     /// Executes one transaction starting at `start`; returns (commit time,

@@ -1,24 +1,25 @@
-//! The one hasher behind the engine's tables.
+//! The one hasher behind the engine's hash tables.
 //!
-//! Every key the simulator hashes is an integer it made itself: a
-//! [`PageId`](crate::bufferpool::PageId) (`table << 40 | page`), an
-//! OS-cache chunk (a page id divided by four) or a `(table, row)` lock
-//! key. None comes from outside the process, so there is nobody to craft
-//! collisions and SipHash — `std`'s default, a keyed hash built to resist
-//! exactly that — buys nothing for the dozens of cycles it costs on each
-//! of the three to six lookups behind a simulated row access. No result
-//! depends on a table's iteration order either (the only traversal is the
-//! lock table's `retain`, with a pure predicate), so swapping the hasher
-//! cannot move a [`RunResult`](crate::RunResult).
+//! Two tables hash: the lock table, keyed by `(table, row)`, and the WAL's
+//! set of pages that already logged a full-page image since the last
+//! checkpoint, keyed by [`PageId`](crate::bufferpool::PageId)
+//! (`table << 40 | page`). The buffer pool and the OS cache hash nothing:
+//! they find a page through a page table indexed by table id and page
+//! number. Every key hashed is an integer the simulator made itself. None
+//! comes from outside the process, so there is nobody to craft collisions
+//! and SipHash — `std`'s default, a keyed hash built to resist exactly
+//! that — buys nothing for the dozens of cycles it costs per lookup. No
+//! result depends on a table's iteration order either (the only traversal
+//! is the lock table's `retain`, with a pure predicate), so swapping the
+//! hasher cannot move a [`RunResult`](crate::RunResult).
 //!
 //! What the hash must still do is spread *these* keys. hashbrown picks a
 //! bucket by the low bits of the hash and tags it by the top seven, and
-//! the keys differ in awkward places: pages of different tables only above
-//! bit 40, an index page from the heap page of the same number only in
-//! bit 56. A plain multiply leaves the low bits of the product blind to
-//! the high bits of the key; so the product is taken at 128 bits and its
-//! high half folded down onto the low one, which makes every bit of the
-//! result depend on every bit of the key.
+//! pages of different tables differ only above bit 40. A plain multiply
+//! leaves the low bits of the product blind to the high bits of the key;
+//! so the product is taken at 128 bits and its high half folded down onto
+//! the low one, which makes every bit of the result depend on every bit of
+//! the key.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -63,7 +64,7 @@ impl Hasher for IntHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bufferpool::{page_id, CHUNK_PAGES};
+    use crate::bufferpool::page_id;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<K: Hash>(key: K) -> u64 {
@@ -80,33 +81,13 @@ mod tests {
         (buckets.len() as f64 / keys.len() as f64, tags.len())
     }
 
-    /// Heap and index pages of ten tables: the keys differ only above
-    /// bit 40 from table to table, and only in bit 56 between a heap page
-    /// and the index page of the same number.
-    fn page_keys() -> Vec<u64> {
-        let mut keys = Vec::new();
-        for table in 0..10u32 {
-            for page in 0..2_000u64 {
-                keys.push(page_id(table, page));
-                keys.push(page_id(table + (1 << 16), page));
-            }
-        }
-        keys
-    }
-
     #[test]
     fn page_ids_spread_over_buckets_and_tags() {
-        let (filled, tags) = spread(&page_keys());
-        assert!(filled > 0.7, "bucket fill {filled}");
-        assert_eq!(tags, 128);
-    }
-
-    #[test]
-    fn os_cache_chunks_spread_over_buckets_and_tags() {
-        let mut chunks: Vec<u64> = page_keys().iter().map(|p| p / CHUNK_PAGES).collect();
-        chunks.sort_unstable();
-        chunks.dedup();
-        let (filled, tags) = spread(&chunks);
+        // Heap pages of ten tables, as the WAL's full-page-write set holds
+        // them: the keys differ only above bit 40 from table to table.
+        let keys: Vec<u64> =
+            (0..10u32).flat_map(|t| (0..4_000u64).map(move |page| page_id(t, page))).collect();
+        let (filled, tags) = spread(&keys);
         assert!(filled > 0.7, "bucket fill {filled}");
         assert_eq!(tags, 128);
     }

@@ -49,12 +49,16 @@
 //! # Cost of an evaluation
 //!
 //! One [`run_workload`] is what a tuning session pays per sample, so the
-//! model's bookkeeping is kept off its hot path: the buffer pool records
-//! dirtiness in a bitmap that writeback passes read a word at a time
-//! ([`bufferpool::BufferPool`]), every table is keyed by integers the
-//! simulator made itself and hashed accordingly, and an op's Zipfian is
-//! found when the run is set up. None of it is visible in a [`RunResult`]:
-//! `crates/workloads/tests/engine_golden.rs` pins results bit for bit.
+//! model's bookkeeping is kept off its hot path. The buffer pool and the
+//! OS cache find a page through a page table indexed by table id and page
+//! number, with no hashing, and record dirtiness in a bitmap that
+//! writeback passes read a word at a time ([`bufferpool::BufferPool`]).
+//! The two tables that still hash (row locks, the WAL's full-page-write
+//! set) are keyed by integers the simulator made itself and hashed
+//! accordingly. A resource meter's ring has a constant length, and an
+//! op's Zipfian is found when the run is set up. None of it is visible in
+//! a [`RunResult`]: `crates/workloads/tests/engine_golden.rs` pins
+//! results bit for bit.
 
 pub mod bufferpool;
 pub mod db;

@@ -14,6 +14,11 @@ pub type Micros = u64;
 /// One virtual second.
 pub const SECOND: Micros = 1_000_000;
 
+/// Buckets in a [`ResourceMeter`]'s ring: the 4-bucket utilization window
+/// up to the current bucket, 11 reservable ahead of it and the one being
+/// cleared. A constant, so slot arithmetic compiles to a mask.
+const RING: usize = 16;
+
 /// A multi-server resource (CPU cores, SSD channels) with utilization-based
 /// queueing.
 #[derive(Debug, Clone)]
@@ -23,9 +28,9 @@ pub struct ResourceMeter {
     /// Bucket width in microseconds.
     bucket_us: Micros,
     /// Busy microseconds per bucket (may include reserved future load).
-    /// Bucket `b` lives at slot `b % ring.len()`; slots are recycled as the
+    /// Bucket `b` lives at slot `b % RING`; slots are recycled as the
     /// clock advances.
-    ring: Vec<f64>,
+    ring: [f64; RING],
     /// Most recent bucket the meter has advanced to.
     current_bucket: u64,
     /// Exponent of the queueing-delay curve: higher values delay the onset
@@ -44,7 +49,7 @@ impl ResourceMeter {
         ResourceMeter {
             servers,
             bucket_us,
-            ring: vec![0.0; 16],
+            ring: [0.0; RING],
             current_bucket: 0,
             contention_exp,
             total_busy: 0.0,
@@ -53,14 +58,13 @@ impl ResourceMeter {
 
     fn advance(&mut self, now: Micros) {
         let bucket = now / self.bucket_us;
-        let len = self.ring.len();
         while self.current_bucket < bucket {
             self.current_bucket += 1;
             // The bucket that just became reachable as the farthest future
             // slot still holds data from one ring-length ago; clear it.
             // (Its previous occupant, bucket current-5, is already outside
             // the 4-bucket utilization window, so nothing live is lost.)
-            let stale = (self.current_bucket as usize + len - 5) % len;
+            let stale = (self.current_bucket as usize + RING - 5) % RING;
             self.ring[stale] = 0.0;
         }
     }
@@ -73,11 +77,11 @@ impl ResourceMeter {
             }
         } else {
             let ahead = (bucket - self.current_bucket) as usize;
-            if ahead >= self.ring.len() - 4 {
+            if ahead >= RING - 4 {
                 return None; // beyond the reservation horizon
             }
         }
-        Some(bucket as usize % self.ring.len())
+        Some(bucket as usize % RING)
     }
 
     /// Trailing utilization over the (up to) 4 most recent buckets.
@@ -130,7 +134,7 @@ impl ResourceMeter {
         // so the walk ends there: a throttled vacuum pass of 10^15 µs
         // spans ~10^11 buckets and lands in a dozen slots. `n` keeps
         // the unclamped count, so what each slot receives is unchanged.
-        let horizon = self.current_bucket + self.ring.len() as u64 - 5;
+        let horizon = self.current_bucket + RING as u64 - 5;
         for b in first..=last.min(horizon) {
             if let Some(slot) = self.slot_for(b) {
                 self.ring[slot] += per_bucket;
@@ -205,7 +209,7 @@ impl LatencyReservoir {
             return None;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
+        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
         Some(qs.map(|q| {
             assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
             llamatune_math::stats::percentile_sorted(&sorted, q)
