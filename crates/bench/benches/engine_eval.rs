@@ -26,7 +26,6 @@
 //! smoke-test scale.
 
 use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_bench::print_header;
 use llamatune_obs::json::write_object;
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_space::Config;
@@ -98,14 +97,12 @@ fn main() {
         .collect();
     let crashed = 1 + draws - configs.len();
 
-    print_header(
-        "Engine evaluation per suite",
-        &format!(
-            "one WorkloadRunner::evaluate at default windows; {} configurations \
+    let detail = format!(
+        "one WorkloadRunner::evaluate at default windows; {} configurations \
              ({crashed} more crashed), best of {reps}",
-            configs.len()
-        ),
+        configs.len()
     );
+    print!("{}", llamatune_obs::fmt::header("Engine evaluation per suite", &detail));
     let rows: Vec<Row> = WORKLOAD_NAMES.iter().map(|s| suite_row(s, &configs, reps)).collect();
     println!(
         "\n{:>18} {:>4} {:>12} {:>10} {:>10}",

@@ -24,7 +24,6 @@
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
 use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_bench::print_header;
 use llamatune_engine::RunOptions;
 use llamatune_obs::json::write_object;
 use llamatune_obs::trace::{NoopTracer, RecordingTracer, TraceEvent, Tracer};
@@ -124,13 +123,11 @@ fn main() {
     let (noop_n, rec_n, reps, campaign_reps): (usize, usize, usize, usize) =
         if quick { (100_000, 10_000, 3, 1) } else { (2_000_000, 200_000, 5, 3) };
 
-    print_header(
-        "Observability overhead",
-        &format!(
-            "guarded span site (noop vs recording) and end-to-end campaign; \
+    let detail = format!(
+        "guarded span site (noop vs recording) and end-to-end campaign; \
              medians over {reps} reps"
-        ),
     );
+    print!("{}", llamatune_obs::fmt::header("Observability overhead", &detail));
 
     let span_rows =
         vec![span_site_row("noop", noop_n, reps), span_site_row("recording", rec_n, reps)];

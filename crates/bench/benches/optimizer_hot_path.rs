@@ -37,7 +37,6 @@
 //! smoke-test scale.
 
 use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_bench::print_header;
 use llamatune_obs::json::{write_f64, write_object};
 use llamatune_obs::MetricsRegistry;
 use llamatune_optim::{
@@ -300,13 +299,11 @@ fn main() {
     let (ns, reps, q, rounds): (&[usize], usize, usize, usize) =
         if quick { (&[12, 26], 5, 4, 2) } else { (&[50, 100, 200], 9, 8, 3) };
 
-    print_header(
-        "Optimizer hot path",
-        &format!(
-            "suggest/observe/retract latency vs history size; {DIMS}-dim space, \
+    let detail = format!(
+        "suggest/observe/retract latency vs history size; {DIMS}-dim space, \
              medians over {reps} reps (retract: {rounds} rounds), q = {q}"
-        ),
     );
+    print!("{}", llamatune_obs::fmt::header("Optimizer hot path", &detail));
 
     let gp_rows: Vec<GpObserveRow> = ns.iter().map(|&n| gp_observe_row(n, reps)).collect();
     println!("\nGP-BO observe (one new observation at history n, Cholesky append):");

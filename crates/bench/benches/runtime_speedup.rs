@@ -9,7 +9,6 @@
 
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::session::{run_session, EvalResult, SessionOptions};
-use llamatune_bench::{print_header, print_table};
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind};
 use llamatune_space::catalog::postgres_v9_6;
@@ -85,14 +84,18 @@ fn parallel_campaign(catalog: &llamatune_space::ConfigSpace, workers: usize) -> 
 fn main() {
     let catalog = postgres_v9_6();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    print_header(
-        "Runtime speedup: parallel campaign vs sequential sessions",
-        &format!(
-            "{} workloads x {} seeds x {} iterations; available_parallelism = {cores}",
-            WORKLOADS.len(),
-            SEEDS.len(),
-            ITERATIONS
-        ),
+    let detail = format!(
+        "{} workloads x {} seeds x {} iterations; available_parallelism = {cores}",
+        WORKLOADS.len(),
+        SEEDS.len(),
+        ITERATIONS
+    );
+    print!(
+        "{}",
+        llamatune_obs::fmt::header(
+            "Runtime speedup: parallel campaign vs sequential sessions",
+            &detail
+        )
     );
 
     let seq = sequential_campaign(&catalog);
@@ -111,5 +114,5 @@ fn main() {
             if workers > cores { "(more workers than cores)".to_string() } else { String::new() },
         ]);
     }
-    print_table(&["config", "time", "speedup", ""], &rows);
+    print!("{}", llamatune_obs::fmt::table(&["config", "time", "speedup", ""], &rows));
 }

@@ -35,7 +35,6 @@ use llamatune::history_io::{events_to_jsonl, TrialEvent};
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::{EvalResult, TrialStatus};
 use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_bench::print_header;
 use llamatune_client::Client;
 use llamatune_obs::json::{self, write_object};
 use llamatune_runtime::{AdapterKind, CampaignOptions};
@@ -312,13 +311,14 @@ fn main() {
     // rounds (iteration 0 is a round of its own).
     let (solo, ten) = if quick { (81, 41) } else { (8001, 801) };
 
-    print_header(
-        "Tuning service: wire codec and loopback round trips",
-        &format!(
-            "wire: fastest of {reps} samples of {MESSAGES} messages; round trips: batch {BATCH}, \
+    let detail = format!(
+        "wire: fastest of {reps} samples of {MESSAGES} messages; round trips: batch {BATCH}, \
              random optimizer, synthetic scores, local directory store; available_parallelism {}",
-            std::thread::available_parallelism().map_or(0, |n| n.get())
-        ),
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    );
+    print!(
+        "{}",
+        llamatune_obs::fmt::header("Tuning service: wire codec and loopback round trips", &detail)
     );
     let wire = wire_rows(reps);
     println!("\n{:>16} {:>8} {:>16} {:>16}", "message", "bytes", "encode / 100", "decode / 100");

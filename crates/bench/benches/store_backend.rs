@@ -21,7 +21,6 @@
 //! `LLAMATUNE_QUICK=1` shrinks record counts to smoke-test scale.
 
 use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_bench::print_header;
 use llamatune_obs::json::write_object;
 use llamatune_space::KnobValue;
 use llamatune_store::{
@@ -166,13 +165,11 @@ fn main() {
     let records = if quick { 600 } else { 4000 };
     let writers = 4;
 
-    print_header(
-        "Store backends",
-        &format!(
-            "checkpoint I/O through the StoreBackend seam; {records} records, \
+    let detail = format!(
+        "checkpoint I/O through the StoreBackend seam; {records} records, \
              rotation every 256 (fleet: 64), {writers}-writer fleet"
-        ),
     );
+    print!("{}", llamatune_obs::fmt::header("Store backends", &detail));
 
     let backends = Backends { local_dir: tmp_dir("single") };
     let rows: Vec<Row> =

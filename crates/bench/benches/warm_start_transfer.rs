@@ -23,7 +23,7 @@
 
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::{SessionHistory, SessionOptions};
-use llamatune_bench::{print_header, ExpScale};
+use llamatune_bench::ExpScale;
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{
     AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind, WarmStartOptions,
@@ -79,14 +79,12 @@ fn main() {
     let catalog = postgres_v9_6();
     let optimizer = OptimizerKind::Smac;
 
-    print_header(
-        "Warm-start transfer",
-        &format!(
-            "budget {} iterations, k = {WARM_K} transferred points, SMAC over the \
+    let detail = format!(
+        "budget {} iterations, k = {WARM_K} transferred points, SMAC over the \
              LlamaTune space, seed {SEED}",
-            scale.iterations
-        ),
+        scale.iterations
     );
+    print!("{}", llamatune_obs::fmt::header("Warm-start transfer", &detail));
     println!(
         "{:<22} {:>12} {:>12} {:>14} {:>14}",
         "source -> target", "cold best", "warm best", "cold to bar", "warm to bar"

@@ -1,7 +1,8 @@
-//! Writing a `BENCH_*.json` regression artifact: the values a row mixes
-//! and where the file goes. [`crate::gate`] is the reader.
+//! A `BENCH_*.json` regression artifact: the values a row mixes, where
+//! the file goes and how a committed one is read back. [`crate::gate`]
+//! compares two of them.
 
-use llamatune_obs::json::{write_f64, write_str};
+use llamatune_obs::json::{parse, write_f64, write_str, JsonValue};
 use std::path::PathBuf;
 
 /// One artifact value: rows mix labels with numbers.
@@ -26,10 +27,21 @@ pub fn round(v: f64, places: i32) -> f64 {
     (v * scale).round() / scale
 }
 
-/// Writes `json` to `file` at the workspace root — wherever cargo launched
-/// the bench from — and returns the path.
+/// `file` at the workspace root, wherever cargo launched the bench from.
+fn at_root(file: &str) -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file)
+}
+
+/// Writes `json` to `file` at the workspace root and returns the path.
 pub fn record(file: &str, json: &str) -> PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+    let path = at_root(file);
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
     path
+}
+
+/// Parses `file` at the workspace root, where [`record`] wrote it; the
+/// error names the file.
+pub fn read(file: &str) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(at_root(file)).map_err(|e| format!("read {file}: {e}"))?;
+    parse(&text).map_err(|e| format!("parse {file}: {e}"))
 }

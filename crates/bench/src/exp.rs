@@ -10,7 +10,7 @@ use llamatune_space::ConfigSpace;
 use llamatune_workloads::WorkloadRunner;
 
 /// Experiment scale, read from the environment.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpScale {
     pub seeds: u64,
     pub iterations: usize,
@@ -18,6 +18,11 @@ pub struct ExpScale {
 }
 
 impl ExpScale {
+    /// 3 seeds × 50 iterations and fewer SHAP samples: what CI runs.
+    pub const QUICK: ExpScale = ExpScale { seeds: 3, iterations: 50, quick: true };
+    /// The paper's 5 seeds × 100 iterations.
+    pub const PAPER: ExpScale = ExpScale { seeds: 5, iterations: 100, quick: false };
+
     /// Reads `LLAMATUNE_SEEDS` / `LLAMATUNE_ITERS` / `LLAMATUNE_QUICK`.
     pub fn from_env() -> Self {
         Self::from_lookup(|name| std::env::var(name).ok())
@@ -27,15 +32,21 @@ impl ExpScale {
     /// value counts as unset.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let quick = lookup("LLAMATUNE_QUICK").is_some_and(|v| v == "1");
-        let seeds = lookup("LLAMATUNE_SEEDS").and_then(|v| v.parse().ok()).unwrap_or(if quick {
-            3
-        } else {
-            5
-        });
-        let iterations = lookup("LLAMATUNE_ITERS")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if quick { 50 } else { 100 });
+        let named = if quick { Self::QUICK } else { Self::PAPER };
+        let seeds = lookup("LLAMATUNE_SEEDS").and_then(|v| v.parse().ok()).unwrap_or(named.seeds);
+        let iterations =
+            lookup("LLAMATUNE_ITERS").and_then(|v| v.parse().ok()).unwrap_or(named.iterations);
         ExpScale { seeds, iterations, quick }
+    }
+
+    /// The paper artifact a run at this scale records: one per named
+    /// scale, none for any other (such a run gates but records nothing).
+    pub fn artifact(self) -> Option<&'static str> {
+        match self {
+            s if s == Self::QUICK => Some("BENCH_paper.json"),
+            s if s == Self::PAPER => Some("BENCH_paper_full.json"),
+            _ => None,
+        }
     }
 }
 
@@ -210,15 +221,33 @@ mod tests {
             let s = ExpScale::from_lookup(|name| {
                 vars.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string())
             });
-            (s.seeds, s.iterations, s.quick)
+            (s.seeds, s.iterations, s.quick, s.artifact())
         };
-        assert_eq!(scale(&[]), (5, 100, false), "nothing set: the paper's scale");
-        assert_eq!(scale(&[("LLAMATUNE_QUICK", "1")]), (3, 50, true));
-        assert_eq!(scale(&[("LLAMATUNE_QUICK", "yes")]), (5, 100, false), "only \"1\" is quick");
-        assert_eq!(scale(&[("LLAMATUNE_SEEDS", "many")]), (5, 100, false), "unparsable = unset");
+        let (quick, full) = (Some("BENCH_paper.json"), Some("BENCH_paper_full.json"));
+        assert_eq!(scale(&[]), (5, 100, false, full), "nothing set: the paper's scale");
+        assert_eq!(scale(&[("LLAMATUNE_QUICK", "1")]), (3, 50, true, quick));
+        assert_eq!(
+            scale(&[("LLAMATUNE_QUICK", "yes")]),
+            (5, 100, false, full),
+            "only \"1\" is quick"
+        );
+        assert_eq!(
+            scale(&[("LLAMATUNE_SEEDS", "many")]),
+            (5, 100, false, full),
+            "unparsable = unset"
+        );
         assert_eq!(
             scale(&[("LLAMATUNE_QUICK", "1"), ("LLAMATUNE_SEEDS", "7"), ("LLAMATUNE_ITERS", "20")]),
-            (7, 20, true)
+            (7, 20, true, None)
         );
+        // A custom scale records nothing, even at the other scale's size.
+        assert_eq!(scale(&[("LLAMATUNE_SEEDS", "2")]), (2, 100, false, None));
+        assert_eq!(
+            scale(&[("LLAMATUNE_QUICK", "1"), ("LLAMATUNE_ITERS", "20")]),
+            (3, 20, true, None)
+        );
+        let quick_at_paper_size =
+            [("LLAMATUNE_QUICK", "1"), ("LLAMATUNE_SEEDS", "5"), ("LLAMATUNE_ITERS", "100")];
+        assert_eq!(scale(&quick_at_paper_size), (5, 100, true, None));
     }
 }

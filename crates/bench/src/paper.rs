@@ -1,27 +1,30 @@
 //! The loop over [`crate::claims`]: run every distinct arm once, measure
-//! each claim, print its source's table, and say which claims hold.
+//! each claim, print its source's table, and say which claims hold. The
+//! gate is read from the committed artifacts ([`recorded`],
+//! [`reproduced`]): a claim is reproduced when both scales record it as
+//! holding, and only a reproduced claim outside its band fails a run.
 //!
 //! `benches/paper.rs` is the entry point; the loop lives here so that the
 //! crate's tests can drive it at toy scale.
 
 use crate::artifact::{round, write_field, Field};
-use crate::claims::{AdapterSpec, Arm, Catalog, Cell, Claim, Goal, Measure, Status, Subset};
-use crate::exp::{paired_rows, run_tuning_arm, ArmResult, ExpScale};
-use crate::printing::{paired_cells, print_curve_table, print_header, print_table};
+use crate::claims::{AdapterSpec, Arm, Catalog, Cell, Claim, Goal, Measure, Subset};
+use crate::exp::{paired_rows, run_tuning_arm, ArmResult, ExpScale, PairedRow};
 use llamatune::pipeline::{
     IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter,
 };
 use llamatune::report::{convergence_map, final_improvement_pct};
 use llamatune_analysis::{rank_knobs, shap_importance};
 use llamatune_math::{latin_hypercube, mean, Summary};
-use llamatune_obs::json::{write_array, write_object};
+use llamatune_obs::fmt;
+use llamatune_obs::json::{write_array, write_object, JsonValue};
 use llamatune_optim::{Observation, OptimizerKind, RandomForest, RandomForestConfig, SearchSpec};
 use llamatune_space::catalog::{postgres_v13_6, postgres_v9_6, HAND_PICKED_TOP8_YCSB_A};
 use llamatune_space::{ConfigSpace, Domain, KnobValue};
 use llamatune_workloads::{workload_by_name, Objective, WorkloadRunner};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -170,6 +173,25 @@ fn headers(measure: &Measure) -> &'static [&'static str] {
         }
         Measure::SuggestTime(_) => &["optimizer", "90-d (us)", "16-d (us)", "ratio"],
     }
+}
+
+/// One paired-comparison row in the style of Tables 5-9, as table cells:
+/// the row's name, the baseline it is against, final improvement and its
+/// CI, time-to-optimal speedup, catch-up iteration and the speedup's CI.
+fn paired_cells(row: &PairedRow, baseline: &str) -> Vec<String> {
+    let catch = match row.catch_up_iter {
+        Some(i) => format!("[{i} iter]"),
+        None => "[not reached]".to_string(),
+    };
+    vec![
+        row.workload.clone(),
+        baseline.to_string(),
+        format!("{:.2}%", row.improvement.mean),
+        format!("[{:.1}%, {:.1}%]", row.improvement.ci_lo, row.improvement.ci_hi),
+        format!("{:.2}x", row.speedup.mean),
+        catch,
+        format!("[{:.1}x, {:.1}x]", row.speedup.ci_lo, row.speedup.ci_hi),
+    ]
 }
 
 /// Measures one claim, running whichever of its arms `memo` has not seen.
@@ -344,6 +366,38 @@ fn suggest_us(kind: OptimizerKind, spec: &SearchSpec, scale: ExpScale) -> f64 {
     times[times.len() / 2]
 }
 
+/// What a committed paper artifact recorded of one claim.
+#[derive(Debug, Clone, Copy)]
+pub struct Recorded {
+    /// The measured value; NaN where the artifact wrote `null`.
+    pub value: f64,
+    pub holds: bool,
+}
+
+/// A committed paper artifact's rows, by claim id.
+pub type Verdicts = HashMap<String, Recorded>;
+
+/// The rows of a paper artifact ([`Report::json`]'s shape) by claim id.
+pub fn recorded(artifact: &JsonValue) -> Result<Verdicts, String> {
+    let rows = artifact.get("claims").and_then(JsonValue::as_array).ok_or("no claims array")?;
+    rows.iter()
+        .map(|row| {
+            let id = row.get("id").and_then(JsonValue::as_str).ok_or("a claim without an id")?;
+            let holds = row.get("holds").and_then(JsonValue::as_bool);
+            let holds = holds.ok_or_else(|| format!("{id}: no holds"))?;
+            let value = row.get("value").and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
+            Ok((id.to_string(), Recorded { value, holds }))
+        })
+        .collect()
+}
+
+/// Ids of the claims both scales record as holding: the gated rows. A
+/// claim absent from either artifact is not among them.
+pub fn reproduced(quick: &Verdicts, full: &Verdicts) -> HashSet<String> {
+    let both = quick.iter().filter(|(id, q)| q.holds && full.get(*id).is_some_and(|f| f.holds));
+    both.map(|(id, _)| id.clone()).collect()
+}
+
 /// What a run measured, claim by claim.
 pub struct Report {
     pub rows: Vec<(Claim, Outcome)>,
@@ -353,10 +407,17 @@ pub struct Report {
 impl Report {
     /// Ids of the `reproduced` claims measured outside their band: the run
     /// fails unless this is empty.
-    pub fn failures(&self) -> Vec<&str> {
+    pub fn failures(&self, reproduced: &HashSet<String>) -> Vec<&str> {
         let gated =
-            self.rows.iter().filter(|(c, o)| c.status == Status::Reproduced && !c.holds(o.value));
+            self.rows.iter().filter(|(c, o)| reproduced.contains(&c.id) && !c.holds(o.value));
         gated.map(|(c, _)| c.id.as_str()).collect()
+    }
+
+    /// Claims whose verdict differs from the one `committed` records (or
+    /// that it does not record), with whether they hold now.
+    pub fn flips(&self, committed: &Verdicts) -> Vec<(&str, bool)> {
+        let now = self.rows.iter().map(|(c, o)| (c.id.as_str(), c.holds(o.value)));
+        now.filter(|(id, holds)| committed.get(*id).map(|r| r.holds) != Some(*holds)).collect()
     }
 
     /// The `BENCH_paper.json` artifact: one row per claim.
@@ -388,9 +449,7 @@ impl Report {
                 ("catch_up_iter", Field::Num(catch_up_iter)),
                 ("band_lo", Field::Num(claim.band.0)),
                 ("band_hi", Field::Num(claim.band.1)),
-                ("status", Field::Text(status_name(claim.status))),
                 ("holds", Field::Flag(claim.holds(outcome.value))),
-                ("note", Field::Text(&claim.note)),
             ];
             json.push_str("\n    ");
             write_object(json, members, write_field);
@@ -400,29 +459,27 @@ impl Report {
     }
 }
 
-fn status_name(status: Status) -> &'static str {
-    match status {
-        Status::Reproduced => "reproduced",
-        Status::NotReproduced => "not_reproduced",
-    }
-}
-
 /// Measures `table` source by source, printing each source's own table,
 /// the mean best-so-far curves of its arms where the paper draws them,
-/// and the verdict on each of its claims.
-pub fn run(table: &[Claim], scale: ExpScale) -> Report {
+/// and the verdict on each of its claims beside the values `committed`
+/// records at 3 × 50 and at 5 × 100. A miss fails only a claim of
+/// `reproduced`.
+pub fn run(
+    table: &[Claim],
+    scale: ExpScale,
+    committed: [&Verdicts; 2],
+    reproduced: &HashSet<String>,
+) -> Report {
     let mut memo = Memo::new(scale);
     let mut rows = Vec::new();
     let detail = format!("{} seeds x {} iterations", scale.seeds, scale.iterations);
     for (source, title) in crate::claims::SOURCES {
         let claims: Vec<&Claim> = table.iter().filter(|c| c.source == source).collect();
         let Some(first) = claims.first() else { continue };
-        print_header(title, &detail);
+        print!("{}", fmt::header(title, &detail));
         let outcomes: Vec<Outcome> = claims.iter().map(|c| evaluate(c, &mut memo)).collect();
-        print_table(
-            headers(&first.measure),
-            &outcomes.iter().flat_map(|o| o.rows.clone()).collect::<Vec<_>>(),
-        );
+        let cells: Vec<_> = outcomes.iter().flat_map(|o| o.rows.clone()).collect();
+        print!("{}", fmt::table(headers(&first.measure), &cells));
         // The paper draws its figures as curves; Table 5 comes with two.
         if source.starts_with("fig") || source == "table5" {
             print_curves(&claims, &mut memo);
@@ -433,25 +490,19 @@ pub fn run(table: &[Claim], scale: ExpScale) -> Report {
         println!();
         let verdicts = claims.iter().zip(&outcomes).map(|(c, o)| {
             let ci = o.ci.map_or(String::new(), |(lo, hi)| format!("[{lo:.2}, {hi:.2}]"));
-            let verdict = match (c.holds(o.value), c.status) {
+            let verdict = match (c.holds(o.value), reproduced.contains(&c.id)) {
                 (true, _) => "holds",
-                (false, Status::Reproduced) => "FAILS",
-                (false, Status::NotReproduced) => "misses (known)",
+                (false, true) => "FAILS",
+                (false, false) => "misses (not gated)",
             };
             let band = format!("[{}, {}]", c.band.0, c.band.1);
-            vec![
-                c.id.clone(),
-                format!("{:.2}", o.value),
-                ci,
-                band,
-                status_name(c.status).into(),
-                verdict.into(),
-            ]
+            let [quick, full] =
+                committed.map(|v| v.get(&c.id).map_or("-".into(), |r| format!("{:.2}", r.value)));
+            vec![c.id.clone(), format!("{:.2}", o.value), ci, band, quick, full, verdict.into()]
         });
-        print_table(
-            &["claim", "measured", "[5%,95%] CI", "band", "status", "verdict"],
-            &verdicts.collect::<Vec<_>>(),
-        );
+        let verdicts: Vec<_> = verdicts.collect();
+        let headers = ["claim", "measured", "[5%,95%] CI", "band", "3 x 50", "5 x 100", "verdict"];
+        print!("{}", fmt::table(&headers, &verdicts));
         rows.extend(claims.into_iter().cloned().zip(outcomes));
     }
     Report { rows, arm_runs: memo.arm_runs }
@@ -475,7 +526,7 @@ fn print_curves(claims: &[&Claim], memo: &mut Memo) {
         let labels: Vec<&str> = arms.iter().map(|a| a.label.as_str()).collect();
         let curves: Vec<Vec<f64>> = arms.iter().map(|a| memo.arm(cell, a).mean_curve()).collect();
         println!("\n--- {} ---", cell.workload);
-        print_curve_table(&labels, &curves, 10);
+        print!("{}", fmt::curve_table(&labels, &curves, 10));
     }
 }
 
@@ -497,16 +548,14 @@ fn print_convergence_map(claims: &[&Claim], memo: &mut Memo) {
         std::iter::once((i + 1).to_string()).chain(reached).collect()
     });
     println!("\nFigure 10: earliest vanilla iteration matching LlamaTune's best");
-    print_table(&headers, &rows.collect::<Vec<_>>());
+    print!("{}", fmt::table(&headers, &rows.collect::<Vec<_>>()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::claims::{claims, select, NOT_REPRODUCED, SOURCES};
+    use crate::claims::{claims, select, SOURCES};
     use llamatune::session::SessionHistory;
-    use llamatune_obs::json::JsonValue;
-    use std::collections::HashSet;
 
     #[test]
     fn the_table_covers_every_source_with_unique_ids_and_81_distinct_arms() {
@@ -518,13 +567,53 @@ mod tests {
             assert!(select(Some(source)).iter().all(|c| c.source == source));
         }
         assert_eq!(select(None).len(), table.len());
-        for (id, ..) in NOT_REPRODUCED {
-            assert!(ids.contains(id), "{id}: listed as not reproduced, but no such claim");
-        }
         // The 17 programs this table replaced ran 107 arms to cover these.
         let arms =
             table.iter().flat_map(|c| c.measure.arms().into_iter().map(|a| arm_key(&c.cell, a)));
         assert_eq!(arms.collect::<HashSet<_>>().len(), 81);
+    }
+
+    /// The gate is read from the two committed artifacts, so a claim added
+    /// or renamed without re-recording both would silently leave it.
+    #[test]
+    fn both_committed_artifacts_record_every_claim_once_with_its_band_at_their_scale() {
+        let table = claims();
+        for scale in [ExpScale::QUICK, ExpScale::PAPER] {
+            let file = scale.artifact().unwrap();
+            let artifact = crate::artifact::read(file).unwrap();
+            let config = artifact.get("config").unwrap();
+            let num = |key| config.get(key).and_then(JsonValue::as_u64);
+            assert_eq!(
+                config.get("quick").and_then(JsonValue::as_bool),
+                Some(scale.quick),
+                "{file}"
+            );
+            assert_eq!(
+                (num("seeds"), num("iterations")),
+                (Some(scale.seeds), Some(scale.iterations as u64)),
+                "{file}"
+            );
+            let rows = artifact.get("claims").and_then(JsonValue::as_array).unwrap();
+            let id =
+                |row: &JsonValue| row.get("id").and_then(JsonValue::as_str).unwrap().to_string();
+            for claim in &table {
+                let n = rows.iter().filter(|row| id(row) == claim.id).count();
+                assert_eq!(n, 1, "{file}: {} recorded {n} times", claim.id);
+            }
+            // `null` is how the artifact writes an infinite bound.
+            let bound =
+                |row: &JsonValue, key| row.get(key).unwrap().as_f64().unwrap_or(f64::INFINITY);
+            for row in rows {
+                let claim = table.iter().find(|c| c.id == id(row));
+                let claim = claim.unwrap_or_else(|| panic!("{file}: {} is no claim", id(row)));
+                assert_eq!(
+                    (bound(row, "band_lo"), bound(row, "band_hi")),
+                    claim.band,
+                    "{file}: {}",
+                    claim.id
+                );
+            }
+        }
     }
 
     /// A three-source slice at toy scale, end to end: the arm three of its
@@ -542,7 +631,8 @@ mod tests {
             })
             .collect();
         assert_eq!(slice.len(), 6);
-        let report = run(&slice, scale);
+        let none = Verdicts::new();
+        let report = run(&slice, scale, [&none, &none], &HashSet::new());
         assert_eq!(report.arm_runs, 4, "six arm requests: one baseline shared, three candidates");
 
         let file = std::env::temp_dir().join(format!("BENCH_paper.{}.json", std::process::id()));
@@ -555,11 +645,13 @@ mod tests {
             panic!("claims is an array")
         };
         assert_eq!(rows.len(), 6);
+        let read_back = recorded(&artifact).unwrap();
         for (row, (claim, outcome)) in rows.iter().zip(&report.rows) {
             assert_eq!(row.get("id").unwrap().as_str(), Some(claim.id.as_str()));
-            assert_eq!(row.get("holds"), Some(&JsonValue::Bool(claim.holds(outcome.value))));
-            assert!(row.get("value").unwrap().as_f64().is_some(), "{}: no value", claim.id);
+            let Recorded { value, holds } = read_back[&claim.id];
+            assert_eq!((value, holds), (round(outcome.value, 4), claim.holds(outcome.value)));
         }
+        assert!(report.flips(&read_back).is_empty(), "a run agrees with its own record");
         let hybrid = &report.rows.iter().find(|(c, _)| c.id == "table2/v9.6").unwrap().1;
         assert_eq!((hybrid.value, hybrid.rows.len()), (17.0, 17));
 
@@ -590,24 +682,42 @@ mod tests {
 
     #[test]
     fn only_a_reproduced_claim_outside_its_band_fails_the_run() {
-        let mut claim = select(Some("table5")).remove(0);
+        let claim = select(Some("table5")).remove(0);
         let arms: Vec<Arm> = claim.measure.arms().into_iter().cloned().collect();
-        let mut verdict = |candidate_finals: &[f64], status| {
+        let verdicts = |holds: &[bool]| -> Verdicts {
+            let row = |&holds| (claim.id.clone(), Recorded { value: 1.0, holds });
+            holds.iter().map(row).collect()
+        };
+        let (holding, missing, absent) = (verdicts(&[true]), verdicts(&[false]), verdicts(&[]));
+        let report = |candidate_finals: &[f64]| {
             let mut memo = Memo::new(ExpScale { seeds: 2, iterations: 1, quick: true });
             memo.arms.insert(arm_key(&claim.cell, &arms[0]), arm_with_finals(&[200.0, 200.0]));
             memo.arms.insert(arm_key(&claim.cell, &arms[1]), arm_with_finals(candidate_finals));
-            claim.status = status;
             let outcome = evaluate(&claim, &mut memo);
             assert_eq!(memo.arm_runs, 0, "both arms were on file");
-            let report = Report { rows: vec![(claim.clone(), outcome)], arm_runs: 0 };
-            (report.rows[0].1.value, report.failures().len())
+            Report { rows: vec![(claim.clone(), outcome)], arm_runs: 0 }
         };
-        assert_eq!(verdict(&[220.0, 240.0], Status::Reproduced), (15.0, 0), "inside [0, inf)");
-        assert_eq!(verdict(&[180.0, 200.0], Status::Reproduced), (-5.0, 1), "outside: exit 1");
-        assert_eq!(
-            verdict(&[180.0, 200.0], Status::NotReproduced),
-            (-5.0, 0),
-            "known miss: exit 0"
-        );
+        let (inside, outside) = (report(&[220.0, 240.0]), report(&[180.0, 200.0]));
+        assert_eq!((inside.rows[0].1.value, outside.rows[0].1.value), (15.0, -5.0));
+        let failures =
+            |report: &Report, quick, full| report.failures(&reproduced(quick, full)).len();
+        assert_eq!(failures(&inside, &holding, &holding), 0, "inside [0, inf)");
+        assert_eq!(failures(&outside, &holding, &holding), 1, "reproduced, outside: exit 1");
+        for (quick, full, why) in [
+            (&holding, &missing, "holds at 3 x 50 only"),
+            (&missing, &holding, "holds at 5 x 100 only"),
+            (&holding, &absent, "absent from 5 x 100"),
+            (&absent, &holding, "absent from 3 x 50"),
+            (&missing, &missing, "misses at both"),
+        ] {
+            assert!(reproduced(quick, full).is_empty(), "{why}: not reproduced");
+            assert_eq!(failures(&outside, quick, full), 0, "{why}: not gated");
+        }
+
+        // A flip is a verdict other than the recorded one, or no record.
+        let id = claim.id.as_str();
+        assert_eq!(outside.flips(&holding), [(id, false)]);
+        assert!(outside.flips(&missing).is_empty());
+        assert_eq!(inside.flips(&absent), [(id, true)]);
     }
 }

@@ -1,6 +1,5 @@
 //! Text rendering shared by bench output and session reports: one
-//! banner/table/curve renderer, so every harness prints the same shapes
-//! (the bench crate's `printing` module delegates here).
+//! banner/table/curve renderer, so every harness prints the same shapes.
 
 /// Renders an experiment header banner (BENCH-compatible shape).
 pub fn header(title: &str, detail: &str) -> String {
