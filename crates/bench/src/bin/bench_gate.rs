@@ -1,16 +1,18 @@
-//! CI bench-regression gate (see `llamatune_bench::gate` for the rules).
+//! CI bench-regression gate.
 //!
 //! ```text
-//! bench_gate <baseline.json> <current.json> [factor]
+//! bench_gate <baseline.json> <current.json>
 //! ```
 //!
 //! Compares the committed baseline artifact against a freshly generated
-//! one and exits non-zero when any `_us` latency regressed by more than
-//! `factor` (default 2.0, or `BENCH_GATE_FACTOR`), or when the two
-//! artifacts are not comparable (different scales, reordered rows —
-//! that is a workflow bug, not a pass).
+//! one: `llamatune_bench::gate` turns every `_us` latency into a check,
+//! `llamatune_obs::gate` judges and renders them. Exits 0 when every
+//! check passed, 1 when a latency regressed, and 2 when an artifact is
+//! unreadable or the two are not comparable (different scales, reordered
+//! rows — that is a workflow bug, not a pass).
 
-use llamatune_bench::gate;
+use llamatune_bench::gate::artifact_checks;
+use llamatune_obs::gate::{render, Check};
 use llamatune_obs::json::{self, JsonValue};
 use std::process::ExitCode;
 
@@ -21,19 +23,10 @@ fn load(path: &str) -> Result<JsonValue, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (baseline_path, current_path, factor_arg) = match args.as_slice() {
-        [b, c] => (b, c, None),
-        [b, c, f] => (b, c, Some(f.clone())),
-        _ => {
-            eprintln!("usage: bench_gate <baseline.json> <current.json> [factor]");
-            return ExitCode::from(2);
-        }
+    let [baseline_path, current_path] = args.as_slice() else {
+        eprintln!("usage: bench_gate <baseline.json> <current.json>");
+        return ExitCode::from(2);
     };
-    let factor: f64 = factor_arg
-        .or_else(|| std::env::var("BENCH_GATE_FACTOR").ok())
-        .map(|s| s.parse().expect("factor must be a number"))
-        .unwrap_or(2.0);
-
     let (baseline, current) = match (load(baseline_path), load(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
@@ -41,15 +34,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    println!("bench_gate: {baseline_path} (baseline) vs {current_path} (current)\n");
-    match gate::compare(&baseline, &current, factor) {
-        Ok(cmp) => {
-            print!("{}", cmp.report(factor));
-            if cmp.regressions().is_empty() {
-                ExitCode::SUCCESS
-            } else {
+    match artifact_checks(&baseline, &current) {
+        Ok(checks) => {
+            let title =
+                format!("bench_gate: {baseline_path} (baseline) vs {current_path} (current)");
+            print!("{}", render(&title, &checks));
+            if checks.iter().any(Check::regressed) {
                 ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
             }
         }
         Err(e) => {

@@ -9,7 +9,7 @@
 //! and persists `telemetry-local.{trace.jsonl,metrics.json}`; with
 //! `--workers N` (N ≥ 1) the campaign runs as an N-worker fleet and
 //! persists one `telemetry-wK.*` pair per worker and nothing else —
-//! `llamatune-report --fleet <dir>` merges them into the campaign view.
+//! `llamatune-report <dir>` merges them into the campaign view.
 //! Every persisted pair is validated through the schema-checking
 //! parsers before the process exits, so a zero exit status certifies
 //! well-formed telemetry.

@@ -13,6 +13,12 @@
 //! same. An unfiltered run at one of those two scales re-records its own
 //! artifact.
 //!
+//! The layer benches' artifacts are gated by the `bench_gate` bin:
+//! [`gate`] turns a committed `BENCH_*.json` and a fresh one into checks
+//! (one per `_us` latency, identity numbers required equal), and
+//! `llamatune_obs::gate` judges them by the one regression rule that
+//! `llamatune-report diff` applies to stored telemetry.
+//!
 //! Scale is controlled by environment variables:
 //!
 //! * `LLAMATUNE_SEEDS` — tuning sessions per arm (default 5, as in the

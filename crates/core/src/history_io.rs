@@ -15,7 +15,6 @@
 
 use crate::session::{SessionHistory, TrialStatus};
 use llamatune_obs::json::{self, Scanner};
-use llamatune_space::{Config, ConfigSpace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -249,12 +248,6 @@ pub fn session_curves(
     Ok(out)
 }
 
-/// Renders the best configuration as a `postgresql.conf` fragment — the
-/// deliverable a tuning session hands to the operator.
-pub fn best_config_conf(space: &ConfigSpace, history: &SessionHistory) -> Option<String> {
-    history.best_config().map(|cfg: &Config| llamatune_space::conf_file::to_conf(space, cfg, true))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,13 +256,13 @@ mod tests {
     use llamatune_optim::RandomSearch;
     use llamatune_space::catalog::postgres_v9_6;
 
-    fn tiny_history() -> (ConfigSpace, SessionHistory) {
+    fn tiny_history() -> SessionHistory {
         let space = postgres_v9_6();
         let adapter = IdentityAdapter::new(&space);
         let opt = RandomSearch::new(adapter.optimizer_spec().clone(), 1);
         let sb = space.index_of("shared_buffers").unwrap();
         let mut calls = 0;
-        let h = run_session(
+        run_session(
             &adapter,
             Box::new(opt),
             move |cfg| {
@@ -286,13 +279,12 @@ mod tests {
                 }
             },
             &SessionOptions { iterations: 6, n_init: 2, ..Default::default() },
-        );
-        (space, h)
+        )
     }
 
     #[test]
     fn jsonl_roundtrip_restores_events_exactly() {
-        let (_, h) = tiny_history();
+        let h = tiny_history();
         let events = history_to_events("ycsb_a/identity/random/s1", &h);
         let text = events_to_jsonl(&events);
         let parsed = events_from_jsonl(&text).unwrap();
@@ -306,7 +298,7 @@ mod tests {
 
     #[test]
     fn jsonl_interleaved_sessions_regroup_into_curves() {
-        let (_, h) = tiny_history();
+        let h = tiny_history();
         let a = history_to_events("arm_a", &h);
         let b = history_to_events("arm_b", &h);
         // Interleave as a concurrent campaign would append them.
@@ -326,7 +318,7 @@ mod tests {
 
     #[test]
     fn dedup_events_merges_resumed_and_multi_writer_logs_last_wins() {
-        let (_, h) = tiny_history();
+        let h = tiny_history();
         let truth = history_to_events("arm_a", &h);
         // Worker 1 recorded a prefix before dying; worker 2 re-ran the
         // tail (same content, as determinism guarantees) plus a stale
@@ -449,7 +441,7 @@ mod tests {
     /// deduplicates last-wins before regrouping).
     #[test]
     fn truncated_final_line_is_a_parse_error() {
-        let (_, h) = tiny_history();
+        let h = tiny_history();
         let events = history_to_events("s", &h);
         let text = events_to_jsonl(&events);
         // Cut the transcript mid-way through its final line, at every
@@ -472,7 +464,7 @@ mod tests {
 
     #[test]
     fn interleaved_garbage_lines_are_rejected_with_line_numbers() {
-        let (_, h) = tiny_history();
+        let h = tiny_history();
         let text = events_to_jsonl(&history_to_events("s", &h));
         let mut lines: Vec<&str> = text.lines().collect();
         lines.insert(2, "!!! not json at all");
@@ -489,7 +481,7 @@ mod tests {
 
     #[test]
     fn duplicate_iterations_parse_but_fail_curve_regrouping() {
-        let (_, h) = tiny_history();
+        let h = tiny_history();
         let mut events = history_to_events("s", &h);
         events.push(events[3].clone()); // duplicate iteration 3
         let text = events_to_jsonl(&events);
@@ -504,18 +496,5 @@ mod tests {
         let mut shifted = history_to_events("s", &h);
         shifted[2].iteration = 1; // 0,1,1,3,...: both a duplicate and a gap
         assert!(session_curves(&shifted).is_err());
-    }
-
-    #[test]
-    fn best_config_renders_as_conf() {
-        let (space, h) = tiny_history();
-        let conf = best_config_conf(&space, &h).unwrap();
-        // The score is shared_buffers, so the best configuration is the
-        // run's largest; every other knob differs from its default too.
-        let head =
-            "shared_buffers = 16641480kB\nwork_mem = 1553087kB\nmaintenance_work_mem = 930260kB\n";
-        assert!(conf.starts_with(head), "{conf}");
-        assert!(conf.ends_with("\nmax_parallel_workers_per_gather = 7\n"), "{conf}");
-        assert_eq!(conf.lines().count(), 76);
     }
 }

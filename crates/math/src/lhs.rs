@@ -29,38 +29,6 @@ pub fn latin_hypercube<R: Rng + ?Sized>(n: usize, dims: usize, rng: &mut R) -> V
     points
 }
 
-/// Generates `candidates` LHS designs and keeps the one maximizing the
-/// minimum pairwise distance (a cheap "maximin" improvement that spreads the
-/// initial configurations further apart).
-pub fn maximin_latin_hypercube<R: Rng + ?Sized>(
-    n: usize,
-    dims: usize,
-    candidates: usize,
-    rng: &mut R,
-) -> Vec<Vec<f64>> {
-    assert!(candidates > 0, "need at least one candidate design");
-    let mut best: Option<(f64, Vec<Vec<f64>>)> = None;
-    for _ in 0..candidates {
-        let design = latin_hypercube(n, dims, rng);
-        let score = min_pairwise_distance(&design);
-        if best.as_ref().is_none_or(|(s, _)| score > *s) {
-            best = Some((score, design));
-        }
-    }
-    best.expect("candidates > 0").1
-}
-
-fn min_pairwise_distance(points: &[Vec<f64>]) -> f64 {
-    let mut min = f64::INFINITY;
-    for i in 0..points.len() {
-        for j in (i + 1)..points.len() {
-            let d: f64 = points[i].iter().zip(&points[j]).map(|(a, b)| (a - b) * (a - b)).sum();
-            min = min.min(d);
-        }
-    }
-    min
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,17 +71,6 @@ mod tests {
         let pts = latin_hypercube(1, 4, &mut rng);
         assert_eq!(pts.len(), 1);
         assert!(pts[0].iter().all(|&x| (0.0..1.0).contains(&x)));
-    }
-
-    #[test]
-    fn maximin_beats_or_ties_average_design() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let plain = latin_hypercube(16, 3, &mut rng);
-        let maximin = maximin_latin_hypercube(16, 3, 20, &mut rng);
-        assert!(has_lhs_property(&maximin, 3));
-        // Not a strict guarantee, but with 20 candidates the maximin design
-        // should not be *worse* than one arbitrary draw in min-distance.
-        assert!(min_pairwise_distance(&maximin) + 1e-12 >= min_pairwise_distance(&plain) * 0.5);
     }
 
     #[test]

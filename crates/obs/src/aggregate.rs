@@ -18,9 +18,9 @@
 //!   are excluded — they name writer-private segments (`seg-w3-…`),
 //!   which *does* depend on scheduling, so they stay in the per-writer
 //!   files where that attribution is the point.
-//! * [`merge_metrics`] — the additive fold of every writer's snapshot
-//!   ([`MetricsSnapshot::merge`] semantics: counters and histograms
-//!   add, gauges keep the maximum).
+//! * [`TelemetrySet::merged_metrics`] — the additive fold of every
+//!   writer's snapshot ([`MetricsSnapshot::merge`] semantics: counters
+//!   and histograms add, gauges keep the maximum).
 //! * [`TelemetrySet::load_dir`] — reads every `telemetry-*` pair out of
 //!   a store directory, one [`WriterTelemetry`] per tag.
 //!
@@ -109,9 +109,10 @@ impl TelemetrySet {
         merge_traces(&self.writers)
     }
 
-    /// The merged metrics snapshot ([`merge_metrics`]).
+    /// Every writer's metrics snapshot folded into one (counters and
+    /// histograms add; gauges keep the maximum).
     pub fn merged_metrics(&self) -> MetricsSnapshot {
-        merge_metrics(&self.writers)
+        MetricsSnapshot::merged(self.writers.iter().map(|w| &w.metrics))
     }
 }
 
@@ -161,12 +162,6 @@ pub fn merge_traces(writers: &[WriterTelemetry]) -> Vec<TraceEvent> {
         out.extend(stream.into_iter().cloned());
     }
     out
-}
-
-/// Folds every writer's metrics snapshot into one fleet snapshot
-/// (counters and histograms add; gauges keep the maximum).
-pub fn merge_metrics(writers: &[WriterTelemetry]) -> MetricsSnapshot {
-    MetricsSnapshot::merged(writers.iter().map(|w| &w.metrics))
 }
 
 #[cfg(test)]
@@ -243,11 +238,13 @@ mod tests {
             m.observe("session.evaluate_ms", n as f64);
             m.snapshot()
         };
-        let parts = [
-            WriterTelemetry { writer: "w0".into(), events: vec![], metrics: snap(2) },
-            WriterTelemetry { writer: "w1".into(), events: vec![], metrics: snap(3) },
-        ];
-        let merged = merge_metrics(&parts);
+        let set = TelemetrySet {
+            writers: vec![
+                WriterTelemetry { writer: "w0".into(), events: vec![], metrics: snap(2) },
+                WriterTelemetry { writer: "w1".into(), events: vec![], metrics: snap(3) },
+            ],
+        };
+        let merged = set.merged_metrics();
         assert_eq!(merged.counter("policy.retries"), 5);
         assert_eq!(merged.hists["session.evaluate_ms"].count(), 2);
     }

@@ -23,7 +23,7 @@
 //!   parser, one table renderer shared by bench output and session
 //!   reports, and the `llamatune-report` binary, which rebuilds
 //!   best-so-far and regret curves, fault and hot-path totals and each
-//!   round's virtual-clock critical path from a stored session's
+//!   round's virtual-clock critical path from a store directory's
 //!   telemetry alone.
 //! * **Fleet aggregation** ([`aggregate`]) — merges the per-writer
 //!   telemetry pairs a fleet campaign persists into one campaign view:
@@ -33,9 +33,11 @@
 //!   registry snapshot as a Prometheus text-format scrape body, and
 //!   [`ProgressSink`] receives one summary per completed round while a
 //!   campaign runs.
-//! * **Diffing** ([`diff`]) — `llamatune-report diff`, which gates >2x
-//!   phase-latency or fault-count regressions between two stored
-//!   telemetry sets.
+//! * **The regression rule** ([`gate`]) — a [`Check`] per measurement,
+//!   which regresses past 2x its baseline plus an absolute slack, and
+//!   one renderer; `bench_gate` (over `BENCH_*.json` artifacts) and
+//!   `llamatune-report diff` (over two stored telemetry sets) both judge
+//!   through it.
 //!
 //! Instrumentation is strictly out-of-band: with tracing enabled or
 //! disabled, recorded histories and checkpoints are bit-identical
@@ -44,17 +46,17 @@
 //! hot path.
 
 pub mod aggregate;
-pub mod diff;
 pub mod export;
 pub mod fmt;
+pub mod gate;
 pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use aggregate::{merge_metrics, merge_traces, TelemetrySet, WriterTelemetry};
-pub use diff::{diff_telemetry, render_diff, Regression, TelemetryDiff};
+pub use aggregate::{merge_traces, TelemetrySet, WriterTelemetry};
 pub use export::{prometheus_text, MemoryProgressSink, ProgressSink, ProgressUpdate};
+pub use gate::{telemetry_checks, Check};
 pub use metrics::{HistSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{build_report, render_report, Report, SessionCurves};
 pub use trace::{

@@ -45,11 +45,6 @@ impl Domain {
             Domain::Categorical { choices } => Some(choices.len() as u64),
         }
     }
-
-    /// Whether this is a categorical domain.
-    pub fn is_categorical(&self) -> bool {
-        matches!(self, Domain::Categorical { .. })
-    }
 }
 
 /// A special value of a "hybrid" knob (Section 4.1 of the paper): setting
