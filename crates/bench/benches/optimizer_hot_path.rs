@@ -40,8 +40,8 @@ use llamatune_bench::artifact::{record, round, write_field, Field};
 use llamatune_obs::json::{write_f64, write_object};
 use llamatune_obs::MetricsRegistry;
 use llamatune_optim::{
-    Ddpg, DdpgConfig, GpBo, GpConfig, Observation, Optimizer, RandomForest, RandomForestConfig,
-    SearchSpec, Smac, SmacConfig, DEFAULT_METRIC_DIM,
+    Ddpg, DdpgConfig, GpBo, Observation, Optimizer, RandomForest, RandomForestConfig, SearchSpec,
+    Smac, SmacConfig, DEFAULT_METRIC_DIM,
 };
 use llamatune_runtime::BatchSuggest;
 use rand::rngs::StdRng;
@@ -81,7 +81,7 @@ struct GpObserveRow {
 fn gp_observe_row(n: usize, reps: usize) -> GpObserveRow {
     let history = synthetic_history(n + 1);
     let (prefill, probe) = history.split_at(n);
-    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), GpConfig::default(), SEED);
+    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), SEED);
     gp.observe_batch(prefill.to_vec());
     let snap = gp.snapshot().expect("GP supports snapshots");
     let mut times = Vec::new();
@@ -196,8 +196,7 @@ struct GpSuggestRow {
 /// of it the optimizer itself books to `optim.gp.ei_score_ms`.
 fn gp_suggest_row(n: usize, reps: usize) -> GpSuggestRow {
     let registry = Arc::new(MetricsRegistry::new());
-    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), GpConfig::default(), SEED)
-        .with_metrics(registry.clone());
+    let mut gp = GpBo::new(SearchSpec::continuous(DIMS), SEED).with_metrics(registry.clone());
     gp.observe_batch(synthetic_history(n));
     let ei_score_ms =
         || registry.snapshot().hists.get("optim.gp.ei_score_ms").map_or(0.0, |h| h.sum);
@@ -357,7 +356,7 @@ fn main() {
     for &n in retract_ns {
         retract_rows.push(retract_row(
             "gp_bo",
-            || Box::new(GpBo::new(SearchSpec::continuous(DIMS), GpConfig::default(), SEED)),
+            || Box::new(GpBo::new(SearchSpec::continuous(DIMS), SEED)),
             n,
             q,
             rounds,

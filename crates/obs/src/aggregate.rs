@@ -271,8 +271,19 @@ mod tests {
             )
             .unwrap();
         }
-        // Unrelated store files must be ignored.
-        std::fs::write(dir.join("MANIFEST"), b"sealed seg-000001\n").unwrap();
+        // The store files a traced fleet leaves beside its telemetry
+        // must be ignored: the manifest and each writer's segment.
+        let manifest =
+            "llamatune-store v1\nactive seg-w0-000001.jsonl\nactive seg-w1-000002.jsonl\n";
+        std::fs::write(dir.join("MANIFEST"), manifest).unwrap();
+        for (tag, seg) in [("w0", "seg-w0-000001.jsonl"), ("w1", "seg-w1-000002.jsonl")] {
+            let meta = format!(
+                "{{\"kind\":\"session\",\"session\":\"{tag}\",\"workload\":\"ycsb_a\",\
+                 \"adapter\":\"identity/s1\",\"status\":\"running\",\"stopped_at\":null,\
+                 \"fingerprint\":[],\"warm_points\":[],\"lease\":\"{tag}\"}}\n"
+            );
+            std::fs::write(dir.join(seg), meta).unwrap();
+        }
 
         let set = TelemetrySet::load_dir(&dir).unwrap();
         let tags: Vec<&str> = set.writers.iter().map(|w| w.writer.as_str()).collect();

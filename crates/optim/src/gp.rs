@@ -36,24 +36,14 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 
-/// GP-BO hyperparameters.
-#[derive(Debug, Clone)]
-pub struct GpConfig {
-    /// Random EI candidates per suggestion.
-    pub n_candidates: usize,
-    /// Refit kernel hyperparameters every this many observations.
-    pub refit_every: usize,
-    /// Random hyperparameter draws per MLE search.
-    pub mle_draws: usize,
-    /// EI exploration margin.
-    pub xi: f64,
-}
-
-impl Default for GpConfig {
-    fn default() -> Self {
-        GpConfig { n_candidates: 1_500, refit_every: 5, mle_draws: 24, xi: 0.01 }
-    }
-}
+/// Random EI candidates per suggestion.
+const N_CANDIDATES: usize = 1_500;
+/// Refit kernel hyperparameters every this many observations.
+const REFIT_EVERY: usize = 5;
+/// Random hyperparameter draws per MLE search.
+const MLE_DRAWS: usize = 24;
+/// EI exploration margin.
+const XI: f64 = 0.01;
 
 /// Kernel hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +89,6 @@ impl DimSplit {
 pub struct GpBo {
     spec: SearchSpec,
     dims: DimSplit,
-    config: GpConfig,
     rng: StdRng,
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
@@ -145,12 +134,11 @@ struct GpSnapshot {
 
 impl GpBo {
     /// Creates a GP-BO instance over `spec`.
-    pub fn new(spec: SearchSpec, config: GpConfig, seed: u64) -> Self {
+    pub fn new(spec: SearchSpec, seed: u64) -> Self {
         let dims = DimSplit::of(&spec);
         GpBo {
             spec,
             dims,
-            config,
             rng: StdRng::seed_from_u64(seed),
             xs: Vec::new(),
             ys: Vec::new(),
@@ -290,7 +278,7 @@ impl GpBo {
         self.y_mean = llamatune_math::mean(&self.ys);
         self.y_std = llamatune_math::std_dev(&self.ys).max(1e-6);
         let mut best: Option<(f64, Hyper, GpCache)> = None;
-        for i in 0..self.config.mle_draws {
+        for i in 0..MLE_DRAWS {
             let h = if i == 0 {
                 self.hyper // warm start from the current setting
             } else {
@@ -348,9 +336,8 @@ impl GpBo {
 
     fn ei_batch_inner(&self, candidates: &[Vec<f64>], best_standardized: f64) -> Vec<f64> {
         let std_norm = Normal::new(0.0, 1.0);
-        let ei_of = |mean: f64, var: f64| {
-            expected_improvement(mean, var, best_standardized, self.config.xi, &std_norm)
-        };
+        let ei_of =
+            |mean: f64, var: f64| expected_improvement(mean, var, best_standardized, XI, &std_norm);
         let Some(cache) = &self.cache else {
             // No usable factor (prior-only model): fall back to the
             // pointwise posterior, which reports (0, 1) everywhere.
@@ -467,7 +454,7 @@ impl GpBo {
     /// Whether pushing the `n`-th observation lands on a full-refit
     /// boundary (or there is no factor to extend yet).
     fn needs_refit(&self) -> bool {
-        self.xs.len().is_multiple_of(self.config.refit_every) || self.cache.is_none()
+        self.xs.len().is_multiple_of(REFIT_EVERY) || self.cache.is_none()
     }
 }
 
@@ -485,7 +472,7 @@ impl Optimizer for GpBo {
         // drawing them inside the scoring loop), then score the whole
         // batch against the factor in one blocked triangular solve.
         let candidates: Vec<Vec<f64>> =
-            (0..self.config.n_candidates).map(|_| self.spec.sample(&mut self.rng)).collect();
+            (0..N_CANDIDATES).map(|_| self.spec.sample(&mut self.rng)).collect();
         let eis = self.ei_batch(&candidates, best_std);
         let mut champion: Option<(f64, usize)> = None;
         for (j, &ei) in eis.iter().enumerate() {
@@ -586,7 +573,7 @@ mod tests {
     #[test]
     fn gp_interpolates_observations() {
         let spec = SearchSpec::continuous(1);
-        let mut gp = GpBo::new(spec, GpConfig::default(), 1);
+        let mut gp = GpBo::new(spec, 1);
         for (x, y) in [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)] {
             gp.observe(Observation { x: vec![x], y, metrics: vec![] });
         }
@@ -600,7 +587,7 @@ mod tests {
     #[test]
     fn posterior_variance_shrinks_at_observed_points() {
         let spec = SearchSpec::continuous(2);
-        let mut gp = GpBo::new(spec, GpConfig::default(), 2);
+        let mut gp = GpBo::new(spec, 2);
         for i in 0..6 {
             let x = vec![i as f64 / 5.0, 1.0 - i as f64 / 5.0];
             gp.observe(Observation { x, y: i as f64, metrics: vec![] });
@@ -618,7 +605,7 @@ mod tests {
     fn gp_bo_beats_random_search() {
         let f = |x: &[f64]| -((x[0] - 0.7) * (x[0] - 0.7) + (x[1] - 0.3) * (x[1] - 0.3));
         let spec = SearchSpec::continuous(2);
-        let mut gp = GpBo::new(spec.clone(), GpConfig::default(), 5);
+        let mut gp = GpBo::new(spec.clone(), 5);
         let gp_best = drive(&mut gp, f, 30);
         let mut rs = RandomSearch::new(spec, 5);
         let rs_best = drive(&mut rs, f, 30);
@@ -631,7 +618,7 @@ mod tests {
         let spec = SearchSpec {
             params: vec![ParamKind::Categorical { n: 3 }, ParamKind::Continuous { buckets: None }],
         };
-        let gp = GpBo::new(spec, GpConfig::default(), 3);
+        let gp = GpBo::new(spec, 3);
         let h = Hyper::default();
         let same = gp.kernel(&h, &[0.17, 0.5], &[0.17, 0.5]);
         let diff_cat = gp.kernel(&h, &[0.17, 0.5], &[0.84, 0.5]);
@@ -650,7 +637,7 @@ mod tests {
             let cat = ((x[1] * 4.0).floor() as usize).min(3);
             -(x[0] - 0.25) * (x[0] - 0.25) + if cat == 2 { 0.5 } else { 0.0 }
         };
-        let mut gp = GpBo::new(spec, GpConfig::default(), 8);
+        let mut gp = GpBo::new(spec, 8);
         let best = drive(&mut gp, f, 35);
         assert!(best > 0.4, "should find category 2 near x0=0.25: {best}");
     }
@@ -659,8 +646,8 @@ mod tests {
     fn deterministic_given_seed() {
         let spec = SearchSpec::continuous(2);
         let f = |x: &[f64]| -(x[0] - 0.5).abs();
-        let mut a = GpBo::new(spec.clone(), GpConfig::default(), 11);
-        let mut b = GpBo::new(spec, GpConfig::default(), 11);
+        let mut a = GpBo::new(spec.clone(), 11);
+        let mut b = GpBo::new(spec, 11);
         for _ in 0..10 {
             let xa = a.suggest();
             let xb = b.suggest();
@@ -684,7 +671,7 @@ mod tests {
             ],
         };
         let f = |x: &[f64]| x.iter().map(|v| -(v - 0.6) * (v - 0.6) + (7.0 * v).sin() * 0.05).sum();
-        let mut gp = GpBo::new(spec, GpConfig::default(), 11);
+        let mut gp = GpBo::new(spec, 11);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for i in 0..25 {
             let x = gp.suggest();
@@ -724,7 +711,7 @@ mod tests {
             })
             .collect();
         let spec = SearchSpec { params };
-        let mut gp = GpBo::new(spec.clone(), GpConfig::default(), seed);
+        let mut gp = GpBo::new(spec.clone(), seed);
         for _ in 0..rng.random_range(2..60) {
             let x = spec.sample(&mut rng);
             let y = x.iter().map(|v| (v - 0.3) * (v - 0.3)).sum::<f64>() + rng.random::<f64>();
@@ -756,7 +743,7 @@ mod tests {
                     .iter()
                     .map(|x| {
                         let (mean, var) = gp.predict(x);
-                        expected_improvement(mean, var, best, gp.config.xi, &std_norm).to_bits()
+                        expected_improvement(mean, var, best, XI, &std_norm).to_bits()
                     })
                     .collect();
                 assert_eq!(got, want, "seed {seed}, {m} candidates, {:?}", gp.spec);

@@ -24,7 +24,7 @@ pub mod smac;
 pub mod spec;
 
 pub use ddpg::{Ddpg, DdpgConfig};
-pub use gp::{GpBo, GpConfig};
+pub use gp::GpBo;
 pub use guard::{DegradationEvent, GuardFactory, GuardedOptimizer};
 pub use rf::{RandomForest, RandomForestConfig, Tree, TreeNode};
 pub use smac::{Smac, SmacConfig};

@@ -250,10 +250,9 @@ impl OptimizerKind {
                 crate::Smac::new(spec.clone(), crate::SmacConfig::default(), seed)
                     .with_metrics(metrics.clone()),
             ),
-            OptimizerKind::GpBo => Box::new(
-                crate::GpBo::new(spec.clone(), crate::GpConfig::default(), seed)
-                    .with_metrics(metrics.clone()),
-            ),
+            OptimizerKind::GpBo => {
+                Box::new(crate::GpBo::new(spec.clone(), seed).with_metrics(metrics.clone()))
+            }
             OptimizerKind::Ddpg => Box::new(crate::Ddpg::new(
                 spec.clone(),
                 DEFAULT_METRIC_DIM,

@@ -6,7 +6,7 @@
 
 mod common;
 
-use llamatune_optim::{GpBo, GpConfig, Observation, Optimizer, ParamKind, SearchSpec};
+use llamatune_optim::{GpBo, Observation, Optimizer, ParamKind, SearchSpec};
 
 /// A deterministic multi-modal objective over the unit cube.
 fn objective(x: &[f64]) -> f64 {
@@ -61,7 +61,7 @@ fn exact_path_reproduces_the_pre_sparse_golden_stream() {
         [0x3fe725a3d7c367cd, 0x3fc5555555555555, 0x3fef58d0fac687d6],
         [0x3f93d2e8da683ce0, 0x3fc5555555555555, 0x3fe0fac687d6343f],
     ];
-    let mut gp = GpBo::new(mixed_spec(), GpConfig::default(), 17);
+    let mut gp = GpBo::new(mixed_spec(), 17);
     for (i, expected) in GOLDEN.iter().enumerate() {
         let x = step(&mut gp);
         let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
@@ -120,7 +120,7 @@ fn exact_path_is_pinned_on_the_all_continuous_llamatune_shape() {
         0xc07ebf9a0e0438e6,
         0x4a9ffd2fdb96f9b0,
     ];
-    let mut gp = GpBo::new(common::bucketized_16(), GpConfig::default(), 42);
+    let mut gp = GpBo::new(common::bucketized_16(), 42);
     let got: Vec<u64> = (0..40).map(|_| common::digest(&step(&mut gp))).collect();
     common::assert_stream("gp-bo bucketized-16", &got, &GOLDEN);
 }
@@ -133,8 +133,7 @@ fn exact_path_is_pinned_on_the_all_continuous_llamatune_shape() {
 #[test]
 fn non_finite_rows_fall_back_to_refit_and_are_counted() {
     let registry = std::sync::Arc::new(llamatune_obs::MetricsRegistry::new());
-    let mut gp = GpBo::new(SearchSpec::continuous(2), GpConfig::default(), 41)
-        .with_metrics(registry.clone());
+    let mut gp = GpBo::new(SearchSpec::continuous(2), 41).with_metrics(registry.clone());
     // Warm up past the first refit boundary so a cached factor exists
     // and the next observe takes the incremental append path.
     for i in 0..6 {

@@ -7,8 +7,8 @@
 //! lie retraction on.
 
 use llamatune_optim::{
-    Ddpg, DdpgConfig, GpBo, GpConfig, Observation, Optimizer, ParamKind, RandomSearch, SearchSpec,
-    Smac, SmacConfig,
+    Ddpg, DdpgConfig, GpBo, Observation, Optimizer, ParamKind, RandomSearch, SearchSpec, Smac,
+    SmacConfig,
 };
 
 /// A deterministic multi-modal objective over the unit cube.
@@ -34,7 +34,7 @@ fn snapshot_capable_builders() -> Vec<(&'static str, Builder)> {
     vec![
         ("random", |seed| Box::new(RandomSearch::new(mixed_spec(), seed))),
         ("smac", |seed| Box::new(Smac::new(mixed_spec(), SmacConfig::default(), seed))),
-        ("gp-bo", |seed| Box::new(GpBo::new(mixed_spec(), GpConfig::default(), seed))),
+        ("gp-bo", |seed| Box::new(GpBo::new(mixed_spec(), seed))),
         // A minibatch of 4 trains from the fifth transition on, so the
         // detour below moves the weights, the Adam moments, the replay
         // buffer, the noise and the RNG.
@@ -128,8 +128,8 @@ fn foreign_snapshots_are_refused_without_side_effects() {
 #[test]
 fn gp_observe_batch_is_sequentially_equivalent() {
     for batch_len in [1usize, 3, 7, 12] {
-        let mut batched = GpBo::new(mixed_spec(), GpConfig::default(), 13);
-        let mut sequential = GpBo::new(mixed_spec(), GpConfig::default(), 13);
+        let mut batched = GpBo::new(mixed_spec(), 13);
+        let mut sequential = GpBo::new(mixed_spec(), 13);
         let obs: Vec<Observation> = (0..batch_len)
             .map(|i| {
                 let t = i as f64 / batch_len as f64;

@@ -149,9 +149,7 @@ impl Optimizer for BatchSuggest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamatune_optim::{
-        GpBo, GpConfig, OptimizerKind, RandomSearch, SearchSpec, Smac, SmacConfig,
-    };
+    use llamatune_optim::{GpBo, OptimizerKind, RandomSearch, SearchSpec, Smac, SmacConfig};
 
     fn smac(seed: u64, d: usize) -> Box<dyn Optimizer> {
         Box::new(Smac::new(SearchSpec::continuous(d), SmacConfig::default(), seed))
@@ -365,7 +363,7 @@ mod tests {
         let builds: [(&str, Build); 4] = [
             ("random", || random(5, 2)),
             ("smac", || smac(5, 2)),
-            ("gp-bo", || Box::new(GpBo::new(SearchSpec::continuous(2), GpConfig::default(), 5))),
+            ("gp-bo", || Box::new(GpBo::new(SearchSpec::continuous(2), 5))),
             ("ddpg", || OptimizerKind::Ddpg.build(&SearchSpec::continuous(2), 5)),
         ];
         for (name, build) in builds {

@@ -354,10 +354,13 @@ fn kill_mid_chaos_campaign_resumes_byte_identically() {
         let lines: Vec<&str> = stream.lines().collect();
         for cut in [2usize, 5, 8, lines.len() - 1] {
             let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
+            // The writer `local` killed there: its active segment, cut,
+            // still registered in the manifest.
             let dir = tmp_dir(&format!("cut_{seed}_{cut}"));
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join("MANIFEST"), "llamatune-store v1\n").unwrap();
-            std::fs::write(dir.join("seg-000001.jsonl"), prefix).unwrap();
+            let manifest = "llamatune-store v1\nactive seg-local-000001.jsonl\n";
+            std::fs::write(dir.join("MANIFEST"), manifest).unwrap();
+            std::fs::write(dir.join("seg-local-000001.jsonl"), prefix).unwrap();
             let store = TrialStore::open(&dir).unwrap();
             let resumed = campaign.resume(&store).unwrap();
             assert_eq!(

@@ -44,14 +44,9 @@
 //! content-identical and last-wins merge order does not matter. A
 //! handle with no writer tag is a reader: it never writes.
 //!
-//! ## The legacy reader
-//!
-//! Stores written before every writer carried a tag have untagged
-//! segment names (`seg-NNNNNN.jsonl`) and no `active` entries: their
-//! active segment is unlisted and follows the highest listed index
-//! (`Manifest::derived_active`). Readers and replays still read such
-//! a segment, and a writer opening the store repairs and seals it
-//! before it registers its own.
+//! A store in the untagged layout that preceded writer tags
+//! (`seg-NNNNNN.jsonl`, the active segment unlisted) is refused with
+//! `InvalidData` by every open, before anything is written.
 //!
 //! [`TrialStore::open`]: crate::TrialStore::open
 //! [`TrialStore::open_shared`]: crate::TrialStore::open_shared
@@ -75,14 +70,28 @@ pub(crate) fn segment_name(writer: &str, index: usize) -> String {
     format!("seg-{writer}-{index:06}.jsonl")
 }
 
-/// Splits a segment name into its writer tag and index; a legacy
-/// store's untagged `seg-NNNNNN.jsonl` has no tag.
-fn segment_parts(name: &str) -> Option<(Option<&str>, usize)> {
-    let core = name.strip_prefix("seg-")?.strip_suffix(".jsonl")?;
-    match core.rsplit_once('-') {
-        Some((writer, index)) => Some((Some(writer), index.parse().ok()?)),
-        None => Some((None, core.parse().ok()?)),
-    }
+/// Splits a segment name into its writer tag and index.
+fn segment_parts(name: &str) -> Option<(&str, usize)> {
+    let (writer, index) = name.strip_prefix("seg-")?.strip_suffix(".jsonl")?.rsplit_once('-')?;
+    Some((writer, index.parse().ok()?))
+}
+
+/// The first segment of a store in the untagged layout, where it is
+/// the unlisted active segment until the first seal.
+const UNTAGGED_FIRST: &str = "seg-000001.jsonl";
+
+/// Whether `name` is a segment of the untagged layout (`seg-NNNNNN.jsonl`).
+fn is_untagged(name: &str) -> bool {
+    let core = name.strip_prefix("seg-").and_then(|n| n.strip_suffix(".jsonl"));
+    core.is_some_and(|index| index.parse::<usize>().is_ok())
+}
+
+/// The refusal of a store in the untagged layout.
+fn untagged_layout(name: &str) -> io::Error {
+    corrupt(format!(
+        "{name}: untagged store layout (seg-NNNNNN.jsonl, active segment unlisted) is not \
+         read; segments must carry their writer's tag (seg-<writer>-NNNNNN.jsonl)"
+    ))
 }
 
 /// Inverse of [`segment_name`]: the numeric index of a segment file.
@@ -90,14 +99,13 @@ pub(crate) fn segment_index(name: &str) -> Option<usize> {
     segment_parts(name).map(|(_, index)| index)
 }
 
-/// The writer tag embedded in a segment name (`None`: legacy).
+/// The writer tag embedded in a segment name.
 pub(crate) fn segment_writer(name: &str) -> Option<&str> {
-    segment_parts(name).and_then(|(writer, _)| writer)
+    segment_parts(name).map(|(writer, _)| writer)
 }
 
 /// The parsed `MANIFEST`: sealed segments in commit order, then the
-/// registered active segments of the writers (empty for a legacy store,
-/// whose active segment is derived, not listed).
+/// registered active segments of the writers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Manifest {
     pub(crate) sealed: Vec<String>,
@@ -122,6 +130,9 @@ impl Manifest {
                 Some(name) => (&mut m.actives, name),
                 None => (&mut m.sealed, line),
             };
+            if is_untagged(name) {
+                return Err(untagged_layout(name));
+            }
             if segment_index(name).is_none() {
                 return Err(corrupt(format!("unparsable segment name {name:?} in manifest")));
             }
@@ -148,14 +159,6 @@ impl Manifest {
     /// Highest segment index across every listed segment, any writer.
     pub(crate) fn max_index(&self) -> usize {
         self.sealed.iter().chain(&self.actives).filter_map(|n| segment_index(n)).max().unwrap_or(0)
-    }
-
-    /// The implicit active segment of a legacy store: unlisted and
-    /// untagged, it follows the highest sealed index (indices are
-    /// monotonic but, after compaction, not necessarily dense). `None`
-    /// once a writer has registered its own.
-    pub(crate) fn derived_active(&self) -> Option<String> {
-        self.actives.is_empty().then(|| format!("seg-{:06}.jsonl", self.max_index() + 1))
     }
 }
 
@@ -213,8 +216,10 @@ pub(crate) struct Settled<T> {
 /// `writer` or, with `None`, by a reader. Reads the current manifest
 /// (committing an empty one first iff the store is brand new and the
 /// caller is a writer; to a reader an absent manifest is an empty
-/// store), runs `step` on it, and commits what `step` asks for. One
-/// round ends in one of three ways:
+/// store), runs `step` on it, and commits what `step` asks for. A
+/// manifest that lists nothing beside an untagged [`UNTAGGED_FIRST`]
+/// is a store in the untagged layout: it is refused before anything is
+/// written. One round ends in one of three ways:
 ///
 /// * **settled** — `step` kept the manifest, or its [`Step::Install`]
 ///   won the CAS: the loop returns.
@@ -240,22 +245,21 @@ pub(crate) fn with_manifest<T>(
     let mut view = backend.read_manifest()?;
     let (out, manifest) = loop {
         let (bytes, mut revision) = view;
-        let manifest = match bytes {
-            Some(bytes) => Manifest::parse(&bytes)?,
-            None if writer.is_none() => Manifest::default(),
-            None => match backend.commit_manifest(&Manifest::default().to_bytes(), 0)? {
-                Ok(created) => {
-                    revision = created;
-                    Manifest::default()
-                }
+        let manifest = bytes.as_deref().map_or(Ok(Manifest::default()), Manifest::parse)?;
+        if manifest == Manifest::default() && backend.get(UNTAGGED_FIRST)?.is_some() {
+            return Err(untagged_layout(UNTAGGED_FIRST));
+        }
+        if bytes.is_none() && writer.is_some() {
+            match backend.commit_manifest(&manifest.to_bytes(), 0)? {
+                Ok(created) => revision = created,
                 // CAS-raced creators simply take the winner's.
                 Err(lost) => {
                     view = (lost.current, lost.revision);
                     cas_retry(&mut backoff, what)?;
                     continue;
                 }
-            },
-        };
+            }
+        }
         view = match step(&manifest) {
             Ok(Step::Keep(out)) => break (out, manifest),
             Ok(Step::Install { manifest, created, out }) => {
@@ -286,8 +290,10 @@ pub(crate) fn with_manifest<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CasConflict, ObjectStoreBackend, ObjectStoreOptions, Revision};
-    use crate::record::StoredTrial;
+    use crate::backend::{
+        CasConflict, LocalDirBackend, ObjectStoreBackend, ObjectStoreOptions, Revision,
+    };
+    use crate::record::{StoreRecord, StoredTrial};
     use crate::store::{StoreOptions, TrialStore};
     use std::sync::{Arc, Mutex};
 
@@ -296,18 +302,20 @@ mod tests {
     /// ahead of it, and so loses a real CAS.
     #[derive(Debug)]
     struct Probe {
-        inner: ObjectStoreBackend,
+        inner: Box<dyn StoreBackend>,
         rival: Mutex<Option<Manifest>>,
         log: Mutex<Vec<String>>,
     }
 
     impl Probe {
         fn new() -> Arc<Probe> {
-            Arc::new(Probe {
-                inner: ObjectStoreBackend::new(ObjectStoreOptions { eventual_list: false }),
-                rival: Mutex::new(None),
-                log: Mutex::new(Vec::new()),
-            })
+            Probe::over(Box::new(ObjectStoreBackend::new(ObjectStoreOptions {
+                eventual_list: false,
+            })))
+        }
+
+        fn over(inner: Box<dyn StoreBackend>) -> Arc<Probe> {
+            Arc::new(Probe { inner, rival: Mutex::new(None), log: Mutex::new(Vec::new()) })
         }
 
         fn note(&self, op: &str, name: &str) {
@@ -480,7 +488,7 @@ mod tests {
 
     #[test]
     fn a_manifest_line_that_is_no_segment_name_is_invalid_data_in_every_open_mode() {
-        for line in ["not-a-segment", "active seg-w0-oops.jsonl"] {
+        for line in ["not-a-segment", "active seg-w0-oops.jsonl", UNTAGGED_FIRST] {
             let be = Probe::new();
             let bytes = format!("{MANIFEST_HEADER}\n{line}\n");
             be.inner.commit_manifest(bytes.as_bytes(), 0).unwrap().unwrap();
@@ -491,8 +499,55 @@ mod tests {
             for (mode, opened) in opens {
                 let err = opened.expect_err(mode);
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{mode} on {line:?}: {err}");
+                let untagged = err.to_string().contains("untagged store layout");
+                assert_eq!(untagged, line == UNTAGGED_FIRST, "{mode} on {line:?}: {err}");
             }
             assert_eq!(be.read_manifest().unwrap().0.unwrap(), bytes.as_bytes(), "left as found");
         }
+    }
+
+    /// Every object `be` lists, then its manifest, with their bytes.
+    fn contents(be: &dyn StoreBackend) -> Vec<(String, Option<Vec<u8>>)> {
+        let mut all: Vec<_> =
+            be.list().unwrap().into_iter().map(|n| (n.clone(), be.get(&n).unwrap())).collect();
+        all.push(("MANIFEST".to_string(), be.read_manifest().unwrap().0));
+        all
+    }
+
+    #[test]
+    fn a_header_only_manifest_beside_an_untagged_segment_is_refused_by_every_open() {
+        let dir = std::env::temp_dir()
+            .join("llamatune_store_unit")
+            .join(format!("untagged_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let local = LocalDirBackend::create(&dir).unwrap();
+        let object = ObjectStoreBackend::new(ObjectStoreOptions { eventual_list: false });
+        let backends: [(bool, Box<dyn StoreBackend>); 2] =
+            [(true, Box::new(local)), (false, Box::new(object))];
+        for (on_dir, inner) in backends {
+            inner.commit_manifest(format!("{MANIFEST_HEADER}\n").as_bytes(), 0).unwrap().unwrap();
+            let record = crate::record::record_to_json(&StoreRecord::Trial(trial(0)));
+            inner.put(UNTAGGED_FIRST, format!("{record}\n").as_bytes()).unwrap();
+            let found = contents(&*inner);
+            let be = Probe::over(inner);
+            let opts = StoreOptions::default();
+            let mut opens = vec![
+                ("open_shared", TrialStore::open_shared(be.clone(), "w1", opts.clone())),
+                ("open_reader", TrialStore::open_reader(be.clone(), opts)),
+            ];
+            if on_dir {
+                opens.push(("open", TrialStore::open(&dir)));
+            }
+            for (mode, opened) in opens {
+                let err = opened.expect_err(mode);
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{mode}: {err}");
+                assert!(err.to_string().contains("untagged store layout"), "{mode}: {err}");
+            }
+            let log = be.log.lock().unwrap();
+            let writes = ["put ", "append ", "truncate ", "commit "];
+            assert!(!log.iter().any(|op| writes.iter().any(|w| op.starts_with(w))), "{log:?}");
+            assert_eq!(contents(&*be.inner), found, "left as found");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,11 +10,6 @@
 //! seg-svc-000004.jsonl   # another writer's active segment
 //! ```
 //!
-//! A store written before every writer carried a tag has untagged
-//! names (`seg-000001.jsonl`) and an unlisted active segment after the
-//! highest listed index; replays still read it (the *legacy reader*,
-//! see [`crate::manifest`]).
-//!
 //! Objects live behind a [`StoreBackend`] — a local directory
 //! ([`crate::backend::LocalDirBackend`]) or S3-style object storage
 //! ([`crate::backend::ObjectStoreBackend`]); the store never touches
@@ -208,12 +203,11 @@ pub(crate) fn on_every_core<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R +
 }
 
 /// Replays one manifest view: sealed segments strictly (in manifest
-/// order), then active segments leniently — the registered ones, or,
-/// when the manifest registers no writer, a legacy store's implicit
-/// active. `own` names the segment the caller owns; its
-/// torn tail is repaired while it is read. Propagates
-/// [`io::ErrorKind::NotFound`] from sealed reads so the manifest loop
-/// can retry against a manifest a concurrent compaction just committed.
+/// order), then the registered active segments leniently. `own` names
+/// the segment the caller owns; its torn tail is repaired while it is
+/// read. Propagates [`io::ErrorKind::NotFound`] from sealed reads so
+/// the manifest loop can retry against a manifest a concurrent
+/// compaction just committed.
 ///
 /// Every segment but `own` is read and parsed up front, in parallel
 /// ([`on_every_core`]); the records are then applied in manifest order,
@@ -224,13 +218,12 @@ pub(crate) fn replay_manifest(
     m: &Manifest,
     own: Option<&str>,
 ) -> io::Result<Replay> {
-    let derived = m.derived_active();
     // (name, sealed), in manifest order.
     let segments: Vec<(&str, bool)> = m
         .sealed
         .iter()
         .map(|n| (n.as_str(), true))
-        .chain(m.actives.iter().chain(&derived).map(|n| (n.as_str(), false)))
+        .chain(m.actives.iter().map(|n| (n.as_str(), false)))
         .collect();
     let is_own = |&(name, sealed): &(&str, bool)| !sealed && own == Some(name);
     let others: Vec<(&str, bool)> = segments.iter().copied().filter(|s| !is_own(s)).collect();
@@ -274,7 +267,7 @@ pub(crate) fn reference_replay(
             replay.index.apply_record(rec);
         }
     }
-    for name in m.actives.iter().chain(&m.derived_active()) {
+    for name in &m.actives {
         let recs = load_segment_lenient(backend, name, own == Some(name))?;
         replay.active_counts.insert(name.clone(), recs.len());
         for rec in recs {

@@ -155,18 +155,6 @@ impl TrialStore {
             let mut m = m.clone();
             let mut changed = false;
 
-            // A legacy store has an implicit (derived, unlisted) active
-            // segment; fold it into the sealed list so every writer can
-            // see it. Safe under the same assumption every writer's open
-            // makes: no other handle with authority over that segment is
-            // live.
-            if let Some(derived) = m.derived_active() {
-                if !load_segment_lenient(backend, &derived, true)?.is_empty() {
-                    m.sealed.push(derived);
-                    changed = true;
-                }
-            }
-
             // Reclaim active segments a dead incarnation of this writer
             // left behind: adopt the newest as our active segment (the
             // replay below repairs its torn tail), repair and seal the
@@ -213,11 +201,10 @@ impl TrialStore {
     }
 
     /// Opens a *reader*: the merged view of a store — sealed segments
-    /// plus every registered writer's active segment (and the implicit
-    /// active of a legacy store). Registers nothing, repairs nothing and
-    /// writes nothing — an absent manifest stays absent; appends and
-    /// compaction return errors. Call [`TrialStore::refresh`] to re-read
-    /// the current state.
+    /// plus every registered writer's active segment. Registers
+    /// nothing, repairs nothing and writes nothing — an absent manifest
+    /// stays absent; appends and compaction return errors. Call
+    /// [`TrialStore::refresh`] to re-read the current state.
     pub fn open_reader(
         backend: Arc<dyn StoreBackend>,
         opts: StoreOptions,
@@ -1249,63 +1236,6 @@ mod tests {
         w.append_trial(&trial("s1", 2, 2.0)).unwrap();
         let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
         assert_eq!(reader.trials_for("s1").len(), 3);
-    }
-
-    /// A store as the parent format left it: a MANIFEST naming one
-    /// untagged sealed segment, and after it the unlisted active segment
-    /// `seg-000002.jsonl`, whose last append was torn mid-record.
-    fn legacy_store(dir: &Path) {
-        std::fs::create_dir_all(dir).unwrap();
-        let line = |rec: StoreRecord| format!("{}\n", record_to_json(&rec));
-        let trial_line = |i: usize| line(StoreRecord::Trial(trial("s1", i, i as f64)));
-        let sealed = line(StoreRecord::Session(meta("s1", SessionStatus::Running)))
-            + &trial_line(0)
-            + &trial_line(1);
-        let torn = trial_line(4);
-        let active = trial_line(2) + &trial_line(3) + &torn[..torn.len() / 2];
-        std::fs::write(dir.join("MANIFEST"), format!("{MANIFEST_HEADER}\nseg-000001.jsonl\n"))
-            .unwrap();
-        std::fs::write(dir.join("seg-000001.jsonl"), sealed).unwrap();
-        std::fs::write(dir.join("seg-000002.jsonl"), active).unwrap();
-    }
-
-    #[test]
-    fn a_legacy_store_reads_the_same_through_every_open() {
-        let mut views = Vec::new();
-        for mode in ["open", "open_shared", "open_reader"] {
-            let dir = tmp_dir(&format!("legacy_{mode}"));
-            legacy_store(&dir);
-            let before = std::fs::read(dir.join("seg-000002.jsonl")).unwrap();
-            let be: Arc<dyn StoreBackend> = Arc::new(LocalDirBackend::create(&dir).unwrap());
-            let opts = StoreOptions::default();
-            let store = match mode {
-                "open" => TrialStore::open(&dir),
-                "open_shared" => TrialStore::open_shared(be.clone(), "w0", opts.clone()),
-                _ => TrialStore::open_reader(be.clone(), opts.clone()),
-            }
-            .unwrap();
-            views.push((store.trials_for("s1"), store.export_jsonl()));
-            let after = std::fs::read(dir.join("seg-000002.jsonl")).unwrap();
-            if store.writer().is_none() {
-                assert_eq!(after, before, "a reader repairs nothing");
-            } else {
-                // A writer repairs the unlisted active segment, seals it,
-                // and appends past it into a tagged segment of its own.
-                assert_eq!(after, before[..after.len()], "the torn tail is cut");
-                assert!(after.ends_with(b"\n"));
-                assert_eq!(store.sealed_segments(), ["seg-000001.jsonl", "seg-000002.jsonl"]);
-                store.append_trial(&trial("s1", 4, 4.0)).unwrap();
-                drop(store);
-                // Whichever writer wrote it, `open` reads the store on.
-                let reopened = TrialStore::open(&dir).unwrap();
-                assert_eq!(reopened.trials_for("s1").len(), 5);
-                let reader = TrialStore::open_reader(be, opts).unwrap();
-                assert_eq!(reader.export_jsonl(), reopened.export_jsonl());
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        assert_eq!(views[0].0.len(), 4, "the torn fifth trial is dropped");
-        assert!(views.iter().all(|v| *v == views[0]), "every open reads the same store");
     }
 
     #[test]

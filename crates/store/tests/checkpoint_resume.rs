@@ -65,14 +65,18 @@ fn record_stream(dir: &std::path::Path) -> String {
     stream_of(&manifest, |name| std::fs::read_to_string(dir.join(name)).unwrap())
 }
 
-/// Writes a prefix of a record stream as a fresh store directory in the
-/// legacy format — an empty manifest and the unlisted, untagged active
-/// segment after it — so each resume also reads the legacy layout. It
-/// is the on-disk state a kill at that byte would leave.
+/// The manifest a writer `local` killed before its first seal leaves:
+/// its active segment registered, nothing sealed.
+const KILLED_MANIFEST: &str = "llamatune-store v1\nactive seg-local-000001.jsonl\n";
+
+/// Writes a prefix of a record stream as a fresh store directory: the
+/// on-disk state a kill of the writer `local` at that byte would leave
+/// ([`KILLED_MANIFEST`] and its active segment, cut), which the resume
+/// reclaims and repairs.
 fn store_from_prefix(dir: &std::path::Path, stream_prefix: &str) {
     std::fs::create_dir_all(dir).unwrap();
-    std::fs::write(dir.join("MANIFEST"), "llamatune-store v1\n").unwrap();
-    std::fs::write(dir.join("seg-000001.jsonl"), stream_prefix).unwrap();
+    std::fs::write(dir.join("MANIFEST"), KILLED_MANIFEST).unwrap();
+    std::fs::write(dir.join("seg-local-000001.jsonl"), stream_prefix).unwrap();
 }
 
 #[test]
@@ -215,13 +219,13 @@ fn object_backend() -> Arc<dyn StoreBackend> {
     Arc::new(ObjectStoreBackend::new(ObjectStoreOptions { eventual_list: true }))
 }
 
-/// The object-store analogue of [`store_from_prefix`]: one legacy
-/// segment object holding the stream prefix, plus an empty committed
-/// manifest.
+/// The object-store analogue of [`store_from_prefix`]: the killed
+/// writer's active segment object holding the stream prefix, plus
+/// [`KILLED_MANIFEST`] committed.
 fn object_store_from_prefix(prefix: &str) -> TrialStore {
     let be = object_backend();
-    be.put("seg-000001.jsonl", prefix.as_bytes()).unwrap();
-    be.commit_manifest(b"llamatune-store v1\n", 0).unwrap().unwrap();
+    be.put("seg-local-000001.jsonl", prefix.as_bytes()).unwrap();
+    be.commit_manifest(KILLED_MANIFEST.as_bytes(), 0).unwrap().unwrap();
     TrialStore::open_shared(be, "local", StoreOptions::default()).unwrap()
 }
 
@@ -421,9 +425,7 @@ fn warm_started_campaign_resumes_with_its_recorded_warm_points() {
     let keep = target_meta_line + 3;
     let prefix: String = stream.lines().take(keep).map(|l| format!("{l}\n")).collect();
     let cut_dir = tmp_dir("warm_resume_cut");
-    std::fs::create_dir_all(&cut_dir).unwrap();
-    std::fs::write(cut_dir.join("MANIFEST"), "llamatune-store v1\n").unwrap();
-    std::fs::write(cut_dir.join("seg-000001.jsonl"), &prefix).unwrap();
+    store_from_prefix(&cut_dir, &prefix);
     let cut_store = TrialStore::open(&cut_dir).unwrap();
     let resumed_meta = cut_store.session_meta(label).unwrap();
     assert_eq!(resumed_meta.warm_points, meta.warm_points, "warm points survive the cut");

@@ -50,15 +50,16 @@ fn kill_mid_campaign_then_resume_yields_the_identical_final_history() {
     let truth_export = truth_store.export_jsonl();
 
     // The "crashed" store: the truth store's segment cut mid-record —
-    // the bytes a SIGKILL during an append would leave on disk — laid
-    // out as a legacy store's unlisted active segment.
+    // the bytes a SIGKILL during an append would leave on disk — still
+    // registered as the killed writer `local`'s active segment.
     let crash_dir = tmp_dir("crashed");
     std::fs::create_dir_all(&crash_dir).unwrap();
     let seg = std::fs::read_to_string(truth_dir.join("seg-local-000001.jsonl")).unwrap();
     let cut = (0..seg.len() * 3 / 5).rev().find(|&i| seg.is_char_boundary(i)).unwrap();
     assert!(seg.as_bytes()[cut.saturating_sub(1)] != b'\n', "cut tears a record in half");
-    std::fs::write(crash_dir.join("MANIFEST"), "llamatune-store v1\n").unwrap();
-    std::fs::write(crash_dir.join("seg-000001.jsonl"), &seg[..cut]).unwrap();
+    let manifest = "llamatune-store v1\nactive seg-local-000001.jsonl\n";
+    std::fs::write(crash_dir.join("MANIFEST"), manifest).unwrap();
+    std::fs::write(crash_dir.join("seg-local-000001.jsonl"), &seg[..cut]).unwrap();
 
     // Recovery drops the torn record and the campaign resumes.
     let store = TrialStore::open(&crash_dir).unwrap();

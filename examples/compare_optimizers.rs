@@ -6,9 +6,7 @@
 
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::session::{run_session, EvalResult, SessionOptions};
-use llamatune_optim::{
-    Ddpg, DdpgConfig, GpBo, GpConfig, Optimizer, Smac, SmacConfig, DEFAULT_METRIC_DIM,
-};
+use llamatune_optim::{Ddpg, DdpgConfig, GpBo, Optimizer, Smac, SmacConfig, DEFAULT_METRIC_DIM};
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_workloads::{tpcc, WorkloadRunner};
 
@@ -23,7 +21,7 @@ fn main() {
         let spec = pipeline.optimizer_spec().clone();
         let optimizer: Box<dyn Optimizer> = match name {
             "smac" => Box::new(Smac::new(spec, SmacConfig::default(), 5)),
-            "gp-bo" => Box::new(GpBo::new(spec, GpConfig::default(), 5)),
+            "gp-bo" => Box::new(GpBo::new(spec, 5)),
             _ => Box::new(Ddpg::new(spec, DEFAULT_METRIC_DIM, DdpgConfig::default(), 5)),
         };
         let history = run_session(

@@ -49,14 +49,16 @@ fn main() {
 
     // 2. Simulated crash: copy a prefix of the record stream — torn
     // mid-record, exactly what a SIGKILL during an append leaves — into
-    // a store laid out as the legacy format's unlisted active segment.
+    // a store whose manifest still lists it as the killed writer
+    // `local`'s active segment.
     let crash_dir = std::env::temp_dir().join("llamatune_resume_example_crash");
     let _ = std::fs::remove_dir_all(&crash_dir);
     std::fs::create_dir_all(&crash_dir).expect("create dir");
     let seg = std::fs::read_to_string(truth_dir.join("seg-local-000001.jsonl")).expect("segment");
     let cut = seg.len() / 2;
-    std::fs::write(crash_dir.join("MANIFEST"), "llamatune-store v1\n").expect("manifest");
-    std::fs::write(crash_dir.join("seg-000001.jsonl"), &seg[..cut]).expect("torn segment");
+    let manifest = "llamatune-store v1\nactive seg-local-000001.jsonl\n";
+    std::fs::write(crash_dir.join("MANIFEST"), manifest).expect("manifest");
+    std::fs::write(crash_dir.join("seg-local-000001.jsonl"), &seg[..cut]).expect("torn segment");
 
     // 3. Recovery + resume: reopen, continue from the last round
     // boundary, and end with the identical history.

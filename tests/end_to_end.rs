@@ -9,9 +9,7 @@ use llamatune::pipeline::{
 use llamatune::report::final_improvement_pct;
 use llamatune::session::{run_session, EvalResult, SessionHistory, SessionOptions};
 use llamatune_engine::RunOptions;
-use llamatune_optim::{
-    Ddpg, DdpgConfig, GpBo, GpConfig, Optimizer, Smac, SmacConfig, DEFAULT_METRIC_DIM,
-};
+use llamatune_optim::{Ddpg, DdpgConfig, GpBo, Optimizer, Smac, SmacConfig, DEFAULT_METRIC_DIM};
 use llamatune_space::catalog::{postgres_v13_6, postgres_v9_6};
 use llamatune_space::ConfigSpace;
 use llamatune_workloads::{suggested_options, workload_by_name, Objective, WorkloadRunner};
@@ -130,7 +128,7 @@ fn all_optimizers_run_through_the_pipeline() {
     let spec = pipeline.optimizer_spec().clone();
     let optimizers: Vec<Box<dyn Optimizer>> = vec![
         Box::new(Smac::new(spec.clone(), SmacConfig::default(), 9)),
-        Box::new(GpBo::new(spec.clone(), GpConfig::default(), 9)),
+        Box::new(GpBo::new(spec.clone(), 9)),
         Box::new(Ddpg::new(spec, DEFAULT_METRIC_DIM, DdpgConfig::default(), 9)),
     ];
     for opt in optimizers {
