@@ -23,10 +23,9 @@
 //!     cargo bench -p llamatune-bench --bench engine_eval
 //!
 //! `LLAMATUNE_QUICK=1` shrinks the configuration set and the repeats to
-//! smoke-test scale.
+//! smoke-test scale; such a run prints its table and records nothing.
 
-use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_obs::json::write_object;
+use llamatune_bench::artifact::{self, median, round, Artifact, Field::*, Row};
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_space::Config;
 use llamatune_workloads::{workload_by_name, WorkloadRunner, WORKLOAD_NAMES};
@@ -37,18 +36,10 @@ use std::time::Instant;
 const DRAW_SEED: u64 = 0xE7A1;
 const EVAL_SEED: u64 = 11;
 
-struct Row {
-    suite: &'static str,
-    n: usize,
-    eval_us: f64,
-    committed: u64,
-    txn_ns: f64,
-}
-
-fn suite_row(suite: &'static str, configs: &[Config], reps: usize) -> Row {
+fn suite_row(suite: &'static str, configs: &[Config], reps: usize) -> Row<'static> {
     let runner = WorkloadRunner::new(workload_by_name(suite).unwrap(), postgres_v9_6());
     let mut committed = 0;
-    let mut best_us: Vec<f64> = configs
+    let best_us: Vec<f64> = configs
         .iter()
         .map(|cfg| {
             let mut best = f64::INFINITY;
@@ -69,18 +60,17 @@ fn suite_row(suite: &'static str, configs: &[Config], reps: usize) -> Row {
         })
         .collect();
     let pass_us: f64 = best_us.iter().sum();
-    best_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    Row {
-        suite,
-        n: configs.len(),
-        eval_us: best_us[best_us.len() / 2],
-        committed,
-        txn_ns: pass_us * 1e3 / committed as f64,
-    }
+    vec![
+        ("suite", Text(suite)),
+        ("n", Num(configs.len() as f64)),
+        ("eval_us", Num(round(median(best_us), 2))),
+        ("committed", Num(committed as f64)),
+        ("txn_ns", Num(round(pass_us * 1e3 / committed as f64, 2))),
+    ]
 }
 
 fn main() {
-    let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
+    let quick = artifact::quick();
     let (draws, reps) = if quick { (5, 1) } else { (23, 3) };
 
     // The default plus `draws` uniform points; whether one crashes hangs
@@ -103,39 +93,14 @@ fn main() {
         configs.len()
     );
     print!("{}", llamatune_obs::fmt::header("Engine evaluation per suite", &detail));
-    let rows: Vec<Row> = WORKLOAD_NAMES.iter().map(|s| suite_row(s, &configs, reps)).collect();
-    println!(
-        "\n{:>18} {:>4} {:>12} {:>10} {:>10}",
-        "suite", "n", "median eval", "committed", "per txn"
-    );
-    for r in &rows {
-        println!(
-            "{:>18} {:>4} {:>10.0}us {:>10} {:>8.0}ns",
-            r.suite, r.n, r.eval_us, r.committed, r.txn_ns
-        );
-    }
-
-    // The regression artifact.
-    let mut json = String::from("{\n  \"config\": ");
-    let config = [
-        ("quick", Field::Flag(quick)),
-        ("reps", Field::Num(reps as f64)),
-        ("catalog", Field::Text("postgres_v9_6")),
-        ("crashed", Field::Num(crashed as f64)),
-    ];
-    write_object(&mut json, config, write_field);
-    json.push_str(",\n  \"engine_eval\": [");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("suite", Field::Text(r.suite)),
-            ("n", Field::Num(r.n as f64)),
-            ("eval_us", Field::Num(round(r.eval_us, 2))),
-            ("committed", Field::Num(r.committed as f64)),
-            ("txn_ns", Field::Num(round(r.txn_ns, 2))),
-        ];
-        write_object(&mut json, members, write_field);
-    }
-    json.push_str("\n  ]\n}\n");
-    println!("\nrecorded {}", record("BENCH_engine.json", &json).display());
+    let mut artifact = Artifact::new(vec![
+        ("quick", Flag(quick)),
+        ("reps", Num(reps as f64)),
+        ("catalog", Text("postgres_v9_6")),
+        ("crashed", Num(crashed as f64)),
+    ]);
+    let rows = WORKLOAD_NAMES.iter().map(|s| suite_row(s, &configs, reps)).collect();
+    let caption = "median evaluation; one pass's commits and wall time per commit";
+    artifact.show("engine_eval", caption, rows);
+    artifact.record("BENCH_engine.json");
 }

@@ -19,23 +19,18 @@
 //!
 //!     cargo bench -p llamatune-bench --bench obs_overhead
 //!
-//! `LLAMATUNE_QUICK=1` shrinks call counts and repetitions.
+//! `LLAMATUNE_QUICK=1` shrinks call counts and repetitions; such a run
+//! prints its tables and records nothing.
 
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::SessionOptions;
-use llamatune_bench::artifact::{record, round, write_field, Field};
+use llamatune_bench::artifact::{self, median, num, round, Artifact, Field::*, Row};
 use llamatune_engine::RunOptions;
-use llamatune_obs::json::write_object;
 use llamatune_obs::trace::{NoopTracer, RecordingTracer, TraceEvent, Tracer};
 use llamatune_runtime::{AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind};
 use llamatune_space::catalog::postgres_v9_6;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn median_us(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 /// One instrumentation site, shaped exactly like the session loop's:
 /// guard on `enabled()`, build the event only when someone listens.
@@ -48,14 +43,7 @@ fn span_site(tracer: &Arc<dyn Tracer>, iteration: u64) {
     }
 }
 
-struct SpanSiteRow {
-    tracer: &'static str,
-    n: usize,
-    total_us: f64,
-    per_call_ns: f64,
-}
-
-fn span_site_row(tracer_name: &'static str, n: usize, reps: usize) -> SpanSiteRow {
+fn span_site_row(tracer_name: &'static str, n: usize, reps: usize) -> Row<'static> {
     let mut times = Vec::new();
     for _ in 0..reps {
         // A fresh recorder per rep: recording costs must include the
@@ -71,17 +59,16 @@ fn span_site_row(tracer_name: &'static str, n: usize, reps: usize) -> SpanSiteRo
         std::hint::black_box(&tracer);
         times.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    let total_us = median_us(times);
-    SpanSiteRow { tracer: tracer_name, n, total_us, per_call_ns: total_us * 1e3 / n as f64 }
+    let total_us = median(times);
+    vec![
+        ("tracer", Text(tracer_name)),
+        ("n", Num(n as f64)),
+        ("total_us", Num(round(total_us, 2))),
+        ("per_call_ns", Num(round(total_us * 1e3 / n as f64, 3))),
+    ]
 }
 
-struct CampaignRow {
-    tracer: &'static str,
-    sessions: usize,
-    total_us: f64,
-}
-
-fn campaign_row(tracer_name: &'static str, reps: usize) -> CampaignRow {
+fn campaign_row(tracer_name: &'static str, reps: usize) -> Row<'static> {
     let catalog = postgres_v9_6();
     let spec = CampaignSpec {
         workloads: vec!["ycsb_b".into(), "ycsb_f".into()],
@@ -115,11 +102,15 @@ fn campaign_row(tracer_name: &'static str, reps: usize) -> CampaignRow {
         times.push(t.elapsed().as_secs_f64() * 1e6);
         assert_eq!(results.len(), sessions);
     }
-    CampaignRow { tracer: tracer_name, sessions, total_us: median_us(times) }
+    vec![
+        ("tracer", Text(tracer_name)),
+        ("sessions", Num(sessions as f64)),
+        ("total_us", Num(round(median(times), 2))),
+    ]
 }
 
 fn main() {
-    let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
+    let quick = artifact::quick();
     let (noop_n, rec_n, reps, campaign_reps): (usize, usize, usize, usize) =
         if quick { (100_000, 10_000, 3, 1) } else { (2_000_000, 200_000, 5, 3) };
 
@@ -128,53 +119,19 @@ fn main() {
              medians over {reps} reps"
     );
     print!("{}", llamatune_obs::fmt::header("Observability overhead", &detail));
+    let mut artifact = Artifact::new(vec![("quick", Flag(quick)), ("reps", Num(reps as f64))]);
 
     let span_rows =
         vec![span_site_row("noop", noop_n, reps), span_site_row("recording", rec_n, reps)];
-    println!("\nSpan site (one guarded instrumentation point):");
-    println!("{:>10} {:>10} {:>12} {:>12}", "tracer", "calls", "total", "per call");
-    for r in &span_rows {
-        println!("{:>10} {:>10} {:>10.0}us {:>10.2}ns", r.tracer, r.n, r.total_us, r.per_call_ns);
-    }
+    artifact.show("span_site", "one guarded instrumentation point", span_rows);
 
     let campaign_rows =
         vec![campaign_row("noop", campaign_reps), campaign_row("recording", campaign_reps)];
-    println!("\nCampaign (2 sessions, 6 iterations, in-memory):");
-    println!("{:>10} {:>10} {:>12}", "tracer", "sessions", "total");
-    for r in &campaign_rows {
-        println!("{:>10} {:>10} {:>10.0}us", r.tracer, r.sessions, r.total_us);
-    }
-    let (noop, traced) = (campaign_rows[0].total_us, campaign_rows[1].total_us);
+    let (noop, traced) = (num(&campaign_rows[0], "total_us"), num(&campaign_rows[1], "total_us"));
+    artifact.show("campaign", "2 sessions, 6 iterations, in-memory", campaign_rows);
     println!(
         "tracing overhead end to end: {:+.1}%",
         if noop > 0.0 { (traced - noop) / noop * 100.0 } else { 0.0 }
     );
-
-    // The regression artifact.
-    let mut json = String::from("{\n  \"config\": ");
-    let config = [("quick", Field::Flag(quick)), ("reps", Field::Num(reps as f64))];
-    write_object(&mut json, config, write_field);
-    json.push_str(",\n  \"span_site\": [");
-    for (i, r) in span_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("tracer", Field::Text(r.tracer)),
-            ("n", Field::Num(r.n as f64)),
-            ("total_us", Field::Num(round(r.total_us, 2))),
-            ("per_call_ns", Field::Num(round(r.per_call_ns, 3))),
-        ];
-        write_object(&mut json, members, write_field);
-    }
-    json.push_str("\n  ],\n  \"campaign\": [");
-    for (i, r) in campaign_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("tracer", Field::Text(r.tracer)),
-            ("sessions", Field::Num(r.sessions as f64)),
-            ("total_us", Field::Num(round(r.total_us, 2))),
-        ];
-        write_object(&mut json, members, write_field);
-    }
-    json.push_str("\n  ]\n}\n");
-    println!("\nrecorded {}", record("BENCH_obs.json", &json).display());
+    artifact.record("BENCH_obs.json");
 }

@@ -27,17 +27,16 @@
 //!   fantasizing, plus the restore and the replay of the q real results
 //!   in `observe_batch`.
 //!
-//! Results are printed as a table and recorded in
-//! `BENCH_optimizer.json` (in the working directory) so later PRs have
-//! a trajectory to regress against:
+//! Results are printed as tables and recorded in `BENCH_optimizer.json`
+//! (at the workspace root), the trajectory later changes regress
+//! against:
 //!
 //!     cargo bench -p llamatune-bench --bench optimizer_hot_path
 //!
 //! `LLAMATUNE_QUICK=1` shrinks history sizes and repetitions to
-//! smoke-test scale.
+//! smoke-test scale; such a run prints its tables and records nothing.
 
-use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_obs::json::{write_f64, write_object};
+use llamatune_bench::artifact::{self, median, round, Artifact, Field::*, Row};
 use llamatune_obs::MetricsRegistry;
 use llamatune_optim::{
     Ddpg, DdpgConfig, GpBo, Observation, Optimizer, RandomForest, RandomForestConfig, SearchSpec,
@@ -54,11 +53,6 @@ use std::time::Instant;
 const DIMS: usize = 16;
 const SEED: u64 = 7;
 
-fn median_us(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
 /// `n` synthetic observations over a smooth objective.
 fn synthetic_history(n: usize) -> Vec<Observation> {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x1157);
@@ -71,14 +65,9 @@ fn synthetic_history(n: usize) -> Vec<Observation> {
         .collect()
 }
 
-struct GpObserveRow {
-    n: usize,
-    incremental_us: f64,
-}
-
 /// Times one GP observation at exactly history size `n`, repeatedly,
 /// by rewinding through the optimizer's own snapshot/restore.
-fn gp_observe_row(n: usize, reps: usize) -> GpObserveRow {
+fn gp_observe_row(n: usize, reps: usize) -> Row<'static> {
     let history = synthetic_history(n + 1);
     let (prefill, probe) = history.split_at(n);
     let mut gp = GpBo::new(SearchSpec::continuous(DIMS), SEED);
@@ -91,18 +80,12 @@ fn gp_observe_row(n: usize, reps: usize) -> GpObserveRow {
         gp.observe(probe[0].clone());
         times.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    GpObserveRow { n, incremental_us: median_us(times) }
-}
-
-struct SmacSuggestRow {
-    n: usize,
-    cold_us: f64,
-    warm_us: f64,
+    vec![("n", Num(n as f64)), ("incremental_us", Num(round(median(times), 2)))]
 }
 
 /// Times a SMAC suggestion with the forest invalidated (cold: must
 /// fit) and with the forest cached from the previous suggestion (warm).
-fn smac_suggest_row(n: usize, reps: usize) -> SmacSuggestRow {
+fn smac_suggest_row(n: usize, reps: usize) -> Row<'static> {
     // Interleaved random suggestions would pollute the medians with
     // near-free iterations; disable them for measurement.
     let config = SmacConfig { random_interleave: 0, ..SmacConfig::default() };
@@ -121,20 +104,19 @@ fn smac_suggest_row(n: usize, reps: usize) -> SmacSuggestRow {
         let _ = std::hint::black_box(smac.suggest());
         warm.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    SmacSuggestRow { n, cold_us: median_us(cold), warm_us: median_us(warm) }
-}
-
-struct ForestFitRow {
-    d: usize,
-    n: usize,
-    fit_us: f64,
-    predict_1500_us: f64,
+    let (cold_us, warm_us) = (median(cold), median(warm));
+    vec![
+        ("n", Num(n as f64)),
+        ("cold_us", Num(round(cold_us, 2))),
+        ("warm_us", Num(round(warm_us, 2))),
+        ("speedup", Num(round(ratio(cold_us, warm_us), 2))),
+    ]
 }
 
 /// Times the SMAC surrogate by itself on a `d`-dim history of `n`
 /// points: one default-config fit, and the 1500 `predict` calls a
 /// suggestion spends on its random candidates.
-fn forest_fit_row(d: usize, n: usize, reps: usize) -> ForestFitRow {
+fn forest_fit_row(d: usize, n: usize, reps: usize) -> Row<'static> {
     let spec = SearchSpec::continuous(d);
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xf0e5);
     let xs: Vec<Vec<f64>> = (0..n).map(|_| spec.sample(&mut rng)).collect();
@@ -153,20 +135,19 @@ fn forest_fit_row(d: usize, n: usize, reps: usize) -> ForestFitRow {
         }
         predict.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    ForestFitRow { d, n, fit_us: median_us(fit), predict_1500_us: median_us(predict) }
-}
-
-struct DdpgObserveRow {
-    d: usize,
-    replay: usize,
-    observe_us: f64,
+    vec![
+        ("d", Num(d as f64)),
+        ("n", Num(n as f64)),
+        ("fit_us", Num(round(median(fit), 2))),
+        ("predict_1500_us", Num(round(median(predict), 2))),
+    ]
 }
 
 /// Times `Ddpg::observe` with the replay buffer holding exactly `replay`
 /// transitions (the capacity is pinned there and filled before the clock
 /// starts), on a `d`-dim space with the DBMS's 27 metrics as a smooth
 /// function of the action.
-fn ddpg_observe_row(d: usize, replay: usize, reps: usize) -> DdpgObserveRow {
+fn ddpg_observe_row(d: usize, replay: usize, reps: usize) -> Row<'static> {
     let config = DdpgConfig { replay_capacity: replay, ..DdpgConfig::default() };
     let mut ddpg = Ddpg::new(SearchSpec::continuous(d), DEFAULT_METRIC_DIM, config, SEED);
     let mut times = Vec::new();
@@ -183,18 +164,16 @@ fn ddpg_observe_row(d: usize, replay: usize, reps: usize) -> DdpgObserveRow {
             times.push(t.elapsed().as_secs_f64() * 1e6);
         }
     }
-    DdpgObserveRow { d, replay, observe_us: median_us(times) }
-}
-
-struct GpSuggestRow {
-    n: usize,
-    suggest_us: f64,
-    ei_score_us: f64,
+    vec![
+        ("d", Num(d as f64)),
+        ("replay", Num(replay as f64)),
+        ("observe_us", Num(round(median(times), 2))),
+    ]
 }
 
 /// Times one GP suggestion at history size `n`, and the share
 /// of it the optimizer itself books to `optim.gp.ei_score_ms`.
-fn gp_suggest_row(n: usize, reps: usize) -> GpSuggestRow {
+fn gp_suggest_row(n: usize, reps: usize) -> Row<'static> {
     let registry = Arc::new(MetricsRegistry::new());
     let mut gp = GpBo::new(SearchSpec::continuous(DIMS), SEED).with_metrics(registry.clone());
     gp.observe_batch(synthetic_history(n));
@@ -208,14 +187,11 @@ fn gp_suggest_row(n: usize, reps: usize) -> GpSuggestRow {
         suggest.push(t.elapsed().as_secs_f64() * 1e6);
         ei_score.push((ei_score_ms() - before) * 1e3);
     }
-    GpSuggestRow { n, suggest_us: median_us(suggest), ei_score_us: median_us(ei_score) }
-}
-
-struct RetractRow {
-    optimizer: &'static str,
-    n: usize,
-    q: usize,
-    retract_us: f64,
+    vec![
+        ("n", Num(n as f64)),
+        ("suggest_us", Num(round(median(suggest), 2))),
+        ("ei_score_us", Num(round(median(ei_score), 2))),
+    ]
 }
 
 /// Forwards to the optimizer it wraps, adding the time its `snapshot`
@@ -258,7 +234,7 @@ fn retract_row(
     n: usize,
     q: usize,
     rounds: usize,
-) -> RetractRow {
+) -> Row<'static> {
     let spent_ns = Arc::new(AtomicU64::new(0));
     let mut wrapped = BatchSuggest::new(|| {
         Box::new(SnapshotClock { inner: build(), spent_ns: spent_ns.clone() })
@@ -280,7 +256,12 @@ fn retract_row(
         wrapped.observe_batch(obs);
         times.push(snapshot_us + t.elapsed().as_secs_f64() * 1e6);
     }
-    RetractRow { optimizer, n, q, retract_us: median_us(times) }
+    vec![
+        ("optimizer", Text(optimizer)),
+        ("n", Num(n as f64)),
+        ("q", Num(q as f64)),
+        ("retract_us", Num(round(median(times), 2))),
+    ]
 }
 
 fn ratio(slow: f64, fast: f64) -> f64 {
@@ -292,7 +273,7 @@ fn ratio(slow: f64, fast: f64) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
+    let quick = artifact::quick();
     // History sizes are chosen so the probing observation does not land
     // on a refit boundary (refit_every = 5), which both paths pay alike.
     let (ns, reps, q, rounds): (&[usize], usize, usize, usize) =
@@ -303,53 +284,45 @@ fn main() {
              medians over {reps} reps (retract: {rounds} rounds), q = {q}"
     );
     print!("{}", llamatune_obs::fmt::header("Optimizer hot path", &detail));
+    let mut artifact = Artifact::new(vec![
+        ("dims", Num(DIMS as f64)),
+        ("quick", Flag(quick)),
+        ("reps", Num(reps as f64)),
+        ("q", Num(q as f64)),
+        ("rounds", Num(rounds as f64)),
+    ]);
 
-    let gp_rows: Vec<GpObserveRow> = ns.iter().map(|&n| gp_observe_row(n, reps)).collect();
-    println!("\nGP-BO observe (one new observation at history n, Cholesky append):");
-    println!("{:>6} {:>16}", "n", "observe");
-    for r in &gp_rows {
-        println!("{:>6} {:>14.1}us", r.n, r.incremental_us);
-    }
-
-    let smac_rows: Vec<SmacSuggestRow> = ns.iter().map(|&n| smac_suggest_row(n, reps)).collect();
-    println!("\nSMAC suggest (forest cold vs cached):");
-    println!("{:>6} {:>16} {:>16} {:>10}", "n", "cold (fit)", "warm (cached)", "speedup");
-    for r in &smac_rows {
-        println!(
-            "{:>6} {:>14.1}us {:>14.1}us {:>9.1}x",
-            r.n,
-            r.cold_us,
-            r.warm_us,
-            ratio(r.cold_us, r.warm_us)
-        );
-    }
-
-    let forest_rows: Vec<ForestFitRow> = [DIMS, 90]
-        .iter()
-        .flat_map(|&d| ns.iter().map(move |&n| forest_fit_row(d, n, reps)))
-        .collect();
-    println!("\nForest fit (SMAC's surrogate alone, default config):");
-    println!("{:>6} {:>6} {:>16} {:>18}", "d", "n", "fit", "1500 predicts");
-    for r in &forest_rows {
-        println!("{:>6} {:>6} {:>14.1}us {:>16.1}us", r.d, r.n, r.fit_us, r.predict_1500_us);
-    }
-
-    let ddpg_rows: Vec<DdpgObserveRow> = [DIMS, 90]
-        .iter()
-        .flat_map(|&d| [32, 100].map(|replay| ddpg_observe_row(d, replay, reps)))
-        .collect();
-    println!("\nDDPG observe (replay push + 5 minibatch steps, 27 metrics):");
-    println!("{:>6} {:>8} {:>16}", "d", "replay", "observe");
-    for r in &ddpg_rows {
-        println!("{:>6} {:>8} {:>14.1}us", r.d, r.replay, r.observe_us);
-    }
-
-    let gp_suggest_rows: Vec<GpSuggestRow> = ns.iter().map(|&n| gp_suggest_row(n, reps)).collect();
-    println!("\nGP-BO suggest (1500 candidates against the cached factor):");
-    println!("{:>6} {:>16} {:>16}", "n", "suggest", "EI scoring");
-    for r in &gp_suggest_rows {
-        println!("{:>6} {:>14.1}us {:>14.1}us", r.n, r.suggest_us, r.ei_score_us);
-    }
+    artifact.show(
+        "gp_observe",
+        "GP-BO observe, one new observation at history n (Cholesky append)",
+        ns.iter().map(|&n| gp_observe_row(n, reps)).collect(),
+    );
+    artifact.show(
+        "smac_suggest",
+        "SMAC suggest, forest cold (fit) vs cached",
+        ns.iter().map(|&n| smac_suggest_row(n, reps)).collect(),
+    );
+    artifact.show(
+        "forest_fit",
+        "SMAC's surrogate alone, default config",
+        [DIMS, 90]
+            .iter()
+            .flat_map(|&d| ns.iter().map(move |&n| forest_fit_row(d, n, reps)))
+            .collect(),
+    );
+    artifact.show(
+        "ddpg_observe",
+        "DDPG observe, replay push + 5 minibatch steps, 27 metrics",
+        [DIMS, 90]
+            .iter()
+            .flat_map(|&d| [32, 100].map(|replay| ddpg_observe_row(d, replay, reps)))
+            .collect(),
+    );
+    artifact.show(
+        "gp_suggest",
+        "GP-BO suggest, 1500 candidates against the cached factor",
+        ns.iter().map(|&n| gp_suggest_row(n, reps)).collect(),
+    );
 
     let retract_ns: &[usize] = if quick { &[26] } else { &[100, 200] };
     let mut retract_rows = Vec::new();
@@ -379,81 +352,7 @@ fn main() {
             rounds,
         ));
     }
-    println!("\nConstant-liar retract (snapshot + restore + replay of a q = {q} round):");
-    println!("{:>8} {:>6} {:>14}", "opt", "n", "retract");
-    for r in &retract_rows {
-        println!("{:>8} {:>6} {:>12.1}us", r.optimizer, r.n, r.retract_us);
-    }
-
-    // The regression artifact.
-    let mut json = String::from("{\n  \"config\": ");
-    let config = [
-        ("dims", Field::Num(DIMS as f64)),
-        ("quick", Field::Flag(quick)),
-        ("reps", Field::Num(reps as f64)),
-        ("q", Field::Num(q as f64)),
-        ("rounds", Field::Num(rounds as f64)),
-    ];
-    write_object(&mut json, config, write_field);
-    json.push_str(",\n  \"gp_observe\": [");
-    for (i, r) in gp_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [("n", r.n as f64), ("incremental_us", round(r.incremental_us, 2))];
-        write_object(&mut json, members, write_f64);
-    }
-    json.push_str("\n  ],\n  \"smac_suggest\": [");
-    for (i, r) in smac_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("n", r.n as f64),
-            ("cold_us", round(r.cold_us, 2)),
-            ("warm_us", round(r.warm_us, 2)),
-            ("speedup", round(ratio(r.cold_us, r.warm_us), 2)),
-        ];
-        write_object(&mut json, members, write_f64);
-    }
-    json.push_str("\n  ],\n  \"forest_fit\": [");
-    for (i, r) in forest_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("d", r.d as f64),
-            ("n", r.n as f64),
-            ("fit_us", round(r.fit_us, 2)),
-            ("predict_1500_us", round(r.predict_1500_us, 2)),
-        ];
-        write_object(&mut json, members, write_f64);
-    }
-    json.push_str("\n  ],\n  \"ddpg_observe\": [");
-    for (i, r) in ddpg_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("d", r.d as f64),
-            ("replay", r.replay as f64),
-            ("observe_us", round(r.observe_us, 2)),
-        ];
-        write_object(&mut json, members, write_f64);
-    }
-    json.push_str("\n  ],\n  \"gp_suggest\": [");
-    for (i, r) in gp_suggest_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("n", r.n as f64),
-            ("suggest_us", round(r.suggest_us, 2)),
-            ("ei_score_us", round(r.ei_score_us, 2)),
-        ];
-        write_object(&mut json, members, write_f64);
-    }
-    json.push_str("\n  ],\n  \"retract\": [");
-    for (i, r) in retract_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("optimizer", Field::Text(r.optimizer)),
-            ("n", Field::Num(r.n as f64)),
-            ("q", Field::Num(r.q as f64)),
-            ("retract_us", Field::Num(round(r.retract_us, 2))),
-        ];
-        write_object(&mut json, members, write_field);
-    }
-    json.push_str("\n  ]\n}\n");
-    println!("\nrecorded {}", record("BENCH_optimizer.json", &json).display());
+    let caption = format!("constant-liar retract, snapshot + restore + replay of a q = {q} round");
+    artifact.show("retract", &caption, retract_rows);
+    artifact.record("BENCH_optimizer.json");
 }

@@ -14,7 +14,7 @@
 //! unfiltered run at one of those two scales re-records that artifact;
 //! a run at any other scale records nothing.
 
-use llamatune_bench::artifact::{read, record};
+use llamatune_bench::artifact::read;
 use llamatune_bench::claims::{select, SOURCES};
 use llamatune_bench::paper::{self, Verdicts};
 use llamatune_bench::ExpScale;
@@ -58,7 +58,7 @@ fn main() {
             println!("  {id}: {}", if holds { "holds" } else { "misses" });
         }
         if filter.is_none() {
-            println!("recorded {}", record(file, &report.json(scale)).display());
+            println!("recorded {}", report.artifact(scale).write(file).display());
         }
     }
     std::process::exit(if failures.is_empty() { 0 } else { 1 });

@@ -29,14 +29,15 @@
 //!
 //!     cargo bench -p llamatune-bench --bench server_wire
 //!
-//! `LLAMATUNE_QUICK=1` shrinks repeats and rounds to smoke-test scale.
+//! `LLAMATUNE_QUICK=1` shrinks repeats and rounds to smoke-test scale;
+//! such a run prints its tables and records nothing.
 
 use llamatune::history_io::{events_to_jsonl, TrialEvent};
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::{EvalResult, TrialStatus};
-use llamatune_bench::artifact::{record, round, write_field, Field};
+use llamatune_bench::artifact::{self, num, round, Artifact, Field::*, Row};
 use llamatune_client::Client;
-use llamatune_obs::json::{self, write_object};
+use llamatune_obs::json;
 use llamatune_runtime::{AdapterKind, CampaignOptions};
 use llamatune_server::wire::{
     self, encode_ok, CreateSession, Report, Request, Response, SuggestReply, WireResult,
@@ -127,13 +128,6 @@ fn per_100_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     (0..reps).map(sample).fold(f64::INFINITY, f64::min)
 }
 
-struct WireRow {
-    message: &'static str,
-    bytes: usize,
-    encode_us: f64,
-    decode_us: f64,
-}
-
 /// One `wire` row: `encode` renders the frame body, `decode` reads it
 /// back the way its receiver does.
 fn wire_row<T>(
@@ -141,17 +135,17 @@ fn wire_row<T>(
     reps: usize,
     encode: impl Fn() -> String,
     decode: impl Fn(&str) -> T,
-) -> WireRow {
+) -> Row<'static> {
     let frame = encode();
-    WireRow {
-        message,
-        bytes: frame.len(),
-        encode_us: per_100_us(reps, &encode),
-        decode_us: per_100_us(reps, || decode(black_box(&frame))),
-    }
+    vec![
+        ("message", Text(message)),
+        ("bytes", Num(frame.len() as f64)),
+        ("encode_us", Num(round(per_100_us(reps, &encode), 1))),
+        ("decode_us", Num(round(per_100_us(reps, || decode(black_box(&frame))), 1))),
+    ]
 }
 
-fn wire_rows(reps: usize) -> Vec<WireRow> {
+fn wire_rows(reps: usize) -> Vec<Row<'static>> {
     let default = postgres_v9_6().default_config();
     let trials: Vec<(usize, Vec<KnobValue>)> =
         (11..11 + BATCH).map(|iteration| (iteration, default.values().to_vec())).collect();
@@ -226,13 +220,6 @@ fn wire_rows(reps: usize) -> Vec<WireRow> {
     ]
 }
 
-struct RoundRow {
-    sessions: usize,
-    rounds: usize,
-    p50_us: f64,
-    p99_us: f64,
-}
-
 /// One client's session: every round timed from the `suggest_batch` call
 /// to the `report` answer, evaluation excluded.
 fn client_rounds(addr: &str, seed: u64, iterations: usize) -> Vec<f64> {
@@ -269,7 +256,7 @@ fn client_rounds(addr: &str, seed: u64, iterations: usize) -> Vec<f64> {
     rounds
 }
 
-fn round_trip_row(sessions: usize, iterations: usize) -> RoundRow {
+fn round_trip_row(sessions: usize, iterations: usize) -> Row<'static> {
     let dir = std::env::temp_dir()
         .join("llamatune_server_bench")
         .join(format!("s{sessions}_{}", std::process::id()));
@@ -301,11 +288,18 @@ fn round_trip_row(sessions: usize, iterations: usize) -> RoundRow {
 
     rounds.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let at = |q: f64| rounds[((rounds.len() - 1) as f64 * q).round() as usize];
-    RoundRow { sessions, rounds: rounds.len(), p50_us: at(0.5), p99_us: at(0.99) }
+    vec![
+        ("sessions", Num(sessions as f64)),
+        ("rounds", Num(rounds.len() as f64)),
+        ("round_p50_us", Num(round(at(0.5), 1))),
+        // As a multiple of the median, which the gate does not read: a
+        // tail on a shared runner is mostly its neighbours'.
+        ("round_p99_over_p50", Num(round(at(0.99) / at(0.5), 2))),
+    ]
 }
 
 fn main() {
-    let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
+    let quick = artifact::quick();
     let reps = if quick { 3 } else { 41 };
     // Iterations per session, so that each row times about two thousand
     // rounds (iteration 0 is a round of its own).
@@ -320,57 +314,19 @@ fn main() {
         "{}",
         llamatune_obs::fmt::header("Tuning service: wire codec and loopback round trips", &detail)
     );
-    let wire = wire_rows(reps);
-    println!("\n{:>16} {:>8} {:>16} {:>16}", "message", "bytes", "encode / 100", "decode / 100");
-    for r in &wire {
-        println!(
-            "{:>16} {:>8} {:>14.1}us {:>14.1}us",
-            r.message, r.bytes, r.encode_us, r.decode_us
-        );
-    }
+    let mut artifact = Artifact::new(vec![
+        ("quick", Flag(quick)),
+        ("reps", Num(reps as f64)),
+        ("messages", Num(MESSAGES as f64)),
+        ("batch", Num(BATCH as f64)),
+    ]);
+    artifact.show("wire", "encode / decode of 100 messages", wire_rows(reps));
     let best_of_3 = |sessions, iterations| {
         let runs = (0..3).map(|_| round_trip_row(sessions, iterations));
-        runs.min_by(|a, b| a.p50_us.total_cmp(&b.p50_us)).expect("three runs")
+        runs.min_by(|a, b| num(a, "round_p50_us").total_cmp(&num(b, "round_p50_us")))
+            .expect("three runs")
     };
-    let trips = [best_of_3(1, solo), best_of_3(10, ten)];
-    println!("\n{:>9} {:>8} {:>12} {:>12}", "sessions", "rounds", "round p50", "round p99");
-    for r in &trips {
-        println!("{:>9} {:>8} {:>10.1}us {:>10.1}us", r.sessions, r.rounds, r.p50_us, r.p99_us);
-    }
-
-    // The regression artifact.
-    let mut out = String::from("{\n  \"config\": ");
-    let config = [
-        ("quick", Field::Flag(quick)),
-        ("reps", Field::Num(reps as f64)),
-        ("messages", Field::Num(MESSAGES as f64)),
-        ("batch", Field::Num(BATCH as f64)),
-    ];
-    write_object(&mut out, config, write_field);
-    out.push_str(",\n  \"wire\": [");
-    for (i, r) in wire.iter().enumerate() {
-        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("message", Field::Text(r.message)),
-            ("bytes", Field::Num(r.bytes as f64)),
-            ("encode_us", Field::Num(round(r.encode_us, 1))),
-            ("decode_us", Field::Num(round(r.decode_us, 1))),
-        ];
-        write_object(&mut out, members, write_field);
-    }
-    out.push_str("\n  ],\n  \"round_trip\": [");
-    for (i, r) in trips.iter().enumerate() {
-        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("sessions", Field::Num(r.sessions as f64)),
-            ("rounds", Field::Num(r.rounds as f64)),
-            ("round_p50_us", Field::Num(round(r.p50_us, 1))),
-            // As a multiple of the median, which the gate does not read: a
-            // tail on a shared runner is mostly its neighbours'.
-            ("round_p99_over_p50", Field::Num(round(r.p99_us / r.p50_us, 2))),
-        ];
-        write_object(&mut out, members, write_field);
-    }
-    out.push_str("\n  ]\n}\n");
-    println!("\nrecorded {}", record("BENCH_server.json", &out).display());
+    let trips = vec![best_of_3(1, solo), best_of_3(10, ten)];
+    artifact.show("round_trip", "suggest_batch + report as the client sees it", trips);
+    artifact.record("BENCH_server.json");
 }

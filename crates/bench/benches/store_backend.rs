@@ -18,10 +18,10 @@
 //!
 //!     cargo bench -p llamatune-bench --bench store_backend
 //!
-//! `LLAMATUNE_QUICK=1` shrinks record counts to smoke-test scale.
+//! `LLAMATUNE_QUICK=1` shrinks record counts to smoke-test scale; such a
+//! run prints its tables and records nothing.
 
-use llamatune_bench::artifact::{record, round, write_field, Field};
-use llamatune_obs::json::write_object;
+use llamatune_bench::artifact::{self, round, Artifact, Field::*, Row};
 use llamatune_space::KnobValue;
 use llamatune_store::{
     LocalDirBackend, ObjectStoreBackend, StoreBackend, StoreOptions, StoredTrial, TrialStore,
@@ -76,16 +76,7 @@ impl Backends {
     }
 }
 
-struct Row {
-    backend: &'static str,
-    records: usize,
-    append_total_us: f64,
-    append_per_record_us: f64,
-    open_us: f64,
-    compact_us: f64,
-}
-
-fn single_writer_row(kind: &'static str, records: usize, backends: &Backends) -> Row {
+fn single_writer_row(kind: &'static str, records: usize, backends: &Backends) -> Row<'static> {
     let be = backends.make(kind);
     let opts = StoreOptions { segment_records: 256 };
 
@@ -108,25 +99,22 @@ fn single_writer_row(kind: &'static str, records: usize, backends: &Backends) ->
     let compact_us = t.elapsed().as_secs_f64() * 1e6;
     assert_eq!(store.trial_count(), records);
 
-    Row {
-        backend: kind,
-        records,
-        append_total_us,
-        append_per_record_us: append_total_us / records as f64,
-        open_us,
-        compact_us,
-    }
+    vec![
+        ("backend", Text(kind)),
+        ("records", Num(records as f64)),
+        ("append_total_us", Num(round(append_total_us, 2))),
+        ("append_per_record_us", Num(round(append_total_us / records as f64, 3))),
+        ("open_us", Num(round(open_us, 2))),
+        ("compact_us", Num(round(compact_us, 2))),
+    ]
 }
 
-struct FleetRow {
-    backend: &'static str,
+fn fleet_row(
+    kind: &'static str,
     writers: usize,
     records: usize,
-    total_us: f64,
-    per_record_us: f64,
-}
-
-fn fleet_row(kind: &'static str, writers: usize, records: usize, backends: &Backends) -> FleetRow {
+    backends: &Backends,
+) -> Row<'static> {
     let be = backends.make(kind);
     let per_writer = records / writers;
     let t = Instant::now();
@@ -151,17 +139,17 @@ fn fleet_row(kind: &'static str, writers: usize, records: usize, backends: &Back
     let total_us = t.elapsed().as_secs_f64() * 1e6;
     let reader = TrialStore::open_reader(be, StoreOptions::default()).unwrap();
     assert_eq!(reader.trial_count(), per_writer * writers, "no committed trial lost");
-    FleetRow {
-        backend: kind,
-        writers,
-        records: per_writer * writers,
-        total_us,
-        per_record_us: total_us / (per_writer * writers) as f64,
-    }
+    vec![
+        ("backend", Text(kind)),
+        ("writers", Num(writers as f64)),
+        ("records", Num((per_writer * writers) as f64)),
+        ("total_us", Num(round(total_us, 2))),
+        ("per_record_us", Num(round(total_us / (per_writer * writers) as f64, 3))),
+    ]
 }
 
 fn main() {
-    let quick = std::env::var("LLAMATUNE_QUICK").is_ok_and(|v| v == "1");
+    let quick = artifact::quick();
     let records = if quick { 600 } else { 4000 };
     let writers = 4;
 
@@ -170,80 +158,26 @@ fn main() {
              rotation every 256 (fleet: 64), {writers}-writer fleet"
     );
     print!("{}", llamatune_obs::fmt::header("Store backends", &detail));
+    let mut artifact = Artifact::new(vec![
+        ("quick", Flag(quick)),
+        ("records", Num(records as f64)),
+        ("segment_records", Num(256.0)),
+        ("writers", Num(writers as f64)),
+    ]);
 
     let backends = Backends { local_dir: tmp_dir("single") };
-    let rows: Vec<Row> =
+    let rows =
         ["local", "object"].into_iter().map(|k| single_writer_row(k, records, &backends)).collect();
-    println!("\nSingle writer (append + recovery + compaction):");
-    println!(
-        "{:>8} {:>8} {:>14} {:>12} {:>12} {:>12}",
-        "backend", "records", "append total", "per record", "open", "compact"
-    );
-    for r in &rows {
-        println!(
-            "{:>8} {:>8} {:>12.0}us {:>10.2}us {:>10.0}us {:>10.0}us",
-            r.backend,
-            r.records,
-            r.append_total_us,
-            r.append_per_record_us,
-            r.open_us,
-            r.compact_us
-        );
-    }
+    artifact.show("single_writer", "append + recovery + compaction", rows);
 
     let fleet_backends = Backends { local_dir: tmp_dir("fleet") };
-    let fleet_rows: Vec<FleetRow> = ["local", "object"]
+    let rows = ["local", "object"]
         .into_iter()
         .map(|k| fleet_row(k, writers, records, &fleet_backends))
         .collect();
-    println!("\nFleet ({writers} shared writers, one store, racing CAS rotations):");
-    println!(
-        "{:>8} {:>8} {:>8} {:>14} {:>12}",
-        "backend", "writers", "records", "total", "per record"
-    );
-    for r in &fleet_rows {
-        println!(
-            "{:>8} {:>8} {:>8} {:>12.0}us {:>10.2}us",
-            r.backend, r.writers, r.records, r.total_us, r.per_record_us
-        );
-    }
-
-    // The regression artifact.
-    let mut json = String::from("{\n  \"config\": ");
-    let config = [
-        ("quick", Field::Flag(quick)),
-        ("records", Field::Num(records as f64)),
-        ("segment_records", Field::Num(256.0)),
-        ("writers", Field::Num(writers as f64)),
-    ];
-    write_object(&mut json, config, write_field);
-    json.push_str(",\n  \"single_writer\": [");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("backend", Field::Text(r.backend)),
-            ("records", Field::Num(r.records as f64)),
-            ("append_total_us", Field::Num(round(r.append_total_us, 2))),
-            ("append_per_record_us", Field::Num(round(r.append_per_record_us, 3))),
-            ("open_us", Field::Num(round(r.open_us, 2))),
-            ("compact_us", Field::Num(round(r.compact_us, 2))),
-        ];
-        write_object(&mut json, members, write_field);
-    }
-    json.push_str("\n  ],\n  \"fleet_append\": [");
-    for (i, r) in fleet_rows.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        let members = [
-            ("backend", Field::Text(r.backend)),
-            ("writers", Field::Num(r.writers as f64)),
-            ("records", Field::Num(r.records as f64)),
-            ("total_us", Field::Num(round(r.total_us, 2))),
-            ("per_record_us", Field::Num(round(r.per_record_us, 3))),
-        ];
-        write_object(&mut json, members, write_field);
-    }
-    json.push_str("\n  ]\n}\n");
-    println!("\nrecorded {}", record("BENCH_store.json", &json).display());
+    let caption = format!("{writers} shared writers, one store, racing CAS rotations");
+    artifact.show("fleet_append", &caption, rows);
+    artifact.record("BENCH_store.json");
 
     let _ = std::fs::remove_dir_all(tmp_dir("single").parent().unwrap());
 }

@@ -13,6 +13,13 @@
 //! same. An unfiltered run at one of those two scales re-records its own
 //! artifact.
 //!
+//! The layer benches and the paper bench write their artifacts through
+//! one writer, [`artifact`]: a config row plus named tables of
+//! `(key, Field)` rows, each table printed through
+//! `llamatune_obs::fmt::table` from the rows it records. A layer bench
+//! records only at full scale; its `LLAMATUNE_QUICK=1` run prints and
+//! records nothing.
+//!
 //! The layer benches' artifacts are gated by the `bench_gate` bin:
 //! [`gate`] turns a committed `BENCH_*.json` and a fresh one into checks
 //! (one per `_us` latency, identity numbers required equal), and
@@ -25,7 +32,9 @@
 //!   paper);
 //! * `LLAMATUNE_ITERS` — iterations per session (default 100);
 //! * `LLAMATUNE_QUICK=1` — shrink to 3 seeds x 50 iterations and fewer
-//!   SHAP samples (CI runs this scale and the default one).
+//!   SHAP samples (CI runs this scale and the default one); the layer
+//!   benches read it through [`artifact::quick`] and shrink to
+//!   smoke-test scale.
 
 pub mod artifact;
 pub mod claims;

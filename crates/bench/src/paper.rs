@@ -7,7 +7,7 @@
 //! `benches/paper.rs` is the entry point; the loop lives here so that the
 //! crate's tests can drive it at toy scale.
 
-use crate::artifact::{round, write_field, Field};
+use crate::artifact::{median, round, Artifact, Field};
 use crate::claims::{AdapterSpec, Arm, Catalog, Cell, Claim, Goal, Measure, Subset};
 use crate::exp::{paired_rows, run_tuning_arm, ArmResult, ExpScale, PairedRow};
 use llamatune::pipeline::{
@@ -17,7 +17,7 @@ use llamatune::report::{convergence_map, final_improvement_pct};
 use llamatune_analysis::{rank_knobs, shap_importance};
 use llamatune_math::{latin_hypercube, mean, Summary};
 use llamatune_obs::fmt;
-use llamatune_obs::json::{write_array, write_object, JsonValue};
+use llamatune_obs::json::JsonValue;
 use llamatune_optim::{Observation, OptimizerKind, RandomForest, RandomForestConfig, SearchSpec};
 use llamatune_space::catalog::{postgres_v13_6, postgres_v9_6, HAND_PICKED_TOP8_YCSB_A};
 use llamatune_space::{ConfigSpace, Domain, KnobValue};
@@ -354,16 +354,13 @@ fn suggest_us(kind: OptimizerKind, spec: &SearchSpec, scale: ExpScale) -> f64 {
     for i in 0..60 {
         opt.observe(observation(i as f64));
     }
-    let mut times: Vec<f64> = (0..if scale.quick { 5 } else { 11 })
-        .map(|i| {
-            opt.observe(observation(i as f64));
-            let t = Instant::now();
-            std::hint::black_box(opt.suggest());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    let times = (0..if scale.quick { 5 } else { 11 }).map(|i| {
+        opt.observe(observation(i as f64));
+        let t = Instant::now();
+        std::hint::black_box(opt.suggest());
+        t.elapsed().as_secs_f64() * 1e6
+    });
+    median(times.collect())
 }
 
 /// What a committed paper artifact recorded of one claim.
@@ -377,7 +374,7 @@ pub struct Recorded {
 /// A committed paper artifact's rows, by claim id.
 pub type Verdicts = HashMap<String, Recorded>;
 
-/// The rows of a paper artifact ([`Report::json`]'s shape) by claim id.
+/// The rows of a paper artifact ([`Report::artifact`]'s shape) by claim id.
 pub fn recorded(artifact: &JsonValue) -> Result<Verdicts, String> {
     let rows = artifact.get("claims").and_then(JsonValue::as_array).ok_or("no claims array")?;
     rows.iter()
@@ -421,23 +418,20 @@ impl Report {
     }
 
     /// The `BENCH_paper.json` artifact: one row per claim.
-    pub fn json(&self, scale: ExpScale) -> String {
-        let mut json = String::from("{\n  \"config\": ");
-        let config = [
+    pub fn artifact(&self, scale: ExpScale) -> Artifact<'_> {
+        let mut artifact = Artifact::new(vec![
             ("quick", Field::Flag(scale.quick)),
             ("seeds", Field::Num(scale.seeds as f64)),
             ("iterations", Field::Num(scale.iterations as f64)),
             ("arm_runs", Field::Num(self.arm_runs as f64)),
-        ];
-        write_object(&mut json, config, write_field);
-        json.push_str(",\n  \"claims\": ");
-        write_array(&mut json, &self.rows, |json, (claim, outcome)| {
+        ]);
+        let rows = self.rows.iter().map(|(claim, outcome)| {
             // Absent figures are NaN, which the artifact writes as `null`.
             let (ci_lo, ci_hi) = outcome.ci.unwrap_or((f64::NAN, f64::NAN));
             let nan = Summary { mean: f64::NAN, ci_lo: f64::NAN, ci_hi: f64::NAN };
             let speedup = outcome.speedup.unwrap_or(nan);
             let catch_up_iter = outcome.catch_up_iter.map_or(f64::NAN, |i| i as f64);
-            let members = [
+            vec![
                 ("id", Field::Text(&claim.id)),
                 ("source", Field::Text(claim.source)),
                 ("value", Field::Num(round(outcome.value, 4))),
@@ -450,12 +444,10 @@ impl Report {
                 ("band_lo", Field::Num(claim.band.0)),
                 ("band_hi", Field::Num(claim.band.1)),
                 ("holds", Field::Flag(claim.holds(outcome.value))),
-            ];
-            json.push_str("\n    ");
-            write_object(json, members, write_field);
+            ]
         });
-        json.push_str("\n}\n");
-        json
+        artifact.push("claims", rows.collect());
+        artifact
     }
 }
 
@@ -635,11 +627,7 @@ mod tests {
         let report = run(&slice, scale, [&none, &none], &HashSet::new());
         assert_eq!(report.arm_runs, 4, "six arm requests: one baseline shared, three candidates");
 
-        let file = std::env::temp_dir().join(format!("BENCH_paper.{}.json", std::process::id()));
-        let path = crate::artifact::record(file.to_str().unwrap(), &report.json(scale));
-        let artifact =
-            llamatune_obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        let artifact = llamatune_obs::json::parse(&report.artifact(scale).json()).unwrap();
         assert_eq!(artifact.get("config").unwrap().get("arm_runs").unwrap().as_f64(), Some(4.0));
         let JsonValue::Arr(rows) = artifact.get("claims").unwrap() else {
             panic!("claims is an array")

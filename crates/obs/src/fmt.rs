@@ -1,5 +1,7 @@
 //! Text rendering shared by bench output and session reports: one
 //! banner/table/curve renderer, so every harness prints the same shapes.
+//! Every layer bench prints its `BENCH_*.json` tables through [`table`]
+//! (`llamatune_bench::artifact`), headed by the artifact's keys.
 
 /// Renders an experiment header banner (BENCH-compatible shape).
 pub fn header(title: &str, detail: &str) -> String {

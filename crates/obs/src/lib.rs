@@ -20,11 +20,12 @@
 //!   hot-path timings (`optim.*`), all in the registry of the session
 //!   that paid for them — no registry is process-wide.
 //! * **Reporting** ([`report`], [`fmt`]) — a schema-validating trace
-//!   parser, one table renderer shared by bench output and session
-//!   reports, and the `llamatune-report` binary, which rebuilds
-//!   best-so-far and regret curves, fault and hot-path totals and each
-//!   round's virtual-clock critical path from a store directory's
-//!   telemetry alone.
+//!   parser, one table renderer shared by bench output (every
+//!   `BENCH_*.json` table is printed through it, from the rows it
+//!   records) and session reports, and the `llamatune-report` binary,
+//!   which rebuilds best-so-far and regret curves, fault and hot-path
+//!   totals and each round's virtual-clock critical path from a store
+//!   directory's telemetry alone.
 //! * **Fleet aggregation** ([`aggregate`]) — merges the per-writer
 //!   telemetry pairs a fleet campaign persists into one campaign view:
 //!   traces in stable `(session, seq)` order (byte-identical at every

@@ -204,20 +204,6 @@ impl ConfigSpace {
     pub fn assignment(&self, config: &Config) -> KnobAssignment {
         self.knobs.iter().zip(config.values()).map(|(k, v)| (k.name, *v)).collect()
     }
-
-    /// Pretty-prints a configuration as `name = value` lines (categorical
-    /// values rendered with their labels).
-    pub fn render(&self, config: &Config) -> String {
-        let mut out = String::new();
-        for (k, v) in self.knobs.iter().zip(config.values()) {
-            let rendered = match k.choice_label(v) {
-                Some(label) => label.to_string(),
-                None => v.to_string(),
-            };
-            out.push_str(&format!("{} = {}\n", k.name, rendered));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -339,16 +325,6 @@ mod tests {
         let s = small_space();
         let hybrids: Vec<_> = s.hybrid_knobs().map(|(i, k)| (i, k.name)).collect();
         assert_eq!(hybrids, vec![(3, "hybrid_knob")]);
-    }
-
-    #[test]
-    fn render_uses_choice_labels() {
-        let s = small_space();
-        let mut c = s.default_config();
-        c.values_mut()[2] = KnobValue::Cat(2);
-        let text = s.render(&c);
-        assert!(text.contains("cat_knob = c"));
-        assert!(text.contains("int_knob = 10"));
     }
 
     #[test]

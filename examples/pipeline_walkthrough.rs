@@ -7,6 +7,7 @@
 
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline};
 use llamatune_space::catalog::postgres_v9_6;
+use llamatune_space::conf_file::to_conf;
 
 fn main() {
     let catalog = postgres_v9_6();
@@ -43,15 +44,8 @@ fn main() {
     }
 
     println!("\n4. Resulting DBMS knob configuration (changed vs default):");
-    let default = catalog.default_config();
-    let mut changed = 0;
-    for (knob, (v, d)) in catalog.knobs().iter().zip(cfg.values().iter().zip(default.values())) {
-        if v != d && changed < 15 {
-            let rendered =
-                knob.choice_label(v).map(str::to_string).unwrap_or_else(|| v.to_string());
-            println!("   {:<36} = {}", knob.name, rendered);
-            changed += 1;
-        }
+    for line in to_conf(&catalog, &cfg, true).lines().take(15) {
+        println!("   {line}");
     }
     println!("   ... (every knob receives a value; config is always valid)");
     assert!(catalog.validate(&cfg).is_ok());

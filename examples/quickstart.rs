@@ -7,6 +7,7 @@ use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter
 use llamatune::session::{run_session, EvalResult, SessionOptions};
 use llamatune_optim::{Smac, SmacConfig};
 use llamatune_space::catalog::postgres_v9_6;
+use llamatune_space::conf_file::to_conf;
 use llamatune_workloads::{ycsb_a, WorkloadRunner};
 
 fn main() {
@@ -51,13 +52,8 @@ fn main() {
 
     // 6. Show the knobs the best configuration moved away from defaults.
     let best = history.best_config().expect("non-empty history");
-    let default = catalog.default_config();
     println!("\n  knobs changed from default:");
-    for (knob, (bv, dv)) in catalog.knobs().iter().zip(best.values().iter().zip(default.values())) {
-        if bv != dv {
-            let rendered =
-                knob.choice_label(bv).map(str::to_string).unwrap_or_else(|| bv.to_string());
-            println!("    {:<36} {}", knob.name, rendered);
-        }
+    for line in to_conf(&catalog, best, true).lines() {
+        println!("    {line}");
     }
 }
