@@ -1,24 +1,26 @@
 //! Runtime speedup: wall-clock of a multi-workload tuning campaign under
 //! the parallel trial-execution runtime at 1/2/4/8 workers, against the
-//! strictly sequential session loop.
+//! same campaign run strictly sequentially (one trial per round, one
+//! worker — the paper's loop).
 //!
 //! Scores are identical at every worker count (see the runtime crate's
 //! determinism test); only wall-clock changes. Speedup saturates at the
 //! machine's core count — the printed `available_parallelism` line tells
 //! you what ceiling to expect.
 
-use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
-use llamatune::session::{run_session, EvalResult, SessionOptions};
+use llamatune::pipeline::LlamaTuneConfig;
+use llamatune::session::SessionOptions;
 use llamatune_engine::RunOptions;
+use llamatune_obs::fmt::{header, table};
 use llamatune_runtime::{AdapterKind, Campaign, CampaignOptions, CampaignSpec, OptimizerKind};
 use llamatune_space::catalog::postgres_v9_6;
-use llamatune_workloads::{workload_by_name, WorkloadRunner};
+use llamatune_space::ConfigSpace;
 use std::time::Instant;
 
 const WORKLOADS: [&str; 3] = ["ycsb_a", "tpcc", "ycsb_f"];
 const ITERATIONS: usize = 24;
 const SEEDS: [u64; 2] = [0, 1];
-/// Fixed across every row: varying only the worker count keeps the
+/// Fixed across the parallel rows: varying only the worker count keeps the
 /// suggestion stream — and therefore the evaluated configurations —
 /// identical, so the sweep measures parallelism, not batching effects.
 const BATCH: usize = 8;
@@ -36,38 +38,12 @@ fn campaign_spec() -> CampaignSpec {
     }
 }
 
-/// The paper's loop, verbatim: one trial at a time, one thread.
-fn sequential_campaign(catalog: &llamatune_space::ConfigSpace) -> f64 {
-    let t = Instant::now();
-    for workload in WORKLOADS {
-        for seed in SEEDS {
-            let spec = workload_by_name(workload).expect("workload");
-            let runner =
-                WorkloadRunner::new(spec, catalog.clone()).with_options(quick_run_options());
-            let pipe = LlamaTunePipeline::new(catalog, &LlamaTuneConfig::default(), seed);
-            let opt = OptimizerKind::Smac.build(pipe.optimizer_spec(), seed);
-            run_session(
-                &pipe,
-                opt,
-                |cfg| {
-                    let out = runner.evaluate(catalog, cfg, seed ^ 0x5EED);
-                    EvalResult {
-                        score: out.score,
-                        metrics: out.result.metrics,
-                        ..Default::default()
-                    }
-                },
-                &SessionOptions { iterations: ITERATIONS, n_init: 10, seed, ..Default::default() },
-            );
-        }
-    }
-    t.elapsed().as_secs_f64()
-}
-
-fn parallel_campaign(catalog: &llamatune_space::ConfigSpace, workers: usize) -> f64 {
+/// Wall-clock of the campaign at `batch_size` suggestions per round on
+/// `workers` trial workers.
+fn campaign_seconds(catalog: &ConfigSpace, batch_size: usize, workers: usize) -> f64 {
     let opts = CampaignOptions {
         session: SessionOptions { iterations: ITERATIONS, n_init: 10, ..Default::default() },
-        batch_size: BATCH,
+        batch_size,
         trial_workers: workers,
         session_parallelism: 1,
         run_options: Some(quick_run_options()),
@@ -75,10 +51,8 @@ fn parallel_campaign(catalog: &llamatune_space::ConfigSpace, workers: usize) -> 
     };
     let campaign = Campaign::new(catalog.clone(), campaign_spec(), opts);
     let t = Instant::now();
-    let results = campaign.run();
-    let elapsed = t.elapsed().as_secs_f64();
-    assert_eq!(results.len(), WORKLOADS.len() * SEEDS.len());
-    elapsed
+    assert_eq!(campaign.run().len(), WORKLOADS.len() * SEEDS.len());
+    t.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -90,29 +64,18 @@ fn main() {
         SEEDS.len(),
         ITERATIONS
     );
-    print!(
-        "{}",
-        llamatune_obs::fmt::header(
-            "Runtime speedup: parallel campaign vs sequential sessions",
-            &detail
-        )
-    );
+    print!("{}", header("Runtime speedup: parallel vs sequential campaign", &detail));
 
-    let seq = sequential_campaign(&catalog);
-    let mut rows = vec![vec![
-        "sequential run_session".to_string(),
-        format!("{seq:.2}s"),
-        "1.00x".to_string(),
-        String::new(),
-    ]];
+    // The paper's loop: one trial per round, one thread.
+    let seq = campaign_seconds(&catalog, 1, 1);
+    let row = |config: String, t: f64, note: &str| {
+        vec![config, format!("{t:.2}s"), format!("{:.2}x", seq / t), note.to_string()]
+    };
+    let mut rows = vec![row("sequential (batch 1, 1 worker)".to_string(), seq, "")];
     for workers in [1usize, 2, 4, 8] {
-        let t = parallel_campaign(&catalog, workers);
-        rows.push(vec![
-            format!("parallel, {workers} worker(s)"),
-            format!("{t:.2}s"),
-            format!("{:.2}x", seq / t),
-            if workers > cores { "(more workers than cores)".to_string() } else { String::new() },
-        ]);
+        let t = campaign_seconds(&catalog, BATCH, workers);
+        let note = if workers > cores { "(more workers than cores)" } else { "" };
+        rows.push(row(format!("parallel, {workers} worker(s)"), t, note));
     }
-    print!("{}", llamatune_obs::fmt::table(&["config", "time", "speedup", ""], &rows));
+    print!("{}", table(&["config", "time", "speedup", ""], &rows));
 }

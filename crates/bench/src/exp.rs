@@ -1,13 +1,16 @@
 //! Shared experiment machinery: arm runners (parallel over seeds),
-//! aggregation, and the paper's summary statistics.
+//! aggregation, and the paper's summary statistics. Sessions evaluate
+//! through the runtime's `WorkloadExecutor`, like every other session.
 
 use llamatune::par::ordered_map;
 use llamatune::pipeline::SearchSpaceAdapter;
 use llamatune::report::{final_improvement_pct, time_to_optimal, time_to_optimal_speedup};
-use llamatune::session::{run_session, EvalResult, SessionHistory, SessionOptions};
+use llamatune::session::{run_session_resumable, SessionHistory, SessionOptions};
 use llamatune_math::Summary;
+use llamatune_runtime::{eval_seed, WorkloadExecutor};
 use llamatune_space::ConfigSpace;
 use llamatune_workloads::WorkloadRunner;
+use std::sync::Arc;
 
 /// Experiment scale, read from the environment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,7 +82,9 @@ impl ArmResult {
 /// across seeds. The `adapter_for` factory receives the seed, and the
 /// optimizer is built from it, so that projections and optimizers vary per
 /// session (the paper repeats each experiment "five times with different
-/// random seeds").
+/// random seeds"). Each session runs one trial per round on a one-worker
+/// [`WorkloadExecutor`] at [`eval_seed`]`(seed)`: the evaluator, cache and
+/// crash handling of an in-process campaign or a served client.
 pub fn run_tuning_arm(
     runner: &WorkloadRunner,
     tuned_space: &ConfigSpace,
@@ -96,11 +101,14 @@ pub fn run_tuning_arm(
             seed,
             ..Default::default()
         };
-        let objective = |cfg: &llamatune_space::Config| {
-            let out = runner.evaluate(tuned_space, cfg, seed ^ 0x5EED);
-            EvalResult { score: out.score, metrics: out.result.metrics, ..Default::default() }
-        };
-        run_session(adapter.as_ref(), opt, objective, &opts)
+        let mut executor = WorkloadExecutor::from_trial_runner(
+            Arc::new(runner.clone()),
+            tuned_space.clone(),
+            eval_seed(seed),
+            1,
+        );
+        run_session_resumable(adapter.as_ref(), opt, &mut executor, &opts, 1, &[], None)
+            .unwrap_or_else(|e| panic!("{e}"))
     };
     let seeds: Vec<u64> = (0..scale.seeds).collect();
     ArmResult { histories: ordered_map(seeds.len(), &seeds, |&seed| session(seed)) }
@@ -169,10 +177,37 @@ pub fn paired_rows(workload: &str, baseline: &ArmResult, candidate: &ArmResult) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline};
     use llamatune::session::SessionHistory;
+    use llamatune_engine::RunOptions;
+    use llamatune_space::catalog::postgres_v9_6;
+    use llamatune_workloads::workload_by_name;
 
     fn history(curve: Vec<f64>) -> SessionHistory {
         SessionHistory { best_curve: curve, ..Default::default() }
+    }
+
+    /// Two synthetic dimensions of three buckets make at most nine distinct
+    /// configurations, so twelve iterations repeat one; a cached repeat
+    /// scores what a fresh evaluation at the session's seed does, bit for bit.
+    #[test]
+    fn cached_repeats_score_as_fresh_evaluations() {
+        let catalog = postgres_v9_6();
+        let runner = WorkloadRunner::new(workload_by_name("ycsb_a").unwrap(), catalog.clone())
+            .with_options(RunOptions { duration_s: 0.2, warmup_s: 0.05, ..Default::default() });
+        let config = LlamaTuneConfig { target_dim: 2, bucket_count: Some(3), ..Default::default() };
+        let adapter = |seed| Box::new(LlamaTunePipeline::new(&catalog, &config, seed)) as _;
+        let scale = ExpScale { seeds: 2, iterations: 12, quick: true };
+        let arm = run_tuning_arm(&runner, &catalog, adapter, OptimizerKind::Smac, scale);
+        let mut repeats = 0;
+        for (seed, h) in (0..).zip(&arm.histories) {
+            for (i, cfg) in h.configs.iter().enumerate() {
+                repeats += usize::from(h.configs[..i].contains(cfg));
+                let fresh = runner.evaluate(&catalog, cfg, eval_seed(seed)).score;
+                assert_eq!(h.raw_scores[i].map(f64::to_bits), fresh.map(f64::to_bits), "{i}");
+            }
+        }
+        assert!(repeats > 0, "no configuration repeated");
     }
 
     #[test]

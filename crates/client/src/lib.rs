@@ -8,9 +8,10 @@
 //!   and responses are the same typed structs the server uses
 //!   ([`llamatune_server::wire`]), so the two ends cannot drift.
 //! * [`run_remote_session`] — the whole client-side tuning loop:
-//!   attach, preload quarantine into a local
-//!   [`WorkloadExecutor`](llamatune_runtime::WorkloadExecutor),
-//!   evaluate each suggested round, report, repeat until done, export.
+//!   attach, preload quarantine into the local
+//!   [`session_executor`](llamatune_runtime::session_executor) of the
+//!   session under the daemon's `CampaignOptions`, evaluate each
+//!   suggested round, report, repeat until done, export.
 //!   Transport failures reconnect with backoff and re-attach;
 //!   `create_session` is idempotent and the daemon redelivers the
 //!   unanswered round, so a kill at any point resumes without

@@ -3,39 +3,27 @@
 
 use crate::{Client, ClientError};
 use llamatune::session::{Trial, TrialExecutor};
-use llamatune_runtime::{session_executor, CampaignOptions, ExecutionPolicy, WorkloadExecutor};
-use llamatune_server::wire::{CreateSession, Report, SuggestReply, WireResult};
+use llamatune_runtime::{session_executor, CampaignOptions};
+use llamatune_server::wire::{code, CreateSession, Report, SuggestReply, WireError, WireResult};
 use llamatune_space::ConfigSpace;
 use std::time::Duration;
 
-/// Client-side evaluation knobs.
+/// How the client rides out a lost connection. How it evaluates is not
+/// an option here: that is the daemon's `CampaignOptions`, passed to
+/// [`run_remote_session`] as they are.
 #[derive(Debug, Clone)]
 pub struct RemoteSessionOptions {
-    /// Worker threads evaluating one round (results are worker-count
-    /// independent, like everywhere else in the stack).
-    pub trial_workers: usize,
-    /// Fault-tolerance policy applied to local evaluation. Must match
-    /// what the equivalent in-process campaign would use for exported
-    /// histories to be byte-identical.
-    pub policy: ExecutionPolicy,
     /// Reconnect attempts after a transport failure before giving up.
     pub reconnect_attempts: usize,
     /// Sleep between reconnect attempts.
     pub reconnect_backoff: Duration,
-    /// Override the runner's simulation window, mirroring
-    /// `CampaignOptions::run_options` — the daemon applies its own copy
-    /// server-side, but the client's runner does the actual evaluation.
-    pub run_options: Option<llamatune_engine::RunOptions>,
 }
 
 impl Default for RemoteSessionOptions {
     fn default() -> Self {
         RemoteSessionOptions {
-            trial_workers: 1,
-            policy: ExecutionPolicy::default(),
             reconnect_attempts: 5,
             reconnect_backoff: Duration::from_millis(100),
-            run_options: None,
         }
     }
 }
@@ -57,21 +45,32 @@ pub struct RemoteOutcome {
 
 /// Runs one tuning session against the daemon at `addr`, evaluating
 /// trials locally, until the session completes; returns the exported
-/// history. Safe to call for a session other clients (or a previous,
-/// killed incarnation of this one) already advanced: attach is
-/// idempotent, the unanswered round is redelivered, and completed
-/// trials are never re-evaluated.
+/// history. Trials are evaluated on the [`session_executor`] of the
+/// session under `campaign` — pass the `CampaignOptions` the daemon's
+/// `SessionRegistry` was built with, and the export is byte-identical to
+/// the same session run in-process under them. Safe to call for a
+/// session other clients (or a previous, killed incarnation of this
+/// one) already advanced: attach is idempotent, the unanswered round is
+/// redelivered, and completed trials are never re-evaluated.
 pub fn run_remote_session(
     addr: &str,
     catalog: &ConfigSpace,
     spec: &CreateSession,
+    campaign: &CampaignOptions,
     opts: &RemoteSessionOptions,
 ) -> Result<RemoteOutcome, ClientError> {
     let mut attempts_left = opts.reconnect_attempts;
     let mut rounds_evaluated = 0usize;
     let mut trials_evaluated = 0usize;
     loop {
-        match drive_once(addr, catalog, spec, opts, &mut rounds_evaluated, &mut trials_evaluated) {
+        match drive_once(
+            addr,
+            catalog,
+            spec,
+            campaign,
+            &mut rounds_evaluated,
+            &mut trials_evaluated,
+        ) {
             Ok(outcome) => return Ok(outcome),
             Err(e) if e.is_retryable() && attempts_left > 0 => {
                 attempts_left -= 1;
@@ -90,7 +89,7 @@ fn drive_once(
     addr: &str,
     catalog: &ConfigSpace,
     spec: &CreateSession,
-    opts: &RemoteSessionOptions,
+    campaign: &CampaignOptions,
     rounds_evaluated: &mut usize,
     trials_evaluated: &mut usize,
 ) -> Result<RemoteOutcome, ClientError> {
@@ -107,7 +106,13 @@ fn drive_once(
         });
     }
 
-    let mut executor = build_executor(catalog, spec, opts)?;
+    let mut executor =
+        session_executor(catalog, campaign, &spec.workload, spec.seed).ok_or_else(|| {
+            ClientError::Wire(WireError::new(
+                code::BAD_PARAMS,
+                format!("unknown workload {:?}", spec.workload),
+            ))
+        })?;
     executor.preload_quarantine(attached.quarantine.iter());
 
     loop {
@@ -142,26 +147,4 @@ fn drive_once(
             }
         }
     }
-}
-
-/// The client-side executor: the one [`session_executor`] builds for
-/// the in-process run of the same session (no fault plan; its own
-/// evaluation cache).
-fn build_executor(
-    catalog: &ConfigSpace,
-    spec: &CreateSession,
-    opts: &RemoteSessionOptions,
-) -> Result<WorkloadExecutor, ClientError> {
-    let campaign = CampaignOptions {
-        trial_workers: opts.trial_workers,
-        policy: opts.policy,
-        run_options: opts.run_options.clone(),
-        ..CampaignOptions::default()
-    };
-    session_executor(catalog, &campaign, &spec.workload, spec.seed).ok_or_else(|| {
-        ClientError::Wire(llamatune_server::wire::WireError::new(
-            llamatune_server::wire::code::BAD_PARAMS,
-            format!("unknown workload {:?}", spec.workload),
-        ))
-    })
 }

@@ -7,10 +7,11 @@
 use llamatune::history_io::{events_to_jsonl, history_to_events};
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::{Trial, TrialExecutor};
-use llamatune_client::{run_remote_session, Client, RemoteSessionOptions};
+use llamatune_client::{run_remote_session, Client, RemoteOutcome, RemoteSessionOptions};
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{
-    AdapterKind, CampaignOptions, CellSpec, OptimizerKind, SessionDriver, WorkloadExecutor,
+    eval_seed, AdapterKind, CampaignOptions, CellSpec, OptimizerKind, SessionDriver,
+    WorkloadExecutor,
 };
 use llamatune_server::wire::{CreateSession, Report, SuggestReply, WireResult};
 use llamatune_server::{Server, ServerConfig, ServerHandle, SessionRegistry};
@@ -56,8 +57,10 @@ fn spec(seed: u64) -> CreateSession {
     }
 }
 
-fn client_opts() -> RemoteSessionOptions {
-    RemoteSessionOptions { trial_workers: 2, run_options: Some(run_opts()), ..Default::default() }
+/// The library client, evaluating under the daemon's own options.
+fn run_remote(addr: &str, catalog: &ConfigSpace, seed: u64) -> RemoteOutcome {
+    run_remote_session(addr, catalog, &spec(seed), &quick_opts(), &RemoteSessionOptions::default())
+        .unwrap()
 }
 
 /// The reference: the same cell driven in-process by [`SessionDriver`],
@@ -97,14 +100,14 @@ fn served_session_exports_byte_identical_history() {
     let expected = in_process_jsonl(&catalog, 7);
 
     let (handle, join, addr) = start_daemon(Arc::new(ObjectStoreBackend::default()));
-    let outcome = run_remote_session(&addr, &catalog, &spec(7), &client_opts()).unwrap();
+    let outcome = run_remote(&addr, &catalog, 7);
     assert_eq!(outcome.trials_evaluated, TOTAL_TRIALS);
     assert!(outcome.rounds_evaluated >= 3, "default round + batched rounds");
     assert_eq!(outcome.jsonl, expected, "wire round trip must be byte-identical");
 
     // Re-attaching to the finished session re-evaluates nothing and
     // exports the same bytes.
-    let again = run_remote_session(&addr, &catalog, &spec(7), &client_opts()).unwrap();
+    let again = run_remote(&addr, &catalog, 7);
     assert_eq!(again.trials_evaluated, 0, "attach to a finished session runs nothing");
     assert_eq!(again.jsonl, expected);
 
@@ -139,7 +142,7 @@ fn evaluate_rounds_with(
             .with_options(run_opts()),
     );
     let mut executor =
-        WorkloadExecutor::from_trial_runner(runner, catalog.clone(), seed ^ 0x5EED, 2);
+        WorkloadExecutor::from_trial_runner(runner, catalog.clone(), eval_seed(seed), 2);
     let mut evaluated = 0;
     for _ in 0..rounds {
         match client.suggest_batch(session).unwrap() {
@@ -179,7 +182,7 @@ fn killed_client_resumes_without_reevaluating() {
 
     // Client B: re-attach and finish. Every trial A reported is already
     // recorded server-side; B must evaluate exactly the remainder.
-    let outcome = run_remote_session(&addr, &catalog, &spec(11), &client_opts()).unwrap();
+    let outcome = run_remote(&addr, &catalog, 11);
     assert_eq!(
         outcome.trials_evaluated,
         TOTAL_TRIALS - evaluated_by_a,
@@ -214,7 +217,7 @@ fn daemon_restart_resumes_from_the_store() {
     // Daemon 2, same backend: the session resumes from its recorded
     // round boundary and completes byte-identically.
     let (handle, join, addr) = start_daemon(backend.clone());
-    let outcome = run_remote_session(&addr, &catalog, &spec(23), &client_opts()).unwrap();
+    let outcome = run_remote(&addr, &catalog, 23);
     assert_eq!(outcome.trials_evaluated, TOTAL_TRIALS - evaluated_first);
     assert_eq!(outcome.jsonl, expected, "daemon restart must stay byte-identical");
     assert_eq!(
@@ -253,7 +256,7 @@ fn a_store_left_by_per_session_writers_is_served() {
     for seed in [41, 43] {
         let mut client = Client::connect(&addr).unwrap();
         assert!(client.create_session(&spec(seed)).unwrap().done, "finished before this daemon");
-        let outcome = run_remote_session(&addr, &catalog, &spec(seed), &client_opts()).unwrap();
+        let outcome = run_remote(&addr, &catalog, seed);
         assert_eq!(outcome.trials_evaluated, 0);
         assert_eq!(outcome.jsonl, in_process_jsonl(&catalog, seed), "their bytes, unchanged");
     }

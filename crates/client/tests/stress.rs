@@ -78,12 +78,7 @@ fn hundred_concurrent_sessions_with_kills_stay_byte_identical() {
     let addr = server.local_addr().unwrap().to_string();
     let serve = std::thread::spawn(move || server.serve().unwrap());
 
-    let client_opts = RemoteSessionOptions {
-        trial_workers: 1,
-        run_options: Some(run_opts()),
-        reconnect_attempts: 10,
-        ..Default::default()
-    };
+    let client_opts = RemoteSessionOptions { reconnect_attempts: 10, ..Default::default() };
 
     let mut clients = Vec::new();
     for i in 0..SESSIONS {
@@ -101,7 +96,8 @@ fn hundred_concurrent_sessions_with_kills_stay_byte_identical() {
                 let _ = doomed.suggest_batch(&attached.session).unwrap();
                 drop(doomed); // killed holding an unreported round
             }
-            let outcome = run_remote_session(&addr, &catalog, &spec, &client_opts).unwrap();
+            let outcome =
+                run_remote_session(&addr, &catalog, &spec, &quick_opts(), &client_opts).unwrap();
             (i, outcome)
         }));
     }

@@ -42,7 +42,7 @@
 use crate::batch::BatchSuggest;
 use crate::cache::EvalCache;
 use crate::campaign::{AdapterKind, CampaignOptions, CampaignResult};
-use crate::executor::WorkloadExecutor;
+use crate::executor::{eval_seed, WorkloadExecutor};
 use llamatune::pipeline::SearchSpaceAdapter;
 use llamatune::session::{
     replay_cutoff, EvalResult, Session, SessionHistory, SessionOptions, Trial, TrialExecutor,
@@ -515,9 +515,10 @@ fn workload_runner(
 /// The trial executor of the session of `workload` seeded `seed`: the
 /// workload runner — wrapped for seeded fault injection when
 /// `opts.fault_plan` is set — on `opts.trial_workers` threads under
-/// `opts.policy`. [`SessionDriver::run`] evaluates on it and so does a
-/// remote client, which is what keeps served and in-process histories
-/// byte-identical. `None` when the workload is unknown.
+/// `opts.policy`, evaluating at [`eval_seed`]`(seed)`.
+/// [`SessionDriver::run`] evaluates on it and so does a remote client
+/// given the daemon's `opts`, which is what keeps served and in-process
+/// histories byte-identical. `None` when the workload is unknown.
 pub fn session_executor(
     catalog: &ConfigSpace,
     opts: &CampaignOptions,
@@ -529,10 +530,11 @@ pub fn session_executor(
         Some(plan) => Arc::new(FaultyRunner::new(base, *plan)),
         None => base,
     };
-    // Evaluation seed: fixed per session, derived from the session seed
-    // exactly as the sequential harness does.
-    let eval_seed = seed ^ 0x5EED;
-    let executor =
-        WorkloadExecutor::from_trial_runner(runner, catalog.clone(), eval_seed, opts.trial_workers);
+    let executor = WorkloadExecutor::from_trial_runner(
+        runner,
+        catalog.clone(),
+        eval_seed(seed),
+        opts.trial_workers,
+    );
     Some(executor.with_policy(opts.policy))
 }

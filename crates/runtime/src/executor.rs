@@ -31,6 +31,16 @@ use llamatune_workloads::{config_fingerprint, TrialRunner};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// The evaluation seed of the session seeded `session_seed`: the one
+/// seed every trial of that session is evaluated under. Every session
+/// evaluator derives it here — [`crate::session_executor`] (in-process
+/// campaigns and the served client) and the paper harness — so their
+/// histories agree, and changing how a session's trials are seeded is
+/// an edit to this function alone.
+pub fn eval_seed(session_seed: u64) -> u64 {
+    session_seed ^ 0x5EED
+}
+
 /// The DBMS-benchmark [`TrialExecutor`]: a shared [`TrialRunner`]
 /// evaluated by `workers` scoped threads, a fixed evaluation seed (the
 /// paper evaluates every configuration of a session under the same

@@ -87,5 +87,5 @@ pub use campaign::{
     WarmStartOptions,
 };
 pub use driver::{session_executor, CellSpec, LiveSession, Opened, SessionDriver};
-pub use executor::WorkloadExecutor;
+pub use executor::{eval_seed, WorkloadExecutor};
 pub use policy::ExecutionPolicy;

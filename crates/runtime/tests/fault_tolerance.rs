@@ -29,8 +29,8 @@ use llamatune::session::{
 use llamatune_engine::RunOptions;
 use llamatune_optim::{GuardedOptimizer, Observation, Optimizer, RandomSearch};
 use llamatune_runtime::{
-    AdapterKind, Campaign, CampaignOptions, CampaignSpec, CellSpec, ExecutionPolicy, OptimizerKind,
-    SessionDriver, WorkloadExecutor,
+    eval_seed, AdapterKind, Campaign, CampaignOptions, CampaignSpec, CellSpec, ExecutionPolicy,
+    OptimizerKind, SessionDriver, WorkloadExecutor,
 };
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_space::{Config, ConfigSpace};
@@ -99,7 +99,7 @@ fn run_chaos_session(
         Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), seed));
     let runner: Arc<dyn TrialRunner> = Arc::new(FaultyRunner::new(Arc::new(SimRunner), plan));
     let mut executor =
-        WorkloadExecutor::from_trial_runner(runner, catalog.clone(), seed ^ 0x5EED, workers)
+        WorkloadExecutor::from_trial_runner(runner, catalog.clone(), eval_seed(seed), workers)
             .with_policy(policy);
     let opts = SessionOptions { iterations: ITERS, n_init: 4, seed, ..Default::default() };
     run_session_resumable(&adapter, optimizer, &mut executor, &opts, 3, &[], None).unwrap()
