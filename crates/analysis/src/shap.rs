@@ -138,14 +138,14 @@ pub fn tree_shap_single(tree: &Tree, x: &[f64], n_features: usize) -> Vec<f64> {
 pub fn tree_shap(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
     let d = forest.spec().len();
     let mut phi = vec![0.0; d];
-    for tree in &forest.trees {
+    for tree in forest.trees() {
         let p = tree_shap_single(tree, x, d);
         for (acc, v) in phi.iter_mut().zip(p) {
             *acc += v;
         }
     }
     for v in phi.iter_mut() {
-        *v /= forest.trees.len() as f64;
+        *v /= forest.trees().len() as f64;
     }
     phi
 }
@@ -167,7 +167,7 @@ pub fn expected_value_single(tree: &Tree) -> f64 {
 
 /// Cover-weighted expected prediction of the forest.
 pub fn expected_value(forest: &RandomForest) -> f64 {
-    forest.trees.iter().map(expected_value_single).sum::<f64>() / forest.trees.len() as f64
+    forest.trees().iter().map(expected_value_single).sum::<f64>() / forest.trees().len() as f64
 }
 
 /// Mean |SHAP| importance per feature over a background sample.
@@ -261,7 +261,7 @@ mod tests {
         let (forest, _) = fit_forest(4, |x| 3.0 * x[0] + x[1] * x[2], 60, 1);
         let probes = [vec![0.1, 0.9, 0.2, 0.5], vec![0.8, 0.3, 0.7, 0.1]];
         for x in &probes {
-            for tree in &forest.trees {
+            for tree in forest.trees() {
                 let fast = tree_shap_single(tree, x, 4);
                 let slow = brute_force_shap(tree, x, 4);
                 for (a, b) in fast.iter().zip(&slow) {

@@ -11,9 +11,9 @@
 //! * **SMAC suggest** — forest cold (history changed, must fit) vs warm
 //!   (cached fit reused across a batch round).
 //! * **Forest fit** — `RandomForest::fit` alone (the cold suggest's
-//!   dominant term) and 1500 `predict` calls (one suggestion's random
-//!   candidates), at the LlamaTune width d = 16 and the vanilla 90-knob
-//!   width.
+//!   dominant term) and one `predict_batch` of 1500 points (how a
+//!   suggestion scores its random candidates), at the LlamaTune width
+//!   d = 16 and the vanilla 90-knob width.
 //! * **DDPG observe** — one `Ddpg::observe` (reward, replay push, five
 //!   minibatch training steps) at the LlamaTune width d = 16 and the
 //!   vanilla 90-knob width, 27 metrics, with the replay buffer pinned at
@@ -114,8 +114,8 @@ fn smac_suggest_row(n: usize, reps: usize) -> Row<'static> {
 }
 
 /// Times the SMAC surrogate by itself on a `d`-dim history of `n`
-/// points: one default-config fit, and the 1500 `predict` calls a
-/// suggestion spends on its random candidates.
+/// points: one default-config fit, and the `predict_batch` of 1500
+/// points a suggestion scores its random candidates with.
 fn forest_fit_row(d: usize, n: usize, reps: usize) -> Row<'static> {
     let spec = SearchSpec::continuous(d);
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xf0e5);
@@ -130,9 +130,7 @@ fn forest_fit_row(d: usize, n: usize, reps: usize) -> Row<'static> {
         let forest = std::hint::black_box(RandomForest::fit(&spec, &xs, &ys, &config, rep as u64));
         fit.push(t.elapsed().as_secs_f64() * 1e6);
         let t = Instant::now();
-        for x in &candidates {
-            std::hint::black_box(forest.predict(std::hint::black_box(x)));
-        }
+        std::hint::black_box(forest.predict_batch(std::hint::black_box(&candidates)));
         predict.push(t.elapsed().as_secs_f64() * 1e6);
     }
     vec![

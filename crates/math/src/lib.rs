@@ -9,11 +9,13 @@
 //! workspace has no dependency on external linear-algebra or statistics
 //! crates.
 
+pub mod dispatch;
 pub mod dist;
 pub mod lhs;
 pub mod matrix;
 pub mod stats;
 
+pub use dispatch::Isa;
 pub use dist::{splitmix64, Exponential, Normal, Zipfian};
 pub use lhs::latin_hypercube;
 pub use matrix::{CholeskyError, Matrix};

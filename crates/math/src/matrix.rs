@@ -4,8 +4,38 @@
 //! This is everything the Gaussian-process surrogate in `llamatune-optim`
 //! needs: building a kernel matrix, factoring it, solving against it, and
 //! computing its log-determinant for the marginal likelihood.
+//!
+//! # The lane kernels and their contract
+//!
+//! Two routines are lane kernels, run through [`Isa::run`] (the AVX2 copy
+//! where the CPU has it, see [`crate::dispatch`]):
+//!
+//! * [`Matrix::cholesky`] builds the factor column by column. The entries
+//!   `L[i][j]`, `i > j`, of column `j` depend only on earlier columns, so
+//!   they are computed `CHOLESKY_LANES` rows at a time from a column-major
+//!   copy of the factor, where the textbook row-by-row loop runs one
+//!   dependent chain of subtractions per entry;
+//! * [`Matrix::solve_lower_batch`] substitutes a whole batch of
+//!   right-hand sides row by row, a lane per right-hand side.
+//!
+//! **The contract is bit identity with the textbook loops**: the row-major
+//! Cholesky (kept under `#[cfg(test)]` as `reference_cholesky`, the oracle
+//! of `cholesky_matches_the_textbook_loop_bit_for_bit`) and one
+//! [`Matrix::solve_lower`] per right-hand side. It holds because a lane is
+//! another *result*, never a partial sum of one: entry `L[i][j]` starts
+//! from `A[i][j]` (plus the jitter on the diagonal), takes
+//! `-= L[i][k] * L[j][k]` with `k` ascending and is divided by `L[j][j]`,
+//! exactly the textbook's operations in its order; nothing is fused and
+//! nothing is reassociated, at either vector width. The pivots are checked
+//! in the same order (column `j`'s diagonal is its first entry), so a
+//! matrix that is not positive definite, or holds a NaN, fails at the same
+//! pivot.
 
+use crate::dispatch::Isa;
 use std::fmt;
+
+/// Rows of one column that [`Matrix::cholesky`] computes together.
+const CHOLESKY_LANES: usize = 8;
 
 /// Error returned when a Cholesky factorization fails because the input is
 /// not (numerically) positive definite.
@@ -104,28 +134,68 @@ impl Matrix {
 
     /// Cholesky factorization: returns lower-triangular `L` with
     /// `self = L * L^T`. The input must be symmetric positive definite; a
-    /// small `jitter` is added to the diagonal to absorb round-off.
+    /// small `jitter` is added to the diagonal to absorb round-off. Only
+    /// the lower triangle of `self` is read.
     pub fn cholesky(&self, jitter: f64) -> Result<Matrix, CholeskyError> {
+        self.cholesky_on(Isa::best(), jitter)
+    }
+
+    fn cholesky_on(&self, isa: Isa, jitter: f64) -> Result<Matrix, CholeskyError> {
         assert_eq!(self.rows, self.cols, "cholesky requires a square matrix");
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                if i == j {
-                    sum += jitter;
-                }
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(CholeskyError { pivot: i });
+        // The factor column-major while it is built: row `i` of column `j`
+        // at `lt[j * stride + i]`. The padding lets the last block of a
+        // column run `CHOLESKY_LANES` wide; what the padded lanes compute is
+        // never read into a real entry.
+        let stride = n + CHOLESKY_LANES;
+        let mut lt = vec![0.0; n * stride];
+        isa.run(
+            #[inline(always)]
+            || {
+                for j in 0..n {
+                    let (done, rest) = lt.split_at_mut(j * stride);
+                    let col = &mut rest[..stride];
+                    let mut diag = 0.0;
+                    for top in (j..n).step_by(CHOLESKY_LANES) {
+                        let mut acc = [0.0; CHOLESKY_LANES];
+                        for (lane, acc) in acc.iter_mut().enumerate().take(n - top) {
+                            *acc = self[(top + lane, j)];
+                        }
+                        if top == j {
+                            acc[0] += jitter;
+                        }
+                        for done_col in done.chunks_exact(stride) {
+                            let ljk = done_col[j];
+                            let rows: &[f64; CHOLESKY_LANES] =
+                                done_col[top..top + CHOLESKY_LANES].try_into().expect("padded");
+                            for (acc, &lik) in acc.iter_mut().zip(rows) {
+                                *acc -= lik * ljk;
+                            }
+                        }
+                        if top == j {
+                            let pivot = acc[0];
+                            if pivot <= 0.0 || !pivot.is_finite() {
+                                return Err(CholeskyError { pivot: j });
+                            }
+                            diag = pivot.sqrt();
+                        }
+                        let out: &mut [f64; CHOLESKY_LANES] =
+                            (&mut col[top..top + CHOLESKY_LANES]).try_into().expect("padded");
+                        for (out, acc) in out.iter_mut().zip(acc) {
+                            *out = acc / diag;
+                        }
+                        if top == j {
+                            out[0] = diag;
+                        }
                     }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
                 }
+                Ok(())
+            },
+        )?;
+        let mut l = Matrix::zeros(n, n);
+        for (j, col) in lt.chunks_exact(stride).enumerate() {
+            for (i, &v) in col[..n].iter().enumerate().skip(j) {
+                l[(i, j)] = v;
             }
         }
         Ok(l)
@@ -207,25 +277,34 @@ impl Matrix {
     /// # Panics
     /// Panics if `self` is not square or `b.rows() != self.rows()`.
     pub fn solve_lower_batch(&self, b: &Matrix) -> Matrix {
+        self.solve_lower_batch_on(Isa::best(), b)
+    }
+
+    fn solve_lower_batch_on(&self, isa: Isa, b: &Matrix) -> Matrix {
         assert_eq!(self.rows, self.cols);
         assert_eq!(b.rows, self.rows, "RHS row count must match the factor dimension");
         let (n, m) = (self.rows, b.cols);
         let mut x = b.clone();
-        for i in 0..n {
-            let (solved, rest) = x.data.split_at_mut(i * m);
-            let xi = &mut rest[..m];
-            let li = self.row(i);
-            for (j, &lij) in li[..i].iter().enumerate() {
-                let xj = &solved[j * m..(j + 1) * m];
-                for (acc, &v) in xi.iter_mut().zip(xj) {
-                    *acc -= lij * v;
+        isa.run(
+            #[inline(always)]
+            || {
+                for i in 0..n {
+                    let (solved, rest) = x.data.split_at_mut(i * m);
+                    let xi = &mut rest[..m];
+                    let li = self.row(i);
+                    for (j, &lij) in li[..i].iter().enumerate() {
+                        let xj = &solved[j * m..(j + 1) * m];
+                        for (acc, &v) in xi.iter_mut().zip(xj) {
+                            *acc -= lij * v;
+                        }
+                    }
+                    let d = li[i];
+                    for acc in xi.iter_mut() {
+                        *acc /= d;
+                    }
                 }
-            }
-            let d = li[i];
-            for acc in xi.iter_mut() {
-                *acc /= d;
-            }
-        }
+            },
+        );
         x
     }
 
@@ -275,6 +354,34 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
         debug_assert!(i < self.rows && j < self.cols);
         &mut self.data[i * self.cols + j]
     }
+}
+
+/// The textbook row-by-row factorization [`Matrix::cholesky`] replaced,
+/// kept as the oracle of its bit-identity test.
+#[cfg(test)]
+fn reference_cholesky(a: &Matrix, jitter: f64) -> Result<Matrix, CholeskyError> {
+    let n = a.rows;
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            if i == j {
+                sum += jitter;
+            }
+            for k in 0..j {
+                sum -= l[(i, k)] * l[(j, k)];
+            }
+            if i == j {
+                if sum <= 0.0 || !sum.is_finite() {
+                    return Err(CholeskyError { pivot: i });
+                }
+                l[(i, j)] = sum.sqrt();
+            } else {
+                l[(i, j)] = sum / l[(j, j)];
+            }
+        }
+    }
+    Ok(l)
 }
 
 #[cfg(test)]
@@ -421,17 +528,65 @@ mod tests {
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
         let b = Matrix::from_vec(9, m, (0..9 * m).map(|_| rng.random_range(-5.0..5.0)).collect());
-        let x = l.solve_lower_batch(&b);
-        for j in 0..m {
-            let col: Vec<f64> = (0..9).map(|i| b[(i, j)]).collect();
-            let single = l.solve_lower(&col);
-            for i in 0..9 {
-                assert_eq!(x[(i, j)].to_bits(), single[i].to_bits(), "column {j} row {i}");
+        for isa in Isa::available() {
+            let x = l.solve_lower_batch_on(isa, &b);
+            for j in 0..m {
+                let col: Vec<f64> = (0..9).map(|i| b[(i, j)]).collect();
+                let single = l.solve_lower(&col);
+                for i in 0..9 {
+                    assert_eq!(
+                        x[(i, j)].to_bits(),
+                        single[i].to_bits(),
+                        "{isa:?} column {j} row {i}"
+                    );
+                }
             }
         }
     }
 
+    /// A kernel matrix of the GP's kind, `n` from 1 to 130: squared-
+    /// exponential covariances of random points plus a noise floor from
+    /// generous to vanishing (so some factorizations fail on round-off),
+    /// then, one time in four each, a diagonal entry made negative or an
+    /// entry of the lower triangle made NaN or infinite.
+    fn random_kernel_matrix(seed: u64) -> (Matrix, f64) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, d) = (rng.random_range(1..=130), rng.random_range(1..6));
+        let points: Vec<Vec<f64>> =
+            (0..n).map(|_| (0..d).map(|_| rng.random::<f64>()).collect()).collect();
+        let scale: f64 = rng.random_range(0.05..2.0);
+        let noise = 10f64.powf(rng.random_range(-14.0..0.0));
+        let mut a = Matrix::from_symmetric_fn(n, |i, j| {
+            let sq: f64 = points[i].iter().zip(&points[j]).map(|(p, q)| (p - q) * (p - q)).sum();
+            (-sq / scale).exp() + if i == j { noise } else { 0.0 }
+        });
+        let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
+        match rng.random_range(0..4) {
+            0 => a[(i, i)] = -a[(i, i)],
+            1 => a[(i.max(j), i.min(j))] = [f64::NAN, f64::INFINITY][rng.random_range(0..2usize)],
+            _ => {}
+        }
+        (a, [0.0, 1e-8][rng.random_range(0..2usize)])
+    }
+
     proptest! {
+        /// The lane factorization's contract, at both vector widths: the
+        /// textbook loop's factor to the last bit, or its error at the same
+        /// pivot.
+        #[test]
+        fn cholesky_matches_the_textbook_loop_bit_for_bit(seed in any::<u64>()) {
+            let (a, jitter) = random_kernel_matrix(seed);
+            let bits = |r: &Result<Matrix, CholeskyError>| {
+                r.as_ref().map(|l| l.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()).map_err(|e| *e)
+            };
+            let want = bits(&reference_cholesky(&a, jitter));
+            for isa in Isa::available() {
+                prop_assert_eq!(&bits(&a.cholesky_on(isa, jitter)), &want, "{:?}, n = {}", isa, a.rows);
+            }
+        }
+
         /// Any matrix of the form B*B^T + eps*I is SPD, so Cholesky must
         /// succeed and reconstruct the input.
         #[test]

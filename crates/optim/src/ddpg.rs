@@ -600,18 +600,25 @@ mod tests {
         /// The kernel's contract: after the same training steps on the
         /// same replay buffer and RNG, every weight, bias, Adam moment and
         /// target parameter of the one-sample-at-a-time loop, bit for bit,
-        /// and the RNG left where that loop leaves it.
+        /// and the RNG left where that loop leaves it — on every copy of
+        /// the kernel the CPU runs.
         #[test]
         fn train_matches_the_reference_bit_for_bit(seed in proptest::any::<u64>()) {
-            let (mut kernel, mut oracle) = (random_instance(seed), random_instance(seed));
-            for round in 0..2 {
-                kernel.train();
-                reference::train(&mut oracle);
-                let nets = |d: &Ddpg| {
-                    [&d.actor, &d.critic, &d.actor_target, &d.critic_target].map(nn_reference::bits)
-                };
-                assert_eq!(nets(&kernel), nets(&oracle), "seed {seed}, round {round}");
-                assert_eq!(kernel.rng.random::<u64>(), oracle.rng.random::<u64>());
+            for isa in llamatune_math::Isa::available() {
+                let (mut kernel, mut oracle) = (random_instance(seed), random_instance(seed));
+                let batch = kernel.config.batch_size;
+                kernel.scratch.actor = Tape::new_on(isa, &kernel.actor, batch);
+                kernel.scratch.critic = Tape::new_on(isa, &kernel.critic, batch);
+                for round in 0..2 {
+                    kernel.train();
+                    reference::train(&mut oracle);
+                    let nets = |d: &Ddpg| {
+                        [&d.actor, &d.critic, &d.actor_target, &d.critic_target]
+                            .map(nn_reference::bits)
+                    };
+                    assert_eq!(nets(&kernel), nets(&oracle), "seed {seed}, round {round}, {isa:?}");
+                    assert_eq!(kernel.rng.random::<u64>(), oracle.rng.random::<u64>());
+                }
             }
         }
     }

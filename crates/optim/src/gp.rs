@@ -28,6 +28,20 @@
 //! `GpBo::kernel_value` for the Matérn tail and its `exp`; the Hamming
 //! factor costs a second `exp` only when the space has a categorical
 //! dimension (`exp(-γ·0)` is exactly `1.0`, and `x * 1.0` is `x`).
+//!
+//! The two lane kernels of [`Matrix`] that GP-BO calls
+//! (`solve_lower_batch` here, `cholesky` in the refit) run the AVX2 copy
+//! where the CPU has it (see `llamatune_math::Isa`). A wider register
+//! computes more candidates per instruction, never a candidate's sum in
+//! another order, and nothing is fused, so both copies give these bits.
+//! `kernel_row` has the portable copy only: its pass is bound by the
+//! `exp` of `kernel_value`, and an AVX2 copy of it measured no faster.
+//!
+//! A refit scores `MLE_DRAWS` hyperparameter draws on one history. The
+//! pairwise squared distances and mismatch counts do not depend on the
+//! draw, so `GpBo::pair_stats` computes them once per refit, each as the
+//! pointwise `kernel` would, and every draw's matrix is `kernel_value` of
+//! them.
 
 use crate::spec::{category, expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
 use llamatune_math::{Matrix, Normal};
@@ -108,6 +122,16 @@ struct GpCache {
     alpha: Vec<f64>,
 }
 
+/// See [`GpBo::pair_stats`]: `(squared distance, mismatches)` of pair
+/// `(i, j)`, `j <= i`, at `i * (i + 1) / 2 + j`.
+struct PairStats(Vec<(f64, f64)>);
+
+impl PairStats {
+    fn get(&self, i: usize, j: usize) -> (f64, f64) {
+        self.0[i * (i + 1) / 2 + j]
+    }
+}
+
 /// See [`GpBo::candidate_columns`].
 struct CandidateColumns {
     /// One column (a value per candidate) per continuous dimension.
@@ -168,6 +192,13 @@ impl GpBo {
 
     /// Matérn 5/2 x Hamming kernel.
     fn kernel(&self, h: &Hyper, a: &[f64], b: &[f64]) -> f64 {
+        let (sq, mismatches) = self.distance(a, b);
+        self.kernel_value(h, sq, mismatches)
+    }
+
+    /// The two sufficient statistics of a kernel entry (see
+    /// [`GpBo::kernel_value`]), each summed from `0.0` in dimension order.
+    fn distance(&self, a: &[f64], b: &[f64]) -> (f64, f64) {
         let mut sq = 0.0;
         for &i in &self.dims.cont {
             let d = a[i] - b[i];
@@ -179,7 +210,7 @@ impl GpBo {
                 mismatches += 1.0;
             }
         }
-        self.kernel_value(h, sq, mismatches)
+        (sq, mismatches)
     }
 
     /// One kernel entry from its two sufficient statistics: the squared
@@ -257,10 +288,13 @@ impl GpBo {
         self.ys.iter().map(|y| (y - self.y_mean) / self.y_std).collect()
     }
 
-    fn build_cache(&self, h: &Hyper) -> Option<(GpCache, f64)> {
+    /// The factor, weights and log marginal likelihood of the history
+    /// under `h`; `pairs` is [`GpBo::pair_stats`] of the history.
+    fn build_cache(&self, h: &Hyper, pairs: &PairStats) -> Option<(GpCache, f64)> {
         let n = self.xs.len();
         let k = Matrix::from_symmetric_fn(n, |i, j| {
-            self.kernel(h, &self.xs[i], &self.xs[j]) + if i == j { h.noise_var } else { 0.0 }
+            let (sq, mismatches) = pairs.get(i, j);
+            self.kernel_value(h, sq, mismatches) + if i == j { h.noise_var } else { 0.0 }
         });
         let chol = self.timed_cholesky(&k)?;
         let ys = self.standardized_ys();
@@ -272,11 +306,22 @@ impl GpBo {
         Some((GpCache { chol, alpha }, lml))
     }
 
+    /// [`GpBo::distance`] of every pair of history points `(i, j)`,
+    /// `j <= i`, with `xs[i]` first, as [`GpBo::kernel`] fills the matrix.
+    fn pair_stats(&self) -> PairStats {
+        let mut stats = Vec::with_capacity(self.xs.len() * (self.xs.len() + 1) / 2);
+        for (i, a) in self.xs.iter().enumerate() {
+            stats.extend(self.xs[..=i].iter().map(|b| self.distance(a, b)));
+        }
+        PairStats(stats)
+    }
+
     /// Maximum-likelihood hyperparameter search (random draws in log space,
     /// keeping the best).
     fn refit(&mut self) {
         self.y_mean = llamatune_math::mean(&self.ys);
         self.y_std = llamatune_math::std_dev(&self.ys).max(1e-6);
+        let pairs = self.pair_stats();
         let mut best: Option<(f64, Hyper, GpCache)> = None;
         for i in 0..MLE_DRAWS {
             let h = if i == 0 {
@@ -289,7 +334,7 @@ impl GpBo {
                     noise_var: 10f64.powf(self.rng.random_range(-6.0..-1.0)),
                 }
             };
-            if let Some((cache, lml)) = self.build_cache(&h) {
+            if let Some((cache, lml)) = self.build_cache(&h, &pairs) {
                 if best.as_ref().is_none_or(|(b, _, _)| lml > *b) {
                     best = Some((lml, h, cache));
                 }
@@ -682,7 +727,8 @@ mod tests {
             let y_std = llamatune_math::std_dev(&gp.ys).max(1e-6);
             assert_eq!(gp.y_std.to_bits(), y_std.to_bits(), "obs {i}");
             let cache = gp.cache.as_ref().expect("a factorable history");
-            let (rebuilt, _) = gp.build_cache(&gp.hyper).expect("the same matrix factors");
+            let (rebuilt, _) =
+                gp.build_cache(&gp.hyper, &gp.pair_stats()).expect("the same matrix factors");
             for r in 0..cache.chol.rows() {
                 assert_eq!(bits(cache.chol.row(r)), bits(rebuilt.chol.row(r)), "obs {i}, row {r}");
             }

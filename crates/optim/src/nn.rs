@@ -36,8 +36,13 @@
 //! skipped (`0 · NaN`, `-0.0`), nothing is fused (`mul_add`), and the
 //! element-wise parts — ReLU and its mask, the output activation and its
 //! derivative, Adam, the Polyak update — keep their expressions.
+//!
+//! `accumulate` runs through [`Isa::run`]: as compiled a second time
+//! for AVX2 where the CPU has it (four lanes per register instead of
+//! two), else as compiled for the baseline. The tape names the copy; the
+//! rule above is why the two cannot differ in a bit.
 
-use llamatune_math::Normal;
+use llamatune_math::{Isa, Normal};
 use rand::rngs::StdRng;
 use std::ops::Range;
 
@@ -76,21 +81,34 @@ impl Activation {
 /// so each `c[r][j]` takes exactly the additions `c[r][j] += a · b[k][j]`,
 /// `k = 0, 1, …` would give it; blocks narrow from 16 columns to 1 so that
 /// any width is covered without a second loop shape.
-fn accumulate(c: &mut [f64], a: &[f64], a_strides: (usize, usize), b: &[f64], cols: usize) {
+fn accumulate(
+    isa: Isa,
+    c: &mut [f64],
+    a: &[f64],
+    a_strides: (usize, usize),
+    b: &[f64],
+    cols: usize,
+) {
     if cols == 0 {
         return;
     }
     debug_assert!(c.len().is_multiple_of(cols) && b.len().is_multiple_of(cols));
-    let mut done = 0;
-    done = accumulate_blocks::<16>(c, a, a_strides, b, cols, done);
-    done = accumulate_blocks::<8>(c, a, a_strides, b, cols, done);
-    done = accumulate_blocks::<4>(c, a, a_strides, b, cols, done);
-    done = accumulate_blocks::<2>(c, a, a_strides, b, cols, done);
-    accumulate_blocks::<1>(c, a, a_strides, b, cols, done);
+    isa.run(
+        #[inline(always)]
+        || {
+            let mut done = 0;
+            done = accumulate_blocks::<16>(c, a, a_strides, b, cols, done);
+            done = accumulate_blocks::<8>(c, a, a_strides, b, cols, done);
+            done = accumulate_blocks::<4>(c, a, a_strides, b, cols, done);
+            done = accumulate_blocks::<2>(c, a, a_strides, b, cols, done);
+            accumulate_blocks::<1>(c, a, a_strides, b, cols, done);
+        },
+    );
 }
 
 /// Every whole `L`-column block of [`accumulate`] from column `from` on;
 /// returns the first column left over.
+#[inline(always)]
 fn accumulate_blocks<const L: usize>(
     c: &mut [f64],
     a: &[f64],
@@ -202,6 +220,8 @@ fn adam(
 #[derive(Debug, Clone)]
 pub struct Tape {
     batch: usize,
+    /// The compiled copy of `accumulate` the passes over this tape run.
+    isa: Isa,
     acts: Vec<Vec<f64>>,
     /// dLoss/d(output of the layer being processed), feature-major.
     grad: Vec<f64>,
@@ -214,12 +234,19 @@ pub struct Tape {
 impl Tape {
     /// Scratch for `batch` samples through a network of `net`'s shape.
     pub fn new(net: &Mlp, batch: usize) -> Tape {
+        Tape::new_on(Isa::best(), net, batch)
+    }
+
+    /// [`Tape::new`], with the passes over the tape running `isa`'s copy
+    /// of the kernel.
+    pub(crate) fn new_on(isa: Isa, net: &Mlp, batch: usize) -> Tape {
         let widths: Vec<usize> = std::iter::once(net.input_dim())
             .chain(net.layers.iter().map(|layer| layer.outputs))
             .collect();
         let widest = widths.iter().copied().max().unwrap_or(0);
         Tape {
             batch,
+            isa,
             acts: widths.iter().map(|w| vec![0.0; w * batch]).collect(),
             grad: vec![0.0; widest * batch],
             grad_below: vec![0.0; widest * batch],
@@ -294,7 +321,7 @@ impl Mlp {
     /// Forward pass of the tape's minibatch from its input, keeping every
     /// layer's output for the backward passes.
     pub fn forward_batch(&self, tape: &mut Tape) {
-        let batch = tape.batch;
+        let (batch, isa) = (tape.batch, tape.isa);
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
             let (below, above) = tape.acts.split_at_mut(li + 1);
@@ -302,7 +329,7 @@ impl Mlp {
             for (row, &bias) in out.chunks_exact_mut(batch.max(1)).zip(&layer.b) {
                 row.fill(bias);
             }
-            accumulate(out, &layer.w, (layer.inputs, 1), input, batch);
+            accumulate(isa, out, &layer.w, (layer.inputs, 1), input, batch);
             if li < last {
                 for v in out.iter_mut() {
                     *v = v.max(0.0); // ReLU
@@ -339,8 +366,8 @@ impl Mlp {
         accumulate_params: bool,
         input_rows: Range<usize>,
     ) {
-        let Tape { batch, acts, grad, grad_below, rows } = tape;
-        let batch = *batch;
+        let Tape { batch, isa, acts, grad, grad_below, rows } = tape;
+        let (batch, isa) = (*batch, *isa);
         let last = self.layers.len() - 1;
         for (g, y) in grad.iter_mut().zip(&acts[last + 1]) {
             *g *= self.out_act.derivative_from_output(*y);
@@ -358,7 +385,7 @@ impl Mlp {
             if accumulate_params {
                 let x_rows = &mut rows[..layer.inputs * batch];
                 transpose(&acts[li], batch, x_rows);
-                accumulate(&mut layer.gw, g, (batch, 1), x_rows, layer.inputs);
+                accumulate(isa, &mut layer.gw, g, (batch, 1), x_rows, layer.inputs);
                 for (gb, g_row) in layer.gb.iter_mut().zip(g.chunks_exact(batch.max(1))) {
                     for g in g_row {
                         *gb += g;
@@ -368,7 +395,7 @@ impl Mlp {
             let wanted = if li > 0 { 0..layer.inputs } else { input_rows.clone() };
             let below = &mut grad_below[..wanted.len() * batch];
             below.fill(0.0);
-            accumulate(below, &layer.w[wanted.start..], (1, layer.inputs), g, batch);
+            accumulate(isa, below, &layer.w[wanted.start..], (1, layer.inputs), g, batch);
             std::mem::swap(grad, grad_below);
         }
     }
@@ -649,7 +676,8 @@ mod tests {
     /// The three passes of the kernel against the per-sample reference on
     /// one minibatch, bit for bit: outputs, accumulated parameter
     /// gradients, and the input gradient of a row range — at widths below,
-    /// at and past every block width of `accumulate`.
+    /// at and past every block width of `accumulate`, on every copy of it
+    /// the CPU runs.
     #[test]
     fn input_gradient_matches_backward() {
         let mut r = rng();
@@ -660,9 +688,8 @@ mod tests {
             (vec![31, 33, 1, 15], 40),
         ] {
             for head in [Activation::Tanh, Activation::Sigmoid, Activation::Linear] {
-                let mut net = Mlp::new(&sizes, head, &mut r);
-                let mut oracle = net.clone();
-                let (n_in, n_out) = (net.input_dim(), net.output_dim());
+                let start = Mlp::new(&sizes, head, &mut r);
+                let (n_in, n_out) = (start.input_dim(), start.output_dim());
                 let xs: Vec<Vec<f64>> = (0..batch)
                     .map(|_| (0..n_in).map(|_| r.random_range(-1.0..1.0)).collect())
                     .collect();
@@ -671,27 +698,31 @@ mod tests {
                     .collect();
                 let rows = n_in / 3..n_in;
 
-                let mut tape = Tape::new(&net, batch);
-                scatter(tape.input_mut(), batch, xs.iter());
-                net.forward_batch(&mut tape);
-                let out = tape.output().to_vec();
-                scatter(tape.output_grad_mut(), batch, gs.iter());
-                net.backward(&mut tape);
-                scatter(tape.output_grad_mut(), batch, gs.iter());
-                let grad_in = net.input_gradient(&mut tape, rows.clone()).to_vec();
+                for isa in Isa::available() {
+                    let (mut net, mut oracle) = (start.clone(), start.clone());
+                    let mut tape = Tape::new_on(isa, &net, batch);
+                    scatter(tape.input_mut(), batch, xs.iter());
+                    net.forward_batch(&mut tape);
+                    let out = tape.output().to_vec();
+                    scatter(tape.output_grad_mut(), batch, gs.iter());
+                    net.backward(&mut tape);
+                    scatter(tape.output_grad_mut(), batch, gs.iter());
+                    let grad_in = net.input_gradient(&mut tape, rows.clone()).to_vec();
 
-                for (s, (x, g)) in xs.iter().zip(&gs).enumerate() {
-                    let want_out = reference::forward(&oracle, x);
-                    let want_in = reference::backward(&mut oracle, x, g);
-                    assert_eq!(want_in, reference::input_gradient(&oracle, x, g));
-                    for (o, want) in want_out.iter().enumerate() {
-                        assert_eq!(out[o * batch + s].to_bits(), want.to_bits());
+                    for (s, (x, g)) in xs.iter().zip(&gs).enumerate() {
+                        let want_out = reference::forward(&oracle, x);
+                        let want_in = reference::backward(&mut oracle, x, g);
+                        assert_eq!(want_in, reference::input_gradient(&oracle, x, g));
+                        for (o, want) in want_out.iter().enumerate() {
+                            assert_eq!(out[o * batch + s].to_bits(), want.to_bits());
+                        }
+                        for (k, i) in rows.clone().enumerate() {
+                            assert_eq!(grad_in[k * batch + s].to_bits(), want_in[i].to_bits());
+                        }
                     }
-                    for (k, i) in rows.clone().enumerate() {
-                        assert_eq!(grad_in[k * batch + s].to_bits(), want_in[i].to_bits());
-                    }
+                    let label = format!("{sizes:?} {head:?} {isa:?}");
+                    assert_eq!(reference::bits(&net), reference::bits(&oracle), "{label}");
                 }
-                assert_eq!(reference::bits(&net), reference::bits(&oracle), "{sizes:?} {head:?}");
             }
         }
     }

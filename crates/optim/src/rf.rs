@@ -47,8 +47,35 @@
 //! serial chain over ~20 samples. RNG draws (bootstrap indices, the
 //! feature shuffle, the thresholds of each non-constant feature) happen
 //! in the same order, and ties keep the first strict minimum.
+//!
+//! # The scoring walk and its contract
+//!
+//! SMAC scores 1 500 random candidates per suggestion against the fitted
+//! forest. [`RandomForest::predict_batch`] walks them `WALK_LANES` at a
+//! time over a flattened copy of each tree built once per fit (`WalkTree`):
+//! every node is one record holding the interval a value must lie in to
+//! go left (`-inf ..= threshold` for `Rule::Le`, `choice ..= choice` for
+//! `Rule::CatEq`, whose dimension walks as its decoded choice), and every
+//! leaf points both ways at itself. A walk of the tree's depth therefore
+//! ends on the leaf each candidate reaches, with no branch on the data;
+//! the lanes are independent chains of loads where the one-candidate walk
+//! had one. [`RandomForest::predict`] is the same walk one lane wide.
+//!
+//! **The contract is bit identity with [`Tree::predict`] and the
+//! two-pass formula**: per candidate, the tree outputs summed in tree
+//! order from `SUM_ZERO` over the tree count, then the squared deviations
+//! about that mean in tree order over `t − 1` (the
+//! `walk_matches_tree_predict_and_the_two_pass_formula` proptest). A lane
+//! is another candidate, never a partial sum of one.
+//!
+//! `score_lanes` and the batched walk run through [`Isa::run`]: the AVX2
+//! copy where the CPU has it, else the baseline one (a one-lane walk has
+//! nothing to widen). A lane's arithmetic is the same at either width —
+//! nothing is fused, nothing reassociated — so the copies give the same
+//! trees and the same scores.
 
 use crate::spec::{category, ParamKind, SearchSpec};
+use llamatune_math::Isa;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -144,8 +171,12 @@ impl Default for RandomForestConfig {
 /// A fitted random forest.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    pub trees: Vec<Tree>,
+    trees: Vec<Tree>,
+    /// `trees`, flattened for scoring.
+    walk: Vec<WalkTree>,
     spec: SearchSpec,
+    /// The compiled copy of the lane kernels this forest runs.
+    isa: Isa,
 }
 
 impl RandomForest {
@@ -154,6 +185,17 @@ impl RandomForest {
     /// # Panics
     /// Panics if `xs` is empty or lengths mismatch.
     pub fn fit(
+        spec: &SearchSpec,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        config: &RandomForestConfig,
+        seed: u64,
+    ) -> RandomForest {
+        Self::fit_on(Isa::best(), spec, xs, ys, config, seed)
+    }
+
+    fn fit_on(
+        isa: Isa,
         spec: &SearchSpec,
         xs: &[Vec<f64>],
         ys: &[f64],
@@ -170,6 +212,7 @@ impl RandomForest {
             }
         }
         let mut fit = Fit {
+            isa,
             spec,
             config,
             cols: &cols,
@@ -195,50 +238,185 @@ impl RandomForest {
                 fit.build_node(0, n, 0, &mut nodes);
                 Tree { nodes }
             })
-            .collect();
-        RandomForest { trees, spec: spec.clone() }
+            .collect::<Vec<_>>();
+        RandomForest {
+            walk: trees.iter().map(WalkTree::of).collect(),
+            trees,
+            spec: spec.clone(),
+            isa,
+        }
     }
 
     /// Predicts mean and across-tree variance at `x` (the variance feeds
     /// Expected Improvement): the ordered sum of the tree outputs over
     /// the tree count, and the two-pass n−1 variance about that mean.
     ///
-    /// SMAC calls this 1600 times per suggestion, so the tree outputs the
-    /// second pass needs are kept on the stack, not in a `Vec`; a forest
-    /// of more than `KEPT` trees walks the trees past that a second time.
+    /// SMAC's local search calls this about a hundred times per
+    /// suggestion, so a point of at most `STACK_DIMS` dimensions through
+    /// at most `STACK_TREES` trees walks as one lane on stack buffers;
+    /// a larger one goes through `predict_batch`'s buffers.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        const KEPT: usize = 64;
-        debug_assert_eq!(x.len(), self.spec.len());
-        let t = self.trees.len();
-        if t == 0 {
-            return (0.0, 0.0);
+        const STACK_DIMS: usize = 128;
+        const STACK_TREES: usize = 64;
+        let (d, t) = (self.spec.len(), self.walk.len());
+        if d > STACK_DIMS || t > STACK_TREES {
+            return self.score::<1>(std::slice::from_ref(&x))[0];
         }
-        // Both passes fold from `SUM_ZERO`, as `Iterator::sum` does.
-        let mut kept = [0.0; KEPT];
-        let mut sum = SUM_ZERO;
-        for (k, tree) in self.trees.iter().enumerate() {
-            let p = tree.predict(x);
-            if let Some(slot) = kept.get_mut(k) {
-                *slot = p;
-            }
-            sum += p;
+        let mut row = [0.0; STACK_DIMS];
+        for (slot, v) in row.iter_mut().zip(self.walk_values(x)) {
+            *slot = v;
         }
-        let mean = sum / t as f64;
-        if t < 2 {
-            return (mean, 0.0);
-        }
-        let mut sq = SUM_ZERO;
-        for (k, tree) in self.trees.iter().enumerate() {
-            let p = kept.get(k).copied().unwrap_or_else(|| tree.predict(x));
-            sq += (p - mean) * (p - mean);
-        }
-        (mean, sq / (t - 1) as f64)
+        let mut kept = [[0.0; 1]; STACK_TREES];
+        walk_lanes(&self.walk, [&row[..d]], &mut kept[..t])[0]
+    }
+
+    /// [`RandomForest::predict`] at every point of `xs`, in order, walked
+    /// `WALK_LANES` points at a time (see the module doc).
+    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        self.score::<WALK_LANES>(xs)
+    }
+
+    fn score<const L: usize>(&self, xs: &[impl AsRef<[f64]>]) -> Vec<(f64, f64)> {
+        let (m, d) = (xs.len(), self.spec.len());
+        // The walk values of one block of `L` points, lane `k` at `k * d`.
+        let mut values = vec![0.0; L * d];
+        let mut kept = vec![[0.0; L]; self.walk.len()];
+        let mut scores = Vec::with_capacity(m);
+        self.isa.run(
+            #[inline(always)]
+            || {
+                for top in (0..m).step_by(L) {
+                    // Lanes past the last point walk it again, unread.
+                    for k in 0..L {
+                        let x = xs[(top + k).min(m - 1)].as_ref();
+                        for (slot, v) in values[k * d..][..d].iter_mut().zip(self.walk_values(x)) {
+                            *slot = v;
+                        }
+                    }
+                    let rows = std::array::from_fn(|k| &values[k * d..][..d]);
+                    let lanes = walk_lanes(&self.walk, rows, &mut kept);
+                    scores.extend_from_slice(&lanes[..L.min(m - top)]);
+                }
+            },
+        );
+        scores
+    }
+
+    /// The values the walk compares for point `x`: a categorical
+    /// dimension as its decoded choice, a continuous one as it is.
+    fn walk_values<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        self.spec.params.iter().zip(&x[..self.spec.len()]).map(|(kind, &v)| match *kind {
+            ParamKind::Categorical { n } => category(v, n) as f64,
+            ParamKind::Continuous { .. } => v,
+        })
+    }
+
+    /// The fitted trees, in fit order.
+    pub fn trees(&self) -> &[Tree] {
+        &self.trees
     }
 
     /// The search spec the forest was fitted on.
     pub fn spec(&self) -> &SearchSpec {
         &self.spec
     }
+}
+
+/// Candidates [`RandomForest::predict_batch`] walks together.
+const WALK_LANES: usize = 8;
+
+/// One node of the flattened forest. A point goes left when its walk
+/// value `v` of `feature` has `lo <= v && v <= hi`; a leaf points both
+/// ways at itself.
+#[derive(Debug, Clone, Copy)]
+struct WalkNode {
+    lo: f64,
+    hi: f64,
+    /// The leaf's value; unread on a split.
+    value: f64,
+    feature: u32,
+    left: u32,
+    right: u32,
+}
+
+/// One tree, flattened for the walk: its nodes in `Tree::nodes` order,
+/// and the number of splits on its longest root-to-leaf path. Each tree
+/// keeps its own array, as `Tree` does, so no allocation grows with the
+/// forest.
+#[derive(Debug, Clone)]
+struct WalkTree {
+    nodes: Vec<WalkNode>,
+    depth: u32,
+}
+
+impl WalkTree {
+    fn of(tree: &Tree) -> WalkTree {
+        let nodes = tree.nodes.iter().zip(0..).map(|(node, at)| match *node {
+            TreeNode::Leaf { value, .. } => {
+                WalkNode { lo: 0.0, hi: 0.0, value, feature: 0, left: at, right: at }
+            }
+            TreeNode::Split { feature, rule, left, right, .. } => {
+                let (lo, hi) = match rule {
+                    // `-inf <= v` is false only for a NaN, which `v <= t`
+                    // sends right too.
+                    Rule::Le(t) => (f64::NEG_INFINITY, t),
+                    Rule::CatEq { choice, .. } => (choice as f64, choice as f64),
+                };
+                WalkNode { lo, hi, value: 0.0, feature: feature as u32, left, right }
+            }
+        });
+        WalkTree { nodes: nodes.collect(), depth: tree.depth() as u32 - 1 }
+    }
+}
+
+/// Mean and across-tree variance of `L` points, `rows[k]` holding point
+/// `k`'s walk values: each lane walks every tree to the tree's depth and
+/// keeps its outputs in `kept` (one slot per tree), then folds them in
+/// tree order — the sum from `SUM_ZERO` over the tree count, and the
+/// squared deviations about that mean from `SUM_ZERO` over `t − 1`.
+#[inline(always)]
+fn walk_lanes<const L: usize>(
+    walk: &[WalkTree],
+    rows: [&[f64]; L],
+    kept: &mut [[f64; L]],
+) -> [(f64, f64); L] {
+    let t = walk.len();
+    let mut sum = [SUM_ZERO; L];
+    for (tree, kept) in walk.iter().zip(kept.iter_mut()) {
+        let mut at = [0; L];
+        for _ in 0..tree.depth {
+            for (at, row) in at.iter_mut().zip(rows) {
+                let node = &tree.nodes[*at as usize];
+                let v = row[node.feature as usize];
+                *at = if (node.lo <= v) & (v <= node.hi) { node.left } else { node.right };
+            }
+        }
+        for k in 0..L {
+            kept[k] = tree.nodes[at[k] as usize].value;
+            sum[k] += kept[k];
+        }
+    }
+    let mut scores = [(0.0, 0.0); L];
+    if t == 0 {
+        return scores;
+    }
+    for (score, sum) in scores.iter_mut().zip(sum) {
+        score.0 = sum / t as f64;
+    }
+    if t < 2 {
+        return scores;
+    }
+    let mut sq = [SUM_ZERO; L];
+    for kept in &kept[..t] {
+        for k in 0..L {
+            let dev = kept[k] - scores[k].0;
+            sq[k] += dev * dev;
+        }
+    }
+    for (score, sq) in scores.iter_mut().zip(sq) {
+        score.1 = sq / (t - 1) as f64;
+    }
+    scores
 }
 
 /// Candidates scored per sweep over a node's samples.
@@ -327,6 +505,7 @@ struct Best {
 /// One `fit`: the column-major history plus every buffer the split
 /// search needs, allocated once and reused across nodes and trees.
 struct Fit<'a> {
+    isa: Isa,
     spec: &'a SearchSpec,
     config: &'a RandomForestConfig,
     /// Feature `f` of sample `i` at `cols[f * n + i]`.
@@ -392,14 +571,16 @@ impl Fit<'_> {
                 // Padding lanes never go left; their results are not read.
                 let mut keys = [f64::NAN; LANES];
                 keys[..chunk.len()].copy_from_slice(chunk);
-                let (nl, score) = match kind {
-                    ParamKind::Continuous { .. } => {
-                        score_lanes(&self.vals, &self.yv, &keys, |v, t| v <= t)
-                    }
-                    ParamKind::Categorical { .. } => {
-                        score_lanes(&self.vals, &self.yv, &keys, |v, c| v == c)
-                    }
-                };
+                let (vals, yv) = (&self.vals, &self.yv);
+                let (nl, score) = self.isa.run(
+                    #[inline(always)]
+                    || match kind {
+                        ParamKind::Continuous { .. } => score_lanes(vals, yv, &keys, |v, t| v <= t),
+                        ParamKind::Categorical { .. } => {
+                            score_lanes(vals, yv, &keys, |v, c| v == c)
+                        }
+                    },
+                );
                 for (k, &key) in chunk.iter().enumerate() {
                     let n_left = nl[k] as usize;
                     if n_left < self.config.min_samples_leaf
@@ -857,8 +1038,9 @@ mod tests {
         (spec, xs, ys, config)
     }
 
-    /// `predict` against the collected two-pass formula, bit for bit.
-    fn assert_predict_matches_two_pass(forest: &RandomForest, x: &[f64]) {
+    /// `predict` against the collected two-pass formula, bit for bit;
+    /// returns the formula's bits.
+    fn assert_predict_matches_two_pass(forest: &RandomForest, x: &[f64]) -> (u64, u64) {
         let preds: Vec<f64> = forest.trees.iter().map(|t| t.predict(x)).collect();
         let mean = llamatune_math::mean(&preds);
         let var = if preds.len() < 2 {
@@ -867,7 +1049,9 @@ mod tests {
             preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / (preds.len() - 1) as f64
         };
         let (m, v) = forest.predict(x);
-        assert_eq!((m.to_bits(), v.to_bits()), (mean.to_bits(), var.to_bits()));
+        let want = (mean.to_bits(), var.to_bits());
+        assert_eq!((m.to_bits(), v.to_bits()), want);
+        want
     }
 
     #[test]
@@ -890,18 +1074,51 @@ mod tests {
         #[test]
         fn fit_and_predict_match_the_reference_bit_for_bit(seed in proptest::any::<u64>()) {
             let (spec, xs, ys, config) = random_problem(seed);
-            let forest = RandomForest::fit(&spec, &xs, &ys, &config, seed ^ 0x5eed);
             let oracle = reference::reference_fit(&spec, &xs, &ys, &config, seed ^ 0x5eed);
-            assert_eq!(forest.trees.len(), oracle.len());
-            for (k, (got, want)) in forest.trees.iter().zip(&oracle).enumerate() {
-                let got: Vec<_> = got.nodes.iter().map(bits).collect();
-                let want: Vec<_> = want.nodes.iter().map(bits).collect();
-                assert_eq!(got, want, "tree {k} of seed {seed}: {spec:?} {config:?}");
-            }
+            for isa in Isa::available() {
+                let forest = RandomForest::fit_on(isa, &spec, &xs, &ys, &config, seed ^ 0x5eed);
+                assert_eq!(forest.trees.len(), oracle.len());
+                for (k, (got, want)) in forest.trees.iter().zip(&oracle).enumerate() {
+                    let got: Vec<_> = got.nodes.iter().map(bits).collect();
+                    let want: Vec<_> = want.nodes.iter().map(bits).collect();
+                    assert_eq!(got, want, "tree {k} of seed {seed}, {isa:?}: {spec:?} {config:?}");
+                }
 
-            let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..8 {
-                assert_predict_matches_two_pass(&forest, &spec.sample(&mut rng));
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..8 {
+                    assert_predict_matches_two_pass(&forest, &spec.sample(&mut rng));
+                }
+            }
+        }
+
+        /// The walk's contract: for every point, `predict_batch` and
+        /// `predict` give `Tree::predict`'s outputs folded by the two-pass
+        /// formula, bit for bit — over every dimension kind (categorical
+        /// splits walk as decoded choices), at tree counts 1, 2, 64 and
+        /// 65, at point counts off the lane width, on every copy of the
+        /// walk the CPU runs. The points include history rows, which
+        /// land exactly on the categories the splits test.
+        #[test]
+        fn walk_matches_tree_predict_and_the_two_pass_formula(seed in proptest::any::<u64>()) {
+            let (spec, mut xs, mut ys, config) = random_problem(seed);
+            // 64 trees of 200 points would make the case slow, not harder.
+            xs.truncate(40);
+            ys.truncate(40);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x3a1c);
+            let n_trees = [1, 2, 64, 65][rng.random_range(0..4usize)];
+            let config = RandomForestConfig { n_trees, ..config };
+            let m = [1, 7, 9, 23][rng.random_range(0..4usize)];
+            let points: Vec<Vec<f64>> = (0..m)
+                .map(|i| if i % 3 == 0 { xs[i % xs.len()].clone() } else { spec.sample(&mut rng) })
+                .collect();
+            for isa in Isa::available() {
+                let forest = RandomForest::fit_on(isa, &spec, &xs, &ys, &config, seed);
+                let batch = forest.predict_batch(&points);
+                assert_eq!(batch.len(), m);
+                for (x, (mean, var)) in points.iter().zip(batch) {
+                    let want = assert_predict_matches_two_pass(&forest, x);
+                    assert_eq!((mean.to_bits(), var.to_bits()), want, "{isa:?}, {n_trees} trees");
+                }
             }
         }
     }

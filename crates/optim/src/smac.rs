@@ -116,6 +116,9 @@ impl Smac {
     }
 }
 
+/// Random candidates drawn and scored together (see [`Smac::suggest`]).
+const SCORE_BLOCK: usize = 64;
+
 impl Optimizer for Smac {
     fn suggest(&mut self) -> Vec<f64> {
         self.suggestions += 1;
@@ -161,10 +164,19 @@ impl Optimizer for Smac {
             }
         };
 
-        // Random candidates.
-        for _ in 0..self.config.n_random_candidates {
-            let x = self.spec.sample(&mut self.rng);
-            consider(score(&x), x, &mut champion);
+        // Random candidates, drawn `SCORE_BLOCK` at a time (scoring draws
+        // nothing, so the RNG stream is the one-at-a-time loop's) and each
+        // block scored in one walk. Holding all 1 500 at once would grow
+        // the heap by their size on every suggestion, only to hand it back.
+        let mut left = self.config.n_random_candidates;
+        while left > 0 {
+            let block: Vec<Vec<f64>> =
+                (0..left.min(SCORE_BLOCK)).map(|_| self.spec.sample(&mut self.rng)).collect();
+            left -= block.len();
+            let scores = forest.predict_batch(&block);
+            for (x, (mean, var)) in block.into_iter().zip(scores) {
+                consider(expected_improvement(mean, var, best, xi, &std_norm), x, &mut champion);
+            }
         }
 
         // Local search from the best incumbents.
