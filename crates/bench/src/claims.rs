@@ -63,7 +63,7 @@ pub struct Cell {
     pub goal: Goal,
 }
 
-/// Which knobs an identity arm tunes (Figure 2).
+/// Which knobs an arm tunes (Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Subset {
     All,
@@ -72,18 +72,15 @@ pub enum Subset {
     HandPicked,
 }
 
-#[derive(Debug, Clone)]
-pub enum AdapterSpec {
-    Identity { bias: Option<f64>, buckets: Option<u64>, subset: Subset },
-    LlamaTune(LlamaTuneConfig),
-}
-
 /// One side of a comparison. The label is what tables print; an arm's
-/// identity is its cell, adapter and optimizer.
+/// identity is its cell, adapter, subset and optimizer.
 #[derive(Debug, Clone)]
 pub struct Arm {
     pub label: String,
-    pub adapter: AdapterSpec,
+    /// The adapter's stages: every vanilla and single-stage arm of the
+    /// paper is [`LlamaTuneConfig::IDENTITY`] with some switched on.
+    pub adapter: LlamaTuneConfig,
+    pub subset: Subset,
     pub optimizer: OptimizerKind,
 }
 
@@ -149,24 +146,24 @@ impl Claim {
     }
 }
 
-fn identity(label: &str, bias: Option<f64>, buckets: Option<u64>, subset: Subset) -> Arm {
-    let adapter = AdapterSpec::Identity { bias, buckets, subset };
-    Arm { label: label.to_string(), adapter, optimizer: OptimizerKind::Smac }
+fn arm(label: &str, adapter: LlamaTuneConfig, optimizer: OptimizerKind) -> Arm {
+    Arm { label: label.to_string(), adapter, subset: Subset::All, optimizer }
 }
 
+/// Every stage off: the optimizer searches the knobs themselves.
 fn vanilla(label: &str, optimizer: OptimizerKind) -> Arm {
-    Arm { optimizer, ..identity(label, None, None, Subset::All) }
-}
-
-fn llamatune(label: &str, config: LlamaTuneConfig, optimizer: OptimizerKind) -> Arm {
-    Arm { label: label.to_string(), adapter: AdapterSpec::LlamaTune(config), optimizer }
+    arm(label, LlamaTuneConfig::IDENTITY, optimizer)
 }
 
 /// Projection only: no bucketization, biasing as given (SMAC).
 fn projected(label: &str, projection: ProjectionKind, d: usize, bias: Option<f64>) -> Arm {
-    let config =
-        LlamaTuneConfig { target_dim: d, projection, special_value_bias: bias, bucket_count: None };
-    llamatune(label, config, OptimizerKind::Smac)
+    let adapter = LlamaTuneConfig {
+        target_dim: d,
+        projection: Some(projection),
+        special_value_bias: bias,
+        bucket_count: None,
+    };
+    arm(label, adapter, OptimizerKind::Smac)
 }
 
 fn improvement(candidate: &Arm, baselines: &[&Arm]) -> Measure {
@@ -198,8 +195,8 @@ pub fn claims() -> Vec<Claim> {
     add("table1", "overlap", tput("ycsb_a"), Measure::ShapOverlap, (1.0, 7.0));
     add("table1", "stable", tput("ycsb_a"), Measure::ShapStability, (6.0, 8.0));
     let all = vanilla("All knobs", Smac);
-    let shap = identity("SHAP top-8", None, None, Subset::ShapTop8);
-    let hand = identity("Hand-picked top-8", None, None, Subset::HandPicked);
+    let shap = Arm { subset: Subset::ShapTop8, ..vanilla("SHAP top-8", Smac) };
+    let hand = Arm { subset: Subset::HandPicked, ..vanilla("Hand-picked top-8", Smac) };
     add("fig2", "ycsb_a/hand_vs_all", tput("ycsb_a"), improvement(&hand, &[&all]), AT_LEAST_0);
     add("fig2", "ycsb_a/hand_vs_shap", tput("ycsb_a"), improvement(&hand, &[&shap]), AT_LEAST_0);
     let transferred = improvement(&all, &[&shap, &hand]);
@@ -232,7 +229,9 @@ pub fn claims() -> Vec<Claim> {
     for workload in ["ycsb_a", "ycsb_b"] {
         let none = vanilla("No SVB", Smac);
         let svb = |pct: u32| {
-            identity(&format!("SVB={pct}%"), Some(pct as f64 / 100.0), None, Subset::All)
+            let bias = Some(pct as f64 / 100.0);
+            let adapter = LlamaTuneConfig { special_value_bias: bias, ..LlamaTuneConfig::IDENTITY };
+            arm(&format!("SVB={pct}%"), adapter, Smac)
         };
         let others = [svb(5), svb(10), svb(30)];
         let name = format!("{workload}/bias20_vs_none");
@@ -246,7 +245,10 @@ pub fn claims() -> Vec<Claim> {
     add("table3", "large_range", tput("ycsb_a"), Measure::LargeRangeKnobs, (20.0, 40.0));
     for workload in ["ycsb_a", "ycsb_b"] {
         let none = vanilla("No bucketization", Smac);
-        let k = |k: u64| identity(&format!("K={k}"), None, Some(k), Subset::All);
+        let k = |k: u64| {
+            let adapter = LlamaTuneConfig { bucket_count: Some(k), ..LlamaTuneConfig::IDENTITY };
+            arm(&format!("K={k}"), adapter, Smac)
+        };
         let others = [k(1_000), k(5_000), k(20_000)];
         let within_5 = (-5.0, f64::INFINITY);
         let name = format!("{workload}/k10000_vs_none");
@@ -272,7 +274,7 @@ pub fn claims() -> Vec<Claim> {
         ("table9", Catalog::V9_6, Goal::Throughput, Ddpg, for_ddpg),
     ] {
         let base = vanilla(optimizer.label(), optimizer);
-        let llama = llamatune("LlamaTune", LlamaTuneConfig::default(), optimizer);
+        let llama = arm("LlamaTune", LlamaTuneConfig::default(), optimizer);
         for workload in workloads {
             let cell = cell(catalog, workload, goal);
             add(source, workload, cell, improvement(&llama, &[&base]), AT_LEAST_0);
@@ -293,7 +295,7 @@ pub fn claims() -> Vec<Claim> {
             ("smac", vanilla("SMAC", Smac)),
             ("low_dim", projected("Low-Dim", ProjectionKind::Hesbo, 16, None)),
             ("svb", projected("Low-Dim+SVB", ProjectionKind::Hesbo, 16, Some(0.2))),
-            ("llamatune", llamatune("LlamaTune", LlamaTuneConfig::default(), Smac)),
+            ("llamatune", arm("LlamaTune", LlamaTuneConfig::default(), Smac)),
         ];
         for step in chain.windows(2) {
             let name = format!("{workload}/{}_vs_{}", step[1].0, step[0].0);
@@ -311,7 +313,7 @@ pub fn claims() -> Vec<Claim> {
         ] {
             let measure = Measure::EarlyStopLoss {
                 policy,
-                candidate: llamatune("LlamaTune", LlamaTuneConfig::default(), Smac),
+                candidate: arm("LlamaTune", LlamaTuneConfig::default(), Smac),
                 baseline: vanilla("SMAC", Smac),
             };
             add("table11", &format!("{workload}/{name}"), tput(workload), measure, (0.0, 5.0));

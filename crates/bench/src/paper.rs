@@ -8,11 +8,9 @@
 //! crate's tests can drive it at toy scale.
 
 use crate::artifact::{median, round, Artifact, Field};
-use crate::claims::{AdapterSpec, Arm, Catalog, Cell, Claim, Goal, Measure, Subset};
+use crate::claims::{Arm, Catalog, Cell, Claim, Goal, Measure, Subset};
 use crate::exp::{paired_rows, run_tuning_arm, ArmResult, ExpScale, PairedRow};
-use llamatune::pipeline::{
-    IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter,
-};
+use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::report::{convergence_map, final_improvement_pct};
 use llamatune_analysis::{rank_knobs, shap_importance};
 use llamatune_math::{latin_hypercube, mean, Summary};
@@ -69,26 +67,17 @@ impl Memo {
             runner =
                 runner.with_objective(Objective::TailLatency95 { rate_tps: default_tput * 0.6 });
         }
-        let tuned = match arm.adapter {
-            AdapterSpec::Identity { subset: Subset::HandPicked, .. } => {
-                catalog.subspace(&HAND_PICKED_TOP8_YCSB_A)
-            }
-            AdapterSpec::Identity { subset: Subset::ShapTop8, .. } => {
+        let tuned = match arm.subset {
+            Subset::All => catalog.clone(),
+            Subset::HandPicked => catalog.subspace(&HAND_PICKED_TOP8_YCSB_A),
+            Subset::ShapTop8 => {
                 let top8: Vec<&str> =
                     self.shap_rankings()[0][..8].iter().map(|(n, _)| *n).collect();
                 catalog.subspace(&top8)
             }
-            _ => catalog.clone(),
         };
         let adapter_for = |seed| -> Box<dyn SearchSpaceAdapter> {
-            match &arm.adapter {
-                AdapterSpec::Identity { bias, buckets, .. } => {
-                    Box::new(IdentityAdapter::with_options(&tuned, *bias, *buckets))
-                }
-                AdapterSpec::LlamaTune(config) => {
-                    Box::new(LlamaTunePipeline::new(&tuned, config, seed))
-                }
-            }
+            Box::new(LlamaTunePipeline::new(&tuned, &arm.adapter, seed))
         };
         let result = run_tuning_arm(&runner, &tuned, adapter_for, arm.optimizer, self.scale);
         self.arm_runs += 1;
@@ -106,7 +95,8 @@ impl Memo {
         let n = if self.scale.quick { 300 } else { 2_500 };
         let catalog = postgres_v9_6();
         let runner = WorkloadRunner::new(workload_by_name("ycsb_a").unwrap(), catalog.clone());
-        let spec = IdentityAdapter::new(&catalog).optimizer_spec().clone();
+        let identity = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
+        let spec = identity.optimizer_spec().clone();
         let xs = latin_hypercube(n, catalog.len(), &mut StdRng::seed_from_u64(1));
         let mut worst = f64::INFINITY;
         let ys: Vec<f64> = xs
@@ -134,7 +124,7 @@ impl Memo {
 
 /// What makes two arms the same run: everything but the label.
 pub fn arm_key(cell: &Cell, arm: &Arm) -> String {
-    format!("{cell:?} {:?} {:?}", arm.adapter, arm.optimizer)
+    format!("{cell:?} {:?} {:?} {:?}", arm.adapter, arm.subset, arm.optimizer)
 }
 
 fn workload(cell: &Cell) -> llamatune_engine::WorkloadSpec {
@@ -325,10 +315,10 @@ pub fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
         }
         Measure::SuggestTime(kind) => {
             let catalog = cell.catalog.space();
-            let wide =
-                suggest_us(*kind, IdentityAdapter::new(&catalog).optimizer_spec(), memo.scale);
-            let llama = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 1);
-            let narrow = suggest_us(*kind, llama.optimizer_spec(), memo.scale);
+            let [wide, narrow] = [LlamaTuneConfig::IDENTITY, LlamaTuneConfig::default()].map(|c| {
+                let adapter = LlamaTunePipeline::new(&catalog, &c, 1);
+                suggest_us(*kind, adapter.optimizer_spec(), memo.scale)
+            });
             let ratio = wide / narrow;
             let cells = vec![
                 kind.label().to_string(),

@@ -251,14 +251,14 @@ pub fn session_curves(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{IdentityAdapter, SearchSpaceAdapter};
+    use crate::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
     use crate::session::{run_session, EvalResult, SessionOptions};
     use llamatune_optim::RandomSearch;
     use llamatune_space::catalog::postgres_v9_6;
 
     fn tiny_history() -> SessionHistory {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opt = RandomSearch::new(adapter.optimizer_spec().clone(), 1);
         let sb = space.index_of("shared_buffers").unwrap();
         let mut calls = 0;

@@ -23,7 +23,10 @@
 //! The [`pipeline::LlamaTunePipeline`] composes the three exactly as
 //! Section 5 prescribes: the optimizer sees the bucketized low-dimensional
 //! space; biasing is applied *after* projection, only to hybrid knobs, and
-//! before re-scaling to physical values.
+//! before re-scaling to physical values. Each stage is optional, so the
+//! same pipeline also builds every ablation of the paper and, with all
+//! three off ([`pipeline::LlamaTuneConfig::IDENTITY`]), the vanilla
+//! baseline that searches the knobs themselves.
 //!
 //! [`session`] provides the end-to-end tuning loop (LHS initialization,
 //! crash penalty, knowledge base, best-so-far tracking), [`early_stop`] the
@@ -69,9 +72,7 @@ pub mod session;
 pub use backoff::{Backoff, BackoffPolicy};
 pub use bias::apply_special_value_bias;
 pub use early_stop::EarlyStopPolicy;
-pub use pipeline::{
-    IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, ProjectionKind, SearchSpaceAdapter,
-};
+pub use pipeline::{LlamaTuneConfig, LlamaTunePipeline, ProjectionKind, SearchSpaceAdapter};
 pub use projection::{HesboProjection, RemboProjection};
 pub use report::{convergence_map, final_improvement_pct, time_to_optimal};
 pub use session::{

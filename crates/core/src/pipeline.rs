@@ -1,16 +1,25 @@
-//! The unified LlamaTune pipeline (Section 5) and the baseline adapter.
+//! The search-space adapter of Section 5: one pipeline, three optional
+//! stages.
 //!
 //! A [`SearchSpaceAdapter`] is the boundary between an optimizer (which
 //! works on some unit hypercube) and the DBMS (which wants a [`Config`]).
-//! The [`IdentityAdapter`] exposes the knob space directly — the vanilla
-//! baseline. The [`LlamaTunePipeline`] exposes a bucketized low-dimensional
-//! synthetic space and decodes suggestions by projecting, biasing special
-//! values, and converting to knob values, in exactly the order of Figure 8:
+//! The [`LlamaTunePipeline`] is the one adapter. It decodes a suggestion
+//! in exactly the order of Figure 8:
 //!
-//! 1. the optimizer proposes `p` in the bucketized low-dim space;
+//! 1. the optimizer proposes `p`, snapped onto the bucket grid;
 //! 2. `p` is projected to the scaled knob space `[0, 1]^D`;
 //! 3. special-value biasing is applied to hybrid knobs only;
 //! 4. values are re-scaled to physical knob ranges.
+//!
+//! Each stage of [`LlamaTuneConfig`] can be switched off, which is how
+//! the paper's ablations (Figures 3, 6, 7 and 11) are built. Without a
+//! projection the optimizer searches the knob space itself, one
+//! dimension per knob, and categorical knobs stay categorical. Bucketing
+//! then caps each knob at `K` values, and a knob with fewer values keeps
+//! them all (§4.2). With a projection, each of the `d` synthetic
+//! dimensions takes `K` values, so the optimizer "is aware of the larger
+//! sampling intervals" (§5). With all three stages off
+//! ([`LlamaTuneConfig::IDENTITY`]) the pipeline is the vanilla baseline.
 
 use crate::bias::apply_special_value_bias;
 use crate::projection::{HesboProjection, RemboProjection};
@@ -26,25 +35,50 @@ pub enum ProjectionKind {
     Rembo,
 }
 
-/// LlamaTune hyperparameters. Defaults are the paper's final setting:
-/// HeSBO with `d = 16`, 20% special-value bias, `K = 10,000` buckets.
+impl ProjectionKind {
+    /// The lowercase name adapter tags and the wire protocol spell.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProjectionKind::Hesbo => "hesbo",
+            ProjectionKind::Rembo => "rembo",
+        }
+    }
+}
+
+/// LlamaTune hyperparameters: one optional setting per stage of
+/// Figure 8. Defaults are the paper's final setting: HeSBO with
+/// `d = 16`, 20% special-value bias, `K = 10,000` buckets.
 #[derive(Debug, Clone)]
 pub struct LlamaTuneConfig {
+    /// The projection's `d`, clamped to `[1, D]`; unused without one.
     pub target_dim: usize,
-    pub projection: ProjectionKind,
+    /// `None` disables the projection (ablation): the optimizer searches
+    /// the knob space itself.
+    pub projection: Option<ProjectionKind>,
     /// `None` disables biasing (ablation); `Some(p)` biases with
     /// probability `p`.
     pub special_value_bias: Option<f64>,
     /// `None` disables bucketization (ablation); `Some(k)` limits each
-    /// synthetic dimension to `k` unique values.
+    /// optimizer dimension to `k` unique values.
     pub bucket_count: Option<u64>,
+}
+
+impl LlamaTuneConfig {
+    /// Every stage off: one optimizer dimension per knob, decoded as it
+    /// stands — the vanilla baseline.
+    pub const IDENTITY: LlamaTuneConfig = LlamaTuneConfig {
+        target_dim: 16,
+        projection: None,
+        special_value_bias: None,
+        bucket_count: None,
+    };
 }
 
 impl Default for LlamaTuneConfig {
     fn default() -> Self {
         LlamaTuneConfig {
             target_dim: 16,
-            projection: ProjectionKind::Hesbo,
+            projection: Some(ProjectionKind::Hesbo),
             special_value_bias: Some(crate::bias::DEFAULT_BIAS),
             bucket_count: Some(10_000),
         }
@@ -61,66 +95,6 @@ pub trait SearchSpaceAdapter: Send + Sync {
     fn space(&self) -> &ConfigSpace;
 }
 
-/// Baseline adapter: one optimizer dimension per knob. Optionally applies
-/// special-value biasing and/or bucketization *without* the projection —
-/// the standalone configurations studied in Sections 4.1 and 4.2
-/// (Figures 6 and 7).
-#[derive(Debug, Clone)]
-pub struct IdentityAdapter {
-    space: ConfigSpace,
-    spec: SearchSpec,
-    bias: Option<f64>,
-}
-
-impl IdentityAdapter {
-    /// Exposes `space` directly to the optimizer (categorical knobs are
-    /// declared as such; numerical knobs are continuous unit dimensions).
-    pub fn new(space: &ConfigSpace) -> Self {
-        Self::with_options(space, None, None)
-    }
-
-    /// Like [`Self::new`] but with special-value biasing probability
-    /// and/or a per-knob unique-value cap `K` (knobs with fewer values than
-    /// `K` are unaffected, as in Section 4.2).
-    pub fn with_options(space: &ConfigSpace, bias: Option<f64>, bucket_count: Option<u64>) -> Self {
-        let spec = SearchSpec {
-            params: space
-                .knobs()
-                .iter()
-                .map(|k| match &k.domain {
-                    Domain::Categorical { choices } => ParamKind::Categorical { n: choices.len() },
-                    _ => {
-                        let buckets = bucket_count.map(|k_max| match k.domain.cardinality() {
-                            Some(card) => card.min(k_max),
-                            None => k_max,
-                        });
-                        ParamKind::Continuous { buckets }
-                    }
-                })
-                .collect(),
-        };
-        IdentityAdapter { space: space.clone(), spec, bias }
-    }
-}
-
-impl SearchSpaceAdapter for IdentityAdapter {
-    fn optimizer_spec(&self) -> &SearchSpec {
-        &self.spec
-    }
-
-    fn decode(&self, x: &[f64]) -> Config {
-        let mut unit = self.spec.snap(x);
-        if let Some(p) = self.bias {
-            apply_special_value_bias(&self.space, &mut unit, p);
-        }
-        self.space.config_from_unit(&unit)
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-}
-
 enum AnyProjection {
     Hesbo(HesboProjection),
     Rembo(RemboProjection),
@@ -135,34 +109,42 @@ impl AnyProjection {
     }
 }
 
-/// The unified LlamaTune pipeline.
+/// The LlamaTune pipeline, with whichever stages its config keeps.
 pub struct LlamaTunePipeline {
     space: ConfigSpace,
     spec: SearchSpec,
-    projection: AnyProjection,
+    projection: Option<AnyProjection>,
     bias: Option<f64>,
 }
 
 impl LlamaTunePipeline {
-    /// Builds the pipeline over `space`. The projection matrix is sampled
-    /// once from `seed` and stays fixed for the whole session (Section 3.3).
+    /// Builds the pipeline over `space`. A projection matrix is sampled
+    /// once from `seed` and stays fixed for the whole session (Section
+    /// 3.3); without a projection the seed is not used.
     pub fn new(space: &ConfigSpace, config: &LlamaTuneConfig, seed: u64) -> Self {
-        let d = config.target_dim.min(space.len()).max(1);
-        let projection = match config.projection {
-            ProjectionKind::Hesbo => {
-                AnyProjection::Hesbo(HesboProjection::new(d, space.len(), seed))
+        let buckets = config.bucket_count;
+        let (params, projection) = match config.projection {
+            Some(kind) => {
+                let (d, n) = (config.target_dim.min(space.len()).max(1), space.len());
+                let projection = match kind {
+                    ProjectionKind::Hesbo => AnyProjection::Hesbo(HesboProjection::new(d, n, seed)),
+                    ProjectionKind::Rembo => AnyProjection::Rembo(RemboProjection::new(d, n, seed)),
+                };
+                (vec![ParamKind::Continuous { buckets }; d], Some(projection))
             }
-            ProjectionKind::Rembo => {
-                AnyProjection::Rembo(RemboProjection::new(d, space.len(), seed))
+            None => {
+                let knob = |domain: &Domain| match domain {
+                    Domain::Categorical { choices } => ParamKind::Categorical { n: choices.len() },
+                    _ => ParamKind::Continuous {
+                        buckets: buckets.map(|k| domain.cardinality().map_or(k, |c| c.min(k))),
+                    },
+                };
+                (space.knobs().iter().map(|k| knob(&k.domain)).collect(), None)
             }
         };
-        // The optimizer sees a d-dimensional continuous space, bucketized
-        // so it "is aware of the larger sampling intervals" (Section 5).
-        let spec =
-            SearchSpec { params: vec![ParamKind::Continuous { buckets: config.bucket_count }; d] };
         LlamaTunePipeline {
             space: space.clone(),
-            spec,
+            spec: SearchSpec { params },
             projection,
             bias: config.special_value_bias,
         }
@@ -171,18 +153,22 @@ impl LlamaTunePipeline {
     /// Decodes and also reports which hybrid knobs were biased to their
     /// special value (used by the pipeline-walkthrough example).
     pub fn decode_traced(&self, x: &[f64]) -> (Config, Vec<usize>) {
-        let snapped = self.spec.snap(x);
-        let mut high = self.projection.project_unit(&snapped);
+        let mut unit = self.project_only(x);
         let hit = match self.bias {
-            Some(p) => apply_special_value_bias(&self.space, &mut high, p),
+            Some(p) => apply_special_value_bias(&self.space, &mut unit, p),
             None => Vec::new(),
         };
-        (self.space.config_from_unit(&high), hit)
+        (self.space.config_from_unit(&unit), hit)
     }
 
-    /// The projected (pre-bias) unit point, exposed for diagnostics.
+    /// The snapped and (with a projection) projected unit point, before
+    /// biasing; exposed for diagnostics.
     pub fn project_only(&self, x: &[f64]) -> Vec<f64> {
-        self.projection.project_unit(&self.spec.snap(x))
+        let snapped = self.spec.snap(x);
+        match &self.projection {
+            Some(projection) => projection.project_unit(&snapped),
+            None => snapped,
+        }
     }
 }
 
@@ -212,16 +198,28 @@ mod tests {
     #[test]
     fn identity_adapter_mirrors_the_space() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 1);
         assert_eq!(adapter.optimizer_spec().len(), 90);
         // Categorical knobs declared categorical.
         let idx = space.index_of("synchronous_commit").unwrap();
         assert_eq!(adapter.optimizer_spec().params[idx], ParamKind::Categorical { n: 4 });
         let sb = space.index_of("shared_buffers").unwrap();
         assert_eq!(adapter.optimizer_spec().params[sb], ParamKind::Continuous { buckets: None });
-        // Decoding mid-point gives a valid config.
-        let cfg = adapter.decode(&vec![0.5; 90]);
+        // Decoding is the knob space's own map, whatever the seed.
+        let x: Vec<f64> = (0..90).map(|i| i as f64 / 90.0).collect();
+        let cfg = adapter.decode(&x);
+        assert_eq!(cfg, space.config_from_unit(&x));
+        assert_eq!(cfg, LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 2).decode(&x));
         assert!(space.validate(&cfg).is_ok());
+        // Bucketing without a projection caps each knob at its own
+        // cardinality.
+        let coarse = LlamaTuneConfig { bucket_count: Some(64), ..LlamaTuneConfig::IDENTITY };
+        let params = LlamaTunePipeline::new(&space, &coarse, 1).optimizer_spec().params.clone();
+        let bfa = space.index_of("backend_flush_after").unwrap();
+        assert_eq!(params[bfa], ParamKind::Continuous { buckets: Some(64) });
+        let hp = space.index_of("huge_pages_try").unwrap();
+        assert_eq!(params[hp], ParamKind::Continuous { buckets: Some(3) });
+        assert_eq!(params[idx], ParamKind::Categorical { n: 4 });
     }
 
     #[test]
@@ -236,14 +234,15 @@ mod tests {
     }
 
     proptest! {
-        /// Whatever the seed, projection, target dimension, bias, bucket
-        /// count and catalog: every decoded suggestion is a configuration
-        /// of the catalog, no knob is reported biased when biasing is off,
-        /// and a knob bucketized to K values takes at most K.
+        /// Whatever the seed, projection (or none), target dimension,
+        /// bias, bucket count and catalog: every decoded suggestion is a
+        /// configuration of the catalog, no knob is reported biased when
+        /// biasing is off, and without a projection a knob bucketized to
+        /// K values takes at most K.
         #[test]
         fn decoded_configs_are_always_valid(
             seed in any::<u64>(),
-            rembo in any::<bool>(),
+            projection in 0u8..3,
             d in 1usize..=24,
             bias in (any::<bool>(), 0.05f64..0.3),
             buckets in (any::<bool>(), 3u64..=20_000),
@@ -253,32 +252,28 @@ mod tests {
             let (bias, buckets) = (bias.0.then_some(bias.1), buckets.0.then_some(buckets.1));
             let config = LlamaTuneConfig {
                 target_dim: d,
-                projection: if rembo { ProjectionKind::Rembo } else { ProjectionKind::Hesbo },
+                projection: [None, Some(ProjectionKind::Hesbo), Some(ProjectionKind::Rembo)]
+                    [projection as usize],
                 special_value_bias: bias,
                 bucket_count: buckets,
             };
             let pipe = LlamaTunePipeline::new(&space, &config, seed);
             let mut rng = StdRng::seed_from_u64(seed);
+            let point = |rng: &mut StdRng, n: usize| -> Vec<f64> {
+                (0..n).map(|_| rng.random::<f64>()).collect()
+            };
             for _ in 0..50 {
-                let x: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
-                let (decoded, biased) = pipe.decode_traced(&x);
+                let (decoded, biased) = pipe.decode_traced(&point(&mut rng, pipe.spec.len()));
                 prop_assert!(space.validate(&decoded).is_ok());
                 prop_assert!(bias.is_some() || biased.is_empty(), "biased {biased:?} with bias off");
-            }
-
-            let point = |rng: &mut StdRng| -> Vec<f64> {
-                (0..space.len()).map(|_| rng.random::<f64>()).collect()
-            };
-            let identity = IdentityAdapter::with_options(&space, bias, buckets);
-            for _ in 0..50 {
-                prop_assert!(space.validate(&identity.decode(&point(&mut rng))).is_ok());
             }
 
             // Biasing adds the special value to a knob's grid, so count
             // without it; and 2 000 points can only show more than K values
             // of a knob when K is smaller.
             if let Some(k) = buckets.filter(|k| *k < 2_000) {
-                let identity = IdentityAdapter::with_options(&space, None, Some(k));
+                let config = LlamaTuneConfig { bucket_count: Some(k), ..LlamaTuneConfig::IDENTITY };
+                let identity = LlamaTunePipeline::new(&space, &config, seed);
                 let bucketized: Vec<usize> = (0..space.len())
                     .filter(|&i| {
                         let param = &identity.optimizer_spec().params[i];
@@ -287,7 +282,7 @@ mod tests {
                     .collect();
                 let mut seen = vec![std::collections::HashSet::new(); bucketized.len()];
                 for _ in 0..2_000 {
-                    let decoded = identity.decode(&point(&mut rng));
+                    let decoded = identity.decode(&point(&mut rng, space.len()));
                     for (values, &i) in seen.iter_mut().zip(&bucketized) {
                         values.insert(decoded.values()[i].to_string());
                     }

@@ -906,7 +906,7 @@ mod tests {
     ) -> SessionHistory {
         run_session_resumable(adapter, optimizer, executor, opts, batch_size, &[], None).unwrap()
     }
-    use crate::pipeline::{IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline};
+    use crate::pipeline::{LlamaTuneConfig, LlamaTunePipeline};
     use llamatune_optim::{RandomSearch, Smac, SmacConfig};
     use llamatune_space::catalog::postgres_v9_6;
     use llamatune_space::KnobValue;
@@ -931,7 +931,7 @@ mod tests {
     #[test]
     fn session_records_default_at_iteration_zero() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opt = RandomSearch::new(adapter.optimizer_spec().clone(), 1);
         let opts = SessionOptions { iterations: 12, n_init: 4, ..Default::default() };
         let h = run_session(&adapter, Box::new(opt), objective(&space), &opts);
@@ -945,7 +945,7 @@ mod tests {
     #[test]
     fn best_curve_is_monotone() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opt = RandomSearch::new(adapter.optimizer_spec().clone(), 2);
         let opts = SessionOptions { iterations: 30, n_init: 10, ..Default::default() };
         let h = run_session(&adapter, Box::new(opt), objective(&space), &opts);
@@ -956,7 +956,7 @@ mod tests {
     #[test]
     fn crashes_receive_quarter_of_worst_penalty() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         // Objective: crash everything except the default.
         let mut first = true;
         let obj = move |_cfg: &Config| {
@@ -980,7 +980,7 @@ mod tests {
     #[test]
     fn statuses_and_attempts_are_recorded_per_iteration() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         // Default succeeds after a retry; everything else times out.
         let mut first = true;
         let obj = move |_cfg: &Config| {
@@ -1022,7 +1022,7 @@ mod tests {
     #[test]
     fn latency_style_crash_penalty_is_worse_than_worst() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         // Negated-latency scores: default -50ms, then a crash.
         let mut calls = 0;
         let obj = move |_cfg: &Config| {
@@ -1057,7 +1057,7 @@ mod tests {
     #[test]
     fn early_stopping_truncates_the_session() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         // Constant objective: no improvement ever.
         let obj =
             |_: &Config| EvalResult { score: Some(5.0), metrics: vec![], ..Default::default() };
@@ -1077,7 +1077,7 @@ mod tests {
     #[test]
     fn parallel_with_batch_one_reproduces_sequential_exactly() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opts = SessionOptions { iterations: 18, n_init: 5, ..Default::default() };
         let seq = run_session(
             &adapter,
@@ -1126,7 +1126,7 @@ mod tests {
     #[test]
     fn parallel_batches_preserve_iteration_zero_and_lhs_prefix() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opts = SessionOptions { iterations: 12, n_init: 5, ..Default::default() };
         // Batched and unbatched sessions share the LHS design (seeded),
         // so iterations 0..=n_init must be identical at any batch size.
@@ -1156,7 +1156,7 @@ mod tests {
     #[test]
     fn parallel_crash_penalties_are_applied_in_iteration_order() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         // Default scores 40, everything after crashes: every crashed
         // iteration must see worst_seen = 40 regardless of batching.
         let mut first = true;
@@ -1186,7 +1186,7 @@ mod tests {
     #[test]
     fn parallel_early_stop_discards_the_rest_of_the_batch() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let obj =
             |_: &Config| EvalResult { score: Some(5.0), metrics: vec![], ..Default::default() };
         let mut executor = FnExecutor(obj);
@@ -1301,7 +1301,7 @@ mod tests {
     #[test]
     fn resume_at_every_boundary_is_bit_identical() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opts = SessionOptions { iterations: 11, n_init: 4, ..Default::default() };
         let dims = adapter.optimizer_spec().len();
         let mut e = FnExecutor(objective(&space));
@@ -1345,7 +1345,7 @@ mod tests {
     /// each round `asks` times before answering it.
     fn stepped_asking(asks: usize) -> SessionHistory {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opts = SessionOptions { iterations: 9, n_init: 2, ..Default::default() };
         let optimizer = RandomSearch::new(adapter.optimizer_spec().clone(), 17);
         let mut session = Session::resume(&adapter, Box::new(optimizer), &opts, 2, &[]).unwrap();
@@ -1372,7 +1372,7 @@ mod tests {
     #[should_panic(expected = "one result per trial")]
     fn report_refuses_a_result_count_that_is_not_the_rounds() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let optimizer = RandomSearch::new(adapter.optimizer_spec().clone(), 1);
         let mut session =
             Session::resume(&adapter, Box::new(optimizer), &SessionOptions::default(), 2, &[])
@@ -1384,7 +1384,7 @@ mod tests {
     #[test]
     fn sink_streams_every_fresh_trial_and_skips_replayed_ones() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opts = SessionOptions { iterations: 6, n_init: 2, ..Default::default() };
         let dims = adapter.optimizer_spec().len();
         let mut recorded = Vec::new();
@@ -1430,7 +1430,7 @@ mod tests {
         // Up to n_init no optimizer suggestion is consumed, so resume is
         // bit-identical even for suggest-side-stateful optimizers.
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opts = SessionOptions { iterations: 6, n_init: 6, ..Default::default() };
         let mut e = FnExecutor(objective(&space));
         let full = run_batched(
@@ -1458,7 +1458,7 @@ mod tests {
     #[test]
     fn replay_applies_early_stopping_without_running_trials() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let obj =
             |_: &Config| EvalResult { score: Some(5.0), metrics: vec![], ..Default::default() };
         let opts = SessionOptions {
@@ -1501,7 +1501,7 @@ mod tests {
     #[test]
     fn warm_points_replace_the_lhs_prefix() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let d = adapter.optimizer_spec().len();
         let warm = vec![vec![0.25; d], vec![0.75; d]];
         let opts = SessionOptions { iterations: 5, n_init: 5, ..Default::default() };
@@ -1534,7 +1534,7 @@ mod tests {
     #[test]
     fn malformed_resume_inputs_are_rejected() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let opts = SessionOptions { iterations: 4, n_init: 2, ..Default::default() };
         let mut e = FnExecutor(objective(&space));
         let gap = vec![PriorTrial {
@@ -1573,7 +1573,7 @@ mod tests {
     #[test]
     fn best_config_matches_best_score() {
         let space = postgres_v9_6();
-        let adapter = IdentityAdapter::new(&space);
+        let adapter = LlamaTunePipeline::new(&space, &LlamaTuneConfig::IDENTITY, 0);
         let sb = space.index_of("shared_buffers").unwrap();
         let opt = RandomSearch::new(adapter.optimizer_spec().clone(), 6);
         let opts = SessionOptions { iterations: 25, n_init: 10, ..Default::default() };

@@ -21,9 +21,7 @@
 use crate::driver::{CellSpec, SessionDriver};
 use crate::policy::ExecutionPolicy;
 use llamatune::par::ordered_map;
-use llamatune::pipeline::{
-    IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter,
-};
+use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::session::{SessionHistory, SessionOptions};
 use llamatune_engine::RunOptions;
 use llamatune_obs::trace::{FanoutTracer, NoopTracer, RecordingTracer, Tracer};
@@ -35,12 +33,16 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Which search-space adapter a campaign arm uses.
+/// Which search-space adapter a campaign arm uses. Both kinds build
+/// the one [`LlamaTunePipeline`]; they differ only in which of its
+/// stages are on.
 #[derive(Debug, Clone)]
 pub enum AdapterKind {
-    /// One optimizer dimension per knob (the vanilla baseline).
+    /// The pipeline with every stage off ([`LlamaTuneConfig::IDENTITY`]):
+    /// one optimizer dimension per knob, the vanilla baseline.
     Identity,
-    /// The full LlamaTune pipeline (projection + biasing + bucketization).
+    /// The pipeline with the stages `config` keeps (projection, biasing,
+    /// bucketization; the default keeps all three).
     LlamaTune(LlamaTuneConfig),
 }
 
@@ -53,39 +55,39 @@ impl AdapterKind {
         }
     }
 
-    /// Builds the adapter over `space`, seeded per session (the
-    /// projection matrix varies with the seed, as in the paper).
-    pub fn build(&self, space: &ConfigSpace, seed: u64) -> Box<dyn SearchSpaceAdapter> {
+    /// The pipeline's stages.
+    fn config(&self) -> &LlamaTuneConfig {
         match self {
-            AdapterKind::Identity => Box::new(IdentityAdapter::new(space)),
-            AdapterKind::LlamaTune(cfg) => Box::new(LlamaTunePipeline::new(space, cfg, seed)),
+            AdapterKind::Identity => &LlamaTuneConfig::IDENTITY,
+            AdapterKind::LlamaTune(cfg) => cfg,
         }
     }
 
-    /// Full identity of the adapter a session decodes through: kind,
-    /// every hyperparameter, and the projection seed. Two sessions map
+    /// Builds the adapter over `space`, seeded per session (the
+    /// projection matrix varies with the seed, as in the paper).
+    pub fn build(&self, space: &ConfigSpace, seed: u64) -> Box<dyn SearchSpaceAdapter> {
+        Box::new(LlamaTunePipeline::new(space, self.config(), seed))
+    }
+
+    /// Full identity of the adapter a session decodes through: every
+    /// stage's hyperparameters and the session seed. Two sessions map
     /// optimizer-space points to the same configurations iff their
     /// identity tags are equal — the precondition for transferring
-    /// points between them (recorded in the store's session metadata).
+    /// points between them (recorded in the store's session metadata,
+    /// so a tag once written never changes). With every stage off the
+    /// tag is `identity/s{seed}`; a tag without a projection leaves out
+    /// its `d`.
     pub fn identity_tag(&self, seed: u64) -> String {
-        match self {
-            AdapterKind::Identity => format!("identity/s{seed}"),
-            AdapterKind::LlamaTune(cfg) => {
-                let bias = match cfg.special_value_bias {
-                    Some(p) => format!("{p}"),
-                    None => "off".to_string(),
-                };
-                let buckets = match cfg.bucket_count {
-                    Some(k) => format!("{k}"),
-                    None => "off".to_string(),
-                };
-                format!(
-                    "llamatune-d{}-{:?}-b{bias}-k{buckets}/s{seed}",
-                    cfg.target_dim, cfg.projection
-                )
-                .to_lowercase()
-            }
-        }
+        let cfg = self.config();
+        let projection = match (cfg.projection, cfg.special_value_bias, cfg.bucket_count) {
+            (None, None, None) => return format!("identity/s{seed}"),
+            (None, ..) => String::new(),
+            (Some(kind), ..) => format!("-d{}-{}", cfg.target_dim, kind.name()),
+        };
+        let off = |v: Option<String>| v.unwrap_or_else(|| "off".to_string());
+        let bias = off(cfg.special_value_bias.map(|p| p.to_string()));
+        let buckets = off(cfg.bucket_count.map(|k| k.to_string()));
+        format!("llamatune{projection}-b{bias}-k{buckets}/s{seed}")
     }
 }
 
@@ -581,26 +583,64 @@ mod tests {
 
     #[test]
     fn adapter_identity_tags_discriminate_every_hyperparameter() {
+        use llamatune::pipeline::ProjectionKind;
         let base = LlamaTuneConfig::default();
-        let variants = [
-            AdapterKind::Identity.identity_tag(1),
-            AdapterKind::Identity.identity_tag(2),
-            AdapterKind::LlamaTune(base.clone()).identity_tag(1),
-            AdapterKind::LlamaTune(base.clone()).identity_tag(2),
-            AdapterKind::LlamaTune(LlamaTuneConfig { target_dim: 8, ..base.clone() })
-                .identity_tag(1),
-            AdapterKind::LlamaTune(LlamaTuneConfig { special_value_bias: None, ..base.clone() })
-                .identity_tag(1),
-            AdapterKind::LlamaTune(LlamaTuneConfig { bucket_count: Some(64), ..base.clone() })
-                .identity_tag(1),
-            AdapterKind::LlamaTune(LlamaTuneConfig {
-                projection: llamatune::pipeline::ProjectionKind::Rembo,
-                ..base.clone()
-            })
-            .identity_tag(1),
+        let llamatune = |cfg: LlamaTuneConfig| AdapterKind::LlamaTune(cfg).identity_tag(1);
+        let unprojected = LlamaTuneConfig { projection: None, ..base.clone() };
+        // Stores already key warm-start matching on these strings.
+        let pinned = [
+            (AdapterKind::Identity.identity_tag(1), "identity/s1"),
+            (AdapterKind::Identity.identity_tag(2), "identity/s2"),
+            (llamatune(base.clone()), "llamatune-d16-hesbo-b0.2-k10000/s1"),
+            (
+                AdapterKind::LlamaTune(base.clone()).identity_tag(2),
+                "llamatune-d16-hesbo-b0.2-k10000/s2",
+            ),
+            (
+                llamatune(LlamaTuneConfig { target_dim: 8, ..base.clone() }),
+                "llamatune-d8-hesbo-b0.2-k10000/s1",
+            ),
+            (
+                llamatune(LlamaTuneConfig { special_value_bias: None, ..base.clone() }),
+                "llamatune-d16-hesbo-boff-k10000/s1",
+            ),
+            (
+                llamatune(LlamaTuneConfig { bucket_count: None, ..base.clone() }),
+                "llamatune-d16-hesbo-b0.2-koff/s1",
+            ),
+            (
+                llamatune(LlamaTuneConfig { bucket_count: Some(64), ..base.clone() }),
+                "llamatune-d16-hesbo-b0.2-k64/s1",
+            ),
+            (
+                llamatune(LlamaTuneConfig {
+                    projection: Some(ProjectionKind::Rembo),
+                    ..base.clone()
+                }),
+                "llamatune-d16-rembo-b0.2-k10000/s1",
+            ),
+            (llamatune(unprojected.clone()), "llamatune-b0.2-k10000/s1"),
+            (
+                llamatune(LlamaTuneConfig { special_value_bias: None, ..unprojected.clone() }),
+                "llamatune-boff-k10000/s1",
+            ),
+            (
+                llamatune(LlamaTuneConfig { bucket_count: None, ..unprojected.clone() }),
+                "llamatune-b0.2-koff/s1",
+            ),
         ];
-        let distinct: std::collections::HashSet<&String> = variants.iter().collect();
-        assert_eq!(distinct.len(), variants.len(), "every variant gets its own tag: {variants:?}");
+        for (tag, literal) in &pinned {
+            assert_eq!(tag, literal);
+        }
+        let distinct: std::collections::HashSet<&String> = pinned.iter().map(|(t, _)| t).collect();
+        assert_eq!(distinct.len(), pinned.len(), "every variant gets its own tag: {pinned:?}");
+        // Without a projection `d` means nothing, so the tag leaves it
+        // out; with every stage off the pipeline is the identity.
+        assert_eq!(
+            llamatune(LlamaTuneConfig { target_dim: 8, ..unprojected }),
+            "llamatune-b0.2-k10000/s1"
+        );
+        assert_eq!(llamatune(LlamaTuneConfig::IDENTITY), "identity/s1");
         // Equal arms agree, so warm start still matches across campaigns.
         assert_eq!(
             AdapterKind::LlamaTune(base.clone()).identity_tag(3),

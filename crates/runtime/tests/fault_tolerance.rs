@@ -22,7 +22,7 @@
 //! clock, and backoff jitter is seeded — so a red case replays exactly
 //! from its printed seed.
 
-use llamatune::pipeline::{IdentityAdapter, LlamaTuneConfig, SearchSpaceAdapter};
+use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::session::{
     run_session_resumable, EvalResult, FnExecutor, SessionHistory, SessionOptions, TrialStatus,
 };
@@ -94,7 +94,7 @@ fn run_chaos_session(
     policy: ExecutionPolicy,
 ) -> SessionHistory {
     let catalog = postgres_v9_6();
-    let adapter = IdentityAdapter::new(&catalog);
+    let adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
     let optimizer: Box<dyn Optimizer> =
         Box::new(RandomSearch::new(adapter.optimizer_spec().clone(), seed));
     let runner: Arc<dyn TrialRunner> = Arc::new(FaultyRunner::new(Arc::new(SimRunner), plan));
@@ -212,7 +212,7 @@ impl Optimizer for FlakyOptimizer {
 fn optimizer_panics_degrade_to_random_search_and_are_recorded() {
     silence_injected_panics();
     let catalog = postgres_v9_6();
-    let adapter = IdentityAdapter::new(&catalog);
+    let adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
     let spec = adapter.optimizer_spec().clone();
     let factory_spec = spec.clone();
     let optimizer: Box<dyn Optimizer> = Box::new(GuardedOptimizer::new(

@@ -378,16 +378,13 @@ fn write_adapter(out: &mut String, adapter: &AdapterKind) {
     match adapter {
         AdapterKind::Identity => out.push_str("{\"kind\":\"identity\"}"),
         AdapterKind::LlamaTune(cfg) => {
-            let projection = match cfg.projection {
-                ProjectionKind::Hesbo => "hesbo",
-                ProjectionKind::Rembo => "rembo",
-            };
             let _ = write!(
                 out,
-                "{{\"kind\":\"llamatune\",\"target_dim\":{},\"projection\":\"{projection}\",\
-                 \"special_value_bias\":",
+                "{{\"kind\":\"llamatune\",\"target_dim\":{},\"projection\":",
                 cfg.target_dim
             );
+            json::write_opt(out, cfg.projection, |out, kind| json::write_str(out, kind.name()));
+            out.push_str(",\"special_value_bias\":");
             json::write_opt(out, cfg.special_value_bias, json::write_f64);
             out.push_str(",\"bucket_count\":");
             json::write_opt(out, cfg.bucket_count, json::write_u64);
@@ -409,12 +406,18 @@ fn decode_adapter(v: &JsonValue) -> Result<AdapterKind, String> {
         "identity" => Ok(AdapterKind::Identity),
         "llamatune" => Ok(AdapterKind::LlamaTune(LlamaTuneConfig {
             target_dim: bounded(v, "target_dim", 1, MAX_TARGET_DIM)?,
-            projection: match v.str("projection")? {
-                "hesbo" => ProjectionKind::Hesbo,
-                "rembo" => ProjectionKind::Rembo,
-                other => return Err(format!("unknown projection {other:?}")),
+            projection: match v.opt_str("projection")? {
+                None => None,
+                Some("hesbo") => Some(ProjectionKind::Hesbo),
+                Some("rembo") => Some(ProjectionKind::Rembo),
+                Some(other) => return Err(format!("unknown projection {other:?}")),
             },
-            special_value_bias: v.opt_f64("special_value_bias")?,
+            special_value_bias: match v.opt_f64("special_value_bias")? {
+                Some(p) if !(0.0..1.0).contains(&p) => {
+                    return Err(format!("\"special_value_bias\" must be in [0, 1), got {p}"))
+                }
+                p => p,
+            },
             bucket_count: match v.opt_u64("bucket_count")? {
                 Some(k) if k < 2 => return Err(format!("\"bucket_count\" must be >= 2, got {k}")),
                 k => k,
@@ -1086,10 +1089,11 @@ mod tests {
             AdapterKind::LlamaTune(LlamaTuneConfig::default()),
             AdapterKind::LlamaTune(LlamaTuneConfig {
                 target_dim: 8,
-                projection: ProjectionKind::Rembo,
+                projection: Some(ProjectionKind::Rembo),
                 special_value_bias: None,
                 bucket_count: None,
             }),
+            AdapterKind::LlamaTune(LlamaTuneConfig { projection: None, ..Default::default() }),
         ] {
             let req = CreateSession {
                 workload: "ycsb_a".into(),
@@ -1128,14 +1132,25 @@ mod tests {
             batch_size: MAX_BATCH_SIZE as usize,
         };
         let decode = |req: &CreateSession| CreateSession::decode(&req.encode());
+        let with_bias = |p: f64| CreateSession {
+            adapter: AdapterKind::LlamaTune(LlamaTuneConfig {
+                special_value_bias: Some(p),
+                ..LlamaTuneConfig::default()
+            }),
+            ..at_the_bounds.clone()
+        };
         assert!(decode(&at_the_bounds).is_ok());
         assert!(
             decode(&CreateSession { iterations: 0, n_init: 0, ..at_the_bounds.clone() }).is_ok()
         );
+        assert!(decode(&with_bias(0.0)).is_ok());
+        assert!(decode(&with_bias(0.999)).is_ok());
         for (field, past) in [
             ("iterations", CreateSession { iterations: 100_001, ..at_the_bounds.clone() }),
             ("n_init", CreateSession { n_init: 100_001, ..at_the_bounds.clone() }),
             ("batch_size", CreateSession { batch_size: 1_025, ..at_the_bounds.clone() }),
+            ("special_value_bias", with_bias(1.0)),
+            ("special_value_bias", with_bias(-0.1)),
         ] {
             let err = decode(&past).unwrap_err();
             assert_eq!(err.code, code::BAD_PARAMS);

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example tune_ycsb [iterations]`
 
-use llamatune::pipeline::{
-    IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter,
-};
+use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::report::{final_improvement_pct, time_to_optimal};
 use llamatune::session::{run_session, EvalResult, SessionOptions};
 use llamatune_optim::{Smac, SmacConfig};
@@ -26,7 +24,7 @@ fn main() {
 
     println!("Tuning YCSB-A for {iterations} iterations with each method...\n");
 
-    let baseline_adapter = IdentityAdapter::new(&catalog);
+    let baseline_adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
     let baseline = run_session(
         &baseline_adapter,
         Box::new(Smac::new(baseline_adapter.optimizer_spec().clone(), SmacConfig::default(), 1)),

@@ -3,9 +3,7 @@
 //! experiments do. Simulation windows are shortened to keep the suite
 //! fast; the qualitative assertions mirror the paper's claims.
 
-use llamatune::pipeline::{
-    IdentityAdapter, LlamaTuneConfig, LlamaTunePipeline, ProjectionKind, SearchSpaceAdapter,
-};
+use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, ProjectionKind, SearchSpaceAdapter};
 use llamatune::report::final_improvement_pct;
 use llamatune::session::{run_session, EvalResult, SessionHistory, SessionOptions};
 use llamatune_engine::RunOptions;
@@ -65,7 +63,7 @@ fn llamatune_outperforms_baseline_smac_early() {
     let budget = 20;
     let mut llama_wins = 0;
     for seed in 0..3 {
-        let base_adapter = IdentityAdapter::new(&catalog);
+        let base_adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
         let base = tune(
             &base_adapter,
             Box::new(Smac::new(base_adapter.optimizer_spec().clone(), SmacConfig::default(), seed)),
@@ -103,7 +101,7 @@ fn hesbo_beats_rembo_on_average() {
             [(ProjectionKind::Hesbo, &mut hesbo_total), (ProjectionKind::Rembo, &mut rembo_total)]
         {
             let cfg = LlamaTuneConfig {
-                projection: kind,
+                projection: Some(kind),
                 special_value_bias: None,
                 bucket_count: None,
                 target_dim: 16,
@@ -182,7 +180,7 @@ fn crashed_configs_do_not_derail_sessions() {
     let catalog = postgres_v9_6();
     let sub = catalog.subspace(&["shared_buffers", "work_mem", "max_connections"]);
     let runner = quick_runner("ycsb_a", catalog.clone());
-    let adapter = IdentityAdapter::new(&sub);
+    let adapter = LlamaTunePipeline::new(&sub, &LlamaTuneConfig::IDENTITY, 0);
     let smac = Smac::new(adapter.optimizer_spec().clone(), SmacConfig::default(), 3);
     let h = run_session(
         &adapter,
@@ -221,7 +219,7 @@ fn sessions_are_reproducible() {
 fn improvement_metric_matches_direct_computation() {
     let catalog = postgres_v9_6();
     let runner = quick_runner("resource_stresser", catalog.clone());
-    let adapter = IdentityAdapter::new(&catalog);
+    let adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
     let smac = Smac::new(adapter.optimizer_spec().clone(), SmacConfig::default(), 2);
     let h = tune(&adapter, Box::new(smac), &runner, 15, 2);
     let best = h.best_score().unwrap();
