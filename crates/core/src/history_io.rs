@@ -16,7 +16,6 @@
 use crate::session::{SessionHistory, TrialStatus};
 use llamatune_obs::json::{self, Scanner};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One evaluated trial of some session, as recorded in a JSONL campaign
 /// log. Events carry everything post-hoc curve analysis needs;
@@ -111,7 +110,9 @@ impl From<EventRef<'_>> for TrialEvent {
 pub fn write_event_members(out: &mut String, e: EventRef<'_>) {
     out.push_str("\"session\":");
     json::write_str(out, e.session);
-    let _ = write!(out, ",\"iteration\":{},\"raw_score\":", e.iteration);
+    out.push_str(",\"iteration\":");
+    json::write_u64(out, e.iteration as u64);
+    out.push_str(",\"raw_score\":");
     json::write_opt(out, e.raw_score, json::write_f64);
     out.push_str(",\"score\":");
     json::write_f64(out, e.score);
@@ -122,10 +123,13 @@ pub fn write_event_members(out: &mut String, e: EventRef<'_>) {
     // pre-status transcripts and fault-free sessions are byte-identical
     // to the original schema.
     if e.status != TrialStatus::derived(e.raw_score) {
-        let _ = write!(out, ",\"status\":\"{}\"", e.status.as_str());
+        out.push_str(",\"status\":\"");
+        out.push_str(e.status.as_str());
+        out.push('"');
     }
     if e.attempts > 1 {
-        let _ = write!(out, ",\"attempts\":{}", e.attempts);
+        out.push_str(",\"attempts\":");
+        json::write_u64(out, u64::from(e.attempts));
     }
 }
 

@@ -5,7 +5,7 @@
 //! This crate is the zero-dependency leaf under core, store, server,
 //! client and bench, so the trial-event lines, store records, wire
 //! frames, telemetry and `BENCH_*.json` artifacts all share one string
-//! lexer, one number lexer, one escaper and one `f64` writer:
+//! lexer, one number lexer, one escaper and one number writer:
 //!
 //! * **Closed line schemas** (trial events, store records) pull tokens
 //!   straight off the [`Scanner`] through [`Scanner::object`] — no
@@ -22,11 +22,21 @@
 //!   the typed by-key accessors ([`JsonValue::str`], [`JsonValue::u64`],
 //!   …), whose `Err(String)` names the offending key. `skip` and `parse`
 //!   accept exactly the same documents.
-//! * **Writers** append into a caller's `String`. Finite numbers print
-//!   in Rust's shortest-roundtrip form, so a value read back is
-//!   bit-identical and re-serializing a parsed document reproduces it
-//!   byte for byte; non-finite numbers, which JSON cannot carry, print
-//!   as `null`.
+//! * **Writers** append into a caller's `String`, and print numbers
+//!   without `core::fmt` but byte for byte as Rust's `{}` Display does.
+//!   A finite [`write_f64`] takes the shortest round-trip digits from
+//!   Ryu's `d2d`, with one rule changed to Display's: a value exactly
+//!   halfway between two shortest candidates rounds half up, not to
+//!   even. The digits are laid out positionally (no exponent, `-0` kept),
+//!   so a value read back is bit-identical and re-serializing a parsed
+//!   document reproduces it byte for byte; non-finite numbers, which JSON
+//!   cannot carry, print as `null`. Ryu's tables of powers of five are
+//!   `const`-evaluated from a 17-limb integer. [`write_u64`] and
+//!   [`write_i64`] print two digits per division. Every number on the
+//!   record, event and wire paths goes through them: the store's knob
+//!   tokens (`write_config`, whose non-finite floats keep Display's
+//!   `inf`/`-inf`/`NaN` spelling inside the token string), the event
+//!   members of `history_io` and every field of the wire codec.
 //!
 //! Dialect: RFC 8259 documents, read leniently where the old per-crate
 //! lexers were (raw control characters inside strings and Rust-style
@@ -36,7 +46,9 @@
 //! writers never emit one (non-ASCII text is written raw).
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
+
+mod num;
+pub use num::{write_i64, write_u64};
 
 /// Deepest array/object nesting [`parse`] accepts; deeper input is an
 /// error instead of a stack overflow in whoever parses outside bytes.
@@ -214,7 +226,10 @@ pub fn write_escaped(out: &mut String, s: &str) {
         out.push_str(&s[run..i]);
         out.push_str(escape);
         if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         }
         run = i + 1;
     }
@@ -232,15 +247,10 @@ pub fn write_str(out: &mut String, s: &str) {
 /// values, which JSON cannot carry, become `null`.
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        num::write_finite_f64(out, v);
     } else {
         out.push_str("null");
     }
-}
-
-/// Appends an integer.
-pub fn write_u64(out: &mut String, n: u64) {
-    let _ = write!(out, "{n}");
 }
 
 /// Appends `null`, or the value rendered by `some`.
@@ -722,12 +732,12 @@ mod tests {
         // The writers' bytes: escapes, shortest-roundtrip numbers, and
         // `null` for what JSON cannot carry.
         let mut out = String::new();
-        write_str(&mut out, "q\"b\\n\nr\rt\tc\u{1}é/");
+        write_str(&mut out, "q\"b\\n\nr\rt\tc\u{1}\u{0}\u{1f}é/");
         write_f64_array(&mut out, &[0.1, -2.0, 1e21, f64::NAN, f64::INFINITY]);
         write_array(&mut out, ["i1", "f0.5"], write_str);
         assert_eq!(
             out,
-            r#""q\"b\\n\nr\rt\tc\u0001é/"[0.1,-2,1000000000000000000000,null,null]["i1","f0.5"]"#
+            r#""q\"b\\n\nr\rt\tc\u0001\u0000\u001fé/"[0.1,-2,1000000000000000000000,null,null]["i1","f0.5"]"#
         );
     }
 

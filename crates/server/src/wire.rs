@@ -54,7 +54,6 @@ use llamatune_runtime::AdapterKind;
 use llamatune_space::{Config, KnobValue};
 use llamatune_store::{knob_value_from_token, read_config, write_config};
 use std::borrow::Cow;
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 /// Default cap on one frame's body, in bytes. A full session export of
@@ -262,7 +261,9 @@ impl<'a> Request<'a> {
     /// Appends the envelope up to its params; the caller appends those
     /// (a JSON object's source text) and the closing `}`.
     pub fn begin(out: &mut String, id: u64, method: &str) {
-        let _ = write!(out, "{{\"id\":{id},\"method\":");
+        out.push_str("{\"id\":");
+        json::write_u64(out, id);
+        out.push_str(",\"method\":");
         json::write_str(out, method);
         out.push_str(",\"params\":");
     }
@@ -300,7 +301,9 @@ impl<'a> Request<'a> {
 /// Appends a success response up to its body; the caller appends the
 /// body and the closing `}`.
 pub fn begin_ok(out: &mut String, id: u64) {
-    let _ = write!(out, "{{\"id\":{id},\"ok\":");
+    out.push_str("{\"id\":");
+    json::write_u64(out, id);
+    out.push_str(",\"ok\":");
 }
 
 /// Serializes a success response.
@@ -378,11 +381,9 @@ fn write_adapter(out: &mut String, adapter: &AdapterKind) {
     match adapter {
         AdapterKind::Identity => out.push_str("{\"kind\":\"identity\"}"),
         AdapterKind::LlamaTune(cfg) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"llamatune\",\"target_dim\":{},\"projection\":",
-                cfg.target_dim
-            );
+            out.push_str("{\"kind\":\"llamatune\",\"target_dim\":");
+            json::write_u64(out, cfg.target_dim as u64);
+            out.push_str(",\"projection\":");
             json::write_opt(out, cfg.projection, |out, kind| json::write_str(out, kind.name()));
             out.push_str(",\"special_value_bias\":");
             json::write_opt(out, cfg.special_value_bias, json::write_f64);
@@ -435,11 +436,15 @@ impl CreateSession {
         write_adapter(&mut out, &self.adapter);
         out.push_str(",\"optimizer\":");
         json::write_str(&mut out, &self.optimizer);
-        let _ = write!(
-            out,
-            ",\"seed\":{},\"iterations\":{},\"n_init\":{},\"batch_size\":{}}}",
-            self.seed, self.iterations, self.n_init, self.batch_size
-        );
+        out.push_str(",\"seed\":");
+        json::write_u64(&mut out, self.seed);
+        out.push_str(",\"iterations\":");
+        json::write_u64(&mut out, self.iterations as u64);
+        out.push_str(",\"n_init\":");
+        json::write_u64(&mut out, self.n_init as u64);
+        out.push_str(",\"batch_size\":");
+        json::write_u64(&mut out, self.batch_size as u64);
+        out.push('}');
         out
     }
 
@@ -477,7 +482,11 @@ impl SessionAttached {
     pub fn encode(&self) -> String {
         let mut out = String::from("{\"session\":");
         json::write_str(&mut out, &self.session);
-        let _ = write!(out, ",\"done\":{},\"quarantine\":", self.done);
+        out.push_str(if self.done {
+            ",\"done\":true,\"quarantine\":"
+        } else {
+            ",\"done\":false,\"quarantine\":"
+        });
         json::write_array(&mut out, &self.quarantine, |out, c| write_config(out, c.values()));
         out.push('}');
         out
@@ -563,9 +572,13 @@ impl SuggestReply {
         match self {
             SuggestReply::Done => out.push_str("{\"done\":true}"),
             SuggestReply::Round { round, trials } => {
-                let _ = write!(out, "{{\"round\":{round},\"trials\":");
+                out.push_str("{\"round\":");
+                json::write_u64(out, *round as u64);
+                out.push_str(",\"trials\":");
                 json::write_array(out, trials, |out, t| {
-                    let _ = write!(out, "{{\"iteration\":{},\"config\":", t.iteration);
+                    out.push_str("{\"iteration\":");
+                    json::write_u64(out, t.iteration as u64);
+                    out.push_str(",\"config\":");
                     write_config(out, &t.config);
                     out.push('}');
                 });
@@ -636,12 +649,11 @@ impl WireResult {
         json::write_opt(out, r.score, json::write_f64);
         out.push_str(",\"metrics\":");
         json::write_f64_array(out, &r.metrics);
-        let _ = write!(
-            out,
-            ",\"status\":\"{}\",\"attempts\":{},\"virtual_ms\":",
-            r.status.as_str(),
-            r.attempts
-        );
+        out.push_str(",\"status\":\"");
+        out.push_str(r.status.as_str());
+        out.push_str("\",\"attempts\":");
+        json::write_u64(out, u64::from(r.attempts));
+        out.push_str(",\"virtual_ms\":");
         json::write_f64(out, r.virtual_ms);
         out.push('}');
     }
@@ -695,7 +707,9 @@ impl Report {
     pub fn write(&self, out: &mut String) {
         out.push_str("{\"session\":");
         json::write_str(out, &self.session);
-        let _ = write!(out, ",\"round\":{},\"results\":", self.round);
+        out.push_str(",\"round\":");
+        json::write_u64(out, self.round as u64);
+        out.push_str(",\"results\":");
         json::write_array(out, &self.results, |out, r| r.write(out));
         out.push('}');
     }
@@ -747,7 +761,9 @@ impl SessionStatusReply {
     pub fn encode(&self) -> String {
         let mut out = String::from("{\"status\":");
         json::write_str(&mut out, &self.status);
-        let _ = write!(out, ",\"trials\":{},\"best_score\":", self.trials);
+        out.push_str(",\"trials\":");
+        json::write_u64(&mut out, self.trials as u64);
+        out.push_str(",\"best_score\":");
         json::write_opt(&mut out, self.best_score, json::write_f64);
         out.push_str(",\"error\":");
         json::write_opt(&mut out, self.error.as_deref(), json::write_str);

@@ -27,7 +27,6 @@ use llamatune::history_io::{write_event_members, EventRef, TrialEvent};
 use llamatune::session::{PriorTrial, TrialStatus};
 use llamatune_obs::json::{self, Scanner};
 use llamatune_space::{Config, KnobValue};
-use std::fmt::Write as _;
 
 /// One evaluated trial, as persisted.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,14 +163,28 @@ pub fn knob_value_from_token(s: &str) -> Result<KnobValue, String> {
 /// compact tagged string per value (`"i<int>"`, `"f<float>"`,
 /// `"c<choice index>"`; floats in shortest-roundtrip form, and no token
 /// holds a character JSON would escape) — the spelling store records and
-/// wire frames share.
+/// wire frames share. A token is a string, not a JSON number, so a
+/// non-finite float keeps Display's spelling (`"finf"`, `"f-inf"`,
+/// `"fNaN"`), which [`knob_value_from_token`] reads back.
 pub fn write_config(out: &mut String, config: &[KnobValue]) {
     json::write_array(out, config, |out, v| {
-        let _ = match v {
-            KnobValue::Int(x) => write!(out, "\"i{x}\""),
-            KnobValue::Float(x) => write!(out, "\"f{x}\""),
-            KnobValue::Cat(x) => write!(out, "\"c{x}\""),
-        };
+        match *v {
+            KnobValue::Int(x) => {
+                out.push_str("\"i");
+                json::write_i64(out, x);
+            }
+            KnobValue::Float(x) if x.is_finite() => {
+                out.push_str("\"f");
+                json::write_f64(out, x);
+            }
+            KnobValue::Float(x) if x.is_nan() => out.push_str("\"fNaN"),
+            KnobValue::Float(x) => out.push_str(if x > 0.0 { "\"finf" } else { "\"f-inf" }),
+            KnobValue::Cat(x) => {
+                out.push_str("\"c");
+                json::write_u64(out, x as u64);
+            }
+        }
+        out.push('"');
     });
 }
 
@@ -648,6 +661,27 @@ mod tests {
         assert!(knob_value_from_token("x5").is_err());
         assert!(knob_value_from_token("").is_err());
         assert!(knob_value_from_token("i").is_err());
+    }
+
+    /// A knob token is a string, not a JSON number: a non-finite float
+    /// keeps Display's spelling instead of JSON's `null`, and reads back.
+    #[test]
+    fn non_finite_knob_tokens_keep_displays_spelling() {
+        let config = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN].map(KnobValue::Float);
+        let mut tokens = String::new();
+        write_config(&mut tokens, &config);
+        assert_eq!(tokens, r#"["finf","f-inf","fNaN"]"#);
+        let read = read_config(&mut Scanner::new(&tokens)).unwrap();
+        let bits = |c: &[KnobValue]| -> Vec<u64> {
+            c.iter()
+                .map(|v| match v {
+                    KnobValue::Float(x) => x.to_bits(),
+                    other => panic!("{other:?} is not a float"),
+                })
+                .collect()
+        };
+        assert_eq!(bits(&read)[..2], bits(&config)[..2]);
+        assert!(matches!(read[2], KnobValue::Float(x) if x.is_nan()));
     }
 
     /// A token that opens with a multi-byte character is an unknown tag,
