@@ -189,7 +189,7 @@ pub fn shap_importance(forest: &RandomForest, xs: &[Vec<f64>]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamatune_optim::{RandomForestConfig, SearchSpec};
+    use llamatune_optim::SearchSpec;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -252,8 +252,7 @@ mod tests {
         let xs: Vec<Vec<f64>> =
             (0..n).map(|_| (0..d).map(|_| rng.random::<f64>()).collect()).collect();
         let ys: Vec<f64> = xs.iter().map(|x| f(x)).collect();
-        let cfg = RandomForestConfig { n_trees: 6, bootstrap: false, ..Default::default() };
-        (RandomForest::fit(&spec, &xs, &ys, &cfg, seed), xs)
+        (RandomForest::fit(&spec, &xs, &ys, seed), xs)
     }
 
     #[test]
@@ -313,7 +312,8 @@ mod tests {
 
     #[test]
     fn expected_value_is_cover_weighted_mean() {
-        // For an unbootstrapped forest the base value is the training mean.
+        // A tree's base value is the mean of its bootstrap resample, so
+        // the forest's approximates the training mean.
         let (forest, xs) = fit_forest(2, |x| 4.0 * x[0], 100, 5);
         let train_mean = xs.iter().map(|x| 4.0 * x[0]).sum::<f64>() / xs.len() as f64;
         let base = expected_value(&forest);

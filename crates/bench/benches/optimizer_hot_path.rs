@@ -16,9 +16,9 @@
 //!   d = 16 and the vanilla 90-knob width.
 //! * **DDPG observe** — one `Ddpg::observe` (reward, replay push, five
 //!   minibatch training steps) at the LlamaTune width d = 16 and the
-//!   vanilla 90-knob width, 27 metrics, with the replay buffer pinned at
+//!   vanilla 90-knob width, 27 metrics, with the replay buffer holding
 //!   32 (the first trial that trains) and 100 (a paper session's end)
-//!   transitions.
+//!   transitions when the clock starts.
 //! * **GP-BO suggest** — one `GpBo::suggest` (1500 candidates
 //!   drawn and EI-scored against the cached factor) and, inside it, the
 //!   scoring pass alone (`optim.gp.ei_score_ms`).
@@ -39,8 +39,7 @@
 use llamatune_bench::artifact::{self, median, round, Artifact, Field::*, Row};
 use llamatune_obs::MetricsRegistry;
 use llamatune_optim::{
-    Ddpg, DdpgConfig, GpBo, Observation, Optimizer, RandomForest, RandomForestConfig, SearchSpec,
-    Smac, SmacConfig, DEFAULT_METRIC_DIM,
+    Ddpg, GpBo, Observation, Optimizer, RandomForest, SearchSpec, Smac, DEFAULT_METRIC_DIM,
 };
 use llamatune_runtime::BatchSuggest;
 use rand::rngs::StdRng;
@@ -85,11 +84,11 @@ fn gp_observe_row(n: usize, reps: usize) -> Row<'static> {
 
 /// Times a SMAC suggestion with the forest invalidated (cold: must
 /// fit) and with the forest cached from the previous suggestion (warm).
+/// Each rep restores the snapshot taken before the first suggestion, so
+/// the timed ones are always the 1st and 2nd: never an interleaved
+/// random suggestion (every 9th), which would be near free.
 fn smac_suggest_row(n: usize, reps: usize) -> Row<'static> {
-    // Interleaved random suggestions would pollute the medians with
-    // near-free iterations; disable them for measurement.
-    let config = SmacConfig { random_interleave: 0, ..SmacConfig::default() };
-    let mut smac = Smac::new(SearchSpec::continuous(DIMS), config, SEED);
+    let mut smac = Smac::new(SearchSpec::continuous(DIMS), SEED);
     for o in synthetic_history(n) {
         smac.observe(o);
     }
@@ -114,7 +113,7 @@ fn smac_suggest_row(n: usize, reps: usize) -> Row<'static> {
 }
 
 /// Times the SMAC surrogate by itself on a `d`-dim history of `n`
-/// points: one default-config fit, and the `predict_batch` of 1500
+/// points: one fit, and the `predict_batch` of 1500
 /// points a suggestion scores its random candidates with.
 fn forest_fit_row(d: usize, n: usize, reps: usize) -> Row<'static> {
     let spec = SearchSpec::continuous(d);
@@ -123,11 +122,10 @@ fn forest_fit_row(d: usize, n: usize, reps: usize) -> Row<'static> {
     let ys: Vec<f64> =
         xs.iter().map(|x| -x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>()).collect();
     let candidates: Vec<Vec<f64>> = (0..1500).map(|_| spec.sample(&mut rng)).collect();
-    let config = RandomForestConfig::default();
     let (mut fit, mut predict) = (Vec::new(), Vec::new());
     for rep in 0..reps {
         let t = Instant::now();
-        let forest = std::hint::black_box(RandomForest::fit(&spec, &xs, &ys, &config, rep as u64));
+        let forest = std::hint::black_box(RandomForest::fit(&spec, &xs, &ys, rep as u64));
         fit.push(t.elapsed().as_secs_f64() * 1e6);
         let t = Instant::now();
         std::hint::black_box(forest.predict_batch(std::hint::black_box(&candidates)));
@@ -141,13 +139,14 @@ fn forest_fit_row(d: usize, n: usize, reps: usize) -> Row<'static> {
     ]
 }
 
-/// Times `Ddpg::observe` with the replay buffer holding exactly `replay`
-/// transitions (the capacity is pinned there and filled before the clock
-/// starts), on a `d`-dim space with the DBMS's 27 metrics as a smooth
-/// function of the action.
+/// Times `Ddpg::observe` with the replay buffer holding `replay`
+/// transitions when the clock starts (filled before), on a `d`-dim space
+/// with the DBMS's 27 metrics as a smooth function of the action. Each
+/// timed observe adds one; the buffer's 2 000 cap is never reached, and a
+/// training step samples a 32-transition minibatch whatever the buffer
+/// holds, so every timed observe does the same work.
 fn ddpg_observe_row(d: usize, replay: usize, reps: usize) -> Row<'static> {
-    let config = DdpgConfig { replay_capacity: replay, ..DdpgConfig::default() };
-    let mut ddpg = Ddpg::new(SearchSpec::continuous(d), DEFAULT_METRIC_DIM, config, SEED);
+    let mut ddpg = Ddpg::new(SearchSpec::continuous(d), SEED);
     let mut times = Vec::new();
     // `replay + 1` observations fill the buffer; the rest are timed.
     for trial in 0..=replay + reps {
@@ -302,7 +301,7 @@ fn main() {
     );
     artifact.show(
         "forest_fit",
-        "SMAC's surrogate alone, default config",
+        "SMAC's surrogate alone",
         [DIMS, 90]
             .iter()
             .flat_map(|&d| ns.iter().map(move |&n| forest_fit_row(d, n, reps)))
@@ -334,17 +333,14 @@ fn main() {
         ));
         retract_rows.push(retract_row(
             "smac",
-            || Box::new(Smac::new(SearchSpec::continuous(DIMS), SmacConfig::default(), SEED)),
+            || Box::new(Smac::new(SearchSpec::continuous(DIMS), SEED)),
             n,
             q,
             rounds,
         ));
         retract_rows.push(retract_row(
             "ddpg",
-            || {
-                let config = DdpgConfig::default();
-                Box::new(Ddpg::new(SearchSpec::continuous(DIMS), DEFAULT_METRIC_DIM, config, SEED))
-            },
+            || Box::new(Ddpg::new(SearchSpec::continuous(DIMS), SEED)),
             n,
             q,
             rounds,

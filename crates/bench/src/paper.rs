@@ -16,7 +16,7 @@ use llamatune_analysis::{rank_knobs, shap_importance};
 use llamatune_math::{latin_hypercube, mean, Summary};
 use llamatune_obs::fmt;
 use llamatune_obs::json::JsonValue;
-use llamatune_optim::{Observation, OptimizerKind, RandomForest, RandomForestConfig, SearchSpec};
+use llamatune_optim::{Observation, OptimizerKind, RandomForest, SearchSpec};
 use llamatune_space::catalog::{postgres_v13_6, postgres_v9_6, HAND_PICKED_TOP8_YCSB_A};
 use llamatune_space::{ConfigSpace, Domain, KnobValue};
 use llamatune_workloads::{workload_by_name, Objective, WorkloadRunner};
@@ -114,8 +114,7 @@ impl Memo {
             .collect();
         let names: Vec<&'static str> = catalog.knobs().iter().map(|k| k.name).collect();
         let rankings = [7, 8].map(|forest_seed| {
-            let forest =
-                RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), forest_seed);
+            let forest = RandomForest::fit(&spec, &xs, &ys, forest_seed);
             rank_knobs(&names, &shap_importance(&forest, &xs[..n.min(400)]))
         });
         self.shap.insert(Rc::new(rankings)).clone()

@@ -7,13 +7,15 @@
 use llamatune::history_io::{events_to_jsonl, history_to_events};
 use llamatune::pipeline::LlamaTuneConfig;
 use llamatune::session::{Trial, TrialExecutor};
-use llamatune_client::{run_remote_session, Client, RemoteOutcome, RemoteSessionOptions};
+use llamatune_client::{
+    run_remote_session, Client, ClientError, RemoteOutcome, RemoteSessionOptions,
+};
 use llamatune_engine::RunOptions;
 use llamatune_runtime::{
-    eval_seed, AdapterKind, CampaignOptions, CellSpec, OptimizerKind, SessionDriver,
-    WorkloadExecutor,
+    eval_seed, AdapterKind, Campaign, CampaignOptions, CampaignSpec, CellSpec, OptimizerKind,
+    SessionDriver, WarmStartOptions, WorkloadExecutor,
 };
-use llamatune_server::wire::{CreateSession, Report, SuggestReply, WireResult};
+use llamatune_server::wire::{self, CreateSession, Report, SuggestReply, WireResult};
 use llamatune_server::{Server, ServerConfig, ServerHandle, SessionRegistry};
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_space::ConfigSpace;
@@ -80,12 +82,15 @@ fn in_process_jsonl(catalog: &ConfigSpace, seed: u64) -> String {
 fn start_daemon(
     backend: Arc<dyn StoreBackend>,
 ) -> (ServerHandle, std::thread::JoinHandle<()>, String) {
-    let registry = Arc::new(SessionRegistry::new(
-        backend,
-        postgres_v9_6(),
-        quick_opts(),
-        StoreOptions::default(),
-    ));
+    start_daemon_with(backend, quick_opts())
+}
+
+fn start_daemon_with(
+    backend: Arc<dyn StoreBackend>,
+    opts: CampaignOptions,
+) -> (ServerHandle, std::thread::JoinHandle<()>, String) {
+    let registry =
+        Arc::new(SessionRegistry::new(backend, postgres_v9_6(), opts, StoreOptions::default()));
     let cfg = ServerConfig { suggest_timeout: Duration::from_secs(30), ..Default::default() };
     let server = Server::bind("127.0.0.1:0", registry, cfg).unwrap();
     let handle = server.handle().unwrap();
@@ -110,6 +115,46 @@ fn served_session_exports_byte_identical_history() {
     let again = run_remote(&addr, &catalog, 7);
     assert_eq!(again.trials_evaluated, 0, "attach to a finished session runs nothing");
     assert_eq!(again.jsonl, expected);
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// `warm_start_query` answers what the session's store metadata records:
+/// a session the daemon warm-started from a finished source session gets
+/// that session's points, and a label neither live nor stored is
+/// `unknown_session`.
+#[test]
+fn warm_start_query_answers_the_recorded_warm_points() {
+    let catalog = postgres_v9_6();
+    let backend: Arc<dyn StoreBackend> = Arc::new(ObjectStoreBackend::default());
+    // The source: a finished session of the same adapter and seed on a
+    // fingerprint-adjacent workload.
+    let source = CampaignSpec {
+        workloads: vec!["ycsb_a".into()],
+        adapters: vec![AdapterKind::LlamaTune(LlamaTuneConfig::default())],
+        optimizers: vec![OptimizerKind::Smac],
+        seeds: vec![7],
+    };
+    Campaign::new(catalog, source, quick_opts())
+        .run_fleet(backend.clone(), 1, StoreOptions::default())
+        .unwrap();
+
+    let warm = WarmStartOptions { k: 2, max_distance: 1.9 };
+    let opts = CampaignOptions { warm_start: Some(warm), ..quick_opts() };
+    let (handle, join, addr) = start_daemon_with(backend.clone(), opts);
+    let mut client = Client::connect(&addr).unwrap();
+    let attached = client.create_session(&spec(7)).unwrap();
+    let points = client.warm_start_query(&attached.session).unwrap().points;
+    let reader = TrialStore::open_reader(backend, StoreOptions::default()).unwrap();
+    let recorded = reader.session_meta(&attached.session).unwrap().warm_points;
+    assert!(!recorded.is_empty(), "transfer found the source session");
+    assert_eq!(points, recorded);
+
+    match client.warm_start_query("nope") {
+        Err(ClientError::Wire(e)) => assert_eq!(e.code, wire::code::UNKNOWN_SESSION, "{e}"),
+        other => panic!("an unknown session answered {other:?}"),
+    }
 
     handle.shutdown();
     join.join().unwrap();

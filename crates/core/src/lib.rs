@@ -39,12 +39,12 @@
 //! ```no_run
 //! use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 //! use llamatune::session::{run_session, EvalResult, SessionOptions};
-//! use llamatune_optim::{Smac, SmacConfig};
+//! use llamatune_optim::Smac;
 //! use llamatune_space::catalog::postgres_v9_6;
 //!
 //! let space = postgres_v9_6();
 //! let pipeline = LlamaTunePipeline::new(&space, &LlamaTuneConfig::default(), 42);
-//! let optimizer = Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 42);
+//! let optimizer = Smac::new(pipeline.optimizer_spec().clone(), 42);
 //! let history = run_session(
 //!     &pipeline,
 //!     Box::new(optimizer),

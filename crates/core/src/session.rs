@@ -907,7 +907,7 @@ mod tests {
         run_session_resumable(adapter, optimizer, executor, opts, batch_size, &[], None).unwrap()
     }
     use crate::pipeline::{LlamaTuneConfig, LlamaTunePipeline};
-    use llamatune_optim::{RandomSearch, Smac, SmacConfig};
+    use llamatune_optim::{RandomSearch, Smac};
     use llamatune_space::catalog::postgres_v9_6;
     use llamatune_space::KnobValue;
 
@@ -1043,7 +1043,7 @@ mod tests {
     fn llamatune_pipeline_runs_end_to_end_with_smac() {
         let space = postgres_v9_6();
         let pipe = LlamaTunePipeline::new(&space, &LlamaTuneConfig::default(), 7);
-        let smac = Smac::new(pipe.optimizer_spec().clone(), SmacConfig::default(), 7);
+        let smac = Smac::new(pipe.optimizer_spec().clone(), 7);
         let opts = SessionOptions { iterations: 20, n_init: 10, ..Default::default() };
         let h = run_session(&pipe, Box::new(smac), objective(&space), &opts);
         assert_eq!(h.best_curve.len(), 21);
@@ -1107,14 +1107,14 @@ mod tests {
         let opts = SessionOptions { iterations: 16, n_init: 8, ..Default::default() };
         let seq = run_session(
             &pipe,
-            Box::new(Smac::new(pipe.optimizer_spec().clone(), SmacConfig::default(), 5)),
+            Box::new(Smac::new(pipe.optimizer_spec().clone(), 5)),
             objective(&space),
             &opts,
         );
         let mut executor = FnExecutor(objective(&space));
         let par = run_batched(
             &pipe,
-            Box::new(Smac::new(pipe.optimizer_spec().clone(), SmacConfig::default(), 5)),
+            Box::new(Smac::new(pipe.optimizer_spec().clone(), 5)),
             &mut executor,
             &opts,
             1,

@@ -7,6 +7,21 @@
 //! * **reward** — CDBTune's compound delta against both the initial and
 //!   the previous performance.
 //!
+//! # Settings
+//!
+//! DDPG runs at one fixed setting, private constants beside the code that
+//! reads them. The state is the first `DEFAULT_METRIC_DIM` = 27 metrics.
+//! The actor and the critic each have two hidden layers of `HIDDEN` = 64
+//! units, with target copies soft-updated at `TAU` = 0.01. Both train by
+//! Adam at `ACTOR_LR` = `CRITIC_LR` = 1e-3, with TD targets discounted by
+//! `GAMMA` = 0.9. Each observation runs `TRAIN_STEPS_PER_OBSERVE` = 5
+//! steps on minibatches of `BATCH_SIZE` = 32 transitions, drawn from a
+//! replay buffer of `REPLAY_CAPACITY` = 2 000. Exploration is OU noise
+//! that starts at `NOISE_SIGMA` = 0.4 and decays by `NOISE_DECAY` = 0.985
+//! per suggestion. The structure (metrics as state, replay, target
+//! networks, OU exploration, the reward) is CDBTune's setup; the values
+//! are this crate's.
+//!
 //! A training step (`Ddpg::train`) runs its whole minibatch through each
 //! network at once, on scratch the optimizer owns; [`crate::nn`] states
 //! the layout and the bit-identity contract, and `reference::train` (test
@@ -19,42 +34,51 @@
 //! back, so the constant liar rewinds a round without rebuilding DDPG.
 
 use crate::nn::{scatter, Activation, Mlp, Tape};
-use crate::spec::{Observation, Optimizer, SearchSpec};
+use crate::spec::{Observation, Optimizer, SearchSpec, DEFAULT_METRIC_DIM};
 use llamatune_math::{Normal, RunningStats};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// DDPG hyperparameters.
-#[derive(Debug, Clone)]
-pub struct DdpgConfig {
-    pub hidden: usize,
-    pub actor_lr: f64,
-    pub critic_lr: f64,
-    pub gamma: f64,
-    pub tau: f64,
-    pub batch_size: usize,
-    pub train_steps_per_observe: usize,
-    pub replay_capacity: usize,
-    /// Initial OU noise scale (decays multiplicatively).
-    pub noise_sigma: f64,
-    pub noise_decay: f64,
+/// Units in each of the two hidden layers of all four networks.
+const HIDDEN: usize = 64;
+/// Adam step size of the actor.
+const ACTOR_LR: f64 = 1e-3;
+/// Adam step size of the critic.
+const CRITIC_LR: f64 = 1e-3;
+/// Discount of the TD target.
+const GAMMA: f64 = 0.9;
+/// Soft-update rate of the target networks.
+const TAU: f64 = 0.01;
+/// Transitions per minibatch.
+const BATCH_SIZE: usize = 32;
+/// Training steps per observation.
+const TRAIN_STEPS_PER_OBSERVE: usize = 5;
+/// Transitions the replay buffer holds before it overwrites the oldest.
+const REPLAY_CAPACITY: usize = 2_000;
+/// Initial OU noise scale.
+const NOISE_SIGMA: f64 = 0.4;
+/// Multiplicative decay of the OU noise scale per suggestion.
+const NOISE_DECAY: f64 = 0.985;
+
+/// The shape of the networks and of a training step: [`Ddpg::new`] always
+/// builds `Shape::DDPG`, the constants above over `DEFAULT_METRIC_DIM`
+/// metrics. The kernel's equivalence test builds other shapes.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Metrics-vector length: the state the actor and critic read.
+    state_dim: usize,
+    hidden: usize,
+    batch_size: usize,
+    train_steps_per_observe: usize,
 }
 
-impl Default for DdpgConfig {
-    fn default() -> Self {
-        DdpgConfig {
-            hidden: 64,
-            actor_lr: 1e-3,
-            critic_lr: 1e-3,
-            gamma: 0.9,
-            tau: 0.01,
-            batch_size: 32,
-            train_steps_per_observe: 5,
-            replay_capacity: 2_000,
-            noise_sigma: 0.4,
-            noise_decay: 0.985,
-        }
-    }
+impl Shape {
+    const DDPG: Shape = Shape {
+        state_dim: DEFAULT_METRIC_DIM,
+        hidden: HIDDEN,
+        batch_size: BATCH_SIZE,
+        train_steps_per_observe: TRAIN_STEPS_PER_OBSERVE,
+    };
 }
 
 #[derive(Clone)]
@@ -69,7 +93,7 @@ struct Transition {
 #[derive(Clone)]
 pub struct Ddpg {
     spec: SearchSpec,
-    config: DdpgConfig,
+    shape: Shape,
     rng: StdRng,
 
     actor: Mlp,
@@ -82,7 +106,6 @@ pub struct Ddpg {
 
     /// Per-metric normalization statistics.
     norms: Vec<RunningStats>,
-    state_dim: usize,
 
     /// OU noise state, one per action dimension.
     noise: Vec<f64>,
@@ -97,7 +120,7 @@ pub struct Ddpg {
     scratch: Scratch,
 }
 
-/// What a training step works in, sized once for the configured minibatch
+/// What a training step works in, sized once for the minibatch
 /// and reused, so a step allocates nothing.
 #[derive(Clone)]
 struct Scratch {
@@ -121,28 +144,27 @@ fn metric(metrics: &[f64], i: usize) -> f64 {
 }
 
 impl Ddpg {
-    /// Creates a DDPG optimizer; `state_dim` is the metrics-vector length
-    /// (27 for the simulated DBMS).
-    pub fn new(spec: SearchSpec, state_dim: usize, config: DdpgConfig, seed: u64) -> Self {
+    /// Creates a DDPG optimizer over `spec` whose state is the first
+    /// [`DEFAULT_METRIC_DIM`] metrics of each observation (the simulated
+    /// DBMS reports that many; a shorter vector reads zeros past its end).
+    pub fn new(spec: SearchSpec, seed: u64) -> Self {
+        Self::build(spec, Shape::DDPG, seed)
+    }
+
+    fn build(spec: SearchSpec, shape: Shape, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        let (state_dim, hidden, batch) = (shape.state_dim, shape.hidden, shape.batch_size);
         let a_dim = spec.len();
-        let actor = Mlp::new(
-            &[state_dim, config.hidden, config.hidden, a_dim],
-            Activation::Sigmoid,
-            &mut rng,
-        );
-        let critic = Mlp::new(
-            &[state_dim + a_dim, config.hidden, config.hidden, 1],
-            Activation::Linear,
-            &mut rng,
-        );
+        let actor = Mlp::new(&[state_dim, hidden, hidden, a_dim], Activation::Sigmoid, &mut rng);
+        let critic =
+            Mlp::new(&[state_dim + a_dim, hidden, hidden, 1], Activation::Linear, &mut rng);
         let actor_target = actor.clone();
         let critic_target = critic.clone();
         let scratch = Scratch {
-            picks: Vec::with_capacity(config.batch_size),
-            actor: Tape::new(&actor, config.batch_size),
-            critic: Tape::new(&critic, config.batch_size),
-            td_targets: vec![0.0; config.batch_size],
+            picks: Vec::with_capacity(batch),
+            actor: Tape::new(&actor, batch),
+            critic: Tape::new(&critic, batch),
+            td_targets: vec![0.0; batch],
         };
         Ddpg {
             spec,
@@ -154,10 +176,9 @@ impl Ddpg {
             replay: Vec::new(),
             replay_cursor: 0,
             norms: vec![RunningStats::new(); state_dim],
-            state_dim,
             noise: vec![0.0; a_dim],
-            sigma: config.noise_sigma,
-            config,
+            sigma: NOISE_SIGMA,
+            shape,
             last_state: None,
             last_action: None,
             initial_perf: None,
@@ -167,7 +188,7 @@ impl Ddpg {
     }
 
     fn normalize(&self, metrics: &[f64]) -> Vec<f64> {
-        (0..self.state_dim)
+        (0..self.shape.state_dim)
             .map(|i| {
                 let raw = metric(metrics, i);
                 let s = &self.norms[i];
@@ -196,26 +217,26 @@ impl Ddpg {
     }
 
     fn push_transition(&mut self, t: Transition) {
-        if self.replay.len() < self.config.replay_capacity {
+        if self.replay.len() < REPLAY_CAPACITY {
             self.replay.push(t);
         } else {
             self.replay[self.replay_cursor] = t;
-            self.replay_cursor = (self.replay_cursor + 1) % self.config.replay_capacity;
+            self.replay_cursor = (self.replay_cursor + 1) % REPLAY_CAPACITY;
         }
     }
 
     fn train(&mut self) {
         let Ddpg {
-            config, rng, replay, actor, critic, actor_target, critic_target, scratch, ..
+            shape, rng, replay, actor, critic, actor_target, critic_target, scratch, ..
         } = self;
-        let batch = config.batch_size;
+        let batch = shape.batch_size;
         if replay.len() < batch {
             return;
         }
-        let s_rows = self.state_dim * batch;
-        let action_rows = self.state_dim..self.state_dim + actor.output_dim();
+        let s_rows = shape.state_dim * batch;
+        let action_rows = shape.state_dim..shape.state_dim + actor.output_dim();
         let Scratch { picks, actor: actor_tape, critic: critic_tape, td_targets } = scratch;
-        for _ in 0..config.train_steps_per_observe {
+        for _ in 0..shape.train_steps_per_observe {
             // The step's minibatch: the loop's only draws.
             picks.clear();
             picks.extend((0..batch).map(|_| rng.random_range(0..replay.len())));
@@ -230,7 +251,7 @@ impl Ddpg {
             for ((target, &p), next_q) in
                 td_targets.iter_mut().zip(&*picks).zip(critic_tape.output())
             {
-                *target = replay[p].reward + config.gamma * next_q;
+                *target = replay[p].reward + GAMMA * next_q;
             }
 
             // Critic update on the minibatch.
@@ -244,7 +265,7 @@ impl Ddpg {
                 *grad = q - target;
             }
             critic.backward(critic_tape);
-            critic.adam_step(config.critic_lr, batch);
+            critic.adam_step(CRITIC_LR, batch);
 
             // Actor update: ascend dQ/da through the (fresh) critic.
             actor_tape.input_mut().copy_from_slice(&critic_tape.input()[..s_rows]);
@@ -258,11 +279,11 @@ impl Ddpg {
                 *neg = -g;
             }
             actor.backward(actor_tape);
-            actor.adam_step(config.actor_lr, batch);
+            actor.adam_step(ACTOR_LR, batch);
 
             // Soft-update targets.
-            actor_target.soft_update_from(actor, config.tau);
-            critic_target.soft_update_from(critic, config.tau);
+            actor_target.soft_update_from(actor, TAU);
+            critic_target.soft_update_from(critic, TAU);
         }
     }
 }
@@ -280,7 +301,7 @@ impl Optimizer for Ddpg {
                     *n += theta * (0.0 - *n) + self.sigma * normal.sample(&mut self.rng);
                     *v = (*v + *n).clamp(0.0, 1.0);
                 }
-                self.sigma *= self.config.noise_decay;
+                self.sigma *= NOISE_DECAY;
                 self.spec.snap(&a)
             }
         };
@@ -332,18 +353,19 @@ impl Optimizer for Ddpg {
 /// The oracle of the equivalence proptest below.
 #[cfg(test)]
 mod reference {
-    use super::Ddpg;
+    use super::{Ddpg, ACTOR_LR, CRITIC_LR, GAMMA, TAU};
     use crate::nn::reference as nn;
     use rand::RngExt;
 
     pub(super) fn train(ddpg: &mut Ddpg) {
-        if ddpg.replay.len() < ddpg.config.batch_size {
+        let shape = ddpg.shape;
+        if ddpg.replay.len() < shape.batch_size {
             return;
         }
-        for _ in 0..ddpg.config.train_steps_per_observe {
+        for _ in 0..shape.train_steps_per_observe {
             // Critic update on a minibatch.
             let mut actor_grads: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-            for _ in 0..ddpg.config.batch_size {
+            for _ in 0..shape.batch_size {
                 let idx = ddpg.rng.random_range(0..ddpg.replay.len());
                 let (state, action, reward, next_state) = {
                     let t = &ddpg.replay[idx];
@@ -353,8 +375,7 @@ mod reference {
                 let next_action = nn::forward(&ddpg.actor_target, &next_state);
                 let mut ns_input = next_state.clone();
                 ns_input.extend_from_slice(&next_action);
-                let target_q =
-                    reward + ddpg.config.gamma * nn::forward(&ddpg.critic_target, &ns_input)[0];
+                let target_q = reward + GAMMA * nn::forward(&ddpg.critic_target, &ns_input)[0];
 
                 let mut sa = state.clone();
                 sa.extend_from_slice(&action);
@@ -363,7 +384,7 @@ mod reference {
                 nn::backward(&mut ddpg.critic, &sa, &[q - target_q]);
                 actor_grads.push((state, action));
             }
-            nn::adam_step(&mut ddpg.critic, ddpg.config.critic_lr, ddpg.config.batch_size);
+            nn::adam_step(&mut ddpg.critic, CRITIC_LR, shape.batch_size);
 
             // Actor update: ascend dQ/da through the (fresh) critic.
             for (state, _) in &actor_grads {
@@ -372,16 +393,16 @@ mod reference {
                 sa.extend_from_slice(&action);
                 // dQ/d(input) of the critic; take the action slice.
                 let dq = nn::input_gradient(&ddpg.critic, &sa, &[1.0]);
-                let dq_da = &dq[ddpg.state_dim..];
+                let dq_da = &dq[shape.state_dim..];
                 // Gradient *descent* on -Q.
                 let neg: Vec<f64> = dq_da.iter().map(|g| -g).collect();
                 nn::backward(&mut ddpg.actor, state, &neg);
             }
-            nn::adam_step(&mut ddpg.actor, ddpg.config.actor_lr, ddpg.config.batch_size);
+            nn::adam_step(&mut ddpg.actor, ACTOR_LR, shape.batch_size);
 
             // Soft-update targets.
-            nn::soft_update_from(&mut ddpg.actor_target, &ddpg.actor, ddpg.config.tau);
-            nn::soft_update_from(&mut ddpg.critic_target, &ddpg.critic, ddpg.config.tau);
+            nn::soft_update_from(&mut ddpg.actor_target, &ddpg.actor, TAU);
+            nn::soft_update_from(&mut ddpg.critic_target, &ddpg.critic, TAU);
         }
     }
 }
@@ -413,7 +434,7 @@ mod tests {
         // average the learning effect over seeds to keep the test stable.
         let mut improvements = Vec::new();
         for seed in 0..3 {
-            let mut opt = Ddpg::new(spec(), 6, DdpgConfig::default(), seed);
+            let mut opt = Ddpg::new(spec(), seed);
             let mut early = Vec::new();
             let mut late = Vec::new();
             for i in 0..160 {
@@ -439,7 +460,7 @@ mod tests {
 
     #[test]
     fn reward_signs_follow_cdbtune() {
-        let mut opt = Ddpg::new(spec(), 2, DdpgConfig::default(), 1);
+        let mut opt = Ddpg::new(spec(), 1);
         opt.initial_perf = Some(100.0);
         opt.previous_perf = Some(110.0);
         assert!(opt.reward(120.0) > 0.0, "better than initial -> positive");
@@ -452,7 +473,7 @@ mod tests {
 
     #[test]
     fn first_suggestion_is_random_then_policy_driven() {
-        let mut opt = Ddpg::new(spec(), 6, DdpgConfig::default(), 9);
+        let mut opt = Ddpg::new(spec(), 9);
         let a1 = opt.suggest();
         assert_eq!(a1.len(), 4);
         let (perf, metrics) = env(&a1);
@@ -463,20 +484,28 @@ mod tests {
 
     #[test]
     fn replay_buffer_is_bounded() {
-        let cfg = DdpgConfig { replay_capacity: 16, batch_size: 4, ..Default::default() };
-        let mut opt = Ddpg::new(spec(), 6, cfg, 5);
-        for _ in 0..40 {
-            let a = opt.suggest();
-            let (perf, metrics) = env(&a);
-            opt.observe(Observation { x: a, y: perf, metrics });
+        let mut opt = Ddpg::new(spec(), 5);
+        let transition = |reward: usize| Transition {
+            state: vec![0.0; DEFAULT_METRIC_DIM],
+            action: vec![0.5; 4],
+            reward: reward as f64,
+            next_state: vec![0.0; DEFAULT_METRIC_DIM],
+        };
+        for i in 0..REPLAY_CAPACITY + 10 {
+            opt.push_transition(transition(i));
         }
-        assert!(opt.replay.len() <= 16);
+        assert_eq!(opt.replay.len(), REPLAY_CAPACITY);
+        // The ten oldest were overwritten in place, oldest first.
+        let rewards: Vec<f64> = opt.replay[..11].iter().map(|t| t.reward).collect();
+        let want: Vec<f64> =
+            (REPLAY_CAPACITY..REPLAY_CAPACITY + 10).chain([10]).map(|r| r as f64).collect();
+        assert_eq!(rewards, want);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = Ddpg::new(spec(), 6, DdpgConfig::default(), 21);
-        let mut b = Ddpg::new(spec(), 6, DdpgConfig::default(), 21);
+        let mut a = Ddpg::new(spec(), 21);
+        let mut b = Ddpg::new(spec(), 21);
         for _ in 0..6 {
             let xa = a.suggest();
             let xb = b.suggest();
@@ -491,7 +520,7 @@ mod tests {
     fn short_metrics_vectors_are_padded() {
         // A crashed run reports an all-zero metrics vector; shorter vectors
         // must not panic either.
-        let mut opt = Ddpg::new(spec(), 6, DdpgConfig::default(), 2);
+        let mut opt = Ddpg::new(spec(), 2);
         let a = opt.suggest();
         opt.observe(Observation { x: a, y: 1.0, metrics: vec![1.0, 2.0] });
         let a2 = opt.suggest();
@@ -504,8 +533,9 @@ mod tests {
     /// collapsed to a constant ≈ 0.5 in every dimension.
     #[test]
     fn a_non_finite_metric_does_not_kill_the_policy() {
-        let cfg = DdpgConfig { noise_sigma: 0.0, ..Default::default() };
-        let mut opt = Ddpg::new(spec(), 6, cfg, 3);
+        let mut opt = Ddpg::new(spec(), 3);
+        // No exploration noise: the spread below is the policy's own.
+        opt.sigma = 0.0;
         let mut late = Vec::new();
         for i in 0..80 {
             let a = opt.suggest();
@@ -529,7 +559,7 @@ mod tests {
         }
         // Still a policy: the action depends on the state, and the late
         // suggestions are not one repeated point.
-        let at = |m: f64| opt.actor.forward(&[m; 6]);
+        let at = |m: f64| opt.actor.forward(&[m; DEFAULT_METRIC_DIM]);
         assert_ne!(at(-1.0), at(1.0), "the actor ignores its input");
         let spread = (0..4)
             .map(|d| {
@@ -550,19 +580,18 @@ mod tests {
         use crate::nn::Activation::{Linear, Sigmoid, Tanh};
         let mut rng = StdRng::seed_from_u64(seed);
         let (state_dim, a_dim) = (rng.random_range(1..30), rng.random_range(1..96));
-        let config = DdpgConfig {
+        let shape = Shape {
+            state_dim,
             hidden: rng.random_range(1..70),
             batch_size: rng.random_range(1..40),
             train_steps_per_observe: rng.random_range(1..4),
-            ..Default::default()
         };
-        let mut opt =
-            Ddpg::new(SearchSpec::continuous(a_dim), state_dim, config.clone(), seed ^ 0x5eed);
+        let mut opt = Ddpg::build(SearchSpec::continuous(a_dim), shape, seed ^ 0x5eed);
         let heads = [Sigmoid, Tanh, Linear];
         let (actor_head, critic_head) =
             (heads[rng.random_range(0..3usize)], heads[rng.random_range(0..3usize)]);
         for _ in 0..rng.random_range(0..4) {
-            let (layer, unit) = (rng.random_range(0..2), rng.random_range(0..config.hidden));
+            let (layer, unit) = (rng.random_range(0..2), rng.random_range(0..shape.hidden));
             nn_reference::silence_unit(&mut opt.actor, layer, unit);
             nn_reference::silence_unit(&mut opt.critic, layer, unit);
         }
@@ -582,7 +611,7 @@ mod tests {
                 })
                 .collect()
         };
-        for _ in 0..config.batch_size + rng.random_range(0..5usize) {
+        for _ in 0..shape.batch_size + rng.random_range(0..5usize) {
             let transition = Transition {
                 state: state(&mut rng),
                 action: (0..a_dim)
@@ -606,7 +635,7 @@ mod tests {
         fn train_matches_the_reference_bit_for_bit(seed in proptest::any::<u64>()) {
             for isa in llamatune_math::Isa::available() {
                 let (mut kernel, mut oracle) = (random_instance(seed), random_instance(seed));
-                let batch = kernel.config.batch_size;
+                let batch = kernel.shape.batch_size;
                 kernel.scratch.actor = Tape::new_on(isa, &kernel.actor, batch);
                 kernel.scratch.critic = Tape::new_on(isa, &kernel.critic, batch);
                 for round in 0..2 {

@@ -3,6 +3,15 @@
 //! (the CoCaBO-style mixed-space GP of Ru et al. 2020, which the paper
 //! evaluates as its second BO baseline).
 //!
+//! # Settings
+//!
+//! GP-BO runs at one fixed setting, private constants beside the code
+//! that reads them: `N_CANDIDATES` = 1 500 random candidates scored by EI
+//! per suggestion, with margin `XI` = 0.01; the kernel hyperparameters
+//! refitted every `REFIT_EVERY` = 5 observations, as the best by marginal
+//! likelihood of the current setting and `MLE_DRAWS` − 1 = 23 random
+//! draws. The values are this crate's.
+//!
 //! # The EI scoring pass and its contract
 //!
 //! A suggestion scores 1 500 random candidates against the whole history:

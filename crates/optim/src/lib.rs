@@ -14,6 +14,13 @@
 //! `x ∈ [0, 1]^d` which the caller converts to knob values (or through the
 //! LlamaTune pipeline). Categorical dimensions are declared in the
 //! [`SearchSpec`] so surrogates can treat them as unordered.
+//!
+//! LlamaTune's knobs live in its adapter; the optimizers it wraps run at
+//! fixed settings. So each constructor takes only the search space and a
+//! seed (`Smac::new`, `GpBo::new`, `Ddpg::new`, and `RandomForest::fit`
+//! the history besides), and each setting is a private constant, listed
+//! once with its source in its module's doc ([`smac`], [`rf`], [`gp`],
+//! [`ddpg`]).
 
 pub mod ddpg;
 pub mod gp;
@@ -23,11 +30,11 @@ pub mod rf;
 pub mod smac;
 pub mod spec;
 
-pub use ddpg::{Ddpg, DdpgConfig};
+pub use ddpg::Ddpg;
 pub use gp::GpBo;
 pub use guard::{DegradationEvent, GuardFactory, GuardedOptimizer};
-pub use rf::{RandomForest, RandomForestConfig, Tree, TreeNode};
-pub use smac::{Smac, SmacConfig};
+pub use rf::{RandomForest, Tree, TreeNode};
+pub use smac::Smac;
 pub use spec::{
     Observation, Optimizer, OptimizerKind, ParamKind, RandomSearch, SearchSpec, DEFAULT_METRIC_DIM,
 };

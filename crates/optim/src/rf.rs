@@ -7,12 +7,24 @@
 //! vanilla GPs (Section 2.2). Node structure and per-node sample counts are
 //! public so `llamatune-analysis` can run TreeSHAP over fitted forests.
 //!
+//! # Settings
+//!
+//! Every forest is fitted at one setting, private constants beside the
+//! fit: `N_TREES` = 24 trees, each on a bootstrap resample of the history
+//! (`BOOTSTRAP`); at each split, `FEATURE_FRAC` = 0.8 of the features
+//! (rounded up) tried, with `N_THRESHOLD_CANDIDATES` = 8 random thresholds
+//! per continuous one; leaves of at least `MIN_SAMPLES_LEAF` = 3 samples;
+//! at most `MAX_DEPTH` = 24 levels of splits. Bootstrapping, a random
+//! feature subset of about four fifths and leaves of three samples are
+//! SMAC's random-forest defaults; the tree count, the depth cap and the
+//! threshold count are this crate's.
+//!
 //! # The split-search kernel and its contract
 //!
 //! A fit is SMAC's whole model cost (once per observation, once per
 //! suggestion under the constant liar), and nearly all of a fit is the
 //! split search: at every node, for each of ~0.8·d features, score
-//! `n_threshold_candidates` ways of cutting the node's samples in two by
+//! `N_THRESHOLD_CANDIDATES` ways of cutting the node's samples in two by
 //! `sse(left) + sse(right)`. The search works on a layout made for it:
 //!
 //! * [`RandomForest::fit`] transposes the history once into column-major
@@ -144,28 +156,38 @@ pub fn rule_goes_left(rule: &Rule, value: f64) -> bool {
     }
 }
 
-/// Forest hyperparameters (defaults follow SMAC's RF settings).
-#[derive(Debug, Clone)]
-pub struct RandomForestConfig {
-    pub n_trees: usize,
-    pub min_samples_leaf: usize,
-    pub feature_frac: f64,
-    pub n_threshold_candidates: usize,
-    pub max_depth: usize,
-    pub bootstrap: bool,
+/// Trees per forest.
+const N_TREES: usize = 24;
+/// Fewest samples a leaf may hold.
+const MIN_SAMPLES_LEAF: usize = 3;
+/// Share of the features tried at each split (rounded up, at least one).
+const FEATURE_FRAC: f64 = 0.8;
+/// Random thresholds tried per continuous feature at each split.
+const N_THRESHOLD_CANDIDATES: usize = 8;
+/// Deepest split level; a node at this depth is a leaf.
+const MAX_DEPTH: usize = 24;
+/// Whether each tree fits a bootstrap resample of the history.
+const BOOTSTRAP: bool = true;
+
+/// The shape of a fit: [`RandomForest::fit`] always fits `Shape::FOREST`,
+/// the constants above. The kernel's equivalence tests fit other shapes.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    n_trees: usize,
+    min_samples_leaf: usize,
+    n_threshold_candidates: usize,
+    max_depth: usize,
+    bootstrap: bool,
 }
 
-impl Default for RandomForestConfig {
-    fn default() -> Self {
-        RandomForestConfig {
-            n_trees: 24,
-            min_samples_leaf: 3,
-            feature_frac: 0.8,
-            n_threshold_candidates: 8,
-            max_depth: 24,
-            bootstrap: true,
-        }
-    }
+impl Shape {
+    const FOREST: Shape = Shape {
+        n_trees: N_TREES,
+        min_samples_leaf: MIN_SAMPLES_LEAF,
+        n_threshold_candidates: N_THRESHOLD_CANDIDATES,
+        max_depth: MAX_DEPTH,
+        bootstrap: BOOTSTRAP,
+    };
 }
 
 /// A fitted random forest.
@@ -184,14 +206,8 @@ impl RandomForest {
     ///
     /// # Panics
     /// Panics if `xs` is empty or lengths mismatch.
-    pub fn fit(
-        spec: &SearchSpec,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        config: &RandomForestConfig,
-        seed: u64,
-    ) -> RandomForest {
-        Self::fit_on(Isa::best(), spec, xs, ys, config, seed)
+    pub fn fit(spec: &SearchSpec, xs: &[Vec<f64>], ys: &[f64], seed: u64) -> RandomForest {
+        Self::fit_on(Isa::best(), spec, xs, ys, Shape::FOREST, seed)
     }
 
     fn fit_on(
@@ -199,7 +215,7 @@ impl RandomForest {
         spec: &SearchSpec,
         xs: &[Vec<f64>],
         ys: &[f64],
-        config: &RandomForestConfig,
+        shape: Shape,
         seed: u64,
     ) -> RandomForest {
         assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
@@ -214,7 +230,7 @@ impl RandomForest {
         let mut fit = Fit {
             isa,
             spec,
-            config,
+            shape,
             cols: &cols,
             ys,
             rng: StdRng::seed_from_u64(seed),
@@ -223,13 +239,13 @@ impl RandomForest {
             features: Vec::with_capacity(d),
             yv: Vec::with_capacity(n),
             vals: Vec::with_capacity(n),
-            keys: Vec::with_capacity(config.n_threshold_candidates),
+            keys: Vec::with_capacity(shape.n_threshold_candidates),
             seen: Vec::new(),
         };
-        let trees = (0..config.n_trees)
+        let trees = (0..shape.n_trees)
             .map(|_| {
                 fit.idx.clear();
-                if config.bootstrap {
+                if shape.bootstrap {
                     fit.idx.extend((0..n).map(|_| fit.rng.random_range(0..n)));
                 } else {
                     fit.idx.extend(0..n);
@@ -507,7 +523,7 @@ struct Best {
 struct Fit<'a> {
     isa: Isa,
     spec: &'a SearchSpec,
-    config: &'a RandomForestConfig,
+    shape: Shape,
     /// Feature `f` of sample `i` at `cols[f * n + i]`.
     cols: &'a [f64],
     ys: &'a [f64],
@@ -545,7 +561,7 @@ impl Fit<'_> {
         // Pushed as is for a leaf, or as the slot a split fills in once
         // its children (which follow it in preorder) are built.
         nodes.push(TreeNode::Leaf { value: mean, n: n as u32 });
-        if n < 2 * self.config.min_samples_leaf || depth >= self.config.max_depth {
+        if n < 2 * self.shape.min_samples_leaf || depth >= self.shape.max_depth {
             return node_idx;
         }
         let parent_sse = self.yv.iter().map(|y| (y - mean) * (y - mean)).sum::<f64>();
@@ -558,7 +574,7 @@ impl Fit<'_> {
         self.features.clear();
         self.features.extend(0..d);
         self.features.shuffle(&mut self.rng);
-        let keep = ((d as f64 * self.config.feature_frac).ceil() as usize).clamp(1, d);
+        let keep = ((d as f64 * FEATURE_FRAC).ceil() as usize).clamp(1, d);
 
         let mut best: Option<Best> = None;
         for tried in 0..keep {
@@ -583,8 +599,8 @@ impl Fit<'_> {
                 );
                 for (k, &key) in chunk.iter().enumerate() {
                     let n_left = nl[k] as usize;
-                    if n_left < self.config.min_samples_leaf
-                        || n - n_left < self.config.min_samples_leaf
+                    if n_left < self.shape.min_samples_leaf
+                        || n - n_left < self.shape.min_samples_leaf
                     {
                         continue;
                     }
@@ -611,7 +627,7 @@ impl Fit<'_> {
 
     /// Gathers `feature` at the node's samples into `vals` and its split
     /// candidates into `keys`: every category present at the node, or
-    /// `n_threshold_candidates` uniform draws between the node's extremes.
+    /// `shape.n_threshold_candidates` uniform draws between the node's extremes.
     /// Returns `false` (drawing nothing) when the feature is constant here.
     fn gather_candidates(&mut self, feature: usize, kind: ParamKind, lo: usize, hi: usize) -> bool {
         let col = column(self.cols, self.ys.len(), feature);
@@ -640,7 +656,7 @@ impl Fit<'_> {
                 if hi - lo < 1e-12 {
                     return false;
                 }
-                for _ in 0..self.config.n_threshold_candidates {
+                for _ in 0..self.shape.n_threshold_candidates {
                     self.keys.push(lo + self.rng.random::<f64>() * (hi - lo));
                 }
             }
@@ -696,19 +712,19 @@ mod reference {
         spec: &SearchSpec,
         xs: &[Vec<f64>],
         ys: &[f64],
-        config: &RandomForestConfig,
+        shape: Shape,
         seed: u64,
     ) -> Vec<Tree> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..config.n_trees)
+        (0..shape.n_trees)
             .map(|_| {
-                let indices: Vec<usize> = if config.bootstrap {
+                let indices: Vec<usize> = if shape.bootstrap {
                     (0..xs.len()).map(|_| rng.random_range(0..xs.len())).collect()
                 } else {
                     (0..xs.len()).collect()
                 };
                 let mut nodes = Vec::new();
-                build_node(spec, xs, ys, indices, config, &mut rng, &mut nodes, 0);
+                build_node(spec, xs, ys, indices, shape, &mut rng, &mut nodes, 0);
                 Tree { nodes }
             })
             .collect()
@@ -720,7 +736,7 @@ mod reference {
         xs: &[Vec<f64>],
         ys: &[f64],
         indices: Vec<usize>,
-        config: &RandomForestConfig,
+        shape: Shape,
         rng: &mut StdRng,
         nodes: &mut Vec<TreeNode>,
         depth: usize,
@@ -728,7 +744,7 @@ mod reference {
         let n = indices.len();
         let node_idx = nodes.len() as u32;
         let mean = indices.iter().map(|&i| ys[i]).sum::<f64>() / n as f64;
-        if n < 2 * config.min_samples_leaf || depth >= config.max_depth {
+        if n < 2 * shape.min_samples_leaf || depth >= shape.max_depth {
             nodes.push(TreeNode::Leaf { value: mean, n: n as u32 });
             return node_idx;
         }
@@ -742,12 +758,12 @@ mod reference {
         let d = spec.len();
         let mut features: Vec<usize> = (0..d).collect();
         features.shuffle(rng);
-        let keep = ((d as f64 * config.feature_frac).ceil() as usize).clamp(1, d);
+        let keep = ((d as f64 * FEATURE_FRAC).ceil() as usize).clamp(1, d);
         features.truncate(keep);
 
         let mut best: Option<Partition> = None;
         for &f in &features {
-            let candidates = split_candidates(spec, xs, &indices, f, config, rng);
+            let candidates = split_candidates(spec, xs, &indices, f, shape, rng);
             for rule in candidates {
                 let (mut left, mut right) = (Vec::new(), Vec::new());
                 for &i in &indices {
@@ -757,7 +773,7 @@ mod reference {
                         right.push(i);
                     }
                 }
-                if left.len() < config.min_samples_leaf || right.len() < config.min_samples_leaf {
+                if left.len() < shape.min_samples_leaf || right.len() < shape.min_samples_leaf {
                     continue;
                 }
                 let score = sse(ys, &left) + sse(ys, &right);
@@ -771,8 +787,8 @@ mod reference {
             Some(p) if p.score < parent_sse - 1e-12 => {
                 // Reserve the slot, then build children.
                 nodes.push(TreeNode::Leaf { value: mean, n: n as u32 });
-                let left = build_node(spec, xs, ys, p.left, config, rng, nodes, depth + 1);
-                let right = build_node(spec, xs, ys, p.right, config, rng, nodes, depth + 1);
+                let left = build_node(spec, xs, ys, p.left, shape, rng, nodes, depth + 1);
+                let right = build_node(spec, xs, ys, p.right, shape, rng, nodes, depth + 1);
                 nodes[node_idx as usize] =
                     TreeNode::Split { feature: p.feature, rule: p.rule, left, right, n: n as u32 };
                 node_idx
@@ -789,7 +805,7 @@ mod reference {
         xs: &[Vec<f64>],
         indices: &[usize],
         feature: usize,
-        config: &RandomForestConfig,
+        shape: Shape,
         rng: &mut StdRng,
     ) -> Vec<Rule> {
         match spec.params[feature] {
@@ -816,7 +832,7 @@ mod reference {
                 if hi - lo < 1e-12 {
                     return Vec::new();
                 }
-                (0..config.n_threshold_candidates)
+                (0..shape.n_threshold_candidates)
                     .map(|_| Rule::Le(lo + rng.random::<f64>() * (hi - lo)))
                     .collect()
             }
@@ -844,7 +860,7 @@ mod tests {
     fn learns_a_univariate_step() {
         let spec = continuous_spec(1);
         let (xs, ys) = grid_data(|x| if x[0] > 0.5 { 10.0 } else { 0.0 }, 1, 200);
-        let rf = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 1);
+        let rf = RandomForest::fit(&spec, &xs, &ys, 1);
         let (low, _) = rf.predict(&[0.2]);
         let (high, _) = rf.predict(&[0.8]);
         assert!(low < 1.0, "f(0.2) ~ 0, got {low}");
@@ -856,7 +872,7 @@ mod tests {
         // y depends only on x0; nine other dims are noise.
         let spec = continuous_spec(10);
         let (xs, ys) = grid_data(|x| 5.0 * x[0], 10, 300);
-        let rf = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 2);
+        let rf = RandomForest::fit(&spec, &xs, &ys, 2);
         let mut probe = vec![0.5; 10];
         probe[0] = 0.05;
         let (lo, _) = rf.predict(&probe);
@@ -877,7 +893,7 @@ mod tests {
             xs.push(vec![(cat as f64 + 0.5) / 3.0]);
             ys.push(if cat == 1 { 10.0 } else { 0.0 });
         }
-        let rf = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 3);
+        let rf = RandomForest::fit(&spec, &xs, &ys, 3);
         let (mid, _) = rf.predict(&[0.5]);
         let (lo, _) = rf.predict(&[1.0 / 6.0]);
         let (hi, _) = rf.predict(&[5.0 / 6.0]);
@@ -889,7 +905,7 @@ mod tests {
     fn variance_reflects_disagreement() {
         let spec = continuous_spec(1);
         let (xs, ys) = grid_data(|x| x[0], 1, 50);
-        let rf = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 4);
+        let rf = RandomForest::fit(&spec, &xs, &ys, 4);
         let (_, var) = rf.predict(&[0.5]);
         assert!(var >= 0.0);
         assert!(var.is_finite());
@@ -899,8 +915,8 @@ mod tests {
     fn deterministic_given_seed() {
         let spec = continuous_spec(3);
         let (xs, ys) = grid_data(|x| x[0] + x[1], 3, 80);
-        let a = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 7);
-        let b = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 7);
+        let a = RandomForest::fit(&spec, &xs, &ys, 7);
+        let b = RandomForest::fit(&spec, &xs, &ys, 7);
         let p = vec![0.3, 0.6, 0.9];
         assert_eq!(a.predict(&p), b.predict(&p));
     }
@@ -908,8 +924,7 @@ mod tests {
     #[test]
     fn single_sample_fits_a_stump() {
         let spec = continuous_spec(2);
-        let rf =
-            RandomForest::fit(&spec, &[vec![0.5, 0.5]], &[3.0], &RandomForestConfig::default(), 5);
+        let rf = RandomForest::fit(&spec, &[vec![0.5, 0.5]], &[3.0], 5);
         let (mean, var) = rf.predict(&[0.1, 0.9]);
         assert_eq!(mean, 3.0);
         assert_eq!(var, 0.0);
@@ -919,7 +934,7 @@ mod tests {
     fn predictions_stay_within_label_range() {
         let spec = continuous_spec(2);
         let (xs, ys) = grid_data(|x| x[0] * x[1] * 7.0, 2, 120);
-        let rf = RandomForest::fit(&spec, &xs, &ys, &RandomForestConfig::default(), 6);
+        let rf = RandomForest::fit(&spec, &xs, &ys, 6);
         let mut rng = StdRng::seed_from_u64(1);
         let (lo, hi) =
             ys.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &y| (l.min(y), h.max(y)));
@@ -934,8 +949,8 @@ mod tests {
     fn depth_is_bounded() {
         let spec = continuous_spec(1);
         let (xs, ys) = grid_data(|x| (x[0] * 50.0).sin(), 1, 400);
-        let cfg = RandomForestConfig { max_depth: 5, ..Default::default() };
-        let rf = RandomForest::fit(&spec, &xs, &ys, &cfg, 8);
+        let shape = Shape { max_depth: 5, ..Shape::FOREST };
+        let rf = RandomForest::fit_on(Isa::best(), &spec, &xs, &ys, shape, 8);
         for t in &rf.trees {
             assert!(t.depth() <= 6);
         }
@@ -945,8 +960,8 @@ mod tests {
     fn cover_counts_are_consistent() {
         let spec = continuous_spec(2);
         let (xs, ys) = grid_data(|x| x[0], 2, 100);
-        let cfg = RandomForestConfig { bootstrap: false, ..Default::default() };
-        let rf = RandomForest::fit(&spec, &xs, &ys, &cfg, 9);
+        let shape = Shape { bootstrap: false, ..Shape::FOREST };
+        let rf = RandomForest::fit_on(Isa::best(), &spec, &xs, &ys, shape, 9);
         for tree in &rf.trees {
             // Root cover equals the training set size without bootstrap.
             let root_n = match &tree.nodes[0] {
@@ -983,9 +998,9 @@ mod tests {
     }
 
     /// A random forest problem: a spec of the four dimension kinds, a
-    /// history with duplicate rows and constant columns, and a config
-    /// off the defaults.
-    fn random_problem(seed: u64) -> (SearchSpec, Vec<Vec<f64>>, Vec<f64>, RandomForestConfig) {
+    /// history with duplicate rows and constant columns, and a shape off
+    /// the forest's.
+    fn random_problem(seed: u64) -> (SearchSpec, Vec<Vec<f64>>, Vec<f64>, Shape) {
         let mut rng = StdRng::seed_from_u64(seed);
         let d = rng.random_range(1..96);
         let n = rng.random_range(1..200);
@@ -1028,14 +1043,14 @@ mod tests {
                 }
             })
             .collect();
-        let config = RandomForestConfig {
+        let shape = Shape {
             n_trees: rng.random_range(1..4),
             min_samples_leaf: rng.random_range(1..5),
             n_threshold_candidates: [1, 7, 8, 9, 17][rng.random_range(0..5usize)],
             bootstrap: rng.random(),
-            ..Default::default()
+            ..Shape::FOREST
         };
-        (spec, xs, ys, config)
+        (spec, xs, ys, shape)
     }
 
     /// `predict` against the collected two-pass formula, bit for bit;
@@ -1059,8 +1074,8 @@ mod tests {
         let spec = continuous_spec(3);
         let (xs, ys) = grid_data(|x| x[0] - x[2] * x[1], 3, 40);
         for n_trees in [0, 1, 64, 65, 90] {
-            let cfg = RandomForestConfig { n_trees, ..Default::default() };
-            let rf = RandomForest::fit(&spec, &xs, &ys, &cfg, 10);
+            let shape = Shape { n_trees, ..Shape::FOREST };
+            let rf = RandomForest::fit_on(Isa::best(), &spec, &xs, &ys, shape, 10);
             for x in &xs[..5] {
                 assert_predict_matches_two_pass(&rf, x);
             }
@@ -1073,15 +1088,15 @@ mod tests {
         /// two-pass variance, bit for bit.
         #[test]
         fn fit_and_predict_match_the_reference_bit_for_bit(seed in proptest::any::<u64>()) {
-            let (spec, xs, ys, config) = random_problem(seed);
-            let oracle = reference::reference_fit(&spec, &xs, &ys, &config, seed ^ 0x5eed);
+            let (spec, xs, ys, shape) = random_problem(seed);
+            let oracle = reference::reference_fit(&spec, &xs, &ys, shape, seed ^ 0x5eed);
             for isa in Isa::available() {
-                let forest = RandomForest::fit_on(isa, &spec, &xs, &ys, &config, seed ^ 0x5eed);
+                let forest = RandomForest::fit_on(isa, &spec, &xs, &ys, shape, seed ^ 0x5eed);
                 assert_eq!(forest.trees.len(), oracle.len());
                 for (k, (got, want)) in forest.trees.iter().zip(&oracle).enumerate() {
                     let got: Vec<_> = got.nodes.iter().map(bits).collect();
                     let want: Vec<_> = want.nodes.iter().map(bits).collect();
-                    assert_eq!(got, want, "tree {k} of seed {seed}, {isa:?}: {spec:?} {config:?}");
+                    assert_eq!(got, want, "tree {k} of seed {seed}, {isa:?}: {spec:?} {shape:?}");
                 }
 
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -1100,19 +1115,19 @@ mod tests {
         /// land exactly on the categories the splits test.
         #[test]
         fn walk_matches_tree_predict_and_the_two_pass_formula(seed in proptest::any::<u64>()) {
-            let (spec, mut xs, mut ys, config) = random_problem(seed);
+            let (spec, mut xs, mut ys, shape) = random_problem(seed);
             // 64 trees of 200 points would make the case slow, not harder.
             xs.truncate(40);
             ys.truncate(40);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x3a1c);
             let n_trees = [1, 2, 64, 65][rng.random_range(0..4usize)];
-            let config = RandomForestConfig { n_trees, ..config };
+            let shape = Shape { n_trees, ..shape };
             let m = [1, 7, 9, 23][rng.random_range(0..4usize)];
             let points: Vec<Vec<f64>> = (0..m)
                 .map(|i| if i % 3 == 0 { xs[i % xs.len()].clone() } else { spec.sample(&mut rng) })
                 .collect();
             for isa in Isa::available() {
-                let forest = RandomForest::fit_on(isa, &spec, &xs, &ys, &config, seed);
+                let forest = RandomForest::fit_on(isa, &spec, &xs, &ys, shape, seed);
                 let batch = forest.predict_batch(&points);
                 assert_eq!(batch.len(), m);
                 for (x, (mean, var)) in points.iter().zip(batch) {

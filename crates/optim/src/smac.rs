@@ -1,8 +1,24 @@
 //! SMAC: Sequential Model-based Algorithm Configuration (Hutter, Hoos &
 //! Leyton-Brown, 2011) — random-forest BO with Expected Improvement,
 //! local search around incumbents, and interleaved random suggestions.
+//!
+//! # Settings
+//!
+//! SMAC runs at one fixed setting: LlamaTune tunes the search space, not
+//! the optimizer it wraps. Each value is a private constant beside the
+//! code that reads it:
+//!
+//! * `N_RANDOM_CANDIDATES` = 1 500 uniform configurations scored by EI
+//!   per suggestion;
+//! * `N_LOCAL_STARTS` = 5 best incumbents, each hill-climbed for
+//!   `LOCAL_STEPS` = 20 one-exchange steps (SMAC's local search);
+//! * `RANDOM_INTERLEAVE` = 9: every 9th suggestion is uniformly random,
+//!   the paper's "random configurations proposed periodically" (§4.1);
+//! * `XI` = 0.01, the EI exploration margin;
+//! * the surrogate is [`RandomForest::fit`], at the settings listed in
+//!   [`crate::rf`].
 
-use crate::rf::{RandomForest, RandomForestConfig};
+use crate::rf::RandomForest;
 use crate::spec::{expected_improvement, Observation, Optimizer, ParamKind, SearchSpec};
 use llamatune_math::Normal;
 use llamatune_obs::MetricsRegistry;
@@ -10,41 +26,21 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 
-/// SMAC hyperparameters.
-#[derive(Debug, Clone)]
-pub struct SmacConfig {
-    /// Random-forest settings.
-    pub forest: RandomForestConfig,
-    /// Random candidates scored by EI per suggestion.
-    pub n_random_candidates: usize,
-    /// Incumbents used as local-search starting points.
-    pub n_local_starts: usize,
-    /// Hill-climbing steps per local-search start.
-    pub local_steps: usize,
-    /// Every `random_interleave`-th suggestion is uniformly random
-    /// ("random configurations proposed periodically", Section 4.1).
-    pub random_interleave: usize,
-    /// EI exploration margin.
-    pub xi: f64,
-}
-
-impl Default for SmacConfig {
-    fn default() -> Self {
-        SmacConfig {
-            forest: RandomForestConfig::default(),
-            n_random_candidates: 1_500,
-            n_local_starts: 5,
-            local_steps: 20,
-            random_interleave: 9,
-            xi: 0.01,
-        }
-    }
-}
+/// Random candidates scored by EI per suggestion.
+const N_RANDOM_CANDIDATES: usize = 1_500;
+/// Incumbents used as local-search starting points.
+const N_LOCAL_STARTS: usize = 5;
+/// Hill-climbing steps per local-search start.
+const LOCAL_STEPS: usize = 20;
+/// Every `RANDOM_INTERLEAVE`-th suggestion is uniformly random ("random
+/// configurations proposed periodically", Section 4.1).
+const RANDOM_INTERLEAVE: usize = 9;
+/// EI exploration margin.
+const XI: f64 = 0.01;
 
 /// The SMAC optimizer.
 pub struct Smac {
     spec: SearchSpec,
-    config: SmacConfig,
     rng: StdRng,
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
@@ -71,10 +67,9 @@ struct SmacSnapshot {
 
 impl Smac {
     /// Creates a SMAC instance over `spec`.
-    pub fn new(spec: SearchSpec, config: SmacConfig, seed: u64) -> Self {
+    pub fn new(spec: SearchSpec, seed: u64) -> Self {
         Smac {
             spec,
-            config,
             rng: StdRng::seed_from_u64(seed),
             xs: Vec::new(),
             ys: Vec::new(),
@@ -123,10 +118,7 @@ impl Optimizer for Smac {
     fn suggest(&mut self) -> Vec<f64> {
         self.suggestions += 1;
         // Cold start or interleaved random suggestion.
-        if self.xs.len() < 2
-            || (self.config.random_interleave > 0
-                && self.suggestions.is_multiple_of(self.config.random_interleave))
-        {
+        if self.xs.len() < 2 || self.suggestions.is_multiple_of(RANDOM_INTERLEAVE) {
             return self.spec.sample(&mut self.rng);
         }
 
@@ -141,7 +133,6 @@ impl Optimizer for Smac {
                 &self.spec,
                 &self.xs,
                 &self.ys,
-                &self.config.forest,
                 self.seed ^ (self.suggestions as u64) << 17,
             );
             self.metrics
@@ -149,12 +140,11 @@ impl Optimizer for Smac {
             forest
         });
         let best = self.best_y();
-        let xi = self.config.xi;
         let std_norm = Normal::new(0.0, 1.0);
         let step = Normal::new(0.0, 0.2);
         let score = |x: &[f64]| {
             let (mean, var) = forest.predict(x);
-            expected_improvement(mean, var, best, xi, &std_norm)
+            expected_improvement(mean, var, best, XI, &std_norm)
         };
 
         let mut champion: Option<(f64, Vec<f64>)> = None;
@@ -168,24 +158,24 @@ impl Optimizer for Smac {
         // nothing, so the RNG stream is the one-at-a-time loop's) and each
         // block scored in one walk. Holding all 1 500 at once would grow
         // the heap by their size on every suggestion, only to hand it back.
-        let mut left = self.config.n_random_candidates;
+        let mut left = N_RANDOM_CANDIDATES;
         while left > 0 {
             let block: Vec<Vec<f64>> =
                 (0..left.min(SCORE_BLOCK)).map(|_| self.spec.sample(&mut self.rng)).collect();
             left -= block.len();
             let scores = forest.predict_batch(&block);
             for (x, (mean, var)) in block.into_iter().zip(scores) {
-                consider(expected_improvement(mean, var, best, xi, &std_norm), x, &mut champion);
+                consider(expected_improvement(mean, var, best, XI, &std_norm), x, &mut champion);
             }
         }
 
         // Local search from the best incumbents.
         let mut order: Vec<usize> = (0..self.ys.len()).collect();
         order.sort_by(|&a, &b| self.ys[b].partial_cmp(&self.ys[a]).unwrap());
-        for &start in order.iter().take(self.config.n_local_starts) {
+        for &start in order.iter().take(N_LOCAL_STARTS) {
             let mut current = self.xs[start].clone();
             let mut current_ei = score(&current);
-            for _ in 0..self.config.local_steps {
+            for _ in 0..LOCAL_STEPS {
                 let candidate = self.neighbour(&current, &step);
                 let ei = score(&candidate);
                 if ei > current_ei {
@@ -266,7 +256,7 @@ mod tests {
         let mut smac_bests = Vec::new();
         let mut random_bests = Vec::new();
         for seed in 0..5 {
-            let mut smac = Smac::new(spec.clone(), SmacConfig::default(), seed);
+            let mut smac = Smac::new(spec.clone(), seed);
             smac_bests.push(drive(&mut smac, objective, 50));
             let mut random = crate::spec::RandomSearch::new(spec.clone(), seed);
             random_bests.push(drive(&mut random, objective, 50));
@@ -295,15 +285,23 @@ mod tests {
     #[test]
     fn interleaved_randoms_occur() {
         let spec = SearchSpec::continuous(2);
-        let cfg = SmacConfig { random_interleave: 3, ..Default::default() };
-        let mut smac = Smac::new(spec, cfg, 7);
+        let mut smac = Smac::new(spec, 7);
         // Seed with two observations so the model path is live.
         smac.observe(Observation { x: vec![0.1, 0.1], y: 0.0, metrics: vec![] });
         smac.observe(Observation { x: vec![0.9, 0.9], y: 1.0, metrics: vec![] });
-        // No panic across many suggestions; every 3rd is random.
-        for _ in 0..9 {
+        // Every `RANDOM_INTERLEAVE`-th suggestion is the spec's next
+        // uniform draw and draws nothing else; the others go through the
+        // forest, which draws 1 500 candidates and local-search steps.
+        for i in 1..=2 * RANDOM_INTERLEAVE {
+            let mut one_draw = smac.rng.clone();
+            let uniform = smac.spec.sample(&mut one_draw);
             let x = smac.suggest();
             assert!(x.iter().all(|v| (0.0..=1.0).contains(v)));
+            let interleaved = one_draw.random::<u64>() == smac.rng.clone().random::<u64>();
+            assert_eq!(interleaved, i % RANDOM_INTERLEAVE == 0, "suggestion {i}");
+            if interleaved {
+                assert_eq!(x, uniform, "suggestion {i}");
+            }
         }
     }
 
@@ -321,7 +319,7 @@ mod tests {
             let cat = ((x[1] * 3.0).floor() as usize).min(2);
             x[0] + if cat == 1 { 1.0 } else { 0.0 } - x[2]
         };
-        let mut smac = Smac::new(spec, SmacConfig::default(), 3);
+        let mut smac = Smac::new(spec, 3);
         let best = drive(&mut smac, f, 35);
         assert!(best > 1.5, "mixed-space optimum not found: {best}");
     }
@@ -329,8 +327,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let spec = SearchSpec::continuous(3);
-        let mut a = Smac::new(spec.clone(), SmacConfig::default(), 11);
-        let mut b = Smac::new(spec, SmacConfig::default(), 11);
+        let mut a = Smac::new(spec.clone(), 11);
+        let mut b = Smac::new(spec, 11);
         for _ in 0..8 {
             let xa = a.suggest();
             let xb = b.suggest();
@@ -344,7 +342,7 @@ mod tests {
     #[test]
     fn suggestions_respect_bucket_grids() {
         let spec = SearchSpec { params: vec![ParamKind::Continuous { buckets: Some(5) }] };
-        let mut smac = Smac::new(spec, SmacConfig::default(), 13);
+        let mut smac = Smac::new(spec, 13);
         for i in 0..10 {
             let x = smac.suggest();
             let snapped = (x[0] * 4.0).round() / 4.0;

@@ -246,19 +246,13 @@ impl OptimizerKind {
     ) -> Box<dyn Optimizer> {
         match self {
             OptimizerKind::Random => Box::new(RandomSearch::new(spec.clone(), seed)),
-            OptimizerKind::Smac => Box::new(
-                crate::Smac::new(spec.clone(), crate::SmacConfig::default(), seed)
-                    .with_metrics(metrics.clone()),
-            ),
+            OptimizerKind::Smac => {
+                Box::new(crate::Smac::new(spec.clone(), seed).with_metrics(metrics.clone()))
+            }
             OptimizerKind::GpBo => {
                 Box::new(crate::GpBo::new(spec.clone(), seed).with_metrics(metrics.clone()))
             }
-            OptimizerKind::Ddpg => Box::new(crate::Ddpg::new(
-                spec.clone(),
-                DEFAULT_METRIC_DIM,
-                crate::DdpgConfig::default(),
-                seed,
-            )),
+            OptimizerKind::Ddpg => Box::new(crate::Ddpg::new(spec.clone(), seed)),
         }
     }
 }
@@ -389,8 +383,8 @@ mod tests {
     #[test]
     fn observe_batch_default_matches_sequential_observes() {
         let spec = SearchSpec::continuous(2);
-        let mut batched = crate::Smac::new(spec.clone(), crate::SmacConfig::default(), 3);
-        let mut sequential = crate::Smac::new(spec, crate::SmacConfig::default(), 3);
+        let mut batched = crate::Smac::new(spec.clone(), 3);
+        let mut sequential = crate::Smac::new(spec, 3);
         let obs: Vec<Observation> = (0..12)
             .map(|i| {
                 let t = i as f64 / 12.0;

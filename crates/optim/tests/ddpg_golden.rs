@@ -12,7 +12,7 @@
 mod common;
 
 use common::{assert_stream, bucketized_16, digest, mixed_90, objective};
-use llamatune_optim::{Ddpg, DdpgConfig, Observation, Optimizer, SearchSpec, DEFAULT_METRIC_DIM};
+use llamatune_optim::{Ddpg, Observation, Optimizer, SearchSpec, DEFAULT_METRIC_DIM};
 
 /// Performance of an action: positive (CDBTune's reward divides by it),
 /// smooth, peaked off-centre.
@@ -36,7 +36,7 @@ fn metrics(x: &[f64]) -> Vec<f64> {
 }
 
 fn stream(spec: SearchSpec, seed: u64, len: usize) -> Vec<u64> {
-    let mut ddpg = Ddpg::new(spec, DEFAULT_METRIC_DIM, DdpgConfig::default(), seed);
+    let mut ddpg = Ddpg::new(spec, seed);
     (0..len)
         .map(|_| {
             let x = ddpg.suggest();

@@ -12,10 +12,10 @@
 mod common;
 
 use common::{assert_stream, bucketized_16, digest, mixed_90, objective};
-use llamatune_optim::{Observation, Optimizer, SearchSpec, Smac, SmacConfig};
+use llamatune_optim::{Observation, Optimizer, SearchSpec, Smac};
 
 fn stream(spec: SearchSpec, seed: u64) -> Vec<u64> {
-    let mut smac = Smac::new(spec, SmacConfig::default(), seed);
+    let mut smac = Smac::new(spec, seed);
     (0..40)
         .map(|_| {
             let x = smac.suggest();

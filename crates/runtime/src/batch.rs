@@ -149,10 +149,10 @@ impl Optimizer for BatchSuggest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamatune_optim::{GpBo, OptimizerKind, RandomSearch, SearchSpec, Smac, SmacConfig};
+    use llamatune_optim::{GpBo, OptimizerKind, RandomSearch, SearchSpec, Smac};
 
     fn smac(seed: u64, d: usize) -> Box<dyn Optimizer> {
-        Box::new(Smac::new(SearchSpec::continuous(d), SmacConfig::default(), seed))
+        Box::new(Smac::new(SearchSpec::continuous(d), seed))
     }
 
     fn random(seed: u64, d: usize) -> Box<dyn Optimizer> {
@@ -204,7 +204,7 @@ mod tests {
         // After a batch round, the wrapper's state must equal a plain
         // optimizer that saw only the real observations.
         let mut wrapped = BatchSuggest::new(|| smac(9, 2));
-        let mut plain = Smac::new(SearchSpec::continuous(2), SmacConfig::default(), 9);
+        let mut plain = Smac::new(SearchSpec::continuous(2), 9);
 
         let batch = wrapped.suggest_batch(3);
         let obs: Vec<Observation> = batch

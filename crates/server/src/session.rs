@@ -418,9 +418,17 @@ impl SessionRegistry {
     }
 
     /// `warm_start_query`: the optimizer-space warm points recorded in
-    /// the session's store metadata.
+    /// the session's store metadata (none while a live session is still
+    /// being opened).
     pub fn warm_points(&self, label: &str) -> Result<Vec<Vec<f64>>, WireError> {
-        Ok(self.store()?.session_meta(label).map(|m| m.warm_points).unwrap_or_default())
+        match self.store()?.session_meta(label) {
+            Some(meta) => Ok(meta.warm_points),
+            None if lock_recover(&self.sessions).contains_key(label) => Ok(Vec::new()),
+            None => Err(WireError::new(
+                wire::code::UNKNOWN_SESSION,
+                format!("session {label:?} is neither live nor stored"),
+            )),
+        }
     }
 
     /// `export_history`: the session's trials (dedup, iteration order)

@@ -786,8 +786,9 @@ impl SessionStatusReply {
 }
 
 /// `warm_start_query` reply: the optimizer-space points recorded in the
-/// session's metadata (empty when transfer found nothing or the
-/// session is unknown to the store yet).
+/// session's metadata (empty when transfer found nothing or the live
+/// session is not in the store yet). A session neither live nor stored
+/// is `unknown_session`.
 #[derive(Debug, Clone)]
 pub struct WarmStartReply {
     pub points: Vec<Vec<f64>>,

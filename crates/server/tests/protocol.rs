@@ -287,6 +287,12 @@ fn unknown_session_queries_fail_structured() {
     );
     expect_err(&resp, wire::code::UNKNOWN_SESSION);
 
+    let resp = roundtrip(
+        &mut stream,
+        "{\"id\":5,\"method\":\"warm_start_query\",\"params\":{\"session\":\"nope\"}}",
+    );
+    expect_err(&resp, wire::code::UNKNOWN_SESSION);
+
     handle.shutdown();
     join.join().unwrap();
 }

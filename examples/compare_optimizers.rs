@@ -1,12 +1,13 @@
 //! LlamaTune generalizes across optimizers (Section 6.4): the same
 //! pipeline accelerates SMAC (random-forest BO), GP-BO (Gaussian process),
-//! and DDPG (reinforcement learning) on TPC-C.
+//! and DDPG (reinforcement learning) on TPC-C. Each optimizer runs at its
+//! fixed settings, so its constructor takes the search space and a seed.
 //!
 //! Run with: `cargo run --release --example compare_optimizers`
 
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::session::{run_session, EvalResult, SessionOptions};
-use llamatune_optim::{Ddpg, DdpgConfig, GpBo, Optimizer, Smac, SmacConfig, DEFAULT_METRIC_DIM};
+use llamatune_optim::{Ddpg, GpBo, Optimizer, Smac};
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_workloads::{tpcc, WorkloadRunner};
 
@@ -20,9 +21,9 @@ fn main() {
         let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 5);
         let spec = pipeline.optimizer_spec().clone();
         let optimizer: Box<dyn Optimizer> = match name {
-            "smac" => Box::new(Smac::new(spec, SmacConfig::default(), 5)),
+            "smac" => Box::new(Smac::new(spec, 5)),
             "gp-bo" => Box::new(GpBo::new(spec, 5)),
-            _ => Box::new(Ddpg::new(spec, DEFAULT_METRIC_DIM, DdpgConfig::default(), 5)),
+            _ => Box::new(Ddpg::new(spec, 5)),
         };
         let history = run_session(
             &pipeline,

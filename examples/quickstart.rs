@@ -5,7 +5,7 @@
 
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::session::{run_session, EvalResult, SessionOptions};
-use llamatune_optim::{Smac, SmacConfig};
+use llamatune_optim::Smac;
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_space::conf_file::to_conf;
 use llamatune_workloads::{ycsb_a, WorkloadRunner};
@@ -28,7 +28,7 @@ fn main() {
     let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 42);
 
     // 4. Any optimizer works; the paper's best baseline is SMAC.
-    let optimizer = Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 42);
+    let optimizer = Smac::new(pipeline.optimizer_spec().clone(), 42);
 
     // 5. Run the tuning session (iteration 0 = server defaults, then 10
     //    LHS samples, then model-guided suggestions).

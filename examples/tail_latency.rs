@@ -5,7 +5,7 @@
 
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::session::{run_session, EvalResult, SessionOptions};
-use llamatune_optim::{Smac, SmacConfig};
+use llamatune_optim::Smac;
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_workloads::{tpcc, Objective, WorkloadRunner};
 
@@ -24,7 +24,7 @@ fn main() {
     let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 3);
     let history = run_session(
         &pipeline,
-        Box::new(Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 3)),
+        Box::new(Smac::new(pipeline.optimizer_spec().clone(), 3)),
         |config| {
             let out = runner.evaluate(&catalog, config, 3);
             EvalResult { score: out.score, metrics: out.result.metrics, ..Default::default() }

@@ -7,7 +7,7 @@
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::report::{final_improvement_pct, time_to_optimal};
 use llamatune::session::{run_session, EvalResult, SessionOptions};
-use llamatune_optim::{Smac, SmacConfig};
+use llamatune_optim::Smac;
 use llamatune_space::catalog::postgres_v9_6;
 use llamatune_workloads::{ycsb_a, WorkloadRunner};
 
@@ -27,7 +27,7 @@ fn main() {
     let baseline_adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
     let baseline = run_session(
         &baseline_adapter,
-        Box::new(Smac::new(baseline_adapter.optimizer_spec().clone(), SmacConfig::default(), 1)),
+        Box::new(Smac::new(baseline_adapter.optimizer_spec().clone(), 1)),
         objective,
         &opts,
     );
@@ -35,7 +35,7 @@ fn main() {
     let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 1);
     let llama = run_session(
         &pipeline,
-        Box::new(Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 1)),
+        Box::new(Smac::new(pipeline.optimizer_spec().clone(), 1)),
         objective,
         &opts,
     );

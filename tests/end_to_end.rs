@@ -7,7 +7,7 @@ use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, ProjectionKind, Se
 use llamatune::report::final_improvement_pct;
 use llamatune::session::{run_session, EvalResult, SessionHistory, SessionOptions};
 use llamatune_engine::RunOptions;
-use llamatune_optim::{Ddpg, DdpgConfig, GpBo, Optimizer, Smac, SmacConfig, DEFAULT_METRIC_DIM};
+use llamatune_optim::{Ddpg, GpBo, Optimizer, Smac};
 use llamatune_space::catalog::{postgres_v13_6, postgres_v9_6};
 use llamatune_space::ConfigSpace;
 use llamatune_workloads::{suggested_options, workload_by_name, Objective, WorkloadRunner};
@@ -44,7 +44,7 @@ fn llamatune_smac_improves_over_default_on_ycsb_a() {
     let catalog = postgres_v9_6();
     let runner = quick_runner("ycsb_a", catalog.clone());
     let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 1);
-    let smac = Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 1);
+    let smac = Smac::new(pipeline.optimizer_spec().clone(), 1);
     let h = tune(&pipeline, Box::new(smac), &runner, 25, 1);
     let default = h.default_score();
     let best = h.best_score().unwrap();
@@ -66,7 +66,7 @@ fn llamatune_outperforms_baseline_smac_early() {
         let base_adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
         let base = tune(
             &base_adapter,
-            Box::new(Smac::new(base_adapter.optimizer_spec().clone(), SmacConfig::default(), seed)),
+            Box::new(Smac::new(base_adapter.optimizer_spec().clone(), seed)),
             &runner,
             budget,
             seed,
@@ -74,7 +74,7 @@ fn llamatune_outperforms_baseline_smac_early() {
         let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), seed);
         let llama = tune(
             &pipeline,
-            Box::new(Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), seed)),
+            Box::new(Smac::new(pipeline.optimizer_spec().clone(), seed)),
             &runner,
             budget,
             seed,
@@ -107,7 +107,7 @@ fn hesbo_beats_rembo_on_average() {
                 target_dim: 16,
             };
             let pipeline = LlamaTunePipeline::new(&catalog, &cfg, seed);
-            let smac = Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), seed);
+            let smac = Smac::new(pipeline.optimizer_spec().clone(), seed);
             let h = tune(&pipeline, Box::new(smac), &runner, 20, seed);
             *total += h.best_score().unwrap();
         }
@@ -125,9 +125,9 @@ fn all_optimizers_run_through_the_pipeline() {
     let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 9);
     let spec = pipeline.optimizer_spec().clone();
     let optimizers: Vec<Box<dyn Optimizer>> = vec![
-        Box::new(Smac::new(spec.clone(), SmacConfig::default(), 9)),
+        Box::new(Smac::new(spec.clone(), 9)),
         Box::new(GpBo::new(spec.clone(), 9)),
-        Box::new(Ddpg::new(spec, DEFAULT_METRIC_DIM, DdpgConfig::default(), 9)),
+        Box::new(Ddpg::new(spec, 9)),
     ];
     for opt in optimizers {
         let name = opt.name();
@@ -150,7 +150,7 @@ fn tail_latency_objective_improves_p95() {
         .with_options(opts)
         .with_objective(Objective::TailLatency95 { rate_tps: default_tput * 0.5 });
     let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 4);
-    let smac = Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 4);
+    let smac = Smac::new(pipeline.optimizer_spec().clone(), 4);
     let h = tune(&pipeline, Box::new(smac), &runner, 20, 4);
     // Scores are negated p95 latencies: tuned must be no worse than default.
     assert!(
@@ -164,7 +164,7 @@ fn pg13_catalog_tunes_end_to_end() {
     let catalog = postgres_v13_6();
     let runner = quick_runner("seats", catalog.clone());
     let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 6);
-    let smac = Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 6);
+    let smac = Smac::new(pipeline.optimizer_spec().clone(), 6);
     let h = tune(&pipeline, Box::new(smac), &runner, 20, 6);
     assert!(h.best_score().unwrap() > h.default_score() * 0.95);
     // All configs valid in the 112-knob space.
@@ -181,7 +181,7 @@ fn crashed_configs_do_not_derail_sessions() {
     let sub = catalog.subspace(&["shared_buffers", "work_mem", "max_connections"]);
     let runner = quick_runner("ycsb_a", catalog.clone());
     let adapter = LlamaTunePipeline::new(&sub, &LlamaTuneConfig::IDENTITY, 0);
-    let smac = Smac::new(adapter.optimizer_spec().clone(), SmacConfig::default(), 3);
+    let smac = Smac::new(adapter.optimizer_spec().clone(), 3);
     let h = run_session(
         &adapter,
         Box::new(smac),
@@ -208,7 +208,7 @@ fn sessions_are_reproducible() {
     let mut finals = Vec::new();
     for _ in 0..2 {
         let pipeline = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::default(), 17);
-        let smac = Smac::new(pipeline.optimizer_spec().clone(), SmacConfig::default(), 17);
+        let smac = Smac::new(pipeline.optimizer_spec().clone(), 17);
         let h = tune(&pipeline, Box::new(smac), &runner, 12, 17);
         finals.push(h.best_curve);
     }
@@ -220,7 +220,7 @@ fn improvement_metric_matches_direct_computation() {
     let catalog = postgres_v9_6();
     let runner = quick_runner("resource_stresser", catalog.clone());
     let adapter = LlamaTunePipeline::new(&catalog, &LlamaTuneConfig::IDENTITY, 0);
-    let smac = Smac::new(adapter.optimizer_spec().clone(), SmacConfig::default(), 2);
+    let smac = Smac::new(adapter.optimizer_spec().clone(), 2);
     let h = tune(&adapter, Box::new(smac), &runner, 15, 2);
     let best = h.best_score().unwrap();
     let imp = final_improvement_pct(h.default_score(), best);
