@@ -73,7 +73,7 @@ impl<'a> Artifact<'a> {
     }
 
     /// Appends table `name`.
-    pub fn push(&mut self, name: &'a str, rows: Vec<Row<'a>>) {
+    pub(crate) fn push(&mut self, name: &'a str, rows: Vec<Row<'a>>) {
         self.tables.push((name, rows));
     }
 
@@ -84,7 +84,7 @@ impl<'a> Artifact<'a> {
     }
 
     /// The artifact's text.
-    pub fn json(&self) -> String {
+    pub(crate) fn json(&self) -> String {
         let mut out = String::from("{\n  \"config\": ");
         write_object(&mut out, self.config.iter().copied(), write_field);
         for (name, rows) in &self.tables {

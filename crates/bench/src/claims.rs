@@ -117,7 +117,7 @@ pub enum Measure {
 
 impl Measure {
     /// The arms this measure runs, baselines first.
-    pub fn arms(&self) -> Vec<&Arm> {
+    pub(crate) fn arms(&self) -> Vec<&Arm> {
         match self {
             Measure::Improvement { candidate, baselines } => {
                 baselines.iter().chain([candidate]).collect()
@@ -141,7 +141,7 @@ pub struct Claim {
 
 impl Claim {
     /// Whether `value` is inside the band (a NaN never is).
-    pub fn holds(&self, value: f64) -> bool {
+    pub(crate) fn holds(&self, value: f64) -> bool {
         self.band.0 <= value && value <= self.band.1
     }
 }
@@ -173,13 +173,13 @@ fn improvement(candidate: &Arm, baselines: &[&Arm]) -> Measure {
     }
 }
 
-/// The rows of [`claims`] from `source`; all of them without one.
+/// The rows of `claims()` from `source`; all of them without one.
 pub fn select(source: Option<&str>) -> Vec<Claim> {
     claims().into_iter().filter(|c| source.is_none_or(|s| s == c.source)).collect()
 }
 
 /// The table.
-pub fn claims() -> Vec<Claim> {
+pub(crate) fn claims() -> Vec<Claim> {
     use OptimizerKind::{Ddpg, GpBo, Smac};
     const AT_LEAST_0: (f64, f64) = (0.0, f64::INFINITY);
     let cell = |catalog, workload, goal| Cell { catalog, workload, goal };

@@ -33,7 +33,7 @@ impl ExpScale {
 
     /// [`Self::from_env`] over any name → value lookup. An unparsable
     /// value counts as unset.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let quick = lookup("LLAMATUNE_QUICK").is_some_and(|v| v == "1");
         let named = if quick { Self::QUICK } else { Self::PAPER };
         let seeds = lookup("LLAMATUNE_SEEDS").and_then(|v| v.parse().ok()).unwrap_or(named.seeds);
@@ -57,23 +57,23 @@ pub use llamatune_optim::OptimizerKind;
 
 /// All sessions of one experiment arm (one per seed).
 #[derive(Debug, Clone)]
-pub struct ArmResult {
+pub(crate) struct ArmResult {
     pub histories: Vec<SessionHistory>,
 }
 
 impl ArmResult {
     /// Best final score per seed.
-    pub fn final_bests(&self) -> Vec<f64> {
+    pub(crate) fn final_bests(&self) -> Vec<f64> {
         self.histories.iter().filter_map(SessionHistory::best_score).collect()
     }
 
     /// Mean final best across seeds.
-    pub fn mean_final_best(&self) -> f64 {
+    pub(crate) fn mean_final_best(&self) -> f64 {
         llamatune_math::mean(&self.final_bests())
     }
 
     /// Mean best-so-far curve across seeds.
-    pub fn mean_curve(&self) -> Vec<f64> {
+    pub(crate) fn mean_curve(&self) -> Vec<f64> {
         aggregate_curves(&self.histories)
     }
 }
@@ -85,7 +85,7 @@ impl ArmResult {
 /// random seeds"). Each session runs one trial per round on a one-worker
 /// [`WorkloadExecutor`] at [`eval_seed`]`(seed)`: the evaluator, cache and
 /// crash handling of an in-process campaign or a served client.
-pub fn run_tuning_arm(
+pub(crate) fn run_tuning_arm(
     runner: &WorkloadRunner,
     tuned_space: &ConfigSpace,
     adapter_for: impl Fn(u64) -> Box<dyn SearchSpaceAdapter> + Sync,
@@ -116,7 +116,7 @@ pub fn run_tuning_arm(
 
 /// Mean best-so-far curve across sessions (curves may differ in length
 /// when early stopping fires; shorter curves extend with their last value).
-pub fn aggregate_curves(histories: &[SessionHistory]) -> Vec<f64> {
+pub(crate) fn aggregate_curves(histories: &[SessionHistory]) -> Vec<f64> {
     let len = histories.iter().map(|h| h.best_curve.len()).max().unwrap_or(0);
     let mut out = vec![0.0; len];
     for h in histories {
@@ -133,7 +133,7 @@ pub fn aggregate_curves(histories: &[SessionHistory]) -> Vec<f64> {
 
 /// One row of a Table 5/6/7/8/9-style comparison.
 #[derive(Debug, Clone)]
-pub struct PairedRow {
+pub(crate) struct PairedRow {
     pub workload: String,
     /// Final-improvement % of candidate over baseline: mean and CI.
     pub improvement: Summary,
@@ -147,7 +147,11 @@ pub struct PairedRow {
 /// arm, seed-by-seed (matching seeds are paired). Time-to-optimal is
 /// measured against the baseline arm's *mean* curve — its length and its
 /// final value — and a seed that never catches up counts as 1.0x.
-pub fn paired_rows(workload: &str, baseline: &ArmResult, candidate: &ArmResult) -> PairedRow {
+pub(crate) fn paired_rows(
+    workload: &str,
+    baseline: &ArmResult,
+    candidate: &ArmResult,
+) -> PairedRow {
     let improvements: Vec<f64> = candidate
         .final_bests()
         .iter()

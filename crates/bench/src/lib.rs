@@ -38,10 +38,8 @@
 
 pub mod artifact;
 pub mod claims;
-pub mod exp;
+mod exp;
 pub mod gate;
 pub mod paper;
 
-pub use exp::{
-    aggregate_curves, paired_rows, run_tuning_arm, ArmResult, ExpScale, OptimizerKind, PairedRow,
-};
+pub use exp::{ExpScale, OptimizerKind};

@@ -12,10 +12,10 @@ use crate::claims::{Arm, Catalog, Cell, Claim, Goal, Measure, Subset};
 use crate::exp::{paired_rows, run_tuning_arm, ArmResult, ExpScale, PairedRow};
 use llamatune::pipeline::{LlamaTuneConfig, LlamaTunePipeline, SearchSpaceAdapter};
 use llamatune::report::{convergence_map, final_improvement_pct};
-use llamatune_analysis::{rank_knobs, shap_importance};
 use llamatune_math::{latin_hypercube, mean, Summary};
 use llamatune_obs::fmt;
 use llamatune_obs::json::JsonValue;
+use llamatune_optim::shap::shap_importance;
 use llamatune_optim::{Observation, OptimizerKind, RandomForest, SearchSpec};
 use llamatune_space::catalog::{postgres_v13_6, postgres_v9_6, HAND_PICKED_TOP8_YCSB_A};
 use llamatune_space::{ConfigSpace, Domain, KnobValue};
@@ -27,7 +27,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 impl Catalog {
-    pub fn space(self) -> ConfigSpace {
+    pub(crate) fn space(self) -> ConfigSpace {
         match self {
             Catalog::V9_6 => postgres_v9_6(),
             Catalog::V13_6 => postgres_v13_6(),
@@ -40,7 +40,7 @@ type Ranking = Vec<(&'static str, f64)>;
 
 /// Everything a run computes once: each distinct arm's sessions, and the
 /// SHAP ranking Table 1 prints and Figure 2's subset arm tunes.
-pub struct Memo {
+pub(crate) struct Memo {
     scale: ExpScale,
     arms: HashMap<String, Rc<ArmResult>>,
     shap: Option<Rc<[Ranking; 2]>>,
@@ -49,12 +49,12 @@ pub struct Memo {
 }
 
 impl Memo {
-    pub fn new(scale: ExpScale) -> Self {
+    pub(crate) fn new(scale: ExpScale) -> Self {
         Memo { scale, arms: HashMap::new(), shap: None, arm_runs: 0 }
     }
 
     /// `arm`'s sessions in `cell`, run on first request.
-    pub fn arm(&mut self, cell: &Cell, arm: &Arm) -> Rc<ArmResult> {
+    pub(crate) fn arm(&mut self, cell: &Cell, arm: &Arm) -> Rc<ArmResult> {
         let key = arm_key(cell, arm);
         if let Some(done) = self.arms.get(&key) {
             return done.clone();
@@ -121,8 +121,18 @@ impl Memo {
     }
 }
 
+/// Ranks knob names by importance, descending; ties broken by name for
+/// determinism.
+fn rank_knobs<'a>(names: &[&'a str], importance: &[f64]) -> Vec<(&'a str, f64)> {
+    assert_eq!(names.len(), importance.len());
+    let mut ranked: Vec<(&str, f64)> =
+        names.iter().copied().zip(importance.iter().copied()).collect();
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(b.0)));
+    ranked
+}
+
 /// What makes two arms the same run: everything but the label.
-pub fn arm_key(cell: &Cell, arm: &Arm) -> String {
+pub(crate) fn arm_key(cell: &Cell, arm: &Arm) -> String {
     format!("{cell:?} {:?} {:?} {:?}", arm.adapter, arm.subset, arm.optimizer)
 }
 
@@ -184,7 +194,7 @@ fn paired_cells(row: &PairedRow, baseline: &str) -> Vec<String> {
 }
 
 /// Measures one claim, running whichever of its arms `memo` has not seen.
-pub fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
+pub(crate) fn evaluate(claim: &Claim, memo: &mut Memo) -> Outcome {
     let cell = &claim.cell;
     let count = |value: usize, rows| Outcome { value: value as f64, rows, ..Outcome::default() };
     match &claim.measure {
@@ -537,6 +547,17 @@ mod tests {
     use super::*;
     use crate::claims::{claims, select, SOURCES};
     use llamatune::session::SessionHistory;
+
+    #[test]
+    fn ranking_is_descending_and_deterministic() {
+        let names = ["a", "b", "c", "d"];
+        let imp = [0.1, 0.9, 0.9, 0.0];
+        let ranked = rank_knobs(&names, &imp);
+        assert_eq!(ranked[0].0, "b", "tie broken by name");
+        assert_eq!(ranked[1].0, "c");
+        assert_eq!(ranked[3].0, "d");
+        assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
 
     #[test]
     fn the_table_covers_every_source_with_unique_ids_and_81_distinct_arms() {

@@ -22,7 +22,7 @@
 //! safely killable: client state is a pure function of what the server
 //! tells it at attach time.
 
-pub mod remote;
+mod remote;
 
 pub use remote::{run_remote_session, RemoteOutcome, RemoteSessionOptions};
 
@@ -33,7 +33,6 @@ use llamatune_server::wire::{
 };
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// How a client call can fail.
 #[derive(Debug)]
@@ -78,7 +77,7 @@ impl ClientError {
     /// Whether reconnecting could help: true for transport failures and
     /// for the server-side `timeout` answer (re-ask), false for every
     /// other structured protocol error (re-sending won't change it).
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         match self {
             ClientError::Transport(_) => true,
             ClientError::Wire(e) => e.code == wire::code::TIMEOUT,
@@ -112,12 +111,6 @@ impl Client {
             request: String::new(),
             reply: Vec::new(),
         })
-    }
-
-    /// Sets the socket read timeout for replies (`None` blocks forever).
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.reader.get_ref().set_read_timeout(timeout)?;
-        Ok(())
     }
 
     /// One request/response round trip: `params` appends the request's
@@ -191,10 +184,5 @@ impl Client {
     pub fn export_history(&mut self, session: &str) -> Result<String, ClientError> {
         let body = self.call_session("export_history", session)?;
         Ok(wire::string_member(body, "jsonl").map_err(WireError::bad_json)?.into_owned())
-    }
-
-    /// Asks the daemon to shut down (acked before the daemon stops).
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.call("shutdown", |out| out.push_str("{}")).map(drop)
     }
 }

@@ -31,7 +31,7 @@ pub struct BackoffPolicy {
 
 impl BackoffPolicy {
     /// A policy with the given base, cap, and retry budget.
-    pub const fn new(base: u64, cap: u64, max_retries: u32) -> BackoffPolicy {
+    pub(crate) const fn new(base: u64, cap: u64, max_retries: u32) -> BackoffPolicy {
         BackoffPolicy { base, cap, max_retries }
     }
 
@@ -51,7 +51,7 @@ impl BackoffPolicy {
 
     /// The un-jittered delay of `attempt`: `min(base << attempt, cap)`,
     /// saturating (shift overflow clamps to the cap).
-    pub fn raw_delay(&self, attempt: u32) -> u64 {
+    pub(crate) fn raw_delay(&self, attempt: u32) -> u64 {
         if self.base == 0 {
             return 0;
         }
@@ -62,7 +62,7 @@ impl BackoffPolicy {
     /// The jittered delay of `attempt` for `seed`, in ticks: a value in
     /// `[raw/2, raw]` chosen deterministically by hashing
     /// `(seed, attempt)`. Pure — no clocks, no global state.
-    pub fn delay(&self, seed: u64, attempt: u32) -> u64 {
+    pub(crate) fn delay(&self, seed: u64, attempt: u32) -> u64 {
         let raw = self.raw_delay(attempt);
         if raw == 0 {
             return 0;
@@ -73,7 +73,7 @@ impl BackoffPolicy {
     }
 
     /// Whether `attempt` is within the retry budget.
-    pub fn allows(&self, attempt: u32) -> bool {
+    pub(crate) fn allows(&self, attempt: u32) -> bool {
         attempt < self.max_retries
     }
 }

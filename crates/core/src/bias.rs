@@ -13,14 +13,18 @@ use llamatune_space::{ConfigSpace, Domain, KnobValue};
 
 /// Default bias probability: 20% gives a ~90% chance of evaluating each
 /// special value at least once among 10 random initial samples.
-pub const DEFAULT_BIAS: f64 = 0.2;
+pub(crate) const DEFAULT_BIAS: f64 = 0.2;
 
 /// Applies special-value biasing to a unit-space point over `space`,
 /// mutating it in place. Only hybrid knobs are touched — "otherwise, we
 /// might unnecessarily skew the values of other knobs towards non-existent
 /// special values" (Section 5). Returns the indices of knobs that were
 /// biased to their special value.
-pub fn apply_special_value_bias(space: &ConfigSpace, unit: &mut [f64], p: f64) -> Vec<usize> {
+pub(crate) fn apply_special_value_bias(
+    space: &ConfigSpace,
+    unit: &mut [f64],
+    p: f64,
+) -> Vec<usize> {
     assert_eq!(unit.len(), space.len(), "unit point arity mismatch");
     assert!((0.0..1.0).contains(&p), "bias probability must be in [0, 1): {p}");
     if p == 0.0 {

@@ -25,7 +25,7 @@ impl EarlyStopPolicy {
 
     /// Decides whether to stop given the best-so-far curve (one entry per
     /// completed tuning iteration, monotone non-decreasing).
-    pub fn should_stop(&self, best_curve: &[f64]) -> bool {
+    pub(crate) fn should_stop(&self, best_curve: &[f64]) -> bool {
         self.stop_index(best_curve).is_some_and(|i| i == best_curve.len())
     }
 

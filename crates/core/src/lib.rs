@@ -5,16 +5,17 @@
 //! configuration optimizer dramatically more sample-efficient by exploiting
 //! three pieces of DBMS domain knowledge:
 //!
-//! 1. **Random low-dimensional projections** ([`projection`]) — the
+//! 1. **Random low-dimensional projections** ([`ProjectionKind`]) — the
 //!    optimizer tunes a synthetic `d`-dimensional space (default `d = 16`)
 //!    that a HeSBO count-sketch projects onto the full `D`-dimensional knob
 //!    space, exploiting the low effective dimensionality of DBMS
 //!    performance. A REMBO (dense Gaussian) projection is included as the
 //!    paper's baseline.
-//! 2. **Special-value biasing** ([`bias`]) — *hybrid* knobs have special
-//!    values that flip semantics discontinuously; a fixed probability slice
-//!    (default 20%) of each hybrid knob's post-projection range maps onto
-//!    the special value so the optimizer observes the discontinuity early.
+//! 2. **Special-value biasing** ([`LlamaTuneConfig`]) — *hybrid* knobs
+//!    have special values that flip semantics discontinuously; a fixed
+//!    probability slice (default 20%) of each hybrid knob's
+//!    post-projection range maps onto the special value so the optimizer
+//!    observes the discontinuity early.
 //! 3. **Search-space bucketization** ([`pipeline`], via
 //!    `llamatune_optim::ParamKind`) — each synthetic dimension exposes at
 //!    most `K` unique values (default 10,000) so the optimizer stops
@@ -60,20 +61,18 @@
 //! ```
 
 pub mod backoff;
-pub mod bias;
+mod bias;
 pub mod early_stop;
 pub mod history_io;
 pub mod par;
 pub mod pipeline;
-pub mod projection;
+mod projection;
 pub mod report;
 pub mod session;
 
 pub use backoff::{Backoff, BackoffPolicy};
-pub use bias::apply_special_value_bias;
 pub use early_stop::EarlyStopPolicy;
 pub use pipeline::{LlamaTuneConfig, LlamaTunePipeline, ProjectionKind, SearchSpaceAdapter};
-pub use projection::{HesboProjection, RemboProjection};
 pub use report::{convergence_map, final_improvement_pct, time_to_optimal};
 pub use session::{
     replay_cutoff, run_session, run_session_resumable, EvalResult, FnExecutor, PriorTrial, Session,

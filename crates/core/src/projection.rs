@@ -13,7 +13,7 @@ use rand::{RngExt, SeedableRng};
 /// with sign `sigma(i)`; projections can never leave the box, so no
 /// clipping occurs and interior points stay reachable.
 #[derive(Debug, Clone)]
-pub struct HesboProjection {
+pub(crate) struct HesboProjection {
     h: Vec<usize>,
     sign: Vec<f64>,
     d: usize,
@@ -21,7 +21,7 @@ pub struct HesboProjection {
 
 impl HesboProjection {
     /// Samples the two hash functions uniformly, as in the paper.
-    pub fn new(low_dim: usize, high_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(low_dim: usize, high_dim: usize, seed: u64) -> Self {
         assert!(low_dim >= 1, "need at least one synthetic dimension");
         let mut rng = StdRng::seed_from_u64(seed);
         let h = (0..high_dim).map(|_| rng.random_range(0..low_dim)).collect();
@@ -29,19 +29,9 @@ impl HesboProjection {
         HesboProjection { h, sign, d: low_dim }
     }
 
-    /// The synthetic dimension controlling original dimension `i`.
-    pub fn controlling_dim(&self, i: usize) -> usize {
-        self.h[i]
-    }
-
-    /// The sign applied to original dimension `i`.
-    pub fn sign_of(&self, i: usize) -> f64 {
-        self.sign[i]
-    }
-
     /// Projects a unit-cube point of the low space to a unit-cube point
     /// of the high space.
-    pub fn project_unit(&self, low: &[f64]) -> Vec<f64> {
+    pub(crate) fn project_unit(&self, low: &[f64]) -> Vec<f64> {
         assert_eq!(low.len(), self.d, "low-dimensional point has wrong arity");
         (0..self.h.len())
             .map(|i| {
@@ -59,7 +49,7 @@ impl HesboProjection {
 /// are clipped to the box — the behaviour that (per Section 3.2) pushes
 /// the optimization onto the facets and hurts performance.
 #[derive(Debug)]
-pub struct RemboProjection {
+pub(crate) struct RemboProjection {
     a: Matrix,
     d: usize,
 }
@@ -67,7 +57,7 @@ pub struct RemboProjection {
 impl RemboProjection {
     /// Samples the projection matrix `A` with i.i.d. standard normal
     /// entries.
-    pub fn new(low_dim: usize, high_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(low_dim: usize, high_dim: usize, seed: u64) -> Self {
         assert!(low_dim >= 1);
         let mut rng = StdRng::seed_from_u64(seed);
         let normal = Normal::new(0.0, 1.0);
@@ -82,7 +72,7 @@ impl RemboProjection {
 
     /// Projects a unit-cube point of the low space to a unit-cube point
     /// of the high space, clipping the coordinates that overshoot.
-    pub fn project_unit(&self, low: &[f64]) -> Vec<f64> {
+    pub(crate) fn project_unit(&self, low: &[f64]) -> Vec<f64> {
         assert_eq!(low.len(), self.d);
         let sqrt_d = (self.d as f64).sqrt();
         // [0,1]^d -> [-sqrt(d), sqrt(d)]^d.
@@ -96,6 +86,18 @@ impl RemboProjection {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl super::HesboProjection {
+        /// The synthetic dimension controlling original dimension `i`.
+        fn controlling_dim(&self, i: usize) -> usize {
+            self.h[i]
+        }
+
+        /// The sign applied to original dimension `i`.
+        fn sign_of(&self, i: usize) -> f64 {
+            self.sign[i]
+        }
+    }
 
     #[test]
     fn hesbo_each_row_has_one_controller() {

@@ -16,13 +16,13 @@
 //! one of its pages is resident.
 
 /// Identifies an 8 kB page: table id in the high bits, page number below.
-pub type PageId = u64;
+pub(crate) type PageId = u64;
 
 /// Bits of a [`PageId`] holding the page number.
 const PAGE_BITS: u32 = 40;
 
 /// Builds a [`PageId`] from a table id and page number.
-pub fn page_id(table: u32, page_no: u64) -> PageId {
+pub(crate) fn page_id(table: u32, page_no: u64) -> PageId {
     ((table as u64) << PAGE_BITS) | (page_no & ((1 << PAGE_BITS) - 1))
 }
 
@@ -33,7 +33,7 @@ fn split(page: PageId) -> (usize, usize) {
 
 /// Result of a buffer-pool page access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
+pub(crate) enum Access {
     /// Found in shared buffers.
     Hit,
     /// Missed shared buffers; a clean frame was (or could be) reclaimed.
@@ -135,7 +135,7 @@ impl PageTable {
 /// [`access`]: BufferPool::access
 /// [`clean_dirty`]: BufferPool::clean_dirty
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     frames: Vec<Frame>,
     dirty: Vec<u64>,
     pages: PageTable,
@@ -146,7 +146,7 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Creates a pool with `capacity` frames (>= 16, like PostgreSQL).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(16);
         BufferPool {
             // Frames and the page table grow with what is touched
@@ -165,23 +165,23 @@ impl BufferPool {
     /// that a burst of faults known in advance sizes the frames once
     /// instead of copying them at every doubling on the way. The page
     /// table is not sized: it holds a block per page range resident.
-    pub fn reserve(&mut self, pages: usize) {
+    pub(crate) fn reserve(&mut self, pages: usize) {
         let additional = pages.min(self.capacity - self.frames.len());
         self.frames.reserve(additional);
     }
 
     /// Number of frames currently holding pages.
-    pub fn resident(&self) -> usize {
+    pub(crate) fn resident(&self) -> usize {
         self.frames.len()
     }
 
     /// Configured capacity in frames.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of dirty frames.
-    pub fn dirty(&self) -> usize {
+    pub(crate) fn dirty(&self) -> usize {
         self.dirty_count
     }
 
@@ -204,7 +204,7 @@ impl BufferPool {
     }
 
     /// Accesses `page`, faulting it in on a miss; `write` marks it dirty.
-    pub fn access(&mut self, page: PageId, write: bool) -> Access {
+    pub(crate) fn access(&mut self, page: PageId, write: bool) -> Access {
         if let Some(slot) = self.pages.get(page) {
             self.frames[slot as usize].referenced = true;
             if write {
@@ -253,7 +253,7 @@ impl BufferPool {
     /// order eviction would find them, which is the LRU-ish set the
     /// bgwriter targets. The pass reads the bitmap a word at a time and
     /// stops as soon as nothing is left to clean.
-    pub fn clean_dirty(&mut self, max_pages: usize) -> usize {
+    pub(crate) fn clean_dirty(&mut self, max_pages: usize) -> usize {
         let written = max_pages.min(self.dirty_count);
         let mut left = written;
         for (from, to) in [(self.hand, self.frames.len()), (0, self.hand)] {
@@ -310,19 +310,19 @@ impl BufferPool {
 /// only [`OS_CACHE_EFFECTIVE_FRAC`] of free memory acts as an effective
 /// cache for the DBMS's random reads.
 #[derive(Debug)]
-pub struct OsCache {
+pub(crate) struct OsCache {
     pool: BufferPool,
 }
 
 /// Pages per OS-cache chunk (32 kB / 8 kB).
-pub const CHUNK_PAGES: u64 = 4;
+pub(crate) const CHUNK_PAGES: u64 = 4;
 
 /// Effective fraction of free RAM acting as page cache for random reads.
-pub const OS_CACHE_EFFECTIVE_FRAC: f64 = 0.45;
+pub(crate) const OS_CACHE_EFFECTIVE_FRAC: f64 = 0.45;
 
 impl OsCache {
     /// Creates a cache over `bytes` of free memory.
-    pub fn new(bytes: u64) -> Self {
+    pub(crate) fn new(bytes: u64) -> Self {
         let effective = (bytes as f64 * OS_CACHE_EFFECTIVE_FRAC) as u64;
         let chunks = (effective / (CHUNK_PAGES * 8 * 1024)).max(16);
         OsCache { pool: BufferPool::new(chunks as usize) }
@@ -330,7 +330,7 @@ impl OsCache {
 
     /// Whether the chunk containing `page` is resident; touches it in
     /// either case (misses fault the chunk in).
-    pub fn access(&mut self, page: PageId) -> bool {
+    pub(crate) fn access(&mut self, page: PageId) -> bool {
         let (table, page_no) = split(page);
         let chunk = page_id(table as u32, page_no as u64 / CHUNK_PAGES);
         matches!(self.pool.access(chunk, false), Access::Hit)
@@ -338,13 +338,8 @@ impl OsCache {
 
     /// Makes room for `chunks` more resident chunks; see
     /// [`BufferPool::reserve`].
-    pub fn reserve(&mut self, chunks: usize) {
+    pub(crate) fn reserve(&mut self, chunks: usize) {
         self.pool.reserve(chunks);
-    }
-
-    /// Chunk capacity.
-    pub fn capacity_chunks(&self) -> usize {
-        self.pool.capacity()
     }
 }
 
@@ -364,7 +359,7 @@ mod reference {
     }
 
     #[derive(Debug)]
-    pub struct BufferPool {
+    pub(super) struct BufferPool {
         frames: Vec<Frame>,
         map: HashMap<PageId, u32>,
         capacity: usize,
@@ -373,7 +368,7 @@ mod reference {
     }
 
     impl BufferPool {
-        pub fn new(capacity: usize) -> Self {
+        pub(super) fn new(capacity: usize) -> Self {
             let capacity = capacity.max(16);
             BufferPool {
                 frames: Vec::new(),
@@ -384,26 +379,26 @@ mod reference {
             }
         }
 
-        pub fn resident(&self) -> usize {
+        pub(super) fn resident(&self) -> usize {
             self.frames.len()
         }
 
-        pub fn dirty(&self) -> usize {
+        pub(super) fn dirty(&self) -> usize {
             self.dirty_count
         }
 
-        pub fn hand(&self) -> usize {
+        pub(super) fn hand(&self) -> usize {
             self.hand
         }
 
-        pub fn dirty_pages(&self) -> Vec<PageId> {
+        pub(super) fn dirty_pages(&self) -> Vec<PageId> {
             let mut pages: Vec<PageId> =
                 self.frames.iter().filter(|f| f.dirty).map(|f| f.page).collect();
             pages.sort_unstable();
             pages
         }
 
-        pub fn access(&mut self, page: PageId, write: bool) -> Access {
+        pub(super) fn access(&mut self, page: PageId, write: bool) -> Access {
             if let Some(&slot) = self.map.get(&page) {
                 let f = &mut self.frames[slot as usize];
                 f.referenced = true;
@@ -449,7 +444,7 @@ mod reference {
             }
         }
 
-        pub fn clean_dirty(&mut self, max_pages: usize) -> usize {
+        pub(super) fn clean_dirty(&mut self, max_pages: usize) -> usize {
             if self.dirty_count == 0 || max_pages == 0 {
                 return 0;
             }
@@ -476,6 +471,13 @@ mod reference {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl super::OsCache {
+        /// Chunk capacity.
+        fn capacity_chunks(&self) -> usize {
+            self.pool.capacity()
+        }
+    }
 
     #[test]
     fn hits_after_fault() {

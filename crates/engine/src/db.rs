@@ -762,8 +762,11 @@ impl<'a> Dbms<'a> {
         if dirty > 0 {
             let spread = ((timeout_us as f64 * self.knobs.checkpoint_completion_target) as Micros)
                 .max(100_000);
-            // checkpoint_flush_after paces writeback; disabled (special 0)
-            // lets the OS burst it out, briefly slamming the device.
+            // The checkpoint's writes are paced over the spread window
+            // when `backend_flush_after` is on or the completion target is
+            // above 0; with both off (special 0) the OS bursts them out in
+            // a third of the window at 1.15x the device cost.
+            // (`checkpoint_flush_after` is in the catalogs but not read.)
             let (cost_mult, duration) = if self.knobs.backend_flush_after_pages.is_some()
                 || self.knobs.checkpoint_completion_target > 0.0
             {

@@ -47,7 +47,7 @@ const GIB: u64 = 1024 * 1024 * 1024;
 
 impl HardwareProfile {
     /// Memory the DBMS may use before the OOM killer strikes.
-    pub fn usable_memory_bytes(&self) -> u64 {
+    pub(crate) fn usable_memory_bytes(&self) -> u64 {
         self.ram_bytes - self.os_reserved_bytes
     }
 }

@@ -7,7 +7,7 @@ use llamatune_space::{ConfigSpace, KnobAssignment, KnobValue};
 
 /// How transaction commit interacts with WAL flushing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncCommit {
+pub(crate) enum SyncCommit {
     /// Wait for a durable flush (`on`, `local`, `remote_write` all wait in a
     /// single-node deployment).
     Durable,
@@ -24,17 +24,14 @@ pub enum SyncCommit {
 /// don't exist in a catalog version (e.g. `jit` on v9.6) resolve to a
 /// neutral "feature absent" value.
 #[derive(Debug, Clone)]
-pub struct DbmsKnobs {
+pub(crate) struct DbmsKnobs {
     // --- memory ---
     pub shared_buffers_pages: u64,
     pub work_mem_kb: u64,
-    pub maintenance_work_mem_kb: u64,
     pub autovacuum_work_mem_kb: u64,
     pub temp_buffers_pages: u64,
-    pub effective_cache_size_pages: u64,
     // --- connections ---
     pub max_connections: u32,
-    pub max_worker_processes: u32,
     // --- WAL ---
     pub fsync: bool,
     pub synchronous_commit: SyncCommit,
@@ -92,7 +89,6 @@ pub struct DbmsKnobs {
     pub deadlock_timeout_ms: u64,
     // --- parallel & JIT (v13-era; neutral when absent from the catalog) ---
     pub max_parallel_workers_per_gather: u32,
-    pub jit_enabled: bool,
     /// `None` means JIT is disabled for all queries (special value -1 or
     /// `jit = off`).
     pub jit_above_cost: Option<u64>,
@@ -122,7 +118,7 @@ fn toggled(a: &KnobAssignment, c: &ConfigSpace, name: &str) -> bool {
 impl DbmsKnobs {
     /// Resolves an assignment against a catalog (the catalog supplies
     /// defaults for knobs a subset space does not mention).
-    pub fn resolve(assignment: &KnobAssignment, catalog: &ConfigSpace) -> DbmsKnobs {
+    pub(crate) fn resolve(assignment: &KnobAssignment, catalog: &ConfigSpace) -> DbmsKnobs {
         let shared_buffers_pages = int(assignment, catalog, "shared_buffers") as u64;
         let maintenance_work_mem_kb = int(assignment, catalog, "maintenance_work_mem") as u64;
         let av_work_mem = int(assignment, catalog, "autovacuum_work_mem");
@@ -173,16 +169,13 @@ impl DbmsKnobs {
         DbmsKnobs {
             shared_buffers_pages,
             work_mem_kb: int(assignment, catalog, "work_mem") as u64,
-            maintenance_work_mem_kb,
             autovacuum_work_mem_kb: if av_work_mem == -1 {
                 maintenance_work_mem_kb
             } else {
                 av_work_mem as u64
             },
             temp_buffers_pages: int(assignment, catalog, "temp_buffers") as u64,
-            effective_cache_size_pages: int(assignment, catalog, "effective_cache_size") as u64,
             max_connections: int(assignment, catalog, "max_connections") as u32,
-            max_worker_processes: int(assignment, catalog, "max_worker_processes") as u32,
             fsync: toggled(assignment, catalog, "fsync"),
             synchronous_commit,
             wal_sync_cost_mult,
@@ -251,7 +244,6 @@ impl DbmsKnobs {
                 catalog,
                 "max_parallel_workers_per_gather",
             ) as u32,
-            jit_enabled,
             jit_above_cost,
         }
     }
@@ -283,7 +275,7 @@ impl DbmsKnobs {
     /// only a small fraction of backends hold them at any instant in an
     /// OLTP workload; autovacuum workers hold maintenance memory while a
     /// table is being vacuumed.
-    pub fn memory_footprint_bytes(&self, active_clients: u32) -> u64 {
+    pub(crate) fn memory_footprint_bytes(&self, active_clients: u32) -> u64 {
         const PAGE: u64 = 8 * 1024;
         const KB: u64 = 1024;
         // Per-backend overhead (stack, caches, catalogs).
@@ -300,7 +292,7 @@ impl DbmsKnobs {
     /// Whether this configuration crashes the server on the given hardware:
     /// either it overcommits memory (OOM during the run) or it refuses the
     /// benchmark's connection count.
-    pub fn crashes(&self, hw: &HardwareProfile, clients: u32) -> bool {
+    pub(crate) fn crashes(&self, hw: &HardwareProfile, clients: u32) -> bool {
         if self.max_connections < clients + 3 {
             return true;
         }
@@ -448,12 +440,10 @@ mod tests {
         let cat = postgres_v13_6();
         let assignment = cat.assignment(&cat.default_config());
         let k = DbmsKnobs::resolve(&assignment, &cat);
-        assert!(k.jit_enabled);
         assert_eq!(k.jit_above_cost, Some(100_000));
         // v9.6 resolves JIT as absent.
         let cat96 = postgres_v9_6();
         let k96 = DbmsKnobs::resolve(&cat96.assignment(&cat96.default_config()), &cat96);
-        assert!(!k96.jit_enabled);
         assert_eq!(k96.jit_above_cost, None);
     }
 

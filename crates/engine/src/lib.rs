@@ -52,7 +52,7 @@
 //! model's bookkeeping is kept off its hot path. The buffer pool and the
 //! OS cache find a page through a page table indexed by table id and page
 //! number, with no hashing, and record dirtiness in a bitmap that
-//! writeback passes read a word at a time ([`bufferpool::BufferPool`]).
+//! writeback passes read a word at a time (`BufferPool`).
 //! The two tables that still hash (row locks, the WAL's full-page-write
 //! set) are keyed by integers the simulator made itself and hashed
 //! accordingly. A resource meter's ring has a constant length, and an
@@ -60,21 +60,19 @@
 //! a [`RunResult`]: `crates/workloads/tests/engine_golden.rs` pins
 //! results bit for bit.
 
-pub mod bufferpool;
-pub mod db;
-pub mod hardware;
+mod bufferpool;
+mod db;
+mod hardware;
 mod hash;
-pub mod knobs;
-pub mod locks;
-pub mod metrics;
-pub mod planner;
-pub mod sim;
-pub mod vacuum;
-pub mod wal;
-pub mod workload_spec;
+mod knobs;
+mod locks;
+mod metrics;
+mod planner;
+mod sim;
+mod vacuum;
+mod wal;
+mod workload_spec;
 
 pub use db::{run_workload, RunOptions, RunResult};
-pub use hardware::HardwareProfile;
-pub use knobs::DbmsKnobs;
 pub use metrics::{fingerprint_features, METRIC_NAMES};
 pub use workload_spec::{Arrival, KeyDist, OpTemplate, TableSpec, TxnTemplate, WorkloadSpec};

@@ -11,11 +11,11 @@ use crate::hash::IntMap;
 use crate::sim::Micros;
 
 /// A lockable row address.
-pub type LockKey = (u32, u64);
+pub(crate) type LockKey = (u32, u64);
 
 /// Outcome of acquiring a set of row locks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockGrant {
+pub(crate) struct LockGrant {
     /// Time spent waiting for the slowest conflicting holder.
     pub wait_us: Micros,
     /// Number of keys that conflicted.
@@ -26,21 +26,26 @@ pub struct LockGrant {
 
 /// Lock table mapping keys to the time their current holder releases them.
 #[derive(Debug, Default)]
-pub struct LockTable {
+pub(crate) struct LockTable {
     release_at: IntMap<LockKey, Micros>,
     ops_since_sweep: u64,
 }
 
 impl LockTable {
     /// Creates an empty lock table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Attempts to acquire all `keys` at `now`. Waits for conflicting
     /// holders; if the cumulative wait would exceed `abort_after_us`
     /// (derived from `deadlock_timeout`), the transaction aborts instead.
-    pub fn acquire(&mut self, now: Micros, keys: &[LockKey], abort_after_us: Micros) -> LockGrant {
+    pub(crate) fn acquire(
+        &mut self,
+        now: Micros,
+        keys: &[LockKey],
+        abort_after_us: Micros,
+    ) -> LockGrant {
         let mut wait_until = now;
         let mut conflicts = 0;
         for key in keys {
@@ -61,7 +66,7 @@ impl LockTable {
     }
 
     /// Registers that `keys` are held until `commit_time`.
-    pub fn hold_until(&mut self, keys: &[LockKey], commit_time: Micros) {
+    pub(crate) fn hold_until(&mut self, keys: &[LockKey], commit_time: Micros) {
         for key in keys {
             let slot = self.release_at.entry(*key).or_insert(0);
             if *slot < commit_time {
@@ -77,16 +82,18 @@ impl LockTable {
             self.ops_since_sweep = 0;
         }
     }
-
-    /// Number of keys currently tracked.
-    pub fn tracked_keys(&self) -> usize {
-        self.release_at.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl super::LockTable {
+        /// Number of keys currently tracked.
+        fn tracked_keys(&self) -> usize {
+            self.release_at.len()
+        }
+    }
 
     #[test]
     fn uncontended_acquire_is_free() {

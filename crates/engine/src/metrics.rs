@@ -2,7 +2,7 @@
 //! optimizer (Section 6.4) and reported alongside every run.
 
 /// Names of the 27 metrics, in the order produced by
-/// [`MetricCounters::to_vector`].
+/// `MetricCounters::to_vector`.
 pub const METRIC_NAMES: [&str; 27] = [
     "blks_hit",
     "blks_read",
@@ -35,7 +35,7 @@ pub const METRIC_NAMES: [&str; 27] = [
 
 /// Raw counters accumulated during a run.
 #[derive(Debug, Clone, Default)]
-pub struct MetricCounters {
+pub(crate) struct MetricCounters {
     pub blks_hit: u64,
     pub blks_read: u64,
     pub os_cache_hits: u64,
@@ -69,7 +69,7 @@ pub struct MetricCounters {
 impl MetricCounters {
     /// Normalizes the counters over `elapsed_s` virtual seconds into the
     /// 27-element vector matching [`METRIC_NAMES`].
-    pub fn to_vector(&self, elapsed_s: f64) -> Vec<f64> {
+    pub(crate) fn to_vector(&self, elapsed_s: f64) -> Vec<f64> {
         let dt = elapsed_s.max(1e-9);
         let per_s = |v: u64| v as f64 / dt;
         vec![
@@ -112,7 +112,7 @@ impl MetricCounters {
     }
 }
 
-/// Compresses a 27-metric vector ([`MetricCounters::to_vector`]) into a
+/// Compresses a 27-metric vector (`MetricCounters::to_vector`) into a
 /// scale-free *workload fingerprint*: heavy-tailed rate metrics are
 /// log-compressed (`sign(m) · ln(1 + |m|)`, which leaves small ratio
 /// metrics essentially untouched) and the result is L2-normalized, so

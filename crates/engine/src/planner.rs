@@ -11,7 +11,7 @@ use crate::knobs::DbmsKnobs;
 
 /// The access path chosen for a scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanChoice {
+pub(crate) enum ScanChoice {
     /// B-tree index range scan: one random heap page per qualifying row.
     Index,
     /// Full sequential scan of the table.
@@ -23,7 +23,7 @@ pub enum ScanChoice {
 
 /// Join algorithm selected for a multi-table query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinChoice {
+pub(crate) enum JoinChoice {
     Hash,
     Merge,
     NestLoop,
@@ -31,7 +31,7 @@ pub enum JoinChoice {
 
 /// Plans a range scan returning `est_rows` of `table_rows` rows from a table
 /// of `table_pages` pages.
-pub fn choose_scan(
+pub(crate) fn choose_scan(
     knobs: &DbmsKnobs,
     table_pages: u64,
     table_rows: u64,
@@ -68,7 +68,7 @@ pub fn choose_scan(
 /// Chooses a join algorithm; preference order depends on which strategies
 /// are enabled. `large` joins favour hashing, small lookups favour nested
 /// loops.
-pub fn choose_join(knobs: &DbmsKnobs, driving_rows: u64) -> JoinChoice {
+pub(crate) fn choose_join(knobs: &DbmsKnobs, driving_rows: u64) -> JoinChoice {
     let large = driving_rows > 64;
     if large {
         if knobs.enable_hashjoin {
@@ -89,7 +89,7 @@ pub fn choose_join(knobs: &DbmsKnobs, driving_rows: u64) -> JoinChoice {
 
 /// Per-row execution multiplier of a join algorithm relative to the ideal
 /// choice for the cardinality.
-pub fn join_cost_multiplier(choice: JoinChoice, driving_rows: u64) -> f64 {
+pub(crate) fn join_cost_multiplier(choice: JoinChoice, driving_rows: u64) -> f64 {
     let large = driving_rows > 64;
     match (choice, large) {
         (JoinChoice::Hash, true) => 1.0,
@@ -107,7 +107,7 @@ pub fn join_cost_multiplier(choice: JoinChoice, driving_rows: u64) -> f64 {
 /// (100) errors are within ~±35%; tiny targets produce order-of-magnitude
 /// misestimates; large targets converge toward exact. `noise` must be a
 /// uniform draw in `[0, 1)`.
-pub fn estimation_error(stats_target: u64, noise: f64) -> f64 {
+pub(crate) fn estimation_error(stats_target: u64, noise: f64) -> f64 {
     let spread = 1.2 / (stats_target.max(1) as f64 / 100.0).sqrt();
     // Symmetric in log space: error in [exp(-spread/2), exp(+spread/2)].
     ((noise - 0.5) * spread).exp()

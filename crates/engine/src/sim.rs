@@ -9,10 +9,7 @@
 //! M/M/c queue without simulating every I/O as a discrete event.
 
 /// Virtual time in microseconds.
-pub type Micros = u64;
-
-/// One virtual second.
-pub const SECOND: Micros = 1_000_000;
+pub(crate) type Micros = u64;
 
 /// Buckets in a [`ResourceMeter`]'s ring: the 4-bucket utilization window
 /// up to the current bucket, 11 reservable ahead of it and the one being
@@ -22,7 +19,7 @@ const RING: usize = 16;
 /// A multi-server resource (CPU cores, SSD channels) with utilization-based
 /// queueing.
 #[derive(Debug, Clone)]
-pub struct ResourceMeter {
+pub(crate) struct ResourceMeter {
     /// Number of parallel servers.
     servers: f64,
     /// Bucket width in microseconds.
@@ -43,7 +40,7 @@ pub struct ResourceMeter {
 impl ResourceMeter {
     /// Creates a meter with the given parallelism. `contention_exp` should
     /// be ~2 for single-server devices and larger for multi-server pools.
-    pub fn new(servers: f64, bucket_us: Micros, contention_exp: f64) -> Self {
+    pub(crate) fn new(servers: f64, bucket_us: Micros, contention_exp: f64) -> Self {
         assert!(servers > 0.0);
         assert!(bucket_us > 0);
         ResourceMeter {
@@ -85,7 +82,7 @@ impl ResourceMeter {
     }
 
     /// Trailing utilization over the (up to) 4 most recent buckets.
-    pub fn utilization(&self, now: Micros) -> f64 {
+    pub(crate) fn utilization(&self, now: Micros) -> f64 {
         let bucket = now / self.bucket_us;
         let mut busy = 0.0;
         let mut counted = 0u32;
@@ -108,7 +105,7 @@ impl ResourceMeter {
     /// may arrive slightly "in the past" of the meter's clock (an earlier-
     /// starting transaction already advanced it); such requests are charged
     /// to the oldest bucket still in the window.
-    pub fn request(&mut self, now: Micros, service_us: f64) -> f64 {
+    pub(crate) fn request(&mut self, now: Micros, service_us: f64) -> f64 {
         debug_assert!(service_us >= 0.0);
         self.advance(now);
         let rho = self.utilization(now).min(0.98);
@@ -123,7 +120,12 @@ impl ResourceMeter {
     /// Reserves background load (daemon work) spread uniformly over
     /// `[start, start + duration_us)`. Background load raises utilization
     /// seen by foreground requests but has no latency of its own.
-    pub fn add_background(&mut self, start: Micros, total_service_us: f64, duration_us: Micros) {
+    pub(crate) fn add_background(
+        &mut self,
+        start: Micros,
+        total_service_us: f64,
+        duration_us: Micros,
+    ) {
         self.advance(start);
         let duration = duration_us.max(self.bucket_us);
         let first = start / self.bucket_us;
@@ -144,14 +146,14 @@ impl ResourceMeter {
     }
 
     /// Total busy microseconds accumulated since construction.
-    pub fn total_busy_us(&self) -> f64 {
+    pub(crate) fn total_busy_us(&self) -> f64 {
         self.total_busy
     }
 }
 
 /// Fixed-capacity reservoir of latency samples for percentile estimation.
 #[derive(Debug, Clone)]
-pub struct LatencyReservoir {
+pub(crate) struct LatencyReservoir {
     samples: Vec<f64>,
     seen: u64,
     cap: usize,
@@ -160,7 +162,7 @@ pub struct LatencyReservoir {
 
 impl LatencyReservoir {
     /// Creates a reservoir holding at most `cap` samples.
-    pub fn new(cap: usize, seed: u64) -> Self {
+    pub(crate) fn new(cap: usize, seed: u64) -> Self {
         assert!(cap > 0);
         LatencyReservoir {
             samples: Vec::with_capacity(cap.min(4096)),
@@ -181,7 +183,7 @@ impl LatencyReservoir {
     }
 
     /// Records one latency observation (Vitter's Algorithm R).
-    pub fn record(&mut self, latency_us: f64) {
+    pub(crate) fn record(&mut self, latency_us: f64) {
         self.seen += 1;
         if self.samples.len() < self.cap {
             self.samples.push(latency_us);
@@ -193,18 +195,8 @@ impl LatencyReservoir {
         }
     }
 
-    /// Number of observations recorded (not retained).
-    pub fn count(&self) -> u64 {
-        self.seen
-    }
-
-    /// Percentile estimate (q in `[0, 100]`); `None` when empty.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        self.percentiles([q]).map(|[p]| p)
-    }
-
     /// Several percentile estimates off one sort of the samples.
-    pub fn percentiles<const N: usize>(&self, qs: [f64; N]) -> Option<[f64; N]> {
+    pub(crate) fn percentiles<const N: usize>(&self, qs: [f64; N]) -> Option<[f64; N]> {
         if self.samples.is_empty() {
             return None;
         }
@@ -221,6 +213,18 @@ impl LatencyReservoir {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl super::LatencyReservoir {
+        /// Number of observations recorded (not retained).
+        fn count(&self) -> u64 {
+            self.seen
+        }
+
+        /// Percentile estimate (q in `[0, 100]`); `None` when empty.
+        fn percentile(&self, q: f64) -> Option<f64> {
+            self.percentiles([q]).map(|[p]| p)
+        }
+    }
 
     /// [`ResourceMeter::add_background`] as it was before its loop was
     /// clamped to the reservation horizon: every bucket of the pass is

@@ -9,11 +9,11 @@
 
 /// Maximum bloat multiplier: beyond this, HOT pruning and opportunistic
 /// page-level cleanup hold the line even without vacuum.
-pub const MAX_BLOAT: f64 = 3.0;
+pub(crate) const MAX_BLOAT: f64 = 3.0;
 
 /// Per-table vacuum bookkeeping.
 #[derive(Debug, Clone)]
-pub struct TableVacState {
+pub(crate) struct TableVacState {
     /// Pages the table occupies when fully packed.
     pub base_pages: u64,
     /// Live tuples.
@@ -24,12 +24,12 @@ pub struct TableVacState {
 
 impl TableVacState {
     /// Creates state for a table with `rows` live tuples over `base_pages`.
-    pub fn new(rows: u64, base_pages: u64) -> Self {
+    pub(crate) fn new(rows: u64, base_pages: u64) -> Self {
         TableVacState { base_pages, live_tuples: rows, dead_tuples: 0 }
     }
 
     /// Bloat multiplier in `[1, MAX_BLOAT]`.
-    pub fn bloat(&self) -> f64 {
+    pub(crate) fn bloat(&self) -> f64 {
         if self.live_tuples == 0 {
             return 1.0;
         }
@@ -37,34 +37,34 @@ impl TableVacState {
     }
 
     /// Pages the table effectively occupies, bloat included.
-    pub fn effective_pages(&self) -> u64 {
+    pub(crate) fn effective_pages(&self) -> u64 {
         (self.base_pages as f64 * self.bloat()).ceil() as u64
     }
 
     /// Records an update (old version becomes dead).
-    pub fn on_update(&mut self) {
+    pub(crate) fn on_update(&mut self) {
         self.dead_tuples += 1;
     }
 
     /// Records `n` inserted tuples.
-    pub fn on_insert(&mut self, n: u64) {
+    pub(crate) fn on_insert(&mut self, n: u64) {
         self.live_tuples += n;
     }
 
     /// Whether autovacuum should process this table.
-    pub fn needs_vacuum(&self, threshold: u64, scale_factor: f64) -> bool {
+    pub(crate) fn needs_vacuum(&self, threshold: u64, scale_factor: f64) -> bool {
         self.dead_tuples as f64 > threshold as f64 + scale_factor * self.live_tuples as f64
     }
 
     /// Completes a vacuum: dead tuples are reclaimed.
-    pub fn on_vacuumed(&mut self) {
+    pub(crate) fn on_vacuumed(&mut self) {
         self.dead_tuples = 0;
     }
 }
 
 /// Cost-based pacing of one vacuum pass (the `vacuum_cost_*` knobs).
 #[derive(Debug, Clone, Copy)]
-pub struct VacuumPacing {
+pub(crate) struct VacuumPacing {
     /// Cost units charged per buffer hit / miss / dirtied page.
     pub cost_page_hit: u64,
     pub cost_page_miss: u64,
@@ -77,7 +77,7 @@ pub struct VacuumPacing {
 
 /// Work summary for one table vacuum.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VacuumWork {
+pub(crate) struct VacuumWork {
     /// Pages scanned (reads).
     pub pages_scanned: u64,
     /// Pages rewritten (dirtied).
@@ -90,7 +90,12 @@ impl VacuumPacing {
     /// Plans the work for vacuuming a table in `state`, assuming `hit_rate`
     /// of its pages are in shared buffers and a per-page scan cost of
     /// `page_scan_us` microseconds of raw I/O + CPU.
-    pub fn plan(&self, state: &TableVacState, hit_rate: f64, page_scan_us: f64) -> VacuumWork {
+    pub(crate) fn plan(
+        &self,
+        state: &TableVacState,
+        hit_rate: f64,
+        page_scan_us: f64,
+    ) -> VacuumWork {
         let pages = state.effective_pages();
         // Pages holding dead tuples get dirtied; approximate by the dead
         // fraction of the table, at least one page per 50 dead tuples.

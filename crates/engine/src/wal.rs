@@ -8,7 +8,7 @@ use crate::sim::Micros;
 
 /// Outcome of appending WAL for one page modification.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AppendOutcome {
+pub(crate) struct AppendOutcome {
     /// Bytes actually appended (record + any full-page image).
     pub bytes: u64,
     /// A full-page image was attached (first touch since checkpoint).
@@ -20,7 +20,7 @@ pub struct AppendOutcome {
 
 /// Outcome of a durable commit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommitOutcome {
+pub(crate) struct CommitOutcome {
     /// Microseconds the committing backend waits for its flush.
     pub wait_us: u64,
     /// This commit started a new flush (charge the device); `false` means it
@@ -30,7 +30,7 @@ pub struct CommitOutcome {
 
 /// WAL bookkeeping for one run.
 #[derive(Debug)]
-pub struct WalState {
+pub(crate) struct WalState {
     buffers_bytes: u64,
     full_page_writes: bool,
     compression: bool,
@@ -54,16 +54,16 @@ pub struct WalState {
 }
 
 /// Bytes of an ordinary WAL record for a row-level change.
-pub const RECORD_BYTES: u64 = 180;
+pub(crate) const RECORD_BYTES: u64 = 180;
 /// Bytes of a full-page image (page + header).
-pub const FPI_BYTES: u64 = 8 * 1024 + 64;
+pub(crate) const FPI_BYTES: u64 = 8 * 1024 + 64;
 /// Compression shrinks full-page images by roughly this factor.
-pub const FPI_COMPRESSION_RATIO: f64 = 0.45;
+pub(crate) const FPI_COMPRESSION_RATIO: f64 = 0.45;
 
 impl WalState {
     /// Creates WAL state. `fsync_us` is the effective durable-flush cost
     /// (device fsync x `wal_sync_method` multiplier; ~0 when `fsync=off`).
-    pub fn new(
+    pub(crate) fn new(
         buffers_bytes: u64,
         full_page_writes: bool,
         compression: bool,
@@ -85,7 +85,7 @@ impl WalState {
     }
 
     /// Appends a record for a modification of `page`.
-    pub fn append(&mut self, page: PageId) -> AppendOutcome {
+    pub(crate) fn append(&mut self, page: PageId) -> AppendOutcome {
         let mut bytes = RECORD_BYTES;
         let mut fpi = false;
         if self.full_page_writes && self.fpw_done.insert(page) {
@@ -115,7 +115,7 @@ impl WalState {
     /// after any configured `commit_delay` (when at least `commit_siblings`
     /// other transactions are in flight) and after the device finishes the
     /// previous flush.
-    pub fn commit_durable(
+    pub(crate) fn commit_durable(
         &mut self,
         now: Micros,
         commit_delay_us: Option<u64>,
@@ -142,13 +142,13 @@ impl WalState {
 
     /// Asynchronous commit: returns immediately; WAL is left for the WAL
     /// writer daemon.
-    pub fn commit_async(&mut self) {
+    pub(crate) fn commit_async(&mut self) {
         self.commits += 1;
     }
 
     /// Background flush by the WAL writer; returns flushed bytes (0 when
     /// there was nothing to do).
-    pub fn background_flush(&mut self) -> u64 {
+    pub(crate) fn background_flush(&mut self) -> u64 {
         let bytes = self.unflushed_bytes;
         if bytes > 0 {
             self.unflushed_bytes = 0;
@@ -158,24 +158,24 @@ impl WalState {
     }
 
     /// Unflushed bytes currently sitting in the WAL buffer.
-    pub fn unflushed_bytes(&self) -> u64 {
+    pub(crate) fn unflushed_bytes(&self) -> u64 {
         self.unflushed_bytes
     }
 
     /// WAL volume since the last checkpoint (compared against
     /// `max_wal_size`).
-    pub fn bytes_since_checkpoint(&self) -> u64 {
+    pub(crate) fn bytes_since_checkpoint(&self) -> u64 {
         self.bytes_since_checkpoint
     }
 
     /// Called by the checkpointer: resets the full-page-write epoch.
-    pub fn on_checkpoint(&mut self) {
+    pub(crate) fn on_checkpoint(&mut self) {
         self.bytes_since_checkpoint = 0;
         self.fpw_done.clear();
     }
 
     /// Mean commits per flush (group-commit effectiveness).
-    pub fn avg_batch_size(&self) -> f64 {
+    pub(crate) fn avg_batch_size(&self) -> f64 {
         if self.flushes == 0 {
             0.0
         } else {

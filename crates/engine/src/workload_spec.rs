@@ -31,23 +31,23 @@ pub struct TableSpec {
 
 impl TableSpec {
     /// Rows per 8 kB page (fill factor ~90%).
-    pub fn rows_per_page(&self) -> u64 {
+    pub(crate) fn rows_per_page(&self) -> u64 {
         ((8 * 1024 * 9 / 10) / self.row_bytes as u64).max(1)
     }
 
     /// Heap pages when fully packed.
-    pub fn base_pages(&self) -> u64 {
+    pub(crate) fn base_pages(&self) -> u64 {
         self.rows.div_ceil(self.rows_per_page()).max(1)
     }
 
     /// Pages of the table's primary index (roughly 2% of the heap, at least
     /// one page).
-    pub fn index_pages(&self) -> u64 {
+    pub(crate) fn index_pages(&self) -> u64 {
         (self.base_pages() / 50).max(1)
     }
 
     /// Total bytes on disk (heap + index).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         (self.base_pages() + self.index_pages()) * 8 * 1024
     }
 }

@@ -65,7 +65,7 @@ impl Normal {
 }
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -149,11 +149,6 @@ impl Zipfian {
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipfian { n, alpha, zetan, eta, half_pow_theta: 0.5_f64.powf(theta) }
-    }
-
-    /// Number of items.
-    pub fn items(&self) -> u64 {
-        self.n
     }
 
     /// Draws a rank in `0..n`, rank 0 being the hottest.

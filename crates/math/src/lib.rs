@@ -9,14 +9,14 @@
 //! workspace has no dependency on external linear-algebra or statistics
 //! crates.
 
-pub mod dispatch;
-pub mod dist;
-pub mod lhs;
-pub mod matrix;
+mod dispatch;
+mod dist;
+mod lhs;
+mod matrix;
 pub mod stats;
 
 pub use dispatch::Isa;
 pub use dist::{splitmix64, Exponential, Normal, Zipfian};
 pub use lhs::latin_hypercube;
-pub use matrix::{CholeskyError, Matrix};
-pub use stats::{bootstrap_ci_mean, mean, percentile, std_dev, RunningStats, Summary};
+pub use matrix::Matrix;
+pub use stats::{mean, percentile, std_dev, RunningStats, Summary};

@@ -67,24 +67,6 @@ impl Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must equal rows * cols");
-        Matrix { rows, cols, data }
-    }
-
     /// Builds an `n x n` symmetric matrix by evaluating `f(i, j)` for the
     /// lower triangle and mirroring it.
     pub fn from_symmetric_fn(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
@@ -310,7 +292,7 @@ impl Matrix {
 
     /// Solves `L^T * x = b` where `self` is lower triangular (backward
     /// substitution against the transpose).
-    pub fn solve_lower_transpose(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve_lower_transpose(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(self.rows, self.cols);
         assert_eq!(b.len(), self.rows);
         let n = self.rows;
@@ -388,6 +370,26 @@ fn reference_cholesky(a: &Matrix, jitter: f64) -> Result<Matrix, CholeskyError> 
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl super::Matrix {
+        /// Creates the `n x n` identity matrix.
+        fn identity(n: usize) -> Self {
+            let mut m = Matrix::zeros(n, n);
+            for i in 0..n {
+                m[(i, i)] = 1.0;
+            }
+            m
+        }
+
+        /// Creates a matrix from a row-major data vector.
+        ///
+        /// # Panics
+        /// Panics if `data.len() != rows * cols`.
+        fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+            assert_eq!(data.len(), rows * cols, "data length must equal rows * cols");
+            Matrix { rows, cols, data }
+        }
+    }
 
     fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))

@@ -54,7 +54,7 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 /// `5.0` and `95.0` for the paper's `[5%, 95%]` intervals). Resampling is
 /// driven by a simple deterministic LCG seeded with `seed` so results are
 /// reproducible without threading a full RNG through the harness.
-pub fn bootstrap_ci_mean(xs: &[f64], q_lo: f64, q_hi: f64, seed: u64) -> (f64, f64) {
+pub(crate) fn bootstrap_ci_mean(xs: &[f64], q_lo: f64, q_hi: f64, seed: u64) -> (f64, f64) {
     assert!(!xs.is_empty());
     if xs.len() == 1 {
         return (xs[0], xs[0]);
@@ -116,7 +116,7 @@ impl RunningStats {
     }
 
     /// Sample variance (`0.0` with fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {

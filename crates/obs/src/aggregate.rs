@@ -104,7 +104,7 @@ impl TelemetrySet {
         Ok(TelemetrySet { writers })
     }
 
-    /// The merged deterministic trace ([`merge_traces`]).
+    /// The merged deterministic trace (`merge_traces`).
     pub fn merged_events(&self) -> Vec<TraceEvent> {
         merge_traces(&self.writers)
     }
@@ -133,7 +133,7 @@ fn supersedes(candidate: (&str, &[&TraceEvent]), incumbent: (&str, &[&TraceEvent
 /// session (see the module docs for the takeover rule), `store.*` spans
 /// excluded, output in stable `(session, seq)` order. Byte-identical
 /// regardless of how sessions were distributed over writers.
-pub fn merge_traces(writers: &[WriterTelemetry]) -> Vec<TraceEvent> {
+pub(crate) fn merge_traces(writers: &[WriterTelemetry]) -> Vec<TraceEvent> {
     let mut owners: BTreeMap<&str, (&str, Vec<&TraceEvent>)> = BTreeMap::new();
     for w in writers {
         let mut per: BTreeMap<&str, Vec<&TraceEvent>> = BTreeMap::new();

@@ -1,5 +1,5 @@
 //! The regression rule, in one place: a measurement regressed when its
-//! new value is more than [`FACTOR`] times the old one **and** more than
+//! new value is more than `FACTOR` (2) times the old one **and** more than
 //! its slack above it. The ratio catches real slowdowns while tolerating
 //! shared-runner noise; the absolute slack keeps micro-measurements (a
 //! 3 µs append that jitters to 8 µs, a fault counter going 0 → 1) from
@@ -18,9 +18,9 @@
 //! the same number of trials, and they are checked on:
 //!
 //! * **phase latency** — the mean of every `*_ms` histogram both sets
-//!   carry (`session.*_ms`, `optim.*_ms`), with slack [`SLACK_MS`];
+//!   carry (`session.*_ms`, `optim.*_ms`), with slack `SLACK_MS` (0.25 ms);
 //! * **fault counts** — every `policy.*` counter either set carries,
-//!   with slack [`SLACK_COUNT`]. `store.cas_retries` is exempt: CAS races
+//!   with slack `SLACK_COUNT` (1). `store.cas_retries` is exempt: CAS races
 //!   are scheduling contention, not behaviour.
 
 use crate::aggregate::TelemetrySet;
@@ -29,13 +29,13 @@ use crate::trace::TraceEvent;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A regression needs the new value above `old × FACTOR` …
-pub const FACTOR: f64 = 2.0;
+pub(crate) const FACTOR: f64 = 2.0;
 /// … and above `old + slack`: for bench latencies, in microseconds,
 pub const SLACK_US: f64 = 25.0;
 /// for phase-histogram means, in milliseconds,
-pub const SLACK_MS: f64 = 0.25;
+pub(crate) const SLACK_MS: f64 = 0.25;
 /// and for `policy.*` fault counts.
-pub const SLACK_COUNT: f64 = 1.0;
+pub(crate) const SLACK_COUNT: f64 = 1.0;
 
 /// One measurement compared between a baseline and a candidate.
 #[derive(Debug, Clone, PartialEq)]

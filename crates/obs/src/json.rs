@@ -42,8 +42,8 @@
 //! lexers were (raw control characters inside strings and Rust-style
 //! number spellings such as `1.` or `+1` are accepted), strictly where
 //! it protects a reader (duplicate keys, trailing bytes, nesting deeper
-//! than [`MAX_DEPTH`]). A `\uXXXX` surrogate half decodes to U+FFFD; the
-//! writers never emit one (non-ASCII text is written raw).
+//! than 128 levels, `MAX_DEPTH`). A `\uXXXX` surrogate half decodes to
+//! U+FFFD; the writers never emit one (non-ASCII text is written raw).
 
 use std::borrow::Cow;
 
@@ -52,7 +52,7 @@ pub use num::{write_i64, write_u64};
 
 /// Deepest array/object nesting [`parse`] accepts; deeper input is an
 /// error instead of a stack overflow in whoever parses outside bytes.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,7 +156,7 @@ impl JsonValue {
     }
 
     /// Required number member.
-    pub fn f64(&self, key: &str) -> Result<f64, String> {
+    pub(crate) fn f64(&self, key: &str) -> Result<f64, String> {
         self.member(key, "a number", JsonValue::as_f64)
     }
 
@@ -171,7 +171,7 @@ impl JsonValue {
     }
 
     /// Required object member, as its `(key, value)` list.
-    pub fn object(&self, key: &str) -> Result<&[(String, JsonValue)], String> {
+    pub(crate) fn object(&self, key: &str) -> Result<&[(String, JsonValue)], String> {
         self.member(key, "an object", |v| match v {
             JsonValue::Obj(members) => Some(members.as_slice()),
             _ => None,
@@ -179,7 +179,7 @@ impl JsonValue {
     }
 
     /// Required array-of-numbers member.
-    pub fn f64_array(&self, key: &str) -> Result<Vec<f64>, String> {
+    pub(crate) fn f64_array(&self, key: &str) -> Result<Vec<f64>, String> {
         self.member(key, "an array of numbers", JsonValue::as_f64_array)
     }
 
@@ -548,7 +548,7 @@ impl<'a> Scanner<'a> {
         self.vec(Scanner::number)
     }
 
-    /// Consumes one value of any type, checked as [`Scanner::value`]
+    /// Consumes one value of any type, checked as `Scanner::value`
     /// checks it, and returns its source text instead of a tree — how an
     /// envelope hands its payload to the payload's own reader, and how
     /// that reader passes over a member it does not know.
@@ -569,7 +569,7 @@ impl<'a> Scanner<'a> {
     }
 
     /// Parses any value into a tree, rejecting duplicate object keys.
-    pub fn value(&mut self) -> Result<JsonValue, String> {
+    pub(crate) fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek().ok_or("unexpected end of input")? {
             b'{' => {
                 let mut members: Vec<(String, JsonValue)> = Vec::new();

@@ -13,24 +13,24 @@
 //!   counts and session-parallelism levels. Wall-clock time never
 //!   appears in a trace event; it lives in the metrics registry, which
 //!   is explicitly outside the determinism contract.
-//! * **Metrics** ([`metrics`]) — a registry of named counters, gauges,
+//! * **Metrics** ([`MetricsRegistry`]) — a registry of named counters, gauges,
 //!   and fixed-bucket histograms with mergeable snapshots. It absorbs
 //!   the runtime crate's former `FaultStats` counters (`policy.*`) and
 //!   adds per-phase session latencies (`session.*_ms`) and optimizer
 //!   hot-path timings (`optim.*`), all in the registry of the session
 //!   that paid for them — no registry is process-wide.
-//! * **Reporting** ([`report`], [`fmt`]) — a schema-validating trace
+//! * **Reporting** ([`build_report`], [`fmt`]) — a schema-validating trace
 //!   parser, one table renderer shared by bench output (every
 //!   `BENCH_*.json` table is printed through it, from the rows it
 //!   records) and session reports, and the `llamatune-report` binary,
 //!   which rebuilds best-so-far and regret curves, fault and hot-path
 //!   totals and each round's virtual-clock critical path from a store
 //!   directory's telemetry alone.
-//! * **Fleet aggregation** ([`aggregate`]) — merges the per-writer
+//! * **Fleet aggregation** ([`TelemetrySet`]) — merges the per-writer
 //!   telemetry pairs a fleet campaign persists into one campaign view:
 //!   traces in stable `(session, seq)` order (byte-identical at every
 //!   worker count), metrics snapshots folded additively.
-//! * **Live exposition** ([`export`]) — [`prometheus_text`] renders a
+//! * **Live exposition** — [`prometheus_text`] renders a
 //!   registry snapshot as a Prometheus text-format scrape body, and
 //!   [`ProgressSink`] receives one summary per completed round while a
 //!   campaign runs.
@@ -46,21 +46,18 @@
 //! [`NoopTracer`] costs one virtual call returning a constant on the
 //! hot path.
 
-pub mod aggregate;
-pub mod export;
+mod aggregate;
+mod export;
 pub mod fmt;
 pub mod gate;
 pub mod json;
-pub mod metrics;
-pub mod report;
+mod metrics;
+mod report;
 pub mod trace;
 
-pub use aggregate::{merge_traces, TelemetrySet, WriterTelemetry};
+pub use aggregate::TelemetrySet;
 pub use export::{prometheus_text, MemoryProgressSink, ProgressSink, ProgressUpdate};
 pub use gate::{telemetry_checks, Check};
-pub use metrics::{HistSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use report::{build_report, render_report, Report, SessionCurves};
-pub use trace::{
-    parse_trace_jsonl, FanoutTracer, FieldValue, NoopTracer, RecordingTracer, TraceEvent, Tracer,
-    SPAN_TAXONOMY,
-};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use report::{build_report, render_report, Report};
+pub use trace::{parse_trace_jsonl, FanoutTracer, NoopTracer, RecordingTracer, TraceEvent, Tracer};

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 /// Default histogram bounds for millisecond latencies (upper bucket
 /// edges; one implicit overflow bucket follows the last bound).
-pub const DEFAULT_MS_BOUNDS: [f64; 12] =
+pub(crate) const DEFAULT_MS_BOUNDS: [f64; 12] =
     [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 1000.0, 10000.0];
 
 #[derive(Debug, Clone, PartialEq)]
@@ -127,23 +127,15 @@ impl MetricsRegistry {
         lock(&self.counters).get(name).copied().unwrap_or(0)
     }
 
-    /// Sets the named gauge to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        upsert(&self.gauges, name, || value, |g| *g = value);
-        if let Some(p) = &self.parent {
-            p.gauge_set(name, value);
-        }
-    }
-
     /// Records one observation into the named histogram (created with
-    /// [`DEFAULT_MS_BOUNDS`] on first use).
+    /// `DEFAULT_MS_BOUNDS` on first use).
     pub fn observe(&self, name: &str, value: f64) {
         self.observe_with(name, &DEFAULT_MS_BOUNDS, value);
     }
 
     /// Records one observation into the named histogram, creating it
     /// with the given bucket bounds on first use.
-    pub fn observe_with(&self, name: &str, bounds: &[f64], value: f64) {
+    pub(crate) fn observe_with(&self, name: &str, bounds: &[f64], value: f64) {
         upsert(&self.hists, name, || Hist::new(bounds), |h| h.observe(value));
         if let Some(p) = &self.parent {
             p.observe_with(name, bounds, value);
@@ -189,7 +181,7 @@ impl HistSnapshot {
     }
 
     /// Mean observed value (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         let n = self.count();
         (n > 0).then(|| self.sum / n as f64)
     }
@@ -311,6 +303,16 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl super::MetricsRegistry {
+        /// Sets the named gauge to `value`.
+        pub(crate) fn gauge_set(&self, name: &str, value: f64) {
+            upsert(&self.gauges, name, || value, |g| *g = value);
+            if let Some(p) = &self.parent {
+                p.gauge_set(name, value);
+            }
+        }
+    }
 
     #[test]
     fn counters_gauges_and_histograms_record() {

@@ -1,7 +1,7 @@
 //! Deterministic structured tracing.
 //!
 //! A [`TraceEvent`] is one span of the tuning stack's execution,
-//! identified by a name from the closed [`SPAN_TAXONOMY`] and carrying
+//! identified by a name from the closed `SPAN_TAXONOMY` and carrying
 //! only deterministic fields: iteration indices, batch sizes,
 //! *virtual*-clock durations, scores, statuses. Events are emitted from
 //! single-threaded fold paths (the session loop, the executor's batch
@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 /// | `store.rotate` | store | `sealed`, `next` |
 /// | `store.compact` | store | `segments_before`, `segments_after`, `records_before`, `records_after` |
 /// | `session.end` | session loop | `iterations_run`, `degradations`, `best`?, `stopped_at`? |
-pub const SPAN_TAXONOMY: &[&str] = &[
+pub(crate) const SPAN_TAXONOMY: &[&str] = &[
     "session.start",
     "round",
     "optimizer.suggest",
@@ -104,7 +104,7 @@ pub struct TraceEvent {
     pub session: String,
     /// Per-session sequence number, assigned on record.
     pub seq: u64,
-    /// Span name, from [`SPAN_TAXONOMY`].
+    /// Span name, from `SPAN_TAXONOMY`.
     pub span: String,
     /// Deterministic fields, in emission order.
     pub fields: Vec<(String, FieldValue)>,
@@ -123,7 +123,7 @@ impl TraceEvent {
     }
 
     /// Looks up a field by key.
-    pub fn get(&self, key: &str) -> Option<&FieldValue> {
+    pub(crate) fn get(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
@@ -137,7 +137,7 @@ impl TraceEvent {
 
     /// An f64 field, if present (u64 fields widen losslessly-enough for
     /// report arithmetic).
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
+    pub(crate) fn get_f64(&self, key: &str) -> Option<f64> {
         match self.get(key) {
             Some(FieldValue::F64(v)) => Some(*v),
             Some(FieldValue::U64(v)) => Some(*v as f64),
@@ -146,7 +146,7 @@ impl TraceEvent {
     }
 
     /// A string field, if present with that type.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get_str(&self, key: &str) -> Option<&str> {
         match self.get(key) {
             Some(FieldValue::Str(s)) => Some(s),
             _ => None,
@@ -308,7 +308,7 @@ fn payload_snippet(line: &str) -> String {
 
 /// Parses trace JSONL, validating each line against the schema: the
 /// required `session`/`seq`/`span`/`fields` keys with their types, a
-/// span name from [`SPAN_TAXONOMY`], and scalar-only field values.
+/// span name from `SPAN_TAXONOMY`, and scalar-only field values.
 /// Errors carry the 1-based line number and a truncated copy of the
 /// offending payload, so malformed telemetry is diagnosable from the
 /// error alone (a CI log, say) without the original file at hand.

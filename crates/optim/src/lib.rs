@@ -19,21 +19,22 @@
 //! fixed settings. So each constructor takes only the search space and a
 //! seed (`Smac::new`, `GpBo::new`, `Ddpg::new`, and `RandomForest::fit`
 //! the history besides), and each setting is a private constant, listed
-//! once with its source in its module's doc ([`smac`], [`rf`], [`gp`],
-//! [`ddpg`]).
+//! once with its source in its module's doc (`smac.rs`, `rf.rs`, `gp.rs`,
+//! `ddpg.rs`).
 
-pub mod ddpg;
-pub mod gp;
-pub mod guard;
-pub mod nn;
-pub mod rf;
-pub mod smac;
-pub mod spec;
+mod ddpg;
+mod gp;
+mod guard;
+mod nn;
+mod rf;
+pub mod shap;
+mod smac;
+mod spec;
 
 pub use ddpg::Ddpg;
 pub use gp::GpBo;
 pub use guard::{DegradationEvent, GuardFactory, GuardedOptimizer};
-pub use rf::{RandomForest, Tree, TreeNode};
+pub use rf::RandomForest;
 pub use smac::Smac;
 pub use spec::{
     Observation, Optimizer, OptimizerKind, ParamKind, RandomSearch, SearchSpec, DEFAULT_METRIC_DIM,

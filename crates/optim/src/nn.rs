@@ -1,5 +1,6 @@
 //! Minimal neural-network substrate for the DDPG optimizer: dense layers,
-//! ReLU/sigmoid/tanh activations, manual backpropagation, and Adam.
+//! ReLU hidden units under a sigmoid or linear head, manual
+//! backpropagation, and Adam.
 //!
 //! # The minibatch kernel and its contract
 //!
@@ -48,10 +49,9 @@ use std::ops::Range;
 
 /// Output activation of an MLP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
+pub(crate) enum Activation {
     Linear,
     Sigmoid,
-    Tanh,
 }
 
 impl Activation {
@@ -59,7 +59,6 @@ impl Activation {
         match self {
             Activation::Linear => x,
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
         }
     }
 
@@ -68,7 +67,6 @@ impl Activation {
         match self {
             Activation::Linear => 1.0,
             Activation::Sigmoid => y * (1.0 - y),
-            Activation::Tanh => 1.0 - y * y,
         }
     }
 }
@@ -148,7 +146,11 @@ fn transpose(src: &[f64], cols: usize, dst: &mut [f64]) {
 
 /// Writes `samples` into the top rows of a feature-major minibatch matrix:
 /// `dst[i * batch + s] = samples[s][i]`.
-pub fn scatter<'a>(dst: &mut [f64], batch: usize, samples: impl Iterator<Item = &'a Vec<f64>>) {
+pub(crate) fn scatter<'a>(
+    dst: &mut [f64],
+    batch: usize,
+    samples: impl Iterator<Item = &'a Vec<f64>>,
+) {
     for (s, sample) in samples.enumerate() {
         for (i, &v) in sample.iter().enumerate() {
             dst[i * batch + s] = v;
@@ -218,7 +220,7 @@ fn adam(
 /// the scratch backpropagation needs. Owned by the caller and reused
 /// across steps, so a training step allocates nothing.
 #[derive(Debug, Clone)]
-pub struct Tape {
+pub(crate) struct Tape {
     batch: usize,
     /// The compiled copy of `accumulate` the passes over this tape run.
     isa: Isa,
@@ -233,7 +235,7 @@ pub struct Tape {
 
 impl Tape {
     /// Scratch for `batch` samples through a network of `net`'s shape.
-    pub fn new(net: &Mlp, batch: usize) -> Tape {
+    pub(crate) fn new(net: &Mlp, batch: usize) -> Tape {
         Tape::new_on(Isa::best(), net, batch)
     }
 
@@ -255,30 +257,30 @@ impl Tape {
     }
 
     /// The network input, `[input_dim × batch]` feature-major.
-    pub fn input(&self) -> &[f64] {
+    pub(crate) fn input(&self) -> &[f64] {
         &self.acts[0]
     }
 
     /// [`Tape::input`], for the caller to fill before
     /// [`Mlp::forward_batch`].
-    pub fn input_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn input_mut(&mut self) -> &mut [f64] {
         &mut self.acts[0]
     }
 
     /// The network output of the last forward pass, `[output_dim × batch]`.
-    pub fn output(&self) -> &[f64] {
+    pub(crate) fn output(&self) -> &[f64] {
         self.acts.last().expect("a tape has at least the input layer")
     }
 
     /// dLoss/dOutput, `[output_dim × batch]`, for the caller to fill
     /// before [`Mlp::backward`] or [`Mlp::input_gradient`].
-    pub fn output_grad_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn output_grad_mut(&mut self) -> &mut [f64] {
         self.output_and_grad_mut().1
     }
 
     /// [`Tape::output`] and [`Tape::output_grad_mut`] together, for a loss
     /// whose gradient is a function of the output.
-    pub fn output_and_grad_mut(&mut self) -> (&[f64], &mut [f64]) {
+    pub(crate) fn output_and_grad_mut(&mut self) -> (&[f64], &mut [f64]) {
         let out = self.acts.last().expect("a tape has at least the input layer");
         (out, &mut self.grad[..out.len()])
     }
@@ -286,7 +288,7 @@ impl Tape {
 
 /// A multi-layer perceptron with ReLU hidden layers.
 #[derive(Debug, Clone)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<Dense>,
     out_act: Activation,
     step: u64,
@@ -294,24 +296,24 @@ pub struct Mlp {
 
 impl Mlp {
     /// Builds an MLP with the given layer sizes, e.g. `[27, 64, 64, 16]`.
-    pub fn new(sizes: &[usize], out_act: Activation, rng: &mut StdRng) -> Mlp {
+    pub(crate) fn new(sizes: &[usize], out_act: Activation, rng: &mut StdRng) -> Mlp {
         assert!(sizes.len() >= 2);
         let layers = sizes.windows(2).map(|w| Dense::new(w[0], w[1], rng)).collect();
         Mlp { layers, out_act, step: 0 }
     }
 
     /// Input dimension.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.layers[0].inputs
     }
 
     /// Output dimension.
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.layers.last().unwrap().outputs
     }
 
     /// Forward pass of one sample: a minibatch of one.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut tape = Tape::new(self, 1);
         tape.input_mut().copy_from_slice(x);
         self.forward_batch(&mut tape);
@@ -320,7 +322,7 @@ impl Mlp {
 
     /// Forward pass of the tape's minibatch from its input, keeping every
     /// layer's output for the backward passes.
-    pub fn forward_batch(&self, tape: &mut Tape) {
+    pub(crate) fn forward_batch(&self, tape: &mut Tape) {
         let (batch, isa) = (tape.batch, tape.isa);
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
@@ -346,7 +348,7 @@ impl Mlp {
     /// pass, adding every sample's parameter gradients (in minibatch
     /// order) to the accumulated ones. The input's own gradient is not
     /// computed: a training pass has no reader for it.
-    pub fn backward(&mut self, tape: &mut Tape) {
+    pub(crate) fn backward(&mut self, tape: &mut Tape) {
         self.backpropagate(tape, true, 0..0);
     }
 
@@ -354,7 +356,11 @@ impl Mlp {
     /// sample (`[rows.len() × batch]`), without touching parameter
     /// gradients: the deterministic policy gradient through the critic,
     /// which reads the action rows only.
-    pub fn input_gradient<'t>(&mut self, tape: &'t mut Tape, rows: Range<usize>) -> &'t [f64] {
+    pub(crate) fn input_gradient<'t>(
+        &mut self,
+        tape: &'t mut Tape,
+        rows: Range<usize>,
+    ) -> &'t [f64] {
         let len = rows.len() * tape.batch;
         self.backpropagate(tape, false, rows);
         &tape.grad[..len]
@@ -402,7 +408,7 @@ impl Mlp {
 
     /// Applies one Adam step with the accumulated gradients (scaled by
     /// `1/batch`) and clears them.
-    pub fn adam_step(&mut self, lr: f64, batch: usize) {
+    pub(crate) fn adam_step(&mut self, lr: f64, batch: usize) {
         self.step += 1;
         let (b1, b2, _) = ADAM;
         let t = self.step as f64;
@@ -415,7 +421,7 @@ impl Mlp {
 
     /// Polyak-averages `source`'s parameters into this network:
     /// `theta = (1 - tau) * theta + tau * theta_source`.
-    pub fn soft_update_from(&mut self, source: &Mlp, tau: f64) {
+    pub(crate) fn soft_update_from(&mut self, source: &Mlp, tau: f64) {
         for (dst, src) in self.layers.iter_mut().zip(&source.layers) {
             for (d, s) in dst.w.iter_mut().zip(&src.w) {
                 *d = (1.0 - tau) * *d + tau * s;
@@ -687,7 +693,7 @@ mod tests {
             (vec![43, 64, 64, 1], 32),
             (vec![31, 33, 1, 15], 40),
         ] {
-            for head in [Activation::Tanh, Activation::Sigmoid, Activation::Linear] {
+            for head in [Activation::Sigmoid, Activation::Linear] {
                 let start = Mlp::new(&sizes, head, &mut r);
                 let (n_in, n_out) = (start.input_dim(), start.output_dim());
                 let xs: Vec<Vec<f64>> = (0..batch)

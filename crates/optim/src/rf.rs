@@ -5,7 +5,8 @@
 //! Categorical dimensions split on *choice equality* — the property that
 //! makes random forests handle heterogeneous DBMS knob spaces better than
 //! vanilla GPs (Section 2.2). Node structure and per-node sample counts are
-//! public so `llamatune-analysis` can run TreeSHAP over fitted forests.
+//! visible to the crate so [`crate::shap`] can run TreeSHAP over fitted
+//! forests.
 //!
 //! # Settings
 //!
@@ -73,8 +74,9 @@
 //! the lanes are independent chains of loads where the one-candidate walk
 //! had one. [`RandomForest::predict`] is the same walk one lane wide.
 //!
-//! **The contract is bit identity with [`Tree::predict`] and the
-//! two-pass formula**: per candidate, the tree outputs summed in tree
+//! **The contract is bit identity with `Tree::predict` (the
+//! node-by-node walk, kept under `#[cfg(test)]`) and the two-pass
+//! formula**: per candidate, the tree outputs summed in tree
 //! order from `SUM_ZERO` over the tree count, then the squared deviations
 //! about that mean in tree order over `t − 1` (the
 //! `walk_matches_tree_predict_and_the_two_pass_formula` proptest). A lane
@@ -94,7 +96,7 @@ use rand::{RngExt, SeedableRng};
 
 /// Split rule at an internal node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Rule {
+pub(crate) enum Rule {
     /// Go left when `x[feature] <= threshold`.
     Le(f64),
     /// Go left when the decoded category equals `choice` (of `n`).
@@ -104,38 +106,21 @@ pub enum Rule {
 /// One tree node; `n` is the number of training samples that reached it
 /// (TreeSHAP's "cover").
 #[derive(Debug, Clone, PartialEq)]
-pub enum TreeNode {
+pub(crate) enum TreeNode {
     Leaf { value: f64, n: u32 },
     Split { feature: usize, rule: Rule, left: u32, right: u32, n: u32 },
 }
 
 /// A fitted regression tree over unit-space points.
 #[derive(Debug, Clone)]
-pub struct Tree {
+pub(crate) struct Tree {
     /// Nodes in preorder; node 0 is the root.
     pub nodes: Vec<TreeNode>,
 }
 
 impl Tree {
-    /// Predicts the mean response at `x`.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        let mut idx = 0usize;
-        loop {
-            match &self.nodes[idx] {
-                TreeNode::Leaf { value, .. } => return *value,
-                TreeNode::Split { feature, rule, left, right, .. } => {
-                    idx = if rule_goes_left(rule, x[*feature]) {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
-    }
-
     /// Depth of the tree (longest root-to-leaf path).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         fn rec(nodes: &[TreeNode], idx: usize) -> usize {
             match &nodes[idx] {
                 TreeNode::Leaf { .. } => 1,
@@ -149,7 +134,7 @@ impl Tree {
 }
 
 /// Whether `value` on the split feature goes to the left child.
-pub fn rule_goes_left(rule: &Rule, value: f64) -> bool {
+pub(crate) fn rule_goes_left(rule: &Rule, value: f64) -> bool {
     match rule {
         Rule::Le(t) => value <= *t,
         Rule::CatEq { choice, n } => category(value, *n) == *choice,
@@ -271,7 +256,7 @@ impl RandomForest {
     /// suggestion, so a point of at most `STACK_DIMS` dimensions through
     /// at most `STACK_TREES` trees walks as one lane on stack buffers;
     /// a larger one goes through `predict_batch`'s buffers.
-    pub fn predict(&self, x: &[f64]) -> (f64, f64) {
+    pub(crate) fn predict(&self, x: &[f64]) -> (f64, f64) {
         const STACK_DIMS: usize = 128;
         const STACK_TREES: usize = 64;
         let (d, t) = (self.spec.len(), self.walk.len());
@@ -286,7 +271,7 @@ impl RandomForest {
         walk_lanes(&self.walk, [&row[..d]], &mut kept[..t])[0]
     }
 
-    /// [`RandomForest::predict`] at every point of `xs`, in order, walked
+    /// `RandomForest::predict` at every point of `xs`, in order, walked
     /// `WALK_LANES` points at a time (see the module doc).
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         self.score::<WALK_LANES>(xs)
@@ -328,12 +313,12 @@ impl RandomForest {
     }
 
     /// The fitted trees, in fit order.
-    pub fn trees(&self) -> &[Tree] {
+    pub(crate) fn trees(&self) -> &[Tree] {
         &self.trees
     }
 
     /// The search spec the forest was fitted on.
-    pub fn spec(&self) -> &SearchSpec {
+    pub(crate) fn spec(&self) -> &SearchSpec {
         &self.spec
     }
 }
@@ -708,7 +693,7 @@ mod reference {
     }
 
     /// The trees [`RandomForest::fit`] must reproduce bit for bit.
-    pub fn reference_fit(
+    pub(super) fn reference_fit(
         spec: &SearchSpec,
         xs: &[Vec<f64>],
         ys: &[f64],
@@ -843,6 +828,25 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl super::Tree {
+        /// Predicts the mean response at `x`.
+        fn predict(&self, x: &[f64]) -> f64 {
+            let mut idx = 0usize;
+            loop {
+                match &self.nodes[idx] {
+                    TreeNode::Leaf { value, .. } => return *value,
+                    TreeNode::Split { feature, rule, left, right, .. } => {
+                        idx = if rule_goes_left(rule, x[*feature]) {
+                            *left as usize
+                        } else {
+                            *right as usize
+                        };
+                    }
+                }
+            }
+        }
+    }
 
     fn continuous_spec(d: usize) -> SearchSpec {
         SearchSpec::continuous(d)

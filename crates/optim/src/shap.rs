@@ -1,12 +1,21 @@
-//! Path-dependent TreeSHAP (Lundberg, Erion & Lee 2018, Algorithm 2).
+//! Knob importance by SHAP value: the ranking-based methodology of the
+//! paper's Section 2.3.
 //!
-//! Computes exact Shapley values for tree ensembles under the
-//! path-dependent feature-perturbation model: absent features are
+//! The paper's motivation experiments rank knobs by SHAP values computed
+//! over a random forest fitted to thousands of LHS-evaluated configurations
+//! (following \[39\], which found SHAP the most meaningful importance score
+//! for DBMS tuning). [`shap_importance`] is the mean |SHAP| per feature
+//! over a background set.
+//!
+//! The values are path-dependent TreeSHAP's (Lundberg, Erion & Lee 2018,
+//! Algorithm 2): exact Shapley values for tree ensembles under the
+//! path-dependent feature-perturbation model. Absent features are
 //! integrated out along each tree's own split structure, weighted by the
 //! training "cover" of each branch. Complexity is O(leaves * depth^2) per
-//! instance instead of the exponential subset enumeration.
+//! instance instead of the exponential subset enumeration; the tests hold
+//! it to brute-force Shapley values.
 
-use llamatune_optim::{rf::rule_goes_left, RandomForest, Tree, TreeNode};
+use crate::rf::{rule_goes_left, RandomForest, Tree, TreeNode};
 
 /// Per-path bookkeeping element (the `m` array of Algorithm 2).
 #[derive(Debug, Clone, Copy)]
@@ -128,14 +137,14 @@ fn recurse(
 
 /// SHAP values of one tree at instance `x`; `phi[f]` is feature `f`'s
 /// contribution and `sum(phi) + expected_value(tree) = tree.predict(x)`.
-pub fn tree_shap_single(tree: &Tree, x: &[f64], n_features: usize) -> Vec<f64> {
+fn tree_shap_single(tree: &Tree, x: &[f64], n_features: usize) -> Vec<f64> {
     let mut phi = vec![0.0; n_features];
     recurse(tree, x, &mut phi, 0, &[], 1.0, 1.0, usize::MAX - 1);
     phi
 }
 
 /// SHAP values of a whole forest at `x` (average over trees).
-pub fn tree_shap(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
+fn tree_shap(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
     let d = forest.spec().len();
     let mut phi = vec![0.0; d];
     for tree in forest.trees() {
@@ -148,26 +157,6 @@ pub fn tree_shap(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
         *v /= forest.trees().len() as f64;
     }
     phi
-}
-
-/// Cover-weighted expected prediction of one tree (the SHAP base value).
-pub fn expected_value_single(tree: &Tree) -> f64 {
-    fn rec(tree: &Tree, idx: u32) -> f64 {
-        match &tree.nodes[idx as usize] {
-            TreeNode::Leaf { value, .. } => *value,
-            TreeNode::Split { left, right, n, .. } => {
-                let wl = node_cover(tree, *left) / f64::from(*n);
-                let wr = node_cover(tree, *right) / f64::from(*n);
-                wl * rec(tree, *left) + wr * rec(tree, *right)
-            }
-        }
-    }
-    rec(tree, 0)
-}
-
-/// Cover-weighted expected prediction of the forest.
-pub fn expected_value(forest: &RandomForest) -> f64 {
-    forest.trees().iter().map(expected_value_single).sum::<f64>() / forest.trees().len() as f64
 }
 
 /// Mean |SHAP| importance per feature over a background sample.
@@ -189,9 +178,29 @@ pub fn shap_importance(forest: &RandomForest, xs: &[Vec<f64>]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamatune_optim::SearchSpec;
+    use crate::SearchSpec;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// Cover-weighted expected prediction of one tree (the SHAP base value).
+    fn expected_value_single(tree: &Tree) -> f64 {
+        fn rec(tree: &Tree, idx: u32) -> f64 {
+            match &tree.nodes[idx as usize] {
+                TreeNode::Leaf { value, .. } => *value,
+                TreeNode::Split { left, right, n, .. } => {
+                    let wl = node_cover(tree, *left) / f64::from(*n);
+                    let wr = node_cover(tree, *right) / f64::from(*n);
+                    wl * rec(tree, *left) + wr * rec(tree, *right)
+                }
+            }
+        }
+        rec(tree, 0)
+    }
+
+    /// Cover-weighted expected prediction of the forest.
+    fn expected_value(forest: &RandomForest) -> f64 {
+        forest.trees().iter().map(expected_value_single).sum::<f64>() / forest.trees().len() as f64
+    }
 
     /// Conditional expectation E[f(x) | x_S] following Algorithm 1 of the
     /// TreeSHAP paper: in-coalition features follow x, others average by
@@ -326,7 +335,7 @@ mod tests {
     #[test]
     fn stump_gives_all_credit_to_split_feature() {
         // A single-tree, single-split case with hand-computable values.
-        use llamatune_optim::rf::Rule;
+        use crate::rf::Rule;
         let tree = Tree {
             nodes: vec![
                 TreeNode::Split { feature: 1, rule: Rule::Le(0.5), left: 1, right: 2, n: 10 },

@@ -82,7 +82,7 @@ impl Smac {
 
     /// Records this optimizer's `optim.smac.*` metrics into `registry`
     /// — the registry of the session it serves.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = registry;
         self
     }

@@ -44,18 +44,10 @@ pub(crate) fn expected_improvement(
 }
 
 impl ParamKind {
-    /// Decodes a categorical dimension's unit value into its choice index.
-    pub fn to_category(&self, u: f64) -> Option<usize> {
-        match self {
-            ParamKind::Categorical { n } => Some(category(u, *n)),
-            ParamKind::Continuous { .. } => None,
-        }
-    }
-
     /// Snaps a unit value onto this dimension's grid (bucketized continuous
     /// dims and categorical bin midpoints); plain continuous dims pass
     /// through.
-    pub fn snap(&self, u: f64) -> f64 {
+    pub(crate) fn snap(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
         match self {
             ParamKind::Continuous { buckets: None } => u,
@@ -181,7 +173,7 @@ pub trait Optimizer: Send {
 
     /// Takes the degradation events accumulated since the last call.
     /// Only wrappers that can degrade (the numerical-failure guard in
-    /// [`crate::guard`]) produce any; plain optimizers return nothing.
+    /// [`GuardedOptimizer`](crate::GuardedOptimizer)) produce any; plain optimizers return nothing.
     /// Batch wrappers forward to their inner optimizer so events
     /// surface through any composition.
     fn drain_degradations(&mut self) -> Vec<crate::guard::DegradationEvent> {
@@ -314,6 +306,16 @@ impl Optimizer for RandomSearch {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl super::ParamKind {
+        /// Decodes a categorical dimension's unit value into its choice index.
+        pub(crate) fn to_category(self, u: f64) -> Option<usize> {
+            match self {
+                ParamKind::Categorical { n } => Some(category(u, n)),
+                ParamKind::Continuous { .. } => None,
+            }
+        }
+    }
 
     #[test]
     fn categorical_decode_covers_all_bins() {

@@ -11,13 +11,13 @@ use llamatune_optim::{ParamKind, SearchSpec};
 
 /// The LlamaTune shape: a 16-dim projected space, every dimension
 /// bucketized to K = 10 000 values.
-pub fn bucketized_16() -> SearchSpec {
+pub(crate) fn bucketized_16() -> SearchSpec {
     SearchSpec { params: vec![ParamKind::Continuous { buckets: Some(10_000) }; 16] }
 }
 
 /// The vanilla shape: 90 knobs, every fifth categorical (2–5 choices),
 /// every fifth bucketized, the rest continuous.
-pub fn mixed_90() -> SearchSpec {
+pub(crate) fn mixed_90() -> SearchSpec {
     let params = (0..90)
         .map(|i| match i % 5 {
             0 => ParamKind::Categorical { n: 2 + i % 4 },
@@ -29,7 +29,7 @@ pub fn mixed_90() -> SearchSpec {
 }
 
 /// A deterministic multi-modal objective over the unit cube.
-pub fn objective(x: &[f64]) -> f64 {
+pub(crate) fn objective(x: &[f64]) -> f64 {
     x.iter()
         .enumerate()
         .map(|(i, v)| {
@@ -40,7 +40,7 @@ pub fn objective(x: &[f64]) -> f64 {
 }
 
 /// FNV-1a over the coordinates' `f64::to_bits`: one `u64` per suggestion.
-pub fn digest(x: &[f64]) -> u64 {
+pub(crate) fn digest(x: &[f64]) -> u64 {
     x.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
         v.to_bits()
             .to_le_bytes()
@@ -49,7 +49,7 @@ pub fn digest(x: &[f64]) -> u64 {
     })
 }
 
-pub fn assert_stream(name: &str, got: &[u64], want: &[u64]) {
+pub(crate) fn assert_stream(name: &str, got: &[u64], want: &[u64]) {
     let first = got.iter().zip(want).position(|(g, w)| g != w);
     assert!(
         got == want,

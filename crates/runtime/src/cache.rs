@@ -35,18 +35,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A thread-safe record of settled configurations: the measured result,
 /// or `None` for a configuration quarantined after it failed terminally.
 ///
@@ -70,7 +58,7 @@ impl EvalCache {
     /// counts as a hit; a quarantined one answers a penalty-scored
     /// [`TrialStatus::Quarantined`] result and, like an unknown one,
     /// counts as a miss.
-    pub fn lookup(&self, config: &Config) -> Option<EvalResult> {
+    pub(crate) fn lookup(&self, config: &Config) -> Option<EvalResult> {
         let found = lock_recover(&self.map).get(&config_fingerprint(config)).cloned();
         let counter = if matches!(found, Some(Some(_))) { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -96,7 +84,7 @@ impl EvalCache {
     /// it.
     ///
     /// [quarantined]: EvalCache::quarantine
-    pub fn insert(&self, config: &Config, result: EvalResult) {
+    pub(crate) fn insert(&self, config: &Config, result: EvalResult) {
         if result.is_retryable() {
             return;
         }
@@ -106,7 +94,7 @@ impl EvalCache {
     /// Quarantines a configuration that failed terminally: later lookups
     /// answer it as [`TrialStatus::Quarantined`] without a re-run.
     /// Returns whether it was newly quarantined.
-    pub fn quarantine(&self, config: &Config) -> bool {
+    pub(crate) fn quarantine(&self, config: &Config) -> bool {
         match lock_recover(&self.map).entry(config_fingerprint(config)) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
@@ -117,19 +105,8 @@ impl EvalCache {
     }
 
     /// Number of quarantined configurations.
-    pub fn quarantined(&self) -> usize {
+    pub(crate) fn quarantined(&self) -> usize {
         lock_recover(&self.map).values().filter(|v| v.is_none()).count()
-    }
-
-    /// Number of distinct configurations settled (measured or
-    /// quarantined).
-    pub fn len(&self) -> usize {
-        lock_recover(&self.map).len()
-    }
-
-    /// Whether nothing has been settled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshot of the hit/miss counters.
@@ -146,6 +123,31 @@ mod tests {
     use super::*;
     use llamatune_space::catalog::postgres_v9_6;
     use llamatune_space::KnobValue;
+
+    impl super::CacheStats {
+        /// Fraction of lookups served from the cache.
+        fn hit_rate(&self) -> f64 {
+            let total = self.hits + self.misses;
+            if total == 0 {
+                0.0
+            } else {
+                self.hits as f64 / total as f64
+            }
+        }
+    }
+
+    impl super::EvalCache {
+        /// Number of distinct configurations settled (measured or
+        /// quarantined).
+        pub(crate) fn len(&self) -> usize {
+            lock_recover(&self.map).len()
+        }
+
+        /// Whether nothing has been settled yet.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     #[test]
     fn key_distinguishes_configs_and_is_stable() {

@@ -255,7 +255,7 @@ impl Campaign {
     /// The campaign's session grid in run order — one [`CellSpec`] per
     /// (workload × adapter × optimizer × seed) combination, each
     /// directly runnable through a [`SessionDriver`].
-    pub fn cells(&self) -> Vec<CellSpec> {
+    pub(crate) fn cells(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
         for w in &self.spec.workloads {
             for a in &self.spec.adapters {

@@ -159,19 +159,9 @@ impl<'a> SessionDriver<'a> {
     /// Overrides the campaign tracer for this session — fleet workers
     /// pass their private [`llamatune_obs::trace::FanoutTracer`] tee
     /// here so per-writer telemetry separates from the campaign stream.
-    pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
+    pub(crate) fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
-    }
-
-    /// The session's label (`workload/adapter/optimizer/s<seed>`).
-    pub fn label(&self) -> &str {
-        &self.cell.label
-    }
-
-    /// The cell this driver runs.
-    pub fn cell(&self) -> &CellSpec {
-        &self.cell
     }
 
     fn tracer(&self) -> Arc<dyn Tracer> {
@@ -179,7 +169,7 @@ impl<'a> SessionDriver<'a> {
     }
 
     /// Builds this session's search-space adapter (seeded projection).
-    pub fn build_adapter(&self) -> Box<dyn SearchSpaceAdapter> {
+    pub(crate) fn build_adapter(&self) -> Box<dyn SearchSpaceAdapter> {
         self.cell.adapter.build(self.catalog, self.cell.seed)
     }
 

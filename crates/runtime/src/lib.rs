@@ -73,12 +73,12 @@
 //! order, and evaluation itself is deterministic per seed. The
 //! `determinism` integration test pins this down bit-for-bit.
 
-pub mod batch;
-pub mod cache;
-pub mod campaign;
-pub mod driver;
-pub mod executor;
-pub mod policy;
+mod batch;
+mod cache;
+mod campaign;
+mod driver;
+mod executor;
+mod policy;
 
 pub use batch::BatchSuggest;
 pub use cache::{CacheStats, EvalCache};

@@ -57,11 +57,6 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// The daemon's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Asks the accept loop to stop. The loop notices on its next
     /// wakeup: a throwaway self-connection unblocks a parked `accept`.
     pub fn shutdown(&self) {
@@ -70,7 +65,7 @@ impl ServerHandle {
     }
 
     /// Whether shutdown has been requested.
-    pub fn is_stopped(&self) -> bool {
+    pub(crate) fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 }

@@ -5,7 +5,7 @@
 //! sessions for remote clients over a small length-prefixed JSON wire
 //! protocol. It owns it literally: one handle per daemon, opened by the
 //! first request that needs it, appended to by every session and read
-//! by every query — see [`session`] for what that handle does and does
+//! by every query — see [`SessionRegistry`] for what that handle does and does
 //! not see. The division of labor:
 //!
 //! * **Server side** — everything stateful and everything that must be
@@ -38,8 +38,8 @@
 //!
 //! [`SessionDriver`]: llamatune_runtime::SessionDriver
 
-pub mod daemon;
-pub mod session;
+mod daemon;
+mod session;
 pub mod wire;
 
 pub use daemon::{Server, ServerConfig, ServerHandle};

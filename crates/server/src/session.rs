@@ -420,7 +420,7 @@ impl SessionRegistry {
     /// `warm_start_query`: the optimizer-space warm points recorded in
     /// the session's store metadata (none while a live session is still
     /// being opened).
-    pub fn warm_points(&self, label: &str) -> Result<Vec<Vec<f64>>, WireError> {
+    pub(crate) fn warm_points(&self, label: &str) -> Result<Vec<Vec<f64>>, WireError> {
         match self.store()?.session_meta(label) {
             Some(meta) => Ok(meta.warm_points),
             None if lock_recover(&self.sessions).contains_key(label) => Ok(Vec::new()),

@@ -43,7 +43,7 @@
 //! parsed from the token's borrowed literal, no tree, no `String` per
 //! knob; the once-per-session messages go through
 //! [`json::parse`] and the tree's typed by-key accessors. Either way a
-//! decoder only chooses the code — [`WireError::bad_params`] for what a
+//! decoder only chooses the code — `WireError::bad_params` for what a
 //! client sent, [`WireError::bad_json`] for what a daemon replied — and
 //! reads an open document: members it does not know are passed over.
 
@@ -198,7 +198,7 @@ impl WireError {
 
     /// A request's params were missing a field or carried a bad value —
     /// what a `llamatune_obs::json` reader's error means server-side.
-    pub fn bad_params(message: String) -> Self {
+    pub(crate) fn bad_params(message: String) -> Self {
         WireError::new(code::BAD_PARAMS, message)
     }
 
@@ -317,7 +317,7 @@ pub fn encode_ok(id: u64, body: &str) -> String {
 
 /// Serializes an error response; `id` is `None` when the request was
 /// too mangled to carry one.
-pub fn encode_err(id: Option<u64>, err: &WireError) -> String {
+pub(crate) fn encode_err(id: Option<u64>, err: &WireError) -> String {
     let id = id.map_or("null".to_string(), |id| id.to_string());
     format!(
         "{{\"id\":{id},\"err\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
@@ -479,7 +479,7 @@ pub struct SessionAttached {
 }
 
 impl SessionAttached {
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let mut out = String::from("{\"session\":");
         json::write_str(&mut out, &self.session);
         out.push_str(if self.done {
@@ -568,7 +568,7 @@ impl SuggestReply {
     }
 
     /// Appends the reply body, each knob value straight to its token.
-    pub fn write(&self, out: &mut String) {
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             SuggestReply::Done => out.push_str("{\"done\":true}"),
             SuggestReply::Round { round, trials } => {
@@ -758,7 +758,7 @@ pub struct SessionStatusReply {
 }
 
 impl SessionStatusReply {
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let mut out = String::from("{\"status\":");
         json::write_str(&mut out, &self.status);
         out.push_str(",\"trials\":");
@@ -795,7 +795,7 @@ pub struct WarmStartReply {
 }
 
 impl WarmStartReply {
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let mut out = String::from("{\"points\":");
         json::write_array(&mut out, &self.points, |out, p| json::write_f64_array(out, p));
         out.push('}');
@@ -833,7 +833,7 @@ mod reference {
     use llamatune_space::{Config, KnobValue};
     use std::fmt::Write as _;
 
-    pub fn knob_value_to_token(v: &KnobValue) -> String {
+    pub(super) fn knob_value_to_token(v: &KnobValue) -> String {
         match v {
             KnobValue::Int(x) => format!("i{x}"),
             KnobValue::Float(x) => format!("f{x}"),
@@ -841,7 +841,7 @@ mod reference {
         }
     }
 
-    pub fn knob_value_from_token(s: &str) -> Result<KnobValue, String> {
+    pub(super) fn knob_value_from_token(s: &str) -> Result<KnobValue, String> {
         let (tag, rest) = s.split_at_checked(s.len().min(1)).unwrap_or(("", s));
         match tag {
             "i" => {
@@ -859,18 +859,18 @@ mod reference {
     }
 
     #[derive(Debug, Clone)]
-    pub struct Request {
+    pub(super) struct Request {
         pub id: u64,
         pub method: String,
         pub params: JsonValue,
     }
 
     impl Request {
-        pub fn encode(id: u64, method: &str, params: &str) -> String {
+        pub(super) fn encode(id: u64, method: &str, params: &str) -> String {
             format!("{{\"id\":{id},\"method\":\"{}\",\"params\":{params}}}", json::escape(method))
         }
 
-        pub fn decode(body: &str) -> Result<Request, WireError> {
+        pub(super) fn decode(body: &str) -> Result<Request, WireError> {
             let bad_request = |m: String| WireError::new(code::BAD_REQUEST, m);
             let doc = json::parse(body).map_err(WireError::bad_json)?;
             let id = doc.u64("id").map_err(bad_request)?;
@@ -880,18 +880,18 @@ mod reference {
         }
     }
 
-    pub fn encode_ok(id: u64, body: &str) -> String {
+    pub(super) fn encode_ok(id: u64, body: &str) -> String {
         format!("{{\"id\":{id},\"ok\":{body}}}")
     }
 
     #[derive(Debug, Clone)]
-    pub struct Response {
+    pub(super) struct Response {
         pub id: Option<u64>,
         pub result: Result<JsonValue, WireError>,
     }
 
     impl Response {
-        pub fn decode(body: &str) -> Result<Response, WireError> {
+        pub(super) fn decode(body: &str) -> Result<Response, WireError> {
             let doc = json::parse(body).map_err(WireError::bad_json)?;
             let id = doc.get("id").and_then(JsonValue::as_u64);
             if let Some(ok) = doc.get("ok") {
@@ -907,13 +907,13 @@ mod reference {
     }
 
     #[derive(Debug, Clone)]
-    pub struct WireTrial {
+    pub(super) struct WireTrial {
         pub iteration: usize,
         pub config: Vec<String>,
     }
 
     impl WireTrial {
-        pub fn to_config(&self) -> Result<Config, WireError> {
+        pub(super) fn to_config(&self) -> Result<Config, WireError> {
             let values: Result<Vec<KnobValue>, String> =
                 self.config.iter().map(|t| knob_value_from_token(t)).collect();
             values.map(Config::new).map_err(WireError::bad_json)
@@ -921,13 +921,16 @@ mod reference {
     }
 
     #[derive(Debug, Clone)]
-    pub enum SuggestReply {
+    pub(super) enum SuggestReply {
         Round { round: usize, trials: Vec<WireTrial> },
         Done,
     }
 
     impl SuggestReply {
-        pub fn from_trials(round: usize, trials: &[(usize, Vec<KnobValue>)]) -> SuggestReply {
+        pub(super) fn from_trials(
+            round: usize,
+            trials: &[(usize, Vec<KnobValue>)],
+        ) -> SuggestReply {
             SuggestReply::Round {
                 round,
                 trials: trials
@@ -940,7 +943,7 @@ mod reference {
             }
         }
 
-        pub fn encode(&self) -> String {
+        pub(super) fn encode(&self) -> String {
             match self {
                 SuggestReply::Done => "{\"done\":true}".to_string(),
                 SuggestReply::Round { round, trials } => {
@@ -956,7 +959,7 @@ mod reference {
             }
         }
 
-        pub fn decode(body: &JsonValue) -> Result<SuggestReply, WireError> {
+        pub(super) fn decode(body: &JsonValue) -> Result<SuggestReply, WireError> {
             if body.get("done") == Some(&JsonValue::Bool(true)) {
                 return Ok(SuggestReply::Done);
             }
@@ -980,7 +983,7 @@ mod reference {
     }
 
     #[derive(Debug, Clone)]
-    pub struct WireResult {
+    pub(super) struct WireResult {
         pub score: Option<f64>,
         pub metrics: Vec<f64>,
         pub status: TrialStatus,
@@ -1027,14 +1030,14 @@ mod reference {
     }
 
     #[derive(Debug, Clone)]
-    pub struct Report {
+    pub(super) struct Report {
         pub session: String,
         pub round: usize,
         pub results: Vec<WireResult>,
     }
 
     impl Report {
-        pub fn encode(&self) -> String {
+        pub(super) fn encode(&self) -> String {
             let mut out = String::from("{\"session\":");
             json::write_str(&mut out, &self.session);
             let _ = write!(out, ",\"round\":{},\"results\":", self.round);
@@ -1043,7 +1046,7 @@ mod reference {
             out
         }
 
-        pub fn decode(params: &JsonValue) -> Result<Report, WireError> {
+        pub(super) fn decode(params: &JsonValue) -> Result<Report, WireError> {
             let decode = || -> Result<Report, String> {
                 Ok(Report {
                     session: params.str("session")?.to_string(),

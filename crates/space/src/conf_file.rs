@@ -7,7 +7,7 @@ use crate::types::{KnobValue, Unit};
 
 /// Renders one knob value the way `postgresql.conf` expects it, using the
 /// knob's unit (`16384` pages -> `'128MB'`, `200` ms -> `'200ms'`).
-pub fn render_value(space: &ConfigSpace, knob_idx: usize, value: &KnobValue) -> String {
+pub(crate) fn render_value(space: &ConfigSpace, knob_idx: usize, value: &KnobValue) -> String {
     let knob = &space.knobs()[knob_idx];
     if let Some(label) = knob.choice_label(value) {
         return label.to_string();

@@ -20,8 +20,8 @@
 
 pub mod catalog;
 pub mod conf_file;
-pub mod space;
-pub mod types;
+mod space;
+mod types;
 
 pub use space::{Config, ConfigSpace, KnobAssignment};
 pub use types::{Domain, Knob, KnobValue, SpecialValue, Unit};

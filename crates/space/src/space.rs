@@ -124,7 +124,7 @@ impl ConfigSpace {
     /// Converts one unit-space coordinate `u ∈ [0, 1]` to a knob value via
     /// the min–max scaling of Section 3.3 (round to integer for discrete
     /// knobs; equal-width binning for categorical knobs).
-    pub fn unit_to_value(&self, knob_idx: usize, u: f64) -> KnobValue {
+    pub(crate) fn unit_to_value(&self, knob_idx: usize, u: f64) -> KnobValue {
         let u = u.clamp(0.0, 1.0);
         match &self.knobs[knob_idx].domain {
             Domain::Integer { min, max } => {
@@ -142,7 +142,7 @@ impl ConfigSpace {
     }
 
     /// Converts a knob value back to a unit-space coordinate (inverse of
-    /// [`Self::unit_to_value`] up to rounding; categorical values map to
+    /// `Self::unit_to_value` up to rounding; categorical values map to
     /// their bin center).
     pub fn value_to_unit(&self, knob_idx: usize, value: &KnobValue) -> f64 {
         match (&self.knobs[knob_idx].domain, value) {

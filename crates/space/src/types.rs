@@ -134,12 +134,12 @@ pub struct Knob {
 
 impl Knob {
     /// Whether this knob is *hybrid*, i.e. has a special value.
-    pub fn is_hybrid(&self) -> bool {
+    pub(crate) fn is_hybrid(&self) -> bool {
         self.special.is_some()
     }
 
     /// Checks that `value` matches the domain type and lies inside it.
-    pub fn validates(&self, value: &KnobValue) -> bool {
+    pub(crate) fn validates(&self, value: &KnobValue) -> bool {
         match (&self.domain, value) {
             (Domain::Integer { min, max }, KnobValue::Int(v)) => v >= min && v <= max,
             (Domain::Float { min, max }, KnobValue::Float(v)) => v >= min && v <= max,
@@ -149,7 +149,7 @@ impl Knob {
     }
 
     /// Renders the concrete choice label for a categorical value.
-    pub fn choice_label(&self, value: &KnobValue) -> Option<&'static str> {
+    pub(crate) fn choice_label(&self, value: &KnobValue) -> Option<&'static str> {
         match (&self.domain, value) {
             (Domain::Categorical { choices }, KnobValue::Cat(i)) => choices.get(*i).copied(),
             _ => None,

@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// The manifest's object name, identical across backends.
-pub const MANIFEST_NAME: &str = "MANIFEST";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
 
 /// An opaque manifest revision: the 64-bit FNV-1a hash of the manifest
 /// bytes, with `0` reserved for "no manifest exists yet". Backends
@@ -67,7 +67,7 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 pub type Revision = u64;
 
 /// The revision of a manifest with these bytes ([`Revision`]; never 0).
-pub fn revision_of(bytes: &[u8]) -> Revision {
+pub(crate) fn revision_of(bytes: &[u8]) -> Revision {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -208,11 +208,6 @@ impl LocalDirBackend {
             handles: Mutex::new(HashMap::new()),
             commit_lock: Mutex::new(()),
         })
-    }
-
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn drop_handle(&self, name: &str) {
@@ -382,11 +377,6 @@ impl ObjectStoreBackend {
     pub fn new(opts: ObjectStoreOptions) -> ObjectStoreBackend {
         ObjectStoreBackend { opts, state: Mutex::new(ObjectState::default()) }
     }
-
-    /// Total bytes stored across all objects (for benches and tests).
-    pub fn total_bytes(&self) -> usize {
-        lock_recover(&self.state).objects.values().map(Vec::len).sum()
-    }
 }
 
 impl StoreBackend for ObjectStoreBackend {
@@ -476,6 +466,13 @@ impl StoreBackend for ObjectStoreBackend {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl super::LocalDirBackend {
+        /// The backing directory.
+        pub(crate) fn dir(&self) -> &Path {
+            &self.dir
+        }
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()

@@ -83,11 +83,6 @@ impl FailingBackend {
         }
     }
 
-    /// Whether the fault has fired (the wrapped writer is "dead").
-    pub fn tripped(&self) -> bool {
-        lock_recover(&self.state).dead
-    }
-
     /// Charges `len` payload bytes against a byte budget. Returns how
     /// many bytes of this operation may still be written (`len` = all,
     /// `0` = none), and marks the writer dead when the budget is hit.
@@ -205,6 +200,13 @@ impl StoreBackend for FailingBackend {
 mod tests {
     use super::*;
     use crate::backend::ObjectStoreBackend;
+
+    impl super::FailingBackend {
+        /// Whether the fault has fired (the wrapped writer is "dead").
+        fn tripped(&self) -> bool {
+            lock_recover(&self.state).dead
+        }
+    }
 
     #[test]
     fn kill_at_byte_tears_the_crossing_append_and_kills_the_rest() {

@@ -8,12 +8,12 @@
 //! * [`TrialStore`] — an append-only, crash-safe store of trial and
 //!   session records: JSONL segments sealed through an atomically
 //!   committed manifest, torn-write recovery on the active segment, and
-//!   an in-memory index keyed by session label and iteration (see
-//!   [`segment`] for the format and recovery, [`manifest`] for the
-//!   commit protocol). Records are a superset of the
+//!   an in-memory index keyed by session label and iteration (the
+//!   module docs of `segment.rs` hold the format and recovery, those of
+//!   `manifest.rs` the commit protocol). Records are a superset of the
 //!   core crate's `TrialEvent` schema, so a store exports the exact
 //!   campaign transcript the sequential tooling already reads.
-//! * **Pluggable backends** ([`backend`]) — the store reads and writes
+//! * **Pluggable backends** — the store reads and writes
 //!   named objects through the [`StoreBackend`] trait:
 //!   [`LocalDirBackend`] keeps the original one-file-per-object layout
 //!   (manifest committed by atomic rename), [`ObjectStoreBackend`]
@@ -22,7 +22,7 @@
 //!   [`TrialStore::open`] is the writer `local`) appends into an active
 //!   segment of its own and commits through the manifest's one CAS
 //!   retry loop, so N tuning workers can share one store, and
-//!   [`TrialStore::open_reader`] serves the merged view. [`faults`]
+//!   [`TrialStore::open_reader`] serves the merged view. [`FailingBackend`]
 //!   injects deterministic kill-at-byte failures at this seam for the
 //!   CI crash suites.
 //! * **Checkpoint/resume** — the runtime crate's `Campaign` flushes
@@ -31,7 +31,7 @@
 //!   (whose state the constant-liar wrapper keeps a pure function of the
 //!   real history) and continues each session bit-identically to an
 //!   uninterrupted run.
-//! * **Warm-start transfer** ([`transfer`]) — workloads are
+//! * **Warm-start transfer** — workloads are
 //!   fingerprinted from a probe run's internal metrics; a new session
 //!   whose fingerprint lands near a stored campaign seeds its first *k*
 //!   trials from that campaign's top configurations instead of LHS.
@@ -40,24 +40,21 @@
 //! `grep`, exportable with [`TrialStore::export_jsonl`], and robust to
 //! partial writes by construction rather than by checksum machinery.
 
-pub mod backend;
-pub mod faults;
-// `manifest` and `segment` export nothing; they are public for their
-// module docs, which hold the commit protocol and the on-disk format.
-pub mod manifest;
-pub mod record;
-pub mod segment;
-pub mod store;
-pub mod transfer;
+mod backend;
+mod faults;
+mod manifest;
+mod record;
+mod segment;
+mod store;
+mod transfer;
 
 pub use backend::{
-    lock_recover, revision_of, CasConflict, LocalDirBackend, ObjectStoreBackend,
-    ObjectStoreOptions, Revision, StoreBackend, MANIFEST_NAME,
+    lock_recover, CasConflict, LocalDirBackend, ObjectStoreBackend, ObjectStoreOptions, Revision,
+    StoreBackend,
 };
 pub use faults::{FailingBackend, FaultPlan};
 pub use record::{
-    knob_value_from_token, read_config, record_from_json, record_to_json, write_config,
-    SessionMeta, SessionStatus, StoreRecord, StoredTrial,
+    knob_value_from_token, read_config, write_config, SessionMeta, SessionStatus, StoreRecord,
+    StoredTrial,
 };
-pub use store::{rebuild_history, CompactionStats, StoreOptions, TrialStore};
-pub use transfer::{cosine_distance, SessionMatch};
+pub use store::{rebuild_history, StoreOptions, TrialStore};

@@ -72,12 +72,12 @@ impl<'a> From<&'a StoredTrial> for EventRef<'a> {
 
 impl StoredTrial {
     /// Projects the trial onto the core crate's JSONL event schema.
-    pub fn to_event(&self) -> TrialEvent {
+    pub(crate) fn to_event(&self) -> TrialEvent {
         EventRef::from(self).into()
     }
 
     /// Converts the trial into the session loop's replay unit.
-    pub fn to_prior(&self) -> PriorTrial {
+    pub(crate) fn to_prior(&self) -> PriorTrial {
         PriorTrial {
             iteration: self.iteration,
             point: self.point.clone(),
@@ -195,7 +195,7 @@ pub fn read_config(sc: &mut Scanner<'_>) -> Result<Vec<KnobValue>, String> {
 }
 
 /// Appends one record as a single JSON line (no trailing newline).
-pub fn write_record(out: &mut String, r: &StoreRecord) {
+pub(crate) fn write_record(out: &mut String, r: &StoreRecord) {
     match r {
         StoreRecord::Trial(t) => {
             // The shared prefix is the core event serializer's, so the
@@ -233,7 +233,7 @@ pub fn write_record(out: &mut String, r: &StoreRecord) {
 }
 
 /// [`write_record`] into a fresh `String`.
-pub fn record_to_json(r: &StoreRecord) -> String {
+pub(crate) fn record_to_json(r: &StoreRecord) -> String {
     let mut out = String::with_capacity(256);
     write_record(&mut out, r);
     out
@@ -242,7 +242,7 @@ pub fn record_to_json(r: &StoreRecord) -> String {
 /// Parses one [`record_to_json`] line. Keys may appear in any order;
 /// unknown keys are rejected (the schema is closed, like the core
 /// crate's event schema).
-pub fn record_from_json(line: &str) -> Result<StoreRecord, String> {
+pub(crate) fn record_from_json(line: &str) -> Result<StoreRecord, String> {
     let mut sc = Scanner::new(line);
     let mut kind = None;
     let mut session = None;
@@ -355,7 +355,7 @@ mod reference {
     use llamatune_obs::json::{self, Scanner};
     use llamatune_space::KnobValue;
 
-    pub fn knob_value_to_token(v: &KnobValue) -> String {
+    pub(super) fn knob_value_to_token(v: &KnobValue) -> String {
         match v {
             KnobValue::Int(x) => format!("i{x}"),
             KnobValue::Float(x) => format!("f{x}"),
@@ -363,7 +363,7 @@ mod reference {
         }
     }
 
-    pub fn knob_value_from_token(s: &str) -> Result<KnobValue, String> {
+    pub(super) fn knob_value_from_token(s: &str) -> Result<KnobValue, String> {
         let (tag, rest) = s.split_at_checked(s.len().min(1)).unwrap_or(("", s));
         match tag {
             "i" => {
@@ -380,7 +380,7 @@ mod reference {
         }
     }
 
-    pub fn record_to_json(r: &StoreRecord) -> String {
+    pub(super) fn record_to_json(r: &StoreRecord) -> String {
         let mut out = String::with_capacity(256);
         match r {
             StoreRecord::Trial(t) => {
@@ -418,7 +418,7 @@ mod reference {
         out
     }
 
-    pub fn record_from_json(line: &str) -> Result<StoreRecord, String> {
+    pub(super) fn record_from_json(line: &str) -> Result<StoreRecord, String> {
         let mut sc = Scanner::new(line);
         let mut kind = None;
         let mut session = None;

@@ -136,8 +136,8 @@ impl TrialStore {
     /// listed in the manifest, so every other writer and reader can see
     /// its records. Writer tags must be unique among *live* writers —
     /// reopening a dead writer's tag reclaims (repairs and adopts) the
-    /// active segment it left behind. See [`crate::manifest`] for the
-    /// commit protocol.
+    /// active segment it left behind. The module docs of `manifest.rs`
+    /// hold the commit protocol.
     pub fn open_shared(
         backend: Arc<dyn StoreBackend>,
         writer: &str,
@@ -476,11 +476,6 @@ impl TrialStore {
         lock_recover(&self.inner).index.trial_records
     }
 
-    /// Whether the store holds no trials.
-    pub fn is_empty(&self) -> bool {
-        self.trial_count() == 0
-    }
-
     /// Rewrites the store with its logical state only: one metadata
     /// record per session (the latest — superseded status updates are
     /// dropped) followed by its trials with `(session, iteration)`
@@ -653,6 +648,13 @@ mod tests {
     use crate::manifest::MANIFEST_HEADER;
     use crate::record::{record_to_json, SessionStatus};
     use llamatune_space::KnobValue;
+
+    impl super::TrialStore {
+        /// Whether the store holds no trials.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.trial_count() == 0
+        }
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()

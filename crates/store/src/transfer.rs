@@ -20,7 +20,7 @@ use crate::store::TrialStore;
 /// Cosine distance `1 - cos(a, b)` in `[0, 2]`; `0` means identical
 /// direction. Mismatched lengths and zero vectors are maximally distant
 /// (they carry no evidence of similarity).
-pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
     if a.len() != b.len() || a.is_empty() {
         return 2.0;
     }

@@ -92,7 +92,7 @@ impl TrialRunner for WorkloadRunner {
 
 /// What kind of trial fault to inject; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// The evaluation panics.
     Panic,
     /// The attempt fails retryably; clears after
@@ -158,7 +158,7 @@ impl FaultPlan {
 
     /// The fault assigned to a configuration fingerprint, if any — a
     /// pure function of `(self.seed, fingerprint)`.
-    pub fn fault_for(&self, fingerprint: u64) -> Option<FaultKind> {
+    pub(crate) fn fault_for(&self, fingerprint: u64) -> Option<FaultKind> {
         let total = self.panic_per_mille
             + self.transient_per_mille
             + self.hang_per_mille
@@ -195,27 +195,20 @@ impl FaultPlan {
 /// Virtual duration reported by a hung evaluation — far beyond any
 /// sane watchdog timeout, but finite so schedules without a watchdog
 /// still fold the trial and terminate.
-pub const HANG_VIRTUAL_MS: f64 = 1e12;
+pub(crate) const HANG_VIRTUAL_MS: f64 = 1e12;
 
 /// Inflation factor of a straggling ([`FaultKind::Slow`]) evaluation.
-pub const SLOWDOWN_FACTOR: f64 = 8.0;
+pub(crate) const SLOWDOWN_FACTOR: f64 = 8.0;
 
 /// Counts of faults actually injected, by kind (observability for the
 /// chaos suites: a green run with zero injections proves nothing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
+pub(crate) struct FaultCounts {
     pub panics: u64,
     pub transients: u64,
     pub hangs: u64,
     pub slowdowns: u64,
     pub corruptions: u64,
-}
-
-impl FaultCounts {
-    /// Total injected faults.
-    pub fn total(&self) -> u64 {
-        self.panics + self.transients + self.hangs + self.slowdowns + self.corruptions
-    }
 }
 
 /// A [`TrialRunner`] wrapper that injects trial-execution faults per a
@@ -253,13 +246,8 @@ impl FaultyRunner {
         }
     }
 
-    /// The schedule this runner injects.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Faults injected so far, by kind.
-    pub fn injected(&self) -> FaultCounts {
+    pub(crate) fn injected(&self) -> FaultCounts {
         FaultCounts {
             panics: self.panics.load(Ordering::Relaxed),
             transients: self.transients.load(Ordering::Relaxed),

@@ -18,15 +18,12 @@
 //! \[6\] and BenchBase \[8\] definitions, simplified to the
 //! logical-operation vocabulary of the engine.
 
-pub mod faulty;
-pub mod fingerprint;
-pub mod runner;
-pub mod suites;
+mod faulty;
+mod fingerprint;
+mod runner;
+mod suites;
 
-pub use faulty::{
-    config_fingerprint, AttemptOutcome, FaultCounts, FaultKind, FaultPlan, FaultyRunner,
-    TrialRunner, HANG_VIRTUAL_MS, SLOWDOWN_FACTOR,
-};
+pub use faulty::{config_fingerprint, AttemptOutcome, FaultPlan, FaultyRunner, TrialRunner};
 pub use fingerprint::{workload_fingerprint, FINGERPRINT_PROBE_SEED};
 pub use runner::{suggested_options, Objective, WorkloadRunner};
 pub use suites::{

@@ -59,19 +59,9 @@ impl WorkloadRunner {
         self
     }
 
-    /// The workload being tuned.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
     /// The knob catalog configurations resolve against.
     pub fn catalog(&self) -> &ConfigSpace {
         &self.catalog
-    }
-
-    /// The configured objective.
-    pub fn objective(&self) -> Objective {
-        self.objective
     }
 
     /// Virtual milliseconds one evaluation simulates (the run window).
@@ -137,6 +127,13 @@ mod tests {
     use crate::suites::{ycsb_a, ycsb_b};
     use llamatune_space::catalog::postgres_v9_6;
     use llamatune_space::KnobValue;
+
+    impl super::WorkloadRunner {
+        /// The workload being tuned.
+        fn spec(&self) -> &WorkloadSpec {
+            &self.spec
+        }
+    }
 
     fn quick(spec: WorkloadSpec) -> WorkloadRunner {
         let catalog = postgres_v9_6();
